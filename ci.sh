@@ -86,13 +86,15 @@ serve() {
 
     # The event-loop hardening suites, named so a failure points straight
     # at the broken layer: protocol fuzzing, fault injection (slowloris,
-    # half-open, backpressure), transport bit-identity and the 1000-
-    # connection swarm.
-    step "obf_server fuzz + fault-injection + bit-identity + swarm suites"
+    # half-open, backpressure), transport bit-identity, the 1000-
+    # connection swarm, and STAT transcripts that must not depend on the
+    # world-statistics memo's capacity.
+    step "obf_server fuzz + fault-injection + bit-identity + swarm + memo suites"
     cargo test -q -p obf_server --test fuzz_protocol
     cargo test -q -p obf_server --test fault_injection
     cargo test -q -p obf_server --test bit_identity
     cargo test -q -p obf_server --test high_concurrency
+    cargo test -q -p obf_server --test stat_memo
 
     # Serving determinism: the probe script must answer bit-identically
     # across runs (throughput may differ, answers not) AND match the

@@ -21,9 +21,10 @@
 //!   ([`ServerMode::ThreadPerConnection`]) purely as the reference the
 //!   event loop is regression-tested against: both answer through the
 //!   same [`ServerState::answer`], so transcripts are byte-identical;
-//! * Monte-Carlo queries draw their worlds from a shared
-//!   [`WorldCache`] keyed by `(epoch, master_seed, index)`, so
-//!   concurrent queries reuse sampled worlds instead of re-sampling;
+//! * Monte-Carlo queries read per-world statistics from a shared
+//!   [`WorldCache`] memo keyed by `(epoch, master_seed, index)`: each
+//!   world is sampled and measured once, and a warm `STAT` over `r`
+//!   worlds is `r` lookups;
 //! * every answer is **bit-identical at any concurrency**: exact
 //!   queries read immutable state, and sampled queries average worlds
 //!   `0..r` of the deterministic [`obf_uncertain::sample_indexed_world`]
@@ -31,9 +32,9 @@
 //!   makes;
 //! * an evolved release is swapped in **live** via the `RELOAD <path>`
 //!   admin command: the graph behind the `Arc` is replaced atomically,
-//!   the world cache's epoch bump invalidates every stale world, and
-//!   requests in flight finish on the `(epoch, graph)` pair they pinned
-//!   at parse time — no connection is dropped, no answer mixes releases.
+//!   the world cache's epoch bump invalidates every stale entry, and
+//!   requests in flight finish on the [`Release`] they pinned at parse
+//!   time — no connection is dropped, no answer mixes releases.
 //!
 //! The wire format is a length-prefixed line protocol ([`protocol`]).
 //! Connections idle longer than [`ServerConfig::idle_timeout`] are
@@ -72,8 +73,6 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use obf_graph::global_clustering_coefficient;
-use obf_graph::DegreeStats;
 use obf_obs::metrics::labeled;
 use obf_obs::reqlog::{ReqLogEntry, ReqLogWriter, ReqStatus};
 use obf_obs::{Counter, Gauge, Histogram, Registry, Span, TraceScope};
@@ -82,11 +81,12 @@ use obf_uncertain::degree_dist::{vertex_degree_distribution, DegreeDistMethod};
 use obf_uncertain::snapshot::SNAPSHOT_MAGIC;
 use obf_uncertain::{
     expected_average_degree, expected_degree_variance, expected_num_edges, expected_triangles,
-    SnapshotMeta, UncertainGraph, WorldCache, WorldCacheStats,
+    Release, SnapshotMeta, UncertainGraph, WorldCache, WorldCacheStats,
 };
 
 pub use event_loop::BUSY_REPLY;
-pub use protocol::{read_frame, write_frame, ExactStat, Request, WorldStat};
+pub use obf_uncertain::WorldStat;
+pub use protocol::{read_frame, write_frame, ExactStat, Request};
 pub use sys::PollerKind;
 
 /// Which serving core multiplexes connections.
@@ -105,7 +105,8 @@ pub enum ServerMode {
 /// Server tuning knobs.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ServerConfig {
-    /// Maximum resident worlds in the shared [`WorldCache`].
+    /// Maximum number of worlds whose statistics the shared
+    /// [`WorldCache`] memo retains.
     pub world_cache_capacity: usize,
     /// Close a connection that sends nothing for this long (`None`
     /// disables the timeout). The default keeps a wedged client — or a
@@ -273,8 +274,8 @@ pub struct ServerState {
 }
 
 impl ServerState {
-    /// Creates the state over a published graph with a world pool of the
-    /// given capacity.
+    /// Creates the state over a published graph with a world-statistics
+    /// memo of the given capacity.
     pub fn new(graph: Arc<UncertainGraph>, world_cache_capacity: usize) -> Self {
         Self::with_request_log(graph, world_cache_capacity, None)
             .expect("request log disabled, creation cannot fail")
@@ -341,7 +342,7 @@ impl ServerState {
         self.cache.epoch()
     }
 
-    /// World-pool counters.
+    /// World-memo counters.
     pub fn cache_stats(&self) -> WorldCacheStats {
         self.cache.stats()
     }
@@ -416,7 +417,7 @@ impl ServerState {
         self.buffer_peak_bytes.max(bytes);
     }
 
-    /// Swaps in a new published graph, invalidating all cached worlds.
+    /// Swaps in a new published graph, invalidating every memoized world.
     /// Returns the new epoch. In-flight requests finish on the release
     /// they pinned.
     pub fn swap_graph(&self, graph: Arc<UncertainGraph>) -> u64 {
@@ -519,8 +520,8 @@ impl ServerState {
     }
 
     fn answer_request(&self, req: &Request) -> Result<String, String> {
-        let (epoch, graph) = self.cache.current();
-        let g: &UncertainGraph = &graph;
+        let release = self.cache.current();
+        let (epoch, g) = (release.epoch, &*release.graph);
         let n = g.num_vertices();
         let check_vertex = |v: u32| {
             if (v as usize) < n {
@@ -574,7 +575,7 @@ impl ServerState {
                 worlds,
                 seed,
                 eps,
-            } => self.answer_stat(epoch, g, stat, worlds, seed, eps),
+            } => self.answer_stat(&release, stat, worlds, seed, eps),
             Request::CacheStats => {
                 let s = self.cache_stats();
                 format!(
@@ -611,7 +612,7 @@ impl ServerState {
     }
 
     /// The `RELOAD <path>` admin command: load the file (snapshot or
-    /// TSV), swap it in atomically, invalidate the world pool.
+    /// TSV), swap it in atomically, invalidate the world memo.
     fn reload(&self, path: &str) -> Result<String, String> {
         let (graph, meta, source) = load_published_graph_with_source(path)?;
         let n = graph.num_vertices();
@@ -647,7 +648,7 @@ impl ServerState {
     }
 
     /// Phase two: swap the staged release in atomically (same epoch
-    /// bump and world-pool invalidation as `RELOAD`, but with the load
+    /// bump and world-memo invalidation as `RELOAD`, but with the load
     /// already paid in phase one, the flip is O(1)).
     fn reload_commit(&self) -> Result<String, String> {
         let staged = self
@@ -663,30 +664,27 @@ impl ServerState {
     }
 
     /// Monte-Carlo estimate `S̄` over worlds `0..r` of the seed stream
-    /// (Eq. 9): index order is fixed, so the floating-point sum — and
-    /// therefore the answer — is identical no matter how many
-    /// connections are active. Worlds are drawn against the request's
-    /// pinned `(epoch, graph)`, so a mid-request reload can never mix
-    /// releases into one estimate.
+    /// (Eq. 9): `r` memo lookups folded in index order, so the
+    /// floating-point sum — and therefore the answer — is identical no
+    /// matter how many connections are active or which worlds were
+    /// resident. Lookups go against the request's pinned [`Release`], so
+    /// a mid-request reload can never mix releases into one estimate.
     fn answer_stat(
         &self,
-        epoch: u64,
-        g: &UncertainGraph,
+        release: &Release,
         stat: WorldStat,
         worlds: usize,
         seed: u64,
         eps: Option<f64>,
     ) -> String {
-        let mut values = Vec::with_capacity(worlds);
-        for i in 0..worlds {
-            let world = self.cache.get_or_sample_pinned(epoch, g, seed, i);
-            values.push(world_stat_value(stat, &world));
-        }
+        let values: Vec<f64> = (0..worlds)
+            .map(|i| self.cache.get_or_sample_pinned(release, seed, i).get(stat))
+            .collect();
         let mean = values.iter().sum::<f64>() / worlds as f64;
         let var = values.iter().map(|v| (v - mean) * (v - mean)).sum::<f64>() / worlds as f64;
         let mut out = format!("mean={mean} std={}", var.sqrt());
         if let Some(eps) = eps {
-            let (a, b) = stat_range(g, stat);
+            let (a, b) = stat_range(release, stat);
             out.push_str(&format!(
                 " hoeffding={}",
                 hoeffding_bound(a, b, worlds, eps)
@@ -697,17 +695,14 @@ impl ServerState {
 }
 
 /// A-priori range `[a, b]` of each sampled statistic, for the Hoeffding
-/// bound of Lemma 2. The degree ceiling is scanned from the pinned graph
-/// (an O(n) pass; `STAT .. eps` requests sample `r` worlds at O(m) each,
-/// so the scan never dominates — and precomputing it per release would
-/// race with reloads).
-fn stat_range(g: &UncertainGraph, stat: WorldStat) -> (f64, f64) {
+/// bound of Lemma 2. The degree ceiling is computed once per release and
+/// stored with it, so a warm `STAT … eps` does no O(n) work and the
+/// range always describes the release the estimate was drawn from.
+fn stat_range(release: &Release, stat: WorldStat) -> (f64, f64) {
+    let g = &release.graph;
     let n = g.num_vertices().max(1) as f64;
     let m = g.num_candidates() as f64;
-    let max_deg = (0..g.num_vertices() as u32)
-        .map(|v| g.incident_count(v))
-        .max()
-        .unwrap_or(0) as f64;
+    let max_deg = release.degree_ceiling() as f64;
     match stat {
         WorldStat::NumEdges => (0.0, m),
         WorldStat::AvgDegree => (0.0, 2.0 * m / n),
@@ -716,17 +711,6 @@ fn stat_range(g: &UncertainGraph, stat: WorldStat) -> (f64, f64) {
         // is at most (max_deg/2)².
         WorldStat::DegreeVariance => (0.0, max_deg * max_deg / 4.0),
         WorldStat::Clustering => (0.0, 1.0),
-    }
-}
-
-/// The per-world value of each sampled statistic.
-fn world_stat_value(stat: WorldStat, world: &obf_graph::Graph) -> f64 {
-    match stat {
-        WorldStat::NumEdges => world.num_edges() as f64,
-        WorldStat::AvgDegree => world.average_degree(),
-        WorldStat::MaxDegree => world.max_degree() as f64,
-        WorldStat::DegreeVariance => DegreeStats::of(world).degree_variance,
-        WorldStat::Clustering => global_clustering_coefficient(world),
     }
 }
 
@@ -990,24 +974,46 @@ mod tests {
         assert!(reply.contains("buffer_peak_bytes=12345"), "{reply}");
     }
 
+    /// The per-world value of each statistic computed on the world
+    /// itself — the test oracle for the statistics memo.
+    fn world_value(stat: WorldStat, world: &obf_graph::Graph) -> f64 {
+        match stat {
+            WorldStat::NumEdges => world.num_edges() as f64,
+            WorldStat::AvgDegree => world.average_degree(),
+            WorldStat::MaxDegree => world.max_degree() as f64,
+            WorldStat::DegreeVariance => obf_graph::DegreeStats::of(world).degree_variance,
+            WorldStat::Clustering => obf_graph::global_clustering_coefficient(world),
+        }
+    }
+
+    /// The `STAT` reply recomputed out of band over worlds `0..r`.
+    fn oracle_reply(g: &UncertainGraph, stat: WorldStat, r: usize, seed: u64) -> String {
+        let values: Vec<f64> = (0..r)
+            .map(|i| world_value(stat, &obf_uncertain::sample_indexed_world(g, seed, i)))
+            .collect();
+        let mean = values.iter().sum::<f64>() / r as f64;
+        let var = values.iter().map(|v| (v - mean) * (v - mean)).sum::<f64>() / r as f64;
+        format!("OK mean={mean} std={}", var.sqrt())
+    }
+
     #[test]
     fn sampled_stat_deterministic_and_cached() {
         let s = state();
-        let a = s.answer("STAT num_edges 20 42");
-        let b = s.answer("STAT num_edges 20 42");
-        assert_eq!(a, b);
-        assert!(a.starts_with("OK mean="));
-        let cs = s.cache_stats();
-        assert_eq!(cs.misses, 20);
-        assert_eq!(cs.hits, 20);
-        // The mean matches an out-of-band recomputation over the same
-        // deterministic stream, bit for bit.
-        let values: Vec<f64> = (0..20)
-            .map(|i| obf_uncertain::sample_indexed_world(&s.graph(), 42, i).num_edges() as f64)
-            .collect();
-        let mean = values.iter().sum::<f64>() / 20.0;
-        let var = values.iter().map(|v| (v - mean) * (v - mean)).sum::<f64>() / 20.0;
-        assert_eq!(a, format!("OK mean={mean} std={}", var.sqrt()));
+        for (k, stat) in WorldStat::ALL.into_iter().enumerate() {
+            let line = format!("STAT {} 20 42", stat.name());
+            let a = s.answer(&line);
+            let b = s.answer(&line);
+            assert_eq!(a, b);
+            // The reply matches an out-of-band recomputation over the
+            // same deterministic stream, bit for bit.
+            assert_eq!(a, oracle_reply(&s.graph(), stat, 20, 42), "{line}");
+            // Worlds are sampled once: every statistic after the first
+            // reads the memo the first one filled.
+            let cs = s.cache_stats();
+            assert_eq!(cs.misses, 20);
+            assert_eq!(cs.hits, 20 + 40 * k as u64);
+            assert_eq!(cs.resident, 20);
+        }
     }
 
     #[test]
@@ -1016,6 +1022,39 @@ mod tests {
         let reply = s.answer("STAT clustering 10 1 0.25");
         let bound: f64 = reply.split("hoeffding=").nth(1).unwrap().parse().unwrap();
         assert_eq!(bound, hoeffding_bound(0.0, 1.0, 10, 0.25));
+    }
+
+    fn hoeffding_of(reply: &str) -> f64 {
+        reply.split("hoeffding=").nth(1).unwrap().parse().unwrap()
+    }
+
+    #[test]
+    fn hoeffding_range_follows_reload_to_a_new_max_degree() {
+        let s = state();
+        // Vertices 0 and 1 each carry three candidates.
+        let md = s.answer("STAT max_degree 10 1 0.25");
+        assert_eq!(hoeffding_of(&md), hoeffding_bound(0.0, 3.0, 10, 0.25));
+        let dv = s.answer("STAT degree_variance 10 1 0.25");
+        assert_eq!(hoeffding_of(&dv), hoeffding_bound(0.0, 9.0 / 4.0, 10, 0.25));
+
+        let dir = std::env::temp_dir().join(format!("obf_server_ceiling_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("star.snap");
+        let star = UncertainGraph::new(7, (1..7).map(|v| (0, v, 0.5)).collect()).unwrap();
+        obf_uncertain::save_snapshot(&star, &path).unwrap();
+        assert!(s
+            .answer(&format!("RELOAD {}", path.display()))
+            .starts_with("OK reloaded epoch=1 n=7 candidates=6"));
+
+        // The star's hub carries six candidates: the bound moves with
+        // the release, for warm and cold lookups alike.
+        for _ in 0..2 {
+            let md = s.answer("STAT max_degree 10 1 0.25");
+            assert_eq!(hoeffding_of(&md), hoeffding_bound(0.0, 6.0, 10, 0.25));
+            let dv = s.answer("STAT degree_variance 10 1 0.25");
+            assert_eq!(hoeffding_of(&dv), hoeffding_bound(0.0, 9.0, 10, 0.25));
+        }
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

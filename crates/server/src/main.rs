@@ -24,7 +24,8 @@ const USAGE: &str = "usage:
              [--request-log <path>]
 options:
   --port <P>          TCP port to bind on 127.0.0.1 (default 0 = ephemeral)
-  --cache <N>         world-cache capacity in worlds (default 256)
+  --cache <N>         world-cache capacity: how many sampled worlds' STAT
+                      statistics (40 bytes each) to keep (default 256)
   --idle-timeout <S>  close connections idle for S seconds (0 = never; default 60)
   --max-conns <N>     admission control: reject connections past N with ERR BUSY
                       (default 4096)

@@ -33,7 +33,7 @@
 //!                              count/sum/max/p50/p90/p99 expansions)
 //! RELOAD <path>                admin: swap in a new release (snapshot or
 //!                              TSV, auto-detected); bumps the serve
-//!                              epoch and invalidates cached worlds
+//!                              epoch and invalidates memoized worlds
 //! RELOAD_PREPARE <path>        admin: load a release into the staged
 //!                              slot without serving it — the fleet
 //!                              router prepares every replica before any
@@ -50,6 +50,8 @@
 //! protocol"; CI fails if a verb exists here but not there.
 
 use std::io::{Read, Write};
+
+use obf_uncertain::WorldStat;
 
 /// Frames larger than this are a protocol error, not an allocation.
 pub const MAX_FRAME: usize = 1 << 20;
@@ -107,48 +109,6 @@ impl ExactStat {
             "triangles" => ExactStat::Triangles,
             _ => return None,
         })
-    }
-}
-
-/// Statistics estimated by sampling possible worlds.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum WorldStat {
-    NumEdges,
-    AvgDegree,
-    MaxDegree,
-    DegreeVariance,
-    Clustering,
-}
-
-impl WorldStat {
-    pub fn parse(s: &str) -> Option<Self> {
-        Some(match s {
-            "num_edges" => WorldStat::NumEdges,
-            "avg_degree" => WorldStat::AvgDegree,
-            "max_degree" => WorldStat::MaxDegree,
-            "degree_variance" => WorldStat::DegreeVariance,
-            "clustering" => WorldStat::Clustering,
-            _ => return None,
-        })
-    }
-
-    /// All sampled statistics (loadgen's traffic mix).
-    pub const ALL: [WorldStat; 5] = [
-        WorldStat::NumEdges,
-        WorldStat::AvgDegree,
-        WorldStat::MaxDegree,
-        WorldStat::DegreeVariance,
-        WorldStat::Clustering,
-    ];
-
-    pub fn name(&self) -> &'static str {
-        match self {
-            WorldStat::NumEdges => "num_edges",
-            WorldStat::AvgDegree => "avg_degree",
-            WorldStat::MaxDegree => "max_degree",
-            WorldStat::DegreeVariance => "degree_variance",
-            WorldStat::Clustering => "clustering",
-        }
     }
 }
 
