@@ -2,10 +2,10 @@
 //! the token-stream checks themselves.
 //!
 //! Every rule exists to protect one invariant of this reproduction:
-//! *fixed seed ⇒ bit-identical output* at any thread count, worker
-//! count, transport, or snapshot source (the digest pinned in
-//! `ci.sh serve`/`cluster`), plus the unsafe-hygiene contract around
-//! the mmap/epoll shims. The catalog is documented normatively in
+//! *fixed seed ⇒ bit-identical output* at any thread count, replica
+//! count, or snapshot source (the answers digest pinned in
+//! `ci.sh serve`, and re-checked through the fleet router), plus the
+//! unsafe-hygiene contract around the mmap/epoll shims. The catalog is documented normatively in
 //! `docs/AUDIT.md`; `obf_audit --explain <rule>` prints the entry for
 //! one rule.
 
@@ -124,8 +124,7 @@ pub const RULES: &[RuleInfo] = &[
         rationale: "docs/FORMATS.md is the normative spec for every on-disk and on-wire format. \
                     This rule lexes the ground truth out of the source — server verbs from \
                     Request::parse, fleet admin verbs from the router dispatch, snapshot \
-                    version constants and magics, the cluster wire version and message enum \
-                    variants — and fails when the spec has fallen behind. (Subsumes the retired \
+                    version constants and magics — and fails when the spec has fallen behind. (Subsumes the retired \
                     scripts/check_formats_docs.sh.)",
         example: "Adding `\"FROBNICATE\" => Request::Frobnicate` to protocol.rs without a \
                   FORMATS.md row yields: server verb FROBNICATE is not documented.",
@@ -154,7 +153,8 @@ pub fn rule_info(id: &str) -> Option<&'static RuleInfo> {
 // ---------------------------------------------------------------------
 
 /// Crates whose output feeds the pinned digests: the Definition 2
-/// check, world sampling, CSR construction and the distributed merge.
+/// check, world sampling, CSR construction and the fleet router that
+/// forwards served answers.
 const DIGEST_CRATES: &[&str] = &[
     "crates/core/src/",
     "crates/uncertain/src/",
@@ -573,7 +573,6 @@ pub fn check_float_reduce(file: &SourceFile) -> Vec<Finding> {
 pub const FORMAT_SOURCES: &[&str] = &[
     "crates/server/src/protocol.rs",
     "crates/cluster/src/fleet.rs",
-    "crates/cluster/src/wire.rs",
     "crates/uncertain/src/snapshot.rs",
     "crates/evolve/src/log.rs",
     "crates/obs/src/reqlog.rs",
@@ -639,26 +638,6 @@ pub fn check_formats_doc(files: &[SourceFile], formats_md: Option<&str>) -> Vec<
     if let Some(f) = by_path("crates/obs/src/reqlog.rs") {
         for (magic, line) in magic_consts(f) {
             require(&magic, &f.rel_path, line, "file magic");
-        }
-    }
-    // Wire version + message-enum variants.
-    if let Some(f) = by_path("crates/cluster/src/wire.rs") {
-        if let Some((v, line)) = wire_version(f) {
-            let ok = spec.contains(&format!("WIRE_VERSION = {v}"))
-                || spec.contains(&format!("wire version {v}"));
-            if !ok {
-                require(
-                    &format!("WIRE_VERSION = {v}"),
-                    &f.rel_path,
-                    line,
-                    "cluster wire version",
-                );
-            }
-        }
-        for enum_name in ["WorkerRequest", "WorkerResponse"] {
-            for (variant, line) in enum_variants(f, enum_name) {
-                require(&variant, &f.rel_path, line, "wire message");
-            }
         }
     }
     findings
@@ -782,66 +761,6 @@ fn magic_consts(file: &SourceFile) -> Vec<(String, u32)> {
     out
 }
 
-/// The `pub const WIRE_VERSION: u8 = N` value.
-fn wire_version(file: &SourceFile) -> Option<(u64, u32)> {
-    let toks = &file.tokens;
-    for i in 0..toks.len() {
-        if is_ident(&toks[i], "WIRE_VERSION") {
-            for j in i + 1..(i + 8).min(toks.len()) {
-                if toks[j].kind == TokKind::Num {
-                    return toks[j].text.parse::<u64>().ok().map(|n| (n, toks[i].line));
-                }
-            }
-        }
-    }
-    None
-}
-
-/// Variant names of `pub enum <name> { … }`.
-fn enum_variants(file: &SourceFile, name: &str) -> Vec<(String, u32)> {
-    let toks = &file.tokens;
-    let mut out = Vec::new();
-    let mut i = 0usize;
-    while i < toks.len() {
-        if is_ident(&toks[i], "enum") && i + 1 < toks.len() && is_ident(&toks[i + 1], name) {
-            // Find the opening brace, then walk variants at depth 1.
-            let mut j = i + 2;
-            while j < toks.len() && !is_punct(&toks[j], "{") {
-                j += 1;
-            }
-            let mut depth = 0i32;
-            let mut expect_variant = false;
-            while j < toks.len() {
-                let t = &toks[j];
-                if t.kind == TokKind::Punct {
-                    match t.text.as_str() {
-                        "{" | "(" | "[" => {
-                            expect_variant = t.text == "{" && depth == 0;
-                            depth += 1;
-                        }
-                        "}" | ")" | "]" => {
-                            depth -= 1;
-                            if depth == 0 {
-                                return out;
-                            }
-                            expect_variant = depth == 1 && t.text != "]";
-                        }
-                        "," if depth == 1 => expect_variant = true,
-                        "#" => {} // attribute start; `[` handled above
-                        _ => {}
-                    }
-                } else if expect_variant && depth == 1 && t.kind == TokKind::Ident {
-                    out.push((t.text.clone(), t.line));
-                    expect_variant = false;
-                }
-                j += 1;
-            }
-        }
-        i += 1;
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -849,19 +768,6 @@ mod tests {
 
     fn src(path: &str, code: &str) -> SourceFile {
         SourceFile::parse(path, code)
-    }
-
-    #[test]
-    fn enum_variants_skip_payloads() {
-        let f = src(
-            "crates/cluster/src/wire.rs",
-            "pub enum WorkerRequest {\n  Ping,\n  LoadGraph(Vec<u8>),\n  Check { a: u32, b: u32 },\n  Shutdown,\n}\n",
-        );
-        let names: Vec<String> = enum_variants(&f, "WorkerRequest")
-            .into_iter()
-            .map(|(n, _)| n)
-            .collect();
-        assert_eq!(names, vec!["Ping", "LoadGraph", "Check", "Shutdown"]);
     }
 
     #[test]

@@ -47,7 +47,7 @@ fn workspace_walk_reaches_every_crate() {
         "crates/server/src/sys.rs",
         "crates/uncertain/src/mmap.rs",
         "crates/uncertain/src/mapped.rs",
-        "crates/cluster/src/wire.rs",
+        "crates/cluster/src/fleet.rs",
         "crates/audit/src/rules.rs",
     ] {
         assert!(
@@ -97,15 +97,13 @@ fn format_surfaces_are_extracted_not_vacuous() {
         .map(|f| f.message.as_str())
         .collect();
     for surface in [
-        "`PING`",          // server verb
-        "`RELOAD`",        // server + fleet verb
-        "`FLEET_STATS`",   // fleet verb
-        "`v3`",            // snapshot version
-        "`OBFUSNAP`",      // snapshot magic
-        "`OBFUDELTA`",     // delta-log magic
-        "WIRE_VERSION",    // cluster wire version
-        "`SampleWorlds`",  // WorkerRequest variant
-        "`ChunkPartials`", // WorkerResponse variant
+        "`PING`",        // server verb
+        "`RELOAD`",      // server + fleet verb
+        "`FLEET_STATS`", // fleet verb
+        "`v3`",          // snapshot version
+        "`OBFUSNAP`",    // snapshot magic
+        "`OBFUDELTA`",   // delta-log magic
+        "`OBFUREQLOG`",  // request-log magic
     ] {
         assert!(
             missing.iter().any(|m| m.contains(surface)),
@@ -113,5 +111,5 @@ fn format_surfaces_are_extracted_not_vacuous() {
         );
     }
     // And the real spec documents all of them (sanity on the happy path).
-    assert!(spec.contains("OBFUSNAP") && spec.contains("OBFUDELTA"));
+    assert!(spec.contains("OBFUSNAP") && spec.contains("OBFUDELTA") && spec.contains("OBFUREQLOG"));
 }

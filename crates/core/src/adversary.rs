@@ -6,6 +6,8 @@
 //! is the posterior over published vertices for a target with original
 //! degree `ω`; its entropy certifies k-obfuscation (Definition 2).
 
+use std::ops::Range;
+
 use obf_graph::{Graph, Parallelism};
 use obf_stats::entropy::{entropy_bits_normalized, entropy_from_partials, obfuscation_level};
 use obf_uncertain::degree_dist::{vertex_degree_distribution, DegreeDistMethod};
@@ -87,6 +89,177 @@ impl DegreeProfile {
     /// [`DegreeProfile::distinct`], rarest multiplicity first.
     pub fn sweep_order(&self) -> &[usize] {
         &self.sweep_order
+    }
+}
+
+/// Column partial sums of the Definition 2 entropy reduction over a set
+/// of adversary rows: `mass[j] = Σ_v x` and `xlogx[j] = Σ_v x·log₂ x`,
+/// summed over the positive entries `x` of column `j`.
+///
+/// This is the one kernel behind every entropy front end
+/// ([`AdversaryTable::entropies`],
+/// [`MemoizedAdversary::entropies`](crate::MemoizedAdversary::entropies)
+/// and the per-chunk state of `obf_evolve`'s incremental check). Each
+/// front end is only a *row source*: a closure mapping a vertex to its
+/// `X_v` row. The kernel fixes the floating-point order:
+///
+/// 1. a chunk accumulates its vertex range ascending, and within a
+///    vertex the columns in caller order;
+/// 2. chunks merge in ascending chunk order ([`ColumnPartials::fold`]);
+/// 3. each column finishes with [`entropy_from_partials`].
+///
+/// Two front ends that feed the same rows under the same chunk
+/// decomposition therefore produce the same entropy bits.
+///
+/// # Examples
+///
+/// ```
+/// use obf_core::ColumnPartials;
+///
+/// let rows: Vec<Vec<f64>> = vec![vec![0.5, 0.5], vec![0.0, 1.0], vec![1.0]];
+/// // Columns 1 and 0, in that order; chunks {0, 1} and {2}.
+/// let chunks = [
+///     ColumnPartials::gather(0..2, &[1, 0], |v| Some(rows[v].as_slice())),
+///     ColumnPartials::gather(2..3, &[1, 0], |v| Some(rows[v].as_slice())),
+/// ];
+/// let h = ColumnPartials::fold(2, &chunks).entropies();
+/// // Column 1 holds (0.5, 1.0, 0): normalised (1/3, 2/3).
+/// let want = -(1.0f64 / 3.0) * (1.0f64 / 3.0).log2() - (2.0f64 / 3.0) * (2.0f64 / 3.0).log2();
+/// assert!((h[0] - want).abs() < 1e-12);
+/// ```
+#[derive(Debug, Clone, PartialEq)]
+pub struct ColumnPartials {
+    mass: Vec<f64>,
+    xlogx: Vec<f64>,
+}
+
+impl ColumnPartials {
+    /// All-zero partials over `width` columns.
+    fn zeros(width: usize) -> Self {
+        Self {
+            mass: vec![0.0; width],
+            xlogx: vec![0.0; width],
+        }
+    }
+
+    /// Number of columns.
+    fn width(&self) -> usize {
+        self.mass.len()
+    }
+
+    /// Adds one entry of column `j`. Only positive mass counts, so an
+    /// absent entry and an explicit zero contribute the same bits.
+    #[inline(always)]
+    fn add(&mut self, j: usize, x: f64) {
+        if x > 0.0 {
+            self.mass[j] += x;
+            self.xlogx[j] += x * x.log2();
+        }
+    }
+
+    /// Accumulates the rows of `vertices` (ascending) into the columns
+    /// `omegas` (in caller order): column `j` reads entry `omegas[j]` of
+    /// each row, zero past the row's end. `row(v)` may return `None` for
+    /// a vertex with no mass in any requested column.
+    #[inline]
+    pub fn gather<'r, R>(vertices: Range<usize>, omegas: &[usize], row: R) -> Self
+    where
+        R: Fn(usize) -> Option<&'r [f64]>,
+    {
+        let mut out = Self::zeros(omegas.len());
+        for v in vertices {
+            let Some(row) = row(v) else { continue };
+            for (j, &omega) in omegas.iter().enumerate() {
+                out.add(j, row.get(omega).copied().unwrap_or(0.0));
+            }
+        }
+        out
+    }
+
+    /// Accumulates the rows of `vertices` (ascending) into the
+    /// contiguous columns `columns`: column `j` reads entry
+    /// `columns.start + j` of each row, zero past the row's end. Same
+    /// bits as [`ColumnPartials::gather`] over the column list
+    /// `columns`, at a cost proportional to the row lengths instead of
+    /// to the span width.
+    #[inline]
+    pub fn span<'r, R>(vertices: Range<usize>, columns: Range<usize>, row: R) -> Self
+    where
+        R: Fn(usize) -> &'r [f64],
+    {
+        let mut out = Self::zeros(columns.len());
+        for v in vertices {
+            let row = row(v);
+            let hi = row.len().min(columns.end);
+            for (j, &x) in row[columns.start.min(hi)..hi].iter().enumerate() {
+                out.add(j, x);
+            }
+        }
+        out
+    }
+
+    /// Adds `other` column by column — one step of the chunk-order
+    /// merge.
+    fn merge(&mut self, other: &ColumnPartials) {
+        assert_eq!(self.width(), other.width(), "partials widths differ");
+        for (acc, &x) in self.mass.iter_mut().zip(&other.mass) {
+            *acc += x;
+        }
+        for (acc, &x) in self.xlogx.iter_mut().zip(&other.xlogx) {
+            *acc += x;
+        }
+    }
+
+    /// Appends `other`'s columns after this one's: the partials of a
+    /// column span that starts where this one ends.
+    pub fn append(&mut self, other: ColumnPartials) {
+        self.mass.extend(other.mass);
+        self.xlogx.extend(other.xlogx);
+    }
+
+    /// Merges per-chunk partials of `width` columns in iteration order,
+    /// starting from zero — the fixed reduction tree that makes the
+    /// result independent of which thread computed which chunk.
+    ///
+    /// # Panics
+    /// Panics if a chunk's width is not `width`.
+    pub fn fold<'a>(width: usize, chunks: impl IntoIterator<Item = &'a ColumnPartials>) -> Self {
+        let mut total = Self::zeros(width);
+        for chunk in chunks {
+            total.merge(chunk);
+        }
+        total
+    }
+
+    /// `H` in bits of column `j`'s normalised posterior (0 for an empty
+    /// column).
+    pub fn entropy(&self, j: usize) -> f64 {
+        entropy_from_partials(self.mass[j], self.xlogx[j])
+    }
+
+    /// [`ColumnPartials::entropy`] of every column, in column order.
+    pub fn entropies(&self) -> Vec<f64> {
+        (0..self.width()).map(|j| self.entropy(j)).collect()
+    }
+
+    /// The whole sharded reduction over vertices `0..len`: gathers every
+    /// chunk of `par`'s fixed decomposition (on `par`'s threads), folds
+    /// the chunks in chunk order and finishes each column. Output is
+    /// parallel to `omegas` and bit-identical for every thread count.
+    pub fn sharded_entropies<'r, R>(
+        len: usize,
+        omegas: &[usize],
+        par: &Parallelism,
+        row: R,
+    ) -> Vec<f64>
+    where
+        R: Fn(usize) -> Option<&'r [f64]> + Sync,
+    {
+        if omegas.is_empty() {
+            return Vec::new();
+        }
+        let chunks = par.map_chunks(len, |range| Self::gather(range, omegas, &row));
+        Self::fold(omegas.len(), &chunks).entropies()
     }
 }
 
@@ -197,7 +370,8 @@ impl AdversaryTable {
     /// Entropies `H(Y_ω)` for many property values at once, sharded over
     /// contiguous vertex ranges.
     ///
-    /// Each chunk of vertices contributes partial column sums
+    /// The rows feed the [`ColumnPartials`] kernel: each chunk of
+    /// vertices contributes partial column sums
     /// `(Σ_v X_v(ω), Σ_v X_v(ω)·log₂ X_v(ω))` for every requested `ω`;
     /// the partials are merged in chunk order and finalised with the same
     /// `H = log₂ W − (Σ x log₂ x)/W` identity as
@@ -219,38 +393,9 @@ impl AdversaryTable {
     /// assert_eq!(seq, par);
     /// ```
     pub fn entropies(&self, omegas: &[usize], par: &Parallelism) -> Vec<f64> {
-        if omegas.is_empty() {
-            return Vec::new();
-        }
-        // Per-chunk partial sums over a contiguous vertex range.
-        let partials = par.map_chunks(self.rows.len(), |range| {
-            let mut mass = vec![0.0f64; omegas.len()];
-            let mut xlogx = vec![0.0f64; omegas.len()];
-            for row in &self.rows[range] {
-                for (j, &omega) in omegas.iter().enumerate() {
-                    let x = row.get(omega).copied().unwrap_or(0.0);
-                    if x > 0.0 {
-                        mass[j] += x;
-                        xlogx[j] += x * x.log2();
-                    }
-                }
-            }
-            (mass, xlogx)
-        });
-        // Merge in chunk order: the reduction tree is fixed regardless of
-        // which worker computed which chunk.
-        let mut mass = vec![0.0f64; omegas.len()];
-        let mut xlogx = vec![0.0f64; omegas.len()];
-        for (chunk_mass, chunk_xlogx) in partials {
-            for j in 0..omegas.len() {
-                mass[j] += chunk_mass[j];
-                xlogx[j] += chunk_xlogx[j];
-            }
-        }
-        mass.iter()
-            .zip(&xlogx)
-            .map(|(&w, &acc)| entropy_from_partials(w, acc))
-            .collect()
+        ColumnPartials::sharded_entropies(self.rows.len(), omegas, par, |v| {
+            Some(self.rows[v].as_slice())
+        })
     }
 }
 
@@ -294,24 +439,16 @@ impl ObfuscationCheck {
             published.num_vertices(),
             "vertex sets differ"
         );
-        if profile.num_vertices() == 0 {
-            assert!(k >= 1, "k must be at least 1");
-            return Self {
-                entropy_by_degree: Vec::new(),
-                eps_achieved: 0.0,
-                failed_vertices: 0,
-            };
-        }
         let entropies = published.entropies(profile.distinct(), par);
         Self::from_entropies(profile, entropies, k)
     }
 
     /// Assembles the Definition 2 verdict from already-computed column
     /// entropies (parallel to [`DegreeProfile::distinct`]). This is the
-    /// shared tail of every check front end — exhaustive, memoized, and
-    /// the scatter/gather path of `obf_cluster` all hand their entropies
-    /// to the same comparison and counting code, so a distributed check
-    /// that reproduces the entropy bits reproduces the verdict and ε̃
+    /// shared tail of every check front end — the exhaustive table here
+    /// and the patched incremental state of `obf_evolve` hand their
+    /// entropies to the same comparison and counting code, so a front
+    /// end that reproduces the entropy bits reproduces the verdict and ε̃
     /// bits too.
     pub fn from_entropies(profile: &DegreeProfile, entropies: Vec<f64>, k: usize) -> Self {
         assert!(k >= 1, "k must be at least 1");
@@ -350,39 +487,6 @@ impl ObfuscationCheck {
     }
 }
 
-/// The per-chunk entropy partials `(Σ_v X_v(ω), Σ_v X_v(ω)·log₂ X_v(ω))`
-/// over one contiguous vertex range, one pair of accumulators per
-/// requested `ω` — the scatter kernel of the distributed Definition 2
-/// check (`obf_cluster`).
-///
-/// Rows are derived on the fly with the same
-/// [`vertex_degree_distribution`] call that [`AdversaryTable::build_par`]
-/// uses, and the accumulation loop is ordered exactly like the chunk
-/// body of [`AdversaryTable::entropies`] (vertices ascending, then
-/// `omegas` in caller order). A coordinator that left-folds these
-/// per-chunk partials in global chunk order therefore reproduces the
-/// single-process entropy bits exactly, at any worker count.
-pub fn chunk_entropy_partials(
-    g: &UncertainGraph,
-    method: DegreeDistMethod,
-    omegas: &[usize],
-    vertices: std::ops::Range<usize>,
-) -> (Vec<f64>, Vec<f64>) {
-    let mut mass = vec![0.0f64; omegas.len()];
-    let mut xlogx = vec![0.0f64; omegas.len()];
-    for v in vertices {
-        let row = vertex_degree_distribution(g, v as u32, method);
-        for (j, &omega) in omegas.iter().enumerate() {
-            let x = row.get(omega).copied().unwrap_or(0.0);
-            if x > 0.0 {
-                mass[j] += x;
-                xlogx[j] += x * x.log2();
-            }
-        }
-    }
-    (mass, xlogx)
-}
-
 /// Per-vertex obfuscation levels `2^H(Y_{deg_G(v)})` for the anonymity
 /// curves of Figure 4, with the entropy columns sharded across `par`'s
 /// worker threads.
@@ -391,18 +495,13 @@ pub fn vertex_obfuscation_levels(
     published: &AdversaryTable,
     par: &Parallelism,
 ) -> Vec<f64> {
-    let n = original.num_vertices();
-    let degrees: Vec<usize> = (0..n as u32).map(|v| original.degree(v)).collect();
-    let mut distinct: Vec<usize> = degrees.clone();
-    distinct.sort_unstable();
-    distinct.dedup();
-    let entropies = published.entropies(&distinct, par);
-    let max_deg = distinct.last().copied().unwrap_or(0);
-    let mut level = vec![0.0f64; max_deg + 1];
-    for (&d, &h) in distinct.iter().zip(&entropies) {
+    let profile = DegreeProfile::new(original);
+    let entropies = published.entropies(profile.distinct(), par);
+    let mut level = vec![0.0f64; profile.max_degree() + 1];
+    for (&d, &h) in profile.distinct().iter().zip(&entropies) {
         level[d] = h.exp2();
     }
-    degrees.into_iter().map(|d| level[d]).collect()
+    profile.degrees().iter().map(|&d| level[d]).collect()
 }
 
 #[cfg(test)]
@@ -609,36 +708,33 @@ mod tests {
 
     #[test]
     fn chunked_partials_fold_to_table_entropies() {
-        // Per-chunk scatter partials, folded in chunk order, must equal
-        // the single-process `entropies` bits — the contract the
-        // distributed check is built on. Chunk size 1 maximises the
-        // number of fold steps.
+        // `ColumnPartials` gathered per chunk range and folded in chunk
+        // order must equal the table's `entropies` bits, for every chunk
+        // decomposition and any column order (5 is past every row).
         let (_, ug) = paper_pair();
         let t = AdversaryTable::build(&ug, DegreeDistMethod::Exact);
-        let omegas: Vec<usize> = vec![0, 1, 2, 3];
-        for chunk_size in [1usize, 2, 3] {
+        let bits = |h: &[f64]| h.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let omegas: Vec<usize> = vec![3, 0, 5, 2, 1];
+        let row = |v: usize| Some(t.row(v as u32));
+        for chunk_size in [1usize, 2, 3, 4, 5] {
             let par = Parallelism::sequential().with_chunk_size(chunk_size);
             let want = t.entropies(&omegas, &par);
-            let mut mass = vec![0.0f64; omegas.len()];
-            let mut xlogx = vec![0.0f64; omegas.len()];
-            for c in 0..par.num_chunks(ug.num_vertices()) {
-                let (cm, cx) = chunk_entropy_partials(
-                    &ug,
-                    DegreeDistMethod::Exact,
-                    &omegas,
-                    par.chunk_range(ug.num_vertices(), c),
-                );
-                for j in 0..omegas.len() {
-                    mass[j] += cm[j];
-                    xlogx[j] += cx[j];
-                }
-            }
-            let got: Vec<f64> = mass
-                .iter()
-                .zip(&xlogx)
-                .map(|(&w, &acc)| entropy_from_partials(w, acc))
+            let chunks: Vec<ColumnPartials> = par
+                .chunk_ranges(t.num_vertices())
+                .map(|r| ColumnPartials::gather(r, &omegas, row))
                 .collect();
-            assert_eq!(got, want, "chunk_size={chunk_size}");
+            let got = ColumnPartials::fold(omegas.len(), &chunks).entropies();
+            assert_eq!(bits(&got), bits(&want), "chunk_size={chunk_size}");
+        }
+        // The contiguous `span` accumulation equals `gather` over the
+        // same columns, on ragged vertex ranges and spans past 0.
+        for r in [0..4, 0..1, 1..3, 3..4, 2..2] {
+            for columns in [0..5usize, 2..4, 4..6] {
+                let list: Vec<usize> = columns.clone().collect();
+                let spanned = ColumnPartials::span(r.clone(), columns.clone(), |v| t.row(v as u32));
+                let gathered = ColumnPartials::gather(r.clone(), &list, row);
+                assert_eq!(spanned, gathered, "range={r:?} columns={columns:?}");
+            }
         }
     }
 

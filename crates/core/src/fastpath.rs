@@ -40,11 +40,10 @@
 //! thread count (see [`Parallelism`]).
 
 use obf_graph::{splitmix64, FxHashMap, Parallelism};
-use obf_stats::entropy::entropy_from_partials;
 use obf_uncertain::degree_dist::{vertex_degree_distribution_capped, DegreeDistMethod};
 use obf_uncertain::UncertainGraph;
 
-use crate::adversary::DegreeProfile;
+use crate::adversary::{ColumnPartials, DegreeProfile};
 
 /// Columns evaluated in the *first* batch of the budgeted sweep: small,
 /// because failing checks usually die on the first few rarest-degree
@@ -336,7 +335,7 @@ impl<'g> MemoizedAdversary<'g> {
     }
 
     /// Entropies `H(Y_ω)` for the requested columns, parallel to
-    /// `omegas` — the same chunk-ordered `(Σx, Σx·log₂x)` reduction as
+    /// `omegas` — the same [`ColumnPartials`] reduction as
     /// [`AdversaryTable::entropies`](crate::AdversaryTable::entropies),
     /// hence bit-identical to it for every thread count and any batching
     /// of the columns.
@@ -350,35 +349,11 @@ impl<'g> MemoizedAdversary<'g> {
         assert!(omegas.iter().all(|&w| w <= self.cap), "omega beyond cap");
         self.ensure_columns(omegas, par);
         let (rows, class_of) = (&self.rows, &self.class_of);
-        let partials = par.map_chunks(class_of.len(), |range| {
-            let mut mass = vec![0.0f64; omegas.len()];
-            let mut xlogx = vec![0.0f64; omegas.len()];
-            for v in range {
-                let Some(row) = rows[class_of[v] as usize].as_deref() else {
-                    continue; // row has no support in any requested column
-                };
-                for (j, &omega) in omegas.iter().enumerate() {
-                    let x = row.get(omega).copied().unwrap_or(0.0);
-                    if x > 0.0 {
-                        mass[j] += x;
-                        xlogx[j] += x * x.log2();
-                    }
-                }
-            }
-            (mass, xlogx)
-        });
-        let mut mass = vec![0.0f64; omegas.len()];
-        let mut xlogx = vec![0.0f64; omegas.len()];
-        for (chunk_mass, chunk_xlogx) in partials {
-            for j in 0..omegas.len() {
-                mass[j] += chunk_mass[j];
-                xlogx[j] += chunk_xlogx[j];
-            }
-        }
-        mass.iter()
-            .zip(&xlogx)
-            .map(|(&w, &acc)| entropy_from_partials(w, acc))
-            .collect()
+        // Vertices whose class row was never materialised have no
+        // support in any requested column.
+        ColumnPartials::sharded_entropies(class_of.len(), omegas, par, |v| {
+            rows[class_of[v] as usize].as_deref()
+        })
     }
 }
 

@@ -22,22 +22,16 @@
 //! surviving operation therefore runs in the same order as a
 //! from-scratch build, and the entropies — and the (k, ε) verdict — are
 //! **bit-identical** to it at any thread count (property-tested in
-//! `crates/evolve/tests`).
+//! `crates/evolve/tests`). The per-chunk state is the shared
+//! [`ColumnPartials`] kernel of `obf_core`, and the verdict is the
+//! shared [`ObfuscationCheck::from_entropies`] tail.
 
-use obf_core::DegreeProfile;
+use std::ops::Range;
+
+use obf_core::{ColumnPartials, DegreeProfile, ObfuscationCheck};
 use obf_graph::Parallelism;
-use obf_stats::entropy::entropy_from_partials;
 use obf_uncertain::degree_dist::{vertex_degree_distribution, DegreeDistMethod};
 use obf_uncertain::UncertainGraph;
-
-/// Per-chunk column partials: `mass[ω] = Σ_v X_v(ω)` and
-/// `xlogx[ω] = Σ_v X_v(ω)·log₂ X_v(ω)` over the chunk's vertices, for
-/// every `ω ≤ omega_cap`.
-#[derive(Debug, Clone, Default)]
-struct ChunkPartials {
-    mass: Vec<f64>,
-    xlogx: Vec<f64>,
-}
 
 /// Maintained adversary state of one published release: every `X_v` row
 /// plus chunk-ordered entropy partials, patchable per delta batch.
@@ -50,7 +44,7 @@ pub struct IncrementalAdversary {
     /// Full (untruncated) degree-distribution rows, one per vertex.
     rows: Vec<Vec<f64>>,
     /// Partials per chunk of `0..n`, each covering `ω ∈ 0..=omega_cap`.
-    chunks: Vec<ChunkPartials>,
+    chunks: Vec<ColumnPartials>,
     /// Largest ω any accumulator covers; grows when a batch raises a
     /// vertex's incident-candidate count past it, never shrinks.
     omega_cap: usize,
@@ -76,7 +70,7 @@ impl IncrementalAdversary {
             rows_built: n as u64,
             rows_patched: 0,
         };
-        out.chunks = par.map_chunks(n, |range| out.accumulate(range.start, range.end, 0));
+        out.chunks = par.map_chunks(n, |range| out.accumulate(range, 0));
         out
     }
 
@@ -101,30 +95,17 @@ impl IncrementalAdversary {
         self.rows_patched
     }
 
-    /// Column partials over `vertices[from..to]` for `ω ∈ from_omega..=
-    /// omega_cap`: the exact accumulation loop of the from-scratch
-    /// entropy sweeps (vertex-ascending within the chunk, `x > 0` mass
-    /// only).
-    fn accumulate(&self, from: usize, to: usize, from_omega: usize) -> ChunkPartials {
-        let width = self.omega_cap + 1 - from_omega;
-        let mut mass = vec![0.0f64; width];
-        let mut xlogx = vec![0.0f64; width];
-        for row in &self.rows[from..to] {
-            let hi = row.len().min(self.omega_cap + 1);
-            for (j, &x) in row[from_omega.min(hi)..hi].iter().enumerate() {
-                if x > 0.0 {
-                    mass[j] += x;
-                    xlogx[j] += x * x.log2();
-                }
-            }
-        }
-        ChunkPartials { mass, xlogx }
+    /// Column partials over `vertices` for `ω ∈ from_omega..=omega_cap`
+    /// (the rows are untruncated, so the span form keeps the cost
+    /// proportional to the row lengths).
+    fn accumulate(&self, vertices: Range<usize>, from_omega: usize) -> ColumnPartials {
+        ColumnPartials::span(vertices, from_omega..self.omega_cap + 1, |v| &self.rows[v])
     }
 
-    /// The fixed chunk decomposition (same rule as
-    /// [`Parallelism::chunk_ranges`], captured at build time).
-    fn chunk_of(&self, v: usize) -> usize {
-        v / self.chunk_size
+    /// Vertex range of stored chunk `c` — the build-time decomposition
+    /// (same rule as [`Parallelism::chunk_ranges`]), never the caller's.
+    fn chunk_vertices(&self, c: usize) -> Range<usize> {
+        c * self.chunk_size..((c + 1) * self.chunk_size).min(self.rows.len())
     }
 
     /// Patches the state for a new release of the published graph.
@@ -178,27 +159,24 @@ impl IncrementalAdversary {
             // decomposition, never the caller's (a `par` with a
             // different chunk size only changes how the work is
             // dispatched, not which ranges are accumulated).
-            let n = self.rows.len();
-            let chunk_size = self.chunk_size;
-            let extensions: Vec<ChunkPartials> = par.map_collect(self.chunks.len(), |c| {
-                self.accumulate(c * chunk_size, ((c + 1) * chunk_size).min(n), from_omega)
+            let extensions: Vec<ColumnPartials> = par.map_collect(self.chunks.len(), |c| {
+                self.accumulate(self.chunk_vertices(c), from_omega)
             });
             for (chunk, ext) in self.chunks.iter_mut().zip(extensions) {
-                chunk.mass.extend(ext.mass);
-                chunk.xlogx.extend(ext.xlogx);
+                chunk.append(ext);
             }
         }
 
         // 3. Recompute the partials of every chunk containing a touched
         // vertex — full replacement, no subtraction, so the per-column
         // accumulation chain is the same one a fresh build would run.
-        let mut dirty: Vec<usize> = touched.iter().map(|&v| self.chunk_of(v as usize)).collect();
+        let mut dirty: Vec<usize> = touched
+            .iter()
+            .map(|&v| v as usize / self.chunk_size)
+            .collect();
         dirty.dedup(); // touched is sorted, so chunk ids arrive sorted
-        let n = self.rows.len();
-        let chunk_size = self.chunk_size;
-        let recomputed: Vec<ChunkPartials> = par.map_collect(dirty.len(), |i| {
-            let c = dirty[i];
-            self.accumulate(c * chunk_size, ((c + 1) * chunk_size).min(n), 0)
+        let recomputed: Vec<ColumnPartials> = par.map_collect(dirty.len(), |i| {
+            self.accumulate(self.chunk_vertices(dirty[i]), 0)
         });
         for (&c, partials) in dirty.iter().zip(recomputed) {
             self.chunks[c] = partials;
@@ -215,84 +193,38 @@ impl IncrementalAdversary {
     /// support anywhere and report entropy 0, like every other empty
     /// column.
     pub fn entropies(&self, omegas: &[usize]) -> Vec<f64> {
+        let total = ColumnPartials::fold(self.omega_cap + 1, &self.chunks);
         omegas
             .iter()
             .map(|&omega| {
                 if omega > self.omega_cap {
-                    return entropy_from_partials(0.0, 0.0);
+                    0.0
+                } else {
+                    total.entropy(omega)
                 }
-                let mut mass = 0.0f64;
-                let mut xlogx = 0.0f64;
-                for chunk in &self.chunks {
-                    mass += chunk.mass[omega];
-                    xlogx += chunk.xlogx[omega];
-                }
-                entropy_from_partials(mass, xlogx)
             })
             .collect()
     }
 
     /// The Definition 2 verdict against the original graph's degree
-    /// profile: the same sweep as
-    /// [`ObfuscationCheck::run_with_profile`](obf_core::ObfuscationCheck::run_with_profile),
-    /// producing a bit-identical ε̃ and failed-vertex count.
-    pub fn check(&self, profile: &DegreeProfile, k: usize) -> IncrementalCheck {
+    /// profile, assembled by the same
+    /// [`ObfuscationCheck::from_entropies`] tail as
+    /// [`ObfuscationCheck::run_with_profile`], so ε̃ and the
+    /// failed-vertex count are bit-identical to it.
+    pub fn check(&self, profile: &DegreeProfile, k: usize) -> ObfuscationCheck {
         assert_eq!(
             profile.num_vertices(),
             self.rows.len(),
             "vertex sets differ"
         );
-        assert!(k >= 1, "k must be at least 1");
-        let n = profile.num_vertices();
-        if n == 0 {
-            return IncrementalCheck {
-                entropy_by_degree: Vec::new(),
-                eps_achieved: 0.0,
-                failed_vertices: 0,
-            };
-        }
-        let distinct = profile.distinct();
-        let entropies = self.entropies(distinct);
-        let threshold = (k as f64).log2();
-        let entropy_by_degree: Vec<(usize, f64)> =
-            distinct.iter().copied().zip(entropies).collect();
-        let mut pass = vec![false; profile.max_degree() + 1];
-        for &(d, h) in &entropy_by_degree {
-            pass[d] = h >= threshold - 1e-12;
-        }
-        let failed_vertices = profile.degrees().iter().filter(|&&d| !pass[d]).count();
-        IncrementalCheck {
-            entropy_by_degree,
-            eps_achieved: failed_vertices as f64 / n as f64,
-            failed_vertices,
-        }
-    }
-}
-
-/// Result of an incremental Definition 2 check — the same fields as
-/// [`ObfuscationCheck`](obf_core::ObfuscationCheck), produced from the
-/// patched accumulators.
-#[derive(Debug, Clone)]
-pub struct IncrementalCheck {
-    /// `(degree, H(Y_degree))` pairs sorted by degree.
-    pub entropy_by_degree: Vec<(usize, f64)>,
-    /// Fraction of vertices not k-obfuscated.
-    pub eps_achieved: f64,
-    /// Number of vertices not k-obfuscated.
-    pub failed_vertices: usize,
-}
-
-impl IncrementalCheck {
-    /// Whether the release satisfies (k, ε)-obfuscation at this ε.
-    pub fn satisfies(&self, eps: f64) -> bool {
-        self.eps_achieved <= eps
+        ObfuscationCheck::from_entropies(profile, self.entropies(profile.distinct()), k)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use obf_core::{AdversaryTable, MemoizedAdversary, ObfuscationCheck};
+    use obf_core::{AdversaryTable, MemoizedAdversary};
     use obf_graph::Graph;
 
     fn published() -> UncertainGraph {

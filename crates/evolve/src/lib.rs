@@ -50,6 +50,6 @@ pub mod incremental;
 pub mod log;
 pub mod republish;
 
-pub use incremental::{IncrementalAdversary, IncrementalCheck};
+pub use incremental::IncrementalAdversary;
 pub use log::{DeltaLog, DeltaLogError, DELTA_LOG_MAGIC, DELTA_LOG_VERSION};
 pub use republish::{EvolveParams, RepublishError, RepublishReport, Republisher};

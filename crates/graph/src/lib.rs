@@ -47,7 +47,7 @@ pub use extras::{core_numbers, degeneracy, degree_assortativity, pagerank};
 pub use extsort::{ExternalSorter, Record, SortedRecords};
 pub use graph::Graph;
 pub use hashers::{splitmix64, FxBuildHasher, FxHashMap, FxHashSet};
-pub use parallel::{split_ranges, stream_seed, Parallelism};
+pub use parallel::{stream_seed, Parallelism};
 pub use traversal::{bfs_distances, bfs_from};
 pub use triangles::{global_clustering_coefficient, local_clustering_coefficients, triangle_count};
 

@@ -130,21 +130,6 @@ impl Parallelism {
         (0..len.div_ceil(chunk)).map(move |i| i * chunk..((i + 1) * chunk).min(len))
     }
 
-    /// Number of chunks in the fixed decomposition of `0..len` — the
-    /// scatter unit of the distributed layer (`obf_cluster` assigns
-    /// contiguous runs of these chunk indices to workers).
-    pub fn num_chunks(&self, len: usize) -> usize {
-        len.div_ceil(self.chunk_size)
-    }
-
-    /// The half-open item range covered by global chunk `index` of the
-    /// fixed decomposition of `0..len` (empty when `index` is past the
-    /// last chunk).
-    pub fn chunk_range(&self, len: usize, index: usize) -> Range<usize> {
-        let start = (index * self.chunk_size).min(len);
-        start..((index + 1) * self.chunk_size).min(len)
-    }
-
     /// Applies `f` to every chunk of `0..len` and returns the per-chunk
     /// results **in chunk order**. This is the reduction primitive: fold
     /// the returned vector left-to-right and the summation order is fixed
@@ -268,37 +253,6 @@ pub fn stream_seed(master: u64, index: u64) -> u64 {
     splitmix64(master ^ splitmix64(index.wrapping_add(0x9E37_79B9_7F4A_7C15)))
 }
 
-/// Splits `0..len` into `parts` contiguous near-even ranges (the first
-/// `len % parts` ranges are one longer; trailing ranges are empty when
-/// `parts > len`). This is the scatter partition of the distributed
-/// layer: a coordinator hands range `i` to worker `i`, and because the
-/// ranges are contiguous and ordered, gathering per-worker results in
-/// worker order reproduces the single-process item order exactly.
-///
-/// # Examples
-///
-/// ```
-/// use obf_graph::parallel::split_ranges;
-///
-/// assert_eq!(split_ranges(10, 3), vec![0..4, 4..7, 7..10]);
-/// assert_eq!(split_ranges(2, 4), vec![0..1, 1..2, 2..2, 2..2]);
-/// assert_eq!(split_ranges(0, 2), vec![0..0, 0..0]);
-/// ```
-pub fn split_ranges(len: usize, parts: usize) -> Vec<Range<usize>> {
-    let parts = parts.max(1);
-    let base = len / parts;
-    let extra = len % parts;
-    let mut out = Vec::with_capacity(parts);
-    let mut start = 0usize;
-    for i in 0..parts {
-        let size = base + usize::from(i < extra);
-        out.push(start..start + size);
-        start += size;
-    }
-    debug_assert_eq!(start, len);
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -381,42 +335,6 @@ mod tests {
         assert_eq!(par.threads(), 1);
         assert_eq!(Parallelism::new(2).with_threads(0).threads(), 1);
         assert_eq!(Parallelism::new(2).with_chunk_size(0).chunk_size(), 1);
-    }
-
-    #[test]
-    fn chunk_index_helpers_agree_with_chunk_ranges() {
-        let par = Parallelism::new(3).with_chunk_size(4);
-        for len in [0usize, 1, 4, 10, 64] {
-            let ranges: Vec<_> = par.chunk_ranges(len).collect();
-            assert_eq!(par.num_chunks(len), ranges.len(), "len={len}");
-            for (i, r) in ranges.iter().enumerate() {
-                assert_eq!(&par.chunk_range(len, i), r, "len={len} i={i}");
-            }
-            // Past-the-end indices are empty, never panicking.
-            assert!(par.chunk_range(len, ranges.len() + 3).is_empty());
-        }
-    }
-
-    #[test]
-    fn split_ranges_is_contiguous_ordered_and_exhaustive() {
-        for len in [0usize, 1, 2, 7, 10, 64, 65] {
-            for parts in [1usize, 2, 3, 4, 7, 13] {
-                let ranges = split_ranges(len, parts);
-                assert_eq!(ranges.len(), parts);
-                let mut cursor = 0usize;
-                for r in &ranges {
-                    assert_eq!(r.start, cursor, "len={len} parts={parts}");
-                    assert!(r.end >= r.start);
-                    cursor = r.end;
-                }
-                assert_eq!(cursor, len);
-                // Near-even: sizes differ by at most one.
-                let sizes: Vec<usize> = ranges.iter().map(|r| r.len()).collect();
-                let (min, max) = (sizes.iter().min().unwrap(), sizes.iter().max().unwrap());
-                assert!(max - min <= 1, "len={len} parts={parts} sizes={sizes:?}");
-            }
-        }
-        assert_eq!(split_ranges(5, 0), vec![0..5]); // clamped to one part
     }
 
     #[test]

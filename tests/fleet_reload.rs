@@ -8,13 +8,16 @@
 //! release's — a mixed transcript (some answers from each epoch) has a
 //! third digest and fails the test. The `INFO` epoch observed within a
 //! connection must also be constant.
+//!
+//! The router's failure paths live here too: draining a replica drops
+//! no in-flight request, and a dead replica is routed around.
 
 use obf_cluster::{Fleet, RouterConfig};
 use obf_server::{Client, Server, ServerConfig};
 use obf_uncertain::{save_snapshot, UncertainGraph};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// The query script every connection runs: deterministic,
 /// graph-dependent, epoch-independent answers.
@@ -37,6 +40,11 @@ fn graph_old() -> UncertainGraph {
         ],
     )
     .unwrap()
+}
+
+/// The graph the router failure tests serve.
+fn published() -> UncertainGraph {
+    graph_old()
 }
 
 fn graph_new() -> UncertainGraph {
@@ -247,4 +255,75 @@ fn repeated_rollouts_stay_consistent() {
     assert!(reply.starts_with("ERR "), "{reply}");
     fleet.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Router front: draining a replica must not drop a single in-flight
+/// request — bound connections keep getting answers while drained, and
+/// only *new* connections are diverted.
+#[test]
+fn drain_drops_zero_in_flight_requests() {
+    let fleet = Fleet::launch(
+        Arc::new(published()),
+        2,
+        ServerConfig::default(),
+        RouterConfig::default(),
+    )
+    .unwrap();
+    // Two bound connections, one per replica.
+    let mut a = Client::connect(fleet.addr()).unwrap();
+    let mut b = Client::connect(fleet.addr()).unwrap();
+    a.request("PING").unwrap();
+    b.request("PING").unwrap();
+    let mut admin = Client::connect(fleet.addr()).unwrap();
+    admin.request("DRAIN 0").unwrap();
+    admin.request("DRAIN 1").unwrap();
+    // Every further request on the already-bound connections must
+    // still be answered while both replicas are draining.
+    for _ in 0..25 {
+        let ra = a.request("EXPECTED num_edges").unwrap();
+        let rb = b.request("EXPECTED num_edges").unwrap();
+        assert!(ra.starts_with("OK "), "{ra}");
+        assert!(rb.starts_with("OK "), "{rb}");
+    }
+    admin.request("UNDRAIN 0").unwrap();
+    admin.request("UNDRAIN 1").unwrap();
+    fleet.shutdown();
+}
+
+/// A replica killed outright: its bound connections get the typed
+/// `ERR REPLICA_LOST`, fresh connections are routed around the corpse,
+/// and the survivor answers everything.
+#[test]
+fn dead_replica_is_routed_around() {
+    let mut fleet = Fleet::launch(
+        Arc::new(published()),
+        2,
+        ServerConfig::default(),
+        RouterConfig::default(),
+    )
+    .unwrap();
+    let mut a = Client::connect(fleet.addr()).unwrap();
+    let mut b = Client::connect(fleet.addr()).unwrap();
+    a.request("PING").unwrap();
+    b.request("PING").unwrap();
+    fleet.kill_replica(0);
+    let replies = [a.request("INFO").unwrap(), b.request("INFO").unwrap()];
+    assert!(
+        replies.iter().any(|r| r.starts_with("ERR REPLICA_LOST")),
+        "{replies:?}"
+    );
+    assert!(replies.iter().any(|r| r.starts_with("OK ")), "{replies:?}");
+    // Fresh connections keep working via the survivor; the dead
+    // replica costs at most a failed connect inside the router.
+    let deadline = Instant::now() + Duration::from_secs(5);
+    loop {
+        let mut c = Client::connect(fleet.addr()).unwrap();
+        let reply = c.request("EXPECTED num_edges").unwrap();
+        if reply.starts_with("OK ") {
+            break;
+        }
+        assert!(Instant::now() < deadline, "router never recovered: {reply}");
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    fleet.shutdown();
 }
