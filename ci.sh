@@ -62,22 +62,35 @@ release() {
     diff "$tmpdir/fig2_t1" "$tmpdir/fig2_t4" \
         || { echo "fig2 output differs between --threads 1 and 4"; exit 1; }
 
-    # The fast path must not change the search trajectory: diff the
-    # deterministic columns against an OBF_CHECK=exhaustive run.
-    step "check-strategy determinism (fastpath vs exhaustive)"
-    OBF_FAST=1 OBF_CHECK=exhaustive ./target/release/table3 --threads 4 >/dev/null 2>&1
-    cut -f1-3,6 results/table3.tsv > "$tmpdir/table3_exhaustive"
-    # table3_t4 already holds columns (dataset, k, eps, generate_calls,
-    # candidates, dp_evals, dp_hit_rate); the first four are the
-    # strategy-independent trajectory.
-    cut -f1-4 "$tmpdir/table3_t4" | diff - "$tmpdir/table3_exhaustive" \
-        || { echo "table3 trajectory differs between fastpath and exhaustive"; exit 1; }
-    echo "determinism OK: identical across thread counts and check strategies"
+    echo "determinism OK: table3 and fig2 identical across thread counts"
 
-    # Leave results/table3.tsv + BENCH_table3.json reflecting the default
-    # fast path (the exhaustive run above overwrote them), so the CI
-    # artifact records the real per-PR perf trajectory.
-    OBF_FAST=1 ./target/release/table3 --threads 4 >/dev/null 2>&1
+    # The publish surface itself: Algorithm 1 checks each σ's trials on
+    # worker threads, so the CLI's release must not depend on --threads.
+    # One seeded 1000-vertex power-law (Chung-Lu) graph, three thread
+    # counts, byte-compared.
+    step "publish determinism (obfugraph-cli obfuscate at --threads 1, 2, 4)"
+    python3 - "$tmpdir/social.txt" <<'PY'
+import random, sys
+rng = random.Random(601)
+n, m = 1000, 4000
+weights = [(i + 10) ** (-2 / 3) for i in range(n)]
+edges = set()
+while len(edges) < m:
+    u, v = rng.choices(range(n), weights=weights, k=2)
+    if u != v:
+        edges.add((min(u, v), max(u, v)))
+with open(sys.argv[1], "w") as f:
+    f.writelines(f"{u} {v}\n" for u, v in sorted(edges))
+PY
+    for t in 1 2 4; do
+        ./target/release/obfugraph-cli obfuscate "$tmpdir/social.txt" "$tmpdir/release_t$t.up" \
+            --k 10 --eps 0.05 --seed 7 --threads "$t" 2>/dev/null
+    done
+    for t in 2 4; do
+        cmp "$tmpdir/release_t1.up" "$tmpdir/release_t$t.up" \
+            || { echo "published release differs between --threads 1 and $t"; exit 1; }
+    done
+    echo "publish determinism OK: identical release at --threads 1, 2 and 4"
 }
 
 serve() {

@@ -600,7 +600,6 @@ mod tests {
     use super::*;
 
     fn tiny_cfg() -> HarnessConfig {
-        use obf_core::CheckStrategy;
         HarnessConfig {
             scale: 0.02,
             worlds: 4,
@@ -608,7 +607,6 @@ mod tests {
             seed: 99,
             fast: true,
             threads: 2,
-            check: CheckStrategy::FastPath,
         }
     }
 

@@ -13,9 +13,6 @@
 //! * `OBF_THREADS=<usize>` — worker threads for the parallel engine
 //!   (default: all hardware threads). Every binary also accepts a
 //!   `--threads <N>` argument, which overrides the environment.
-//! * `OBF_CHECK=fastpath|exhaustive` — Definition 2 check strategy for
-//!   the σ search (default `fastpath`; `exhaustive` is the ablation
-//!   baseline — same published graphs, no memoization/early exits).
 //!
 //! For a fixed seed the tables are identical at every thread count — the
 //! sharded loops merge partial results in a fixed chunk order (see
@@ -28,7 +25,7 @@
 //! use obf_bench::HarnessConfig;
 //! use obf_datasets::Dataset;
 //!
-//! let cfg = HarnessConfig { scale: 0.05, worlds: 5, delta: 1e-3, seed: 1, fast: true, threads: 2, check: obf_core::CheckStrategy::FastPath };
+//! let cfg = HarnessConfig { scale: 0.05, worlds: 5, delta: 1e-3, seed: 1, fast: true, threads: 2 };
 //! let g = cfg.dataset(Dataset::Dblp);
 //! assert_eq!(g.num_vertices(), cfg.dataset_size(Dataset::Dblp));
 //! assert_eq!(cfg.obf_params(20, 1e-2).k, 20);
@@ -40,7 +37,7 @@ pub mod json;
 pub mod table;
 pub mod traffic;
 
-use obf_core::{CheckStrategy, ObfuscationParams};
+use obf_core::ObfuscationParams;
 use obf_datasets::{Dataset, DatasetSpec};
 use obf_graph::{Graph, Parallelism};
 
@@ -54,9 +51,6 @@ pub struct HarnessConfig {
     pub fast: bool,
     /// Worker threads for the parallel engine (1 = sequential).
     pub threads: usize,
-    /// Definition 2 check strategy (`OBF_CHECK`); results are
-    /// bit-identical either way, only the work differs.
-    pub check: CheckStrategy,
 }
 
 /// The shared usage text of the experiment binaries: the harness flags
@@ -72,8 +66,7 @@ environment:
   OBF_WORLDS=<n>    possible worlds per evaluation (default 100)
   OBF_DELTA=<f64>   binary-search resolution of Algorithm 1
   OBF_SEED=<u64>    master seed
-  OBF_THREADS=<n>   worker threads (overridden by --threads)
-  OBF_CHECK=fastpath|exhaustive  Definition 2 check strategy";
+  OBF_THREADS=<n>   worker threads (overridden by --threads)";
 
 /// True when the process arguments ask for help (`--help` or `-h`).
 pub fn help_requested() -> bool {
@@ -118,15 +111,6 @@ impl HarnessConfig {
         let threads = arg_usize("--threads")?
             .unwrap_or_else(|| env_usize("OBF_THREADS", Parallelism::available().threads()))
             .max(1);
-        let check = match std::env::var("OBF_CHECK").as_deref() {
-            Ok("exhaustive") => CheckStrategy::Exhaustive,
-            Ok("fastpath") | Err(_) => CheckStrategy::FastPath,
-            Ok(other) => {
-                return Err(format!(
-                    "invalid OBF_CHECK value {other:?} (fastpath|exhaustive)"
-                ))
-            }
-        };
         Ok(Self {
             scale,
             worlds,
@@ -134,7 +118,6 @@ impl HarnessConfig {
             seed,
             fast,
             threads,
-            check,
         })
     }
 
@@ -158,8 +141,7 @@ impl HarnessConfig {
     pub fn obf_params(&self, k: usize, eps: f64) -> ObfuscationParams {
         let mut p = ObfuscationParams::new(k, eps)
             .with_seed(self.seed ^ 0x0b)
-            .with_threads(self.threads)
-            .with_check(self.check);
+            .with_threads(self.threads);
         p.delta = self.delta;
         if self.fast {
             p.t = 2;
@@ -311,7 +293,6 @@ mod tests {
             seed: 1,
             fast: true,
             threads: 1,
-            check: CheckStrategy::FastPath,
         };
         assert_eq!(cfg.dataset_size(Dataset::Dblp), 200);
         let g = cfg.dataset(Dataset::Dblp);
@@ -327,7 +308,6 @@ mod tests {
             seed: 1,
             fast: false,
             threads: 3,
-            check: CheckStrategy::FastPath,
         };
         let p = cfg.obf_params(20, 1e-3);
         assert_eq!(p.delta, 1e-4);

@@ -10,36 +10,31 @@
 //! (k, ε)-obfuscation exists, then binary-searches `[0, σ_u]` for the
 //! smallest `σ` that still succeeds, returning the last successful
 //! obfuscation (the one with minimal σ, i.e. maximal utility).
+//!
+//! # Parallelism
+//!
+//! Each Algorithm 2 trial splits into a *draw* (lines 6–19: candidate
+//! selection and the perturbations, every RNG read) and a *check* (line
+//! 20: the Definition 2 test of the drawn candidates, which reads no
+//! RNG). The calling thread draws the `t` trials of a σ in order, so
+//! the random stream is the sequential one; up to `threads − 1` scoped
+//! workers check the drawn trials concurrently, and the caller joins them
+//! once its draws are done. Every check runs sequentially with the
+//! configured chunk size, and the results are folded in trial order, so
+//! the published graph is identical at every thread count.
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-use obf_graph::{AliasTable, FxHashSet, Graph, Parallelism, VertexPair};
+use obf_graph::{pipeline, AliasTable, FxHashSet, Graph, Parallelism, VertexPair};
 use obf_stats::TruncatedNormal;
 use obf_uncertain::degree_dist::DegreeDistMethod;
 use obf_uncertain::UncertainGraph;
 
-use crate::adversary::{AdversaryTable, DegreeProfile, ObfuscationCheck};
-use crate::commonness::{CommonnessScores, ValueHistogram};
-use crate::fastpath::{run_budgeted, MemoizedAdversary};
+use crate::adversary::DegreeProfile;
+use crate::commonness::{CommonnessScores, UniquenessScores, ValueHistogram};
+use crate::fastpath::{run_budgeted, BudgetedCheck, MemoizedAdversary};
 use crate::property::{DegreeProperty, VertexProperty};
-
-/// Which Definition 2 check implementation Algorithm 2's line 20 uses.
-///
-/// The published graph, the minimal σ, and every other field of
-/// [`ObfuscationResult`] are **bit-identical** between the two (the fast
-/// path only skips work whose outcome is already decided — see
-/// [`crate::fastpath`] and the equivalence tests); `FastPath` is simply
-/// cheaper and is the default.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum CheckStrategy {
-    /// Build the full adversary table and sweep every entropy column.
-    Exhaustive,
-    /// Memoized, support-truncated lazy rows with the budgeted
-    /// early-exit sweep of [`crate::fastpath::run_budgeted`].
-    #[default]
-    FastPath,
-}
 
 /// Parameters of the obfuscation algorithm (paper Algorithms 1–2).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -68,12 +63,12 @@ pub struct ObfuscationParams {
     pub seed: u64,
     /// Per-vertex degree-distribution method for the adversary table.
     pub method: DegreeDistMethod,
-    /// Sharding configuration for the adversary-table rows and entropy
-    /// columns (Definition 2's check). The published graph is identical
-    /// for every thread count (see [`Parallelism`]).
+    /// Worker threads and chunk size of the search. The calling thread
+    /// draws each σ's trials and up to `threads − 1` workers check them
+    /// concurrently; each check runs sequentially with this chunk size.
+    /// The published graph is identical for every thread count (see the
+    /// module docs and [`Parallelism`]).
     pub parallelism: Parallelism,
-    /// Definition 2 check implementation (default: [`CheckStrategy::FastPath`]).
-    pub check: CheckStrategy,
 }
 
 impl ObfuscationParams {
@@ -91,14 +86,7 @@ impl ObfuscationParams {
             seed: 0x0bf5,
             method: DegreeDistMethod::Auto { threshold: 64 },
             parallelism: Parallelism::available(),
-            check: CheckStrategy::FastPath,
         }
-    }
-
-    /// Overrides the Definition 2 check implementation.
-    pub fn with_check(mut self, check: CheckStrategy) -> Self {
-        self.check = check;
-        self
     }
 
     /// Overrides the seed.
@@ -171,9 +159,9 @@ pub enum ObfuscationError {
     BadParameter(String),
     /// No (k, ε)-obfuscation found even after doubling `σ_u`
     /// `max_doublings` times; the paper resolves such cases by raising
-    /// `c`. Under [`CheckStrategy::FastPath`], `best_eps` is the best
-    /// *proven lower bound* across trials (aborted sweeps stop counting
-    /// failures once the budget is exceeded).
+    /// `c`. `best_eps` is the best *proven lower bound* across trials
+    /// (aborted sweeps stop counting failures once the budget is
+    /// exceeded).
     NoUpperBound { last_sigma: f64, best_eps: f64 },
 }
 
@@ -199,9 +187,9 @@ impl std::error::Error for ObfuscationError {}
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TrialStats {
     /// Achieved ε̃ (fraction of under-obfuscated vertices). Exact for
-    /// trials that met the ε tolerance; for failing trials under
-    /// [`CheckStrategy::FastPath`] this is the *lower bound* established
-    /// when the budgeted check aborted (still provably above ε).
+    /// trials that met the ε tolerance; for failing trials this is the
+    /// *lower bound* established when the budgeted check aborted (still
+    /// provably above ε).
     pub eps_achieved: f64,
     /// Candidate pairs that are original edges.
     pub kept_edges: usize,
@@ -371,14 +359,14 @@ impl SigmaSearchStats {
 /// reused by every candidate σ (the "search-state reuse" leg of the fast
 /// path): the per-vertex property values and their sorted histogram
 /// (only the kernel θ = σ changes per candidate), the original graph's
-/// degree profile for the Definition 2 check, and the original edge set
-/// that seeds every trial's candidate selection.
+/// degree profile for the Definition 2 check, and the sorted original
+/// edge list that seeds every trial's candidate selection.
 struct SearchContext {
     property: DegreeProperty,
     per_vertex: Vec<f64>,
     histogram: ValueHistogram,
     profile: DegreeProfile,
-    base_pairs: FxHashSet<VertexPair>,
+    base_pairs: Vec<VertexPair>,
 }
 
 impl SearchContext {
@@ -387,8 +375,9 @@ impl SearchContext {
         let per_vertex = property.values(g);
         let histogram = ValueHistogram::new(&per_vertex);
         let profile = DegreeProfile::new(g);
-        let base_pairs: FxHashSet<VertexPair> =
-            g.edges().map(|(u, v)| VertexPair::new(u, v)).collect();
+        // Sorted adjacency lists yield the edges in `VertexPair` order.
+        let base_pairs: Vec<VertexPair> = g.edge_pairs().collect();
+        debug_assert!(base_pairs.is_sorted());
         Self {
             property,
             per_vertex,
@@ -440,154 +429,34 @@ fn generate_in_context(
     rng: &mut SmallRng,
     stats: &mut SigmaCandidateStats,
 ) -> GenerateOutcome {
-    let n = g.num_vertices();
-    let m = g.num_edges();
+    let sampler = TrialSampler::new(g, ctx, params, sigma, forced_excluded);
+    let workers = (params.parallelism.threads() - 1).min(params.t);
+    let check_par = Parallelism::sequential().with_chunk_size(params.parallelism.chunk_size());
+    let checked = pipeline(
+        params.t,
+        workers,
+        |_| sampler.draw(g, ctx, rng),
+        |draw| check_trial(ctx, params, draw, &check_par),
+    );
 
-    // Line 1: σ-uniqueness of every vertex (θ = σ, Section 5.2). Only the
-    // kernel pass depends on σ; the value histogram comes from `ctx`.
-    let scores = CommonnessScores::from_histogram(&ctx.histogram, &ctx.property, sigma.max(1e-300));
-    let uniq = scores.vertex_uniqueness(&ctx.per_vertex);
-
-    // Line 2: H = the ⌈ε/2·n⌉ most unique vertices, excluded from noise;
-    // caller-forced members take priority.
-    let h_size = ((params.eps / 2.0) * n as f64).ceil() as usize;
-    let mut h_set: Vec<u32> = forced_excluded.to_vec();
-    h_set.sort_unstable();
-    h_set.dedup();
-    if h_set.len() < h_size.min(n) {
-        let forced: obf_graph::FxHashSet<u32> = h_set.iter().copied().collect();
-        for v in uniq.top_unique(h_size.min(n)) {
-            if h_set.len() >= h_size.min(n) {
-                break;
-            }
-            if !forced.contains(&v) {
-                h_set.push(v);
-            }
-        }
-    }
-
-    // Line 3: Q(v) ∝ U_σ(P(v)) on V \ H.
-    let q_weights = uniq.q_weights(&h_set);
-    let total_q: f64 = q_weights.iter().sum();
-    let alias = if total_q > 0.0 && q_weights.iter().any(|&w| w > 0.0) {
-        Some(AliasTable::new(&q_weights))
-    } else {
-        None
-    };
-
-    let target_ec = ((params.c * m as f64).round() as usize).max(m);
     let mut best: Option<(f64, UncertainGraph)> = None;
     let mut trials = Vec::with_capacity(params.t);
-
-    for _trial in 0..params.t {
-        // Lines 6–12: select E_C starting from E (cloned from the
-        // context's prebuilt edge set instead of re-collected).
-        let (ec, removed_edges) =
-            match select_candidates(g, &ctx.base_pairs, target_ec, alias.as_ref(), rng) {
-                Some(x) => x,
-                None => {
-                    // Degenerate graph (no sampleable vertices): E_C stays E.
-                    (g.edges().map(|(u, v)| VertexPair::new(u, v)).collect(), 0)
-                }
-            };
-
-        // Line 14: per-pair σ(e) (Eq. 7), proportional to pair uniqueness.
-        let pair_uniqueness: Vec<f64> = ec
-            .iter()
-            .map(|p| (uniq.of(p.lo()) + uniq.of(p.hi())) / 2.0)
-            .collect();
-        let uniq_total: f64 = pair_uniqueness.iter().sum();
-
-        // Lines 13–19: draw perturbations and assign probabilities.
-        let mut kept_edges = 0usize;
-        let mut added_pairs = 0usize;
-        let mut candidates: Vec<(u32, u32, f64)> = Vec::with_capacity(ec.len());
-        for (pair, &u_e) in ec.iter().zip(&pair_uniqueness) {
-            let sigma_e = if uniq_total > 0.0 {
-                (sigma * ec.len() as f64 * u_e / uniq_total).max(1e-12)
-            } else {
-                sigma.max(1e-12)
-            };
-            let r_e = if rng.gen::<f64>() < params.q {
-                rng.gen::<f64>()
-            } else {
-                TruncatedNormal::new(sigma_e).sample(rng)
-            };
-            let is_edge = g.has_edge(pair.lo(), pair.hi());
-            let p = if is_edge {
-                kept_edges += 1;
-                1.0 - r_e
-            } else {
-                added_pairs += 1;
-                r_e
-            };
-            candidates.push((pair.lo(), pair.hi(), p));
-        }
-        let ug = UncertainGraph::new(n, candidates).expect("valid candidate set");
-
-        // Line 20: ε' = fraction of vertices not k-obfuscated — the
-        // Algorithm 2 hot path. Both strategies shard rows and entropy
-        // columns over contiguous vertex ranges and give bit-identical
-        // verdicts; the fast path additionally memoizes identical rows,
-        // truncates the DP support at max_deg(G), and aborts the sweep
-        // once the ε budget is decided (see `crate::fastpath`).
-        let (eps_trial, passed) = match params.check {
-            CheckStrategy::Exhaustive => {
-                let table = AdversaryTable::build_par(&ug, params.method, &params.parallelism);
-                let check = ObfuscationCheck::run_with_profile(
-                    &ctx.profile,
-                    &table,
-                    params.k,
-                    &params.parallelism,
-                );
-                stats.dp_evaluations += n as u64;
-                stats.rows_requested += n as u64;
-                stats.columns_evaluated += ctx.profile.distinct().len() as u64;
-                (check.eps_achieved, check.satisfies(params.eps))
-            }
-            CheckStrategy::FastPath => {
-                let mut adv = MemoizedAdversary::new(
-                    &ug,
-                    params.method,
-                    ctx.profile.max_degree(),
-                    &params.parallelism,
-                );
-                let verdict = run_budgeted(
-                    &ctx.profile,
-                    &mut adv,
-                    params.k,
-                    params.eps,
-                    true,
-                    &params.parallelism,
-                );
-                stats.dp_evaluations += adv.dp_evaluations();
-                stats.rows_requested += adv.rows_requested();
-                stats.columns_evaluated += verdict.columns_evaluated as u64;
-                stats.support_skipped_columns += verdict.support_only_failures as u64;
-                if verdict.early_exit {
-                    stats.early_exit_trials += 1;
-                }
-                // Satisfying verdicts always carry the exact ε̃ (the
-                // budgeted check ran with `need_exact`); aborted failing
-                // sweeps report the proven lower bound.
-                let eps_trial = verdict
-                    .eps_exact
-                    .unwrap_or(verdict.failed_at_least as f64 / n.max(1) as f64);
-                (eps_trial, verdict.satisfies)
-            }
-        };
+    for trial in checked {
         stats.table_builds += 1;
         stats.columns_total += ctx.profile.distinct().len() as u64;
-        trials.push(TrialStats {
-            eps_achieved: eps_trial,
-            kept_edges,
-            added_pairs,
-            removed_edges,
-        });
+        stats.dp_evaluations += trial.dp_evaluations;
+        stats.rows_requested += trial.rows_requested;
+        stats.columns_evaluated += trial.verdict.columns_evaluated as u64;
+        stats.support_skipped_columns += trial.verdict.support_only_failures as u64;
+        stats.early_exit_trials += u64::from(trial.verdict.early_exit);
+        trials.push(trial.stats);
 
-        // Line 21: keep the best trial meeting ε.
-        if passed && best.as_ref().is_none_or(|(e, _)| eps_trial < *e) {
-            best = Some((eps_trial, ug));
+        // Line 21: keep the best trial meeting ε (the earliest on a tie).
+        let eps_trial = trial.stats.eps_achieved;
+        if let Some(ug) = trial.graph {
+            if best.as_ref().is_none_or(|(e, _)| eps_trial < *e) {
+                best = Some((eps_trial, ug));
+            }
         }
     }
 
@@ -605,28 +474,205 @@ fn generate_in_context(
     }
 }
 
+/// The σ-dependent state every trial of one σ draws from (Algorithm 2
+/// lines 1–3), plus the parameters of the draw.
+struct TrialSampler {
+    sigma: f64,
+    /// White-noise level `q`.
+    q: f64,
+    /// σ-uniqueness of every vertex (line 1).
+    uniq: UniquenessScores,
+    /// The sampling distribution `Q` on `V \ H` (line 3); `None` when no
+    /// vertex is sampleable.
+    alias: Option<AliasTable>,
+    /// `|E_C| = c·|E|`.
+    target_ec: usize,
+}
+
+impl TrialSampler {
+    fn new(
+        g: &Graph,
+        ctx: &SearchContext,
+        params: &ObfuscationParams,
+        sigma: f64,
+        forced_excluded: &[u32],
+    ) -> Self {
+        let n = g.num_vertices();
+        let m = g.num_edges();
+
+        // Line 1: σ-uniqueness of every vertex (θ = σ, Section 5.2). Only
+        // the kernel pass depends on σ; the value histogram comes from
+        // `ctx`.
+        let scores =
+            CommonnessScores::from_histogram(&ctx.histogram, &ctx.property, sigma.max(1e-300));
+        let uniq = scores.vertex_uniqueness(&ctx.per_vertex);
+
+        // Line 2: H = the ⌈ε/2·n⌉ most unique vertices, excluded from
+        // noise; caller-forced members take priority.
+        let h_size = ((params.eps / 2.0) * n as f64).ceil() as usize;
+        let mut h_set: Vec<u32> = forced_excluded.to_vec();
+        h_set.sort_unstable();
+        h_set.dedup();
+        if h_set.len() < h_size.min(n) {
+            let forced: FxHashSet<u32> = h_set.iter().copied().collect();
+            for v in uniq.top_unique(h_size.min(n)) {
+                if h_set.len() >= h_size.min(n) {
+                    break;
+                }
+                if !forced.contains(&v) {
+                    h_set.push(v);
+                }
+            }
+        }
+
+        // Line 3: Q(v) ∝ U_σ(P(v)) on V \ H.
+        let q_weights = uniq.q_weights(&h_set);
+        let total_q: f64 = q_weights.iter().sum();
+        let alias = if total_q > 0.0 && q_weights.iter().any(|&w| w > 0.0) {
+            Some(AliasTable::new(&q_weights))
+        } else {
+            None
+        };
+        Self {
+            sigma,
+            q: params.q,
+            uniq,
+            alias,
+            target_ec: ((params.c * m as f64).round() as usize).max(m),
+        }
+    }
+
+    /// Algorithm 2 lines 6–19 for one trial.
+    fn draw(&self, g: &Graph, ctx: &SearchContext, rng: &mut SmallRng) -> TrialDraw {
+        // Lines 6–12: select E_C starting from E. A degenerate graph (no
+        // sampleable vertices) keeps E_C = E.
+        let (ec, removed_edges) = match &self.alias {
+            Some(alias) => select_candidates(g, &ctx.base_pairs, self.target_ec, alias, rng),
+            None => (ctx.base_pairs.clone(), 0),
+        };
+
+        // Line 14: per-pair σ(e) (Eq. 7), proportional to pair uniqueness.
+        let uniq = &self.uniq;
+        let pair_uniqueness: Vec<f64> = ec
+            .iter()
+            .map(|p| (uniq.of(p.lo()) + uniq.of(p.hi())) / 2.0)
+            .collect();
+        let uniq_total: f64 = pair_uniqueness.iter().sum();
+
+        // Lines 13–19: draw perturbations and assign probabilities.
+        let sigma = self.sigma;
+        let mut kept_edges = 0usize;
+        let mut added_pairs = 0usize;
+        let mut candidates: Vec<(u32, u32, f64)> = Vec::with_capacity(ec.len());
+        for (pair, &u_e) in ec.iter().zip(&pair_uniqueness) {
+            let sigma_e = if uniq_total > 0.0 {
+                (sigma * ec.len() as f64 * u_e / uniq_total).max(1e-12)
+            } else {
+                sigma.max(1e-12)
+            };
+            let r_e = if rng.gen::<f64>() < self.q {
+                rng.gen::<f64>()
+            } else {
+                TruncatedNormal::new(sigma_e).sample(rng)
+            };
+            let is_edge = g.has_edge(pair.lo(), pair.hi());
+            let p = if is_edge {
+                kept_edges += 1;
+                1.0 - r_e
+            } else {
+                added_pairs += 1;
+                r_e
+            };
+            candidates.push((pair.lo(), pair.hi(), p));
+        }
+        TrialDraw {
+            candidates,
+            kept_edges,
+            added_pairs,
+            removed_edges,
+        }
+    }
+}
+
+/// The random half of one Algorithm 2 trial (lines 6–19): the candidate
+/// set and its perturbed probabilities. Every RNG read of a trial happens
+/// while drawing it.
+struct TrialDraw {
+    candidates: Vec<(u32, u32, f64)>,
+    kept_edges: usize,
+    added_pairs: usize,
+    removed_edges: usize,
+}
+
+/// The deterministic half of one Algorithm 2 trial (line 20): the
+/// Definition 2 verdict on a [`TrialDraw`] and the check's counters.
+struct CheckedTrial {
+    stats: TrialStats,
+    /// The trial's uncertain graph, kept only when it met ε.
+    graph: Option<UncertainGraph>,
+    verdict: BudgetedCheck,
+    dp_evaluations: u64,
+    rows_requested: u64,
+}
+
+/// Algorithm 2 line 20 for one drawn trial: ε' = fraction of vertices
+/// not k-obfuscated, by the budgeted check of [`crate::fastpath`]
+/// (memoized identical rows, DP support truncated at max_deg(G), and a
+/// sweep that stops once the ε budget is decided).
+fn check_trial(
+    ctx: &SearchContext,
+    params: &ObfuscationParams,
+    draw: TrialDraw,
+    par: &Parallelism,
+) -> CheckedTrial {
+    let n = ctx.profile.num_vertices();
+    let ug = UncertainGraph::new(n, draw.candidates).expect("valid candidate set");
+    let mut adv = MemoizedAdversary::new(&ug, params.method, ctx.profile.max_degree(), par);
+    let verdict = run_budgeted(&ctx.profile, &mut adv, params.k, params.eps, true, par);
+    // Satisfying verdicts always carry the exact ε̃ (the budgeted check
+    // ran with `need_exact`); aborted failing sweeps report the proven
+    // lower bound.
+    let eps_achieved = verdict
+        .eps_exact
+        .unwrap_or(verdict.failed_at_least as f64 / n.max(1) as f64);
+    let (dp_evaluations, rows_requested) = (adv.dp_evaluations(), adv.rows_requested());
+    CheckedTrial {
+        stats: TrialStats {
+            eps_achieved,
+            kept_edges: draw.kept_edges,
+            added_pairs: draw.added_pairs,
+            removed_edges: draw.removed_edges,
+        },
+        graph: verdict.satisfies.then_some(ug),
+        verdict,
+        dp_evaluations,
+        rows_requested,
+    }
+}
+
 /// Algorithm 2 lines 6–12: starting from `E_C = E`, repeatedly draw a
 /// vertex pair from `Q × Q`; drawing an existing edge removes it (certain
 /// deletion), a non-edge is added as a candidate; stop at `|E_C| =
-/// target`. Returns the candidate pairs and the number of removed original
-/// edges, or `None` when no vertices are sampleable.
+/// target`. `base` is `E` in sorted order. Returns the sorted candidate
+/// pairs and the number of removed original edges.
 fn select_candidates(
     g: &Graph,
-    base: &FxHashSet<VertexPair>,
+    base: &[VertexPair],
     target: usize,
-    alias: Option<&AliasTable>,
+    alias: &AliasTable,
     rng: &mut SmallRng,
-) -> Option<(Vec<VertexPair>, usize)> {
-    let alias = alias?;
-    let mut ec: FxHashSet<VertexPair> = base.clone();
-    let mut removed = 0usize;
+) -> (Vec<VertexPair>, usize) {
+    // E_C = (E \ removed) ∪ added, tracked as the two differences so a
+    // trial never copies E.
+    let mut removed: FxHashSet<VertexPair> = FxHashSet::default();
+    let mut added: FxHashSet<VertexPair> = FxHashSet::default();
     // Safety valve: the expected number of draws is ~(target - |E|) plus a
     // small correction for collisions; a generous multiple covers skewed Q.
     let max_draws = 200usize
         .saturating_add(target.saturating_mul(50))
         .saturating_add(g.num_edges() * 50);
     let mut draws = 0usize;
-    while ec.len() != target {
+    while base.len() - removed.len() + added.len() != target {
         draws += 1;
         if draws > max_draws {
             // Could not reach the target (e.g. dense graph with few
@@ -641,16 +687,24 @@ fn select_candidates(
         }
         let pair = VertexPair::new(u, v);
         if g.has_edge(u, v) {
-            if ec.remove(&pair) {
-                removed += 1;
-            }
+            removed.insert(pair);
         } else {
-            ec.insert(pair);
+            added.insert(pair);
         }
     }
-    let mut pairs: Vec<VertexPair> = ec.into_iter().collect(); // audit:allow(map-iter, sorted on the next line; nothing order-dependent happens between collect and sort)
-    pairs.sort_unstable();
-    Some((pairs, removed))
+    let mut added_sorted: Vec<VertexPair> = added.into_iter().collect(); // audit:allow(map-iter, sorted on the next line; nothing order-dependent happens between collect and sort)
+    added_sorted.sort_unstable();
+    // Merge the kept base edges with the added non-edges (disjoint sets).
+    let mut pairs = Vec::with_capacity(base.len() - removed.len() + added_sorted.len());
+    let mut added_sorted = added_sorted.into_iter().peekable();
+    for &kept in base.iter().filter(|p| !removed.contains(p)) {
+        while let Some(a) = added_sorted.next_if(|a| *a < kept) {
+            pairs.push(a);
+        }
+        pairs.push(kept);
+    }
+    pairs.extend(added_sorted);
+    (pairs, removed.len())
 }
 
 /// Algorithm 1: finds the minimal `σ` for which Algorithm 2 produces a
@@ -777,6 +831,7 @@ pub fn obfuscate_with_stats(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::adversary::{AdversaryTable, ObfuscationCheck};
     use obf_graph::generators;
 
     fn test_params(k: usize, eps: f64) -> ObfuscationParams {
@@ -983,10 +1038,50 @@ mod tests {
         }
     }
 
+    /// The exhaustive Definition 2 check — the full adversary table and
+    /// every entropy column — as the oracle for the budgeted check of
+    /// Algorithm 2's line 20. Asserts the same verdict, and the same ε̃
+    /// by `to_bits` whenever the budgeted check reports one (always when
+    /// it passes), and returns the oracle's check.
+    fn assert_budgeted_matches_exhaustive(
+        g: &Graph,
+        ug: &UncertainGraph,
+        k: usize,
+        eps: f64,
+        method: DegreeDistMethod,
+    ) -> ObfuscationCheck {
+        let profile = DegreeProfile::new(g);
+        let par = Parallelism::sequential();
+        let table = AdversaryTable::build_par(ug, method, &par);
+        let want = ObfuscationCheck::run_with_profile(&profile, &table, k, &par);
+        let mut adv = MemoizedAdversary::new(ug, method, profile.max_degree(), &par);
+        let got = run_budgeted(&profile, &mut adv, k, eps, true, &par);
+        assert_eq!(
+            got.satisfies,
+            want.satisfies(eps),
+            "verdict k={k} eps={eps}"
+        );
+        if got.satisfies {
+            assert!(
+                got.eps_exact.is_some(),
+                "a passing check carries its exact eps"
+            );
+        }
+        if let Some(e) = got.eps_exact {
+            assert_eq!(
+                e.to_bits(),
+                want.eps_achieved.to_bits(),
+                "eps k={k} eps={eps}"
+            );
+        }
+        assert!(got.failed_at_least <= want.failed_vertices);
+        want
+    }
+
     #[test]
-    fn fast_path_bit_identical_to_exhaustive_search() {
-        // The ISSUE acceptance bar: same σ, same published probabilities,
-        // same search trajectory for a fixed seed, fast path or not.
+    fn published_graphs_pass_the_exhaustive_oracle() {
+        // Every published graph re-checks exhaustively to the ε̃ the
+        // search reported, bit for bit.
         for (n, m, k, eps, seed) in [
             (150, 400, 5usize, 0.1, 11u64),
             (200, 380, 8, 0.05, 12),
@@ -995,14 +1090,179 @@ mod tests {
             let mut rng = SmallRng::seed_from_u64(seed);
             let g = generators::erdos_renyi_gnm(n, m, &mut rng);
             let params = test_params(k, eps);
-            let fast = obfuscate(&g, &params.with_check(CheckStrategy::FastPath)).unwrap();
-            let slow = obfuscate(&g, &params.with_check(CheckStrategy::Exhaustive)).unwrap();
-            assert_eq!(fast.sigma, slow.sigma);
-            assert_eq!(fast.eps_achieved, slow.eps_achieved);
-            assert_eq!(fast.graph, slow.graph);
-            assert_eq!(fast.doublings, slow.doublings);
-            assert_eq!(fast.search_steps, slow.search_steps);
-            assert_eq!(fast.generate_calls, slow.generate_calls);
+            let res = obfuscate(&g, &params).unwrap();
+            let want = assert_budgeted_matches_exhaustive(&g, &res.graph, k, eps, params.method);
+            assert!(want.satisfies(eps));
+            assert_eq!(res.eps_achieved.to_bits(), want.eps_achieved.to_bits());
+        }
+    }
+
+    #[test]
+    fn drawn_trials_pass_the_exhaustive_oracle() {
+        // The graphs Algorithm 2 actually checks — drawn trials across
+        // the σ range of a search, on seeded random graphs — give the
+        // same verdict and ε̃ under the budgeted and exhaustive checks,
+        // for tolerances on both sides of each trial's ε̃.
+        let mut rng = SmallRng::seed_from_u64(21);
+        let graphs = [
+            generators::erdos_renyi_gnm(120, 300, &mut rng),
+            generators::barabasi_albert(150, 3, &mut rng),
+        ];
+        for (gi, g) in graphs.iter().enumerate() {
+            let ctx = SearchContext::new(g);
+            for (si, sigma) in [1e-6, 1e-3, 0.05, 0.5, 4.0].into_iter().enumerate() {
+                let params = test_params(5, 0.05);
+                let sampler = TrialSampler::new(g, &ctx, &params, sigma, &[]);
+                let mut rng = SmallRng::seed_from_u64((gi * 10 + si) as u64);
+                let draw = sampler.draw(g, &ctx, &mut rng);
+                let ug = UncertainGraph::new(g.num_vertices(), draw.candidates).unwrap();
+                for k in [1, 2, 5, 12] {
+                    for eps in [0.0, 0.01, 0.05, 0.2, 0.6] {
+                        assert_budgeted_matches_exhaustive(g, &ug, k, eps, params.method);
+                    }
+                }
+            }
+        }
+    }
+
+    /// The candidate selection as it was before it tracked differences:
+    /// clone E into a hash set, add/remove in place, collect and sort.
+    /// Kept as the oracle for [`select_candidates`].
+    fn select_candidates_by_clone(
+        g: &Graph,
+        target: usize,
+        alias: &AliasTable,
+        rng: &mut SmallRng,
+    ) -> (Vec<VertexPair>, usize) {
+        let mut ec: FxHashSet<VertexPair> = g.edge_pairs().collect();
+        let mut removed = 0usize;
+        let max_draws = 200usize
+            .saturating_add(target.saturating_mul(50))
+            .saturating_add(g.num_edges() * 50);
+        let mut draws = 0usize;
+        while ec.len() != target {
+            draws += 1;
+            if draws > max_draws {
+                break;
+            }
+            let u = alias.sample(rng);
+            let v = alias.sample(rng);
+            if u == v {
+                continue;
+            }
+            let pair = VertexPair::new(u, v);
+            if g.has_edge(u, v) {
+                if ec.remove(&pair) {
+                    removed += 1;
+                }
+            } else {
+                ec.insert(pair);
+            }
+        }
+        let mut pairs: Vec<VertexPair> = ec.into_iter().collect();
+        pairs.sort_unstable();
+        (pairs, removed)
+    }
+
+    #[test]
+    fn select_candidates_matches_the_clone_based_oracle() {
+        let mut rng = SmallRng::seed_from_u64(31);
+        let graphs = [
+            generators::erdos_renyi_gnm(80, 200, &mut rng),
+            generators::barabasi_albert(120, 4, &mut rng),
+            // Dense: many draws hit edges, and the target is hard to reach.
+            generators::erdos_renyi_gnm(30, 380, &mut rng),
+        ];
+        for g in &graphs {
+            let base: Vec<VertexPair> = g.edge_pairs().collect();
+            let n = g.num_vertices();
+            let uniform = vec![1.0; n];
+            // Skewed: a few heavy vertices, a long light tail, some zeros.
+            let skewed: Vec<f64> = (0..n)
+                .map(|v| match v % 7 {
+                    0 => 50.0,
+                    1 => 0.0,
+                    _ => 1.0 / (1 + v) as f64,
+                })
+                .collect();
+            for weights in [&uniform, &skewed] {
+                let alias = AliasTable::new(weights);
+                for c in [1.0, 1.5, 2.0, 3.0] {
+                    let target = ((c * g.num_edges() as f64).round() as usize).max(g.num_edges());
+                    for seed in 0..6u64 {
+                        let mut a = SmallRng::seed_from_u64(seed);
+                        let mut b = SmallRng::seed_from_u64(seed);
+                        let got = select_candidates(g, &base, target, &alias, &mut a);
+                        let want = select_candidates_by_clone(g, target, &alias, &mut b);
+                        assert_eq!(got, want, "c={c} seed={seed}");
+                        assert_eq!(a.gen::<u64>(), b.gen::<u64>(), "RNG consumption differs");
+                    }
+                }
+            }
+        }
+    }
+
+    /// The candidates of `ug` with probabilities as bit patterns.
+    fn candidate_bits(ug: &UncertainGraph) -> Vec<(u32, u32, u64)> {
+        ug.candidates()
+            .iter()
+            .map(|&(u, v, p)| (u, v, p.to_bits()))
+            .collect()
+    }
+
+    #[test]
+    fn algorithm1_is_identical_at_every_thread_count() {
+        // The draw/check pipeline must not leak the worker count into the
+        // result or the counters, including with more threads than trials.
+        let mut rng = SmallRng::seed_from_u64(41);
+        let g = generators::barabasi_albert(160, 3, &mut rng);
+        for t in [1usize, 2, 5] {
+            let run = |threads: usize| {
+                let mut params = test_params(6, 0.05).with_threads(threads).with_trials(t);
+                params.delta = 1e-2;
+                let (res, mut stats) = obfuscate_with_stats(&g, &params).unwrap();
+                for c in &mut stats.candidates {
+                    c.secs = 0.0;
+                }
+                let bits = (res.sigma.to_bits(), res.eps_achieved.to_bits());
+                let steps = (res.doublings, res.search_steps, res.generate_calls);
+                (candidate_bits(&res.graph), bits, steps, stats)
+            };
+            let want = run(1);
+            for threads in [2, 3, 4, 8] {
+                assert_eq!(run(threads), want, "t={t} threads={threads}");
+            }
+        }
+    }
+
+    #[test]
+    fn unsampleable_graph_is_identical_at_every_thread_count() {
+        // Forcing every vertex into H leaves no sampleable vertex (no Q),
+        // so E_C stays E in every trial.
+        let mut rng = SmallRng::seed_from_u64(42);
+        let g = generators::erdos_renyi_gnm(60, 150, &mut rng);
+        let all: Vec<u32> = (0..g.num_vertices() as u32).collect();
+        let run = |threads: usize| {
+            let params = test_params(2, 0.3).with_threads(threads).with_trials(3);
+            let mut rng = SmallRng::seed_from_u64(9);
+            let out = generate_obfuscation_with_excluded(&g, &params, 0.2, &all, &mut rng);
+            for t in &out.trials {
+                assert_eq!(
+                    (t.kept_edges, t.added_pairs, t.removed_edges),
+                    (g.num_edges(), 0, 0)
+                );
+            }
+            let graph = out.graph.as_ref().map(candidate_bits);
+            (
+                graph,
+                out.eps_achieved.to_bits(),
+                out.trials,
+                rng.gen::<u64>(),
+            )
+        };
+        let want = run(1);
+        for threads in [2, 4, 8] {
+            assert_eq!(run(threads), want, "threads={threads}");
         }
     }
 

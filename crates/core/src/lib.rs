@@ -48,8 +48,8 @@ pub mod property;
 pub use adversary::{AdversaryTable, ColumnPartials, DegreeProfile, ObfuscationCheck};
 pub use algorithm::{
     generate_obfuscation, generate_obfuscation_with_excluded, obfuscate, obfuscate_with_stats,
-    CheckStrategy, GenerateOutcome, ObfuscationError, ObfuscationParams, ObfuscationResult,
-    SearchPhase, SigmaCandidateStats, SigmaSearchStats, TrialStats,
+    GenerateOutcome, ObfuscationError, ObfuscationParams, ObfuscationResult, SearchPhase,
+    SigmaCandidateStats, SigmaSearchStats, TrialStats,
 };
 pub use commonness::{CommonnessScores, UniquenessScores, ValueHistogram};
 pub use fastpath::{fail_budget, run_budgeted, BudgetedCheck, MemoizedAdversary};

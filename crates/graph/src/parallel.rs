@@ -39,7 +39,7 @@
 
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{mpsc, Mutex};
 
 use crate::hashers::splitmix64;
 
@@ -230,6 +230,72 @@ impl Parallelism {
     }
 }
 
+/// A produce/consume pipeline over `len` items: the calling thread runs
+/// `produce(0)`, `produce(1)`, … in index order, while `workers` scoped
+/// threads run `consume` on the produced items as they arrive; once every
+/// item is produced the caller consumes alongside them. Returns the
+/// consumed results **in index order**.
+///
+/// This is for work whose first half must stay sequential — e.g. it reads
+/// one shared RNG stream — and whose second half is independent per item.
+/// Because `produce` runs in order on one thread and results are placed by
+/// index, the output is the same for every `workers` value; with
+/// `workers == 0` the caller consumes each item right after producing it
+/// and no thread is spawned.
+///
+/// # Examples
+///
+/// ```
+/// use obf_graph::parallel::pipeline;
+///
+/// // `produce` advances one sequential state; `consume` is per item.
+/// let run = |workers| {
+///     let mut state = 1u64;
+///     pipeline(6, workers, |_| { state = state * 31 + 7; state }, |x| x % 1000)
+/// };
+/// assert_eq!(run(0), run(3));
+/// ```
+pub fn pipeline<D: Send, C: Send>(
+    len: usize,
+    workers: usize,
+    mut produce: impl FnMut(usize) -> D,
+    consume: impl Fn(D) -> C + Sync,
+) -> Vec<C> {
+    let mut slots: Vec<Option<C>> = std::iter::repeat_with(|| None).take(len).collect();
+    if workers == 0 {
+        for (i, slot) in slots.iter_mut().enumerate() {
+            *slot = Some(consume(produce(i)));
+        }
+    } else {
+        let (tx, rx) = mpsc::channel::<(usize, D)>();
+        let rx = Mutex::new(rx);
+        let results = Mutex::new(&mut slots);
+        let work = || loop {
+            // The queue lock is released at the end of this statement,
+            // before the item is consumed.
+            let job = rx.lock().expect("pipeline queue poisoned").recv();
+            let Ok((i, item)) = job else { break };
+            let value = consume(item);
+            results.lock().expect("pipeline result writer poisoned")[i] = Some(value);
+        };
+        std::thread::scope(|scope| {
+            for _ in 0..workers.min(len) {
+                scope.spawn(work);
+            }
+            for i in 0..len {
+                tx.send((i, produce(i)))
+                    .expect("a pipeline worker is alive");
+            }
+            drop(tx);
+            work();
+        });
+    }
+    slots
+        .into_iter()
+        .map(|v| v.expect("every item was consumed"))
+        .collect()
+}
+
 /// The `index`-th seed of the SplitMix-style stream derived from `master`.
 ///
 /// Every randomised work item (a sampled possible world, an independent
@@ -320,6 +386,25 @@ mod tests {
                 assert_eq!(pair, [i as u32, 2 * i as u32], "threads={threads}");
             }
         }
+    }
+
+    #[test]
+    fn pipeline_produces_in_order_and_returns_in_order() {
+        for workers in [0, 1, 2, 5, 9] {
+            let mut produced = Vec::new();
+            let out = pipeline(
+                7,
+                workers,
+                |i| {
+                    produced.push(i);
+                    i * 10
+                },
+                |x| x + 1,
+            );
+            assert_eq!(produced, (0..7).collect::<Vec<_>>(), "workers={workers}");
+            assert_eq!(out, (0..7).map(|i| i * 10 + 1).collect::<Vec<_>>());
+        }
+        assert!(pipeline(0, 3, |i| i, |x| x).is_empty());
     }
 
     #[test]

@@ -28,15 +28,22 @@ use crate::normal::{norm_cdf, norm_inv_cdf};
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TruncatedNormal {
     sigma: f64,
-    /// Mass of N(0, σ²) in [0, 1]; acceptance probability of the rejection
-    /// sampler is `2 * mass01`.
-    mass01: f64,
+    /// Mass of N(0, σ²) in [0, 1] when the sampler takes the inverse-CDF
+    /// branch; `None` on the rejection branch, which never reads it (the
+    /// acceptance probability of the rejection sampler is `2 * mass01`).
+    inverse_mass01: Option<f64>,
 }
 
 /// Below this acceptance probability we switch from rejection sampling to
 /// inverse-CDF sampling. With σ = 2 acceptance is ~0.38; rejection is still
 /// fine there, so the threshold mostly guards the very diffuse regime.
 const MIN_ACCEPTANCE: f64 = 0.25;
+
+/// Largest σ at which the rejection branch is certain without evaluating
+/// the normal CDF: acceptance there is `2(Φ(1/3) − ½) ≈ 0.261`, above
+/// [`MIN_ACCEPTANCE`], and acceptance only grows as σ shrinks. Algorithm 2
+/// builds one sampler per candidate pair, almost always below this.
+const REJECTION_CERTAIN_SIGMA: f64 = 3.0;
 
 impl TruncatedNormal {
     /// Creates the sampler.
@@ -49,8 +56,20 @@ impl TruncatedNormal {
             sigma.is_finite() && sigma > 0.0,
             "TruncatedNormal requires a positive, finite sigma; got {sigma}"
         );
-        let mass01 = norm_cdf(1.0, 0.0, sigma) - 0.5;
-        Self { sigma, mass01 }
+        let inverse_mass01 = if sigma <= REJECTION_CERTAIN_SIGMA {
+            None
+        } else {
+            Some(unit_mass(sigma)).filter(|&m| 2.0 * m < MIN_ACCEPTANCE)
+        };
+        Self {
+            sigma,
+            inverse_mass01,
+        }
+    }
+
+    /// Mass of N(0, σ²) in `[0, 1]`, the normaliser of Eq. (6).
+    fn mass01(&self) -> f64 {
+        self.inverse_mass01.unwrap_or_else(|| unit_mass(self.sigma))
     }
 
     /// The scale parameter σ.
@@ -64,7 +83,7 @@ impl TruncatedNormal {
         if !(0.0..=1.0).contains(&r) {
             return 0.0;
         }
-        crate::normal::norm_pdf(r, 0.0, self.sigma) / self.mass01
+        crate::normal::norm_pdf(r, 0.0, self.sigma) / self.mass01()
     }
 
     /// CDF of the truncated distribution on `[0,1]`.
@@ -74,30 +93,28 @@ impl TruncatedNormal {
         } else if r >= 1.0 {
             1.0
         } else {
-            (norm_cdf(r, 0.0, self.sigma) - 0.5) / self.mass01
+            (norm_cdf(r, 0.0, self.sigma) - 0.5) / self.mass01()
         }
     }
 
     /// Inverse CDF (quantile function) on `[0,1]`.
     pub fn inv_cdf(&self, u: f64) -> f64 {
         let u = u.clamp(0.0, 1.0);
-        let p = 0.5 + u * self.mass01;
+        let p = 0.5 + u * self.mass01();
         norm_inv_cdf(p, 0.0, self.sigma).clamp(0.0, 1.0)
     }
 
     /// Draws one sample.
     pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
-        let acceptance = 2.0 * self.mass01;
-        if acceptance >= MIN_ACCEPTANCE {
-            // Rejection from the half-normal |N(0,σ)| via Box–Muller.
-            loop {
-                let r = self.sigma * abs_std_normal(rng);
-                if r <= 1.0 {
-                    return r;
-                }
+        if self.inverse_mass01.is_some() {
+            return self.inv_cdf(rng.gen::<f64>());
+        }
+        // Rejection from the half-normal |N(0,σ)| via Box–Muller.
+        loop {
+            let r = self.sigma * abs_std_normal(rng);
+            if r <= 1.0 {
+                return r;
             }
-        } else {
-            self.inv_cdf(rng.gen::<f64>())
         }
     }
 
@@ -107,8 +124,13 @@ impl TruncatedNormal {
         // E[R] = σ (φ(0) - φ(1/σ)) / (Φ(1/σ) - Φ(0)) with standard-normal φ, Φ.
         let s = self.sigma;
         let a = crate::normal::phi(0.0) - crate::normal::phi(1.0 / s);
-        s * a / (self.mass01 / 1.0)
+        s * a / (self.mass01() / 1.0)
     }
+}
+
+/// Mass of N(0, σ²) in `[0, 1]`.
+fn unit_mass(sigma: f64) -> f64 {
+    norm_cdf(1.0, 0.0, sigma) - 0.5
 }
 
 /// |Z| for a standard normal Z, via the polar (Marsaglia) method.
@@ -127,8 +149,138 @@ fn abs_std_normal<R: Rng + ?Sized>(rng: &mut R) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
+
+    /// The constructor as it was before the normaliser became lazy: it
+    /// always evaluates the normal CDF and picks the branch from it. Kept
+    /// as the oracle the lazy constructor must match bit for bit.
+    struct EagerTruncatedNormal {
+        sigma: f64,
+        mass01: f64,
+    }
+
+    impl EagerTruncatedNormal {
+        fn new(sigma: f64) -> Self {
+            Self {
+                sigma,
+                mass01: norm_cdf(1.0, 0.0, sigma) - 0.5,
+            }
+        }
+
+        fn pdf(&self, r: f64) -> f64 {
+            if !(0.0..=1.0).contains(&r) {
+                return 0.0;
+            }
+            crate::normal::norm_pdf(r, 0.0, self.sigma) / self.mass01
+        }
+
+        fn cdf(&self, r: f64) -> f64 {
+            if r <= 0.0 {
+                0.0
+            } else if r >= 1.0 {
+                1.0
+            } else {
+                (norm_cdf(r, 0.0, self.sigma) - 0.5) / self.mass01
+            }
+        }
+
+        fn inv_cdf(&self, u: f64) -> f64 {
+            let u = u.clamp(0.0, 1.0);
+            let p = 0.5 + u * self.mass01;
+            norm_inv_cdf(p, 0.0, self.sigma).clamp(0.0, 1.0)
+        }
+
+        fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
+            if 2.0 * self.mass01 >= MIN_ACCEPTANCE {
+                loop {
+                    let r = self.sigma * abs_std_normal(rng);
+                    if r <= 1.0 {
+                        return r;
+                    }
+                }
+            } else {
+                self.inv_cdf(rng.gen::<f64>())
+            }
+        }
+
+        fn mean(&self) -> f64 {
+            let s = self.sigma;
+            let a = crate::normal::phi(0.0) - crate::normal::phi(1.0 / s);
+            s * a / (self.mass01 / 1.0)
+        }
+    }
+
+    /// Asserts that the lazy and eager samplers draw the same stream from
+    /// the same seed and agree on every closed-form quantity, by `to_bits`.
+    fn assert_matches_eager(sigma: f64, seed: u64) {
+        let (lazy, eager) = (
+            TruncatedNormal::new(sigma),
+            EagerTruncatedNormal::new(sigma),
+        );
+        let (mut a, mut b) = (SmallRng::seed_from_u64(seed), SmallRng::seed_from_u64(seed));
+        for i in 0..32 {
+            let (x, y) = (lazy.sample(&mut a), eager.sample(&mut b));
+            assert_eq!(
+                x.to_bits(),
+                y.to_bits(),
+                "sigma={sigma} draw {i}: {x} vs {y}"
+            );
+        }
+        assert_eq!(
+            a.gen::<u64>(),
+            b.gen::<u64>(),
+            "sigma={sigma}: streams diverged"
+        );
+        for r in [-0.5, 0.0, 1e-3, 0.25, 0.5, 0.999, 1.0, 2.0] {
+            assert_eq!(
+                lazy.pdf(r).to_bits(),
+                eager.pdf(r).to_bits(),
+                "pdf sigma={sigma} r={r}"
+            );
+            assert_eq!(
+                lazy.cdf(r).to_bits(),
+                eager.cdf(r).to_bits(),
+                "cdf sigma={sigma} r={r}"
+            );
+        }
+        for u in [0.0, 0.1, 0.5, 0.9, 1.0] {
+            assert_eq!(
+                lazy.inv_cdf(u).to_bits(),
+                eager.inv_cdf(u).to_bits(),
+                "inv_cdf sigma={sigma} u={u}"
+            );
+        }
+        assert_eq!(
+            lazy.mean().to_bits(),
+            eager.mean().to_bits(),
+            "mean sigma={sigma}"
+        );
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn lazy_constructor_matches_eager_log_uniform(log10_sigma in -9.0f64..3.0, seed in 0u64..1 << 20) {
+            assert_matches_eager(10f64.powf(log10_sigma), seed);
+        }
+    }
+
+    #[test]
+    fn lazy_constructor_matches_eager_around_the_branch_cutoff() {
+        // The rejection/inverse-CDF switch sits near σ ≈ 3.14; sweep
+        // [2.9, 3.4] densely, including the lazy shortcut's edge at 3.
+        let steps = 2_000;
+        for i in 0..=steps {
+            let sigma = 2.9 + 0.5 * i as f64 / steps as f64;
+            assert_matches_eager(sigma, i as u64);
+        }
+        for sigma in [3.0, 3.0f64.next_up(), 3.0f64.next_down()] {
+            assert_matches_eager(sigma, 7);
+        }
+    }
 
     fn sample_mean(sigma: f64, n: usize, seed: u64) -> f64 {
         let dist = TruncatedNormal::new(sigma);

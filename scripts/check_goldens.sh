@@ -12,10 +12,8 @@
 # wall-clock columns of table3 (columns 4-5: edges/sec and seconds).
 # Everything else is a pure function of (seed, scale) by the engine's
 # determinism guarantee — identical for every thread count. Note that
-# table3's dp_evals/dp_hit_rate counters (goldened on purpose, to catch
-# fast-path accounting regressions) are tied to the default
-# OBF_CHECK=fastpath strategy; an OBF_CHECK=exhaustive run legitimately
-# differs in those two columns. Goldens are tied to the default
+# table3's dp_evals/dp_hit_rate counters are goldened on purpose, to
+# catch fast-path accounting regressions. Goldens are tied to the default
 # OBF_FAST configuration (seed 0xC0FFEE, scale 0.1); regenerate with
 # --update whenever an intentional engine change shifts the numbers,
 # and explain the shift in the commit message.

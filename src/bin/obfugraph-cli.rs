@@ -12,9 +12,12 @@
 //! (both accept `#` comments). Flags use simple `--name value` parsing so
 //! the binary stays dependency-free.
 //!
-//! `--threads` shards the adversary check and the world sampling across
-//! worker threads (default: all hardware threads); output is identical
-//! for every thread count given the same `--seed`.
+//! `--threads` sets the worker threads (default: all hardware threads).
+//! `obfuscate` spends them across the trials of each σ: the main thread
+//! draws every trial's random perturbations in order and the other
+//! threads run the trials' Definition 2 checks concurrently. `evaluate`
+//! shards the world sampling and `audit` the adversary check. Output is
+//! identical for every thread count given the same `--seed`.
 
 use std::collections::HashMap;
 use std::process::ExitCode;
