@@ -8,12 +8,10 @@
 #   ./ci.sh lint       # fmt + clippy only
 #   ./ci.sh test       # debug tests + docs only
 #   ./ci.sh release    # release build + bench compile + determinism matrix
-#   ./ci.sh serve      # obf_server integration tests + loadgen smoke + digest check
+#   ./ci.sh serve      # obf_server tests + shard reload + loadgen smoke + digest check
 #   ./ci.sh evolve     # obf_evolve tests + republish bench smoke + digest check
-#   ./ci.sh cluster    # obf_cluster fleet tests + router-vs-direct bench + fleet digest check
 #   ./ci.sh snapshot   # snapshot v3 round-trip, convert tool, mmap-vs-heap digest, docs spec
 #   ./ci.sh analyze    # obf_audit static analysis (deny-clean) + pedantic clippy on engine crates
-#   ./ci.sh trend      # fold committed BENCH_server.json history into results/TREND.md
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -99,20 +97,23 @@ serve() {
 
     # The event-loop hardening suites, named so a failure points straight
     # at the broken layer: protocol fuzzing, fault injection (slowloris,
-    # half-open, backpressure), transport bit-identity, the 1000-
-    # connection swarm, and STAT transcripts that must not depend on the
-    # world-statistics memo's capacity.
-    step "obf_server fuzz + fault-injection + bit-identity + swarm + memo suites"
+    # half-open, backpressure), bit-identity against the transport-free
+    # ServerState::answer transcript at 1, 2 and 4 shards, the 1000-
+    # connection swarm, STAT transcripts that must not depend on the
+    # world-statistics memo's capacity, and live reload across shards
+    # (no connection ever sees two epochs).
+    step "obf_server fuzz + fault-injection + bit-identity + swarm + memo + shard-reload suites"
     cargo test -q -p obf_server --test fuzz_protocol
     cargo test -q -p obf_server --test fault_injection
-    cargo test -q -p obf_server --test bit_identity
+    cargo test -q -p obf_bench --test bit_identity
     cargo test -q -p obf_server --test high_concurrency
     cargo test -q -p obf_server --test stat_memo
+    cargo test -q --test shard_reload
 
     # Serving determinism: the probe script must answer bit-identically
     # across runs (throughput may differ, answers not) AND match the
-    # digest pinned when the event loop replaced the blocking core — the
-    # transport rewrite is forbidden from changing a single answer byte.
+    # pinned digest — the transport is forbidden from changing a single
+    # answer byte.
     expected_digest="f6ed1718c9ff44a5"
     step "serving determinism (answers digest across runs)"
     cargo build --release -p obf_bench -p obf_server
@@ -161,17 +162,13 @@ serve() {
     replay2=$(grep replay_digest results/BENCH_replay.json)
     [ "$replay1" = "$replay2" ] \
         || { echo "replay digest differs between runs: $replay1 vs $replay2"; exit 1; }
-    echo "serving OK: zero protocol errors, stable digest $digest1, $points-point open-loop curve, stable replay"
-}
 
-trend() {
-    # Fold the committed BENCH_server.json history into the trend
-    # dashboard. Needs real git history (hosted runs must fetch with
-    # fetch-depth: 0).
-    step "bench trend dashboard (results/TREND.md from BENCH history)"
-    scripts/bench_trend --min-points 2
-    grep -c '^| ' results/TREND.md >/dev/null \
-        || { echo "TREND.md has no table rows"; exit 1; }
+    # Shards: two event loops behind the one listener must serve the
+    # same pinned digest.
+    step "loadgen at --shards 2 (digest must not depend on the shard count)"
+    OBF_FAST=1 ./target/release/loadgen --shards 2 --connections 2 --duration 200ms \
+        --open-loop-points 0 --expect-digest "$expected_digest"
+    echo "serving OK: zero protocol errors, stable digest $digest1, $points-point open-loop curve, stable replay, shard-count-free answers"
 }
 
 evolve() {
@@ -194,40 +191,6 @@ evolve() {
     [ "$digest1" = "$digest2" ] \
         || { echo "evolve digest differs between runs: $digest1 vs $digest2"; exit 1; }
     echo "evolve OK: zero dropped connections, stable digest $digest1"
-}
-
-cluster() {
-    step "obf_cluster unit tests"
-    cargo test -q -p obf_cluster
-
-    # The fleet acceptance suite: epoch-consistent rollout under live
-    # traffic, plus the router's failure paths (drain drops no
-    # in-flight request, a dead replica is routed around).
-    step "fleet-reload suite"
-    cargo test -q --test fleet_reload
-
-    # cluster_bench: router-vs-direct serving. The serving digest must
-    # be the same pinned value the serve step checks — routing through
-    # the replica fleet is forbidden from changing a single answer byte
-    # (the binary exits non-zero otherwise).
-    expected_digest="f6ed1718c9ff44a5"
-    step "cluster_bench (router digest pin)"
-    cargo build --release -p obf_bench -p obf_cluster
-    OBF_FAST=1 ./target/release/cluster_bench --duration 300ms
-    test -s results/BENCH_cluster.json \
-        || { echo "cluster_bench did not emit results/BENCH_cluster.json"; exit 1; }
-    digest=$(grep answers_digest results/BENCH_cluster.json)
-    case "$digest" in
-        *"$expected_digest"*) ;;
-        *) echo "fleet answers digest drifted from pinned $expected_digest: $digest"; exit 1 ;;
-    esac
-    grep -q '"digest_match": true' results/BENCH_cluster.json \
-        || { echo "router digest differs from direct serving"; exit 1; }
-
-    step "loadgen through the fleet router (digest must survive the fleet path)"
-    OBF_FAST=1 ./target/release/loadgen --fleet 2 --connections 2 --duration 200ms \
-        --open-loop-points 0 --expect-digest "$expected_digest"
-    echo "cluster OK: router answers match direct serving, stable digest $expected_digest"
 }
 
 snapshot() {
@@ -288,7 +251,7 @@ analyze() {
     # Pedantic clippy subset promoted to errors on the engine crates
     # (their path dependencies compile — and are linted — with them).
     step "clippy pedantic subset (engine crates)"
-    cargo clippy -q -p obf_core -p obf_uncertain -p obf_graph -p obf_cluster --all-targets -- \
+    cargo clippy -q -p obf_core -p obf_uncertain -p obf_graph --all-targets -- \
         -D clippy::if_not_else \
         -D clippy::manual_let_else \
         -D clippy::semicolon_if_nothing_returned \
@@ -303,10 +266,8 @@ case "${1:-all}" in
     release) release ;;
     serve) serve ;;
     evolve) evolve ;;
-    cluster) cluster ;;
     snapshot) snapshot ;;
     analyze) analyze ;;
-    trend) trend ;;
     fast)
         lint
         run_tests
@@ -318,12 +279,10 @@ case "${1:-all}" in
         release
         serve
         evolve
-        cluster
         snapshot
-        trend
         ;;
     *)
-        echo "unknown step '${1}' (expected lint|test|release|serve|evolve|cluster|snapshot|analyze|trend|fast)" >&2
+        echo "unknown step '${1}' (expected lint|test|release|serve|evolve|snapshot|analyze|fast)" >&2
         exit 2
         ;;
 esac

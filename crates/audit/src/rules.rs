@@ -2,10 +2,10 @@
 //! the token-stream checks themselves.
 //!
 //! Every rule exists to protect one invariant of this reproduction:
-//! *fixed seed ⇒ bit-identical output* at any thread count, replica
+//! *fixed seed ⇒ bit-identical output* at any thread count, shard
 //! count, or snapshot source (the answers digest pinned in
-//! `ci.sh serve`, and re-checked through the fleet router), plus the
-//! unsafe-hygiene contract around the mmap/epoll shims. The catalog is documented normatively in
+//! `ci.sh serve`), plus the unsafe-hygiene contract around the
+//! mmap/epoll shims. The catalog is documented normatively in
 //! `docs/AUDIT.md`; `obf_audit --explain <rule>` prints the entry for
 //! one rule.
 
@@ -62,7 +62,7 @@ pub const RULES: &[RuleInfo] = &[
                     std HashMap — a toolchain upgrade can silently reorder it, and anything fed \
                     from such an iteration (entropy sums, candidate lists, RNG consumption order) \
                     would drift while every test at one toolchain stays green. Digest-affecting \
-                    crates (obf_core, obf_uncertain, obf_graph, obf_cluster) must iterate sorted \
+                    crates (obf_core, obf_uncertain, obf_graph) must iterate sorted \
                     Vecs/BTree structures, or collect-then-sort before order matters.",
         example: "for (k, v) in &my_hash_map { acc += v; }   // flagged\n\
                   let mut pairs: Vec<_> = set.into_iter().collect();\n\
@@ -77,9 +77,9 @@ pub const RULES: &[RuleInfo] = &[
         rationale: "Wall-clock reads, OS entropy and process ids are nondeterministic inputs. \
                     One call inside a digest-affecting path breaks fixed-seed reproducibility in \
                     a way equivalence tests only catch if they happen to race it. Timing belongs \
-                    in the bench crate and the allowlisted server-timing modules \
-                    (server::event_loop idle reaping, cluster::fleet drain deadlines); test code \
-                    is exempt.",
+                    in the bench crate and the allowlisted server-timing module \
+                    (server::event_loop idle reaping and drain deadlines); test code is \
+                    exempt.",
         example: "let t0 = Instant::now();        // flagged outside the allowlist\n\
                   cand.secs = t0.elapsed()…       // fine *with a pragma* when the value feeds\n\
                                                   // only wall-clock stats excluded from digests",
@@ -123,7 +123,7 @@ pub const RULES: &[RuleInfo] = &[
         summary: "wire/snapshot/protocol surface is documented in docs/FORMATS.md (P1)",
         rationale: "docs/FORMATS.md is the normative spec for every on-disk and on-wire format. \
                     This rule lexes the ground truth out of the source — server verbs from \
-                    Request::parse, fleet admin verbs from the router dispatch, snapshot \
+                    Request::parse, snapshot \
                     version constants and magics — and fails when the spec has fallen behind. (Subsumes the retired \
                     scripts/check_formats_docs.sh.)",
         example: "Adding `\"FROBNICATE\" => Request::Frobnicate` to protocol.rs without a \
@@ -153,26 +153,22 @@ pub fn rule_info(id: &str) -> Option<&'static RuleInfo> {
 // ---------------------------------------------------------------------
 
 /// Crates whose output feeds the pinned digests: the Definition 2
-/// check, world sampling, CSR construction and the fleet router that
-/// forwards served answers.
+/// check, world sampling and CSR construction.
 const DIGEST_CRATES: &[&str] = &[
     "crates/core/src/",
     "crates/uncertain/src/",
     "crates/graph/src/",
-    "crates/cluster/src/",
 ];
 
 /// Modules allowed to read wall clocks / process ids: the bench
 /// harness (timing is its job), the observability crate (spans and
 /// request-log timestamps are its job, and concentrating time reads
-/// there is how they stay quarantined) and the two server-timing
-/// modules (idle reaping, drain deadlines) whose readings never feed
-/// answers.
+/// there is how they stay quarantined) and the server-timing module
+/// (idle reaping, drain deadlines) whose readings never feed answers.
 const WALL_CLOCK_ALLOWED: &[&str] = &[
     "crates/bench/",
     "crates/obs/",
     "crates/server/src/event_loop.rs",
-    "crates/cluster/src/fleet.rs",
 ];
 
 /// The audited-module registry for `unsafe` (rule D3). Extending this
@@ -572,7 +568,6 @@ pub fn check_float_reduce(file: &SourceFile) -> Vec<Finding> {
 /// The format-bearing sources P1 lexes its ground truth from.
 pub const FORMAT_SOURCES: &[&str] = &[
     "crates/server/src/protocol.rs",
-    "crates/cluster/src/fleet.rs",
     "crates/uncertain/src/snapshot.rs",
     "crates/evolve/src/log.rs",
     "crates/obs/src/reqlog.rs",
@@ -611,12 +606,6 @@ pub fn check_formats_doc(files: &[SourceFile], formats_md: Option<&str>) -> Vec<
     if let Some(f) = by_path("crates/server/src/protocol.rs") {
         for (verb, line) in verb_arms(f) {
             require(&verb, &f.rel_path, line, "server verb");
-        }
-    }
-    // Fleet admin verbs: the router's dispatch arms.
-    if let Some(f) = by_path("crates/cluster/src/fleet.rs") {
-        for (verb, line) in verb_arms(f) {
-            require(&verb, &f.rel_path, line, "fleet verb");
         }
     }
     // Snapshot versions + magic.

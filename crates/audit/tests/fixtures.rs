@@ -156,7 +156,6 @@ fn d2_skips_allowlisted_modules_and_test_code() {
         "crates/obs/src/span.rs",
         "crates/obs/src/clock.rs",
         "crates/server/src/event_loop.rs",
-        "crates/cluster/src/fleet.rs",
         "crates/core/tests/equivalence.rs",
     ] {
         let report = audit_one(path, src);

@@ -13,10 +13,10 @@
 //! 64-query probe script (a pure function of the seed) and folds every
 //! `(query, answer)` pair into an FNV digest. Two runs with the same
 //! `--seed` report the bit-identical `answers_digest` — throughput and
-//! latency may differ, the answers may not. `--fleet N` serves the same
-//! graph from N replicas behind the `obf_cluster` router instead of one
-//! server; the digest must survive that path too, and `--expect-digest`
-//! turns a drift into a non-zero exit.
+//! latency may differ, the answers may not. `--shards N` serves the
+//! same graph from N event loops in the one server; the digest must not
+//! depend on N, and `--expect-digest` turns a drift into a non-zero
+//! exit.
 //!
 //! Observability: `--request-log <path>` makes the in-process server
 //! append an `OBFUREQLOG v1` record per answered request, and
@@ -24,17 +24,20 @@
 //! (reporting a `replay_digest` over the `(request, reply)` pairs in
 //! log order, written to `results/BENCH_replay.json`). After the timed
 //! phase the server's `METRICS` text is always dumped to
-//! `results/METRICS.txt`.
+//! `results/METRICS.txt`, and the cache figures in the bench record
+//! are read from it.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use obf_bench::json::Json;
-use obf_bench::traffic::{field_f64, mixed_query, parse_duration, percentile_ms, probe_digest};
+use obf_bench::traffic::{
+    field_f64, mixed_query, parse_duration, percentile_ms, probe_digest, published_graph,
+    scrape_metrics,
+};
 use obf_bench::HarnessConfig;
-use obf_cluster::{Fleet, RouterConfig};
-use obf_datasets::Dataset;
+use obf_obs::metrics::text_value;
 use obf_server::{Client, Server, ServerConfig};
 use obf_uncertain::UncertainGraph;
 
@@ -43,7 +46,7 @@ use rand::{Rng, SeedableRng};
 
 const USAGE: &str = "usage:
   loadgen [--connections 4] [--duration 5s] [--addr host:port] [--probe 64]
-          [--fleet 0] [--expect-digest <hex>]
+          [--shards 1] [--expect-digest <hex>]
           [--open-loop-points 6] [--open-loop-secs 600ms]
           [--request-log <path>] [--replay <log>]
 options:
@@ -51,39 +54,19 @@ options:
   --duration <D>           timed-phase length, e.g. 5s / 2.5s / 500ms (default 5s)
   --addr <host:port>       drive an external server instead of an in-process one
   --probe <N>              probe-script length for the determinism digest (default 64)
-  --fleet <N>              serve from N in-process replicas behind the obf_cluster
-                           router instead of one server (0 = single server, default)
+  --shards <N>             event loops in the in-process server (default 1);
+                           conflicts with --addr
   --expect-digest <hex>    exit non-zero unless answers_digest equals this value
   --open-loop-points <N>   offered-load sweep points after the closed-loop
                            phase, 0 disables the sweep (default 6)
   --open-loop-secs <D>     offered-arrival window per sweep point (default 600ms)
   --request-log <path>     the in-process server appends an OBFUREQLOG v1 record
-                           per answered request (fleet mode: replica i writes
-                           <path>.i); conflicts with --addr
+                           per answered request; conflicts with --addr
   --replay <log>           re-drive a recorded OBFUREQLOG v1 log as the timed
                            traffic (admin verbs are skipped; --duration and the
                            open-loop sweep do not apply; results go to
                            results/BENCH_replay.json with a replay_digest over
                            the (request, reply) pairs in log order)";
-
-/// What answers the traffic: an in-process single server, an
-/// in-process replica fleet behind the router, or something external
-/// we only know by address.
-enum Backend {
-    Single(Server),
-    Fleet(Fleet),
-    External,
-}
-
-impl Backend {
-    fn shutdown(self) {
-        match self {
-            Backend::Single(server) => server.shutdown(),
-            Backend::Fleet(fleet) => fleet.shutdown(),
-            Backend::External => {}
-        }
-    }
-}
 
 fn main() {
     if obf_bench::help_requested() {
@@ -116,9 +99,14 @@ fn main() {
         None => Duration::from_millis(600),
         Some(v) => parse_duration(&v).unwrap_or_else(|| bad_flag("--open-loop-secs", &v)),
     };
-    let fleet_replicas = match arg_value("--fleet") {
-        None => 0usize,
-        Some(v) => v.parse().unwrap_or_else(|_| bad_flag("--fleet", &v)),
+    let shards_flag = arg_value("--shards");
+    let shards = match &shards_flag {
+        None => 1usize,
+        Some(v) => v
+            .parse()
+            .ok()
+            .filter(|&n| n > 0)
+            .unwrap_or_else(|| bad_flag("--shards", v)),
     };
     let expect_digest = arg_value("--expect-digest");
     let external_addr = arg_value("--addr");
@@ -127,8 +115,8 @@ fn main() {
     if connections == 0 {
         bad_flag("--connections", "0");
     }
-    if fleet_replicas > 0 && external_addr.is_some() {
-        eprintln!("error: --fleet launches in-process replicas and conflicts with --addr");
+    if shards_flag.is_some() && external_addr.is_some() {
+        eprintln!("error: --shards configures the in-process server and conflicts with --addr");
         eprintln!("{USAGE}");
         std::process::exit(2);
     }
@@ -175,20 +163,13 @@ fn main() {
     // external mode (`--addr`) measures only the server it was pointed
     // at — synthesising a local graph there would record stats about a
     // graph that was never served.
-    let (backend, load_timing) = if external_addr.is_none() {
+    let (server, load_timing) = if external_addr.is_none() {
         let scale = if std::env::var("OBF_SCALE").is_ok() {
             cfg.scale
         } else {
             0.05
         };
-        let n = ((Dataset::Dblp.default_scale() as f64 * scale) as usize).max(200);
-        let base = obf_datasets::DatasetSpec::synthetic(Dataset::Dblp, n, cfg.seed).graph;
-        let mut prng = SmallRng::seed_from_u64(cfg.seed ^ 0x5e4e);
-        let cands: Vec<(u32, u32, f64)> = base
-            .edges()
-            .map(|(u, v)| (u, v, 0.2 + 0.8 * prng.gen::<f64>()))
-            .collect();
-        let graph = Arc::new(UncertainGraph::new(base.num_vertices(), cands).unwrap());
+        let graph = Arc::new(published_graph(scale, cfg.seed));
         eprintln!(
             "[published graph: n = {}, |E_C| = {}]",
             graph.num_vertices(),
@@ -204,29 +185,19 @@ fn main() {
         );
         let config = ServerConfig {
             world_cache_capacity: 1024,
+            shards,
             request_log: request_log.as_ref().map(std::path::PathBuf::from),
             ..ServerConfig::default()
         };
-        let backend = if fleet_replicas > 0 {
-            let fleet = Fleet::launch(graph, fleet_replicas, config, RouterConfig::default())
-                .expect("launch fleet");
-            eprintln!(
-                "[fleet: {fleet_replicas} replicas behind router {}]",
-                fleet.addr()
-            );
-            Backend::Fleet(fleet)
-        } else {
-            Backend::Single(Server::bind_with(graph, "127.0.0.1:0", config).expect("bind server"))
-        };
-        (backend, Some((tsv_secs, snap_secs)))
+        let server = Server::bind_with(graph, "127.0.0.1:0", config).expect("bind server");
+        (Some(server), Some((tsv_secs, snap_secs)))
     } else {
-        (Backend::External, None)
+        (None, None)
     };
-    let addr = match (&external_addr, &backend) {
+    let addr = match (&external_addr, &server) {
         (Some(a), _) => a.clone(),
-        (None, Backend::Single(server)) => server.addr().to_string(),
-        (None, Backend::Fleet(fleet)) => fleet.addr().to_string(),
-        (None, Backend::External) => unreachable!("external backend implies --addr"),
+        (None, Some(server)) => server.addr().to_string(),
+        (None, None) => unreachable!("no in-process server implies --addr"),
     };
     eprintln!("[driving {addr}]");
 
@@ -240,8 +211,13 @@ fn main() {
     assert!(served_n > 0, "server reports an empty graph: {info}");
 
     // Probe phase: the determinism digest.
-    let (answers_digest, probe_errors) =
-        probe_digest(&mut probe, cfg.seed, cfg.worlds, probe_len, served_n);
+    let (answers_digest, probe_errors) = probe_digest(
+        |q| probe.request(q).expect("probe request"),
+        cfg.seed,
+        cfg.worlds,
+        probe_len,
+        served_n,
+    );
     eprintln!("[probe done: answers_digest = {answers_digest}]");
     if let Some(expected) = &expect_digest {
         if expected != &answers_digest {
@@ -332,29 +308,24 @@ fn main() {
         None
     };
 
-    // Cache + server-side counters, scraped over the protocol so an
-    // external server reports the same way.
+    // The full metrics registry, scraped over the METRICS verb (so an
+    // external server reports the same way) and saved for CI artifacts.
     let mut admin = Client::connect(&*addr).expect("connect admin");
-    let cache_reply = admin.request("CACHE_STATS").expect("cache stats");
-    let cache_hit_rate = field_f64(&cache_reply, "hit_rate=").unwrap_or(0.0);
-    let cache_hits = field_f64(&cache_reply, "hits=").unwrap_or(0.0);
-    let cache_misses = field_f64(&cache_reply, "misses=").unwrap_or(0.0);
-
-    // The full metrics registry, scraped over the METRICS verb and
-    // saved for CI artifacts (fleet mode: the router's registry; cache
-    // stats came from the bound replica above).
-    match admin.request("METRICS") {
-        Ok(reply) if reply.starts_with("OK metrics\n") => {
-            let path = obf_bench::results_dir().join("METRICS.txt");
-            if let Err(e) = std::fs::write(&path, &reply["OK metrics\n".len()..]) {
-                eprintln!("loadgen: writing {}: {e}", path.display());
-            } else {
-                eprintln!("[metrics dumped to {}]", path.display());
-            }
-        }
-        Ok(reply) => eprintln!("loadgen: unexpected METRICS reply: {reply}"),
-        Err(e) => eprintln!("loadgen: METRICS request failed: {e}"),
+    let metrics = scrape_metrics(&mut admin).expect("METRICS scrape");
+    let path = obf_bench::results_dir().join("METRICS.txt");
+    if let Err(e) = std::fs::write(&path, &metrics) {
+        eprintln!("loadgen: writing {}: {e}", path.display());
+    } else {
+        eprintln!("[metrics dumped to {}]", path.display());
     }
+    let cache_hits = text_value(&metrics, "obf_cache_hits_total").unwrap_or(0) as f64;
+    let cache_misses = text_value(&metrics, "obf_cache_misses_total").unwrap_or(0) as f64;
+    let cache_lookups = cache_hits + cache_misses;
+    let cache_hit_rate = if cache_lookups > 0.0 {
+        cache_hits / cache_lookups
+    } else {
+        0.0
+    };
 
     println!(
         "loadgen: {total} requests in {elapsed:.2}s over {connections} connections \
@@ -374,7 +345,7 @@ fn main() {
                     ("connections", Json::from(connections)),
                     ("seed", Json::from(cfg.seed)),
                     ("worlds", Json::from(cfg.worlds)),
-                    ("fleet_replicas", Json::from(fleet_replicas)),
+                    ("shards", Json::from(shards)),
                     (
                         "replay_log",
                         match &replay_path {
@@ -399,7 +370,9 @@ fn main() {
             ),
         ]);
         obf_bench::write_json("BENCH_replay.json", &json);
-        backend.shutdown();
+        if let Some(server) = server {
+            server.shutdown();
+        }
         if errors > 0 {
             eprintln!("loadgen: {errors} protocol errors");
             std::process::exit(1);
@@ -419,7 +392,7 @@ fn main() {
                 ("probe_len", Json::from(probe_len)),
                 ("open_loop_points", Json::from(open_loop_points)),
                 ("open_loop_secs", Json::Num(open_loop_secs.as_secs_f64())),
-                ("fleet_replicas", Json::from(fleet_replicas)),
+                ("shards", Json::from(shards)),
                 (
                     "external_addr",
                     match &external_addr {
@@ -495,7 +468,9 @@ fn main() {
     ]);
     obf_bench::write_json("BENCH_server.json", &json);
 
-    backend.shutdown();
+    if let Some(server) = server {
+        server.shutdown();
+    }
     if errors > 0 {
         eprintln!("loadgen: {errors} protocol errors");
         std::process::exit(1);
@@ -506,17 +481,7 @@ fn main() {
 /// server being driven (a recorded SHUTDOWN would end the bench), and
 /// INVALID records cannot be reconstructed faithfully.
 fn is_replayable_verb(verb: &str) -> bool {
-    !matches!(
-        verb,
-        "SHUTDOWN"
-            | "QUIT"
-            | "RELOAD"
-            | "RELOAD_PREPARE"
-            | "RELOAD_COMMIT"
-            | "DRAIN"
-            | "UNDRAIN"
-            | "INVALID"
-    )
+    !matches!(verb, "SHUTDOWN" | "QUIT" | "RELOAD" | "INVALID")
 }
 
 /// Verbs whose replies embed live counters (cache hits, request
@@ -525,10 +490,7 @@ fn is_replayable_verb(verb: &str) -> bool {
 /// must be a pure function of the log and the served graph, not of
 /// scheduling.
 fn reply_is_counter_bearing(line: &str) -> bool {
-    matches!(
-        line.split_whitespace().next().unwrap_or(""),
-        "CACHE_STATS" | "SERVER_STATS" | "METRICS" | "FLEET_STATS" | "FLEET_HEALTH"
-    )
+    line.split_whitespace().next() == Some("METRICS")
 }
 
 /// Re-drives `lines` round-robin over `connections` connections and
@@ -767,7 +729,7 @@ const VALUE_FLAGS: [&str; 11] = [
     "--addr",
     "--probe",
     "--threads",
-    "--fleet",
+    "--shards",
     "--expect-digest",
     "--open-loop-points",
     "--open-loop-secs",

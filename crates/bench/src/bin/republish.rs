@@ -29,10 +29,12 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use obf_bench::json::Json;
+use obf_bench::traffic::scrape_metrics;
 use obf_bench::HarnessConfig;
 use obf_core::obfuscate_with_stats;
 use obf_datasets::{evolving_dataset, Dataset};
 use obf_evolve::{DeltaLog, EvolveParams, RepublishReport, Republisher};
+use obf_obs::metrics::text_value;
 use obf_server::{Client, Server};
 use obf_uncertain::{snapshot, SnapshotMeta, UncertainGraph};
 
@@ -201,7 +203,7 @@ fn main() {
             "unexpected RELOAD reply: {reply}"
         );
     }
-    let cache_reply = admin.request("CACHE_STATS").expect("CACHE_STATS");
+    let metrics = scrape_metrics(&mut admin).expect("METRICS scrape");
     stop.store(true, Ordering::Relaxed);
     let (mut replies, mut dropped) = (0u64, 0u64);
     for h in workers {
@@ -317,8 +319,20 @@ fn main() {
                 ("queries_answered", Json::from(replies)),
                 ("dropped", Json::from(dropped)),
                 (
-                    "cache_stats",
-                    Json::str(cache_reply.trim_start_matches("OK ")),
+                    "cache",
+                    Json::obj(
+                        [
+                            ("hits", "obf_cache_hits_total"),
+                            ("misses", "obf_cache_misses_total"),
+                            ("resident", "obf_cache_resident"),
+                            ("epoch", "obf_cache_epoch"),
+                            ("invalidations", "obf_cache_invalidations_total"),
+                            ("evictions", "obf_cache_evictions_total"),
+                        ]
+                        .map(|(key, series)| {
+                            (key, Json::from(text_value(&metrics, series).unwrap_or(0)))
+                        }),
+                    ),
                 ),
             ]),
         ),

@@ -20,9 +20,8 @@ fn main() {
         );
         println!(
             "not driven (on-demand tools): loadgen (serving bench; --request-log records an \
-             OBFUREQLOG v1 log, --replay re-drives one), republish, cluster_bench, \
-             snapshot_convert, obf_audit, scripts/bench_trend (folds committed \
-             BENCH_server.json history into results/TREND.md)"
+             OBFUREQLOG v1 log, --replay re-drives one), republish, \
+             snapshot_convert, obf_audit"
         );
         println!("{}", obf_bench::HARNESS_USAGE);
         return;

@@ -67,7 +67,7 @@ fn bench_one_size(n: usize, seed: u64, dir: &std::path::Path) -> Json {
     let heap_secs = t.elapsed().as_secs_f64();
 
     // The O(1) tier: header page only, the size-independent open cost
-    // a fleet RELOAD_COMMIT of a prepared (pre-verified) file pays.
+    // of a file this process just wrote or verified out of band.
     #[cfg(all(unix, target_endian = "little"))]
     let trusted_secs = {
         let t = Instant::now();

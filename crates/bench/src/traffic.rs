@@ -1,17 +1,36 @@
-//! Deterministic serving traffic shared by the load benches
-//! (`loadgen`, `cluster_bench`): the mixed query stream, the FNV
-//! answers digest, and the small scraping/parsing utilities around
-//! them.
+//! Deterministic serving traffic shared by `loadgen` and the serving
+//! tests: the published graph, the mixed query stream, the FNV answers
+//! digest, and the small scraping/parsing utilities around them.
 //!
 //! The digest contract: [`probe_digest`] is a pure function of
 //! `(seed, worlds, probe_len, served n, the served graph's answers)`.
-//! Any serving topology — one blocking server, the event loop, a
-//! replica fleet behind the router — must produce the same digest for
-//! the same published graph, which is how CI pins "the transport may
-//! change, the answers may not".
+//! Any way of answering — `ServerState::answer` called directly, the
+//! event loop at any shard count or poller — must produce the same
+//! digest for the same published graph, which is how CI pins "the
+//! transport may change, the answers may not".
 
+use obf_datasets::{Dataset, DatasetSpec};
 use obf_server::{Client, WorldStat};
+use obf_uncertain::UncertainGraph;
+use rand::rngs::SmallRng;
+use rand::{Rng, SeedableRng};
 use std::time::Duration;
+
+/// The graph `loadgen` serves: a synthetic dblp-shaped graph of
+/// `scale` × the dataset's default size (at least 200 vertices), each
+/// edge published as a candidate with a seeded probability in
+/// `[0.2, 1)`. At scale 0.05 and the harness's default seed it is the
+/// graph behind the pinned answers digest.
+pub fn published_graph(scale: f64, seed: u64) -> UncertainGraph {
+    let n = ((Dataset::Dblp.default_scale() as f64 * scale) as usize).max(200);
+    let base = DatasetSpec::synthetic(Dataset::Dblp, n, seed).graph;
+    let mut prng = SmallRng::seed_from_u64(seed ^ 0x5e4e);
+    let cands: Vec<(u32, u32, f64)> = base
+        .edges()
+        .map(|(u, v)| (u, v, 0.2 + 0.8 * prng.gen::<f64>()))
+        .collect();
+    UncertainGraph::new(base.num_vertices(), cands).expect("edges are valid candidates")
+}
 
 /// The mixed traffic: a pure function of `(seed, index, served n)` so
 /// every run with the same seed against the same graph issues the same
@@ -41,12 +60,13 @@ pub fn mixed_query(seed: u64, i: usize, worlds: usize, n: u64) -> String {
     }
 }
 
-/// Runs the `probe_len`-query determinism probe on an established
-/// connection and folds every `(query, reply)` pair into an FNV-1a
-/// digest. Returns the 16-hex-digit digest string plus the count of
-/// non-`OK` replies (each also reported on stderr).
+/// Runs the `probe_len`-query determinism probe through `ask` (one
+/// connection's requests, or direct calls into a server state) and
+/// folds every `(query, reply)` pair into an FNV-1a digest. Returns the
+/// 16-hex-digit digest string plus the count of non-`OK` replies (each
+/// also reported on stderr).
 pub fn probe_digest(
-    client: &mut Client,
+    mut ask: impl FnMut(&str) -> String,
     seed: u64,
     worlds: usize,
     probe_len: usize,
@@ -56,7 +76,7 @@ pub fn probe_digest(
     let mut errors = 0usize;
     for i in 0..probe_len {
         let q = mixed_query(seed, i, worlds, served_n);
-        let reply = client.request(&q).expect("probe request");
+        let reply = ask(&q);
         if !reply.starts_with("OK ") {
             errors += 1;
             eprintln!("[probe protocol error on {q:?}: {reply}]");
@@ -67,6 +87,22 @@ pub fn probe_digest(
         }
     }
     (format!("{digest:016x}"), errors)
+}
+
+/// The server's `METRICS` dump, scraped over `client`: the text after
+/// the `OK metrics` line, one `name value` line per series (read values
+/// back with [`obf_obs::metrics::text_value`]).
+pub fn scrape_metrics(client: &mut Client) -> std::io::Result<String> {
+    let reply = client.request("METRICS")?;
+    reply
+        .strip_prefix("OK metrics\n")
+        .map(str::to_string)
+        .ok_or_else(|| {
+            std::io::Error::new(
+                std::io::ErrorKind::InvalidData,
+                format!("unexpected METRICS reply: {reply}"),
+            )
+        })
 }
 
 /// Latency percentile in milliseconds over a *sorted* slice of

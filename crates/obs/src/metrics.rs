@@ -234,8 +234,8 @@ struct Inner {
 }
 
 /// A named collection of metrics. Each serving component (a
-/// `ServerState`, a fleet router) owns one, so co-resident replicas in
-/// one process never share counters; `global()` provides the
+/// `ServerState`) owns one, so co-resident servers in one process
+/// never share counters; `global()` provides the
 /// process-wide instance for engine-level instrumentation.
 #[derive(Debug, Default)]
 pub struct Registry {
@@ -363,12 +363,26 @@ fn splice_suffix(name: &str, suffix: &str) -> String {
     }
 }
 
+/// Reads one value back out of [`Registry::render_text`] output: the
+/// line whose full name (labels and histogram suffix included) is
+/// `name`. `None` when no such line exists.
+pub fn text_value(text: &str, name: &str) -> Option<u64> {
+    text.lines().find_map(|line| {
+        let (n, v) = line.rsplit_once(' ')?;
+        if n == name {
+            v.parse().ok()
+        } else {
+            None
+        }
+    })
+}
+
 static GLOBAL: OnceLock<Registry> = OnceLock::new();
 
 /// The process-wide registry, for instrumentation below the serving
 /// layer (engine check timings, library-level spans). Serving
 /// components own their own [`Registry`] instead, so co-resident
-/// replicas stay distinguishable.
+/// servers stay distinguishable.
 pub fn global() -> &'static Registry {
     GLOBAL.get_or_init(Registry::new)
 }
@@ -467,6 +481,11 @@ mod tests {
         assert_eq!(text, expected);
         // Rendering twice yields identical bytes.
         assert_eq!(text, r.render_text());
+        // And every line reads back by its full name.
+        assert_eq!(text_value(&text, "a_total"), Some(2));
+        assert_eq!(text_value(&text, "g"), Some(3));
+        assert_eq!(text_value(&text, "lat_micros_sum{verb=\"STAT\"}"), Some(10));
+        assert_eq!(text_value(&text, "a"), None);
     }
 
     #[test]

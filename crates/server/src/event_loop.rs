@@ -1,22 +1,27 @@
-//! The event-driven server core: one thread, a readiness [`Poller`],
-//! and a per-connection state machine.
+//! The event-driven server core: one thread per shard, a readiness
+//! [`Poller`] per shard, and a per-connection state machine.
 //!
-//! The thread-per-connection path caps concurrency at thread count and
-//! lets any single slow peer pin a whole thread. This loop instead
-//! multiplexes every connection over one poller:
+//! Rather than one OS thread per peer, each shard multiplexes its
+//! connections over one poller. Every shard polls a clone of the same
+//! listener, so any shard may accept any connection, and every shard
+//! answers through the same [`ServerState`]:
 //!
 //! * **nonblocking accept** with admission control — past
-//!   [`crate::ServerConfig::max_connections`] a new peer gets a single
-//!   `ERR BUSY …` frame and an immediate close (the 503 of this
-//!   protocol) instead of an unbounded queue;
+//!   [`crate::ServerConfig::max_connections`] open connections, counted
+//!   across every shard, a new peer gets a single `ERR BUSY …` frame
+//!   and an immediate close (the 503 of this protocol) instead of an
+//!   unbounded queue;
+//! * **per-connection pinning** — a connection answers every request
+//!   from the [`Release`] that was current when it was accepted, until
+//!   it issues a `RELOAD` itself;
 //! * **bounded buffers** — at most `read_buffer_cap` unparsed request
 //!   bytes and `write_buffer_cap` (plus one in-flight reply) unsent
 //!   response bytes per connection, so no peer can grow server memory
 //!   without limit;
 //! * **pipelining** — every complete frame in the read buffer is
 //!   answered in arrival order before the loop moves on; answers are
-//!   computed by the same [`ServerState::answer`] the blocking path
-//!   uses, so transcripts are bit-identical across server cores;
+//!   computed by `ServerState::answer_on`, so a transcript is
+//!   bit-identical to calling [`ServerState::answer`] line by line;
 //! * **backpressure** — when a connection's write buffer crosses the
 //!   high-water mark the loop stops *reading* (and stops parsing) from
 //!   that connection until the peer drains it below half the mark: a
@@ -37,16 +42,20 @@ use std::collections::VecDeque;
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::os::unix::io::AsRawFd;
+use std::os::unix::net::UnixStream;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use crate::protocol::MAX_FRAME;
 use crate::sys::{Event, Interest, Poller};
-use crate::{ServerConfig, ServerState};
+use crate::{Release, ServerConfig, ServerState};
 
 /// Listener token; connection tokens are slab indices `0..`.
 const LISTENER: u64 = u64::MAX;
+
+/// Stop-bell token.
+const BELL: u64 = u64::MAX - 1;
 
 /// Reply sent (best-effort) to a connection rejected by admission
 /// control before it is closed.
@@ -56,10 +65,48 @@ pub const BUSY_REPLY: &str = "ERR BUSY connection limit reached, retry later";
 /// pending write buffers before dropping the remaining connections.
 const DRAIN_DEADLINE: Duration = Duration::from_millis(500);
 
+/// The stop signal every shard of one server watches: a flag, and a
+/// bell that wakes shards blocked in a wait with no timeout. The bell
+/// is one end of a socket pair whose other end every shard registers;
+/// ringing writes one byte that nobody reads, so the other end stays
+/// readable and every shard's next wait returns at once.
+#[derive(Debug)]
+pub(crate) struct Stop {
+    flag: AtomicBool,
+    bell: UnixStream,
+    clapper: UnixStream,
+}
+
+impl Stop {
+    pub(crate) fn new() -> std::io::Result<Self> {
+        let (bell, clapper) = UnixStream::pair()?;
+        Ok(Self {
+            flag: AtomicBool::new(false),
+            bell,
+            clapper,
+        })
+    }
+
+    /// Asks every shard to stop; later calls do nothing.
+    pub(crate) fn request(&self) {
+        if !self.flag.swap(true, Ordering::SeqCst) {
+            if let Err(e) = (&self.bell).write_all(&[1]) {
+                eprintln!("stop bell failed: {e}");
+            }
+        }
+    }
+
+    fn requested(&self) -> bool {
+        self.flag.load(Ordering::SeqCst)
+    }
+}
+
 /// One connection's state machine.
 #[derive(Debug)]
 struct Conn {
     stream: TcpStream,
+    /// The release every request on this connection is answered from.
+    pin: Arc<Release>,
     /// Unparsed request bytes (bounded by `read_buffer_cap`).
     rbuf: Vec<u8>,
     /// Unsent reply bytes, drained from the front.
@@ -89,19 +136,18 @@ enum Disposition {
     Close,
 }
 
-/// The event loop proper. Owns the listener, the poller and the slab of
-/// connections; runs on its own thread until `stop` is set (externally
-/// or by a protocol `SHUTDOWN`), then flushes what it can within
-/// [`DRAIN_DEADLINE`] and exits.
+/// One shard. Owns its listener clone, its poller and its slab of
+/// connections; runs on its own thread until `stop` is requested
+/// (externally or by a protocol `SHUTDOWN` on any shard), then flushes
+/// what it can within [`DRAIN_DEADLINE`] and exits.
 pub(crate) struct EventLoop {
     listener: TcpListener,
     poller: Poller,
     state: Arc<ServerState>,
-    stop: Arc<AtomicBool>,
+    stop: Arc<Stop>,
     config: ServerConfig,
     conns: Vec<Option<Conn>>,
     free: Vec<usize>,
-    active: usize,
     events: Vec<Event>,
     scratch: Vec<u8>,
 }
@@ -110,12 +156,13 @@ impl EventLoop {
     pub(crate) fn new(
         listener: TcpListener,
         state: Arc<ServerState>,
-        stop: Arc<AtomicBool>,
+        stop: Arc<Stop>,
         config: ServerConfig,
     ) -> std::io::Result<Self> {
         listener.set_nonblocking(true)?;
         let mut poller = Poller::new(config.poller)?;
         poller.register(listener.as_raw_fd(), LISTENER, Interest::READ)?;
+        poller.register(stop.clapper.as_raw_fd(), BELL, Interest::READ)?;
         Ok(Self {
             listener,
             poller,
@@ -124,7 +171,6 @@ impl EventLoop {
             config,
             conns: Vec::new(),
             free: Vec::new(),
-            active: 0,
             events: Vec::new(),
             scratch: vec![0u8; 16 * 1024],
         })
@@ -132,7 +178,7 @@ impl EventLoop {
 
     pub(crate) fn run(mut self) {
         loop {
-            if self.stop.load(Ordering::SeqCst) || self.state.shutdown_requested() {
+            if self.stop.requested() {
                 self.drain_and_exit();
                 return;
             }
@@ -147,10 +193,10 @@ impl EventLoop {
             self.events = events;
             for i in 0..self.events.len() {
                 let ev = self.events[i];
-                if ev.token == LISTENER {
-                    self.accept_ready();
-                } else {
-                    self.conn_ready(ev.token as usize, ev.readable, ev.writable);
+                match ev.token {
+                    LISTENER => self.accept_ready(),
+                    BELL => {} // the loop top sees the stop flag
+                    idx => self.conn_ready(idx as usize, ev.readable, ev.writable),
                 }
             }
             self.reap_idle();
@@ -159,7 +205,7 @@ impl EventLoop {
 
     /// Poll timeout: bounded by the idle-reap granularity when a
     /// timeout is configured, otherwise block until woken (a stop
-    /// request pokes the listener awake).
+    /// request rings the bell).
     fn wait_timeout(&self) -> Option<Duration> {
         self.config.idle_timeout.map(|t| {
             (t / 4)
@@ -174,11 +220,11 @@ impl EventLoop {
         loop {
             match self.listener.accept() {
                 Ok((stream, _)) => {
-                    if self.active >= self.config.max_connections {
+                    if self.state.admit_connection(self.config.max_connections) {
+                        self.admit(stream);
+                    } else {
                         self.reject_busy(stream);
-                        continue;
                     }
-                    self.admit(stream);
                 }
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return,
                 Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
@@ -195,7 +241,6 @@ impl EventLoop {
     /// its send buffer in one nonblocking write; a peer we cannot even
     /// tell is simply dropped.
     fn reject_busy(&mut self, stream: TcpStream) {
-        self.state.note_busy_rejection();
         if stream.set_nonblocking(true).is_err() {
             return;
         }
@@ -205,12 +250,15 @@ impl EventLoop {
         let _ = (&stream).write(&frame);
     }
 
+    /// Registers a connection admission control already counted in.
     fn admit(&mut self, stream: TcpStream) {
         if stream.set_nonblocking(true).is_err() || stream.set_nodelay(true).is_err() {
+            self.state.note_connection_closed();
             return;
         }
         let conn = Conn {
             stream,
+            pin: self.state.release(),
             rbuf: Vec::new(),
             wbuf: VecDeque::new(),
             paused: false,
@@ -234,10 +282,8 @@ impl EventLoop {
             eprintln!("register failed: {e}");
             self.conns[idx] = None;
             self.free.push(idx);
-            return;
+            self.state.note_connection_closed();
         }
-        self.active += 1;
-        self.state.note_connection_opened(self.active as u64);
     }
 
     // -- connection path -----------------------------------------------
@@ -359,12 +405,15 @@ impl EventLoop {
                     let verb = line.trim();
                     let quitting = verb == "QUIT";
                     let shutting_down = verb == "SHUTDOWN";
-                    let reply = self.state.answer(&line);
+                    let reply = self.state.answer_on(&mut conn.pin, &line);
                     queue_frame(&mut conn.wbuf, &reply);
                     if quitting || shutting_down {
                         conn.closing = true;
-                        // `answer` set the state flag for SHUTDOWN; the
-                        // loop top observes it next iteration.
+                    }
+                    if shutting_down {
+                        // Every shard, this one included, sees the flag
+                        // at its next loop top.
+                        self.stop.request();
                     }
                 }
             }
@@ -410,7 +459,7 @@ impl EventLoop {
         drop(conn);
         self.conns[idx] = None;
         self.free.push(idx);
-        self.active -= 1;
+        self.state.note_connection_closed();
     }
 
     /// Sweeps connections whose last activity is older than the idle

@@ -9,7 +9,7 @@
 //! * start-up loads the graph **once** — from a binary
 //!   [`obf_uncertain::snapshot`] (O(bytes)) or the TSV publication
 //!   format — and shares it immutably across the serving core;
-//! * connections are multiplexed by a **readiness event loop**
+//! * connections are multiplexed by **readiness event loops**
 //!   ([`event_loop`]) over a hand-rolled epoll/`poll(2)` shim
 //!   ([`sys`]): nonblocking accept with admission control (`ERR BUSY`
 //!   past [`ServerConfig::max_connections`]), per-connection state
@@ -17,28 +17,28 @@
 //!   explicit backpressure (a peer that stops reading its replies stops
 //!   being read from), and idle-timeout reaping — so concurrency is
 //!   bounded by file descriptors, not OS threads;
-//! * the original thread-per-connection core is retained
-//!   ([`ServerMode::ThreadPerConnection`]) purely as the reference the
-//!   event loop is regression-tested against: both answer through the
-//!   same [`ServerState::answer`], so transcripts are byte-identical;
+//! * [`ServerConfig::shards`] event loops share one listener and one
+//!   [`ServerState`] in one process: any shard may accept any
+//!   connection, and the connection limit is one count across them;
 //! * Monte-Carlo queries read per-world statistics from a shared
 //!   [`WorldCache`] memo keyed by `(epoch, master_seed, index)`: each
 //!   world is sampled and measured once, and a warm `STAT` over `r`
 //!   worlds is `r` lookups;
-//! * every answer is **bit-identical at any concurrency**: exact
-//!   queries read immutable state, and sampled queries average worlds
-//!   `0..r` of the deterministic [`obf_uncertain::sample_indexed_world`]
-//!   stream in index order — the same guarantee the offline engine
-//!   makes;
+//! * every answer is **bit-identical at any concurrency and shard
+//!   count**: exact queries read immutable state, and sampled queries
+//!   average worlds `0..r` of the deterministic
+//!   [`obf_uncertain::sample_indexed_world`] stream in index order —
+//!   the same guarantee the offline engine makes;
 //! * an evolved release is swapped in **live** via the `RELOAD <path>`
-//!   admin command: the graph behind the `Arc` is replaced atomically,
-//!   the world cache's epoch bump invalidates every stale entry, and
-//!   requests in flight finish on the [`Release`] they pinned at parse
-//!   time — no connection is dropped, no answer mixes releases.
+//!   admin command. Each connection pins the current [`Release`] when
+//!   it is accepted and answers every request from it, so no
+//!   connection ever sees answers from two epochs; the connection that
+//!   issued the `RELOAD` re-pins to the new release, and every
+//!   connection accepted afterwards starts on it.
 //!
 //! The wire format is a length-prefixed line protocol ([`protocol`]).
 //! Connections idle longer than [`ServerConfig::idle_timeout`] are
-//! closed, and the `SHUTDOWN` admin command stops the event loop — so
+//! closed, and the `SHUTDOWN` admin command stops every shard — so
 //! a scripted test can always wind the server down cleanly.
 //!
 //! # Example
@@ -61,15 +61,14 @@
 // operation must sit in its own `unsafe` block with a SAFETY note.
 #![deny(unsafe_op_in_unsafe_fn)]
 
-mod blocking;
 pub mod event_loop;
 pub mod protocol;
 pub mod sys;
 
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -81,26 +80,13 @@ use obf_uncertain::degree_dist::{vertex_degree_distribution, DegreeDistMethod};
 use obf_uncertain::snapshot::SNAPSHOT_MAGIC;
 use obf_uncertain::{
     expected_average_degree, expected_degree_variance, expected_num_edges, expected_triangles,
-    Release, SnapshotMeta, UncertainGraph, WorldCache, WorldCacheStats,
+    SnapshotMeta, UncertainGraph, WorldCache, WorldCacheStats,
 };
 
 pub use event_loop::BUSY_REPLY;
-pub use obf_uncertain::WorldStat;
+pub use obf_uncertain::{Release, WorldStat};
 pub use protocol::{read_frame, write_frame, ExactStat, Request};
 pub use sys::PollerKind;
-
-/// Which serving core multiplexes connections.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ServerMode {
-    /// The readiness event loop: one thread, poll/epoll multiplexing,
-    /// bounded buffers, backpressure and admission control.
-    #[default]
-    Event,
-    /// The original blocking core: one OS thread per connection. Kept
-    /// as the reference implementation for bit-identity regression
-    /// tests; concurrency is capped at thread count.
-    ThreadPerConnection,
-}
 
 /// Server tuning knobs.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -114,13 +100,14 @@ pub struct ServerConfig {
     /// slot forever; it is also what bounds half-open and never-reading
     /// peers.
     pub idle_timeout: Option<Duration>,
-    /// Which serving core to run ([`ServerMode::Event`] by default).
-    pub mode: ServerMode,
-    /// Readiness backend for the event loop (epoll on Linux, `poll(2)`
+    /// Event loops serving the one listener, each on its own thread
+    /// (values below 1 count as 1). Answers do not depend on it.
+    pub shards: usize,
+    /// Readiness backend for the event loops (epoll on Linux, `poll(2)`
     /// elsewhere or when forced).
     pub poller: PollerKind,
-    /// Admission control: connections past this limit receive a single
-    /// `ERR BUSY` frame and are closed (event mode).
+    /// Admission control: connections past this limit, counted across
+    /// every shard, receive a single `ERR BUSY` frame and are closed.
     pub max_connections: usize,
     /// Per-connection cap on buffered *unparsed* request bytes. Must
     /// exceed [`protocol::MAX_FRAME`]` + 4` to accept maximum-size
@@ -144,7 +131,7 @@ impl Default for ServerConfig {
         Self {
             world_cache_capacity: 256,
             idle_timeout: Some(Duration::from_secs(60)),
-            mode: ServerMode::Event,
+            shards: 1,
             poller: PollerKind::default(),
             max_connections: 4096,
             read_buffer_cap: protocol::MAX_FRAME + 4,
@@ -239,22 +226,16 @@ pub fn load_published_graph(path: &str) -> Result<(UncertainGraph, Option<Snapsh
     load_published_graph_with_source(path).map(|(g, meta, _)| (g, meta))
 }
 
-/// Per-server state shared by the serving core. The published graph
-/// lives behind the [`WorldCache`]'s epoch-tagged slot; everything
-/// else is immutable or atomic.
+/// Per-server state shared by every shard. The published graph lives
+/// behind the [`WorldCache`]'s epoch-tagged slot; everything else is
+/// immutable or atomic.
 #[derive(Debug)]
 pub struct ServerState {
     cache: WorldCache,
-    /// A release loaded by `RELOAD_PREPARE` but not yet served: phase
-    /// one of the fleet's epoch-consistent rollout. `RELOAD_COMMIT`
-    /// swaps it in; until then every answer still comes from the
-    /// current epoch.
-    staged: Mutex<Option<Arc<UncertainGraph>>>,
     /// The per-server metrics registry — the single source of truth
-    /// for every counter below. `SERVER_STATS`/`CACHE_STATS` replies
-    /// and the `METRICS` dump all read these same atomics, so the
-    /// verbs can never disagree. Per-server (not process-global) so
-    /// co-resident fleet replicas stay distinguishable.
+    /// for every counter below and the world memo's; the `METRICS`
+    /// dump renders these same atomics. Per-server (not
+    /// process-global) so co-resident servers stay distinguishable.
     registry: Arc<Registry>,
     queries_served: Arc<Counter>,
     protocol_errors: Arc<Counter>,
@@ -264,13 +245,15 @@ pub struct ServerState {
     busy_rejections: Arc<Counter>,
     idle_reaped: Arc<Counter>,
     buffer_peak_bytes: Arc<Gauge>,
+    /// Connections open right now, across every shard: what admission
+    /// control compares against [`ServerConfig::max_connections`].
+    open_connections: AtomicUsize,
     /// Per-verb request counters and answer-latency histograms,
     /// pre-registered over the fixed [`Request::VERBS`] label space so
     /// the answer path never takes the registry lock.
     per_verb: Vec<(&'static str, Arc<Counter>, Arc<Histogram>)>,
     /// Optional `OBFUREQLOG v1` request log (`--request-log`).
     request_log: Option<ReqLogWriter>,
-    shutdown_requested: AtomicBool,
 }
 
 impl ServerState {
@@ -305,7 +288,6 @@ impl ServerState {
         };
         Ok(Self {
             cache: WorldCache::with_registry(graph, world_cache_capacity, Arc::clone(&registry)),
-            staged: Mutex::new(None),
             queries_served: registry.counter("obf_server_queries_total"),
             protocol_errors: registry.counter("obf_server_protocol_errors_total"),
             reloads: registry.counter("obf_server_reloads_total"),
@@ -314,9 +296,9 @@ impl ServerState {
             busy_rejections: registry.counter("obf_server_busy_rejections_total"),
             idle_reaped: registry.counter("obf_server_idle_reaped_total"),
             buffer_peak_bytes: registry.gauge("obf_server_buffer_peak_bytes"),
+            open_connections: AtomicUsize::new(0),
             per_verb,
             request_log,
-            shutdown_requested: AtomicBool::new(false),
             registry,
         })
     }
@@ -340,6 +322,11 @@ impl ServerState {
     /// The current serve epoch (0 at start-up, +1 per `RELOAD`).
     pub fn epoch(&self) -> u64 {
         self.cache.epoch()
+    }
+
+    /// The current release: what a connection accepted now pins.
+    pub(crate) fn release(&self) -> Arc<Release> {
+        self.cache.current()
     }
 
     /// World-memo counters.
@@ -369,7 +356,7 @@ impl ServerState {
         self.connections_accepted.get()
     }
 
-    /// High-water mark of simultaneously open connections (event mode).
+    /// High-water mark of simultaneously open connections.
     pub fn peak_connections(&self) -> u64 {
         self.peak_connections.get()
     }
@@ -391,18 +378,31 @@ impl ServerState {
         self.buffer_peak_bytes.get()
     }
 
-    /// True once a `SHUTDOWN` request was answered.
-    pub fn shutdown_requested(&self) -> bool {
-        self.shutdown_requested.load(Ordering::SeqCst)
+    /// Admission control: counts a new connection in if fewer than
+    /// `max` are open, across every shard; otherwise counts a `BUSY`
+    /// rejection and returns false. An admitted connection is counted
+    /// out again by [`ServerState::note_connection_closed`].
+    pub(crate) fn admit_connection(&self, max: usize) -> bool {
+        let admitted =
+            self.open_connections
+                .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |open| {
+                    (open < max).then_some(open + 1)
+                });
+        match admitted {
+            Ok(before) => {
+                self.connections_accepted.inc();
+                self.peak_connections.max(before as u64 + 1);
+                true
+            }
+            Err(_) => {
+                self.busy_rejections.inc();
+                false
+            }
+        }
     }
 
-    pub(crate) fn note_connection_opened(&self, active_now: u64) {
-        self.connections_accepted.inc();
-        self.peak_connections.max(active_now);
-    }
-
-    pub(crate) fn note_busy_rejection(&self) {
-        self.busy_rejections.inc();
+    pub(crate) fn note_connection_closed(&self) {
+        self.open_connections.fetch_sub(1, Ordering::SeqCst);
     }
 
     pub(crate) fn note_idle_reaped(&self) {
@@ -418,12 +418,12 @@ impl ServerState {
     }
 
     /// Swaps in a new published graph, invalidating every memoized world.
-    /// Returns the new epoch. In-flight requests finish on the release
-    /// they pinned.
-    pub fn swap_graph(&self, graph: Arc<UncertainGraph>) -> u64 {
-        let epoch = self.cache.swap_graph(graph);
+    /// Returns the new release. Connections keep answering from the
+    /// release they pinned.
+    pub fn swap_graph(&self, graph: Arc<UncertainGraph>) -> Arc<Release> {
+        let release = self.cache.swap_graph(graph);
         self.reloads.inc();
-        epoch
+        release
     }
 
     /// Per-verb metrics handles for a canonical verb label (falls back
@@ -442,12 +442,19 @@ impl ServerState {
         (&slot.1, &slot.2)
     }
 
-    /// Answers one request line: `OK ...` or `ERR ...`.
-    ///
-    /// The request pins the `(epoch, graph)` pair once, up front; a
-    /// concurrent `RELOAD` cannot change what this request answers
-    /// about. Pure with respect to the pinned graph and the request
-    /// (modulo cache and counter bookkeeping), so answers are
+    /// Answers one request line from the current release, as a
+    /// connection opened just now would: `OK ...` or `ERR ...`. Called
+    /// line by line, it is the transport-free transcript every shard
+    /// count and poller must reproduce.
+    pub fn answer(&self, line: &str) -> String {
+        self.answer_on(&mut self.release(), line)
+    }
+
+    /// Answers one request line from the connection's pinned release:
+    /// a concurrent `RELOAD` on another connection cannot change what
+    /// it answers about, and a `RELOAD` on this one re-pins `pin` to
+    /// the new release. Pure with respect to the pinned graph and the
+    /// request (modulo cache and counter bookkeeping), so answers are
     /// reproducible by construction.
     ///
     /// Observability rides alongside: a fresh trace id scopes the
@@ -456,7 +463,7 @@ impl ServerState {
     /// per-verb latency histogram, and — when enabled — a request-log
     /// record is appended after the reply is built. None of it touches
     /// a reply byte.
-    pub fn answer(&self, line: &str) -> String {
+    pub(crate) fn answer_on(&self, pin: &mut Arc<Release>, line: &str) -> String {
         let trace = obf_obs::next_trace_id();
         let _scope = TraceScope::enter(trace);
         self.queries_served.inc();
@@ -468,7 +475,7 @@ impl ServerState {
         let (counter, hist) = self.verb_metrics(verb);
         counter.inc();
         let span = Span::start_in(Arc::clone(hist));
-        let reply = match parsed.and_then(|req| self.answer_request(&req)) {
+        let reply = match parsed.and_then(|req| self.answer_request(pin, &req)) {
             Ok(payload) => format!("OK {payload}"),
             Err(msg) => {
                 self.protocol_errors.inc();
@@ -519,8 +526,11 @@ impl ServerState {
         }
     }
 
-    fn answer_request(&self, req: &Request) -> Result<String, String> {
-        let release = self.cache.current();
+    fn answer_request(&self, pin: &mut Arc<Release>, req: &Request) -> Result<String, String> {
+        if let Request::Reload(path) = req {
+            return self.reload(pin, path);
+        }
+        let release = &**pin;
         let (epoch, g) = (release.epoch, &*release.graph);
         let n = g.num_vertices();
         let check_vertex = |v: u32| {
@@ -533,14 +543,17 @@ impl ServerState {
         Ok(match *req {
             Request::Ping => "pong".to_string(),
             Request::Quit => "bye".to_string(),
-            Request::Shutdown => {
-                self.shutdown_requested.store(true, Ordering::SeqCst);
-                "shutting down".to_string()
+            // The event loop that carried the request stops every shard.
+            Request::Shutdown => "shutting down".to_string(),
+            Request::Reload(_) => unreachable!("answered above"),
+            Request::Health => {
+                let current = self.release();
+                format!(
+                    "ok epoch={} n={}",
+                    current.epoch,
+                    current.graph.num_vertices()
+                )
             }
-            Request::Reload(ref path) => self.reload(path)?,
-            Request::ReloadPrepare(ref path) => self.reload_prepare(path)?,
-            Request::ReloadCommit => self.reload_commit()?,
-            Request::Health => format!("ok epoch={epoch} n={n}"),
             Request::Info => format!(
                 "n={} candidates={} mass={} epoch={epoch}",
                 n,
@@ -575,34 +588,7 @@ impl ServerState {
                 worlds,
                 seed,
                 eps,
-            } => self.answer_stat(&release, stat, worlds, seed, eps),
-            Request::CacheStats => {
-                let s = self.cache_stats();
-                format!(
-                    "hits={} misses={} resident={} capacity={} hit_rate={} \
-                     epoch={} invalidations={} evictions={}",
-                    s.hits,
-                    s.misses,
-                    s.resident,
-                    s.capacity,
-                    s.hit_rate(),
-                    s.epoch,
-                    s.invalidations,
-                    s.evictions
-                )
-            }
-            Request::ServerStats => format!(
-                "accepted={} peak_connections={} busy_rejections={} idle_reaped={} \
-                 protocol_errors={} queries_served={} reloads={} buffer_peak_bytes={}",
-                self.connections_accepted(),
-                self.peak_connections(),
-                self.busy_rejections(),
-                self.idle_reaped(),
-                self.protocol_errors(),
-                self.queries_served(),
-                self.reloads(),
-                self.buffer_peak_bytes()
-            ),
+            } => self.answer_stat(release, stat, worlds, seed, eps),
             Request::Metrics => {
                 // Multi-line payload: the frame is length-prefixed, so
                 // newlines inside a reply are unambiguous on the wire.
@@ -612,12 +598,14 @@ impl ServerState {
     }
 
     /// The `RELOAD <path>` admin command: load the file (snapshot or
-    /// TSV), swap it in atomically, invalidate the world memo.
-    fn reload(&self, path: &str) -> Result<String, String> {
+    /// TSV), swap it in atomically, invalidate the world memo, and
+    /// re-pin the issuing connection to the new release.
+    fn reload(&self, pin: &mut Arc<Release>, path: &str) -> Result<String, String> {
         let (graph, meta, source) = load_published_graph_with_source(path)?;
         let n = graph.num_vertices();
         let m = graph.num_candidates();
-        let epoch = self.swap_graph(Arc::new(graph));
+        *pin = self.swap_graph(Arc::new(graph));
+        let epoch = pin.epoch;
         let mut out = format!("reloaded epoch={epoch} n={n} candidates={m}");
         if let Some(meta) = meta {
             out.push_str(&format!(
@@ -627,40 +615,6 @@ impl ServerState {
         }
         out.push_str(&format!(" source={source}"));
         Ok(out)
-    }
-
-    /// Phase one of the two-phase rollout: load the release into the
-    /// staged slot. The current epoch keeps serving untouched — a fleet
-    /// router prepares every replica (paying each load) before any
-    /// replica commits, so the fleet never serves a mix of releases
-    /// because one replica loaded faster than another.
-    fn reload_prepare(&self, path: &str) -> Result<String, String> {
-        let (graph, meta, source) = load_published_graph_with_source(path)?;
-        let n = graph.num_vertices();
-        let m = graph.num_candidates();
-        *self.staged.lock().expect("staged slot poisoned") = Some(Arc::new(graph));
-        let mut out = format!("prepared n={n} candidates={m}");
-        if let Some(meta) = meta {
-            out.push_str(&format!(" snapshot_epoch={}", meta.epoch));
-        }
-        out.push_str(&format!(" source={source}"));
-        Ok(out)
-    }
-
-    /// Phase two: swap the staged release in atomically (same epoch
-    /// bump and world-memo invalidation as `RELOAD`, but with the load
-    /// already paid in phase one, the flip is O(1)).
-    fn reload_commit(&self) -> Result<String, String> {
-        let staged = self
-            .staged
-            .lock()
-            .expect("staged slot poisoned")
-            .take()
-            .ok_or("nothing staged: run RELOAD_PREPARE first")?;
-        let n = staged.num_vertices();
-        let m = staged.num_candidates();
-        let epoch = self.swap_graph(staged);
-        Ok(format!("committed epoch={epoch} n={n} candidates={m}"))
     }
 
     /// Monte-Carlo estimate `S̄` over worlds `0..r` of the seed stream
@@ -725,19 +679,19 @@ fn join_f64(xs: &[f64]) -> String {
     out
 }
 
-/// A running server: the serving core on its own thread(s) plus the
-/// shared state handle.
+/// A running server: [`ServerConfig::shards`] event loops, each on its
+/// own thread, plus the shared state handle.
 #[derive(Debug)]
 pub struct Server {
     addr: SocketAddr,
     state: Arc<ServerState>,
-    stop: Arc<AtomicBool>,
-    core_thread: Option<JoinHandle<()>>,
+    stop: Arc<event_loop::Stop>,
+    shards: Vec<JoinHandle<()>>,
 }
 
 impl Server {
     /// Binds to `addr` (use port 0 for an ephemeral port) and starts
-    /// the default event-driven core with the default [`ServerConfig`].
+    /// one event loop with the default [`ServerConfig`].
     pub fn bind<A: ToSocketAddrs>(
         graph: Arc<UncertainGraph>,
         addr: A,
@@ -753,7 +707,9 @@ impl Server {
         )
     }
 
-    /// [`Server::bind`] with explicit tuning knobs.
+    /// [`Server::bind`] with explicit tuning knobs. Every shard polls
+    /// its own clone of the one listener and answers through the one
+    /// shared [`ServerState`].
     pub fn bind_with<A: ToSocketAddrs>(
         graph: Arc<UncertainGraph>,
         addr: A,
@@ -766,24 +722,28 @@ impl Server {
             config.world_cache_capacity,
             config.request_log.as_deref(),
         )?);
-        let stop = Arc::new(AtomicBool::new(false));
-        let core_state = Arc::clone(&state);
-        let core_stop = Arc::clone(&stop);
-        let core_thread = match config.mode {
-            ServerMode::Event => {
-                let event_loop =
-                    event_loop::EventLoop::new(listener, core_state, core_stop, config)?;
-                std::thread::spawn(move || event_loop.run())
-            }
-            ServerMode::ThreadPerConnection => std::thread::spawn(move || {
-                blocking::accept_loop(listener, core_state, core_stop, addr, config.idle_timeout);
-            }),
-        };
+        let stop = Arc::new(event_loop::Stop::new()?);
+        // Build every shard before starting any, so a failure leaves no
+        // thread behind.
+        let loops = (0..config.shards.max(1))
+            .map(|_| {
+                event_loop::EventLoop::new(
+                    listener.try_clone()?,
+                    Arc::clone(&state),
+                    Arc::clone(&stop),
+                    config.clone(),
+                )
+            })
+            .collect::<std::io::Result<Vec<_>>>()?;
+        let shards = loops
+            .into_iter()
+            .map(|shard| std::thread::spawn(move || shard.run()))
+            .collect();
         Ok(Self {
             addr,
             state,
             stop,
-            core_thread: Some(core_thread),
+            shards,
         })
     }
 
@@ -797,44 +757,38 @@ impl Server {
         &self.state
     }
 
-    /// Stops the serving core and joins its thread. The event loop
-    /// flushes pending replies within a short drain window; blocking
-    /// mode lets existing connection threads drain on their own.
+    /// Stops every shard and joins their threads. Each shard flushes
+    /// pending replies within a short drain window.
     pub fn shutdown(mut self) {
-        self.stop_core();
+        self.stop_shards();
     }
 
-    fn stop_core(&mut self) {
-        if self.stop.swap(true, Ordering::SeqCst) {
-            // Already stopping (e.g. a protocol SHUTDOWN poked the
-            // core); still join so the caller observes the exit.
-        } else {
-            // Wake the core with a throwaway connection so it observes
-            // the flag even while blocked in accept/wait.
-            let _ = TcpStream::connect(self.addr);
-        }
-        if let Some(t) = self.core_thread.take() {
-            let _ = t.join();
-        }
-        // Every answered request is logged before its reply is sent, so
-        // once the core has exited (and in blocking mode, once clients
-        // have their replies) the buffer holds the complete log.
+    fn stop_shards(&mut self) {
+        self.stop.request();
+        self.join_shards();
+        // Every answered request is logged before its reply is queued,
+        // so once the shards have exited the buffer holds the complete
+        // log.
         self.state.flush_request_log();
     }
 
-    /// Blocks until the serving core exits — via [`Server::shutdown`]
-    /// from another handle, a protocol `SHUTDOWN` command, or a listener
+    fn join_shards(&mut self) {
+        for shard in self.shards.drain(..) {
+            let _ = shard.join();
+        }
+    }
+
+    /// Blocks until every shard exits — via [`Server::shutdown`] from
+    /// another handle, a protocol `SHUTDOWN` command, or a poller
     /// error. This is the main binary's run mode.
     pub fn join(mut self) {
-        if let Some(t) = self.core_thread.take() {
-            let _ = t.join();
-        }
+        self.join_shards();
     }
 }
 
 impl Drop for Server {
     fn drop(&mut self) {
-        self.stop_core();
+        self.stop_shards();
     }
 }
 
@@ -956,22 +910,33 @@ mod tests {
     }
 
     #[test]
-    fn server_stats_reports_counters() {
+    fn metrics_report_serving_counters() {
         let s = state();
         assert!(s.answer("BOGUS").starts_with("ERR "));
-        s.note_busy_rejection();
+        assert!(s.admit_connection(2));
+        assert!(s.admit_connection(2));
+        assert!(!s.admit_connection(2));
+        s.note_connection_closed();
+        assert!(s.admit_connection(2));
         s.note_idle_reaped();
         s.note_buffer_level(12345);
-        s.note_connection_opened(3);
-        let reply = s.answer("SERVER_STATS");
-        assert!(
-            reply.starts_with("OK accepted=1 peak_connections=3 "),
-            "{reply}"
-        );
-        assert!(reply.contains("busy_rejections=1"), "{reply}");
-        assert!(reply.contains("idle_reaped=1"), "{reply}");
-        assert!(reply.contains("protocol_errors=1"), "{reply}");
-        assert!(reply.contains("buffer_peak_bytes=12345"), "{reply}");
+        let reply = s.answer("METRICS");
+        let text = reply.strip_prefix("OK metrics\n").expect("METRICS reply");
+        for (name, value) in [
+            ("obf_server_connections_accepted_total", 3),
+            ("obf_server_peak_connections", 2),
+            ("obf_server_busy_rejections_total", 1),
+            ("obf_server_idle_reaped_total", 1),
+            ("obf_server_protocol_errors_total", 1),
+            ("obf_server_queries_total", 2),
+            ("obf_server_buffer_peak_bytes", 12345),
+        ] {
+            assert_eq!(
+                obf_obs::metrics::text_value(text, name),
+                Some(value),
+                "{name}"
+            );
+        }
     }
 
     /// The per-world value of each statistic computed on the world
@@ -1102,37 +1067,39 @@ mod tests {
     }
 
     #[test]
-    fn two_phase_reload_serves_old_epoch_until_commit() {
+    fn reload_repins_only_the_issuing_connection() {
         let s = state();
-        assert_eq!(s.answer("HEALTH"), "OK ok epoch=0 n=4");
-        // Nothing staged yet: commit is a typed error, not a flip.
-        assert!(s.answer("RELOAD_COMMIT").starts_with("ERR "));
+        let g1 = s.graph();
+        let mut bystander = s.release();
+        let mut issuer = s.release();
 
-        let dir = std::env::temp_dir().join(format!("obf_server_prepare_{}", std::process::id()));
+        let dir = std::env::temp_dir().join(format!("obf_server_repin_{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("r1.snap");
         let g2 = Arc::new(UncertainGraph::new(4, vec![(0, 1, 1.0), (2, 3, 0.5)]).unwrap());
         obf_uncertain::save_snapshot(&g2, &path).unwrap();
-
-        let before = s.answer("INFO");
-        let reply = s.answer(&format!("RELOAD_PREPARE {}", path.display()));
-        assert!(reply.starts_with("OK prepared n=4 candidates=2"), "{reply}");
-        // Prepared but not committed: every answer is still epoch 0.
-        assert_eq!(s.answer("INFO"), before);
-        assert_eq!(s.epoch(), 0);
-        assert_eq!(s.reloads(), 0);
-
-        let reply = s.answer("RELOAD_COMMIT");
-        assert_eq!(reply, "OK committed epoch=1 n=4 candidates=2");
+        let reply = s.answer_on(&mut issuer, &format!("RELOAD {}", path.display()));
+        assert!(
+            reply.starts_with("OK reloaded epoch=1 n=4 candidates=2"),
+            "{reply}"
+        );
+        assert_eq!(issuer.epoch, 1);
         assert_eq!(s.epoch(), 1);
-        assert_eq!(s.reloads(), 1);
-        assert_eq!(s.answer("HEALTH"), "OK ok epoch=1 n=4");
+
+        // The bystander still answers from epoch 0; HEALTH reports the
+        // server's epoch, INFO the pinned one.
+        assert_eq!(bystander.epoch, 0);
+        let info = s.answer_on(&mut bystander, "INFO");
+        assert!(info.ends_with(" epoch=0"), "{info}");
+        assert_eq!(s.answer_on(&mut bystander, "HEALTH"), "OK ok epoch=1 n=4");
         assert_eq!(
-            s.answer("EXPECTED num_edges"),
+            s.answer_on(&mut bystander, "EXPECTED num_edges"),
+            format!("OK {}", expected_num_edges(&g1))
+        );
+        assert_eq!(
+            s.answer_on(&mut issuer, "EXPECTED num_edges"),
             format!("OK {}", expected_num_edges(&g2))
         );
-        // The staged slot is consumed: a second commit errors.
-        assert!(s.answer("RELOAD_COMMIT").starts_with("ERR "));
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -4,7 +4,7 @@
 //!
 //! ```text
 //! obf_server <graph.snap|graph.up> [--port 0] [--cache 256] [--idle-timeout 60]
-//!            [--max-conns 4096] [--poller epoll|poll] [--blocking]
+//!            [--max-conns 4096] [--poller epoll|poll] [--shards 1]
 //!            [--request-log <path>]
 //! ```
 //!
@@ -16,30 +16,31 @@ use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::Duration;
 
-use obf_server::{load_published_graph_with_source, PollerKind, Server, ServerConfig, ServerMode};
+use obf_server::{load_published_graph_with_source, PollerKind, Server, ServerConfig};
 
 const USAGE: &str = "usage:
   obf_server <graph.snap|graph.up> [--port 0] [--cache 256] [--idle-timeout 60]
-             [--max-conns 4096] [--poller epoll|poll] [--blocking]
+             [--max-conns 4096] [--poller epoll|poll] [--shards 1]
              [--request-log <path>]
 options:
   --port <P>          TCP port to bind on 127.0.0.1 (default 0 = ephemeral)
   --cache <N>         world-cache capacity: how many sampled worlds' STAT
                       statistics (40 bytes each) to keep (default 256)
   --idle-timeout <S>  close connections idle for S seconds (0 = never; default 60)
-  --max-conns <N>     admission control: reject connections past N with ERR BUSY
-                      (default 4096)
+  --max-conns <N>     admission control: reject connections past N, counted
+                      across every shard, with ERR BUSY (default 4096)
   --poller <B>        readiness backend: epoll (Linux default) or poll; the
                       OBF_POLLER env var sets the same
-  --blocking          serve thread-per-connection (the regression reference)
-                      instead of the event loop
+  --shards <N>        event loops sharing the listener and the loaded release,
+                      one thread each (default 1); answers do not depend on N
   --request-log <F>   append an OBFUREQLOG v1 record per answered request to F
                       (truncates F at start-up; purely observational — replies
                       are byte-identical with or without it)
   --help, -h          print this help and exit
 The graph file is auto-detected: binary snapshot (OBFUSNAP magic) or
 whitespace-separated `u v p` TSV. Admin commands over the protocol:
-RELOAD <path> swaps in a new release live; SHUTDOWN stops the server.";
+RELOAD <path> swaps in a new release live (connections already open keep
+answering from the release they started on); SHUTDOWN stops every shard.";
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -101,7 +102,14 @@ fn run(args: &[String]) -> Result<(), String> {
                 config.poller =
                     PollerKind::parse(raw).ok_or(format!("invalid value {raw:?} for --poller"))?;
             }
-            "--blocking" => config.mode = ServerMode::ThreadPerConnection,
+            "--shards" => {
+                let raw = it.next().ok_or("flag --shards needs a value")?;
+                config.shards = raw
+                    .parse::<usize>()
+                    .ok()
+                    .filter(|&n| n > 0)
+                    .ok_or(format!("invalid value {raw:?} for --shards"))?;
+            }
             "--request-log" => {
                 let raw = it.next().ok_or("flag --request-log needs a value")?;
                 config.request_log = Some(raw.into());

@@ -23,30 +23,23 @@
 //!                              attached when [eps] is given (Lemma 2);
 //!                              stat ∈ num_edges | avg_degree | max_degree |
 //!                                     degree_variance | clustering
-//! CACHE_STATS
-//! SERVER_STATS                 serving-core counters: connections
-//!                              accepted/peak, BUSY rejections, idle
-//!                              reaps, protocol errors, buffer peak
 //! METRICS                      full metrics-registry dump: one
 //!                              `name{labels} value` line per metric
 //!                              (counters, gauges, histogram
-//!                              count/sum/max/p50/p90/p99 expansions)
+//!                              count/sum/max/p50/p90/p99 expansions),
+//!                              serving-core and world-memo counters
+//!                              included
 //! RELOAD <path>                admin: swap in a new release (snapshot or
 //!                              TSV, auto-detected); bumps the serve
-//!                              epoch and invalidates memoized worlds
-//! RELOAD_PREPARE <path>        admin: load a release into the staged
-//!                              slot without serving it — the fleet
-//!                              router prepares every replica before any
-//!                              replica flips
-//! RELOAD_COMMIT                admin: atomically swap in the staged
-//!                              release (ERR if nothing is staged)
+//!                              epoch, invalidates memoized worlds and
+//!                              re-pins the issuing connection
 //! HEALTH                       liveness probe: `OK ok epoch=<e> n=<n>`
+//!                              about the server's current release
 //! SHUTDOWN                     admin: stop accepting connections
 //! QUIT
 //! ```
 //!
-//! The normative verb/reply table (including the fleet router's admin
-//! verbs) lives in `docs/FORMATS.md` § "Server request/reply
+//! The normative verb/reply table lives in `docs/FORMATS.md` § "Server request/reply
 //! protocol"; CI fails if a verb exists here but not there.
 
 use std::io::{Read, Write};
@@ -127,21 +120,12 @@ pub enum Request {
         seed: u64,
         eps: Option<f64>,
     },
-    CacheStats,
-    /// Serving-core counters (admission control, reaping, buffers).
-    ServerStats,
     /// Full metrics-registry dump in `name{labels} value` text form.
     Metrics,
     /// Admin: load the file at the path and swap it in as the new
     /// release.
     Reload(String),
-    /// Admin: load the file at the path into the staged slot without
-    /// serving it (phase one of the fleet's epoch-consistent rollout).
-    ReloadPrepare(String),
-    /// Admin: atomically swap in the staged release (phase two).
-    ReloadCommit,
-    /// Liveness probe answered without touching the graph beyond the
-    /// epoch read — the router's health check.
+    /// Liveness probe: the server's current epoch and vertex count.
     Health,
     /// Admin: stop the accept loop.
     Shutdown,
@@ -201,18 +185,11 @@ impl Request {
                     eps,
                 }
             }
-            "CACHE_STATS" => Request::CacheStats,
-            "SERVER_STATS" => Request::ServerStats,
             "METRICS" => Request::Metrics,
             "RELOAD" => {
                 let path = parts.next().ok_or("RELOAD needs a file path")?;
                 Request::Reload(path.to_string())
             }
-            "RELOAD_PREPARE" => {
-                let path = parts.next().ok_or("RELOAD_PREPARE needs a file path")?;
-                Request::ReloadPrepare(path.to_string())
-            }
-            "RELOAD_COMMIT" => Request::ReloadCommit,
             "HEALTH" => Request::Health,
             "SHUTDOWN" => Request::Shutdown,
             "QUIT" => Request::Quit,
@@ -236,12 +213,8 @@ impl Request {
             Request::Neighborhood(_) => "NEIGHBORHOOD",
             Request::Expected(_) => "EXPECTED",
             Request::Stat { .. } => "STAT",
-            Request::CacheStats => "CACHE_STATS",
-            Request::ServerStats => "SERVER_STATS",
             Request::Metrics => "METRICS",
             Request::Reload(_) => "RELOAD",
-            Request::ReloadPrepare(_) => "RELOAD_PREPARE",
-            Request::ReloadCommit => "RELOAD_COMMIT",
             Request::Health => "HEALTH",
             Request::Shutdown => "SHUTDOWN",
             Request::Quit => "QUIT",
@@ -259,12 +232,8 @@ impl Request {
         "NEIGHBORHOOD",
         "EXPECTED",
         "STAT",
-        "CACHE_STATS",
-        "SERVER_STATS",
         "METRICS",
         "RELOAD",
-        "RELOAD_PREPARE",
-        "RELOAD_COMMIT",
         "HEALTH",
         "SHUTDOWN",
         "QUIT",
@@ -320,18 +289,11 @@ mod tests {
                 eps: Some(0.5)
             })
         );
-        assert_eq!(Request::parse("CACHE_STATS"), Ok(Request::CacheStats));
-        assert_eq!(Request::parse("SERVER_STATS"), Ok(Request::ServerStats));
         assert_eq!(Request::parse("METRICS"), Ok(Request::Metrics));
         assert_eq!(
             Request::parse("RELOAD /tmp/release1.snap"),
             Ok(Request::Reload("/tmp/release1.snap".into()))
         );
-        assert_eq!(
-            Request::parse("RELOAD_PREPARE /tmp/release2.snap"),
-            Ok(Request::ReloadPrepare("/tmp/release2.snap".into()))
-        );
-        assert_eq!(Request::parse("RELOAD_COMMIT"), Ok(Request::ReloadCommit));
         assert_eq!(Request::parse("HEALTH"), Ok(Request::Health));
         assert_eq!(Request::parse("SHUTDOWN"), Ok(Request::Shutdown));
         assert_eq!(Request::parse("QUIT"), Ok(Request::Quit));
@@ -355,8 +317,8 @@ mod tests {
             "PING extra",
             "RELOAD",
             "RELOAD two paths",
-            "RELOAD_PREPARE",
-            "RELOAD_COMMIT now",
+            "CACHE_STATS",
+            "SERVER_STATS",
             "HEALTH check",
             "SHUTDOWN now",
             "METRICS now",
@@ -376,12 +338,8 @@ mod tests {
             "NEIGHBORHOOD 3",
             "EXPECTED num_edges",
             "STAT num_edges 1 1",
-            "CACHE_STATS",
-            "SERVER_STATS",
             "METRICS",
             "RELOAD /p",
-            "RELOAD_PREPARE /p",
-            "RELOAD_COMMIT",
             "HEALTH",
             "SHUTDOWN",
             "QUIT",

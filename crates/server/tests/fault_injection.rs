@@ -9,6 +9,7 @@ use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use obf_obs::metrics::text_value;
 use obf_server::{read_frame, Client, Server, ServerConfig};
 use obf_uncertain::UncertainGraph;
 
@@ -217,16 +218,8 @@ fn never_reading_client_is_backpressured_with_bounded_buffers() {
     // cap plus the write high-water mark plus one in-flight reply —
     // never the ~full flood of replies an unbounded server would hold.
     let mut c = Client::connect(addr).unwrap();
-    let reply = c.request("SERVER_STATS").unwrap();
-    let peak: u64 = reply
-        .split("buffer_peak_bytes=")
-        .nth(1)
-        .unwrap()
-        .split_whitespace()
-        .next()
-        .unwrap()
-        .parse()
-        .unwrap();
+    let metrics = c.request("METRICS").unwrap();
+    let peak = text_value(&metrics, "obf_server_buffer_peak_bytes").expect("buffer peak gauge");
     let largest_reply = 4 + server
         .state()
         .answer("DEGREE_DIST 0")

@@ -1,6 +1,6 @@
 //! High-concurrency smoke tests: the event loop must hold ≥1000
 //! simultaneous connections in one process while still answering
-//! admin queries (INFO, CACHE_STATS) promptly, and the admission
+//! admin queries (INFO, METRICS) promptly, and the admission
 //! control must shed load past `max_connections` with a BUSY reply
 //! instead of hanging or crashing. A 10k variant is `#[ignore]`-gated
 //! for nightly runs.
@@ -9,6 +9,7 @@ use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use obf_obs::metrics::text_value;
 use obf_server::sys::raise_nofile_limit;
 use obf_server::{read_frame, write_frame, Client, Server, ServerConfig, BUSY_REPLY};
 use obf_uncertain::UncertainGraph;
@@ -88,11 +89,12 @@ fn swarm(target: usize, max_connections: usize) {
         write_frame(&mut *s, "INFO").unwrap();
         let info = read_frame(&mut *s).unwrap().unwrap();
         assert!(info.starts_with("OK n=40 "), "{info}");
-        write_frame(&mut *s, "CACHE_STATS").unwrap();
-        let cache = read_frame(&mut *s).unwrap().unwrap();
-        assert!(
-            cache.starts_with("OK hits=") && cache.contains("capacity=256"),
-            "{cache}"
+        write_frame(&mut *s, "METRICS").unwrap();
+        let metrics = read_frame(&mut *s).unwrap().unwrap();
+        assert_eq!(
+            text_value(&metrics, "obf_cache_capacity"),
+            Some(256),
+            "{metrics}"
         );
         write_frame(&mut *s, &format!("EXPECTED_DEGREE {}", i % 40)).unwrap();
         let deg = read_frame(&mut *s).unwrap().unwrap();

@@ -6,6 +6,7 @@
 use std::sync::Arc;
 use std::time::Duration;
 
+use obf_obs::metrics::text_value;
 use obf_server::{Client, Server, ServerConfig};
 use obf_uncertain::UncertainGraph;
 
@@ -121,9 +122,8 @@ fn shutdown_command_stops_the_accept_loop() {
     let addr = server.addr();
     let mut c = Client::connect(addr).unwrap();
     assert_eq!(c.request("SHUTDOWN").unwrap(), "OK shutting down");
-    // join() returns because the protocol command closed the listener —
+    // join() returns because the protocol command stopped every shard —
     // this is the path that keeps scripted runs from hanging CI.
-    assert!(server.state().shutdown_requested());
     server.join();
     // New connections may still be accepted by the OS backlog, but the
     // accept loop is gone: a PING on a fresh connection gets no reply.
@@ -216,9 +216,17 @@ fn reload_under_load_drops_no_connections_and_no_stale_worlds() {
     let mean = values.iter().sum::<f64>() / 8.0;
     assert!(after.starts_with(&format!("OK mean={mean} ")), "{after}");
     assert_ne!(warm, after);
-    let cache = admin.request("CACHE_STATS").unwrap();
-    assert!(cache.contains("epoch=1"), "{cache}");
-    assert!(!cache.contains("invalidations=0"), "{cache}");
+    let metrics = admin.request("METRICS").unwrap();
+    assert_eq!(
+        text_value(&metrics, "obf_cache_epoch"),
+        Some(1),
+        "{metrics}"
+    );
+    assert_ne!(
+        text_value(&metrics, "obf_cache_invalidations_total"),
+        Some(0),
+        "{metrics}"
+    );
 
     std::thread::sleep(Duration::from_millis(100));
     stop.store(true, std::sync::atomic::Ordering::Relaxed);

@@ -1,15 +1,16 @@
 //! Observability neutrality: metrics, spans, and the request log are
 //! strictly read-only taps on the answer path. The same query script
-//! must produce byte-identical transcripts with the request log on or
-//! off, on every poller backend and the blocking path, and scraping
-//! `METRICS`/`SERVER_STATS` mid-stream must not perturb a single
-//! answer byte. This is the test-level twin of the `ci.sh serve`
-//! digest gate (pinned `answers_digest` with `--request-log` enabled).
+//! must produce the transcript of `ServerState::answer` called line by
+//! line, byte for byte, with the request log on or off, on every poller
+//! backend and shard count, and scraping `METRICS` mid-stream must not
+//! perturb a single answer byte. This is the test-level twin of the
+//! `ci.sh serve` digest gate (pinned `answers_digest` with
+//! `--request-log` enabled).
 
 use std::path::PathBuf;
 use std::sync::Arc;
 
-use obf_server::{Client, PollerKind, Server, ServerConfig, ServerMode};
+use obf_server::{Client, PollerKind, Server, ServerConfig, ServerState};
 use obf_uncertain::UncertainGraph;
 
 use rand::rngs::SmallRng;
@@ -50,14 +51,20 @@ fn scratch(tag: &str) -> PathBuf {
     dir.join(tag)
 }
 
-fn config(mode: ServerMode, poller: PollerKind, request_log: Option<PathBuf>) -> ServerConfig {
+fn config(poller: PollerKind, shards: usize, request_log: Option<PathBuf>) -> ServerConfig {
     ServerConfig {
         world_cache_capacity: 256,
-        mode,
+        shards,
         poller,
         request_log,
         ..ServerConfig::default()
     }
+}
+
+/// The transport-free oracle: the script answered by direct calls.
+fn direct_transcript() -> Vec<String> {
+    let state = ServerState::new(published_graph(40, 1), 256);
+    (0..SCRIPT_LEN).map(|i| state.answer(&query(i))).collect()
 }
 
 fn transcript_with(config: ServerConfig) -> Vec<String> {
@@ -72,19 +79,17 @@ fn transcript_with(config: ServerConfig) -> Vec<String> {
 
 #[test]
 fn request_log_is_transcript_neutral_on_every_backend() {
-    for (tag, mode, poller) in [
-        ("event_default", ServerMode::Event, PollerKind::default()),
-        ("event_poll", ServerMode::Event, PollerKind::Poll),
-        (
-            "blocking",
-            ServerMode::ThreadPerConnection,
-            PollerKind::default(),
-        ),
+    let direct = direct_transcript();
+    for (tag, poller, shards) in [
+        ("default_1", PollerKind::default(), 1),
+        ("poll_1", PollerKind::Poll, 1),
+        ("default_4", PollerKind::default(), 4),
     ] {
-        let off = transcript_with(config(mode, poller, None));
+        let off = transcript_with(config(poller, shards, None));
+        assert_eq!(off, direct, "the event loop changed an answer under {tag}");
         let log_path = scratch(tag);
-        let on = transcript_with(config(mode, poller, Some(log_path.clone())));
-        assert_eq!(on, off, "request log changed an answer under {tag}");
+        let on = transcript_with(config(poller, shards, Some(log_path.clone())));
+        assert_eq!(on, direct, "request log changed an answer under {tag}");
 
         // The log really was written: header plus one record per request.
         let logged = std::fs::read_to_string(&log_path).unwrap();
@@ -96,22 +101,14 @@ fn request_log_is_transcript_neutral_on_every_backend() {
 
 #[test]
 fn metrics_scrapes_do_not_perturb_answers() {
-    let quiet = transcript_with(config(
-        ServerMode::Event,
-        PollerKind::default(),
-        Some(scratch("scrape_quiet")),
-    ));
+    let quiet = direct_transcript();
 
-    // Same script, but with METRICS / SERVER_STATS / CACHE_STATS
-    // scraped from a second connection every few queries.
+    // Same script, but with METRICS scraped from a second connection
+    // (on either shard) every few queries.
     let server = Server::bind_with(
         published_graph(40, 1),
         "127.0.0.1:0",
-        config(
-            ServerMode::Event,
-            PollerKind::default(),
-            Some(scratch("scrape_noisy")),
-        ),
+        config(PollerKind::default(), 2, Some(scratch("scrape_noisy"))),
     )
     .unwrap();
     let mut c = Client::connect(server.addr()).unwrap();
@@ -123,8 +120,7 @@ fn metrics_scrapes_do_not_perturb_answers() {
             let metrics = scraper.request("METRICS").unwrap();
             assert!(metrics.starts_with("OK metrics\n"), "{metrics}");
             assert!(metrics.contains("obf_server_queries_total"), "{metrics}");
-            scraper.request("SERVER_STATS").unwrap();
-            scraper.request("CACHE_STATS").unwrap();
+            assert!(metrics.contains("obf_cache_hits_total"), "{metrics}");
         }
     }
     server.shutdown();
@@ -137,7 +133,7 @@ fn metrics_snapshot_counts_match_the_script() {
     let server = Server::bind_with(
         published_graph(40, 1),
         "127.0.0.1:0",
-        config(ServerMode::Event, PollerKind::default(), None),
+        config(PollerKind::default(), 1, None),
     )
     .unwrap();
     let mut c = Client::connect(server.addr()).unwrap();

@@ -81,13 +81,13 @@ impl MappedSnapshot {
     /// The header checksum transitively commits to the section
     /// checksums, but the sections themselves are **trusted**, not
     /// re-hashed: use this tier only for files this process just wrote
-    /// or that were verified out-of-band (`snapshot_convert --verify`,
-    /// a fleet's `RELOAD_PREPARE`). Memory safety never depends on
-    /// section content — the graph view clamps row bounds and the
-    /// candidate scan is guarded — but a file whose sections rotted
-    /// under an intact header can return wrong values or out-of-range
-    /// vertex ids that panic downstream consumers. [`MappedSnapshot::open`]
-    /// (the structural tier) is the floor for untrusted input.
+    /// or that were verified out-of-band (`snapshot_convert --verify`).
+    /// Memory safety never depends on section content — the graph view
+    /// clamps row bounds and the candidate scan is guarded — but a file
+    /// whose sections rotted under an intact header can return wrong
+    /// values or out-of-range vertex ids that panic downstream
+    /// consumers. [`MappedSnapshot::open`] (the structural tier) is the
+    /// floor for untrusted input.
     pub fn open_trusted<P: AsRef<Path>>(path: P) -> Result<Self, SnapshotError> {
         if cfg!(target_endian = "big") {
             return Err(SnapshotError::Invalid(

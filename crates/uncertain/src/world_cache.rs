@@ -175,18 +175,6 @@ pub struct WorldCacheStats {
     pub evictions: u64,
 }
 
-impl WorldCacheStats {
-    /// Fraction of lookups served from the cache (0 when never queried).
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
-}
-
 /// A memo of [`WorldStats`] keyed by `(epoch, master_seed, index)`.
 ///
 /// Reads take a shared lock; a miss samples the world and computes its
@@ -214,7 +202,7 @@ impl WorldCacheStats {
 ///
 /// // Swapping in a new release invalidates the resident entries.
 /// let g2 = Arc::new(UncertainGraph::new(3, vec![(0, 1, 1.0)]).unwrap());
-/// assert_eq!(cache.swap_graph(g2), 1);
+/// assert_eq!(cache.swap_graph(g2).epoch, 1);
 /// assert_eq!(cache.stats().invalidations, 1);
 /// ```
 #[derive(Debug)]
@@ -299,12 +287,13 @@ impl WorldCache {
 
     /// Atomically replaces the published graph, bumping the epoch and
     /// purging every entry sampled from older releases. Returns the new
-    /// epoch. In-flight pinned readers keep their old [`Release`] and
-    /// finish on it.
-    pub fn swap_graph(&self, graph: Arc<UncertainGraph>) -> u64 {
+    /// release. Pinned readers keep their old [`Release`] and finish on
+    /// it.
+    pub fn swap_graph(&self, graph: Arc<UncertainGraph>) -> Arc<Release> {
         let mut current = self.current.write().expect("world cache poisoned");
         let new_epoch = current.epoch + 1;
-        *current = Arc::new(Release::new(new_epoch, graph));
+        let release = Arc::new(Release::new(new_epoch, graph));
+        *current = Arc::clone(&release);
         self.epoch.store(new_epoch, Ordering::SeqCst);
         // Purge while still holding the `current` write lock so no new
         // lookup can interleave between the swap and the purge (the
@@ -315,7 +304,7 @@ impl WorldCache {
         self.invalidations.add((before - map.len()) as u64);
         self.resident.set(map.len() as u64);
         self.epoch_gauge.set(new_epoch);
-        new_epoch
+        release
     }
 
     /// Statistics of world `index` of the `master_seed` stream over the
@@ -404,7 +393,6 @@ mod tests {
         assert_eq!(first, resampled(&c.graph(), 42, 3));
         let s = c.stats();
         assert_eq!((s.hits, s.misses, s.resident), (1, 1, 1));
-        assert!((s.hit_rate() - 0.5).abs() < 1e-12);
     }
 
     #[test]
@@ -464,7 +452,7 @@ mod tests {
         assert_eq!(c.stats().resident, 6);
 
         let g2 = Arc::new(UncertainGraph::new(5, vec![(0, 1, 1.0), (2, 4, 1.0)]).unwrap());
-        assert_eq!(c.swap_graph(Arc::clone(&g2)), 1);
+        assert_eq!(c.swap_graph(Arc::clone(&g2)).epoch, 1);
         let s = c.stats();
         assert_eq!(s.epoch, 1);
         assert_eq!(s.invalidations, 6);
