@@ -10,7 +10,7 @@
 #   ./ci.sh release    # release build + bench compile + determinism matrix
 #   ./ci.sh serve      # obf_server tests + shard reload + loadgen smoke + digest check
 #   ./ci.sh evolve     # obf_evolve tests + republish bench smoke + digest check
-#   ./ci.sh snapshot   # snapshot v3 round-trip, convert tool, mmap-vs-heap digest, docs spec
+#   ./ci.sh snapshot   # snapshot/mapped suites, TSV -> v3 convert round trip, mmap-vs-heap digest
 #   ./ci.sh analyze    # obf_audit static analysis (deny-clean) + pedantic clippy on engine crates
 set -euo pipefail
 cd "$(dirname "$0")"
@@ -194,19 +194,18 @@ evolve() {
 }
 
 snapshot() {
-    step "snapshot + mapped-store + out-of-core-build test suites"
+    step "snapshot + mapped-store test suites"
     cargo test -q -p obf_uncertain snapshot
     cargo test -q -p obf_uncertain mapped
-    cargo test -q -p obf_uncertain build
     cargo test -q --test snapshot_v3
 
     # Docs consistency (every verb + format version appears in
     # docs/FORMATS.md) is rule `formats-doc` of `ci.sh analyze` now.
 
-    # End-to-end tool check: TSV -> v3 (in-memory) and TSV -> v3
-    # (out-of-core, tiny budget to force spill runs) must produce
-    # byte-identical files, and --verify must pass on both paths.
-    step "snapshot_convert round-trip (in-memory vs out-of-core, byte-identical)"
+    # End-to-end tool check: TSV -> v3 must pass --verify, and
+    # perfbench's exact invocation (`<in> <out> --format v3`, which the
+    # serve-mixed workload depends on) must write the same bytes.
+    step "snapshot_convert round-trip (TSV -> v3 --verify, perfbench invocation)"
     cargo build --release -p obf_bench
     tmpdir=$(mktemp -d)
     trap 'rm -rf "$tmpdir"' EXIT
@@ -219,13 +218,10 @@ snapshot() {
 2	4	0.35
 3	4	1
 EOF
-    ./target/release/snapshot_convert --verify "$tmpdir/toy.tsv" "$tmpdir/toy.mem.v3"
-    ./target/release/snapshot_convert --verify --out-of-core --mem-budget 64 \
-        "$tmpdir/toy.tsv" "$tmpdir/toy.ext.v3"
-    cmp "$tmpdir/toy.mem.v3" "$tmpdir/toy.ext.v3" \
-        || { echo "out-of-core v3 build differs from in-memory writer"; exit 1; }
-    ./target/release/snapshot_convert --verify --format v2 "$tmpdir/toy.mem.v3" "$tmpdir/toy.v2" \
-        || { echo "v3 -> v2 conversion failed"; exit 1; }
+    ./target/release/snapshot_convert --verify "$tmpdir/toy.tsv" "$tmpdir/toy.verified.v3"
+    ./target/release/snapshot_convert "$tmpdir/toy.tsv" "$tmpdir/toy.v3" --format v3
+    cmp "$tmpdir/toy.verified.v3" "$tmpdir/toy.v3" \
+        || { echo "snapshot_convert --format v3 differs from the --verify run"; exit 1; }
 
     # Serving equivalence: the bench asserts the mmap-served candidate
     # stream digests equal to the heap-loaded one at every size, and
@@ -237,7 +233,7 @@ EOF
     matches=$(grep -c '"digest_match": true' results/BENCH_snapshot.json)
     [ "$matches" -ge 3 ] \
         || { echo "expected >= 3 digest_match entries, got $matches"; exit 1; }
-    echo "snapshot OK: byte-identical builds, $matches mmap-vs-heap digest matches"
+    echo "snapshot OK: verified v3 conversion, $matches mmap-vs-heap digest matches"
 }
 
 analyze() {

@@ -8,9 +8,8 @@
 //!
 //! `--paper-scale` additionally synthesises dblp at the paper's full
 //! 226 413 vertices, runs one Table 3 cell (k=20, ε=1e-2) of
-//! Algorithm 1 on it, and builds the published graph's v3 snapshot
-//! through the external-memory pipeline — the paper-scale row the
-//! nightly job records.
+//! Algorithm 1 on it, and writes the published graph's v3 snapshot —
+//! the paper-scale row the nightly job records.
 
 use std::time::Instant;
 
@@ -164,7 +163,7 @@ fn main() {
 
     if paper_scale {
         // The paper-scale Table 3 row: full-size dblp through
-        // Algorithm 1, published graph built out-of-core into v3.
+        // Algorithm 1, published graph written as v3.
         let ds = Dataset::Dblp;
         eprintln!(
             "--paper-scale: synthesising dblp at n={} (paper Table 1)",
@@ -179,14 +178,8 @@ fn main() {
             Ok((res, stats, c_used)) => {
                 let published_path = dir.join("dblp_paper.v3.snap");
                 let t = Instant::now();
-                obf_uncertain::build::write_v3_via_extsort(
-                    &res.graph,
-                    SnapshotMeta::default(),
-                    &published_path,
-                    dir.join("extsort"),
-                    obf_uncertain::build::DEFAULT_MEM_BUDGET,
-                )
-                .expect("paper-scale v3 build");
+                save_snapshot_v3_with_meta(&res.graph, SnapshotMeta::default(), &published_path)
+                    .expect("paper-scale v3 write");
                 let build_secs = t.elapsed().as_secs_f64();
                 let v3_bytes = std::fs::metadata(&published_path).unwrap().len();
                 let (open_secs, mapped, served) = open_v3(&published_path);

@@ -1,21 +1,16 @@
-//! Converts a published graph between on-disk formats: TSV or snapshot
-//! v1/v2/v3 in, snapshot v2 or v3 out (see docs/FORMATS.md for the
-//! byte-level specs). `--out-of-core` routes a v3 build through the
-//! external-memory pipeline (`obf_uncertain::build`), which produces
-//! byte-identical output with bounded RAM; `--verify` re-opens the
-//! written file and checks it decodes back to the input graph.
+//! Converts a published graph to a v3 snapshot: TSV or snapshot
+//! v1/v2/v3 in, snapshot v3 out (see docs/FORMATS.md for the byte-level
+//! specs). `--verify` re-opens the written file and checks it decodes
+//! back to the input graph.
 
 use obf_server::load_published_graph_with_source;
-use obf_uncertain::{save_snapshot_v3_with_meta, save_snapshot_with_meta, UncertainGraph};
+use obf_uncertain::{save_snapshot_v3_with_meta, UncertainGraph};
 
 const USAGE: &str = "\
 usage: snapshot_convert <input> <output> [options]
   input: TSV (`u v p` lines) or snapshot v1/v2/v3; format is sniffed
 options:
-  --format v2|v3     output snapshot version (default: v3)
-  --out-of-core      build v3 through the external-memory pipeline
-  --tmp-dir <dir>    spill directory for --out-of-core (default: output dir)
-  --mem-budget <B>   sorter RAM budget in bytes for --out-of-core
+  --format v3        output snapshot version (v3 is the only one written)
   --verify           re-open the output and check it matches the input
   --help, -h         print this help and exit";
 
@@ -31,41 +26,22 @@ fn main() {
         return;
     }
     let mut positional: Vec<String> = Vec::new();
-    let mut format = "v3".to_string();
-    let mut out_of_core = false;
     let mut verify = false;
-    let mut tmp_dir: Option<String> = None;
-    let mut mem_budget = obf_uncertain::build::DEFAULT_MEM_BUDGET;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--format" => {
-                format = args
+                let format = args
                     .next()
                     .unwrap_or_else(|| fail("--format needs a value"));
+                if format != "v3" {
+                    fail(&format!("invalid --format {format:?} (expected v3)"));
+                }
             }
-            "--out-of-core" => out_of_core = true,
             "--verify" => verify = true,
-            "--tmp-dir" => {
-                tmp_dir = Some(
-                    args.next()
-                        .unwrap_or_else(|| fail("--tmp-dir needs a value")),
-                );
-            }
-            "--mem-budget" => {
-                let raw = args
-                    .next()
-                    .unwrap_or_else(|| fail("--mem-budget needs a value"));
-                mem_budget = raw
-                    .parse()
-                    .unwrap_or_else(|_| fail(&format!("invalid --mem-budget {raw:?}")));
-            }
             other if other.starts_with("--") => fail(&format!("unknown flag {other:?}")),
             other => positional.push(other.to_string()),
         }
-    }
-    if !matches!(format.as_str(), "v2" | "v3") {
-        fail(&format!("invalid --format {format:?} (expected v2 or v3)"));
     }
     let [input, output] = &positional[..] else {
         fail("expected exactly <input> and <output> paths");
@@ -81,37 +57,13 @@ fn main() {
         meta.epoch
     );
 
-    let checksum = match format.as_str() {
-        "v2" => save_snapshot_with_meta(&graph, meta, output)
-            .unwrap_or_else(|e| fail(&format!("cannot write {output}: {e}"))),
-        _ if out_of_core => {
-            let tmp = tmp_dir.map(std::path::PathBuf::from).unwrap_or_else(|| {
-                std::path::Path::new(output)
-                    .parent()
-                    .unwrap_or_else(|| std::path::Path::new("."))
-                    .join("snapshot_convert_tmp")
-            });
-            let checksum =
-                obf_uncertain::build::write_v3_via_extsort(&graph, meta, output, &tmp, mem_budget)
-                    .unwrap_or_else(|e| fail(&format!("out-of-core build failed: {e}")));
-            std::fs::remove_dir(&tmp).ok(); // runs already deleted; drop the dir if empty
-            checksum
-        }
-        _ => save_snapshot_v3_with_meta(&graph, meta, output)
-            .unwrap_or_else(|e| fail(&format!("cannot write {output}: {e}"))),
-    };
+    let checksum = save_snapshot_v3_with_meta(&graph, meta, output)
+        .unwrap_or_else(|e| fail(&format!("cannot write {output}: {e}")));
     let bytes = std::fs::metadata(output).map(|m| m.len()).unwrap_or(0);
-    println!(
-        "wrote {output}: format={format} bytes={bytes} checksum={checksum:#018x}{}",
-        if out_of_core {
-            " build=out-of-core"
-        } else {
-            ""
-        }
-    );
+    println!("wrote {output}: format=v3 bytes={bytes} checksum={checksum:#018x}");
 
     if verify {
-        let back = verify_output(output, &format);
+        let back = verify_output(output);
         if back != graph {
             fail(&format!(
                 "verification failed: {output} does not decode back to the input graph"
@@ -121,20 +73,18 @@ fn main() {
     }
 }
 
-/// Content-tier verification of the written file: v3 goes through the
-/// mmap reader's full `verify()` when the platform supports it, and the
-/// heap decoder otherwise (both check every checksum and invariant).
-fn verify_output(output: &str, format: &str) -> UncertainGraph {
+/// Content-tier verification of the written file: the mmap reader's
+/// full `verify()` where the platform supports it, and the heap decoder
+/// otherwise (both check every checksum and invariant).
+fn verify_output(output: &str) -> UncertainGraph {
     #[cfg(all(unix, target_endian = "little"))]
-    if format == "v3" {
-        match obf_uncertain::MappedSnapshot::open_verified(output) {
-            Ok(snap) => return UncertainGraph::from_mapped(snap),
-            Err(e) => fail(&format!("verification failed for {output}: {e}")),
-        }
+    match obf_uncertain::MappedSnapshot::open_verified(output) {
+        Ok(snap) => UncertainGraph::from_mapped(snap),
+        Err(e) => fail(&format!("verification failed for {output}: {e}")),
     }
-    let _ = format;
-    match obf_uncertain::load_snapshot_with_meta(output) {
-        Ok((g, _meta)) => g,
+    #[cfg(not(all(unix, target_endian = "little")))]
+    match obf_uncertain::load_snapshot(output) {
+        Ok(g) => g,
         Err(e) => fail(&format!("verification failed for {output}: {e}")),
     }
 }

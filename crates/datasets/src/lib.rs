@@ -133,8 +133,8 @@ impl DatasetSpec {
 
     /// Synthesises at the *paper's* full vertex count
     /// ([`Dataset::paper_n`] — 226 413 vertices for dblp): the input of
-    /// the paper-scale Table 3 row and the external-memory snapshot
-    /// builds. Expect seconds of generation time and hundreds of MB of
+    /// the paper-scale Table 3 row (`snapshot_bench --paper-scale`).
+    /// Expect seconds of generation time and hundreds of MB of
     /// working set; the scaled-down sizes stay the default everywhere
     /// latency matters.
     pub fn paper_scale(dataset: Dataset, seed: u64) -> Self {

@@ -174,13 +174,18 @@ impl DeltaLog {
     }
 
     /// Parses a log, verifying header, per-batch counts, pair validity
-    /// and timestamp order; errors carry the offending line number.
+    /// and timestamp order; errors carry the offending line number. A
+    /// log that ends early names its last line (line 1 when empty).
+    ///
+    /// The declared counts come from outside bytes, so nothing is
+    /// pre-sized from them: memory grows only with the lines actually
+    /// read.
     pub fn read<R: Read>(r: R) -> Result<Self, DeltaLogError> {
         let invalid = |line: usize, msg: String| DeltaLogError::Invalid { line, msg };
-        let mut lines = BufReader::new(r).lines();
+        let mut lines = Lines::new(r);
         let header = lines
-            .next()
-            .ok_or_else(|| invalid(1, "empty delta log".into()))??;
+            .next_line()?
+            .ok_or_else(|| invalid(1, "empty delta log".into()))?;
         let mut parts = header.split_whitespace();
         if parts.next() != Some(DELTA_LOG_MAGIC) {
             return Err(invalid(1, format!("not a delta log: {header:?}")));
@@ -200,11 +205,10 @@ impl DeltaLog {
             return Err(invalid(1, "trailing tokens in header".into()));
         }
 
-        let mut batches: Vec<EdgeBatch> = Vec::with_capacity(declared);
-        let mut lineno = 1usize;
-        while let Some(line) = lines.next() {
-            lineno += 1;
-            let line = line?;
+        let mut batches: Vec<EdgeBatch> = Vec::new();
+        let mut last_ts = 0u64;
+        while let Some(line) = lines.next_line()? {
+            let lineno = lines.lineno;
             let mut parts = line.split_whitespace();
             if parts.next() != Some("batch") {
                 return Err(invalid(lineno, format!("expected a batch line: {line:?}")));
@@ -213,29 +217,40 @@ impl DeltaLog {
                 .next()
                 .and_then(|t| t.parse().ok())
                 .ok_or_else(|| invalid(lineno, "invalid batch timestamp".into()))?;
+            if ts < last_ts {
+                return Err(invalid(
+                    lineno,
+                    format!("batch timestamp {ts} decreases below {last_ts}"),
+                ));
+            }
+            last_ts = ts;
             let n_ins: usize = parse_count(parts.next(), '+').map_err(|m| invalid(lineno, m))?;
             let n_del: usize = parse_count(parts.next(), '-').map_err(|m| invalid(lineno, m))?;
             if parts.next().is_some() {
                 return Err(invalid(lineno, "trailing tokens in batch line".into()));
             }
-            let mut inserts = Vec::with_capacity(n_ins);
-            let mut deletes = Vec::with_capacity(n_del);
-            for _ in 0..n_ins + n_del {
+            let n_ops = n_ins
+                .checked_add(n_del)
+                .ok_or_else(|| invalid(lineno, "batch op counts overflow".into()))?;
+            let mut inserts = Vec::new();
+            let mut deletes = Vec::new();
+            for _ in 0..n_ops {
                 let op = lines
-                    .next()
-                    .ok_or_else(|| invalid(lineno, "log ends inside a batch body".into()))?;
-                lineno += 1;
-                let op = op?;
+                    .next_line()?
+                    .ok_or_else(|| invalid(lines.lineno, "log ends inside a batch body".into()))?;
+                let lineno = lines.lineno;
                 let mut parts = op.split_whitespace();
                 let (sign, u, v) = match (parts.next(), parts.next(), parts.next(), parts.next()) {
                     (Some(sign @ ("+" | "-")), Some(u), Some(v), None) => {
-                        let u: u32 = u
-                            .parse()
-                            .map_err(|_| invalid(lineno, format!("invalid vertex {u:?}")))?;
-                        let v: u32 = v
-                            .parse()
-                            .map_err(|_| invalid(lineno, format!("invalid vertex {v:?}")))?;
-                        (sign, u, v)
+                        let vertex = |t: &str| {
+                            t.parse::<u32>()
+                                .ok()
+                                .filter(|&x| (x as usize) < n)
+                                .ok_or_else(|| {
+                                    invalid(lineno, format!("invalid vertex {t:?} for n={n}"))
+                                })
+                        };
+                        (sign, vertex(u)?, vertex(v)?)
                     }
                     _ => return Err(invalid(lineno, format!("malformed op line: {op:?}"))),
                 };
@@ -247,7 +262,7 @@ impl DeltaLog {
             }
             if inserts.len() != n_ins || deletes.len() != n_del {
                 return Err(invalid(
-                    lineno,
+                    lines.lineno,
                     format!(
                         "batch declared +{n_ins} -{n_del} but carries +{} -{}",
                         inserts.len(),
@@ -255,19 +270,20 @@ impl DeltaLog {
                     ),
                 ));
             }
-            let batch = EdgeBatch::new(ts, inserts, deletes).map_err(|m| invalid(lineno, m))?;
+            let batch =
+                EdgeBatch::new(ts, inserts, deletes).map_err(|m| invalid(lines.lineno, m))?;
             batches.push(batch);
         }
         if batches.len() != declared {
             return Err(invalid(
-                lineno,
+                lines.lineno,
                 format!(
                     "header declared {declared} batches, found {}",
                     batches.len()
                 ),
             ));
         }
-        Self::new(n, batches).map_err(|m| invalid(lineno, m))
+        Ok(Self { n, batches })
     }
 
     /// Saves the log to a file path.
@@ -279,6 +295,36 @@ impl DeltaLog {
     /// Loads a log from a file path.
     pub fn load<P: AsRef<Path>>(path: P) -> Result<Self, DeltaLogError> {
         Self::read(std::fs::File::open(path)?)
+    }
+}
+
+/// Newline-split reader that keeps the 1-based number of the last line
+/// returned and turns a line that is not UTF-8 into a typed error at
+/// that line, instead of the untyped I/O error `BufRead::lines` gives.
+struct Lines<R> {
+    inner: std::io::Split<BufReader<R>>,
+    lineno: usize,
+}
+
+impl<R: Read> Lines<R> {
+    fn new(r: R) -> Self {
+        Self {
+            inner: BufReader::new(r).split(b'\n'),
+            lineno: 0,
+        }
+    }
+
+    fn next_line(&mut self) -> Result<Option<String>, DeltaLogError> {
+        let Some(bytes) = self.inner.next().transpose()? else {
+            return Ok(None);
+        };
+        self.lineno += 1;
+        String::from_utf8(bytes)
+            .map(Some)
+            .map_err(|e| DeltaLogError::Invalid {
+                line: self.lineno,
+                msg: format!("line is not valid UTF-8: {e}"),
+            })
     }
 }
 
@@ -345,6 +391,107 @@ mod tests {
         );
         // Vertex-count mismatch is an error.
         assert!(log.replay(&Graph::empty(3)).is_err());
+    }
+
+    /// Reads `bytes`, turning a parser panic into a failure that names
+    /// the input.
+    fn read_unwinding(bytes: &[u8]) -> Result<DeltaLog, DeltaLogError> {
+        std::panic::catch_unwind(|| DeltaLog::read(bytes))
+            .unwrap_or_else(|_| panic!("parser panicked on {:?}", String::from_utf8_lossy(bytes)))
+    }
+
+    fn invalid_line(bytes: &[u8]) -> usize {
+        match read_unwinding(bytes) {
+            Err(DeltaLogError::Invalid { line, .. }) => line,
+            other => panic!("{:?} gave {other:?}", String::from_utf8_lossy(bytes)),
+        }
+    }
+
+    /// Truncation at every line boundary, a bit flip at every byte,
+    /// non-UTF-8 lines and huge declared counts: every case is a typed
+    /// `Invalid` error naming the offending line, and none panics.
+    #[test]
+    fn corruption_campaign_names_the_offending_line() {
+        let mut text = Vec::new();
+        sample().write(&mut text).unwrap();
+        let line_starts: Vec<usize> = std::iter::once(0)
+            .chain(
+                text.iter()
+                    .enumerate()
+                    .filter(|&(_, &b)| b == b'\n')
+                    .map(|(i, _)| i + 1),
+            )
+            .collect();
+        let num_lines = line_starts.len() - 1;
+
+        // A log cut after k whole lines names its last line (line 1
+        // when empty).
+        for (k, &end) in line_starts[..num_lines].iter().enumerate() {
+            assert_eq!(invalid_line(&text[..end]), k.max(1), "cut after {k} lines");
+        }
+
+        // The format has no checksum, so a flip inside a number may
+        // yield another well-formed log, and one that breaks a declared
+        // count or the timestamp order surfaces on a later line. A flip
+        // of any other byte is an error on its own line; a flip of the
+        // final newline to a vertical tab is trailing whitespace.
+        for at in 0..text.len() {
+            let line = line_starts.partition_point(|&s| s <= at);
+            for bit in 0..8 {
+                let mut flipped = text.clone();
+                flipped[at] ^= 1 << bit;
+                match read_unwinding(&flipped) {
+                    Ok(_) => assert!(
+                        text[at].is_ascii_digit() || at == text.len() - 1,
+                        "flip of bit {bit} at byte {at} went undetected"
+                    ),
+                    Err(DeltaLogError::Invalid { line: got, .. }) => {
+                        if text[at].is_ascii_digit() {
+                            assert!((line..=num_lines).contains(&got), "byte {at}: line {got}");
+                        } else {
+                            assert_eq!(got, line, "flip of bit {bit} at byte {at}");
+                        }
+                    }
+                    Err(e) => panic!("flip of bit {bit} at byte {at} gave {e:?}"),
+                }
+            }
+        }
+
+        // A non-UTF-8 byte in the header, a batch line and an op line.
+        for line in 1..=3 {
+            let mut bad = text.clone();
+            bad.insert(line_starts[line - 1] + 1, 0xff);
+            assert_eq!(invalid_line(&bad), line, "0xff in line {line}");
+        }
+
+        // Declared counts far beyond the body must not size anything.
+        let max = u64::MAX;
+        let cases: &[(String, usize)] = &[
+            (format!("OBFUDELTA v1 n=4 batches={max}\n"), 1),
+            (
+                format!("OBFUDELTA v1 n=4 batches={max}\nbatch 1 +1 -0\n+ 0 1\n"),
+                3,
+            ),
+            (
+                format!("OBFUDELTA v1 n=4 batches=1\nbatch 1 +{max} -0\n"),
+                2,
+            ),
+            (
+                format!("OBFUDELTA v1 n=4 batches=1\nbatch 1 +0 -{max}\n- 0 1\n"),
+                3,
+            ),
+            (
+                format!("OBFUDELTA v1 n=4 batches=1\nbatch 1 +{max} -{max}\n+ 0 1\n"),
+                2,
+            ),
+            (
+                format!("OBFUDELTA v1 n=4 batches=1\nbatch 1 +{max}0 -0\n"),
+                2,
+            ),
+        ];
+        for (log, want) in cases {
+            assert_eq!(invalid_line(log.as_bytes()), *want, "log {log:?}");
+        }
     }
 
     #[test]

@@ -28,7 +28,6 @@ pub mod degstats;
 pub mod delta;
 pub mod distance;
 pub mod extras;
-pub mod extsort;
 pub mod generators;
 pub mod graph;
 pub mod hashers;
@@ -44,7 +43,6 @@ pub use degstats::DegreeStats;
 pub use delta::EdgeBatch;
 pub use distance::{exact_distance_distribution, sampled_distance_distribution, DistanceStats};
 pub use extras::{core_numbers, degeneracy, degree_assortativity, pagerank};
-pub use extsort::{ExternalSorter, Record, SortedRecords};
 pub use graph::Graph;
 pub use hashers::{splitmix64, FxBuildHasher, FxHashMap, FxHashSet};
 pub use parallel::{pipeline, stream_seed, Parallelism};

@@ -35,7 +35,6 @@
 // operation must sit in its own `unsafe` block with a SAFETY note.
 #![deny(unsafe_op_in_unsafe_fn)]
 
-pub mod build;
 pub mod degree_dist;
 pub mod estimator;
 pub mod expected;
@@ -50,7 +49,6 @@ pub mod statistics;
 pub mod triangles;
 pub mod world_cache;
 
-pub use build::ExtCsrBuilder;
 pub use degree_dist::{degree_distribution_exact, degree_distribution_normal, DegreeDistMethod};
 pub use estimator::{estimate_statistic, estimate_statistic_par, EstimateSummary};
 pub use expected::{expected_average_degree, expected_degree_variance, expected_num_edges};
@@ -65,9 +63,9 @@ pub use queries::{distance_distribution, knn_majority_distance, reliability};
 pub use sampling::{sample_indexed_world, sample_worlds_par, WorldSampler};
 pub use snapshot::{
     decode_snapshot, decode_snapshot_with_meta, load_snapshot, load_snapshot_with_meta,
-    read_snapshot, save_snapshot, save_snapshot_v3_with_meta, save_snapshot_with_meta,
-    snapshot_bytes, snapshot_bytes_v3, snapshot_bytes_v3_with_meta, snapshot_bytes_with_meta,
-    stored_checksum, write_snapshot, Checksum64, SnapshotError, SnapshotMeta,
+    save_snapshot, save_snapshot_v3_with_meta, save_snapshot_with_meta, snapshot_bytes,
+    snapshot_bytes_v3, snapshot_bytes_v3_with_meta, snapshot_bytes_with_meta, stored_checksum,
+    Checksum64, SnapshotError, SnapshotMeta,
 };
 pub use statistics::{evaluate_uncertain, evaluate_world, StatSuite, UtilityConfig};
 pub use triangles::{

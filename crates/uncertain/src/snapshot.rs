@@ -65,9 +65,8 @@
 //! In v3 the header checksum plays the role of the v1/v2 trailing
 //! checksum for epoch chaining ([`stored_checksum`] reads whichever the
 //! version uses): it covers the section checksums, so it transitively
-//! commits to the whole file, while letting the out-of-core builder
-//! (`crate::build`) stream the sections first and stamp the header
-//! last with one `seek(0)`.
+//! commits to the whole file while staying inside the header page, so
+//! the O(1) open tier can check it without touching a section.
 //!
 //! Every multi-byte value is little-endian; the checksum covers the
 //! header (minus the magic) and the whole payload, so a flipped bit
@@ -83,7 +82,6 @@
 //! an order of magnitude faster than a byte-at-a-time FNV — the
 //! checksum must not dominate the O(bytes) load it protects.
 
-use std::io::{Read, Write};
 use std::path::Path;
 
 use crate::graph::UncertainGraph;
@@ -95,8 +93,8 @@ pub const SNAPSHOT_MAGIC: [u8; 8] = *b"OBFUSNAP";
 /// friends) — the default interchange format.
 pub const SNAPSHOT_VERSION: u32 = 2;
 
-/// Version written by the page-aligned encoders ([`snapshot_bytes_v3`],
-/// `crate::build::ExtCsrBuilder`) — the mmap-servable format.
+/// Version written by the page-aligned encoders ([`snapshot_bytes_v3`]
+/// and friends) — the mmap-servable format.
 pub const SNAPSHOT_VERSION_V3: u32 = 3;
 
 /// The oldest snapshot version the decoder still accepts.
@@ -217,10 +215,11 @@ impl From<std::io::Error> for SnapshotError {
     }
 }
 
-/// Incremental form of [`checksum64`] for writers that stream a region
-/// to disk without ever holding it in RAM (`crate::build`): the total
-/// region length must be known up front (it is folded into the seed),
-/// then bytes arrive in arbitrarily sized [`Checksum64::update`] calls.
+/// Incremental form of [`checksum64`] for callers that checksum a
+/// stream without materialising it (e.g. a digest over a graph's
+/// candidate stream): the total region length must be known up front
+/// (it is folded into the seed), then bytes arrive in arbitrarily sized
+/// [`Checksum64::update`] calls.
 ///
 /// `Checksum64::new(bytes.len()).update(bytes).finish()` is
 /// byte-for-byte equivalent to `checksum64(bytes)` (tested below).
@@ -358,16 +357,9 @@ pub fn snapshot_bytes_with_meta(g: &UncertainGraph, meta: SnapshotMeta) -> Vec<u
     buf
 }
 
-/// Writes the snapshot to a writer.
-pub fn write_snapshot<W: Write>(g: &UncertainGraph, mut writer: W) -> std::io::Result<()> {
-    writer.write_all(&snapshot_bytes(g))?;
-    writer.flush()
-}
-
 /// Saves the snapshot to a file path.
 pub fn save_snapshot<P: AsRef<Path>>(g: &UncertainGraph, path: P) -> std::io::Result<()> {
-    let file = std::fs::File::create(path)?;
-    write_snapshot(g, std::io::BufWriter::new(file))
+    std::fs::write(path, snapshot_bytes(g))
 }
 
 /// Saves an epoch-tagged snapshot, returning the stored checksum so the
@@ -812,13 +804,6 @@ fn decode_snapshot_v3(bytes: &[u8]) -> Result<(UncertainGraph, SnapshotMeta), Sn
         .map(|b| f64::from_bits(u64::from_le_bytes(b.try_into().unwrap())))
         .collect();
     graph_from_csr_arrays(h.n, h.m, offsets, targets, probs).map(|g| (g, h.meta))
-}
-
-/// Reads a snapshot from a reader.
-pub fn read_snapshot<R: Read>(mut reader: R) -> Result<UncertainGraph, SnapshotError> {
-    let mut bytes = Vec::new();
-    reader.read_to_end(&mut bytes)?;
-    decode_snapshot(&bytes)
 }
 
 /// Loads a snapshot from a file path.

@@ -124,10 +124,19 @@ proptest! {
 
     #[test]
     fn snapshot_round_trip_is_identity(ug in arb_uncertain(30)) {
-        use obf_uncertain::snapshot::{decode_snapshot, snapshot_bytes};
+        use obf_uncertain::snapshot::{
+            checksum64, decode_snapshot, snapshot_bytes, snapshot_bytes_v3, stored_checksum,
+        };
         let bytes = snapshot_bytes(&ug);
         let back = decode_snapshot(&bytes).unwrap();
         prop_assert_eq!(&ug, &back);
+        // The v3 page-aligned encoding decodes to the same graph, and its
+        // stored checksum is the header checksum at byte offset 104.
+        let v3 = snapshot_bytes_v3(&ug);
+        prop_assert_eq!(&decode_snapshot(&v3).unwrap(), &ug);
+        let header_checksum = checksum64(&v3[8..104]);
+        prop_assert_eq!(u64::from_le_bytes(v3[104..112].try_into().unwrap()), header_checksum);
+        prop_assert_eq!(stored_checksum(&v3), Some(header_checksum));
         // And TSV → snapshot → load matches the TSV round trip too.
         let mut tsv = Vec::new();
         obf_uncertain::write_uncertain_edge_list(&ug, &mut tsv).unwrap();
