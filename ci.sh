@@ -89,6 +89,15 @@ PY
             || { echo "published release differs between --threads 1 and $t"; exit 1; }
     done
     echo "publish determinism OK: identical release at --threads 1, 2 and 4"
+
+    # The release bytes themselves are pinned too, so a change that moves
+    # every thread count's output in lockstep still fails here.
+    step "publish bytes (sha256 of the seed-7 release)"
+    expected_release_sha="ec7542d2dd895fb06955e7777f28caf99d0031da04f576d61f7950e05c11f71d"
+    release_sha=$(sha256sum "$tmpdir/release_t1.up" | cut -d' ' -f1)
+    [ "$release_sha" = "$expected_release_sha" ] \
+        || { echo "release sha256 drifted from pinned $expected_release_sha: $release_sha"; exit 1; }
+    echo "publish bytes OK: sha256 $release_sha"
 }
 
 serve() {

@@ -276,6 +276,33 @@ pub struct SigmaCandidateStats {
     pub support_skipped_columns: u64,
     /// Trials whose budgeted check exited before resolving every column.
     pub early_exit_trials: u64,
+    /// Wall-clock seconds of each trial phase, summed over the trials.
+    pub phases: TrialPhaseSecs,
+}
+
+/// Wall-clock seconds spent in the four phases of Algorithm 2 trials,
+/// summed over the trials counted. The draw phases run on the calling
+/// thread; the check phases run on whichever thread checks the trial, so
+/// with workers their sum can exceed the elapsed time.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct TrialPhaseSecs {
+    /// Lines 6–12: candidate selection.
+    pub select: f64,
+    /// Lines 13–19: per-pair σ(e) and the perturbation draws.
+    pub perturb: f64,
+    /// Building the trial's uncertain graph and its adversary rows' memo.
+    pub build: f64,
+    /// Line 20: the budgeted Definition 2 check.
+    pub check: f64,
+}
+
+impl std::ops::AddAssign for TrialPhaseSecs {
+    fn add_assign(&mut self, rhs: Self) {
+        self.select += rhs.select;
+        self.perturb += rhs.perturb;
+        self.build += rhs.build;
+        self.check += rhs.check;
+    }
 }
 
 impl SigmaCandidateStats {
@@ -288,7 +315,7 @@ impl SigmaCandidateStats {
 /// Instrumentation of a full Algorithm 1 run — per-candidate timings and
 /// cache/early-exit counters of the σ-search fast path. Every counter is
 /// deterministic for a fixed seed and thread count-independent; only
-/// `secs` varies between runs.
+/// `secs` and `phases` vary between runs.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct SigmaSearchStats {
     /// Vertices of the input graph (the per-table baseline for
@@ -307,6 +334,15 @@ impl SigmaSearchStats {
     /// Total wall-clock seconds across candidates.
     pub fn total_secs(&self) -> f64 {
         self.candidates.iter().map(|c| c.secs).sum()
+    }
+
+    /// Per-phase trial seconds summed across candidates.
+    pub fn phase_secs(&self) -> TrialPhaseSecs {
+        let mut total = TrialPhaseSecs::default();
+        for c in &self.candidates {
+            total += c.phases;
+        }
+        total
     }
 
     /// Total Lemma 1 row evaluations.
@@ -449,6 +485,7 @@ fn generate_in_context(
         stats.columns_evaluated += trial.verdict.columns_evaluated as u64;
         stats.support_skipped_columns += trial.verdict.support_only_failures as u64;
         stats.early_exit_trials += u64::from(trial.verdict.early_exit);
+        stats.phases += trial.phases;
         trials.push(trial.stats);
 
         // Line 21: keep the best trial meeting ε (the earliest on a tie).
@@ -544,18 +581,23 @@ impl TrialSampler {
 
     /// Algorithm 2 lines 6–19 for one trial.
     fn draw(&self, g: &Graph, ctx: &SearchContext, rng: &mut SmallRng) -> TrialDraw {
+        // Phase spans feed only TrialPhaseSecs and their histograms —
+        // wall-clock stats excluded from every digest and equivalence check.
+        let span = obf_obs::Span::start(obf_obs::global(), "obf_core_trial_select_micros");
         // Lines 6–12: select E_C starting from E. A degenerate graph (no
         // sampleable vertices) keeps E_C = E.
         let (ec, removed_edges) = match &self.alias {
             Some(alias) => select_candidates(g, &ctx.base_pairs, self.target_ec, alias, rng),
-            None => (ctx.base_pairs.clone(), 0),
+            None => (ctx.base_pairs.iter().map(|&p| (p, true)).collect(), 0),
         };
+        let select = span.finish_secs();
+        let span = obf_obs::Span::start(obf_obs::global(), "obf_core_trial_perturb_micros");
 
         // Line 14: per-pair σ(e) (Eq. 7), proportional to pair uniqueness.
         let uniq = &self.uniq;
         let pair_uniqueness: Vec<f64> = ec
             .iter()
-            .map(|p| (uniq.of(p.lo()) + uniq.of(p.hi())) / 2.0)
+            .map(|(p, _)| (uniq.of(p.lo()) + uniq.of(p.hi())) / 2.0)
             .collect();
         let uniq_total: f64 = pair_uniqueness.iter().sum();
 
@@ -564,7 +606,7 @@ impl TrialSampler {
         let mut kept_edges = 0usize;
         let mut added_pairs = 0usize;
         let mut candidates: Vec<(u32, u32, f64)> = Vec::with_capacity(ec.len());
-        for (pair, &u_e) in ec.iter().zip(&pair_uniqueness) {
+        for (&(pair, is_edge), &u_e) in ec.iter().zip(&pair_uniqueness) {
             let sigma_e = if uniq_total > 0.0 {
                 (sigma * ec.len() as f64 * u_e / uniq_total).max(1e-12)
             } else {
@@ -575,7 +617,6 @@ impl TrialSampler {
             } else {
                 TruncatedNormal::new(sigma_e).sample(rng)
             };
-            let is_edge = g.has_edge(pair.lo(), pair.hi());
             let p = if is_edge {
                 kept_edges += 1;
                 1.0 - r_e
@@ -590,6 +631,11 @@ impl TrialSampler {
             kept_edges,
             added_pairs,
             removed_edges,
+            phases: TrialPhaseSecs {
+                select,
+                perturb: span.finish_secs(),
+                ..TrialPhaseSecs::default()
+            },
         }
     }
 }
@@ -602,6 +648,8 @@ struct TrialDraw {
     kept_edges: usize,
     added_pairs: usize,
     removed_edges: usize,
+    /// The draw's own phases; the check fills in the other two.
+    phases: TrialPhaseSecs,
 }
 
 /// The deterministic half of one Algorithm 2 trial (line 20): the
@@ -613,6 +661,7 @@ struct CheckedTrial {
     verdict: BudgetedCheck,
     dp_evaluations: u64,
     rows_requested: u64,
+    phases: TrialPhaseSecs,
 }
 
 /// Algorithm 2 line 20 for one drawn trial: ε' = fraction of vertices
@@ -626,9 +675,13 @@ fn check_trial(
     par: &Parallelism,
 ) -> CheckedTrial {
     let n = ctx.profile.num_vertices();
+    let span = obf_obs::Span::start(obf_obs::global(), "obf_core_trial_build_micros");
     let ug = UncertainGraph::new(n, draw.candidates).expect("valid candidate set");
     let mut adv = MemoizedAdversary::new(&ug, params.method, ctx.profile.max_degree(), par);
+    let build = span.finish_secs();
+    let span = obf_obs::Span::start(obf_obs::global(), "obf_core_trial_check_micros");
     let verdict = run_budgeted(&ctx.profile, &mut adv, params.k, params.eps, true, par);
+    let check = span.finish_secs();
     // Satisfying verdicts always carry the exact ε̃ (the budgeted check
     // ran with `need_exact`); aborted failing sweeps report the proven
     // lower bound.
@@ -647,6 +700,11 @@ fn check_trial(
         verdict,
         dp_evaluations,
         rows_requested,
+        phases: TrialPhaseSecs {
+            build,
+            check,
+            ..draw.phases
+        },
     }
 }
 
@@ -654,18 +712,21 @@ fn check_trial(
 /// vertex pair from `Q × Q`; drawing an existing edge removes it (certain
 /// deletion), a non-edge is added as a candidate; stop at `|E_C| =
 /// target`. `base` is `E` in sorted order. Returns the sorted candidate
-/// pairs and the number of removed original edges.
+/// pairs, each flagged with whether it is an edge of `E`, and the number
+/// of removed original edges.
 fn select_candidates(
     g: &Graph,
     base: &[VertexPair],
     target: usize,
     alias: &AliasTable,
     rng: &mut SmallRng,
-) -> (Vec<VertexPair>, usize) {
+) -> (Vec<(VertexPair, bool)>, usize) {
     // E_C = (E \ removed) ∪ added, tracked as the two differences so a
-    // trial never copies E.
+    // trial never copies E. Reaching the target takes at least
+    // `target − |E|` additions.
     let mut removed: FxHashSet<VertexPair> = FxHashSet::default();
-    let mut added: FxHashSet<VertexPair> = FxHashSet::default();
+    let mut added: FxHashSet<VertexPair> =
+        FxHashSet::with_capacity_and_hasher(target.saturating_sub(base.len()), Default::default());
     // Safety valve: the expected number of draws is ~(target - |E|) plus a
     // small correction for collisions; a generous multiple covers skewed Q.
     let max_draws = 200usize
@@ -694,16 +755,17 @@ fn select_candidates(
     }
     let mut added_sorted: Vec<VertexPair> = added.into_iter().collect(); // audit:allow(map-iter, sorted on the next line; nothing order-dependent happens between collect and sort)
     added_sorted.sort_unstable();
-    // Merge the kept base edges with the added non-edges (disjoint sets).
+    // Merge the kept base edges with the added non-edges (disjoint sets);
+    // the merge knows which side each pair came from.
     let mut pairs = Vec::with_capacity(base.len() - removed.len() + added_sorted.len());
     let mut added_sorted = added_sorted.into_iter().peekable();
     for &kept in base.iter().filter(|p| !removed.contains(p)) {
         while let Some(a) = added_sorted.next_if(|a| *a < kept) {
-            pairs.push(a);
+            pairs.push((a, false));
         }
-        pairs.push(kept);
+        pairs.push((kept, true));
     }
-    pairs.extend(added_sorted);
+    pairs.extend(added_sorted.map(|a| (a, false)));
     (pairs, removed.len())
 }
 
@@ -1192,9 +1254,13 @@ mod tests {
                     for seed in 0..6u64 {
                         let mut a = SmallRng::seed_from_u64(seed);
                         let mut b = SmallRng::seed_from_u64(seed);
-                        let got = select_candidates(g, &base, target, &alias, &mut a);
+                        let (got, removed) = select_candidates(g, &base, target, &alias, &mut a);
                         let want = select_candidates_by_clone(g, target, &alias, &mut b);
-                        assert_eq!(got, want, "c={c} seed={seed}");
+                        let got_pairs: Vec<VertexPair> = got.iter().map(|&(p, _)| p).collect();
+                        assert_eq!((got_pairs, removed), want, "c={c} seed={seed}");
+                        for &(p, is_edge) in &got {
+                            assert_eq!(is_edge, g.has_edge(p.lo(), p.hi()), "{p:?} c={c}");
+                        }
                         assert_eq!(a.gen::<u64>(), b.gen::<u64>(), "RNG consumption differs");
                     }
                 }
@@ -1223,6 +1289,7 @@ mod tests {
                 let (res, mut stats) = obfuscate_with_stats(&g, &params).unwrap();
                 for c in &mut stats.candidates {
                     c.secs = 0.0;
+                    c.phases = TrialPhaseSecs::default();
                 }
                 let bits = (res.sigma.to_bits(), res.eps_achieved.to_bits());
                 let steps = (res.doublings, res.search_steps, res.generate_calls);

@@ -49,7 +49,7 @@ pub use adversary::{AdversaryTable, ColumnPartials, DegreeProfile, ObfuscationCh
 pub use algorithm::{
     generate_obfuscation, generate_obfuscation_with_excluded, obfuscate, obfuscate_with_stats,
     GenerateOutcome, ObfuscationError, ObfuscationParams, ObfuscationResult, SearchPhase,
-    SigmaCandidateStats, SigmaSearchStats, TrialStats,
+    SigmaCandidateStats, SigmaSearchStats, TrialPhaseSecs, TrialStats,
 };
 pub use commonness::{CommonnessScores, UniquenessScores, ValueHistogram};
 pub use fastpath::{fail_budget, run_budgeted, BudgetedCheck, MemoizedAdversary};

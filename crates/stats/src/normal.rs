@@ -177,15 +177,6 @@ pub fn norm_inv_cdf(p: f64, mu: f64, sigma: f64) -> f64 {
     mu + sigma * std_norm_inv_cdf(p)
 }
 
-/// Probability that a `N(mu, sigma^2)` variable rounds to the integer `w`,
-/// i.e. `P(w - 1/2 < X <= w + 1/2)` — the continuity-corrected cell
-/// probability the paper uses for the CLT approximation of the degree
-/// distribution (end of Section 4).
-#[inline]
-pub fn norm_cell_prob(w: f64, mu: f64, sigma: f64) -> f64 {
-    (norm_cdf(w + 0.5, mu, sigma) - norm_cdf(w - 0.5, mu, sigma)).max(0.0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -287,20 +278,5 @@ mod tests {
     fn scaled_inv_cdf() {
         let x = norm_inv_cdf(0.975, 10.0, 2.0);
         assert!((x - (10.0 + 2.0 * 1.959_963_984_540_054)).abs() < 1e-8);
-    }
-
-    #[test]
-    fn cell_probs_sum_to_one() {
-        // Sum of continuity-corrected cells over a wide integer range is ~1.
-        let (mu, sigma) = (7.3, 2.1);
-        let total: f64 = (-20..60).map(|w| norm_cell_prob(w as f64, mu, sigma)).sum();
-        assert!((total - 1.0).abs() < 1e-9, "total={total}");
-    }
-
-    #[test]
-    fn cell_prob_nonnegative_tiny_sigma() {
-        let p = norm_cell_prob(5.0, 5.0, 1e-9);
-        assert!((p - 1.0).abs() < 1e-12);
-        assert_eq!(norm_cell_prob(6.0, 5.0, 1e-9), 0.0);
     }
 }

@@ -9,7 +9,7 @@
 //! `E[Δ(d)] = (1/n) Σ_v Pr(d_v = d)`, falls out for free and is used for
 //! Figure 3.
 
-use obf_stats::normal::norm_cell_prob;
+use obf_stats::normal::norm_cdf;
 
 use crate::graph::UncertainGraph;
 
@@ -31,21 +31,10 @@ pub enum DegreeDistMethod {
 
 /// Exact Poisson-binomial probability mass function: `out[j] = Pr(Σ eᵢ = j)`
 /// for independent Bernoulli variables with success probabilities `probs`.
-/// Runs the Lemma 1 recurrence in `O(ℓ²)` time, `O(ℓ)` space.
+/// Runs the Lemma 1 recurrence in `O(ℓ²)` time, `O(ℓ)` space: it is
+/// [`poisson_binomial_capped`] with the cap at the full support.
 pub fn poisson_binomial(probs: &[f64]) -> Vec<f64> {
-    let mut dist = vec![0.0f64; probs.len() + 1];
-    dist[0] = 1.0;
-    for (l, &p) in probs.iter().enumerate() {
-        debug_assert!((0.0..=1.0).contains(&p), "probability {p} out of range");
-        // dist[0..=l] holds the distribution of the first l variables;
-        // update in place from the top to avoid overwriting inputs.
-        for j in (0..=l + 1).rev() {
-            let stay = if j <= l { dist[j] * (1.0 - p) } else { 0.0 };
-            let up = if j > 0 { dist[j - 1] * p } else { 0.0 };
-            dist[j] = stay + up;
-        }
-    }
-    dist
+    poisson_binomial_capped(probs, probs.len())
 }
 
 /// Support-truncated Poisson binomial: the first `min(ℓ, cap) + 1`
@@ -59,6 +48,10 @@ pub fn poisson_binomial(probs: &[f64]) -> Vec<f64> {
 /// path — the Definition 2 check only ever reads `X_v(ω)` at the original
 /// graph's degrees, so `cap = max_deg(G)` while a vertex may have far more
 /// incident candidates in `E_C`.
+///
+/// Each cell is `dist[j]·(1 − p) + dist[j − 1]·p`, with the out-of-range
+/// operand of the two edge cells replaced by a literal `0.0` addend (so a
+/// `-0.0` product rounds to `+0.0` there, exactly as a `0.0` term would).
 ///
 /// # Examples
 ///
@@ -76,10 +69,19 @@ pub fn poisson_binomial_capped(probs: &[f64], cap: usize) -> Vec<f64> {
     dist[0] = 1.0;
     for (l, &p) in probs.iter().enumerate() {
         debug_assert!((0.0..=1.0).contains(&p), "probability {p} out of range");
-        for j in (0..=(l + 1).min(support)).rev() {
-            let stay = if j <= l { dist[j] * (1.0 - p) } else { 0.0 };
-            let up = if j > 0 { dist[j - 1] * p } else { 0.0 };
-            dist[j] = stay + up;
+        let q = 1.0 - p;
+        // dist[0..=l] holds the distribution of the first l variables.
+        // The new top cell reads the old dist[l], so it goes first; the
+        // forward sweep then carries each old dist[j − 1] in `prev`.
+        if l < support {
+            dist[l + 1] = 0.0 + dist[l] * p;
+        }
+        let mut prev = dist[0];
+        dist[0] = prev * q + 0.0;
+        for cell in &mut dist[1..=l.min(support)] {
+            let cur = *cell;
+            *cell = cur * q + prev * p;
+            prev = cur;
         }
     }
     dist
@@ -87,8 +89,12 @@ pub fn poisson_binomial_capped(probs: &[f64], cap: usize) -> Vec<f64> {
 
 /// Continuity-corrected normal approximation of the Poisson binomial:
 /// `out[j] ≈ Pr(Σ eᵢ = j)` using `N(μ, σ²)` with `μ = Σ pᵢ`,
-/// `σ² = Σ pᵢ(1−pᵢ)` (paper Section 4, Eq. 5). Degenerates to a point
-/// mass when `σ² = 0`.
+/// `σ² = Σ pᵢ(1−pᵢ)` (paper Section 4, Eq. 5): cell `j` is
+/// `P(j − 1/2 < X ≤ j + 1/2)`. Degenerates to a point mass when `σ² = 0`.
+///
+/// Adjacent cells share a boundary (`j + 0.5 == (j + 1) − 0.5` exactly in
+/// `f64`), so the CDF is evaluated once per boundary: `ℓ + 2` calls for
+/// `ℓ + 1` cells.
 pub fn normal_cells(probs: &[f64]) -> Vec<f64> {
     let mu: f64 = probs.iter().sum();
     let var: f64 = probs.iter().map(|&p| p * (1.0 - p)).sum();
@@ -101,8 +107,11 @@ pub fn normal_cells(probs: &[f64]) -> Vec<f64> {
     }
     let sigma = var.sqrt();
     let mut out = Vec::with_capacity(len);
+    let mut lo = norm_cdf(-0.5, mu, sigma);
     for j in 0..len {
-        out.push(norm_cell_prob(j as f64, mu, sigma));
+        let hi = norm_cdf(j as f64 + 0.5, mu, sigma);
+        out.push((hi - lo).max(0.0));
+        lo = hi;
     }
     // Renormalise the truncation to the valid support [0, ℓ].
     let total: f64 = out.iter().sum();
@@ -209,6 +218,7 @@ fn accumulate_degree_distribution(g: &UncertainGraph, method: DegreeDistMethod) 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
 
@@ -313,6 +323,56 @@ mod tests {
         }
     }
 
+    /// The Lemma 1 recurrence as first written: one in-place sweep from
+    /// the top per variable, with the out-of-range terms of the edge cells
+    /// picked by branches. The oracle for the branch-free kernel.
+    fn poisson_binomial_capped_oracle(probs: &[f64], cap: usize) -> Vec<f64> {
+        let support = probs.len().min(cap);
+        let mut dist = vec![0.0f64; support + 1];
+        dist[0] = 1.0;
+        for (l, &p) in probs.iter().enumerate() {
+            for j in (0..=(l + 1).min(support)).rev() {
+                let stay = if j <= l { dist[j] * (1.0 - p) } else { 0.0 };
+                let up = if j > 0 { dist[j - 1] * p } else { 0.0 };
+                dist[j] = stay + up;
+            }
+        }
+        dist
+    }
+
+    fn bits(row: &[f64]) -> Vec<u64> {
+        row.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// A probability that is an exact `0.0`, `-0.0` or `1.0` one time in
+    /// four, uniform otherwise.
+    fn arb_prob() -> impl Strategy<Value = f64> {
+        (0usize..12, 0.0f64..=1.0).prop_map(|(pick, p)| match pick {
+            0 => 0.0,
+            1 => -0.0,
+            2 => 1.0,
+            _ => p,
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn branch_free_dp_is_bit_identical_to_the_oracle(
+            probs in proptest::collection::vec(arb_prob(), 0..40)
+        ) {
+            let len = probs.len();
+            for cap in 0..=len + 1 {
+                let got = poisson_binomial_capped(&probs, cap);
+                let want = poisson_binomial_capped_oracle(&probs, cap);
+                prop_assert_eq!(bits(&got), bits(&want), "cap={}", cap);
+            }
+            let full = poisson_binomial(&probs);
+            prop_assert_eq!(bits(&full), bits(&poisson_binomial_capped_oracle(&probs, len)));
+        }
+    }
+
     #[test]
     fn capped_dp_is_bit_identical_prefix() {
         let mut rng = SmallRng::seed_from_u64(7);
@@ -324,8 +384,101 @@ mod tests {
                 let capped = poisson_binomial_capped(&probs, cap);
                 let keep = len.min(cap) + 1;
                 assert_eq!(capped.len(), keep);
-                assert_eq!(capped, full[..keep], "len={len} cap={cap}");
+                assert_eq!(bits(&capped), bits(&full[..keep]), "len={len} cap={cap}");
             }
+        }
+    }
+
+    #[test]
+    fn signed_zero_cells_round_like_the_oracle() {
+        // A -0.0 probability makes every `dist[j - 1] * p` term -0.0; the
+        // edge cells' literal 0.0 addends must still yield +0.0.
+        for probs in [
+            vec![-0.0],
+            vec![-0.0, -0.0, 1.0],
+            vec![1.0, -0.0, 0.0, -0.0],
+            vec![0.0, 1.0, -0.0],
+        ] {
+            for cap in 0..=probs.len() + 1 {
+                assert_eq!(
+                    bits(&poisson_binomial_capped(&probs, cap)),
+                    bits(&poisson_binomial_capped_oracle(&probs, cap)),
+                    "{probs:?} cap={cap}"
+                );
+            }
+        }
+    }
+
+    /// Probability that a `N(mu, sigma^2)` variable rounds to the integer
+    /// `w`, i.e. `P(w - 1/2 < X <= w + 1/2)`, with both boundaries
+    /// evaluated afresh: the oracle for [`normal_cells`]' shared
+    /// boundaries.
+    fn norm_cell_prob(w: f64, mu: f64, sigma: f64) -> f64 {
+        (norm_cdf(w + 0.5, mu, sigma) - norm_cdf(w - 0.5, mu, sigma)).max(0.0)
+    }
+
+    /// [`normal_cells`] with one [`norm_cell_prob`] call per cell.
+    fn normal_cells_oracle(probs: &[f64]) -> Vec<f64> {
+        let mu: f64 = probs.iter().sum();
+        let var: f64 = probs.iter().map(|&p| p * (1.0 - p)).sum();
+        let len = probs.len() + 1;
+        if var <= 1e-300 {
+            let mut out = vec![0.0; len];
+            out[(mu.round() as usize).min(len - 1)] = 1.0;
+            return out;
+        }
+        let sigma = var.sqrt();
+        let mut out: Vec<f64> = (0..len)
+            .map(|j| norm_cell_prob(j as f64, mu, sigma))
+            .collect();
+        let total: f64 = out.iter().sum();
+        if total > 0.0 {
+            for x in &mut out {
+                *x /= total;
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn cell_probs_sum_to_one() {
+        // Sum of continuity-corrected cells over a wide integer range is ~1.
+        let (mu, sigma) = (7.3, 2.1);
+        let total: f64 = (-20..60).map(|w| norm_cell_prob(w as f64, mu, sigma)).sum();
+        assert!((total - 1.0).abs() < 1e-9, "total={total}");
+    }
+
+    #[test]
+    fn cell_prob_nonnegative_tiny_sigma() {
+        let p = norm_cell_prob(5.0, 5.0, 1e-9);
+        assert!((p - 1.0).abs() < 1e-12);
+        assert_eq!(norm_cell_prob(6.0, 5.0, 1e-9), 0.0);
+    }
+
+    #[test]
+    fn shared_boundary_cells_are_bit_identical_to_the_oracle() {
+        let mut rng = SmallRng::seed_from_u64(11);
+        let mut rows: Vec<Vec<f64>> = vec![
+            // σ² ≤ 1e-300: the point mass, at the low, middle and top cell.
+            vec![0.0; 70],
+            [vec![1.0; 40], vec![0.0; 40]].concat(),
+            vec![1.0; 65],
+            // Tiny σ: one probability a hair off 0 or 1, the rest certain.
+            [vec![1.0; 80], vec![1e-12], vec![0.0; 10]].concat(),
+            [vec![1.0 - 1e-9; 3], vec![0.0; 90]].concat(),
+        ];
+        // The CLT rows of the σ-search: 65–300 incident candidates.
+        for len in [65, 66, 100, 129, 200, 257, 300] {
+            rows.push((0..len).map(|_| rng.gen::<f64>()).collect());
+            rows.push((0..len).map(|_| rng.gen::<f64>() * 0.05).collect());
+        }
+        for probs in &rows {
+            assert_eq!(
+                bits(&normal_cells(probs)),
+                bits(&normal_cells_oracle(probs)),
+                "len={}",
+                probs.len()
+            );
         }
     }
 

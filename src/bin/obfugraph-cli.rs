@@ -24,7 +24,7 @@ use std::process::ExitCode;
 
 use obfugraph::baselines::{anonymity_curve, eps_for_k};
 use obfugraph::core::adversary::{vertex_obfuscation_levels, AdversaryTable};
-use obfugraph::core::{obfuscate, ObfuscationParams};
+use obfugraph::core::{obfuscate_with_stats, ObfuscationParams};
 use obfugraph::graph::io::load_edge_list;
 use obfugraph::graph::Parallelism;
 use obfugraph::uncertain::degree_dist::DegreeDistMethod;
@@ -117,7 +117,7 @@ fn cmd_obfuscate(pos: &[String], flags: &HashMap<String, String>) -> Result<(), 
     params.seed = flag(flags, "seed", params.seed)?;
     params.delta = flag(flags, "delta", 1e-6)?;
     params.parallelism = parallelism_flag(flags)?;
-    let res = obfuscate(&loaded.graph, &params).map_err(|e| e.to_string())?;
+    let (res, stats) = obfuscate_with_stats(&loaded.graph, &params).map_err(|e| e.to_string())?;
     eprintln!(
         "(k = {k}, eps = {eps}) satisfied: sigma = {:.6e}, achieved eps = {:.6}, |E_C| = {}",
         res.sigma,
@@ -126,6 +126,16 @@ fn cmd_obfuscate(pos: &[String], flags: &HashMap<String, String>) -> Result<(), 
     );
     save_uncertain_edge_list(&res.graph, output).map_err(|e| e.to_string())?;
     eprintln!("wrote {output}");
+    // Trial phases summed over the whole σ search; the check phases are
+    // summed across the threads that ran them.
+    let phases = stats.phase_secs();
+    eprintln!(
+        "phases select_ms={:.1} perturb_ms={:.1} build_ms={:.1} check_ms={:.1}",
+        phases.select * 1e3,
+        phases.perturb * 1e3,
+        phases.build * 1e3,
+        phases.check * 1e3
+    );
     Ok(())
 }
 
