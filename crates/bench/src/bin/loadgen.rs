@@ -10,13 +10,13 @@
 //! server instead.
 //!
 //! Determinism: before the timed phase, one connection runs a fixed
-//! 64-query probe script (a pure function of the seed) and folds every
-//! `(query, answer)` pair into an FNV digest. Two runs with the same
-//! `--seed` report the bit-identical `answers_digest` — throughput and
-//! latency may differ, the answers may not. `--shards N` serves the
-//! same graph from N event loops in the one server; the digest must not
-//! depend on N, and `--expect-digest` turns a drift into a non-zero
-//! exit.
+//! 64-query probe script (`traffic::PROBE_LEN` queries, a pure function
+//! of the seed) and folds every `(query, answer)` pair into an FNV
+//! digest. Two runs with the same `--seed` report the bit-identical
+//! `answers_digest` — throughput and latency may differ, the answers
+//! may not. `--shards N` serves the same graph from N event loops in
+//! the one server; the digest must not depend on N, and
+//! `--expect-digest` turns a drift into a non-zero exit.
 //!
 //! Observability: `--request-log <path>` makes the in-process server
 //! append an `OBFUREQLOG v1` record per answered request, and
@@ -34,7 +34,7 @@ use std::time::{Duration, Instant};
 use obf_bench::json::Json;
 use obf_bench::traffic::{
     field_f64, mixed_query, parse_duration, percentile_ms, probe_digest, published_graph,
-    scrape_metrics,
+    scrape_metrics, PROBE_LEN,
 };
 use obf_bench::HarnessConfig;
 use obf_obs::metrics::text_value;
@@ -45,7 +45,7 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 const USAGE: &str = "usage:
-  loadgen [--connections 4] [--duration 5s] [--addr host:port] [--probe 64]
+  loadgen [--connections 4] [--duration 5s] [--addr host:port]
           [--shards 1] [--expect-digest <hex>]
           [--open-loop-points 6] [--open-loop-secs 600ms]
           [--request-log <path>] [--replay <log>]
@@ -53,7 +53,6 @@ options:
   --connections <N>        concurrent client connections (default 4)
   --duration <D>           timed-phase length, e.g. 5s / 2.5s / 500ms (default 5s)
   --addr <host:port>       drive an external server instead of an in-process one
-  --probe <N>              probe-script length for the determinism digest (default 64)
   --shards <N>             event loops in the in-process server (default 1);
                            conflicts with --addr
   --expect-digest <hex>    exit non-zero unless answers_digest equals this value
@@ -84,10 +83,6 @@ fn main() {
     let duration = match arg_value("--duration") {
         None => Duration::from_secs(5),
         Some(v) => parse_duration(&v).unwrap_or_else(|| bad_flag("--duration", &v)),
-    };
-    let probe_len = match arg_value("--probe") {
-        None => 64usize,
-        Some(v) => v.parse().unwrap_or_else(|_| bad_flag("--probe", &v)),
     };
     let open_loop_points = match arg_value("--open-loop-points") {
         None => 6usize,
@@ -215,7 +210,6 @@ fn main() {
         |q| probe.request(q).expect("probe request"),
         cfg.seed,
         cfg.worlds,
-        probe_len,
         served_n,
     );
     eprintln!("[probe done: answers_digest = {answers_digest}]");
@@ -389,7 +383,7 @@ fn main() {
                 ("duration_secs", Json::Num(duration.as_secs_f64())),
                 ("seed", Json::from(cfg.seed)),
                 ("worlds", Json::from(cfg.worlds)),
-                ("probe_len", Json::from(probe_len)),
+                ("probe_len", Json::from(PROBE_LEN)),
                 ("open_loop_points", Json::from(open_loop_points)),
                 ("open_loop_secs", Json::Num(open_loop_secs.as_secs_f64())),
                 ("shards", Json::from(shards)),
@@ -723,11 +717,10 @@ fn time_load_paths(g: &UncertainGraph) -> (f64, f64) {
 
 /// Flags that take a value, in either `--name value` or `--name=value`
 /// form (`--threads` belongs to the shared harness).
-const VALUE_FLAGS: [&str; 11] = [
+const VALUE_FLAGS: [&str; 10] = [
     "--connections",
     "--duration",
     "--addr",
-    "--probe",
     "--threads",
     "--shards",
     "--expect-digest",

@@ -3,9 +3,9 @@
 //! digest, and the small scraping/parsing utilities around them.
 //!
 //! The digest contract: [`probe_digest`] is a pure function of
-//! `(seed, worlds, probe_len, served n, the served graph's answers)`.
+//! `(seed, worlds, served n, the served graph's answers)`.
 //! Any way of answering — `ServerState::answer` called directly, the
-//! event loop at any shard count or poller — must produce the same
+//! event loop at any shard count — must produce the same
 //! digest for the same published graph, which is how CI pins "the
 //! transport may change, the answers may not".
 
@@ -60,7 +60,11 @@ pub fn mixed_query(seed: u64, i: usize, worlds: usize, n: u64) -> String {
     }
 }
 
-/// Runs the `probe_len`-query determinism probe through `ask` (one
+/// Length of the determinism probe script. The pinned answers digest
+/// is over exactly this many queries, so it is not configurable.
+pub const PROBE_LEN: usize = 64;
+
+/// Runs the [`PROBE_LEN`]-query determinism probe through `ask` (one
 /// connection's requests, or direct calls into a server state) and
 /// folds every `(query, reply)` pair into an FNV-1a digest. Returns the
 /// 16-hex-digit digest string plus the count of non-`OK` replies (each
@@ -69,12 +73,11 @@ pub fn probe_digest(
     mut ask: impl FnMut(&str) -> String,
     seed: u64,
     worlds: usize,
-    probe_len: usize,
     served_n: u64,
 ) -> (String, usize) {
     let mut digest = 0xcbf2_9ce4_8422_2325u64;
     let mut errors = 0usize;
-    for i in 0..probe_len {
+    for i in 0..PROBE_LEN {
         let q = mixed_query(seed, i, worlds, served_n);
         let reply = ask(&q);
         if !reply.starts_with("OK ") {

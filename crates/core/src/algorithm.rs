@@ -101,18 +101,6 @@ impl ObfuscationParams {
         self
     }
 
-    /// Overrides the candidate multiplier `c`.
-    pub fn with_c(mut self, c: f64) -> Self {
-        self.c = c;
-        self
-    }
-
-    /// Overrides the white-noise level `q`.
-    pub fn with_q(mut self, q: f64) -> Self {
-        self.q = q;
-        self
-    }
-
     /// Overrides the trial count `t`.
     pub fn with_trials(mut self, t: usize) -> Self {
         self.t = t;

@@ -160,7 +160,7 @@ impl EventLoop {
         config: ServerConfig,
     ) -> std::io::Result<Self> {
         listener.set_nonblocking(true)?;
-        let mut poller = Poller::new(config.poller)?;
+        let mut poller = Poller::new()?;
         poller.register(listener.as_raw_fd(), LISTENER, Interest::READ)?;
         poller.register(stop.clapper.as_raw_fd(), BELL, Interest::READ)?;
         Ok(Self {

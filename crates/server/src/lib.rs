@@ -86,7 +86,6 @@ use obf_uncertain::{
 pub use event_loop::BUSY_REPLY;
 pub use obf_uncertain::{Release, WorldStat};
 pub use protocol::{read_frame, write_frame, ExactStat, Request};
-pub use sys::PollerKind;
 
 /// Server tuning knobs.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -103,9 +102,6 @@ pub struct ServerConfig {
     /// Event loops serving the one listener, each on its own thread
     /// (values below 1 count as 1). Answers do not depend on it.
     pub shards: usize,
-    /// Readiness backend for the event loops (epoll on Linux, `poll(2)`
-    /// elsewhere or when forced).
-    pub poller: PollerKind,
     /// Admission control: connections past this limit, counted across
     /// every shard, receive a single `ERR BUSY` frame and are closed.
     pub max_connections: usize,
@@ -132,7 +128,6 @@ impl Default for ServerConfig {
             world_cache_capacity: 256,
             idle_timeout: Some(Duration::from_secs(60)),
             shards: 1,
-            poller: PollerKind::default(),
             max_connections: 4096,
             read_buffer_cap: protocol::MAX_FRAME + 4,
             write_buffer_cap: 256 * 1024,
@@ -218,12 +213,6 @@ pub fn load_published_graph_with_source(
             .map(|g| (g, None, GraphSource::Heap))
             .map_err(|e| e.to_string())
     }
-}
-
-/// [`load_published_graph_with_source`] without the source tag, for
-/// callers that only need the graph.
-pub fn load_published_graph(path: &str) -> Result<(UncertainGraph, Option<SnapshotMeta>), String> {
-    load_published_graph_with_source(path).map(|(g, meta, _)| (g, meta))
 }
 
 /// Per-server state shared by every shard. The published graph lives
@@ -445,7 +434,7 @@ impl ServerState {
     /// Answers one request line from the current release, as a
     /// connection opened just now would: `OK ...` or `ERR ...`. Called
     /// line by line, it is the transport-free transcript every shard
-    /// count and poller must reproduce.
+    /// count must reproduce.
     pub fn answer(&self, line: &str) -> String {
         self.answer_on(&mut self.release(), line)
     }

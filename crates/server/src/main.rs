@@ -4,8 +4,7 @@
 //!
 //! ```text
 //! obf_server <graph.snap|graph.up> [--port 0] [--cache 256] [--idle-timeout 60]
-//!            [--max-conns 4096] [--poller epoll|poll] [--shards 1]
-//!            [--request-log <path>]
+//!            [--max-conns 4096] [--shards 1] [--request-log <path>]
 //! ```
 //!
 //! Prints `LISTENING <addr>` on stdout once bound — scripts scrape this
@@ -16,12 +15,11 @@ use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::Duration;
 
-use obf_server::{load_published_graph_with_source, PollerKind, Server, ServerConfig};
+use obf_server::{load_published_graph_with_source, Server, ServerConfig};
 
 const USAGE: &str = "usage:
   obf_server <graph.snap|graph.up> [--port 0] [--cache 256] [--idle-timeout 60]
-             [--max-conns 4096] [--poller epoll|poll] [--shards 1]
-             [--request-log <path>]
+             [--max-conns 4096] [--shards 1] [--request-log <path>]
 options:
   --port <P>          TCP port to bind on 127.0.0.1 (default 0 = ephemeral)
   --cache <N>         world-cache capacity: how many sampled worlds' STAT
@@ -29,8 +27,6 @@ options:
   --idle-timeout <S>  close connections idle for S seconds (0 = never; default 60)
   --max-conns <N>     admission control: reject connections past N, counted
                       across every shard, with ERR BUSY (default 4096)
-  --poller <B>        readiness backend: epoll (Linux default) or poll; the
-                      OBF_POLLER env var sets the same
   --shards <N>        event loops sharing the listener and the loaded release,
                       one thread each (default 1); answers do not depend on N
   --request-log <F>   append an OBFUREQLOG v1 record per answered request to F
@@ -40,7 +36,9 @@ options:
 The graph file is auto-detected: binary snapshot (OBFUSNAP magic) or
 whitespace-separated `u v p` TSV. Admin commands over the protocol:
 RELOAD <path> swaps in a new release live (connections already open keep
-answering from the release they started on); SHUTDOWN stops every shard.";
+answering from the release they started on); SHUTDOWN stops every shard.
+The readiness backend is fixed at build time: epoll on Linux, poll(2) on
+other Unix systems.";
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -64,10 +62,6 @@ fn run(args: &[String]) -> Result<(), String> {
     let mut port: u16 = 0;
     let mut config = ServerConfig::default();
     let mut it = args.iter();
-    if let Ok(raw) = std::env::var("OBF_POLLER") {
-        config.poller =
-            PollerKind::parse(&raw).ok_or(format!("invalid OBF_POLLER value {raw:?}"))?;
-    }
     while let Some(a) = it.next() {
         match a.as_str() {
             "--port" => {
@@ -96,11 +90,6 @@ fn run(args: &[String]) -> Result<(), String> {
                     .ok()
                     .filter(|&n| n > 0)
                     .ok_or(format!("invalid value {raw:?} for --max-conns"))?;
-            }
-            "--poller" => {
-                let raw = it.next().ok_or("flag --poller needs a value")?;
-                config.poller =
-                    PollerKind::parse(raw).ok_or(format!("invalid value {raw:?} for --poller"))?;
             }
             "--shards" => {
                 let raw = it.next().ok_or("flag --shards needs a value")?;

@@ -4,11 +4,12 @@
 //! The offline workspace has no `mio`/`tokio` (and no `libc` crate), so
 //! this module declares the handful of syscalls it needs directly, in
 //! the same vendored-shim spirit as `vendor/rand`: a [`Poller`] that
-//! multiplexes readiness over many sockets from one thread, implemented
-//! on **epoll** where available (Linux) with a portable **`poll(2)`**
-//! fallback that works on any Unix. The two backends expose the same
-//! level-triggered semantics, and the test suite runs the server
-//! against both ([`PollerKind`]).
+//! multiplexes readiness over many sockets from one thread. The backend
+//! is chosen at build time from the target OS: **epoll**
+//! ([`EpollPoller`]) on Linux, the portable **`poll(2)`**
+//! ([`PollPoller`]) on every other Unix. Both expose the same
+//! level-triggered API; `PollPoller` is compiled everywhere so its
+//! unit tests run on Linux too.
 //!
 //! The shim is deliberately minimal: `register`/`modify`/`deregister`
 //! with a `(token, interest)` pair per descriptor and a `wait` that
@@ -19,33 +20,14 @@ use std::io;
 use std::os::unix::io::RawFd;
 use std::time::Duration;
 
-/// Which readiness syscall backs the [`Poller`]. The default is the
-/// best backend for the platform: epoll on Linux, `poll(2)` elsewhere.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub enum PollerKind {
-    /// Linux `epoll(7)`: O(ready) wait, interest list kept in the
-    /// kernel.
-    #[cfg(target_os = "linux")]
-    #[default]
-    Epoll,
-    /// Portable `poll(2)`: the interest list is rebuilt in userspace on
-    /// every wait — O(registered) per call, but it exists everywhere.
-    #[cfg_attr(not(target_os = "linux"), default)]
-    Poll,
-}
-
-impl PollerKind {
-    /// Parses a backend name (`epoll` / `poll`), as accepted by the
-    /// `--poller` CLI flag and the `OBF_POLLER` environment variable.
-    pub fn parse(s: &str) -> Option<Self> {
-        match s {
-            #[cfg(target_os = "linux")]
-            "epoll" => Some(PollerKind::Epoll),
-            "poll" => Some(PollerKind::Poll),
-            _ => None,
-        }
-    }
-}
+/// The level-triggered readiness multiplexer the event loop runs on:
+/// epoll on Linux.
+#[cfg(target_os = "linux")]
+pub type Poller = EpollPoller;
+/// The level-triggered readiness multiplexer the event loop runs on:
+/// `poll(2)` off Linux.
+#[cfg(not(target_os = "linux"))]
+pub type Poller = PollPoller;
 
 /// What the event loop wants to hear about a descriptor.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -193,92 +175,11 @@ fn timeout_millis(timeout: Option<Duration>) -> i32 {
 }
 
 // ---------------------------------------------------------------------
-// The poller.
+// The backends.
 // ---------------------------------------------------------------------
 
-/// A level-triggered readiness multiplexer over raw descriptors.
-#[derive(Debug)]
-pub enum Poller {
-    #[cfg(target_os = "linux")]
-    Epoll(EpollPoller),
-    Poll(PollPoller),
-}
-
-impl Poller {
-    /// Creates a poller of the given kind.
-    pub fn new(kind: PollerKind) -> io::Result<Poller> {
-        match kind {
-            #[cfg(target_os = "linux")]
-            PollerKind::Epoll => EpollPoller::new().map(Poller::Epoll),
-            PollerKind::Poll => Ok(Poller::Poll(PollPoller::default())),
-        }
-    }
-
-    /// Starts watching `fd` with the given token and interest.
-    pub fn register(&mut self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
-        match self {
-            #[cfg(target_os = "linux")]
-            Poller::Epoll(p) => p.ctl(EPOLL_CTL_ADD, fd, token, interest),
-            Poller::Poll(p) => {
-                p.entries.push(PollEntry {
-                    fd,
-                    token,
-                    interest,
-                });
-                Ok(())
-            }
-        }
-    }
-
-    /// Changes what `fd` is watched for.
-    pub fn modify(&mut self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
-        match self {
-            #[cfg(target_os = "linux")]
-            Poller::Epoll(p) => p.ctl(EPOLL_CTL_MOD, fd, token, interest),
-            Poller::Poll(p) => {
-                for e in &mut p.entries {
-                    if e.fd == fd {
-                        e.token = token;
-                        e.interest = interest;
-                        return Ok(());
-                    }
-                }
-                Err(io::Error::new(
-                    io::ErrorKind::NotFound,
-                    "fd not registered with poll backend",
-                ))
-            }
-        }
-    }
-
-    /// Stops watching `fd`. Must be called *before* the descriptor is
-    /// closed (the poll backend would otherwise keep polling a stale —
-    /// possibly recycled — fd number).
-    pub fn deregister(&mut self, fd: RawFd) -> io::Result<()> {
-        match self {
-            #[cfg(target_os = "linux")]
-            Poller::Epoll(p) => p.ctl(EPOLL_CTL_DEL, fd, 0, Interest::READ),
-            Poller::Poll(p) => {
-                p.entries.retain(|e| e.fd != fd);
-                Ok(())
-            }
-        }
-    }
-
-    /// Blocks until at least one descriptor is ready or the timeout
-    /// elapses, appending readiness reports to `events` (cleared
-    /// first). A `None` timeout blocks indefinitely.
-    pub fn wait(&mut self, events: &mut Vec<Event>, timeout: Option<Duration>) -> io::Result<()> {
-        events.clear();
-        match self {
-            #[cfg(target_os = "linux")]
-            Poller::Epoll(p) => p.wait(events, timeout),
-            Poller::Poll(p) => p.wait(events, timeout),
-        }
-    }
-}
-
-/// `epoll(7)` backend: the interest list lives in the kernel.
+/// `epoll(7)` backend: the interest list lives in the kernel, and a
+/// wait costs O(ready).
 #[cfg(target_os = "linux")]
 #[derive(Debug)]
 pub struct EpollPoller {
@@ -288,7 +189,8 @@ pub struct EpollPoller {
 
 #[cfg(target_os = "linux")]
 impl EpollPoller {
-    fn new() -> io::Result<Self> {
+    /// Creates an empty poller.
+    pub fn new() -> io::Result<Self> {
         // SAFETY: epoll_create1 takes no pointers; it returns a fresh
         // descriptor (owned by this EpollPoller until Drop) or -1.
         let epfd = unsafe { epoll_create1(EPOLL_CLOEXEC) };
@@ -299,6 +201,22 @@ impl EpollPoller {
             epfd,
             buf: vec![EpollEvent { events: 0, data: 0 }; 1024],
         })
+    }
+
+    /// Starts watching `fd` with the given token and interest.
+    pub fn register(&mut self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
+        self.ctl(EPOLL_CTL_ADD, fd, token, interest)
+    }
+
+    /// Changes what `fd` is watched for.
+    pub fn modify(&mut self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
+        self.ctl(EPOLL_CTL_MOD, fd, token, interest)
+    }
+
+    /// Stops watching `fd`. Must be called *before* the descriptor is
+    /// closed.
+    pub fn deregister(&mut self, fd: RawFd) -> io::Result<()> {
+        self.ctl(EPOLL_CTL_DEL, fd, 0, Interest::READ)
     }
 
     fn ctl(&mut self, op: i32, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
@@ -318,7 +236,11 @@ impl EpollPoller {
         }
     }
 
-    fn wait(&mut self, events: &mut Vec<Event>, timeout: Option<Duration>) -> io::Result<()> {
+    /// Blocks until at least one descriptor is ready or the timeout
+    /// elapses, appending readiness reports to `events` (cleared
+    /// first). A `None` timeout blocks indefinitely.
+    pub fn wait(&mut self, events: &mut Vec<Event>, timeout: Option<Duration>) -> io::Result<()> {
+        events.clear();
         let n = loop {
             // SAFETY: the buffer pointer/length describe self.buf's
             // allocation, which outlives the call; the kernel writes at
@@ -368,7 +290,8 @@ struct PollEntry {
 }
 
 /// `poll(2)` backend: the interest list is a userspace vector handed to
-/// the kernel on every wait.
+/// the kernel on every wait — O(registered) per call, but it exists on
+/// every Unix.
 #[derive(Debug, Default)]
 pub struct PollPoller {
     entries: Vec<PollEntry>,
@@ -376,7 +299,49 @@ pub struct PollPoller {
 }
 
 impl PollPoller {
-    fn wait(&mut self, events: &mut Vec<Event>, timeout: Option<Duration>) -> io::Result<()> {
+    /// Creates an empty poller.
+    pub fn new() -> io::Result<Self> {
+        Ok(Self::default())
+    }
+
+    /// Starts watching `fd` with the given token and interest.
+    pub fn register(&mut self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
+        self.entries.push(PollEntry {
+            fd,
+            token,
+            interest,
+        });
+        Ok(())
+    }
+
+    /// Changes what `fd` is watched for.
+    pub fn modify(&mut self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
+        for e in &mut self.entries {
+            if e.fd == fd {
+                e.token = token;
+                e.interest = interest;
+                return Ok(());
+            }
+        }
+        Err(io::Error::new(
+            io::ErrorKind::NotFound,
+            "fd not registered with poll backend",
+        ))
+    }
+
+    /// Stops watching `fd`. Must be called *before* the descriptor is
+    /// closed, or the next wait polls a stale — possibly recycled — fd
+    /// number.
+    pub fn deregister(&mut self, fd: RawFd) -> io::Result<()> {
+        self.entries.retain(|e| e.fd != fd);
+        Ok(())
+    }
+
+    /// Blocks until at least one descriptor is ready or the timeout
+    /// elapses, appending readiness reports to `events` (cleared
+    /// first). A `None` timeout blocks indefinitely.
+    pub fn wait(&mut self, events: &mut Vec<Event>, timeout: Option<Duration>) -> io::Result<()> {
+        events.clear();
         self.fds.clear();
         self.fds.extend(self.entries.iter().map(|e| PollFd {
             fd: e.fd,
@@ -428,114 +393,116 @@ mod tests {
     use std::net::{TcpListener, TcpStream};
     use std::os::unix::io::AsRawFd;
 
-    fn kinds() -> Vec<PollerKind> {
-        #[cfg(target_os = "linux")]
-        {
-            vec![PollerKind::Epoll, PollerKind::Poll]
-        }
-        #[cfg(not(target_os = "linux"))]
-        {
-            vec![PollerKind::Poll]
-        }
+    /// Instantiates the backend tests once per compiled backend, so the
+    /// `poll(2)` fallback — the only backend off Linux — is exercised on
+    /// Linux too.
+    macro_rules! backend_tests {
+        ($($backend:ident: $poller:ty;)*) => {$(
+            mod $backend {
+                use super::*;
+
+                #[test]
+                fn reports_readability() {
+                    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+                    let mut client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+                    let (server, _) = listener.accept().unwrap();
+                    server.set_nonblocking(true).unwrap();
+
+                    let mut poller = <$poller>::new().unwrap();
+                    poller
+                        .register(server.as_raw_fd(), 7, Interest::READ)
+                        .unwrap();
+                    let mut events = Vec::new();
+
+                    // Nothing to read yet: the wait times out empty.
+                    poller
+                        .wait(&mut events, Some(Duration::from_millis(10)))
+                        .unwrap();
+                    assert!(events.is_empty(), "spurious events {events:?}");
+
+                    client.write_all(b"x").unwrap();
+                    poller
+                        .wait(&mut events, Some(Duration::from_millis(1000)))
+                        .unwrap();
+                    assert_eq!(events.len(), 1);
+                    assert_eq!(events[0].token, 7);
+                    assert!(events[0].readable);
+
+                    // Level-triggered: the byte is still there, so
+                    // readiness repeats until consumed.
+                    poller
+                        .wait(&mut events, Some(Duration::from_millis(1000)))
+                        .unwrap();
+                    assert_eq!(events.len(), 1, "should be level-triggered");
+                    let mut buf = [0u8; 8];
+                    let mut sref = &server;
+                    assert_eq!(sref.read(&mut buf).unwrap(), 1);
+                    poller
+                        .wait(&mut events, Some(Duration::from_millis(10)))
+                        .unwrap();
+                    assert!(events.is_empty(), "drained fd still ready");
+                }
+
+                #[test]
+                fn modify_and_deregister_change_the_interest_set() {
+                    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+                    let _client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+                    let (server, _) = listener.accept().unwrap();
+                    server.set_nonblocking(true).unwrap();
+
+                    let mut poller = <$poller>::new().unwrap();
+                    let fd = server.as_raw_fd();
+                    poller.register(fd, 1, Interest::WRITE).unwrap();
+                    let mut events = Vec::new();
+                    // A fresh socket is writable immediately.
+                    poller
+                        .wait(&mut events, Some(Duration::from_millis(1000)))
+                        .unwrap();
+                    assert_eq!(events.len(), 1);
+                    assert!(events[0].writable);
+
+                    // Read-only interest on an empty socket: nothing.
+                    poller.modify(fd, 1, Interest::READ).unwrap();
+                    poller
+                        .wait(&mut events, Some(Duration::from_millis(10)))
+                        .unwrap();
+                    assert!(events.is_empty(), "{events:?}");
+
+                    poller.deregister(fd).unwrap();
+                    poller
+                        .wait(&mut events, Some(Duration::from_millis(10)))
+                        .unwrap();
+                    assert!(events.is_empty(), "events after deregister");
+                }
+
+                #[test]
+                fn hangup_reported_as_readable() {
+                    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+                    let client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+                    let (server, _) = listener.accept().unwrap();
+                    server.set_nonblocking(true).unwrap();
+
+                    let mut poller = <$poller>::new().unwrap();
+                    poller
+                        .register(server.as_raw_fd(), 3, Interest::READ)
+                        .unwrap();
+                    drop(client);
+                    let mut events = Vec::new();
+                    poller
+                        .wait(&mut events, Some(Duration::from_millis(1000)))
+                        .unwrap();
+                    assert_eq!(events.len(), 1);
+                    assert!(events[0].readable, "peer close must wake a read");
+                }
+            }
+        )*};
     }
 
-    #[test]
-    fn reports_readability_on_both_backends() {
-        for kind in kinds() {
-            let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-            let mut client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
-            let (server, _) = listener.accept().unwrap();
-            server.set_nonblocking(true).unwrap();
-
-            let mut poller = Poller::new(kind).unwrap();
-            poller
-                .register(server.as_raw_fd(), 7, Interest::READ)
-                .unwrap();
-            let mut events = Vec::new();
-
-            // Nothing to read yet: the wait times out empty.
-            poller
-                .wait(&mut events, Some(Duration::from_millis(10)))
-                .unwrap();
-            assert!(events.is_empty(), "{kind:?}: spurious events {events:?}");
-
-            client.write_all(b"x").unwrap();
-            poller
-                .wait(&mut events, Some(Duration::from_millis(1000)))
-                .unwrap();
-            assert_eq!(events.len(), 1, "{kind:?}");
-            assert_eq!(events[0].token, 7);
-            assert!(events[0].readable);
-
-            // Level-triggered: the byte is still there, so readiness
-            // repeats until consumed.
-            poller
-                .wait(&mut events, Some(Duration::from_millis(1000)))
-                .unwrap();
-            assert_eq!(events.len(), 1, "{kind:?} should be level-triggered");
-            let mut buf = [0u8; 8];
-            let mut sref = &server;
-            assert_eq!(sref.read(&mut buf).unwrap(), 1);
-            poller
-                .wait(&mut events, Some(Duration::from_millis(10)))
-                .unwrap();
-            assert!(events.is_empty(), "{kind:?}: drained fd still ready");
-        }
+    #[cfg(target_os = "linux")]
+    backend_tests! {
+        epoll: EpollPoller;
     }
-
-    #[test]
-    fn modify_and_deregister_change_the_interest_set() {
-        for kind in kinds() {
-            let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-            let _client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
-            let (server, _) = listener.accept().unwrap();
-            server.set_nonblocking(true).unwrap();
-
-            let mut poller = Poller::new(kind).unwrap();
-            let fd = server.as_raw_fd();
-            poller.register(fd, 1, Interest::WRITE).unwrap();
-            let mut events = Vec::new();
-            // A fresh socket is writable immediately.
-            poller
-                .wait(&mut events, Some(Duration::from_millis(1000)))
-                .unwrap();
-            assert_eq!(events.len(), 1, "{kind:?}");
-            assert!(events[0].writable);
-
-            // Read-only interest on an empty socket: nothing.
-            poller.modify(fd, 1, Interest::READ).unwrap();
-            poller
-                .wait(&mut events, Some(Duration::from_millis(10)))
-                .unwrap();
-            assert!(events.is_empty(), "{kind:?}: {events:?}");
-
-            poller.deregister(fd).unwrap();
-            poller
-                .wait(&mut events, Some(Duration::from_millis(10)))
-                .unwrap();
-            assert!(events.is_empty(), "{kind:?} after deregister");
-        }
-    }
-
-    #[test]
-    fn hangup_reported_as_readable() {
-        for kind in kinds() {
-            let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-            let client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
-            let (server, _) = listener.accept().unwrap();
-            server.set_nonblocking(true).unwrap();
-
-            let mut poller = Poller::new(kind).unwrap();
-            poller
-                .register(server.as_raw_fd(), 3, Interest::READ)
-                .unwrap();
-            drop(client);
-            let mut events = Vec::new();
-            poller
-                .wait(&mut events, Some(Duration::from_millis(1000)))
-                .unwrap();
-            assert_eq!(events.len(), 1, "{kind:?}");
-            assert!(events[0].readable, "{kind:?}: peer close must wake a read");
-        }
+    backend_tests! {
+        poll: PollPoller;
     }
 }

@@ -10,12 +10,12 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use obf_server::protocol::MAX_FRAME;
-use obf_server::{read_frame, Client, PollerKind, Server, ServerConfig};
+use obf_server::{read_frame, Client, Server, ServerConfig};
 use obf_uncertain::UncertainGraph;
 
 use proptest::prelude::*;
 
-fn test_server(poller: PollerKind) -> Server {
+fn test_server() -> Server {
     let g = Arc::new(
         UncertainGraph::new(5, vec![(0, 1, 0.7), (1, 2, 0.4), (2, 3, 0.9), (3, 4, 0.5)]).unwrap(),
     );
@@ -24,7 +24,6 @@ fn test_server(poller: PollerKind) -> Server {
         "127.0.0.1:0",
         ServerConfig {
             world_cache_capacity: 32,
-            poller,
             ..ServerConfig::default()
         },
     )
@@ -56,7 +55,7 @@ proptest! {
         excess in 1u64..u32::MAX as u64 - MAX_FRAME as u64,
         tail in proptest::collection::vec(0u8..=255, 0..64),
     ) {
-        let server = test_server(PollerKind::default());
+        let server = test_server();
         let mut s = raw_stream(&server);
         let len = (MAX_FRAME as u64 + excess) as u32;
         s.write_all(&len.to_le_bytes()).unwrap();
@@ -80,7 +79,7 @@ proptest! {
     ) {
         let pos = poison_at % payload.len();
         payload[pos] = 0xFF; // 0xFF is never valid in UTF-8
-        let server = test_server(PollerKind::default());
+        let server = test_server();
         let mut s = raw_stream(&server);
         s.write_all(&(payload.len() as u32).to_le_bytes()).unwrap();
         s.write_all(&payload).unwrap();
@@ -107,7 +106,7 @@ proptest! {
             String::from_utf8(head).unwrap(),
             String::from_utf8(tail).unwrap()
         );
-        let server = test_server(PollerKind::default());
+        let server = test_server();
         let mut c = Client::connect(server.addr()).unwrap();
         let reply = c.request(&line).unwrap();
         prop_assert!(reply.starts_with("ERR "), "got {reply:?}");
@@ -124,7 +123,7 @@ proptest! {
         declared in 1u32..1024,
         sent_frac in 0u32..100,
     ) {
-        let server = test_server(PollerKind::default());
+        let server = test_server();
         let mut s = raw_stream(&server);
         let sent = (declared as usize * sent_frac as usize / 100).min(declared as usize - 1);
         s.write_all(&declared.to_le_bytes()).unwrap();
@@ -143,7 +142,7 @@ proptest! {
         n_valid in 1usize..8,
         junk in proptest::collection::vec(0u8..=255, 1..64),
     ) {
-        let server = test_server(PollerKind::default());
+        let server = test_server();
         let mut s = raw_stream(&server);
         let mut batch = Vec::new();
         for _ in 0..n_valid {
@@ -171,36 +170,11 @@ proptest! {
     }
 }
 
-/// The same abuse against the portable `poll(2)` backend: the two
-/// pollers must be behaviorally identical at the protocol boundary.
-#[test]
-fn malformed_frames_on_poll_backend() {
-    let server = test_server(PollerKind::Poll);
-    // Oversized prefix → ERR + close.
-    let mut s = raw_stream(&server);
-    s.write_all(&u32::MAX.to_le_bytes()).unwrap();
-    let reply = read_frame(&mut s).unwrap().unwrap();
-    assert!(reply.starts_with("ERR "), "{reply}");
-    assert_eq!(read_frame(&mut s).unwrap(), None);
-    // Non-UTF-8 → ERR, connection survives.
-    let mut s = raw_stream(&server);
-    s.write_all(&2u32.to_le_bytes()).unwrap();
-    s.write_all(&[0xC3, 0x28]).unwrap(); // invalid 2-byte sequence
-    let reply = read_frame(&mut s).unwrap().unwrap();
-    assert!(reply.starts_with("ERR "), "{reply}");
-    s.write_all(&4u32.to_le_bytes()).unwrap();
-    s.write_all(b"PING").unwrap();
-    assert_eq!(read_frame(&mut s).unwrap().as_deref(), Some("OK pong"));
-    assert!(server.state().protocol_errors() >= 2);
-    assert_alive(&server);
-    server.shutdown();
-}
-
 /// A zero-length frame is a well-formed frame carrying an empty line —
 /// answered `ERR empty request`, connection intact.
 #[test]
 fn empty_frame_is_an_empty_request() {
-    let server = test_server(PollerKind::default());
+    let server = test_server();
     let mut s = raw_stream(&server);
     s.write_all(&0u32.to_le_bytes()).unwrap();
     let reply = read_frame(&mut s).unwrap().unwrap();
@@ -216,7 +190,7 @@ fn empty_frame_is_an_empty_request() {
 /// arrive together).
 #[test]
 fn length_prefix_split_across_packets() {
-    let server = test_server(PollerKind::default());
+    let server = test_server();
     let mut s = raw_stream(&server);
     let frame: Vec<u8> = 4u32.to_le_bytes().iter().chain(b"PING").copied().collect();
     for b in frame {

@@ -1,8 +1,8 @@
 //! Observability neutrality: metrics, spans, and the request log are
 //! strictly read-only taps on the answer path. The same query script
 //! must produce the transcript of `ServerState::answer` called line by
-//! line, byte for byte, with the request log on or off, on every poller
-//! backend and shard count, and scraping `METRICS` mid-stream must not
+//! line, byte for byte, with the request log on or off, at every shard
+//! count, and scraping `METRICS` mid-stream must not
 //! perturb a single answer byte. This is the test-level twin of the
 //! `ci.sh serve` digest gate (pinned `answers_digest` with
 //! `--request-log` enabled).
@@ -10,7 +10,7 @@
 use std::path::PathBuf;
 use std::sync::Arc;
 
-use obf_server::{Client, PollerKind, Server, ServerConfig, ServerState};
+use obf_server::{Client, Server, ServerConfig, ServerState};
 use obf_uncertain::UncertainGraph;
 
 use rand::rngs::SmallRng;
@@ -51,11 +51,10 @@ fn scratch(tag: &str) -> PathBuf {
     dir.join(tag)
 }
 
-fn config(poller: PollerKind, shards: usize, request_log: Option<PathBuf>) -> ServerConfig {
+fn config(shards: usize, request_log: Option<PathBuf>) -> ServerConfig {
     ServerConfig {
         world_cache_capacity: 256,
         shards,
-        poller,
         request_log,
         ..ServerConfig::default()
     }
@@ -78,17 +77,13 @@ fn transcript_with(config: ServerConfig) -> Vec<String> {
 }
 
 #[test]
-fn request_log_is_transcript_neutral_on_every_backend() {
+fn request_log_is_transcript_neutral_at_every_shard_count() {
     let direct = direct_transcript();
-    for (tag, poller, shards) in [
-        ("default_1", PollerKind::default(), 1),
-        ("poll_1", PollerKind::Poll, 1),
-        ("default_4", PollerKind::default(), 4),
-    ] {
-        let off = transcript_with(config(poller, shards, None));
+    for (tag, shards) in [("shards_1", 1), ("shards_4", 4)] {
+        let off = transcript_with(config(shards, None));
         assert_eq!(off, direct, "the event loop changed an answer under {tag}");
         let log_path = scratch(tag);
-        let on = transcript_with(config(poller, shards, Some(log_path.clone())));
+        let on = transcript_with(config(shards, Some(log_path.clone())));
         assert_eq!(on, direct, "request log changed an answer under {tag}");
 
         // The log really was written: header plus one record per request.
@@ -108,7 +103,7 @@ fn metrics_scrapes_do_not_perturb_answers() {
     let server = Server::bind_with(
         published_graph(40, 1),
         "127.0.0.1:0",
-        config(PollerKind::default(), 2, Some(scratch("scrape_noisy"))),
+        config(2, Some(scratch("scrape_noisy"))),
     )
     .unwrap();
     let mut c = Client::connect(server.addr()).unwrap();
@@ -130,12 +125,7 @@ fn metrics_scrapes_do_not_perturb_answers() {
 
 #[test]
 fn metrics_snapshot_counts_match_the_script() {
-    let server = Server::bind_with(
-        published_graph(40, 1),
-        "127.0.0.1:0",
-        config(PollerKind::default(), 1, None),
-    )
-    .unwrap();
+    let server = Server::bind_with(published_graph(40, 1), "127.0.0.1:0", config(1, None)).unwrap();
     let mut c = Client::connect(server.addr()).unwrap();
     for i in 0..SCRIPT_LEN {
         c.request(&query(i)).unwrap();

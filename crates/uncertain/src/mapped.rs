@@ -58,7 +58,7 @@ impl MappedSnapshot {
     /// (non-Unix targets) and with [`SnapshotError::Invalid`] on
     /// big-endian hosts, where the zero-copy view cannot exist; callers
     /// should fall back to the heap decoder in both cases, as
-    /// `obf_server::load_published_graph` does.
+    /// `obf_server::load_published_graph_with_source` does.
     pub fn open<P: AsRef<Path>>(path: P) -> Result<Self, SnapshotError> {
         let this = Self::open_trusted(path)?;
         this.verify_structure()?;

@@ -3,14 +3,15 @@
 //! statistics, or audit its anonymity levels.
 //!
 //! ```text
-//! obfugraph-cli obfuscate <edges.txt> <out.up> --k 20 --eps 0.01 [--c 2] [--q 0.01] [--seed 7] [--threads N]
+//! obfugraph-cli obfuscate <edges.txt> <out.up> --k 20 --eps 0.01 [--c 2] [--q 0.01] [--seed 3061] [--threads N]
 //! obfugraph-cli evaluate  <graph.up> [--worlds 50] [--seed 7] [--threads N]
 //! obfugraph-cli audit     <edges.txt> <graph.up> [--k 20] [--threads N]
 //! ```
 //!
 //! Edge lists are `u v` lines; uncertain graphs (`.up`) are `u v p` lines
 //! (both accept `#` comments). Flags use simple `--name value` parsing so
-//! the binary stays dependency-free.
+//! the binary stays dependency-free; a flag the subcommand does not take
+//! is an error.
 //!
 //! `--threads` sets the worker threads (default: all hardware threads).
 //! `obfuscate` spends them across the trials of each σ: the main thread
@@ -47,7 +48,7 @@ fn main() -> ExitCode {
 }
 
 const USAGE: &str = "usage:
-  obfugraph-cli obfuscate <edges.txt> <out.up> --k <K> --eps <EPS> [--c 2] [--q 0.01] [--seed 7] [--delta 1e-6] [--threads N]
+  obfugraph-cli obfuscate <edges.txt> <out.up> --k <K> --eps <EPS> [--c 2] [--q 0.01] [--seed 3061] [--delta 1e-6] [--threads N]
   obfugraph-cli evaluate  <graph.up> [--worlds 50] [--seed 7] [--threads N]
   obfugraph-cli audit     <edges.txt> <graph.up> [--k 20] [--threads N]";
 
@@ -59,12 +60,36 @@ fn parallelism_flag(flags: &HashMap<String, String>) -> Result<Parallelism, Stri
 
 fn run(args: &[String]) -> Result<(), String> {
     let (positional, flags) = parse_args(args)?;
-    match positional.first().map(String::as_str) {
-        Some("obfuscate") => cmd_obfuscate(&positional[1..], &flags),
-        Some("evaluate") => cmd_evaluate(&positional[1..], &flags),
-        Some("audit") => cmd_audit(&positional[1..], &flags),
-        Some(other) => Err(format!("unknown command {other:?}")),
-        None => Err("missing command".into()),
+    let Some(command) = positional.first() else {
+        return Err("missing command".into());
+    };
+    check_flags(command, &flags)?;
+    match command.as_str() {
+        "obfuscate" => cmd_obfuscate(&positional[1..], &flags),
+        "evaluate" => cmd_evaluate(&positional[1..], &flags),
+        "audit" => cmd_audit(&positional[1..], &flags),
+        other => Err(format!("unknown command {other:?}")),
+    }
+}
+
+/// Rejects any flag `command` does not take, so a misspelt parameter
+/// (`--esp` for `--eps`) is an error instead of a silent default.
+fn check_flags(command: &str, flags: &HashMap<String, String>) -> Result<(), String> {
+    let known: &[&str] = match command {
+        "obfuscate" => &["k", "eps", "c", "q", "seed", "delta", "threads"],
+        "evaluate" => &["worlds", "seed", "threads"],
+        "audit" => &["k", "threads"],
+        _ => return Ok(()), // `run` rejects the command itself
+    };
+    let mut unknown: Vec<&str> = flags
+        .keys()
+        .map(String::as_str)
+        .filter(|name| !known.contains(name))
+        .collect();
+    unknown.sort_unstable();
+    match unknown.first() {
+        Some(name) => Err(format!("unknown flag --{name} for {command}")),
+        None => Ok(()),
     }
 }
 
@@ -230,6 +255,39 @@ mod tests {
             .map(|s| s.to_string())
             .collect();
         assert!(parse_args(&args).is_err());
+    }
+
+    fn args(words: &[&str]) -> Vec<String> {
+        words.iter().map(|s| s.to_string()).collect()
+    }
+
+    #[test]
+    fn flag_a_subcommand_does_not_take_is_rejected() {
+        let typo = args(&["obfuscate", "g.txt", "out.up", "--k", "2", "--esp", "0.5"]);
+        let err = run(&typo).unwrap_err();
+        assert!(err.contains("unknown flag --esp"), "{err}");
+        let foreign = args(&["audit", "g.txt", "out.up", "--worlds", "5"]);
+        let err = run(&foreign).unwrap_err();
+        assert!(err.contains("unknown flag --worlds"), "{err}");
+    }
+
+    #[test]
+    fn scripted_flags_are_accepted() {
+        // What perfbench and the CI publish-determinism step pass.
+        let (_, flags) = parse_args(&args(&[
+            "--k",
+            "10",
+            "--eps",
+            "0.05",
+            "--seed",
+            "7",
+            "--threads",
+            "4",
+        ]))
+        .unwrap();
+        check_flags("obfuscate", &flags).unwrap();
+        let (_, flags) = parse_args(&args(&["--k", "10"])).unwrap();
+        check_flags("audit", &flags).unwrap();
     }
 
     #[test]
