@@ -9,7 +9,7 @@
 #   ./ci.sh test       # debug tests + docs only
 #   ./ci.sh release    # release build + bench compile + determinism matrix
 #   ./ci.sh serve      # obf_server tests + shard reload + loadgen smoke + digest check
-#   ./ci.sh evolve     # obf_evolve tests + republish bench smoke + digest check
+#   ./ci.sh evolve     # obf_evolve tests + republish bench smoke + pinned digest check
 #   ./ci.sh snapshot   # snapshot/mapped suites, TSV -> v3 convert round trip, mmap-vs-heap digest
 #   ./ci.sh analyze    # obf_audit static analysis (deny-clean) + pedantic clippy on engine crates
 set -euo pipefail
@@ -189,7 +189,14 @@ evolve() {
     OBF_FAST=1 ./target/release/republish --batches 4
     test -s results/BENCH_evolve.json \
         || { echo "republish did not emit results/BENCH_evolve.json"; exit 1; }
+    # Pinned like the answers digest: a change to the sigma trajectory,
+    # the rows recomputed or the snapshot checksums must be deliberate.
+    expected_evolve_digest="dee96c901db21275"
     digest1=$(grep evolve_digest results/BENCH_evolve.json)
+    case "$digest1" in
+        *"$expected_evolve_digest"*) ;;
+        *) echo "evolve digest drifted from pinned $expected_evolve_digest: $digest1"; exit 1 ;;
+    esac
 
     # Evolve determinism: the same seed must reproduce the same sigma
     # trajectory, rows-recomputed counts and snapshot checksums bit for

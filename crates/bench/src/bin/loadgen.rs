@@ -687,7 +687,8 @@ fn time_load_paths(g: &UncertainGraph) -> (f64, f64) {
     let tsv_path = dir.join("published.up");
     let snap_path = dir.join("published.snap");
     obf_uncertain::save_uncertain_edge_list(g, &tsv_path).expect("write TSV");
-    obf_uncertain::save_snapshot(g, &snap_path).expect("write snapshot");
+    obf_uncertain::save_snapshot(g, obf_uncertain::SnapshotMeta::default(), &snap_path)
+        .expect("write snapshot");
     const PER_BATCH: usize = 10;
     let mut tsv_best = f64::INFINITY;
     let mut snap_best = f64::INFINITY;
@@ -700,7 +701,7 @@ fn time_load_paths(g: &UncertainGraph) -> (f64, f64) {
         tsv_best = tsv_best.min(t0.elapsed().as_secs_f64() / PER_BATCH as f64);
         let t0 = Instant::now();
         for _ in 0..PER_BATCH {
-            let loaded = obf_uncertain::load_snapshot(&snap_path).expect("load snapshot");
+            let (loaded, _) = obf_uncertain::load_snapshot(&snap_path).expect("load snapshot");
             assert_eq!(loaded.num_candidates(), g.num_candidates());
         }
         snap_best = snap_best.min(t0.elapsed().as_secs_f64() / PER_BATCH as f64);
@@ -710,7 +711,7 @@ fn time_load_paths(g: &UncertainGraph) -> (f64, f64) {
         &obf_uncertain::load_uncertain_edge_list(&tsv_path, 0).unwrap(),
         g
     );
-    assert_eq!(&obf_uncertain::load_snapshot(&snap_path).unwrap(), g);
+    assert_eq!(&obf_uncertain::load_snapshot(&snap_path).unwrap().0, g);
     std::fs::remove_dir_all(&dir).ok();
     (tsv_best, snap_best.max(1e-9))
 }

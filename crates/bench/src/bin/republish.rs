@@ -14,8 +14,9 @@
 //!    Algorithm 1 (`σ_init = 1`); the wall-clock ratio and the
 //!    generate-call gap are the headline numbers.
 //! 3. **Live reload** — every release is written as an epoch-chained
-//!    v2 snapshot; an in-process `obf_server` serves mixed traffic from
-//!    concurrent connections while each snapshot is `RELOAD`ed in turn,
+//!    snapshot; an in-process `obf_server` serves mixed traffic from
+//!    concurrent connections while each snapshot is `RELOAD`ed in turn
+//!    (and served by mmap),
 //!    recording reload latency and asserting zero dropped connections
 //!    and zero protocol errors; the server is stopped over the wire
 //!    with `SHUTDOWN`.
@@ -36,7 +37,7 @@ use obf_datasets::{evolving_dataset, Dataset};
 use obf_evolve::{DeltaLog, EvolveParams, RepublishReport, Republisher};
 use obf_obs::metrics::text_value;
 use obf_server::{Client, Server};
-use obf_uncertain::{snapshot, SnapshotMeta, UncertainGraph};
+use obf_uncertain::{SnapshotMeta, UncertainGraph};
 
 const USAGE: &str = "usage:
   republish [--batches 10] [--churn 0.01] [--k 20] [--eps 0.01] [--headroom 1.5]
@@ -157,7 +158,7 @@ fn main() {
             epoch: epoch as u64,
             parent_checksum,
         };
-        parent_checksum = snapshot::save_snapshot_with_meta(p, meta, &path).expect("save snapshot");
+        parent_checksum = obf_uncertain::save_snapshot(p, meta, &path).expect("save snapshot");
         digest.u64(parent_checksum);
         snapshot_paths.push(path);
     }

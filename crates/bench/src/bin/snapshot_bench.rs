@@ -1,10 +1,10 @@
-//! Snapshot serving benchmark: measures heap-decode load time (v2)
-//! against mmap open time (v3) across graph sizes — the claim under
-//! test is that v3 open time is ~independent of graph size while heap
-//! loads grow linearly — and proves the two stores answer
-//! bit-identically by digesting the candidate stream of both. Writes
-//! `results/BENCH_snapshot.json` (nightly artifact; field meanings in
-//! docs/OPERATIONS.md).
+//! Snapshot serving benchmark: measures heap-decode load time against
+//! mmap open time of the same snapshot file across graph sizes — the
+//! claim under test is that mmap open time is ~independent of graph
+//! size while heap loads grow linearly — and proves the two stores
+//! answer bit-identically by digesting the candidate stream of both.
+//! Writes `results/BENCH_snapshot.json` (nightly artifact; field
+//! meanings in docs/OPERATIONS.md).
 //!
 //! `--paper-scale` additionally synthesises dblp at the paper's full
 //! 226 413 vertices, runs one Table 3 cell (k=20, ε=1e-2) of
@@ -17,10 +17,7 @@ use obf_bench::experiments::obfuscate_with_fallback_stats;
 use obf_bench::json::Json;
 use obf_bench::HarnessConfig;
 use obf_datasets::{dblp_like, Dataset, DatasetSpec};
-use obf_uncertain::{
-    load_snapshot, save_snapshot_v3_with_meta, save_snapshot_with_meta, SnapshotMeta,
-    UncertainGraph,
-};
+use obf_uncertain::{load_snapshot, save_snapshot, SnapshotMeta, UncertainGraph};
 
 /// Digest of the candidate stream: the exact bytes every
 /// order-dependent consumer (RNG stream, expectation sums, TSV dumps)
@@ -53,16 +50,12 @@ fn uncertain_dblp(n: usize, seed: u64) -> UncertainGraph {
 fn bench_one_size(n: usize, seed: u64, dir: &std::path::Path) -> Json {
     let g = uncertain_dblp(n, seed);
     let m = g.num_candidates();
-    let meta = SnapshotMeta::default();
-    let v2_path = dir.join(format!("bench_{n}.v2.snap"));
     let v3_path = dir.join(format!("bench_{n}.v3.snap"));
-    save_snapshot_with_meta(&g, meta, &v2_path).expect("write v2");
-    save_snapshot_v3_with_meta(&g, meta, &v3_path).expect("write v3");
-    let v2_bytes = std::fs::metadata(&v2_path).unwrap().len();
+    save_snapshot(&g, SnapshotMeta::default(), &v3_path).expect("write v3");
     let v3_bytes = std::fs::metadata(&v3_path).unwrap().len();
 
     let t = Instant::now();
-    let heap = load_snapshot(&v2_path).expect("heap load");
+    let (heap, _) = load_snapshot(&v3_path).expect("heap load");
     let heap_secs = t.elapsed().as_secs_f64();
 
     // The O(1) tier: header page only, the size-independent open cost
@@ -87,7 +80,6 @@ fn bench_one_size(n: usize, seed: u64, dir: &std::path::Path) -> Json {
         "mmap-served candidates diverge from heap at n={n}"
     );
 
-    std::fs::remove_file(&v2_path).ok();
     std::fs::remove_file(&v3_path).ok();
     eprintln!(
         "n={n} m={m}: heap_load={heap_secs:.6}s mmap_open={mmap_secs:.6}s \
@@ -97,7 +89,6 @@ fn bench_one_size(n: usize, seed: u64, dir: &std::path::Path) -> Json {
     let mut fields = vec![
         ("n", Json::from(n)),
         ("candidates", Json::from(m)),
-        ("v2_bytes", Json::from(v2_bytes as usize)),
         ("v3_bytes", Json::from(v3_bytes as usize)),
         ("heap_load_secs", Json::Num(heap_secs)),
         ("mmap_open_secs", Json::Num(mmap_secs)),
@@ -106,7 +97,7 @@ fn bench_one_size(n: usize, seed: u64, dir: &std::path::Path) -> Json {
         ("digest_match", Json::Bool(true)),
     ];
     if let Some(s) = trusted_secs {
-        fields.insert(6, ("mmap_open_trusted_secs", Json::Num(s)));
+        fields.insert(5, ("mmap_open_trusted_secs", Json::Num(s)));
     }
     Json::obj(fields)
 }
@@ -125,7 +116,7 @@ fn open_v3(path: &std::path::Path) -> (f64, UncertainGraph, &'static str) {
     #[allow(unreachable_code)]
     {
         let t = Instant::now();
-        let g = load_snapshot(path).expect("heap load of v3");
+        let (g, _) = load_snapshot(path).expect("heap load of v3");
         (t.elapsed().as_secs_f64(), g, "heap")
     }
 }
@@ -178,7 +169,7 @@ fn main() {
             Ok((res, stats, c_used)) => {
                 let published_path = dir.join("dblp_paper.v3.snap");
                 let t = Instant::now();
-                save_snapshot_v3_with_meta(&res.graph, SnapshotMeta::default(), &published_path)
+                save_snapshot(&res.graph, SnapshotMeta::default(), &published_path)
                     .expect("paper-scale v3 write");
                 let build_secs = t.elapsed().as_secs_f64();
                 let v3_bytes = std::fs::metadata(&published_path).unwrap().len();

@@ -1,16 +1,16 @@
-//! Converts a published graph to a v3 snapshot: TSV or snapshot
-//! v1/v2/v3 in, snapshot v3 out (see docs/FORMATS.md for the byte-level
-//! specs). `--verify` re-opens the written file and checks it decodes
-//! back to the input graph.
+//! Converts a published graph to a snapshot: TSV or snapshot in,
+//! snapshot out (see docs/FORMATS.md for the byte-level spec).
+//! `--verify` re-opens the written file and checks it decodes back to
+//! the input graph.
 
 use obf_server::load_published_graph_with_source;
-use obf_uncertain::{save_snapshot_v3_with_meta, UncertainGraph};
+use obf_uncertain::{save_snapshot, UncertainGraph};
 
 const USAGE: &str = "\
 usage: snapshot_convert <input> <output> [options]
-  input: TSV (`u v p` lines) or snapshot v1/v2/v3; format is sniffed
+  input: TSV (`u v p` lines) or snapshot v3; format is sniffed
 options:
-  --format v3        output snapshot version (v3 is the only one written)
+  --format v3        output snapshot version (v3, the only snapshot format)
   --verify           re-open the output and check it matches the input
   --help, -h         print this help and exit";
 
@@ -57,7 +57,7 @@ fn main() {
         meta.epoch
     );
 
-    let checksum = save_snapshot_v3_with_meta(&graph, meta, output)
+    let checksum = save_snapshot(&graph, meta, output)
         .unwrap_or_else(|e| fail(&format!("cannot write {output}: {e}")));
     let bytes = std::fs::metadata(output).map(|m| m.len()).unwrap_or(0);
     println!("wrote {output}: format=v3 bytes={bytes} checksum={checksum:#018x}");
@@ -84,7 +84,7 @@ fn verify_output(output: &str) -> UncertainGraph {
     }
     #[cfg(not(all(unix, target_endian = "little")))]
     match obf_uncertain::load_snapshot(output) {
-        Ok(g) => g,
+        Ok((g, _)) => g,
         Err(e) => fail(&format!("verification failed for {output}: {e}")),
     }
 }

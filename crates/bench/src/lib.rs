@@ -104,13 +104,15 @@ impl HarnessConfig {
     /// Malformed values are reported as `Err` rather than panics.
     pub fn try_from_env() -> Result<Self, String> {
         let fast = std::env::var("OBF_FAST").is_ok_and(|v| v != "0" && !v.is_empty());
-        let scale = env_f64("OBF_SCALE", if fast { 0.1 } else { 1.0 });
-        let worlds = env_usize("OBF_WORLDS", if fast { 10 } else { 100 });
-        let delta = env_f64("OBF_DELTA", if fast { 1e-3 } else { 1e-6 });
-        let seed = env_u64("OBF_SEED", 0xC0FFEE);
-        let threads = arg_usize("--threads")?
-            .unwrap_or_else(|| env_usize("OBF_THREADS", Parallelism::available().threads()))
-            .max(1);
+        let scale = env_or("OBF_SCALE", if fast { 0.1 } else { 1.0 })?;
+        let worlds = env_or("OBF_WORLDS", if fast { 10 } else { 100 })?;
+        let delta = env_or("OBF_DELTA", if fast { 1e-3 } else { 1e-6 })?;
+        let seed = env_or("OBF_SEED", 0xC0FFEE)?;
+        let threads = match arg_usize("--threads")? {
+            Some(t) => t,
+            None => env_or("OBF_THREADS", Parallelism::available().threads())?,
+        }
+        .max(1);
         Ok(Self {
             scale,
             worlds,
@@ -194,25 +196,18 @@ fn parse_arg_usize(args: &[String], name: &str) -> Result<Option<usize>, String>
     Ok(None)
 }
 
-fn env_f64(key: &str, default: f64) -> f64 {
-    std::env::var(key)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
-
-fn env_usize(key: &str, default: usize) -> usize {
-    std::env::var(key)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
-
-fn env_u64(key: &str, default: u64) -> u64 {
-    std::env::var(key)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
+/// `key` from the environment, parsed, or `default` when it is unset.
+/// A set-but-unparseable value is an `Err` naming the variable, for the
+/// same reason as a bad flag: `OBF_SCALE=1.0x` must not quietly run at
+/// the default scale.
+fn env_or<T: std::str::FromStr>(key: &str, default: T) -> Result<T, String> {
+    match std::env::var(key) {
+        Err(std::env::VarError::NotPresent) => Ok(default),
+        Ok(raw) => raw
+            .parse()
+            .map_err(|_| format!("invalid value {raw:?} for {key}")),
+        Err(e) => Err(format!("invalid value for {key}: {e}")),
+    }
 }
 
 /// Directory for TSV outputs (created on demand).
@@ -250,9 +245,9 @@ mod tests {
 
     #[test]
     fn env_parsing_defaults() {
-        assert_eq!(env_f64("OBF_DOES_NOT_EXIST", 2.5), 2.5);
-        assert_eq!(env_usize("OBF_DOES_NOT_EXIST", 7), 7);
-        assert_eq!(env_u64("OBF_DOES_NOT_EXIST", 9), 9);
+        assert_eq!(env_or("OBF_DOES_NOT_EXIST", 2.5), Ok(2.5));
+        assert_eq!(env_or("OBF_DOES_NOT_EXIST", 7usize), Ok(7));
+        assert_eq!(env_or("OBF_DOES_NOT_EXIST", 9u64), Ok(9));
     }
 
     fn argv(parts: &[&str]) -> Vec<String> {

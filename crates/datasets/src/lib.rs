@@ -126,11 +126,6 @@ impl DatasetSpec {
         }
     }
 
-    /// Synthesises at the default scaled-down size.
-    pub fn default_synthetic(dataset: Dataset, seed: u64) -> Self {
-        Self::synthetic(dataset, dataset.default_scale(), seed)
-    }
-
     /// Synthesises at the *paper's* full vertex count
     /// ([`Dataset::paper_n`] — 226 413 vertices for dblp): the input of
     /// the paper-scale Table 3 row (`snapshot_bench --paper-scale`).

@@ -18,7 +18,7 @@
 //!   patched check at the previous σ usually suffices; otherwise the σ
 //!   search re-runs warm-started from the previous minimal σ.
 //!
-//! Downstream, `obf_uncertain::snapshot` (version 2) tags each release
+//! Downstream, `obf_uncertain::snapshot` tags each release
 //! with an epoch and its parent's checksum, and `obf_server` swaps
 //! releases in live via `RELOAD` with epoch-keyed world-cache
 //! invalidation.

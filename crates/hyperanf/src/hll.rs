@@ -31,12 +31,6 @@ impl HyperLogLog {
         }
     }
 
-    /// Number of registers.
-    #[inline]
-    pub fn num_registers(&self) -> usize {
-        self.registers.len()
-    }
-
     /// Raw registers.
     #[inline]
     pub fn registers(&self) -> &[u8] {

@@ -140,10 +140,10 @@ impl Default for ServerConfig {
 /// snapshot file, or owned heap arrays.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum GraphSource {
-    /// A v3 snapshot served straight from an `mmap(2)` of the file.
+    /// A snapshot served straight from an `mmap(2)` of the file.
     Mmap,
-    /// Decoded into heap-owned CSR arrays (TSV, v1/v2 snapshots, or a
-    /// v3 file on a platform without the mmap fast path).
+    /// Decoded into heap-owned CSR arrays (a TSV, or a snapshot on a
+    /// platform without the mmap fast path).
     Heap,
 }
 
@@ -160,59 +160,49 @@ impl std::fmt::Display for GraphSource {
 /// snapshot magic bytes: binary snapshot (with its release metadata) or
 /// whitespace-separated `u v p` TSV (no metadata).
 ///
-/// v3 snapshots are preferentially mapped, not read: the page-aligned
-/// CSR sections are served zero-copy via [`obf_uncertain::MappedSnapshot`],
-/// so load time is the O(1) structural verification instead of
-/// O(bytes), and resident memory is whatever the page cache keeps warm.
-/// Anything the mmap path cannot take (v1/v2, big-endian host, non-unix
-/// platform) falls back to the heap decoder, whose answers are
-/// bit-identical.
+/// A snapshot is mapped, not read: the page-aligned CSR sections are
+/// served zero-copy via [`obf_uncertain::MappedSnapshot`], so load time
+/// is the structural verification scan instead of a decode, and
+/// resident memory is whatever the page cache keeps warm. Only where
+/// the zero-copy view cannot exist (non-Unix or big-endian hosts) does
+/// the heap decoder take over, with bit-identical answers.
 pub fn load_published_graph_with_source(
     path: &str,
 ) -> Result<(UncertainGraph, Option<SnapshotMeta>, GraphSource), String> {
-    // Sniff magic + version without reading the body, so a multi-GB v3
-    // release never transits the heap.
-    let head = {
-        use std::io::Read;
-        let mut f = std::fs::File::open(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-        let mut head = [0u8; 12];
-        let mut got = 0;
-        while got < head.len() {
-            match f.read(&mut head[got..]) {
-                Ok(0) => break,
-                Ok(k) => got += k,
-                Err(e) => return Err(format!("cannot read {path}: {e}")),
-            }
-        }
-        (head, got)
-    };
-    let is_snapshot = head.1 >= SNAPSHOT_MAGIC.len() && head.0[..8] == SNAPSHOT_MAGIC;
-    if is_snapshot && head.1 >= 12 {
-        let version = u32::from_le_bytes(head.0[8..12].try_into().expect("4 bytes"));
-        if version == obf_uncertain::snapshot::SNAPSHOT_VERSION_V3 {
-            if let Ok(snap) = obf_uncertain::MappedSnapshot::open(path) {
-                let meta = snap.meta();
-                return Ok((
-                    UncertainGraph::from_mapped(snap),
-                    Some(meta),
-                    GraphSource::Mmap,
-                ));
-            }
-            // Fall through: the heap decoder re-reads the file and
-            // reports the precise byte-offset error (or succeeds where
-            // only the platform, not the file, blocked the mmap).
-        }
+    // Sniff the magic without reading the body, so a multi-GB release
+    // never transits the heap.
+    let mut head = Vec::with_capacity(SNAPSHOT_MAGIC.len());
+    std::fs::File::open(path)
+        .and_then(|f| {
+            use std::io::Read;
+            f.take(SNAPSHOT_MAGIC.len() as u64).read_to_end(&mut head)
+        })
+        .map_err(|e| format!("cannot read {path}: {e}"))?;
+    if head == SNAPSHOT_MAGIC {
+        return open_snapshot(path)
+            .map(|(g, meta, source)| (g, Some(meta), source))
+            .map_err(|e| e.to_string());
     }
     let bytes = std::fs::read(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    if is_snapshot {
-        obf_uncertain::decode_snapshot_with_meta(&bytes)
-            .map(|(g, meta)| (g, Some(meta), GraphSource::Heap))
-            .map_err(|e| e.to_string())
-    } else {
-        obf_uncertain::read_uncertain_edge_list(&bytes[..], 0)
-            .map(|g| (g, None, GraphSource::Heap))
-            .map_err(|e| e.to_string())
-    }
+    obf_uncertain::read_uncertain_edge_list(&bytes[..], 0)
+        .map(|g| (g, None, GraphSource::Heap))
+        .map_err(|e| e.to_string())
+}
+
+#[cfg(all(unix, target_endian = "little"))]
+fn open_snapshot(
+    path: &str,
+) -> Result<(UncertainGraph, SnapshotMeta, GraphSource), obf_uncertain::SnapshotError> {
+    let snap = obf_uncertain::MappedSnapshot::open(path)?;
+    let meta = snap.meta();
+    Ok((UncertainGraph::from_mapped(snap), meta, GraphSource::Mmap))
+}
+
+#[cfg(not(all(unix, target_endian = "little")))]
+fn open_snapshot(
+    path: &str,
+) -> Result<(UncertainGraph, SnapshotMeta, GraphSource), obf_uncertain::SnapshotError> {
+    obf_uncertain::load_snapshot(path).map(|(g, meta)| (g, meta, GraphSource::Heap))
 }
 
 /// Per-server state shared by every shard. The published graph lives
@@ -995,7 +985,7 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("star.snap");
         let star = UncertainGraph::new(7, (1..7).map(|v| (0, v, 0.5)).collect()).unwrap();
-        obf_uncertain::save_snapshot(&star, &path).unwrap();
+        obf_uncertain::save_snapshot(&star, SnapshotMeta::default(), &path).unwrap();
         assert!(s
             .answer(&format!("RELOAD {}", path.display()))
             .starts_with("OK reloaded epoch=1 n=7 candidates=6"));
@@ -1023,9 +1013,9 @@ mod tests {
         let path = dir.join("r1.snap");
         let g2 =
             Arc::new(UncertainGraph::new(4, vec![(0, 1, 1.0), (2, 3, 1.0), (1, 2, 0.5)]).unwrap());
-        obf_uncertain::save_snapshot_with_meta(
+        obf_uncertain::save_snapshot(
             &g2,
-            obf_uncertain::SnapshotMeta {
+            SnapshotMeta {
                 epoch: 1,
                 parent_checksum: 99,
             },
@@ -1066,7 +1056,7 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("r1.snap");
         let g2 = Arc::new(UncertainGraph::new(4, vec![(0, 1, 1.0), (2, 3, 0.5)]).unwrap());
-        obf_uncertain::save_snapshot(&g2, &path).unwrap();
+        obf_uncertain::save_snapshot(&g2, SnapshotMeta::default(), &path).unwrap();
         let reply = s.answer_on(&mut issuer, &format!("RELOAD {}", path.display()));
         assert!(
             reply.starts_with("OK reloaded epoch=1 n=4 candidates=2"),

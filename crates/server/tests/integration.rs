@@ -165,7 +165,7 @@ fn reload_under_load_drops_no_connections_and_no_stale_worlds() {
     let dir = std::env::temp_dir().join(format!("obf_server_itest_{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join("r1.snap");
-    obf_uncertain::save_snapshot_with_meta(
+    obf_uncertain::save_snapshot(
         &g1,
         obf_uncertain::SnapshotMeta {
             epoch: 1,

@@ -8,7 +8,7 @@ use std::sync::Arc;
 
 use obf_graph::splitmix64;
 use obf_server::{ServerState, WorldStat};
-use obf_uncertain::{save_snapshot, UncertainGraph};
+use obf_uncertain::{save_snapshot, SnapshotMeta, UncertainGraph};
 
 const CAPACITIES: [usize; 3] = [0, 1, 1024];
 
@@ -80,7 +80,7 @@ fn stat_transcript_is_independent_of_memo_capacity() {
     };
     assert_ne!(ceiling(&first), ceiling(&next));
     let next_path = dir.join("next.snap");
-    save_snapshot(&next, &next_path).unwrap();
+    save_snapshot(&next, SnapshotMeta::default(), &next_path).unwrap();
 
     let reference = transcript(CAPACITIES[0], &first, &next_path);
     assert!(

@@ -185,23 +185,13 @@ fn truncate_row(mut row: Vec<f64>, cap: usize) -> Vec<f64> {
 /// `out[d] = E[Δ(d)] = (1/n) Σ_v Pr(d_v = d)` — the quantity Figure 3
 /// estimates by sampling, computed here in closed form.
 pub fn degree_distribution_exact(g: &UncertainGraph) -> Vec<f64> {
-    accumulate_degree_distribution(g, DegreeDistMethod::Exact)
-}
-
-/// Normal-approximated expected degree distribution (for large incident
-/// candidate sets).
-pub fn degree_distribution_normal(g: &UncertainGraph) -> Vec<f64> {
-    accumulate_degree_distribution(g, DegreeDistMethod::Normal)
-}
-
-fn accumulate_degree_distribution(g: &UncertainGraph, method: DegreeDistMethod) -> Vec<f64> {
     let n = g.num_vertices();
     if n == 0 {
         return Vec::new();
     }
     let mut acc: Vec<f64> = Vec::new();
     for v in 0..n as u32 {
-        let dist = vertex_degree_distribution(g, v, method);
+        let dist = vertex_degree_distribution(g, v, DegreeDistMethod::Exact);
         if dist.len() > acc.len() {
             acc.resize(dist.len(), 0.0);
         }

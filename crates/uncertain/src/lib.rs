@@ -49,7 +49,7 @@ pub mod statistics;
 pub mod triangles;
 pub mod world_cache;
 
-pub use degree_dist::{degree_distribution_exact, degree_distribution_normal, DegreeDistMethod};
+pub use degree_dist::{degree_distribution_exact, DegreeDistMethod};
 pub use estimator::{estimate_statistic, estimate_statistic_par, EstimateSummary};
 pub use expected::{expected_average_degree, expected_degree_variance, expected_num_edges};
 pub use graph::{CandidatePairs, UncertainGraph};
@@ -62,10 +62,8 @@ pub use mmap::MmapFile;
 pub use queries::{distance_distribution, knn_majority_distance, reliability};
 pub use sampling::{sample_indexed_world, sample_worlds_par, WorldSampler};
 pub use snapshot::{
-    decode_snapshot, decode_snapshot_with_meta, load_snapshot, load_snapshot_with_meta,
-    save_snapshot, save_snapshot_v3_with_meta, save_snapshot_with_meta, snapshot_bytes,
-    snapshot_bytes_v3, snapshot_bytes_v3_with_meta, snapshot_bytes_with_meta, stored_checksum,
-    Checksum64, SnapshotError, SnapshotMeta,
+    decode_snapshot, load_snapshot, save_snapshot, snapshot_bytes, stored_checksum, Checksum64,
+    SnapshotError, SnapshotMeta,
 };
 pub use statistics::{evaluate_uncertain, evaluate_world, StatSuite, UtilityConfig};
 pub use triangles::{

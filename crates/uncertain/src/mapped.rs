@@ -293,7 +293,7 @@ impl std::fmt::Debug for MappedSnapshot {
 #[cfg(all(test, unix, target_endian = "little"))]
 mod tests {
     use super::*;
-    use crate::snapshot::{save_snapshot_v3_with_meta, snapshot_bytes_v3_with_meta};
+    use crate::snapshot::{save_snapshot, snapshot_bytes};
     use crate::UncertainGraph;
 
     fn figure1b() -> UncertainGraph {
@@ -325,7 +325,7 @@ mod tests {
             parent_checksum: 77,
         };
         let path = tmp("view.snap");
-        let checksum = save_snapshot_v3_with_meta(&g, meta, &path).unwrap();
+        let checksum = save_snapshot(&g, meta, &path).unwrap();
         let snap = MappedSnapshot::open_verified(&path).unwrap();
         assert_eq!(snap.num_vertices(), 4);
         assert_eq!(snap.num_candidates(), 6);
@@ -346,7 +346,7 @@ mod tests {
     #[test]
     fn open_rejects_structural_corruption_and_verify_catches_content() {
         let g = figure1b();
-        let bytes = snapshot_bytes_v3_with_meta(&g, SnapshotMeta::default());
+        let bytes = snapshot_bytes(&g, SnapshotMeta::default());
         let t_off = u64::from_le_bytes(bytes[56..64].try_into().unwrap()) as usize;
 
         // Out-of-range target: structural tier must reject at open.
@@ -371,9 +371,31 @@ mod tests {
     }
 
     #[test]
+    fn overwriting_a_mapped_file_keeps_the_old_mapping_readable() {
+        // A 20k-vertex path maps to several hundred KiB; the 3-vertex
+        // replacement fits in three pages. Had the writer truncated the
+        // file in place, reading the old mapping's tail would SIGBUS.
+        let n = 20_000u32;
+        let big =
+            UncertainGraph::new(n as usize, (1..n).map(|v| (v - 1, v, 0.5)).collect()).unwrap();
+        let path = tmp("overwrite.snap");
+        save_snapshot(&big, SnapshotMeta::default(), &path).unwrap();
+        let snap = MappedSnapshot::open(&path).unwrap();
+        let small = UncertainGraph::new(3, vec![(0, 1, 0.25), (1, 2, 0.75)]).unwrap();
+        save_snapshot(&small, SnapshotMeta::default(), &path).unwrap();
+        assert_eq!(snap.num_vertices(), n as usize);
+        assert_eq!(snap.offsets()[n as usize], 2 * u64::from(n - 1));
+        assert!(snap.probs().iter().all(|&p| p == 0.5));
+        assert!(snap.verify().is_ok());
+        let reopened = MappedSnapshot::open(&path).unwrap();
+        assert_eq!(UncertainGraph::from_mapped(reopened), small);
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
     fn probability_out_of_range_caught_by_verify() {
         let g = UncertainGraph::new(2, vec![(0, 1, 0.5)]).unwrap();
-        let mut bytes = snapshot_bytes_v3_with_meta(&g, SnapshotMeta::default());
+        let mut bytes = snapshot_bytes(&g, SnapshotMeta::default());
         let p_off = u64::from_le_bytes(bytes[64..72].try_into().unwrap()) as usize;
         bytes[p_off..p_off + 8].copy_from_slice(&2.0f64.to_le_bytes());
         bytes[p_off + 8..p_off + 16].copy_from_slice(&2.0f64.to_le_bytes());

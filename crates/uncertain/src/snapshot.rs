@@ -1,44 +1,21 @@
-//! Versioned binary snapshots of published uncertain graphs.
+//! Binary snapshots of published uncertain graphs (`OBFUSNAP` v3).
 //!
 //! The TSV publication format (`io`) is the human-auditable artifact; a
-//! long-running consumer like `obf_server` wants start-up to be an
-//! O(bytes) read, not a float re-parse. A snapshot stores the graph's
-//! SoA-CSR incidence arrays directly:
-//!
-//! ```text
-//! offset  size          field                       [v1/v2 packed layout]
-//! 0       8             magic  b"OBFUSNAP"
-//! 8       4             format version, u32 LE
-//! 12      8             epoch (release number), u64 LE          [v2 only]
-//! 20      8             parent snapshot checksum, u64 LE        [v2 only]
-//! 28      8             n   = number of vertices, u64 LE
-//! 36      8             m   = number of candidate pairs, u64 LE
-//! 44      8·(n+1)       CSR offsets, u64 LE each
-//! ..      4·2m          CSR targets, u32 LE each
-//! ..      8·2m          CSR probabilities, f64 LE bit patterns
-//! end−8   8             checksum of bytes [8, end−8), u64 LE
-//! ```
-//!
-//! Version 2 adds the epoch/parent fields for the evolving-graph
-//! republish pipeline (`obf_evolve`): each release snapshot names its
-//! epoch and the checksum of the snapshot it was derived from, so a
-//! consumer (e.g. `obf_server`'s `RELOAD`) can verify it is walking an
-//! unbroken release chain. Version 1 files (no epoch fields, 28-byte
-//! header) still decode, with [`SnapshotMeta::default`] metadata.
-//!
-//! **Version 3** keeps the same three CSR arrays but lays them out for
-//! zero-copy serving: a fixed 4096-byte header page carrying the
-//! section offsets and per-section checksums, followed by the
+//! long-running consumer like `obf_server` wants start-up to be a
+//! mapping, not a float re-parse. A snapshot stores the graph's SoA-CSR
+//! incidence arrays directly, laid out for zero-copy serving: a fixed
+//! 4096-byte header page carrying the release metadata, the section
+//! offsets and per-section checksums, followed by the
 //! `offsets`/`targets`/`probs` sections each aligned to a
 //! [`V3_SECTION_ALIGN`]-byte boundary. A little-endian host can
 //! `mmap(2)` the file and hand out the sections as `&[u64]`/`&[u32]`/
 //! `&[f64]` slices directly (see [`crate::mapped::MappedSnapshot`]);
-//! every other host still decodes it through the heap path below. The
-//! normative byte-level spec for all three versions lives in
-//! `docs/FORMATS.md` § "Snapshot files (OBFUSNAP v1/v2/v3)".
+//! every other host decodes it through the heap path below. The
+//! normative byte-level spec lives in `docs/FORMATS.md` § "Snapshot
+//! files (OBFUSNAP v3)".
 //!
 //! ```text
-//! offset  size          field                       [v3 header page]
+//! offset  size          field
 //! 0       8             magic  b"OBFUSNAP"
 //! 8       4             format version, u32 LE (= 3)
 //! 12      4             reserved, must be 0
@@ -62,17 +39,19 @@
 //! ..      8·2m          CSR probabilities, f64 LE bit patterns
 //! ```
 //!
-//! In v3 the header checksum plays the role of the v1/v2 trailing
-//! checksum for epoch chaining ([`stored_checksum`] reads whichever the
-//! version uses): it covers the section checksums, so it transitively
-//! commits to the whole file while staying inside the header page, so
-//! the O(1) open tier can check it without touching a section.
+//! The epoch and parent checksum serve the evolving-graph republish
+//! pipeline (`obf_evolve`): each release snapshot names its epoch and
+//! the [`stored_checksum`] of the snapshot it was derived from, so a
+//! consumer (e.g. `obf_server`'s `RELOAD`) can verify it is walking an
+//! unbroken release chain. The stored checksum is the header checksum:
+//! it covers the section checksums, so it transitively commits to the
+//! whole file while staying inside the header page, and the O(1) open
+//! tier can check it without touching a section.
 //!
-//! Every multi-byte value is little-endian; the checksum covers the
-//! header (minus the magic) and the whole payload, so a flipped bit
-//! anywhere is caught before the graph is reconstructed, and the
-//! reconstruction re-verifies every [`UncertainGraph`] invariant
-//! (via the crate-internal `from_csr_parts` fast path) — a
+//! Every multi-byte value is little-endian, so a flipped bit anywhere
+//! is caught by a checksum before the graph is reconstructed, and the
+//! reconstruction re-verifies every [`UncertainGraph`] invariant (via
+//! the crate-internal `from_csr_parts` fast path) — a
 //! corrupted-but-checksummed file can still never produce an invalid
 //! graph.
 //!
@@ -81,42 +60,38 @@
 //! running state, so any single-bit change alters the sum, and it runs
 //! an order of magnitude faster than a byte-at-a-time FNV — the
 //! checksum must not dominate the O(bytes) load it protects.
+//!
+//! The API is five functions: [`snapshot_bytes`] and [`save_snapshot`]
+//! write, [`decode_snapshot`] and [`load_snapshot`] read on the heap,
+//! and [`stored_checksum`] reads the chaining value.
 
-use std::path::Path;
+use std::ffi::{OsStr, OsString};
+use std::fs::{File, OpenOptions};
+use std::io::{self, Write};
+use std::path::{Path, PathBuf};
 
 use crate::graph::UncertainGraph;
 
 /// Magic bytes identifying a snapshot file.
 pub const SNAPSHOT_MAGIC: [u8; 8] = *b"OBFUSNAP";
 
-/// Version written by the packed heap encoders ([`snapshot_bytes`] and
-/// friends) — the default interchange format.
-pub const SNAPSHOT_VERSION: u32 = 2;
+/// The snapshot format version: the only one written and read.
+pub const SNAPSHOT_VERSION: u32 = 3;
 
-/// Version written by the page-aligned encoders ([`snapshot_bytes_v3`]
-/// and friends) — the mmap-servable format.
-pub const SNAPSHOT_VERSION_V3: u32 = 3;
-
-/// The oldest snapshot version the decoder still accepts.
-pub const SNAPSHOT_MIN_VERSION: u32 = 1;
-
-/// The newest snapshot version the decoder accepts.
-pub const SNAPSHOT_MAX_VERSION: u32 = 3;
-
-/// Alignment, in bytes, of every v3 section (one 4 KiB page): the mmap
+/// Alignment, in bytes, of every section (one 4 KiB page): the mmap
 /// base address is page-aligned, so page-aligned section starts make
 /// the zero-copy `&[u64]`/`&[f64]` casts well-aligned by construction.
 pub const V3_SECTION_ALIGN: usize = 4096;
 
-/// Length of the meaningful v3 header prefix; bytes `[8, 104)` are
-/// covered by the header checksum stored at offset 104, and bytes
-/// `[112, 4096)` are zero padding.
+/// Length of the meaningful header prefix; bytes `[8, 104)` are covered
+/// by the header checksum stored at offset 104, and bytes `[112, 4096)`
+/// are zero padding.
 pub const V3_HEADER_LEN: usize = 112;
 
-/// Byte offset of the v3 header checksum field.
+/// Byte offset of the header checksum field.
 const V3_HEADER_CHECKSUM_AT: usize = 104;
 
-/// Release metadata carried in a version-2 snapshot header.
+/// Release metadata carried in a snapshot header.
 ///
 /// `epoch` is the release number of the published graph; a freshly
 /// published (non-evolving) graph is epoch 0. `parent_checksum` is the
@@ -139,8 +114,7 @@ pub enum SnapshotError {
     Io(std::io::Error),
     /// The file does not start with [`SNAPSHOT_MAGIC`] (bytes `[0, 8)`).
     BadMagic,
-    /// The version at byte offset 8 is outside
-    /// [`SNAPSHOT_MIN_VERSION`]`..=`[`SNAPSHOT_MAX_VERSION`].
+    /// The version at byte offset 8 is not [`SNAPSHOT_VERSION`].
     BadVersion(u32),
     /// The file ends before the declared payload does.
     Truncated {
@@ -148,15 +122,15 @@ pub enum SnapshotError {
         actual: usize,
     },
     /// The stored checksum does not match the content. `region` names
-    /// the checksummed region ("payload" for v1/v2, "header" or a v3
-    /// section) and `at` is the byte offset where that region starts.
+    /// the checksummed region ("header" or a section) and `at` is the
+    /// byte offset where that region starts.
     ChecksumMismatch {
         region: &'static str,
         at: u64,
         stored: u64,
         computed: u64,
     },
-    /// A v3 section start is not [`V3_SECTION_ALIGN`]-aligned (or the
+    /// A section start is not [`V3_SECTION_ALIGN`]-aligned (or the
     /// sections overlap / run past the declared file length).
     Misaligned {
         section: &'static str,
@@ -177,7 +151,7 @@ impl std::fmt::Display for SnapshotError {
                 write!(
                     f,
                     "unsupported snapshot version {v} at byte offset 8 \
-                     (accepted: {SNAPSHOT_MIN_VERSION}..={SNAPSHOT_MAX_VERSION})"
+                     (expected {SNAPSHOT_VERSION})"
                 )
             }
             SnapshotError::Truncated { expected, actual } => {
@@ -293,86 +267,19 @@ pub fn checksum64(bytes: &[u8]) -> u64 {
     Checksum64::new(bytes.len() as u64).update(bytes).finish()
 }
 
-/// Serialises the graph into the snapshot byte layout with default
-/// (epoch-0, root) metadata.
-pub fn snapshot_bytes(g: &UncertainGraph) -> Vec<u8> {
-    snapshot_bytes_with_meta(g, SnapshotMeta::default())
-}
-
-/// The stored checksum of a well-formed snapshot byte buffer, or `None`
-/// for anything too short to be a snapshot. This is the value an
-/// epoch-chained child records as [`SnapshotMeta::parent_checksum`].
-///
-/// For v1/v2 this is the trailing 8 bytes; for v3 it is the header
-/// checksum at byte offset 104 (which transitively commits to the
-/// whole file through the section checksums). Converting a snapshot
-/// between versions therefore changes its stored checksum — children
-/// derived from the original keep referencing the original's value.
+/// The stored checksum of a snapshot byte buffer — the header checksum
+/// at byte offset 104 — or `None` for anything shorter than a header or
+/// not starting with a version-3 snapshot header. This is the value an
+/// epoch-chained child records as [`SnapshotMeta::parent_checksum`]; it
+/// commits to the whole file through the section checksums.
 pub fn stored_checksum(bytes: &[u8]) -> Option<u64> {
-    if bytes.len() < 28 + 8 || !bytes.starts_with(&SNAPSHOT_MAGIC) {
+    let header = bytes.get(..V3_HEADER_LEN)?;
+    if header[..8] != SNAPSHOT_MAGIC || header[8..12] != SNAPSHOT_VERSION.to_le_bytes() {
         return None;
     }
-    let version = u32::from_le_bytes(bytes[8..12].try_into().unwrap());
-    let at = if version == SNAPSHOT_VERSION_V3 {
-        if bytes.len() < V3_HEADER_LEN {
-            return None;
-        }
-        V3_HEADER_CHECKSUM_AT
-    } else {
-        bytes.len() - 8
-    };
-    Some(u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap()))
-}
-
-/// Serialises the graph into the version-2 snapshot byte layout with the
-/// given release metadata.
-pub fn snapshot_bytes_with_meta(g: &UncertainGraph, meta: SnapshotMeta) -> Vec<u8> {
-    let n = g.num_vertices();
-    let m = g.num_candidates();
-    let mut buf = Vec::with_capacity(44 + 8 * (n + 1) + 12 * 2 * m + 8);
-    buf.extend_from_slice(&SNAPSHOT_MAGIC);
-    buf.extend_from_slice(&SNAPSHOT_VERSION.to_le_bytes());
-    buf.extend_from_slice(&meta.epoch.to_le_bytes());
-    buf.extend_from_slice(&meta.parent_checksum.to_le_bytes());
-    buf.extend_from_slice(&(n as u64).to_le_bytes());
-    buf.extend_from_slice(&(m as u64).to_le_bytes());
-    let mut acc = 0u64;
-    buf.extend_from_slice(&acc.to_le_bytes());
-    for v in 0..n as u32 {
-        acc += g.incident_count(v) as u64;
-        buf.extend_from_slice(&acc.to_le_bytes());
-    }
-    for v in 0..n as u32 {
-        for &t in g.incident_targets(v) {
-            buf.extend_from_slice(&t.to_le_bytes());
-        }
-    }
-    for v in 0..n as u32 {
-        for &p in g.incident_probs(v) {
-            buf.extend_from_slice(&p.to_le_bytes());
-        }
-    }
-    let checksum = checksum64(&buf[SNAPSHOT_MAGIC.len()..]);
-    buf.extend_from_slice(&checksum.to_le_bytes());
-    buf
-}
-
-/// Saves the snapshot to a file path.
-pub fn save_snapshot<P: AsRef<Path>>(g: &UncertainGraph, path: P) -> std::io::Result<()> {
-    std::fs::write(path, snapshot_bytes(g))
-}
-
-/// Saves an epoch-tagged snapshot, returning the stored checksum so the
-/// caller can chain the next release's [`SnapshotMeta::parent_checksum`].
-pub fn save_snapshot_with_meta<P: AsRef<Path>>(
-    g: &UncertainGraph,
-    meta: SnapshotMeta,
-    path: P,
-) -> std::io::Result<u64> {
-    let bytes = snapshot_bytes_with_meta(g, meta);
-    let checksum = stored_checksum(&bytes).expect("snapshot_bytes is well formed");
-    std::fs::write(path, &bytes)?;
-    Ok(checksum)
+    Some(u64::from_le_bytes(
+        header[V3_HEADER_CHECKSUM_AT..].try_into().unwrap(),
+    ))
 }
 
 /// Rounds `x` up to the next [`V3_SECTION_ALIGN`] boundary (checked).
@@ -380,7 +287,7 @@ fn align_up(x: usize) -> Option<usize> {
     Some(x.checked_add(V3_SECTION_ALIGN - 1)? & !(V3_SECTION_ALIGN - 1))
 }
 
-/// The v3 section layout implied by `(n, m)`: byte offsets of the three
+/// The section layout implied by `(n, m)`: byte offsets of the three
 /// sections and the total file length. `None` when the sizes overflow
 /// `usize` — the caller turns that into [`SnapshotError::Invalid`].
 ///
@@ -417,15 +324,24 @@ pub(crate) struct V3Header {
     pub file_len: usize,
     /// Stored checksums of the offsets/targets/probs section bytes.
     pub section_checksums: [u64; 3],
-    /// Stored header checksum (the v3 [`stored_checksum`] value).
+    /// Stored header checksum (the [`stored_checksum`] value).
     pub header_checksum: u64,
 }
 
 impl V3Header {
-    /// Parses and quick-verifies the header of a complete v3 file image.
+    /// Parses and quick-verifies the header of a complete snapshot file
+    /// image. The version is checked as soon as its 4 bytes exist, so a
+    /// file in any other layout reports [`SnapshotError::BadVersion`]
+    /// whatever its length.
     pub(crate) fn parse(bytes: &[u8]) -> Result<Self, SnapshotError> {
         if bytes.len() < 8 || bytes[..8] != SNAPSHOT_MAGIC {
             return Err(SnapshotError::BadMagic);
+        }
+        if let Some(v) = bytes.get(8..12) {
+            let version = u32::from_le_bytes(v.try_into().unwrap());
+            if version != SNAPSHOT_VERSION {
+                return Err(SnapshotError::BadVersion(version));
+            }
         }
         if bytes.len() < V3_HEADER_LEN {
             return Err(SnapshotError::Truncated {
@@ -435,10 +351,6 @@ impl V3Header {
         }
         let u32_at = |at: usize| u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap());
         let u64_at = |at: usize| u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap());
-        let version = u32_at(8);
-        if version != SNAPSHOT_VERSION_V3 {
-            return Err(SnapshotError::BadVersion(version));
-        }
         // Verify the header checksum before trusting any field it
         // covers: a flipped header byte must report as a checksum
         // mismatch, not as whatever structural error it happens to
@@ -539,23 +451,17 @@ impl V3Header {
     }
 }
 
-/// Serialises the graph into the v3 page-aligned byte layout with
-/// default (epoch-0, root) metadata.
-pub fn snapshot_bytes_v3(g: &UncertainGraph) -> Vec<u8> {
-    snapshot_bytes_v3_with_meta(g, SnapshotMeta::default())
-}
-
-/// Serialises the graph into the v3 page-aligned byte layout with the
-/// given release metadata. The result can be written to disk and
-/// memory-mapped by [`crate::mapped::MappedSnapshot`].
-pub fn snapshot_bytes_v3_with_meta(g: &UncertainGraph, meta: SnapshotMeta) -> Vec<u8> {
+/// Serialises the graph and its release metadata into the snapshot byte
+/// layout. The result can be written to disk and memory-mapped by
+/// [`crate::mapped::MappedSnapshot`].
+pub fn snapshot_bytes(g: &UncertainGraph, meta: SnapshotMeta) -> Vec<u8> {
     let n = g.num_vertices();
     let m = g.num_candidates();
     let (offsets_off, targets_off, probs_off, file_len) =
-        v3_layout(n, m).expect("in-memory graph sizes cannot overflow the v3 layout");
+        v3_layout(n, m).expect("in-memory graph sizes cannot overflow the layout");
     let mut buf = vec![0u8; file_len];
     buf[..8].copy_from_slice(&SNAPSHOT_MAGIC);
-    buf[8..12].copy_from_slice(&SNAPSHOT_VERSION_V3.to_le_bytes());
+    buf[8..12].copy_from_slice(&SNAPSHOT_VERSION.to_le_bytes());
     // bytes [12, 16) stay zero (reserved)
     buf[16..24].copy_from_slice(&meta.epoch.to_le_bytes());
     buf[24..32].copy_from_slice(&meta.parent_checksum.to_le_bytes());
@@ -588,10 +494,10 @@ pub fn snapshot_bytes_v3_with_meta(g: &UncertainGraph, meta: SnapshotMeta) -> Ve
             at += 8;
         }
     }
-    for (i, (_, start, len)) in [
-        ("offsets", offsets_off, 8 * (n + 1)),
-        ("targets", targets_off, 8 * m),
-        ("probs", probs_off, 16 * m),
+    for (i, (start, len)) in [
+        (offsets_off, 8 * (n + 1)),
+        (targets_off, 8 * m),
+        (probs_off, 16 * m),
     ]
     .into_iter()
     .enumerate()
@@ -605,71 +511,103 @@ pub fn snapshot_bytes_v3_with_meta(g: &UncertainGraph, meta: SnapshotMeta) -> Ve
     buf
 }
 
-/// Saves a v3 snapshot, returning its stored checksum (the header
-/// checksum) for epoch chaining — the v3 analogue of
-/// [`save_snapshot_with_meta`].
-pub fn save_snapshot_v3_with_meta<P: AsRef<Path>>(
+/// Writes the graph's snapshot to `path`, returning its stored checksum
+/// so the caller can chain the next release's
+/// [`SnapshotMeta::parent_checksum`].
+///
+/// The write is atomic: the bytes go to a fresh sibling file, which is
+/// synced and renamed over `path`, and on Unix the directory is synced
+/// too. A reader that mapped the previous file keeps it — the old inode
+/// lives until its last mapping goes — so overwriting a release that is
+/// being served cannot shrink the pages under a live
+/// [`crate::mapped::MappedSnapshot`] (an in-place truncate would, and the
+/// reader's next access would die with `SIGBUS`). A crash mid-write
+/// leaves the previous file intact, plus at worst a stray
+/// `.<name>.<k>.tmp` sibling.
+pub fn save_snapshot<P: AsRef<Path>>(
     g: &UncertainGraph,
     meta: SnapshotMeta,
     path: P,
-) -> std::io::Result<u64> {
-    let bytes = snapshot_bytes_v3_with_meta(g, meta);
-    let checksum = stored_checksum(&bytes).expect("snapshot_bytes_v3 is well formed");
-    std::fs::write(path, &bytes)?;
+) -> io::Result<u64> {
+    let path = path.as_ref();
+    let bytes = snapshot_bytes(g, meta);
+    let checksum = stored_checksum(&bytes).expect("snapshot_bytes writes a full header");
+    let name = path.file_name().ok_or_else(|| {
+        io::Error::new(
+            io::ErrorKind::InvalidInput,
+            format!("{} does not name a file", path.display()),
+        )
+    })?;
+    let dir = match path.parent() {
+        Some(d) if !d.as_os_str().is_empty() => d,
+        _ => Path::new("."),
+    };
+    let (tmp, mut file) = create_sibling(dir, name)?;
+    let written = file
+        .write_all(&bytes)
+        .and_then(|()| file.sync_all())
+        .and_then(|()| std::fs::rename(&tmp, path));
+    if let Err(e) = written {
+        std::fs::remove_file(&tmp).ok();
+        return Err(e);
+    }
+    #[cfg(unix)]
+    File::open(dir)?.sync_all()?;
     Ok(checksum)
 }
 
-struct Cursor<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Cursor<'a> {
-    fn take(&mut self, len: usize) -> Result<&'a [u8], SnapshotError> {
-        let end = self.pos.checked_add(len).filter(|&e| e <= self.bytes.len());
-        match end {
-            Some(end) => {
-                let s = &self.bytes[self.pos..end];
-                self.pos = end;
-                Ok(s)
-            }
-            None => Err(SnapshotError::Truncated {
-                expected: self.pos.saturating_add(len),
-                actual: self.bytes.len(),
-            }),
+/// Creates `dir/.<name>.<k>.tmp` for the first `k` whose file does not
+/// exist yet, so concurrent writers (and leftovers of a crashed one)
+/// never share a temp file.
+fn create_sibling(dir: &Path, name: &OsStr) -> io::Result<(PathBuf, File)> {
+    for k in 0..u32::MAX {
+        let mut tmp_name = OsString::from(".");
+        tmp_name.push(name);
+        tmp_name.push(format!(".{k}.tmp"));
+        let tmp = dir.join(tmp_name);
+        match OpenOptions::new().write(true).create_new(true).open(&tmp) {
+            Ok(file) => return Ok((tmp, file)),
+            Err(e) if e.kind() == io::ErrorKind::AlreadyExists => {}
+            Err(e) => return Err(e),
         }
     }
-
-    fn u32(&mut self) -> Result<u32, SnapshotError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-
-    fn u64(&mut self) -> Result<u64, SnapshotError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
+    Err(io::Error::new(
+        io::ErrorKind::AlreadyExists,
+        format!("no free temp name next to {}", dir.join(name).display()),
+    ))
 }
 
-/// Decodes a snapshot from its full byte content, dropping the release
-/// metadata. See [`decode_snapshot_with_meta`].
-pub fn decode_snapshot(bytes: &[u8]) -> Result<UncertainGraph, SnapshotError> {
-    decode_snapshot_with_meta(bytes).map(|(g, _)| g)
-}
-
-/// Rebuilds a verified [`UncertainGraph`] from decoded CSR arrays — the
-/// common tail of the v1/v2 and v3 heap decoders.
+/// Decodes a snapshot and its release metadata onto the heap.
 ///
-/// Reconstructs the canonical candidate list (each pair `(u, v)` with
-/// `u < v` appears in `u`'s row with target `v > u`, exactly once), and
-/// `from_csr_parts` re-verifies every graph invariant against the
-/// decoded arrays without re-sorting or rebuilding the CSR.
-pub(crate) fn graph_from_csr_arrays(
-    n: usize,
-    m: usize,
-    offsets: Vec<usize>,
-    targets: Vec<u32>,
-    probs: Vec<f64>,
-) -> Result<UncertainGraph, SnapshotError> {
+/// Verification order: magic → version → header checksum → layout and
+/// length → section checksums → graph validation, so the error names
+/// the outermost layer that failed. This is the portable path: it
+/// copies the sections into owned arrays and works on any endianness;
+/// zero-copy serving goes through [`crate::mapped::MappedSnapshot`]
+/// instead.
+///
+/// The canonical candidate list is rebuilt from the rows (each pair
+/// `(u, v)` with `u < v` appears in `u`'s row with target `v > u`,
+/// exactly once), and `from_csr_parts` re-verifies every graph
+/// invariant against the decoded arrays without re-sorting or
+/// rebuilding the CSR.
+pub fn decode_snapshot(bytes: &[u8]) -> Result<(UncertainGraph, SnapshotMeta), SnapshotError> {
+    let h = V3Header::parse(bytes)?;
+    h.verify_sections(bytes)?;
+    let (n, m) = (h.n, h.m);
     let incidents = 2 * m;
+    let offsets: Vec<usize> = bytes[h.offsets_off..h.offsets_off + 8 * (n + 1)]
+        .chunks_exact(8)
+        .map(|b| u64::from_le_bytes(b.try_into().unwrap()) as usize)
+        .collect();
+    let targets: Vec<u32> = bytes[h.targets_off..h.targets_off + 4 * incidents]
+        .chunks_exact(4)
+        .map(|b| u32::from_le_bytes(b.try_into().unwrap()))
+        .collect();
+    let probs: Vec<f64> = bytes[h.probs_off..h.probs_off + 8 * incidents]
+        .chunks_exact(8)
+        .map(|b| f64::from_bits(u64::from_le_bytes(b.try_into().unwrap())))
+        .collect();
     if offsets[0] != 0 || offsets[n] != incidents {
         return Err(SnapshotError::Invalid(format!(
             "CSR offsets span [{}, {}], expected [0, {incidents}]",
@@ -697,125 +635,16 @@ pub(crate) fn graph_from_csr_arrays(
         )));
     }
     UncertainGraph::from_csr_parts(n, candidates, offsets, targets, probs)
+        .map(|g| (g, h.meta))
         .map_err(SnapshotError::Invalid)
 }
 
-/// Decodes a snapshot (version 1, 2, or 3) and its release metadata.
-///
-/// Verification order: magic → version → length → checksum → graph
-/// validation, so the error names the outermost layer that failed.
-/// For v3 this is the portable heap path — it copies the sections into
-/// owned arrays and fully verifies every checksum, working on any
-/// endianness; zero-copy serving goes through
-/// [`crate::mapped::MappedSnapshot`] instead.
-pub fn decode_snapshot_with_meta(
-    bytes: &[u8],
-) -> Result<(UncertainGraph, SnapshotMeta), SnapshotError> {
-    let mut c = Cursor { bytes, pos: 0 };
-    if c.take(8).map_err(|_| SnapshotError::BadMagic)? != SNAPSHOT_MAGIC {
-        return Err(SnapshotError::BadMagic);
-    }
-    let version = c.u32()?;
-    if !(SNAPSHOT_MIN_VERSION..=SNAPSHOT_MAX_VERSION).contains(&version) {
-        return Err(SnapshotError::BadVersion(version));
-    }
-    if version == SNAPSHOT_VERSION_V3 {
-        return decode_snapshot_v3(bytes);
-    }
-    let meta = if version >= 2 {
-        SnapshotMeta {
-            epoch: c.u64()?,
-            parent_checksum: c.u64()?,
-        }
-    } else {
-        SnapshotMeta::default()
-    };
-    let header_len = c.pos + 16; // n and m still to come
-    let n = c.u64()? as usize;
-    let m = c.u64()? as usize;
-    // All size arithmetic on the untrusted header is checked: a crafted
-    // n/m must surface as an Err, never as an overflow panic or a
-    // wrapped length that dodges the size check.
-    let header_overflow = || SnapshotError::Invalid(format!("header sizes n={n}, m={m} overflow"));
-    let offsets_len = n
-        .checked_add(1)
-        .and_then(|x| x.checked_mul(8))
-        .ok_or_else(header_overflow)?;
-    let incidents = m.checked_mul(2).ok_or_else(header_overflow)?;
-    let expected = incidents
-        .checked_mul(12) // 4 target bytes + 8 prob bytes per incident
-        .and_then(|x| x.checked_add(offsets_len))
-        .and_then(|x| x.checked_add(header_len + 8))
-        .ok_or_else(header_overflow)?;
-    if bytes.len() != expected {
-        return Err(SnapshotError::Truncated {
-            expected,
-            actual: bytes.len(),
-        });
-    }
-    let stored = u64::from_le_bytes(bytes[bytes.len() - 8..].try_into().unwrap());
-    let computed = checksum64(&bytes[8..bytes.len() - 8]);
-    if stored != computed {
-        return Err(SnapshotError::ChecksumMismatch {
-            region: "payload",
-            at: 8,
-            stored,
-            computed,
-        });
-    }
-    // Bulk-decode the three arrays (lengths were verified above, so the
-    // takes cannot fail).
-    let offsets: Vec<usize> = c
-        .take(offsets_len)?
-        .chunks_exact(8)
-        .map(|b| u64::from_le_bytes(b.try_into().unwrap()) as usize)
-        .collect();
-    let targets: Vec<u32> = c
-        .take(incidents * 4)?
-        .chunks_exact(4)
-        .map(|b| u32::from_le_bytes(b.try_into().unwrap()))
-        .collect();
-    let probs: Vec<f64> = c
-        .take(incidents * 8)?
-        .chunks_exact(8)
-        .map(|b| f64::from_bits(u64::from_le_bytes(b.try_into().unwrap())))
-        .collect();
-    graph_from_csr_arrays(n, m, offsets, targets, probs).map(|g| (g, meta))
-}
-
-/// The heap decode path for a v3 file image: full verification (header
-/// checksum, layout, all three section checksums), then owned-array
-/// reconstruction — the graceful fallback when mmap is unavailable
-/// (non-Unix, big-endian) or undesired.
-fn decode_snapshot_v3(bytes: &[u8]) -> Result<(UncertainGraph, SnapshotMeta), SnapshotError> {
-    let h = V3Header::parse(bytes)?;
-    h.verify_sections(bytes)?;
-    let incidents = 2 * h.m;
-    let offsets: Vec<usize> = bytes[h.offsets_off..h.offsets_off + 8 * (h.n + 1)]
-        .chunks_exact(8)
-        .map(|b| u64::from_le_bytes(b.try_into().unwrap()) as usize)
-        .collect();
-    let targets: Vec<u32> = bytes[h.targets_off..h.targets_off + 4 * incidents]
-        .chunks_exact(4)
-        .map(|b| u32::from_le_bytes(b.try_into().unwrap()))
-        .collect();
-    let probs: Vec<f64> = bytes[h.probs_off..h.probs_off + 8 * incidents]
-        .chunks_exact(8)
-        .map(|b| f64::from_bits(u64::from_le_bytes(b.try_into().unwrap())))
-        .collect();
-    graph_from_csr_arrays(h.n, h.m, offsets, targets, probs).map(|g| (g, h.meta))
-}
-
-/// Loads a snapshot from a file path.
-pub fn load_snapshot<P: AsRef<Path>>(path: P) -> Result<UncertainGraph, SnapshotError> {
-    decode_snapshot(&std::fs::read(path)?)
-}
-
-/// Loads a snapshot and its release metadata from a file path.
-pub fn load_snapshot_with_meta<P: AsRef<Path>>(
+/// Reads and decodes a snapshot file onto the heap; see
+/// [`decode_snapshot`].
+pub fn load_snapshot<P: AsRef<Path>>(
     path: P,
 ) -> Result<(UncertainGraph, SnapshotMeta), SnapshotError> {
-    decode_snapshot_with_meta(&std::fs::read(path)?)
+    decode_snapshot(&std::fs::read(path)?)
 }
 
 #[cfg(test)]
@@ -837,11 +666,34 @@ mod tests {
         .unwrap()
     }
 
+    fn root(g: &UncertainGraph) -> Vec<u8> {
+        snapshot_bytes(g, SnapshotMeta::default())
+    }
+
+    fn decode(bytes: &[u8]) -> Result<UncertainGraph, SnapshotError> {
+        decode_snapshot(bytes).map(|(g, _)| g)
+    }
+
+    /// Re-stamps the header checksum after a test edits a header field,
+    /// so only the edit itself can fail the parse.
+    fn restamp_header(bytes: &mut [u8]) {
+        let sum = checksum64(&bytes[8..V3_HEADER_CHECKSUM_AT]);
+        bytes[V3_HEADER_CHECKSUM_AT..V3_HEADER_LEN].copy_from_slice(&sum.to_le_bytes());
+    }
+
     #[test]
-    fn round_trip_preserves_graph() {
+    fn round_trip_preserves_graph_and_meta() {
         let g = figure1b();
-        let back = decode_snapshot(&snapshot_bytes(&g)).unwrap();
-        assert_eq!(g, back);
+        let meta = SnapshotMeta {
+            epoch: 9,
+            parent_checksum: 0xFEED,
+        };
+        let bytes = snapshot_bytes(&g, meta);
+        assert_eq!(bytes.len() % 8, 0);
+        assert!(bytes.len() >= 3 * V3_SECTION_ALIGN);
+        let (back, got) = decode_snapshot(&bytes).unwrap();
+        assert_eq!(back, g);
+        assert_eq!(got, meta);
     }
 
     #[test]
@@ -851,7 +703,7 @@ mod tests {
             UncertainGraph::new(7, vec![]).unwrap(),
             UncertainGraph::new(5, vec![(3, 4, 1e-300)]).unwrap(),
         ] {
-            assert_eq!(decode_snapshot(&snapshot_bytes(&g)).unwrap(), g);
+            assert_eq!(decode(&root(&g)).unwrap(), g);
         }
     }
 
@@ -861,156 +713,133 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("g.snap");
         let g = figure1b();
-        save_snapshot(&g, &path).unwrap();
-        assert_eq!(load_snapshot(&path).unwrap(), g);
+        let meta = SnapshotMeta {
+            epoch: 3,
+            parent_checksum: 42,
+        };
+        let checksum = save_snapshot(&g, meta, &path).unwrap();
+        assert_eq!(load_snapshot(&path).unwrap(), (g, meta));
+        assert_eq!(
+            checksum,
+            stored_checksum(&std::fs::read(&path).unwrap()).unwrap()
+        );
+        // Overwriting goes through a temp sibling that is renamed away.
+        let star = UncertainGraph::new(3, vec![(0, 1, 0.5), (0, 2, 0.5)]).unwrap();
+        save_snapshot(&star, SnapshotMeta::default(), &path).unwrap();
+        assert_eq!(load_snapshot(&path).unwrap().0, star);
+        let leftovers: Vec<_> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name())
+            .filter(|f| f.to_string_lossy().ends_with(".tmp"))
+            .collect();
+        assert!(leftovers.is_empty(), "{leftovers:?}");
         std::fs::remove_file(&path).ok();
     }
 
     #[test]
     fn rejects_bad_magic_and_version() {
-        let mut bytes = snapshot_bytes(&figure1b());
+        let mut bytes = root(&figure1b());
         let mut wrong_magic = bytes.clone();
         wrong_magic[0] ^= 0xFF;
-        assert!(matches!(
-            decode_snapshot(&wrong_magic),
-            Err(SnapshotError::BadMagic)
-        ));
-        // Bump the version and re-stamp the checksum so only the version
-        // check can fire.
+        assert!(matches!(decode(&wrong_magic), Err(SnapshotError::BadMagic)));
+        // The version is checked before the header checksum.
         bytes[8] = 99;
-        let cksum_at = bytes.len() - 8;
-        let recomputed = checksum64(&bytes[8..cksum_at]);
-        bytes[cksum_at..].copy_from_slice(&recomputed.to_le_bytes());
-        assert!(matches!(
-            decode_snapshot(&bytes),
-            Err(SnapshotError::BadVersion(99))
-        ));
+        assert!(matches!(decode(&bytes), Err(SnapshotError::BadVersion(99))));
+    }
+
+    /// The retired packed layout: magic, version, (v2 only) epoch and
+    /// parent checksum, n, m, the three CSR arrays back to back, then a
+    /// trailing checksum of everything after the magic.
+    fn packed(version: u32, g: &UncertainGraph) -> Vec<u8> {
+        let mut buf = SNAPSHOT_MAGIC.to_vec();
+        buf.extend_from_slice(&version.to_le_bytes());
+        if version == 2 {
+            buf.extend_from_slice(&[0u8; 16]);
+        }
+        buf.extend_from_slice(&(g.num_vertices() as u64).to_le_bytes());
+        buf.extend_from_slice(&(g.num_candidates() as u64).to_le_bytes());
+        let v3 = root(g);
+        for (_, start, len) in V3Header::parse(&v3).unwrap().sections() {
+            buf.extend_from_slice(&v3[start..start + len]);
+        }
+        let sum = checksum64(&buf[8..]);
+        buf.extend_from_slice(&sum.to_le_bytes());
+        buf
     }
 
     #[test]
-    fn rejects_corrupted_payload() {
-        let g = figure1b();
-        let bytes = snapshot_bytes(&g);
-        // Flip one bit in every byte position after the version in turn
-        // — every flip must be rejected, and flips that leave the
-        // declared sizes intact must be caught by the checksum
-        // specifically (a flipped n/m fails the length check first).
-        for pos in 12..bytes.len() - 8 {
-            let mut corrupt = bytes.clone();
-            corrupt[pos] ^= 0x01;
-            assert!(decode_snapshot(&corrupt).is_err(), "flip at {pos} accepted");
-            if !(28..44).contains(&pos) {
+    fn checksummed_version_1_and_2_files_are_rejected() {
+        for g in [figure1b(), UncertainGraph::new(0, vec![]).unwrap()] {
+            for version in [1, 2] {
+                let bytes = packed(version, &g);
+                let err = decode(&bytes).unwrap_err();
                 assert!(
-                    matches!(
-                        decode_snapshot(&corrupt),
-                        Err(SnapshotError::ChecksumMismatch { .. })
-                    ),
-                    "flip at {pos} undetected by checksum"
+                    matches!(err, SnapshotError::BadVersion(v) if v == version),
+                    "v{version}: {err:?}"
                 );
+                let msg = err.to_string();
+                assert!(
+                    msg.contains("byte offset 8") && msg.contains("expected 3"),
+                    "{msg}"
+                );
+                assert_eq!(stored_checksum(&bytes), None);
+                // A v3 header re-labelled and re-checksummed is refused
+                // the same way.
+                let mut relabelled = root(&g);
+                relabelled[8..12].copy_from_slice(&version.to_le_bytes());
+                restamp_header(&mut relabelled);
+                assert!(matches!(
+                    decode(&relabelled),
+                    Err(SnapshotError::BadVersion(v)) if v == version
+                ));
             }
         }
     }
 
     #[test]
     fn rejects_truncation_at_every_length() {
-        let bytes = snapshot_bytes(&figure1b());
-        for len in 8..bytes.len() {
+        let bytes = root(&figure1b());
+        for len in 0..bytes.len() {
             assert!(
-                decode_snapshot(&bytes[..len]).is_err(),
+                decode(&bytes[..len]).is_err(),
                 "truncation to {len} bytes accepted"
             );
         }
     }
 
-    /// A v2 header (magic, version, epoch 0, parent 0) followed by the
-    /// given n/m and a placeholder checksum.
+    /// A checksummed header declaring `n`/`m`, with the canonical
+    /// section offsets and file length when the layout exists.
     fn crafted_header(n: u64, m: u64) -> Vec<u8> {
-        let mut bytes = Vec::new();
-        bytes.extend_from_slice(&SNAPSHOT_MAGIC);
-        bytes.extend_from_slice(&SNAPSHOT_VERSION.to_le_bytes());
-        bytes.extend_from_slice(&0u64.to_le_bytes()); // epoch
-        bytes.extend_from_slice(&0u64.to_le_bytes()); // parent checksum
-        bytes.extend_from_slice(&n.to_le_bytes());
-        bytes.extend_from_slice(&m.to_le_bytes());
-        bytes.extend_from_slice(&0u64.to_le_bytes()); // placeholder checksum
+        let mut bytes = vec![0u8; V3_HEADER_LEN];
+        bytes[..8].copy_from_slice(&SNAPSHOT_MAGIC);
+        bytes[8..12].copy_from_slice(&SNAPSHOT_VERSION.to_le_bytes());
+        bytes[32..40].copy_from_slice(&n.to_le_bytes());
+        bytes[40..48].copy_from_slice(&m.to_le_bytes());
+        if let Some((o, t, p, len)) = v3_layout(n as usize, m as usize) {
+            for (at, x) in [(48, o), (56, t), (64, p), (72, len)] {
+                bytes[at..at + 8].copy_from_slice(&(x as u64).to_le_bytes());
+            }
+        }
+        restamp_header(&mut bytes);
         bytes
     }
 
     #[test]
     fn crafted_huge_header_is_an_error_not_a_panic() {
-        // n = u64::MAX (m = 0): the size arithmetic must reject it via
+        // n = u64::MAX (m = 0): the layout arithmetic must reject it via
         // Err instead of overflowing or indexing out of bounds.
         assert!(matches!(
-            decode_snapshot(&crafted_header(u64::MAX, 0)),
+            decode(&crafted_header(u64::MAX, 0)),
             Err(SnapshotError::Invalid(_))
         ));
         // A huge-but-representable n must fail the length check without
         // allocating terabytes.
         assert!(matches!(
-            decode_snapshot(&crafted_header(1 << 40, 0)),
+            decode(&crafted_header(1 << 40, 0)),
             Err(SnapshotError::Truncated { .. })
         ));
         // And a huge m must be rejected the same way.
-        assert!(decode_snapshot(&crafted_header(0, u64::MAX)).is_err());
-    }
-
-    #[test]
-    fn meta_round_trips_and_chains() {
-        let g = figure1b();
-        let meta = SnapshotMeta {
-            epoch: 7,
-            parent_checksum: 0xDEAD_BEEF,
-        };
-        let bytes = snapshot_bytes_with_meta(&g, meta);
-        let (back, got) = decode_snapshot_with_meta(&bytes).unwrap();
-        assert_eq!(back, g);
-        assert_eq!(got, meta);
-        // The stored checksum is what the next release's parent field
-        // should carry — and it differs per epoch (the header is summed).
-        let checksum = stored_checksum(&bytes).unwrap();
-        let root = snapshot_bytes(&g);
-        assert_ne!(checksum, stored_checksum(&root).unwrap());
-        assert_eq!(stored_checksum(b"short"), None);
-        // Default meta on the plain constructor.
-        let (_, root_meta) = decode_snapshot_with_meta(&root).unwrap();
-        assert_eq!(root_meta, SnapshotMeta::default());
-    }
-
-    #[test]
-    fn version1_snapshots_still_decode() {
-        // Re-encode figure1b in the 28-byte v1 header layout; the
-        // decoder must accept it with default metadata.
-        let g = figure1b();
-        let v2 = snapshot_bytes(&g);
-        let mut v1 = Vec::new();
-        v1.extend_from_slice(&SNAPSHOT_MAGIC);
-        v1.extend_from_slice(&1u32.to_le_bytes());
-        v1.extend_from_slice(&v2[28..v2.len() - 8]); // n, m, payload
-        let checksum = checksum64(&v1[8..]);
-        v1.extend_from_slice(&checksum.to_le_bytes());
-        let (back, meta) = decode_snapshot_with_meta(&v1).unwrap();
-        assert_eq!(back, g);
-        assert_eq!(meta, SnapshotMeta::default());
-    }
-
-    #[test]
-    fn file_round_trip_with_meta() {
-        let dir = std::env::temp_dir().join("obfugraph_snapshot_meta_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("g.snap");
-        let g = figure1b();
-        let meta = SnapshotMeta {
-            epoch: 3,
-            parent_checksum: 42,
-        };
-        let checksum = save_snapshot_with_meta(&g, meta, &path).unwrap();
-        let (back, got) = load_snapshot_with_meta(&path).unwrap();
-        assert_eq!((back, got), (g, meta));
-        assert_eq!(
-            checksum,
-            stored_checksum(&std::fs::read(&path).unwrap()).unwrap()
-        );
-        std::fs::remove_file(&path).ok();
+        assert!(decode(&crafted_header(0, u64::MAX)).is_err());
     }
 
     #[test]
@@ -1031,41 +860,19 @@ mod tests {
     }
 
     #[test]
-    fn v3_round_trips_through_the_heap_decoder() {
+    fn stored_checksum_is_the_header_checksum_and_chains() {
         let g = figure1b();
-        let meta = SnapshotMeta {
-            epoch: 9,
-            parent_checksum: 0xFEED,
-        };
-        let bytes = snapshot_bytes_v3_with_meta(&g, meta);
-        assert_eq!(bytes.len() % 8, 0);
-        assert!(bytes.len() >= 3 * V3_SECTION_ALIGN);
-        let (back, got) = decode_snapshot_with_meta(&bytes).unwrap();
-        assert_eq!(back, g);
-        assert_eq!(got, meta);
-        // Empty / isolated-vertex graphs still lay out correctly.
-        for g in [
-            UncertainGraph::new(0, vec![]).unwrap(),
-            UncertainGraph::new(7, vec![]).unwrap(),
-            UncertainGraph::new(5, vec![(3, 4, 1e-300)]).unwrap(),
-        ] {
-            assert_eq!(decode_snapshot(&snapshot_bytes_v3(&g)).unwrap(), g);
-        }
-    }
-
-    #[test]
-    fn v3_stored_checksum_is_the_header_checksum() {
-        let g = figure1b();
-        let bytes = snapshot_bytes_v3(&g);
+        let bytes = root(&g);
         let stored = stored_checksum(&bytes).unwrap();
         assert_eq!(
             stored,
             u64::from_le_bytes(bytes[104..112].try_into().unwrap())
         );
-        // Distinct from the v2 stored checksum of the same graph, and
-        // sensitive to the metadata (the header is summed).
-        assert_ne!(stored, stored_checksum(&snapshot_bytes(&g)).unwrap());
-        let tagged = snapshot_bytes_v3_with_meta(
+        assert_eq!(stored_checksum(b"short"), None);
+        assert_eq!(stored_checksum(&bytes[..V3_HEADER_LEN - 1]), None);
+        // Sensitive to the metadata (the header is summed), so each
+        // epoch's child records a distinct parent.
+        let tagged = snapshot_bytes(
             &g,
             SnapshotMeta {
                 epoch: 1,
@@ -1073,12 +880,12 @@ mod tests {
             },
         );
         assert_ne!(stored, stored_checksum(&tagged).unwrap());
+        assert_eq!(decode_snapshot(&tagged).unwrap().1.parent_checksum, stored);
     }
 
     #[test]
     fn v3_sections_are_page_aligned() {
-        let g = figure1b();
-        let bytes = snapshot_bytes_v3(&g);
+        let bytes = root(&figure1b());
         let u64_at = |at: usize| u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap()) as usize;
         for at in [48, 56, 64] {
             assert_eq!(u64_at(at) % V3_SECTION_ALIGN, 0, "section at {at}");
@@ -1090,24 +897,21 @@ mod tests {
     #[test]
     fn v3_rejects_header_and_section_corruption() {
         let g = figure1b();
-        let bytes = snapshot_bytes_v3(&g);
-        // Any flipped non-padding byte must be rejected.
-        let (t_off, p_off) = (
-            u64::from_le_bytes(bytes[56..64].try_into().unwrap()) as usize,
-            u64::from_le_bytes(bytes[64..72].try_into().unwrap()) as usize,
-        );
-        // (A flipped version byte in [8, 12) reports BadVersion or falls
-        // to the v1/v2 path instead — checked elsewhere.)
-        let meaningful = (12..V3_HEADER_LEN)
-            .chain(4096..4096 + 8 * (g.num_vertices() + 1))
-            .chain(t_off..t_off + 8 * g.num_candidates())
-            .chain(p_off..p_off + 16 * g.num_candidates());
+        let bytes = root(&g);
+        // Any flipped non-padding byte past the version must be caught
+        // by a checksum (a flipped version byte reports BadVersion).
+        let meaningful = V3Header::parse(&bytes)
+            .unwrap()
+            .sections()
+            .into_iter()
+            .flat_map(|(_, start, len)| start..start + len)
+            .chain(12..V3_HEADER_LEN);
         for pos in meaningful {
             let mut corrupt = bytes.clone();
             corrupt[pos] ^= 0x01;
             assert!(
                 matches!(
-                    decode_snapshot(&corrupt),
+                    decode(&corrupt),
                     Err(SnapshotError::ChecksumMismatch { .. })
                 ),
                 "flip at {pos} undetected by a checksum"
@@ -1118,18 +922,17 @@ mod tests {
     #[test]
     fn checksummed_but_invalid_probability_rejected() {
         let g = UncertainGraph::new(2, vec![(0, 1, 0.5)]).unwrap();
-        let mut bytes = snapshot_bytes(&g);
-        // Overwrite the probability with 2.0 and re-stamp the checksum:
-        // the graph validation layer must still reject it.
-        let prob_at = bytes.len() - 8 - 16; // two incident f64 copies
-        bytes[prob_at..prob_at + 8].copy_from_slice(&2.0f64.to_le_bytes());
-        bytes[prob_at + 8..prob_at + 16].copy_from_slice(&2.0f64.to_le_bytes());
-        let cksum_at = bytes.len() - 8;
-        let recomputed = checksum64(&bytes[8..cksum_at]);
-        bytes[cksum_at..].copy_from_slice(&recomputed.to_le_bytes());
-        assert!(matches!(
-            decode_snapshot(&bytes),
-            Err(SnapshotError::Invalid(_))
-        ));
+        let mut bytes = root(&g);
+        // Overwrite both incident probabilities with 2.0 and re-stamp the
+        // probs section and header checksums: the graph validation layer
+        // must still reject it.
+        let h = V3Header::parse(&bytes).unwrap();
+        let (_, p_off, p_len) = h.sections()[2];
+        bytes[p_off..p_off + 8].copy_from_slice(&2.0f64.to_le_bytes());
+        bytes[p_off + 8..p_off + 16].copy_from_slice(&2.0f64.to_le_bytes());
+        let sum = checksum64(&bytes[p_off..p_off + p_len]);
+        bytes[96..104].copy_from_slice(&sum.to_le_bytes());
+        restamp_header(&mut bytes);
+        assert!(matches!(decode(&bytes), Err(SnapshotError::Invalid(_))));
     }
 }

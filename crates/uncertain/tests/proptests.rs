@@ -123,20 +123,19 @@ proptest! {
     }
 
     #[test]
-    fn snapshot_round_trip_is_identity(ug in arb_uncertain(30)) {
+    fn snapshot_round_trip_is_identity(ug in arb_uncertain(30), epoch in 0u64..1000) {
         use obf_uncertain::snapshot::{
-            checksum64, decode_snapshot, snapshot_bytes, snapshot_bytes_v3, stored_checksum,
+            checksum64, decode_snapshot, snapshot_bytes, stored_checksum, SnapshotMeta,
         };
-        let bytes = snapshot_bytes(&ug);
-        let back = decode_snapshot(&bytes).unwrap();
+        let meta = SnapshotMeta { epoch, parent_checksum: epoch.wrapping_mul(0x9e37) };
+        let bytes = snapshot_bytes(&ug, meta);
+        let (back, got) = decode_snapshot(&bytes).unwrap();
         prop_assert_eq!(&ug, &back);
-        // The v3 page-aligned encoding decodes to the same graph, and its
-        // stored checksum is the header checksum at byte offset 104.
-        let v3 = snapshot_bytes_v3(&ug);
-        prop_assert_eq!(&decode_snapshot(&v3).unwrap(), &ug);
-        let header_checksum = checksum64(&v3[8..104]);
-        prop_assert_eq!(u64::from_le_bytes(v3[104..112].try_into().unwrap()), header_checksum);
-        prop_assert_eq!(stored_checksum(&v3), Some(header_checksum));
+        prop_assert_eq!(got, meta);
+        // The stored checksum is the header checksum at byte offset 104.
+        let header_checksum = checksum64(&bytes[8..104]);
+        prop_assert_eq!(u64::from_le_bytes(bytes[104..112].try_into().unwrap()), header_checksum);
+        prop_assert_eq!(stored_checksum(&bytes), Some(header_checksum));
         // And TSV → snapshot → load matches the TSV round trip too.
         let mut tsv = Vec::new();
         obf_uncertain::write_uncertain_edge_list(&ug, &mut tsv).unwrap();
@@ -151,24 +150,24 @@ proptest! {
         pos_frac in 0.0f64..1.0,
         cut_frac in 0.0f64..1.0,
     ) {
-        use obf_uncertain::snapshot::{decode_snapshot, SnapshotError};
-        let bytes = obf_uncertain::snapshot::snapshot_bytes(&ug);
-        // Flip one payload bit (past the magic, before the checksum).
+        use obf_uncertain::snapshot::{decode_snapshot, snapshot_bytes, SnapshotError, SnapshotMeta};
+        let bytes = snapshot_bytes(&ug, SnapshotMeta::default());
+        // Flip one bit anywhere past the magic: padding flips may pass
+        // (they are outside every checksum), but never change the graph.
         let lo = 8;
-        let hi = bytes.len() - 8;
+        let hi = bytes.len();
         let pos = lo + ((pos_frac * (hi - lo) as f64) as usize).min(hi - lo - 1);
         let mut corrupt = bytes.clone();
         corrupt[pos] ^= 0x10;
-        let decoded = decode_snapshot(&corrupt);
-        match decoded {
+        match decode_snapshot(&corrupt) {
             Err(_) => {}
-            Ok(g) => prop_assert_eq!(g, ug, "undetected corruption must be a no-op flip"),
+            Ok((g, _)) => prop_assert_eq!(g, ug, "undetected corruption must be a no-op flip"),
         }
         // Truncate anywhere: never accepted.
         let cut = ((cut_frac * bytes.len() as f64) as usize).min(bytes.len() - 1);
         let err = decode_snapshot(&bytes[..cut]);
         prop_assert!(err.is_err());
-        if cut >= 28 {
+        if cut >= 12 {
             prop_assert!(
                 matches!(err, Err(SnapshotError::Truncated { .. })),
                 "cut={} expected Truncated", cut

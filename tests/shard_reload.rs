@@ -12,7 +12,7 @@
 //! shards.
 
 use obf_server::{Client, Server, ServerConfig, ServerState};
-use obf_uncertain::{save_snapshot, UncertainGraph};
+use obf_uncertain::{save_snapshot, SnapshotMeta, UncertainGraph};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc};
@@ -108,7 +108,7 @@ fn new_release(tag: &str) -> (PathBuf, PathBuf) {
     let dir = std::env::temp_dir().join(format!("shard_reload_{tag}_{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join("release.snap");
-    save_snapshot(&graph_new(), path.to_str().unwrap()).unwrap();
+    save_snapshot(&graph_new(), SnapshotMeta::default(), &path).unwrap();
     (dir, path)
 }
 
@@ -234,8 +234,8 @@ fn repeated_rollouts_stay_consistent() {
     std::fs::create_dir_all(&dir).unwrap();
     let p1 = dir.join("r1.snap");
     let p2 = dir.join("r2.snap");
-    save_snapshot(&graph_new(), p1.to_str().unwrap()).unwrap();
-    save_snapshot(&graph_old(), p2.to_str().unwrap()).unwrap();
+    save_snapshot(&graph_new(), SnapshotMeta::default(), &p1).unwrap();
+    save_snapshot(&graph_old(), SnapshotMeta::default(), &p2).unwrap();
 
     for shards in SHARD_COUNTS {
         let server = serve(graph_old(), shards);

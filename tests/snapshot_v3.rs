@@ -3,12 +3,9 @@
 //! must answer the full server line protocol byte-for-byte identically
 //! to the same graph decoded onto the heap.
 //!
-//! Byte-level format spec: docs/FORMATS.md § "Snapshot v3".
+//! Byte-level format spec: docs/FORMATS.md § "Snapshot files".
 
-use obf_uncertain::{
-    save_snapshot_v3_with_meta, snapshot_bytes_v3_with_meta, SnapshotError, SnapshotMeta,
-    UncertainGraph,
-};
+use obf_uncertain::{save_snapshot, snapshot_bytes, SnapshotError, SnapshotMeta, UncertainGraph};
 use proptest::prelude::*;
 
 fn tmp(name: &str) -> std::path::PathBuf {
@@ -33,12 +30,12 @@ fn sample_graph() -> UncertainGraph {
 }
 
 fn decode(bytes: &[u8]) -> Result<UncertainGraph, SnapshotError> {
-    obf_uncertain::decode_snapshot(bytes)
+    obf_uncertain::decode_snapshot(bytes).map(|(g, _)| g)
 }
 
 #[test]
 fn v3_rejects_bad_magic() {
-    let mut bytes = snapshot_bytes_v3_with_meta(&sample_graph(), SnapshotMeta::default());
+    let mut bytes = snapshot_bytes(&sample_graph(), SnapshotMeta::default());
     bytes[0] ^= 0xFF;
     let err = decode(&bytes).unwrap_err();
     assert!(matches!(err, SnapshotError::BadMagic));
@@ -48,7 +45,7 @@ fn v3_rejects_bad_magic() {
 #[test]
 fn v3_rejects_misaligned_section_offset() {
     let g = sample_graph();
-    let mut bytes = snapshot_bytes_v3_with_meta(&g, SnapshotMeta::default());
+    let mut bytes = snapshot_bytes(&g, SnapshotMeta::default());
     // Nudge the targets section offset off its 4096-aligned position
     // and restamp the header checksum so the misalignment itself is
     // what the parser sees.
@@ -67,7 +64,7 @@ fn v3_rejects_misaligned_section_offset() {
 #[test]
 fn v3_rejects_checksum_flip_in_every_section() {
     let g = sample_graph();
-    let clean = snapshot_bytes_v3_with_meta(&g, SnapshotMeta::default());
+    let clean = snapshot_bytes(&g, SnapshotMeta::default());
     // One representative byte per region: header field, offsets,
     // targets, probs (the snapshot.rs unit suite flips every byte;
     // this is the end-to-end spot check against a written file).
@@ -88,7 +85,7 @@ fn v3_rejects_checksum_flip_in_every_section() {
 
 #[test]
 fn v3_rejects_truncation_at_every_boundary() {
-    let bytes = snapshot_bytes_v3_with_meta(&sample_graph(), SnapshotMeta::default());
+    let bytes = snapshot_bytes(&sample_graph(), SnapshotMeta::default());
     // Shorter than the magic, shorter than the header, header-only,
     // mid-section, one byte short of complete.
     for len in [0, 4, 60, 112, 4096, 4100, bytes.len() - 1] {
@@ -146,7 +143,7 @@ mod mmap_vs_heap {
     fn mapped_graph_equals_heap_graph_in_memory() {
         let g = sample_graph();
         let path = tmp("equality.snap");
-        save_snapshot_v3_with_meta(&g, SnapshotMeta::default(), &path).unwrap();
+        save_snapshot(&g, SnapshotMeta::default(), &path).unwrap();
         let mapped = UncertainGraph::from_mapped(MappedSnapshot::open(&path).unwrap());
         assert!(mapped.is_mapped());
         assert_eq!(mapped, g);
@@ -162,7 +159,7 @@ mod mmap_vs_heap {
         let old = UncertainGraph::new(3, vec![(0, 1, 0.5)]).unwrap();
         let new = sample_graph();
         let path = tmp("reload.snap");
-        save_snapshot_v3_with_meta(
+        save_snapshot(
             &new,
             SnapshotMeta {
                 epoch: 7,
@@ -211,7 +208,7 @@ mod mmap_vs_heap {
                 .collect();
             let g = UncertainGraph::new(n, cands).unwrap();
             let path = tmp(&format!("prop_{case}.snap"));
-            save_snapshot_v3_with_meta(&g, SnapshotMeta::default(), &path).unwrap();
+            save_snapshot(&g, SnapshotMeta::default(), &path).unwrap();
             let mapped = UncertainGraph::from_mapped(MappedSnapshot::open(&path).unwrap());
 
             let script = script(n);
