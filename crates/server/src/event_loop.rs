@@ -18,10 +18,14 @@
 //!   bytes and `write_buffer_cap` (plus one in-flight reply) unsent
 //!   response bytes per connection, so no peer can grow server memory
 //!   without limit;
-//! * **pipelining** — every complete frame in the read buffer is
-//!   answered in arrival order before the loop moves on; answers are
-//!   computed by `ServerState::answer_on`, so a transcript is
-//!   bit-identical to calling [`ServerState::answer`] line by line;
+//! * **pipelining** — complete frames in the read buffer are answered
+//!   in arrival order, at most [`FRAMES_PER_TURN`] per turn: a
+//!   connection with frames left over gets another turn after every
+//!   other ready connection had one, so a long pipelined burst delays
+//!   its neighbours by one turn, not by the whole burst. Framing walks
+//!   the buffer by offset, so it is linear in the bytes buffered.
+//!   Answers are computed by `ServerState::answer_on`, so a transcript
+//!   is bit-identical to calling [`ServerState::answer`] line by line;
 //! * **backpressure** — when a connection's write buffer crosses the
 //!   high-water mark the loop stops *reading* (and stops parsing) from
 //!   that connection until the peer drains it below half the mark: a
@@ -60,6 +64,10 @@ const BELL: u64 = u64::MAX - 1;
 /// Reply sent (best-effort) to a connection rejected by admission
 /// control before it is closed.
 pub const BUSY_REPLY: &str = "ERR BUSY connection limit reached, retry later";
+
+/// Most frames one connection gets answered per turn before the loop
+/// serves the other ready connections (pipelining fairness).
+pub const FRAMES_PER_TURN: usize = 1024;
 
 /// How long after a stop request the loop keeps trying to flush
 /// pending write buffers before dropping the remaining connections.
@@ -117,6 +125,10 @@ struct Conn {
     closing: bool,
     /// Peer half-closed (EOF seen); close once the write side drains.
     peer_eof: bool,
+    /// The last turn ran out of [`FRAMES_PER_TURN`] with complete
+    /// frames possibly left in `rbuf`; the connection is in the loop's
+    /// backlog.
+    backlogged: bool,
     last_activity: Instant,
     registered: Interest,
 }
@@ -148,6 +160,8 @@ pub(crate) struct EventLoop {
     config: ServerConfig,
     conns: Vec<Option<Conn>>,
     free: Vec<usize>,
+    /// Connections owed another turn (see [`Conn::backlogged`]).
+    backlog: Vec<usize>,
     events: Vec<Event>,
     scratch: Vec<u8>,
 }
@@ -171,6 +185,7 @@ impl EventLoop {
             config,
             conns: Vec::new(),
             free: Vec::new(),
+            backlog: Vec::new(),
             events: Vec::new(),
             scratch: vec![0u8; 16 * 1024],
         })
@@ -182,7 +197,13 @@ impl EventLoop {
                 self.drain_and_exit();
                 return;
             }
-            let timeout = self.wait_timeout();
+            // Owed turns are served right after this wait, so it must
+            // not block while there are any.
+            let timeout = if self.backlog.is_empty() {
+                self.wait_timeout()
+            } else {
+                Some(Duration::ZERO)
+            };
             let mut events = std::mem::take(&mut self.events);
             if let Err(e) = self.poller.wait(&mut events, timeout) {
                 eprintln!("poller wait failed: {e}");
@@ -197,6 +218,11 @@ impl EventLoop {
                     LISTENER => self.accept_ready(),
                     BELL => {} // the loop top sees the stop flag
                     idx => self.conn_ready(idx as usize, ev.readable, ev.writable),
+                }
+            }
+            for idx in std::mem::take(&mut self.backlog) {
+                if matches!(&self.conns[idx], Some(c) if c.backlogged) {
+                    self.conn_ready(idx, false, false);
                 }
             }
             self.reap_idle();
@@ -264,6 +290,7 @@ impl EventLoop {
             paused: false,
             closing: false,
             peer_eof: false,
+            backlogged: false,
             last_activity: Instant::now(),
             registered: Interest::READ,
         };
@@ -297,23 +324,27 @@ impl EventLoop {
         match disposition {
             Disposition::Close => self.close(idx, conn),
             Disposition::Keep => {
+                if conn.backlogged {
+                    self.backlog.push(idx);
+                }
                 self.update_interest(idx, &mut conn);
                 self.conns[idx] = Some(conn);
             }
         }
     }
 
-    /// Runs one connection's state machine for one readiness report:
-    /// read what the socket has, answer every complete frame, flush,
-    /// and repeat while backpressure transitions free more work.
+    /// Runs one connection's turn: read what the socket has, answer up
+    /// to [`FRAMES_PER_TURN`] complete frames, flush, and repeat while
+    /// backpressure transitions free more work within that budget.
     fn drive(&mut self, conn: &mut Conn, readable: bool, writable: bool) -> Disposition {
         if readable {
             if let Err(()) = self.fill_read_buffer(conn) {
                 return Disposition::Close;
             }
         }
+        let mut budget = FRAMES_PER_TURN;
         loop {
-            if let Err(()) = self.process_frames(conn) {
+            if let Err(()) = self.process_frames(conn, &mut budget) {
                 // Fatal framing error: the ERR reply is queued; flush
                 // it and close below.
                 conn.closing = true;
@@ -330,7 +361,7 @@ impl EventLoop {
         }
         self.state
             .note_buffer_level((conn.rbuf.len() + conn.wbuf.len()) as u64);
-        if conn.wbuf.is_empty() && (conn.closing || conn.peer_eof) {
+        if conn.wbuf.is_empty() && (conn.closing || conn.peer_eof) && !conn.backlogged {
             return Disposition::Close;
         }
         Disposition::Keep
@@ -361,23 +392,37 @@ impl EventLoop {
         }
     }
 
-    /// Answers every complete frame in `rbuf`, in order, stopping early
-    /// if the write buffer crosses the high-water mark. `Err(())` is a
+    /// Answers the complete frames in `rbuf`, in order, stopping early
+    /// if the write buffer crosses the high-water mark or after
+    /// `budget` frames (then `conn.backlogged` is set). `Err(())` is a
     /// fatal framing violation (reply already queued).
-    fn process_frames(&mut self, conn: &mut Conn) -> Result<(), ()> {
-        while !conn.closing && !conn.paused {
-            if conn.rbuf.len() < 4 {
+    ///
+    /// Frames are walked by offset and the consumed prefix is drained
+    /// once at the end, so parsing is linear in the bytes buffered; a
+    /// drain per frame would move the rest of the buffer every time.
+    fn process_frames(&mut self, conn: &mut Conn, budget: &mut usize) -> Result<(), ()> {
+        let mut at = 0;
+        conn.backlogged = false;
+        let result = loop {
+            if conn.closing || conn.paused {
+                break Ok(());
+            }
+            if *budget == 0 {
+                conn.backlogged = true;
+                break Ok(());
+            }
+            let rest = &conn.rbuf[at..];
+            if rest.len() < 4 {
                 // An over-full buffer that cannot even hold a length
                 // prefix cannot make progress (config abuse guard).
-                if conn.rbuf.len() >= self.config.read_buffer_cap {
+                if rest.len() >= self.config.read_buffer_cap {
                     self.state.note_protocol_error();
                     queue_frame(&mut conn.wbuf, "ERR read buffer exhausted");
-                    return Err(());
+                    break Err(());
                 }
-                return Ok(());
+                break Ok(());
             }
-            let len = u32::from_le_bytes([conn.rbuf[0], conn.rbuf[1], conn.rbuf[2], conn.rbuf[3]])
-                as usize;
+            let len = u32::from_le_bytes([rest[0], rest[1], rest[2], rest[3]]) as usize;
             let frame_cap = MAX_FRAME.min(self.config.read_buffer_cap.saturating_sub(4));
             if len > frame_cap {
                 // The declared length is garbage; the stream can never
@@ -387,14 +432,15 @@ impl EventLoop {
                     &mut conn.wbuf,
                     &format!("ERR frame of {len} bytes exceeds the {frame_cap}-byte cap"),
                 );
-                return Err(());
+                break Err(());
             }
-            if conn.rbuf.len() < 4 + len {
-                return Ok(()); // truncated so far; more bytes may come
+            if rest.len() < 4 + len {
+                break Ok(()); // truncated so far; more bytes may come
             }
-            let payload = conn.rbuf[4..4 + len].to_vec();
-            conn.rbuf.drain(..4 + len);
-            match String::from_utf8(payload) {
+            let payload = &rest[4..4 + len];
+            at += 4 + len;
+            *budget -= 1;
+            match std::str::from_utf8(payload) {
                 Err(_) => {
                     // The byte count still delimited the frame, so the
                     // connection survives a non-UTF-8 request.
@@ -405,7 +451,7 @@ impl EventLoop {
                     let verb = line.trim();
                     let quitting = verb == "QUIT";
                     let shutting_down = verb == "SHUTDOWN";
-                    let reply = self.state.answer_on(&mut conn.pin, &line);
+                    let reply = self.state.answer_on(&mut conn.pin, line);
                     queue_frame(&mut conn.wbuf, &reply);
                     if quitting || shutting_down {
                         conn.closing = true;
@@ -420,8 +466,9 @@ impl EventLoop {
             if conn.wbuf.len() >= self.config.write_buffer_cap {
                 conn.paused = true;
             }
-        }
-        Ok(())
+        };
+        conn.rbuf.drain(..at);
+        result
     }
 
     /// Writes as much of `wbuf` as the socket accepts. `Err` means the

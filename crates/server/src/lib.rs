@@ -65,6 +65,7 @@ pub mod event_loop;
 pub mod protocol;
 pub mod sys;
 
+use std::fmt::Write as _;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -78,10 +79,7 @@ use obf_obs::{Counter, Gauge, Histogram, Registry, Span, TraceScope};
 use obf_stats::hoeffding::hoeffding_bound;
 use obf_uncertain::degree_dist::{vertex_degree_distribution, DegreeDistMethod};
 use obf_uncertain::snapshot::SNAPSHOT_MAGIC;
-use obf_uncertain::{
-    expected_average_degree, expected_degree_variance, expected_num_edges, expected_triangles,
-    SnapshotMeta, UncertainGraph, WorldCache, WorldCacheStats,
-};
+use obf_uncertain::{SnapshotMeta, UncertainGraph, WorldCache, WorldCacheStats};
 
 pub use event_loop::BUSY_REPLY;
 pub use obf_uncertain::{Release, WorldStat};
@@ -537,7 +535,7 @@ impl ServerState {
                 "n={} candidates={} mass={} epoch={epoch}",
                 n,
                 g.num_candidates(),
-                g.total_probability_mass()
+                release.probability_mass()
             ),
             Request::ExpectedDegree(v) => g.expected_degree(check_vertex(v)?).to_string(),
             Request::DegreeDist(v) => {
@@ -551,15 +549,17 @@ impl ServerState {
                     if !out.is_empty() {
                         out.push(' ');
                     }
-                    out.push_str(&format!("{t}:{p}"));
+                    let _ = write!(out, "{t}:{p}");
                 }
                 out
             }
+            // Whole-graph answers are computed once per release (the
+            // first request pays the scan) and read back afterwards.
             Request::Expected(stat) => match stat {
-                ExactStat::NumEdges => expected_num_edges(g),
-                ExactStat::AvgDegree => expected_average_degree(g),
-                ExactStat::DegreeVariance => expected_degree_variance(g),
-                ExactStat::Triangles => expected_triangles(g),
+                ExactStat::NumEdges => release.expected_num_edges(),
+                ExactStat::AvgDegree => release.expected_average_degree(),
+                ExactStat::DegreeVariance => release.expected_degree_variance(),
+                ExactStat::Triangles => release.expected_triangles(),
             }
             .to_string(),
             Request::Stat {
@@ -653,7 +653,7 @@ fn join_f64(xs: &[f64]) -> String {
         if i > 0 {
             out.push(' ');
         }
-        out.push_str(&x.to_string());
+        let _ = write!(out, "{x}");
     }
     out
 }
@@ -834,6 +834,7 @@ impl Client {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use obf_uncertain::{expected_num_edges, expected_triangles};
 
     fn state() -> ServerState {
         let g = Arc::new(

@@ -11,12 +11,16 @@
 //!
 //! ```text
 //! PING
-//! INFO
+//! INFO                         n, candidates, probability mass, pinned epoch;
+//!                              the mass is scanned by the release's first
+//!                              INFO and read back by later ones (O(1))
 //! EXPECTED_DEGREE <v>          exact μ_v = Σ_{e∋v} p(e)
 //! DEGREE_DIST <v>              exact Poisson-binomial row of v (Lemma 1)
 //! NEIGHBORHOOD <v>             incident candidates as <target>:<prob>
 //! EXPECTED <stat>              exact expectation via linearity (Section 6.2)
-//!                              stat ∈ num_edges | avg_degree | degree_variance | triangles
+//!                              stat ∈ num_edges | avg_degree | degree_variance | triangles;
+//!                              the release's first request per stat pays the
+//!                              scan, later ones read the stored value (O(1))
 //! STAT <stat> <worlds> <seed> [eps]
 //!                              Monte-Carlo over worlds 0..<worlds> of the
 //!                              <seed> stream (Eq. 9), Hoeffding bound

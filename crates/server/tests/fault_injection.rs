@@ -4,8 +4,9 @@
 //! idle reaping, bounded buffers and backpressure, with zero impact on
 //! concurrent well-behaved clients' transcripts.
 
-use std::io::Write;
+use std::io::{BufReader, Write};
 use std::net::TcpStream;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -246,5 +247,71 @@ fn never_reading_client_is_backpressured_with_bounded_buffers() {
         let expected = server.state().answer(&format!("DEGREE_DIST {}", i % 40));
         assert_eq!(reply, &expected, "reply {i} diverged");
     }
+    server.shutdown();
+}
+
+/// A client that pipelines a long burst of small frames is parsed in
+/// time linear in the bytes it sent: every frame is answered, in order,
+/// and a neighbour on the same event loop keeps getting prompt replies
+/// while the burst is worked off. Draining the read buffer once per
+/// frame made both quadratic in the burst size.
+#[test]
+fn pipelined_flood_is_answered_in_order_without_stalling_a_neighbour() {
+    const FLOOD: usize = 80_000;
+    const NEIGHBOUR_RTT_LIMIT: Duration = Duration::from_millis(100);
+    let server = Server::bind(published_graph(10, 3), "127.0.0.1:0", 16).unwrap();
+    let addr = server.addr();
+
+    let mut neighbour = Client::connect(addr).unwrap();
+    assert_eq!(neighbour.request("PING").unwrap(), "OK pong");
+    let flood_done = Arc::new(AtomicBool::new(false));
+    let probe = {
+        let flood_done = Arc::clone(&flood_done);
+        std::thread::spawn(move || {
+            let (mut worst, mut trips) = (Duration::ZERO, 0usize);
+            while !flood_done.load(Ordering::SeqCst) {
+                let t = Instant::now();
+                assert_eq!(neighbour.request("PING").unwrap(), "OK pong");
+                worst = worst.max(t.elapsed());
+                trips += 1;
+            }
+            (worst, trips)
+        })
+    };
+
+    // 80 000 PINGs and a closing QUIT, written in one go from a second
+    // thread while this one reads the replies (a reader that waited for
+    // the whole write would stall on backpressure).
+    let flooder = TcpStream::connect(addr).unwrap();
+    flooder
+        .set_read_timeout(Some(Duration::from_secs(60)))
+        .unwrap();
+    let mut batch = Vec::with_capacity(8 * FLOOD + 8);
+    for line in std::iter::repeat_n("PING", FLOOD).chain(["QUIT"]) {
+        batch.extend_from_slice(&(line.len() as u32).to_le_bytes());
+        batch.extend_from_slice(line.as_bytes());
+    }
+    let mut writer = flooder.try_clone().unwrap();
+    let write = std::thread::spawn(move || writer.write_all(&batch).unwrap());
+    let mut replies = BufReader::new(flooder);
+    for i in 0..FLOOD {
+        let reply = read_frame(&mut replies).unwrap();
+        assert_eq!(reply.as_deref(), Some("OK pong"), "reply {i}");
+    }
+    assert_eq!(read_frame(&mut replies).unwrap().as_deref(), Some("OK bye"));
+    assert_eq!(
+        read_frame(&mut replies).unwrap(),
+        None,
+        "nothing after QUIT"
+    );
+    write.join().unwrap();
+
+    flood_done.store(true, Ordering::SeqCst);
+    let (worst, trips) = probe.join().unwrap();
+    assert!(trips > 0, "the neighbour never got a turn");
+    assert!(
+        worst < NEIGHBOUR_RTT_LIMIT,
+        "a neighbour's PING waited {worst:?} behind the flood ({trips} round trips)"
+    );
     server.shutdown();
 }

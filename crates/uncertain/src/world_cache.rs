@@ -29,8 +29,10 @@ use obf_graph::degstats::degree_histogram;
 use obf_graph::{global_clustering_coefficient, Graph};
 use obf_obs::{Counter, Gauge, Histogram, Registry, Span};
 
+use crate::expected::{expected_average_degree, expected_degree_variance, expected_num_edges};
 use crate::graph::UncertainGraph;
 use crate::sampling::sample_indexed_world;
+use crate::triangles::expected_triangles;
 
 /// Statistics estimated by sampling possible worlds (the server's
 /// `STAT` verb, the Eq. 9 mean).
@@ -124,11 +126,24 @@ impl WorldStats {
 
 /// A published release as one pinnable unit: its epoch, its graph, and
 /// what is derived from the graph once per release.
+///
+/// The derived values — the degree ceiling and the exact whole-graph
+/// answers (probability mass and the Section 6.2 expectations) — are
+/// each computed on first use by the one function that defines them and
+/// then read from a `OnceLock`, so building or swapping in a release
+/// stays O(1) and every later read returns the same bits. They need no
+/// invalidation: a new release is a new `Release`, and readers pinned
+/// to the old one keep the old values.
 #[derive(Debug)]
 pub struct Release {
     pub epoch: u64,
     pub graph: Arc<UncertainGraph>,
     degree_ceiling: OnceLock<usize>,
+    probability_mass: OnceLock<f64>,
+    expected_num_edges: OnceLock<f64>,
+    expected_average_degree: OnceLock<f64>,
+    expected_degree_variance: OnceLock<f64>,
+    expected_triangles: OnceLock<f64>,
 }
 
 impl Release {
@@ -137,7 +152,47 @@ impl Release {
             epoch,
             graph,
             degree_ceiling: OnceLock::new(),
+            probability_mass: OnceLock::new(),
+            expected_num_edges: OnceLock::new(),
+            expected_average_degree: OnceLock::new(),
+            expected_degree_variance: OnceLock::new(),
+            expected_triangles: OnceLock::new(),
         }
+    }
+
+    /// `f(graph)`, computed on the first call for this `cell` and read
+    /// from it afterwards.
+    fn once(&self, cell: &OnceLock<f64>, f: fn(&UncertainGraph) -> f64) -> f64 {
+        *cell.get_or_init(|| f(&self.graph))
+    }
+
+    /// [`UncertainGraph::total_probability_mass`], once per release.
+    pub fn probability_mass(&self) -> f64 {
+        self.once(
+            &self.probability_mass,
+            UncertainGraph::total_probability_mass,
+        )
+    }
+
+    /// [`expected_num_edges`], once per release.
+    pub fn expected_num_edges(&self) -> f64 {
+        self.once(&self.expected_num_edges, expected_num_edges)
+    }
+
+    /// [`expected_average_degree`], once per release.
+    pub fn expected_average_degree(&self) -> f64 {
+        self.once(&self.expected_average_degree, expected_average_degree)
+    }
+
+    /// [`expected_degree_variance`], once per release.
+    pub fn expected_degree_variance(&self) -> f64 {
+        self.once(&self.expected_degree_variance, expected_degree_variance)
+    }
+
+    /// [`expected_triangles`], once per release (its O(Σ deg²) sweep is
+    /// the costliest of the five).
+    pub fn expected_triangles(&self) -> f64 {
+        self.once(&self.expected_triangles, expected_triangles)
     }
 
     /// Largest candidate count incident to any vertex: no possible world
@@ -494,6 +549,34 @@ mod tests {
         assert_eq!(c.current().degree_ceiling(), 5);
         c.swap_graph(Arc::new(UncertainGraph::new(0, vec![]).unwrap()));
         assert_eq!(c.current().degree_ceiling(), 0);
+    }
+
+    #[test]
+    fn release_answers_match_the_direct_functions_and_follow_a_swap() {
+        let c = cache(4);
+        let check = |r: &Release, g: &UncertainGraph| {
+            let pairs = [
+                (r.probability_mass(), g.total_probability_mass()),
+                (r.expected_num_edges(), expected_num_edges(g)),
+                (r.expected_average_degree(), expected_average_degree(g)),
+                (r.expected_degree_variance(), expected_degree_variance(g)),
+                (r.expected_triangles(), expected_triangles(g)),
+            ];
+            for (memo, direct) in pairs {
+                assert_eq!(memo.to_bits(), direct.to_bits());
+            }
+        };
+        let old = c.current();
+        check(&old, &graph());
+        check(&old, &graph()); // second read comes from the locks
+        let triangle = Arc::new(
+            UncertainGraph::new(3, vec![(0, 1, 0.5), (1, 2, 0.25), (0, 2, 0.75)]).unwrap(),
+        );
+        c.swap_graph(Arc::clone(&triangle));
+        check(&c.current(), &triangle);
+        // The pinned old release keeps its own values.
+        check(&old, &graph());
+        assert_ne!(old.expected_triangles(), c.current().expected_triangles());
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! statistics, or audit its anonymity levels.
 //!
 //! ```text
-//! obfugraph-cli obfuscate <edges.txt> <out.up> --k 20 --eps 0.01 [--c 2] [--q 0.01] [--seed 3061] [--threads N]
+//! obfugraph-cli obfuscate <edges.txt> <out.up> --k 20 --eps 0.01 [--c 2] [--q 0.01] [--seed 3061] [--delta 1e-6] [--threads N]
 //! obfugraph-cli evaluate  <graph.up> [--worlds 50] [--seed 7] [--threads N]
 //! obfugraph-cli audit     <edges.txt> <graph.up> [--k 20] [--threads N]
 //! ```
