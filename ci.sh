@@ -10,7 +10,7 @@
 #   ./ci.sh release    # release build + bench compile + determinism matrix
 #   ./ci.sh serve      # obf_server tests + shard reload + loadgen smoke + digest check
 #   ./ci.sh evolve     # obf_evolve tests + republish bench smoke + pinned digest check
-#   ./ci.sh snapshot   # snapshot/mapped suites, TSV -> v3 convert round trip, mmap-vs-heap digest
+#   ./ci.sh snapshot   # CSR store/validator + snapshot/mapped suites, TSV -> v3 convert round trip, mmap-vs-heap digest
 #   ./ci.sh analyze    # obf_audit static analysis (deny-clean) + pedantic clippy on engine crates
 set -euo pipefail
 cd "$(dirname "$0")"
@@ -213,10 +213,16 @@ evolve() {
 }
 
 snapshot() {
-    step "snapshot + mapped-store test suites"
+    # The graph's one CSR and its one validator: the store's unit tests
+    # (graph::), the validator's (csr::), the snapshot and mapped
+    # readers that run it, and apply_delta's rows against a rebuild.
+    step "CSR store + validator + snapshot/mapped-store test suites"
+    cargo test -q -p obf_uncertain graph::
+    cargo test -q -p obf_uncertain csr::
     cargo test -q -p obf_uncertain snapshot
     cargo test -q -p obf_uncertain mapped
     cargo test -q --test snapshot_v3
+    cargo test -q -p obf_evolve --test proptests uncertain_delta_equals_rebuild
 
     # Docs consistency (every verb + format version appears in
     # docs/FORMATS.md) is rule `formats-doc` of `ci.sh analyze` now.

@@ -1,8 +1,9 @@
 //! Snapshot serving benchmark: measures heap-decode load time against
 //! mmap open time of the same snapshot file across graph sizes — the
-//! claim under test is that mmap open time is ~independent of graph
-//! size while heap loads grow linearly — and proves the two stores
-//! answer bit-identically by digesting the candidate stream of both.
+//! claim under test is that the mmap open, a structural scan that
+//! copies nothing, stays well below the heap decode as graphs grow —
+//! and proves the two stores answer bit-identically by digesting the
+//! candidate stream of both.
 //! Writes `results/BENCH_snapshot.json` (nightly artifact; field
 //! meanings in docs/OPERATIONS.md).
 //!
@@ -58,19 +59,6 @@ fn bench_one_size(n: usize, seed: u64, dir: &std::path::Path) -> Json {
     let (heap, _) = load_snapshot(&v3_path).expect("heap load");
     let heap_secs = t.elapsed().as_secs_f64();
 
-    // The O(1) tier: header page only, the size-independent open cost
-    // of a file this process just wrote or verified out of band.
-    #[cfg(all(unix, target_endian = "little"))]
-    let trusted_secs = {
-        let t = Instant::now();
-        let snap = obf_uncertain::MappedSnapshot::open_trusted(&v3_path).expect("trusted open");
-        let secs = t.elapsed().as_secs_f64();
-        drop(snap);
-        Some(secs)
-    };
-    #[cfg(not(all(unix, target_endian = "little")))]
-    let trusted_secs: Option<f64> = None;
-
     // The open path the server's RELOAD takes: structural tier.
     let (mmap_secs, mmap_graph, served) = open_v3(&v3_path);
     let heap_digest = candidate_digest(&heap);
@@ -81,12 +69,8 @@ fn bench_one_size(n: usize, seed: u64, dir: &std::path::Path) -> Json {
     );
 
     std::fs::remove_file(&v3_path).ok();
-    eprintln!(
-        "n={n} m={m}: heap_load={heap_secs:.6}s mmap_open={mmap_secs:.6}s \
-         mmap_open_trusted={}s ({served})",
-        trusted_secs.map_or("n/a".into(), |s| format!("{s:.6}"))
-    );
-    let mut fields = vec![
+    eprintln!("n={n} m={m}: heap_load={heap_secs:.6}s mmap_open={mmap_secs:.6}s ({served})");
+    Json::obj(vec![
         ("n", Json::from(n)),
         ("candidates", Json::from(m)),
         ("v3_bytes", Json::from(v3_bytes as usize)),
@@ -95,11 +79,7 @@ fn bench_one_size(n: usize, seed: u64, dir: &std::path::Path) -> Json {
         ("source", Json::str(served)),
         ("digest", Json::Str(format!("{heap_digest:016x}"))),
         ("digest_match", Json::Bool(true)),
-    ];
-    if let Some(s) = trusted_secs {
-        fields.insert(5, ("mmap_open_trusted_secs", Json::Num(s)));
-    }
-    Json::obj(fields)
+    ])
 }
 
 /// Opens a v3 snapshot the way the server does: mmap where the platform

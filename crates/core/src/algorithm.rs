@@ -937,7 +937,7 @@ mod tests {
         // Inspect any trial graph — even failing trials are informative,
         // so re-run the pieces manually if no trial passed.
         if let Some(ug) = out.graph {
-            for &(u, v, p) in ug.candidates() {
+            for (u, v, p) in ug.candidate_pairs() {
                 if g.has_edge(u, v) {
                     assert!(p > 0.99, "kept edge ({u},{v}) p={p}");
                 } else {
@@ -965,7 +965,7 @@ mod tests {
 
         let out = generate_obfuscation(&g, &params, sigma, &mut rng);
         if let Some(ug) = out.graph {
-            for &(u, v, _) in ug.candidates() {
+            for (u, v, _) in ug.candidate_pairs() {
                 if !g.has_edge(u, v) {
                     assert!(
                         !h.contains(&u) && !h.contains(&v),
@@ -975,7 +975,7 @@ mod tests {
             }
             // Removed edges: E \ E_C must avoid H too.
             let in_ec: std::collections::HashSet<(u32, u32)> =
-                ug.candidates().iter().map(|&(u, v, _)| (u, v)).collect();
+                ug.candidate_pairs().map(|(u, v, _)| (u, v)).collect();
             for (u, v) in g.edges() {
                 if !in_ec.contains(&(u, v)) {
                     assert!(
@@ -1074,8 +1074,8 @@ mod tests {
         let out = super::generate_obfuscation_with_excluded(&g, &params, 0.05, &forced, &mut rng);
         if let Some(ug) = out.graph {
             let in_ec: std::collections::HashSet<(u32, u32)> =
-                ug.candidates().iter().map(|&(u, v, _)| (u, v)).collect();
-            for &(u, v, _) in ug.candidates() {
+                ug.candidate_pairs().map(|(u, v, _)| (u, v)).collect();
+            for (u, v, _) in ug.candidate_pairs() {
                 if !g.has_edge(u, v) {
                     assert!(!forced.contains(&u) && !forced.contains(&v));
                 }
@@ -1258,9 +1258,8 @@ mod tests {
 
     /// The candidates of `ug` with probabilities as bit patterns.
     fn candidate_bits(ug: &UncertainGraph) -> Vec<(u32, u32, u64)> {
-        ug.candidates()
-            .iter()
-            .map(|&(u, v, p)| (u, v, p.to_bits()))
+        ug.candidate_pairs()
+            .map(|(u, v, p)| (u, v, p.to_bits()))
             .collect()
     }
 

@@ -107,11 +107,8 @@ fn merged_candidates(
     g: &UncertainGraph,
     changes: &[(u32, u32, Option<f64>)],
 ) -> Vec<(u32, u32, f64)> {
-    let mut map: std::collections::BTreeMap<(u32, u32), f64> = g
-        .candidates()
-        .iter()
-        .map(|&(u, v, p)| ((u, v), p))
-        .collect();
+    let mut map: std::collections::BTreeMap<(u32, u32), f64> =
+        g.candidate_pairs().map(|(u, v, p)| ((u, v), p)).collect();
     for &(u, v, p) in changes {
         match p {
             Some(p) => {
@@ -213,12 +210,18 @@ proptest! {
         prop_assert_eq!(back.replay(&g).unwrap().pop().unwrap(), rebuilt);
     }
 
-    /// Delta-applied `UncertainGraph` CSR == from-scratch rebuild.
+    /// Delta-applied `UncertainGraph` CSR == from-scratch rebuild: the
+    /// candidate stream, and every incidence row, probabilities by bits.
     #[test]
     fn uncertain_delta_equals_rebuild((g, changes) in arb_uncertain_and_delta()) {
         let applied = g.apply_delta(&changes).unwrap();
         let rebuilt =
             UncertainGraph::new(g.num_vertices(), merged_candidates(&g, &changes)).unwrap();
+        let bits = |probs: &[f64]| probs.iter().map(|p| p.to_bits()).collect::<Vec<_>>();
+        for v in 0..g.num_vertices() as u32 {
+            prop_assert_eq!(applied.incident_targets(v), rebuilt.incident_targets(v));
+            prop_assert_eq!(bits(applied.incident_probs(v)), bits(rebuilt.incident_probs(v)));
+        }
         prop_assert_eq!(applied, rebuilt);
     }
 
@@ -253,10 +256,9 @@ proptest! {
         // an "original" graph read off the published candidates.
         let original = Graph::from_edges(
             g2.num_vertices(),
-            &g2.candidates()
-                .iter()
-                .filter(|&&(_, _, p)| p > 0.5)
-                .map(|&(u, v, _)| (u, v))
+            &g2.candidate_pairs()
+                .filter(|&(_, _, p)| p > 0.5)
+                .map(|(u, v, _)| (u, v))
                 .collect::<Vec<_>>(),
         );
         let profile = DegreeProfile::new(&original);

@@ -1,42 +1,32 @@
 //! The [`UncertainGraph`] type (paper Definition 1, restricted to a
 //! candidate set `E_C` as in Section 3).
-
-use std::sync::OnceLock;
+//!
+//! The graph is stored as one SoA-CSR — `offsets`/`targets`/`probs` —
+//! heap-owned or mapped from a v3 snapshot, and nothing else: the
+//! canonical candidate list `E_C` is the per-row `target > row` suffix
+//! of that CSR, streamed by [`UncertainGraph::candidate_pairs`]. Arrays
+//! that do not come from [`UncertainGraph::new`]'s checked candidate
+//! list (a decoded or mapped snapshot, a merged delta) are checked by
+//! the one CSR validator in `crate::csr`.
 
 use obf_graph::Graph;
 
+use crate::csr::{self, CsrError};
 use crate::mapped::MappedSnapshot;
 
 /// Backing storage for the SoA-CSR incidence arrays: heap-owned vectors
-/// (every constructed graph) or borrowed zero-copy slices out of an
-/// mmap'd v3 snapshot. The two variants expose bit-identical data
-/// through the same accessors — proptested end to end through the
-/// server protocol in `crates/server/tests`.
+/// or borrowed zero-copy slices out of an mmap'd v3 snapshot, read
+/// through [`UncertainGraph::csr`] either way.
 #[derive(Debug)]
 enum Store {
+    /// `targets[offsets[v]..offsets[v+1]]` (and the same range of
+    /// `probs`) describes the candidates incident to `v`.
     Owned {
-        /// Candidate pairs in canonical `(lo, hi)` order with
-        /// probabilities in `[0, 1]`; sorted and deduplicated.
-        edges: Vec<(u32, u32, f64)>,
-        /// CSR row index: `targets[offsets[v]..offsets[v+1]]` (and the
-        /// same range of `probs`) describes the candidates incident to
-        /// `v`.
-        offsets: Vec<usize>,
-        /// Other endpoint of each incident candidate, by vertex.
+        offsets: Vec<u64>,
         targets: Vec<u32>,
-        /// Probability of each incident candidate, parallel to
-        /// `targets`.
         probs: Vec<f64>,
     },
-    Mapped {
-        snap: MappedSnapshot,
-        /// Lazily materialised canonical candidate list, for the few
-        /// consumers that need a contiguous `&[(u32, u32, f64)]` slice
-        /// (the obfuscation engine, `apply_delta`); the serving hot
-        /// paths iterate [`UncertainGraph::candidate_pairs`] straight
-        /// off the mapping instead.
-        edges: OnceLock<Vec<(u32, u32, f64)>>,
-    },
+    Mapped(MappedSnapshot),
 }
 
 /// An uncertain graph `G̃ = (V, p)`: `n` vertices and a list of candidate
@@ -85,20 +75,23 @@ impl UncertainGraph {
                 return Err(format!("duplicate candidate pair ({}, {})", w[0].0, w[0].1));
             }
         }
-        // Build the incidence CSR.
+        // Build the incidence CSR: filling in canonical order appends
+        // each row's `a < v` partners before its `w > v` partners, each
+        // run ascending, so every row comes out sorted by target.
         let mut deg = vec![0usize; n];
         for &(u, v, _) in &candidates {
             deg[u as usize] += 1;
             deg[v as usize] += 1;
         }
         let mut offsets = Vec::with_capacity(n + 1);
-        offsets.push(0);
+        let mut cursor = Vec::with_capacity(n);
         let mut acc = 0;
+        offsets.push(0);
         for &d in &deg {
+            cursor.push(acc);
             acc += d;
-            offsets.push(acc);
+            offsets.push(acc as u64);
         }
-        let mut cursor = offsets.clone();
         let mut targets = vec![0u32; acc];
         let mut probs = vec![0.0f64; acc];
         for &(u, v, p) in &candidates {
@@ -113,7 +106,6 @@ impl UncertainGraph {
             n,
             m: candidates.len(),
             store: Store::Owned {
-                edges: candidates,
                 offsets,
                 targets,
                 probs,
@@ -121,73 +113,23 @@ impl UncertainGraph {
         })
     }
 
-    /// Assembles a graph from decoded SoA-CSR parts — the snapshot
-    /// loader's fast path, skipping [`UncertainGraph::new`]'s sort and
-    /// CSR rebuild. Every invariant `new` establishes is still verified,
-    /// in O(n + m): the candidate list must be canonical (strictly
-    /// sorted `(lo, hi)` pairs, no self loops, probabilities in
-    /// `[0, 1]`), and the CSR arrays must be exactly what `new` would
-    /// have built from it (checked by replaying `new`'s fill walk as a
-    /// comparison instead of a write).
-    pub(crate) fn from_csr_parts(
+    /// Takes ownership of CSR arrays that did not come from a checked
+    /// candidate list (a decoded snapshot, a merged delta) once both
+    /// tiers of the `crate::csr` validator accept them — which holds
+    /// exactly when they are what [`UncertainGraph::new`] would build.
+    pub(crate) fn from_csr(
         n: usize,
-        edges: Vec<(u32, u32, f64)>,
-        offsets: Vec<usize>,
+        m: usize,
+        offsets: Vec<u64>,
         targets: Vec<u32>,
         probs: Vec<f64>,
-    ) -> Result<Self, String> {
-        let incidents = edges.len() * 2;
-        if offsets.len() != n + 1
-            || targets.len() != incidents
-            || probs.len() != incidents
-            || offsets.first() != Some(&0)
-            || offsets.last() != Some(&incidents)
-        {
-            return Err("CSR array lengths inconsistent with candidate list".into());
-        }
-        if offsets.windows(2).any(|w| w[0] > w[1]) {
-            return Err("CSR offsets not monotone".into());
-        }
-        let mut prev: Option<(u32, u32)> = None;
-        for &(u, v, p) in &edges {
-            if u >= v {
-                return Err(format!("candidate ({u},{v}) not in canonical order"));
-            }
-            if (v as usize) >= n {
-                return Err(format!("pair ({u},{v}) out of range for n={n}"));
-            }
-            if !p.is_finite() || !(0.0..=1.0).contains(&p) {
-                return Err(format!("probability {p} out of [0,1] for ({u},{v})"));
-            }
-            if prev.is_some_and(|q| q >= (u, v)) {
-                return Err(format!("candidate list not strictly sorted at ({u},{v})"));
-            }
-            prev = Some((u, v));
-        }
-        // Replay new()'s CSR fill as an equality check.
-        let mut cursor = offsets.clone();
-        for &(u, v, p) in &edges {
-            for &(a, b) in &[(u, v), (v, u)] {
-                let at = cursor[a as usize];
-                if at >= offsets[a as usize + 1] || targets[at] != b || probs[at] != p {
-                    return Err(format!("CSR row {a} disagrees with candidate ({u},{v})"));
-                }
-                cursor[a as usize] = at + 1;
-            }
-        }
-        if cursor
-            .iter()
-            .take(n)
-            .zip(offsets.iter().skip(1))
-            .any(|(c, o)| c != o)
-        {
-            return Err("CSR rows contain entries not backed by candidates".into());
-        }
+    ) -> Result<Self, CsrError> {
+        csr::check_structure(n, m, &offsets, &targets, &probs)?;
+        csr::check_content(n, &offsets, &targets, &probs)?;
         Ok(Self {
             n,
-            m: edges.len(),
+            m,
             store: Store::Owned {
-                edges,
                 offsets,
                 targets,
                 probs,
@@ -200,25 +142,36 @@ impl UncertainGraph {
     /// array is copied onto the heap, and dropping the graph unmaps the
     /// file.
     ///
-    /// [`MappedSnapshot::open`] already established the structural
-    /// invariants that make every access in-bounds; callers that need
-    /// the full content guarantees of the heap decoder should open with
-    /// [`MappedSnapshot::open_verified`] first.
+    /// [`MappedSnapshot::open`] already ran the structural tier of the
+    /// CSR validator, which makes every access in-bounds; callers that
+    /// need the content guarantees of the heap decoder (ascending rows,
+    /// probabilities in `[0, 1]`, mirror symmetry) should open with
+    /// [`MappedSnapshot::open_verified`], which runs the same checks.
     pub fn from_mapped(snap: MappedSnapshot) -> Self {
         Self {
             n: snap.num_vertices(),
             m: snap.num_candidates(),
-            store: Store::Mapped {
-                snap,
-                edges: OnceLock::new(),
-            },
+            store: Store::Mapped(snap),
         }
     }
 
     /// Whether this graph serves from an mmap'd snapshot (vs heap-owned
     /// arrays) — surfaced by `obf_server`'s RELOAD replies.
     pub fn is_mapped(&self) -> bool {
-        matches!(self.store, Store::Mapped { .. })
+        matches!(self.store, Store::Mapped(_))
+    }
+
+    /// The three CSR arrays, from either store.
+    #[inline]
+    fn csr(&self) -> (&[u64], &[u32], &[f64]) {
+        match &self.store {
+            Store::Owned {
+                offsets,
+                targets,
+                probs,
+            } => (offsets, targets, probs),
+            Store::Mapped(snap) => (snap.offsets(), snap.targets(), snap.probs()),
+        }
     }
 
     /// The "certain" embedding of a deterministic graph: every edge gets
@@ -241,43 +194,24 @@ impl UncertainGraph {
         self.m
     }
 
-    /// Candidate pairs in canonical order as a contiguous slice.
-    ///
-    /// For a heap-owned graph this is free; for an mmap-served graph it
-    /// materialises (and caches) the list on first call — O(m) heap.
-    /// Iteration-only consumers should prefer
-    /// [`UncertainGraph::candidate_pairs`], which streams the identical
-    /// sequence off either store without materialising anything.
-    #[inline]
-    pub fn candidates(&self) -> &[(u32, u32, f64)] {
-        match &self.store {
-            Store::Owned { edges, .. } => edges,
-            Store::Mapped { edges, .. } => edges.get_or_init(|| self.candidate_pairs().collect()),
-        }
-    }
-
-    /// Iterates the candidate pairs in canonical `(lo, hi)` order,
-    /// yielding exactly the same `(u, v, p)` sequence (same f64 bits)
-    /// as [`UncertainGraph::candidates`] — the canonical list is the
-    /// per-row `target > row` suffix of the CSR walked in row order, so
-    /// the mapped store streams it without materialising. Every
+    /// Iterates the candidate pairs in canonical `(lo, hi)` order — the
+    /// per-row `target > row` suffix of the CSR walked in row order,
+    /// which is exactly the sorted list [`UncertainGraph::new`] was
+    /// given, entry for entry and bit for bit. Every
     /// candidate-order-dependent consumer (world sampling, Eq. 1,
     /// probability-mass sums) goes through this, which is what makes
     /// mmap-served answers bit-identical to heap-served ones.
     #[inline]
     pub fn candidate_pairs(&self) -> CandidatePairs<'_> {
-        let inner = match &self.store {
-            Store::Owned { edges, .. } => PairsInner::Slice(edges.iter()),
-            Store::Mapped { snap, .. } => PairsInner::Scan {
-                offsets: snap.offsets(),
-                targets: snap.targets(),
-                probs: snap.probs(),
-                row: 0,
-                i: 0,
-                remaining: self.m,
-            },
-        };
-        CandidatePairs { inner }
+        let (offsets, targets, probs) = self.csr();
+        CandidatePairs {
+            offsets,
+            targets,
+            probs,
+            row: 0,
+            i: 0,
+            remaining: self.m,
+        }
     }
 
     /// Candidate pairs incident to `v` as `(other, p)` pairs, zipped from
@@ -295,31 +229,23 @@ impl UncertainGraph {
     /// The CSR bounds of vertex `v`'s incidence row.
     #[inline]
     fn row_bounds(&self, v: usize) -> (usize, usize) {
-        match &self.store {
-            Store::Owned { offsets, .. } => (offsets[v], offsets[v + 1]),
-            Store::Mapped { snap, .. } => {
-                // Clamped: under `MappedSnapshot::open_trusted` the
-                // offsets section is unverified, and a rotted entry
-                // must yield a wrong (empty) row, never an
-                // out-of-bounds slice.
-                let o = snap.offsets();
-                let len = 2 * snap.num_candidates();
-                let lo = (o[v] as usize).min(len);
-                (lo, (o[v + 1] as usize).clamp(lo, len))
-            }
-        }
+        // Clamped: a snapshot is mapped `MAP_PRIVATE`, so another
+        // process rewriting the file in place can still change its
+        // pages after `MappedSnapshot::open`'s structural scan. A
+        // changed entry must yield a wrong (empty) row, never an
+        // out-of-bounds slice.
+        let offsets = self.csr().0;
+        let len = 2 * self.m;
+        let lo = (offsets[v] as usize).min(len);
+        (lo, (offsets[v + 1] as usize).clamp(lo, len))
     }
 
-    /// Other endpoints of the candidate pairs incident to `v` (in
-    /// ascending target order — the canonical fill order appends all
-    /// `a < v` partners before all `w > v` partners, each run sorted).
+    /// Other endpoints of the candidate pairs incident to `v`, in
+    /// ascending target order.
     #[inline]
     pub fn incident_targets(&self, v: u32) -> &[u32] {
         let (start, end) = self.row_bounds(v as usize);
-        match &self.store {
-            Store::Owned { targets, .. } => &targets[start..end],
-            Store::Mapped { snap, .. } => &snap.targets()[start..end],
-        }
+        &self.csr().1[start..end]
     }
 
     /// Probabilities of the candidate pairs incident to `v`, parallel to
@@ -329,10 +255,7 @@ impl UncertainGraph {
     #[inline]
     pub fn incident_probs(&self, v: u32) -> &[f64] {
         let (start, end) = self.row_bounds(v as usize);
-        match &self.store {
-            Store::Owned { probs, .. } => &probs[start..end],
-            Store::Mapped { snap, .. } => &snap.probs()[start..end],
-        }
+        &self.csr().2[start..end]
     }
 
     /// Number of candidate pairs incident to `v`.
@@ -370,9 +293,7 @@ impl UncertainGraph {
     /// out of range are never candidates).
     ///
     /// Binary-searches the shorter endpoint's incidence row (rows are
-    /// sorted ascending by target) instead of the global candidate
-    /// list: O(log deg) on either store, and the mapped store answers
-    /// without materialising the candidate slice.
+    /// sorted ascending by target): O(log deg) on either store.
     pub fn probability(&self, u: u32, v: u32) -> f64 {
         if u == v || (u as usize) >= self.n || (v as usize) >= self.n {
             return 0.0;
@@ -438,13 +359,14 @@ impl UncertainGraph {
     }
 
     /// Applies a sorted batch of candidate changes by merging it into
-    /// the candidate list and the SoA-CSR incidence arrays — no re-sort,
-    /// no CSR rebuild from scratch. `Some(p)` inserts the pair or
-    /// overwrites its probability; `None` removes the pair entirely
-    /// (turning it back into a certain non-edge). The result is
-    /// identical to [`UncertainGraph::new`] over the updated candidate
-    /// list (property-tested in `crates/uncertain/tests`), and costs
-    /// `O(n + m + |changes|)`.
+    /// the SoA-CSR incidence rows — no re-sort, no CSR rebuild from
+    /// scratch. `Some(p)` inserts the pair or overwrites its
+    /// probability; `None` removes the pair entirely (turning it back
+    /// into a certain non-edge). The result is identical to
+    /// [`UncertainGraph::new`] over the updated candidate list
+    /// (property-tested in `crates/evolve/tests/proptests.rs`), and the
+    /// merge costs `O(n + m + |changes|)`; the CSR validator then
+    /// re-checks the result in `O(n + m log d)`.
     ///
     /// `changes` must be strictly sorted canonical `(lo, hi)` pairs;
     /// removing a pair that is not a candidate is an error.
@@ -458,7 +380,8 @@ impl UncertainGraph {
     /// let g2 = g
     ///     .apply_delta(&[(0, 1, Some(0.25)), (1, 2, None), (2, 3, Some(1.0))])
     ///     .unwrap();
-    /// assert_eq!(g2.candidates(), &[(0, 1, 0.25), (2, 3, 1.0)]);
+    /// let pairs: Vec<_> = g2.candidate_pairs().collect();
+    /// assert_eq!(pairs, [(0, 1, 0.25), (2, 3, 1.0)]);
     /// ```
     pub fn apply_delta(&self, changes: &[(u32, u32, Option<f64>)]) -> Result<Self, String> {
         let n = self.n;
@@ -480,48 +403,6 @@ impl UncertainGraph {
             }
             prev = Some((u, v));
         }
-        // Merge the candidate list with the change run, classifying each
-        // change as insert / overwrite / remove on the way. (On a
-        // mapped graph `candidates()` materialises the list first —
-        // republishing produces a new heap graph either way.)
-        let old_edges = self.candidates();
-        let mut edges: Vec<(u32, u32, f64)> = Vec::with_capacity(old_edges.len() + changes.len());
-        let (mut i, mut j) = (0usize, 0usize);
-        let mut inserted = 0usize;
-        let mut removed = 0usize;
-        while i < old_edges.len() || j < changes.len() {
-            let take_old = match (old_edges.get(i), changes.get(j)) {
-                (Some(&(a, b, _)), Some(&(u, v, _))) => (a, b) < (u, v),
-                (Some(_), None) => true,
-                (None, Some(_)) => false,
-                (None, None) => unreachable!(),
-            };
-            if take_old {
-                edges.push(old_edges[i]);
-                i += 1;
-            } else {
-                let (u, v, p) = changes[j];
-                let existing = old_edges.get(i).is_some_and(|&(a, b, _)| (a, b) == (u, v));
-                match p {
-                    Some(p) => {
-                        edges.push((u, v, p));
-                        if existing {
-                            i += 1;
-                        } else {
-                            inserted += 1;
-                        }
-                    }
-                    None => {
-                        if !existing {
-                            return Err(format!("removal of non-candidate pair ({u},{v})"));
-                        }
-                        i += 1;
-                        removed += 1;
-                    }
-                }
-                j += 1;
-            }
-        }
         // Per-row sorted change runs: a single canonical-order pass
         // appends to both endpoints, and each row's run comes out sorted
         // by target (all `(a, x)` with `a < x` precede all `(x, w)`).
@@ -530,11 +411,11 @@ impl UncertainGraph {
             row_changes[u as usize].push((v, p));
             row_changes[v as usize].push((u, p));
         }
-        let incidents = 2 * (old_edges.len() + inserted - removed);
+        let capacity = 2 * (self.m + changes.len());
         let mut offsets = Vec::with_capacity(n + 1);
-        offsets.push(0usize);
-        let mut targets: Vec<u32> = Vec::with_capacity(incidents);
-        let mut probs: Vec<f64> = Vec::with_capacity(incidents);
+        offsets.push(0u64);
+        let mut targets: Vec<u32> = Vec::with_capacity(capacity);
+        let mut probs: Vec<f64> = Vec::with_capacity(capacity);
         for (v, run) in row_changes.iter().enumerate() {
             let old_t = self.incident_targets(v as u32);
             let old_p = self.incident_probs(v as u32);
@@ -551,41 +432,40 @@ impl UncertainGraph {
                     if existing {
                         i += 1; // overwritten or removed below
                     }
-                    if let Some(p) = p {
-                        targets.push(t);
-                        probs.push(p);
+                    match p {
+                        Some(p) => {
+                            targets.push(t);
+                            probs.push(p);
+                        }
+                        // Row `v` is the pair's lower endpoint: rows
+                        // merge in order, so it sees the pair first.
+                        None if !existing => {
+                            return Err(format!("removal of non-candidate pair ({v},{t})"));
+                        }
+                        None => {}
                     }
                     j += 1;
                 }
             }
-            offsets.push(targets.len());
+            offsets.push(targets.len() as u64);
         }
-        // `from_csr_parts` replays every `new()` invariant in O(n + m),
-        // so a merge bug can never escape as a malformed graph.
-        Self::from_csr_parts(n, edges, offsets, targets, probs)
+        // The validator re-checks every `new()` invariant, so a merge
+        // bug can never escape as a malformed graph.
+        let m = targets.len() / 2;
+        Self::from_csr(n, m, offsets, targets, probs).map_err(|e| e.to_string())
     }
 }
 
-/// Iterator over the canonical candidate list, from either store — see
+/// Iterator over the canonical candidate list: the CSR rows walked in
+/// order, yielding each row's `target > row` suffix — see
 /// [`UncertainGraph::candidate_pairs`].
 pub struct CandidatePairs<'a> {
-    inner: PairsInner<'a>,
-}
-
-enum PairsInner<'a> {
-    /// Heap store: walk the materialised canonical list.
-    Slice(std::slice::Iter<'a, (u32, u32, f64)>),
-    /// Mapped store: walk the CSR rows in order, yielding each row's
-    /// `target > row` suffix — by construction exactly the canonical
-    /// list, entry for entry and bit for bit.
-    Scan {
-        offsets: &'a [u64],
-        targets: &'a [u32],
-        probs: &'a [f64],
-        row: u32,
-        i: usize,
-        remaining: usize,
-    },
+    offsets: &'a [u64],
+    targets: &'a [u32],
+    probs: &'a [f64],
+    row: u32,
+    i: usize,
+    remaining: usize,
 }
 
 impl Iterator for CandidatePairs<'_> {
@@ -593,50 +473,36 @@ impl Iterator for CandidatePairs<'_> {
 
     #[inline]
     fn next(&mut self) -> Option<Self::Item> {
-        match &mut self.inner {
-            PairsInner::Slice(it) => it.next().copied(),
-            PairsInner::Scan {
-                offsets,
-                targets,
-                probs,
-                row,
-                i,
-                remaining,
-            } => {
-                if *remaining == 0 {
-                    return None;
-                }
-                loop {
-                    // On a structurally verified snapshot, remaining > 0
-                    // implies row < n and i < 2m. The explicit guards
-                    // cover `open_trusted` views of section-rotted
-                    // files: the stream ends short instead of indexing
-                    // out of bounds.
-                    if *row as usize + 1 >= offsets.len() || *i >= targets.len() {
-                        *remaining = 0;
-                        return None;
-                    }
-                    if *i >= offsets[*row as usize + 1] as usize {
-                        *row += 1;
-                        continue;
-                    }
-                    let (t, p) = (targets[*i], probs[*i]);
-                    *i += 1;
-                    if t > *row {
-                        *remaining -= 1;
-                        return Some((*row, t, p));
-                    }
-                }
+        if self.remaining == 0 {
+            return None;
+        }
+        loop {
+            // After the structural check, remaining > 0 implies
+            // row < n and i < 2m. The explicit guards cover a mapped
+            // file another process rewrote in place after that check
+            // (the mapping is `MAP_PRIVATE`, which does not freeze
+            // pages this process has not written): the stream ends
+            // short instead of indexing out of bounds.
+            if self.row as usize + 1 >= self.offsets.len() || self.i >= self.targets.len() {
+                self.remaining = 0;
+                return None;
+            }
+            if self.i >= self.offsets[self.row as usize + 1] as usize {
+                self.row += 1;
+                continue;
+            }
+            let (t, p) = (self.targets[self.i], self.probs[self.i]);
+            self.i += 1;
+            if t > self.row {
+                self.remaining -= 1;
+                return Some((self.row, t, p));
             }
         }
     }
 
     #[inline]
     fn size_hint(&self) -> (usize, Option<usize>) {
-        match &self.inner {
-            PairsInner::Slice(it) => it.size_hint(),
-            PairsInner::Scan { remaining, .. } => (*remaining, Some(*remaining)),
-        }
+        (self.remaining, Some(self.remaining))
     }
 }
 
@@ -647,31 +513,14 @@ impl Clone for UncertainGraph {
     /// mmap-served graph deep-copies the arrays (the mapping stays with
     /// the original).
     fn clone(&self) -> Self {
-        match &self.store {
-            Store::Owned {
-                edges,
-                offsets,
-                targets,
-                probs,
-            } => Self {
-                n: self.n,
-                m: self.m,
-                store: Store::Owned {
-                    edges: edges.clone(),
-                    offsets: offsets.clone(),
-                    targets: targets.clone(),
-                    probs: probs.clone(),
-                },
-            },
-            Store::Mapped { snap, .. } => Self {
-                n: self.n,
-                m: self.m,
-                store: Store::Owned {
-                    edges: self.candidates().to_vec(),
-                    offsets: snap.offsets().iter().map(|&x| x as usize).collect(),
-                    targets: snap.targets().to_vec(),
-                    probs: snap.probs().to_vec(),
-                },
+        let (offsets, targets, probs) = self.csr();
+        Self {
+            n: self.n,
+            m: self.m,
+            store: Store::Owned {
+                offsets: offsets.to_vec(),
+                targets: targets.to_vec(),
+                probs: probs.to_vec(),
             },
         }
     }
@@ -680,10 +529,9 @@ impl Clone for UncertainGraph {
 impl PartialEq for UncertainGraph {
     /// Two graphs are equal when they describe the same `(V, p)` —
     /// same vertex count and identical canonical candidate sequences
-    /// (f64 semantics, matching the old derived implementation). The
-    /// CSR arrays are a function of the candidate list, and the store
-    /// kind deliberately does not participate: a mapped graph equals
-    /// its heap-decoded twin.
+    /// (f64 semantics). The CSR arrays are a function of the candidate
+    /// list, and the store kind deliberately does not participate: a
+    /// mapped graph equals its heap-decoded twin.
     fn eq(&self, other: &Self) -> bool {
         self.n == other.n && self.m == other.m && self.candidate_pairs().eq(other.candidate_pairs())
     }
@@ -778,7 +626,7 @@ mod tests {
     #[test]
     fn canonicalises_orientation() {
         let g = UncertainGraph::new(3, vec![(2, 0, 0.3)]).unwrap();
-        assert_eq!(g.candidates(), &[(0, 2, 0.3)]);
+        assert_eq!(g.candidate_pairs().collect::<Vec<_>>(), [(0, 2, 0.3)]);
         assert_eq!(g.probability(2, 0), 0.3);
     }
 

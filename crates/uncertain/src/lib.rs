@@ -35,6 +35,7 @@
 // operation must sit in its own `unsafe` block with a SAFETY note.
 #![deny(unsafe_op_in_unsafe_fn)]
 
+mod csr;
 pub mod degree_dist;
 pub mod estimator;
 pub mod expected;

@@ -13,30 +13,31 @@
 //!
 //! # Verification tiers
 //!
-//! [`MappedSnapshot::open_trusted`] is the **O(1)** tier: header
-//! checksum and layout only, no section byte touched — open time is
-//! independent of graph size. It is for files whose content is trusted
-//! (just written by this process, or verified out-of-band); see its
-//! docs for the exact contract.
+//! The file holds the graph's one CSR (`offsets`/`targets`/`probs`),
+//! and both tiers run the crate's one CSR validator (`crate::csr`) on
+//! it — the same checks the heap decoder runs, reporting the same byte
+//! offsets.
 //!
 //! [`MappedSnapshot::open`] performs the **structural** tier: header
-//! checksum (O(1)), section layout/alignment, an O(n) `offsets` scan
-//! (monotone, spans exactly `[0, 2m]`) and an O(m) `targets` range scan
-//! (`< n`, no self-loop). After it succeeds, no access through the view
+//! checksum and section layout (O(1)), then the validator's structural
+//! check — an O(n) `offsets` scan (monotone, spans exactly `[0, 2m]`)
+//! and an O(m) `targets` scan (`< n`, no self-loop, exactly `m`
+//! canonical entries). After it succeeds, no access through the view
 //! can index out of bounds — a corrupted-but-structurally-sound file
 //! can at worst return wrong *values*, never a panic.
 //!
 //! [`MappedSnapshot::open_verified`] (or [`MappedSnapshot::verify`])
-//! adds the **content** tier: all three section checksums plus the full
-//! canonical-graph invariants (per-row strictly-ascending targets,
-//! probabilities in `[0, 1]`, bit-exact mirror symmetry) — everything
-//! the heap decoder checks. `snapshot_convert --verify` runs this tier;
-//! `obf_server`'s RELOAD deliberately runs only the structural tier and
-//! trusts the producing writer for content, which is what keeps reload
-//! ~constant-time (the trade-off is documented in `docs/OPERATIONS.md`).
+//! adds the **content** tier: all three section checksums plus the
+//! validator's content check (per-row strictly-ascending targets,
+//! probabilities in `[0, 1]`, bit-exact mirror symmetry).
+//! `snapshot_convert --verify` runs this tier; `obf_server`'s RELOAD
+//! deliberately runs only the structural tier and trusts the producing
+//! writer for content, which is what keeps reload cheap (the trade-off
+//! is documented in `docs/OPERATIONS.md`).
 
 use std::path::Path;
 
+use crate::csr;
 use crate::mmap::MmapFile;
 use crate::snapshot::{SnapshotError, SnapshotMeta, V3Header};
 
@@ -60,8 +61,19 @@ impl MappedSnapshot {
     /// should fall back to the heap decoder in both cases, as
     /// `obf_server::load_published_graph_with_source` does.
     pub fn open<P: AsRef<Path>>(path: P) -> Result<Self, SnapshotError> {
-        let this = Self::open_trusted(path)?;
-        this.verify_structure()?;
+        if cfg!(target_endian = "big") {
+            return Err(SnapshotError::Invalid(
+                "big-endian host: the little-endian zero-copy view is unavailable, \
+                 use the heap decoder"
+                    .into(),
+            ));
+        }
+        let map = MmapFile::open(path)?;
+        let header = V3Header::parse(map.bytes())?;
+        let this = Self { map, header };
+        let (n, m) = (header.n, header.m);
+        csr::check_structure(n, m, this.offsets(), this.targets(), this.probs())
+            .map_err(|e| header.invalid(&e))?;
         Ok(this)
     }
 
@@ -72,142 +84,13 @@ impl MappedSnapshot {
         Ok(this)
     }
 
-    /// The O(1) tier: maps the file and validates only the header page
-    /// — magic, version, header checksum, section layout and file
-    /// length. No section byte is touched, so open time is independent
-    /// of graph size (the page cache faults data in as queries read
-    /// it).
-    ///
-    /// The header checksum transitively commits to the section
-    /// checksums, but the sections themselves are **trusted**, not
-    /// re-hashed: use this tier only for files this process just wrote
-    /// or that were verified out-of-band (`snapshot_convert --verify`).
-    /// Memory safety never depends on section content — the graph view
-    /// clamps row bounds and the candidate scan is guarded — but a file
-    /// whose sections rotted under an intact header can return wrong
-    /// values or out-of-range vertex ids that panic downstream
-    /// consumers. [`MappedSnapshot::open`] (the structural tier) is the
-    /// floor for untrusted input.
-    pub fn open_trusted<P: AsRef<Path>>(path: P) -> Result<Self, SnapshotError> {
-        if cfg!(target_endian = "big") {
-            return Err(SnapshotError::Invalid(
-                "big-endian host: the little-endian zero-copy view is unavailable, \
-                 use the heap decoder"
-                    .into(),
-            ));
-        }
-        let map = MmapFile::open(path)?;
-        let header = V3Header::parse(map.bytes())?;
-        Ok(Self { map, header })
-    }
-
-    /// The structural tier: after this, every `offsets` entry is a
-    /// valid index into the incidence arrays and every target a valid
-    /// vertex, so the view can never cause an out-of-bounds access.
-    fn verify_structure(&self) -> Result<(), SnapshotError> {
-        let (n, m) = (self.header.n, self.header.m);
-        let incidents = 2 * m;
-        let offsets = self.offsets();
-        if offsets[0] != 0 || offsets[n] != incidents as u64 {
-            return Err(SnapshotError::Invalid(format!(
-                "CSR offsets span [{}, {}], expected [0, {incidents}] \
-                 (offsets section at byte offset {})",
-                offsets[0], offsets[n], self.header.offsets_off
-            )));
-        }
-        if let Some(v) = offsets.windows(2).position(|w| w[0] > w[1]) {
-            return Err(SnapshotError::Invalid(format!(
-                "CSR offsets not monotone at row {v} (byte offset {})",
-                self.header.offsets_off + 8 * v
-            )));
-        }
-        let targets = self.targets();
-        let mut canonical = 0usize;
-        for (row, w) in offsets.windows(2).enumerate() {
-            for (i, &raw) in targets
-                .iter()
-                .enumerate()
-                .take(w[1] as usize)
-                .skip(w[0] as usize)
-            {
-                let t = raw as usize;
-                if t >= n || t == row {
-                    return Err(SnapshotError::Invalid(format!(
-                        "row {row} target {t} out of range (targets section byte offset {})",
-                        self.header.targets_off + 4 * i
-                    )));
-                }
-                if t > row {
-                    canonical += 1;
-                }
-            }
-        }
-        // The candidate-pair scan iterator terminates after exactly m
-        // canonical entries; that count being right is a structural
-        // property, not just a content one.
-        if canonical != m {
-            return Err(SnapshotError::Invalid(format!(
-                "found {canonical} canonical (target > row) entries, header declared {m}"
-            )));
-        }
-        Ok(())
-    }
-
-    /// The content tier: section checksums plus the full canonical
-    /// invariants the heap decoder enforces. O(n + m log d) and touches
-    /// every page — run it at convert/audit time, not per reload.
+    /// The content tier: section checksums plus the validator's content
+    /// check. O(n + m log d) and touches every page — run it at
+    /// convert/audit time, not per reload.
     pub fn verify(&self) -> Result<(), SnapshotError> {
         self.header.verify_sections(self.map.bytes())?;
-        let offsets = self.offsets();
-        let targets = self.targets();
-        let probs = self.probs();
-        let mut canonical = 0usize;
-        for row in 0..self.header.n {
-            let (start, end) = (offsets[row] as usize, offsets[row + 1] as usize);
-            let row_t = &targets[start..end];
-            if let Some(i) = row_t.windows(2).position(|w| w[0] >= w[1]) {
-                return Err(SnapshotError::Invalid(format!(
-                    "row {row} targets not strictly ascending at byte offset {}",
-                    self.header.targets_off + 4 * (start + i)
-                )));
-            }
-            for i in start..end {
-                let (t, p) = (targets[i], probs[i]);
-                if !p.is_finite() || !(0.0..=1.0).contains(&p) {
-                    return Err(SnapshotError::Invalid(format!(
-                        "probability {p} out of [0,1] at byte offset {}",
-                        self.header.probs_off + 8 * i
-                    )));
-                }
-                if t as usize > row {
-                    canonical += 1;
-                }
-                // Bit-exact mirror: the (t, row) entry must exist with
-                // the same probability bits. Rows are ascending (just
-                // checked), so binary search is sound.
-                let (ms, me) = (
-                    offsets[t as usize] as usize,
-                    offsets[t as usize + 1] as usize,
-                );
-                let mirror = targets[ms..me]
-                    .binary_search(&(row as u32))
-                    .map(|j| probs[ms + j]);
-                if mirror.map(f64::to_bits) != Ok(p.to_bits()) {
-                    return Err(SnapshotError::Invalid(format!(
-                        "row {row} entry ({t}, {p}) has no bit-identical mirror in row {t} \
-                         (targets section byte offset {})",
-                        self.header.targets_off + 4 * i
-                    )));
-                }
-            }
-        }
-        if canonical != self.header.m {
-            return Err(SnapshotError::Invalid(format!(
-                "found {canonical} canonical pairs, header declared {}",
-                self.header.m
-            )));
-        }
-        Ok(())
+        csr::check_content(self.header.n, self.offsets(), self.targets(), self.probs())
+            .map_err(|e| self.header.invalid(&e))
     }
 
     /// Number of vertices.
@@ -340,33 +223,6 @@ mod tests {
             assert_eq!(&snap.targets()[s..e], g.incident_targets(v));
             assert_eq!(&snap.probs()[s..e], g.incident_probs(v));
         }
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn open_rejects_structural_corruption_and_verify_catches_content() {
-        let g = figure1b();
-        let bytes = snapshot_bytes(&g, SnapshotMeta::default());
-        let t_off = u64::from_le_bytes(bytes[56..64].try_into().unwrap()) as usize;
-
-        // Out-of-range target: structural tier must reject at open.
-        let mut structural = bytes.clone();
-        structural[t_off] = 200; // row 0 first target -> 200 >= n
-        let path = tmp("structural.snap");
-        std::fs::write(&path, &structural).unwrap();
-        assert!(matches!(
-            MappedSnapshot::open(&path),
-            Err(SnapshotError::Invalid(_))
-        ));
-
-        // In-range but asymmetric target: open passes (structurally
-        // sound), verify rejects.
-        let mut content = bytes.clone();
-        content[t_off] = 2; // row 0: [1,2,3] -> [2,2,3]: not ascending
-        std::fs::write(&path, &content).unwrap();
-        let snap = MappedSnapshot::open(&path).unwrap();
-        let err = snap.verify().unwrap_err();
-        assert!(err.to_string().contains("byte offset"), "{err}");
         std::fs::remove_file(&path).ok();
     }
 

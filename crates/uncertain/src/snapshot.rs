@@ -45,15 +45,14 @@
 //! consumer (e.g. `obf_server`'s `RELOAD`) can verify it is walking an
 //! unbroken release chain. The stored checksum is the header checksum:
 //! it covers the section checksums, so it transitively commits to the
-//! whole file while staying inside the header page, and the O(1) open
-//! tier can check it without touching a section.
+//! whole file while staying inside the header page, and a reader can
+//! check it without touching a section.
 //!
 //! Every multi-byte value is little-endian, so a flipped bit anywhere
 //! is caught by a checksum before the graph is reconstructed, and the
-//! reconstruction re-verifies every [`UncertainGraph`] invariant (via
-//! the crate-internal `from_csr_parts` fast path) — a
-//! corrupted-but-checksummed file can still never produce an invalid
-//! graph.
+//! decoded arrays then pass the crate's one CSR validator (`crate::csr`)
+//! — a corrupted-but-checksummed file can still never produce an
+//! invalid graph, and its error names the failing byte offset.
 //!
 //! The checksum is a SplitMix64 chain over 8-byte words (zero-padded
 //! tail, length folded into the seed): every step is a bijection of the
@@ -70,6 +69,7 @@ use std::fs::{File, OpenOptions};
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 
+use crate::csr::{CsrError, Section};
 use crate::graph::UncertainGraph;
 
 /// Magic bytes identifying a snapshot file.
@@ -307,12 +307,12 @@ pub(crate) fn v3_layout(n: usize, m: usize) -> Option<(usize, usize, usize, usiz
     Some((offsets_off, targets_off, probs_off, file_len))
 }
 
-/// A parsed-and-verified v3 header. Construction performs the O(1)
-/// "quick" verification tier: magic, version, header checksum, and the
-/// structural layout checks (alignment, section extents, exact file
-/// length) — everything needed to know the section slices are in
-/// bounds. Section *content* checksums are deliberately not verified
-/// here; see [`crate::mapped::MappedSnapshot`] for the tiers.
+/// A parsed-and-verified v3 header. Construction is O(1): magic,
+/// version, header checksum, and the layout checks (alignment, section
+/// extents, exact file length) — everything needed to know the section
+/// slices are in bounds. Section checksums and the CSR validator are
+/// the readers' next steps; see [`crate::mapped::MappedSnapshot`] for
+/// the tiers.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct V3Header {
     pub meta: SnapshotMeta,
@@ -449,6 +449,19 @@ impl V3Header {
         }
         Ok(())
     }
+
+    /// Turns a CSR validator error into [`SnapshotError::Invalid`]
+    /// naming the file byte offset of the failing element: its section
+    /// start plus its width times its index. Both readers, heap and
+    /// mapped, report through this, so they name the same offset.
+    pub(crate) fn invalid(&self, e: &CsrError) -> SnapshotError {
+        let (start, width) = match e.section {
+            Section::Offsets => (self.offsets_off, 8),
+            Section::Targets => (self.targets_off, 4),
+            Section::Probs => (self.probs_off, 8),
+        };
+        SnapshotError::Invalid(format!("{e} at byte offset {}", start + width * e.index))
+    }
 }
 
 /// Serialises the graph and its release metadata into the snapshot byte
@@ -580,25 +593,20 @@ fn create_sibling(dir: &Path, name: &OsStr) -> io::Result<(PathBuf, File)> {
 /// Decodes a snapshot and its release metadata onto the heap.
 ///
 /// Verification order: magic → version → header checksum → layout and
-/// length → section checksums → graph validation, so the error names
-/// the outermost layer that failed. This is the portable path: it
-/// copies the sections into owned arrays and works on any endianness;
-/// zero-copy serving goes through [`crate::mapped::MappedSnapshot`]
-/// instead.
-///
-/// The canonical candidate list is rebuilt from the rows (each pair
-/// `(u, v)` with `u < v` appears in `u`'s row with target `v > u`,
-/// exactly once), and `from_csr_parts` re-verifies every graph
-/// invariant against the decoded arrays without re-sorting or
-/// rebuilding the CSR.
+/// length → section checksums → both tiers of the CSR validator, so
+/// the error names the outermost layer that failed, and a validator
+/// error names the same byte offset [`crate::mapped::MappedSnapshot`]
+/// reports for it. This is the portable path: it copies the sections
+/// into owned arrays and works on any endianness; zero-copy serving
+/// goes through [`crate::mapped::MappedSnapshot`] instead.
 pub fn decode_snapshot(bytes: &[u8]) -> Result<(UncertainGraph, SnapshotMeta), SnapshotError> {
     let h = V3Header::parse(bytes)?;
     h.verify_sections(bytes)?;
     let (n, m) = (h.n, h.m);
     let incidents = 2 * m;
-    let offsets: Vec<usize> = bytes[h.offsets_off..h.offsets_off + 8 * (n + 1)]
+    let offsets: Vec<u64> = bytes[h.offsets_off..h.offsets_off + 8 * (n + 1)]
         .chunks_exact(8)
-        .map(|b| u64::from_le_bytes(b.try_into().unwrap()) as usize)
+        .map(|b| u64::from_le_bytes(b.try_into().unwrap()))
         .collect();
     let targets: Vec<u32> = bytes[h.targets_off..h.targets_off + 4 * incidents]
         .chunks_exact(4)
@@ -608,35 +616,9 @@ pub fn decode_snapshot(bytes: &[u8]) -> Result<(UncertainGraph, SnapshotMeta), S
         .chunks_exact(8)
         .map(|b| f64::from_bits(u64::from_le_bytes(b.try_into().unwrap())))
         .collect();
-    if offsets[0] != 0 || offsets[n] != incidents {
-        return Err(SnapshotError::Invalid(format!(
-            "CSR offsets span [{}, {}], expected [0, {incidents}]",
-            offsets[0], offsets[n]
-        )));
-    }
-    let mut candidates = Vec::with_capacity(m);
-    for u in 0..n {
-        let (start, end) = (offsets[u], offsets[u + 1]);
-        if start > end || end > incidents {
-            return Err(SnapshotError::Invalid(format!(
-                "CSR row {u} has invalid bounds [{start}, {end})"
-            )));
-        }
-        for i in start..end {
-            if targets[i] as usize > u {
-                candidates.push((u as u32, targets[i], probs[i]));
-            }
-        }
-    }
-    if candidates.len() != m {
-        return Err(SnapshotError::Invalid(format!(
-            "decoded {} candidate pairs, header declared {m}",
-            candidates.len()
-        )));
-    }
-    UncertainGraph::from_csr_parts(n, candidates, offsets, targets, probs)
+    UncertainGraph::from_csr(n, m, offsets, targets, probs)
         .map(|g| (g, h.meta))
-        .map_err(SnapshotError::Invalid)
+        .map_err(|e| h.invalid(&e))
 }
 
 /// Reads and decodes a snapshot file onto the heap; see
@@ -920,19 +902,57 @@ mod tests {
     }
 
     #[test]
-    fn checksummed_but_invalid_probability_rejected() {
-        let g = UncertainGraph::new(2, vec![(0, 1, 0.5)]).unwrap();
-        let mut bytes = root(&g);
-        // Overwrite both incident probabilities with 2.0 and re-stamp the
-        // probs section and header checksums: the graph validation layer
-        // must still reject it.
-        let h = V3Header::parse(&bytes).unwrap();
-        let (_, p_off, p_len) = h.sections()[2];
-        bytes[p_off..p_off + 8].copy_from_slice(&2.0f64.to_le_bytes());
-        bytes[p_off + 8..p_off + 16].copy_from_slice(&2.0f64.to_le_bytes());
-        let sum = checksum64(&bytes[p_off..p_off + p_len]);
-        bytes[96..104].copy_from_slice(&sum.to_le_bytes());
-        restamp_header(&mut bytes);
-        assert!(matches!(decode(&bytes), Err(SnapshotError::Invalid(_))));
+    fn checksummed_but_invalid_csr_names_its_byte_offset_on_both_readers() {
+        // Figure 1(b): rows [1,2,3], [0,2,3], [0,1,3], [0,1,2]; the
+        // copies of (0, 3) are probs 2 and 9. Each case overwrites one
+        // element of a section (0 offsets, 1 targets, 2 probs) and
+        // re-stamps that section's and the header checksum, so only
+        // the CSR validator can reject the file; `structural` says
+        // whether `MappedSnapshot::open` already does.
+        let le64 = |x: u64| x.to_le_bytes().to_vec();
+        let le32 = |x: u32| x.to_le_bytes().to_vec();
+        let ulp_above = le64(0.8f64.to_bits() + 1);
+        // (case, section, index, new bytes, reported index, structural)
+        let cases = [
+            ("offsets not monotone", 0, 2, le64(2), 2, true),
+            ("target out of range", 1, 4, le32(9), 4, true),
+            ("self-loop", 1, 4, le32(1), 4, true),
+            ("wrong canonical count", 1, 3, le32(2), 8, true),
+            ("row not ascending", 1, 1, le32(3), 2, false),
+            ("probability 2.0", 2, 4, le64(2.0f64.to_bits()), 4, false),
+            ("mirror bits differ", 2, 9, ulp_above, 2, false),
+        ];
+        let clean = root(&figure1b());
+        let sections = V3Header::parse(&clean).unwrap().sections();
+        for (case, section, index, value, reported, structural) in cases {
+            let (_, start, len) = sections[section];
+            let mut bytes = clean.clone();
+            let at = start + value.len() * index;
+            bytes[at..at + value.len()].copy_from_slice(&value);
+            let sum = checksum64(&bytes[start..start + len]);
+            bytes[80 + 8 * section..88 + 8 * section].copy_from_slice(&sum.to_le_bytes());
+            restamp_header(&mut bytes);
+            let want = format!("at byte offset {}", start + value.len() * reported);
+            let heap = match decode(&bytes) {
+                Err(SnapshotError::Invalid(msg)) => msg,
+                other => panic!("{case}: heap decoder gave {other:?}"),
+            };
+            assert!(heap.ends_with(&want), "{case}: {heap:?}, want {want:?}");
+            #[cfg(all(unix, target_endian = "little"))]
+            {
+                let dir = std::env::temp_dir().join("obfugraph_snapshot_test");
+                std::fs::create_dir_all(&dir).unwrap();
+                let path = dir.join(format!("invalid_csr_{section}_{index}.snap"));
+                std::fs::write(&path, &bytes).unwrap();
+                let opened = crate::MappedSnapshot::open(&path);
+                let mapped = crate::MappedSnapshot::open_verified(&path);
+                std::fs::remove_file(&path).ok();
+                assert_eq!(opened.is_err(), structural, "{case}");
+                match mapped {
+                    Err(SnapshotError::Invalid(msg)) => assert_eq!(msg, heap, "{case}"),
+                    other => panic!("{case}: mapped reader gave {other:?}"),
+                }
+            }
+        }
     }
 }

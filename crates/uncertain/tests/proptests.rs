@@ -55,7 +55,7 @@ proptest! {
         let w = ug.sample_world(&mut rng);
         prop_assert!(w.num_edges() <= ug.num_candidates());
         // Certain candidates always appear.
-        for &(u, v, p) in ug.candidates() {
+        for (u, v, p) in ug.candidate_pairs() {
             if p >= 1.0 {
                 prop_assert!(w.has_edge(u, v));
             }

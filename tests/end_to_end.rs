@@ -48,7 +48,7 @@ fn candidate_set_structure_matches_section3() {
         res.graph.num_candidates(),
         (params.c * g.num_edges() as f64).round() as usize
     );
-    for &(u, v, p) in res.graph.candidates() {
+    for (u, v, p) in res.graph.candidate_pairs() {
         assert!((0.0..=1.0).contains(&p), "p({u},{v}) = {p}");
     }
 }

@@ -133,7 +133,7 @@ proptest! {
             prop_assert_eq!(trial.removed_edges, g.num_edges() - trial.kept_edges);
         }
         if let Some(ug) = out.graph {
-            for &(_, _, p) in ug.candidates() {
+            for (_, _, p) in ug.candidate_pairs() {
                 prop_assert!((0.0..=1.0).contains(&p));
             }
         }
