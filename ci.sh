@@ -80,15 +80,22 @@ while len(edges) < m:
 with open(sys.argv[1], "w") as f:
     f.writelines(f"{u} {v}\n" for u, v in sorted(edges))
 PY
+    # The search's counters are defined by trial order, so the number of
+    # trials checked (the `checked=` field of the `phases` line) must not
+    # depend on --threads either.
     for t in 1 2 4; do
         ./target/release/obfugraph-cli obfuscate "$tmpdir/social.txt" "$tmpdir/release_t$t.up" \
-            --k 10 --eps 0.05 --seed 7 --threads "$t" 2>/dev/null
+            --k 10 --eps 0.05 --seed 7 --threads "$t" 2>"$tmpdir/publish_t$t.log"
+        grep -o 'checked=[0-9]*' "$tmpdir/publish_t$t.log" > "$tmpdir/checked_t$t" \
+            || { echo "obfuscate printed no checked= count at --threads $t"; exit 1; }
     done
     for t in 2 4; do
         cmp "$tmpdir/release_t1.up" "$tmpdir/release_t$t.up" \
             || { echo "published release differs between --threads 1 and $t"; exit 1; }
+        diff "$tmpdir/checked_t1" "$tmpdir/checked_t$t" \
+            || { echo "trials checked differ between --threads 1 and $t"; exit 1; }
     done
-    echo "publish determinism OK: identical release at --threads 1, 2 and 4"
+    echo "publish determinism OK: identical release and $(cat "$tmpdir/checked_t1") at --threads 1, 2 and 4"
 
     # The release bytes themselves are pinned too, so a change that moves
     # every thread count's output in lockstep still fails here.

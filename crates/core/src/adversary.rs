@@ -28,11 +28,6 @@ pub struct DegreeProfile {
     distinct: Vec<usize>,
     /// Parallel to `distinct`.
     multiplicity: Vec<usize>,
-    /// Indices into `distinct`, ordered rarest multiplicity first (ties:
-    /// larger degree first). Rare degrees are the likeliest to fail the
-    /// entropy test — hubs have small crowds — so sweeping them first
-    /// lets the budgeted check abort after a few columns.
-    sweep_order: Vec<usize>,
 }
 
 impl DegreeProfile {
@@ -49,13 +44,10 @@ impl DegreeProfile {
             }
             distinct.iter().map(|&d| counts[d]).collect()
         };
-        let mut sweep_order: Vec<usize> = (0..distinct.len()).collect();
-        sweep_order.sort_by_key(|&i| (multiplicity[i], std::cmp::Reverse(distinct[i])));
         Self {
             degrees,
             distinct,
             multiplicity,
-            sweep_order,
         }
     }
 
@@ -86,9 +78,16 @@ impl DegreeProfile {
     }
 
     /// Column order of the budgeted sweep: indices into
-    /// [`DegreeProfile::distinct`], rarest multiplicity first.
-    pub fn sweep_order(&self) -> &[usize] {
-        &self.sweep_order
+    /// [`DegreeProfile::distinct`], largest degree first. High degrees are
+    /// the likeliest to fail the entropy test — hubs have small crowds,
+    /// and in a power-law graph every degree above the bulk is rare — so
+    /// sweeping them first lets a failing check stop after a few
+    /// columns, before the crowded low degrees whose rows dominate the
+    /// cost. On graphs without hubs (Erdős–Rényi) the failing degrees
+    /// are both tails, and a failing check sweeps nearly every column
+    /// before it stops.
+    pub fn sweep_order(&self) -> impl Iterator<Item = usize> {
+        (0..self.distinct.len()).rev()
     }
 }
 
@@ -668,7 +667,7 @@ mod tests {
     }
 
     #[test]
-    fn degree_profile_orders_rarest_first() {
+    fn degree_profile_orders_largest_degree_first() {
         let (g, _) = paper_pair(); // degrees 3, 1, 2, 2
         let p = DegreeProfile::new(&g);
         assert_eq!(p.num_vertices(), 4);
@@ -676,8 +675,8 @@ mod tests {
         assert_eq!(p.distinct(), &[1, 2, 3]);
         assert_eq!(p.multiplicity(), &[1, 2, 1]);
         assert_eq!(p.max_degree(), 3);
-        // Multiplicity ascending, ties broken towards larger degrees.
-        assert_eq!(p.sweep_order(), &[2, 0, 1]);
+        // Degree descending, whatever the multiplicities.
+        assert_eq!(p.sweep_order().collect::<Vec<_>>(), [2, 1, 0]);
     }
 
     #[test]

@@ -11,17 +11,37 @@
 //! smallest `σ` that still succeeds, returning the last successful
 //! obfuscation (the one with minimal σ, i.e. maximal utility).
 //!
+//! # Lazy trials
+//!
+//! The search's course depends only on whether *some* trial of a σ
+//! passes, and only the published σ's trials can reach the output. So a
+//! σ's trials are checked in trial order until the first pass (a failing
+//! σ checks all `t`); every later trial is kept as the 32-byte RNG state
+//! it started from. When the search ends, the published σ's unchecked
+//! trials are redrawn from their states and checked, and its best trial
+//! is chosen exactly as an eager search would (smallest ε̃, the earliest
+//! trial on a tie). [`generate_obfuscation`] runs the same code and then
+//! checks every trial. The RNG stream still advances through every
+//! trial, so each σ's draws, and hence the published graph, σ, ε̃ and
+//! step counts, equal those of checking everything.
+//!
 //! # Parallelism
 //!
 //! Each Algorithm 2 trial splits into a *draw* (lines 6–19: candidate
 //! selection and the perturbations, every RNG read) and a *check* (line
-//! 20: the Definition 2 test of the drawn candidates, which reads no
-//! RNG). The calling thread draws the `t` trials of a σ in order, so
-//! the random stream is the sequential one; up to `threads − 1` scoped
-//! workers check the drawn trials concurrently, and the caller joins them
-//! once its draws are done. Every check runs sequentially with the
-//! configured chunk size, and the results are folded in trial order, so
-//! the published graph is identical at every thread count.
+//! 20: the Definition 2 test, which reads no RNG). The calling thread
+//! does only the RNG-ordered part of the draw: it selects the candidates
+//! in full but moves past the perturbation draws with
+//! [`TruncatedNormal::skip`], saving the RNG state before and after.
+//! Up to `threads − 1` scoped workers (and the caller, once its draws
+//! are done) replay the perturbation from the saved state — asserting
+//! that it ends where the skip did — and check the trial. A worker may
+//! check a trial past the first pass before that pass is known; such a
+//! check is kept for the published σ but never counted, so every
+//! [`SigmaSearchStats`] counter is defined by trial order alone. Every
+//! check runs sequentially with the configured chunk size, so the
+//! published graph and the counters are identical at every thread
+//! count.
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -242,17 +262,21 @@ pub struct SigmaCandidateStats {
     pub phase: SearchPhase,
     /// Whether some trial met the ε tolerance.
     pub accepted: bool,
-    /// Wall-clock seconds of the whole invocation.
+    /// Wall-clock seconds of the whole invocation (for the published σ,
+    /// including the checks of its remaining trials).
     pub secs: f64,
-    /// Trials run (`= params.t`).
+    /// Trials drawn (`= params.t`).
     pub trials: u32,
-    /// Adversary tables instantiated (one per trial).
-    pub table_builds: u64,
+    /// Trials checked, one adversary table each: in trial order up to
+    /// the first pass (all `t` when none passes), plus the remaining
+    /// trials of the published σ. Every counter below sums over exactly
+    /// these trials.
+    pub checked: u32,
     /// Lemma 1 row evaluations actually run (exact DP or CLT row).
     pub dp_evaluations: u64,
     /// Vertex rows the entropy sweeps needed (each vertex at most once
     /// per table); the gap to `dp_evaluations` is served by the
-    /// identical-row memo cache, and the gap to `vertices × table_builds`
+    /// identical-row memo cache, and the gap to `vertices × checked`
     /// is rows the early exits never needed at all.
     pub rows_requested: u64,
     /// Entropy columns actually computed across the trials.
@@ -269,14 +293,18 @@ pub struct SigmaCandidateStats {
 }
 
 /// Wall-clock seconds spent in the four phases of Algorithm 2 trials,
-/// summed over the trials counted. The draw phases run on the calling
-/// thread; the check phases run on whichever thread checks the trial, so
-/// with workers their sum can exceed the elapsed time.
+/// summed over everything that ran: every trial drawn and every check,
+/// including checks run ahead of a verdict that the counters do not
+/// count. Selection runs on the calling thread; the perturbation is
+/// skipped there and replayed by the checking thread; the check phases
+/// run on whichever thread checks the trial, so with workers the sum can
+/// exceed the elapsed time.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct TrialPhaseSecs {
-    /// Lines 6–12: candidate selection.
+    /// Lines 6–12: candidate selection, on the calling thread.
     pub select: f64,
-    /// Lines 13–19: per-pair σ(e) and the perturbation draws.
+    /// Lines 13–19: per-pair σ(e) and the perturbation draws — the
+    /// calling thread's skip plus the checking thread's replay.
     pub perturb: f64,
     /// Building the trial's uncertain graph and its adversary rows' memo.
     pub build: f64,
@@ -302,8 +330,9 @@ impl SigmaCandidateStats {
 
 /// Instrumentation of a full Algorithm 1 run — per-candidate timings and
 /// cache/early-exit counters of the σ-search fast path. Every counter is
-/// deterministic for a fixed seed and thread count-independent; only
-/// `secs` and `phases` vary between runs.
+/// defined by trial order (see [`SigmaCandidateStats::checked`]), hence
+/// deterministic for a fixed seed and independent of the thread count;
+/// only `secs` and `phases` vary between runs.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct SigmaSearchStats {
     /// Vertices of the input graph (the per-table baseline for
@@ -360,9 +389,20 @@ impl SigmaSearchStats {
     }
 
     /// Row evaluations the pre-fast-path engine would have run: every
-    /// vertex, for every adversary table ever built.
+    /// vertex, for every adversary table built (one per checked trial).
     pub fn naive_dp_evaluations(&self) -> u64 {
-        self.num_vertices as u64 * self.candidates.iter().map(|c| c.table_builds).sum::<u64>()
+        self.num_vertices as u64 * self.checked()
+    }
+
+    /// Trials drawn across candidates (`t` per candidate).
+    pub fn trials(&self) -> u64 {
+        self.candidates.iter().map(|c| u64::from(c.trials)).sum()
+    }
+
+    /// Trials checked across candidates (see
+    /// [`SigmaCandidateStats::checked`]).
+    pub fn checked(&self) -> u64 {
+        self.candidates.iter().map(|c| u64::from(c.checked)).sum()
     }
 
     /// Total entropy columns computed / total a full sweep would compute.
@@ -390,7 +430,9 @@ struct SearchContext {
     per_vertex: Vec<f64>,
     histogram: ValueHistogram,
     profile: DegreeProfile,
-    base_pairs: Vec<VertexPair>,
+    keys: PairKeys,
+    /// `E` as sorted pair keys.
+    base: Vec<u64>,
 }
 
 impl SearchContext {
@@ -399,15 +441,18 @@ impl SearchContext {
         let per_vertex = property.values(g);
         let histogram = ValueHistogram::new(&per_vertex);
         let profile = DegreeProfile::new(g);
-        // Sorted adjacency lists yield the edges in `VertexPair` order.
-        let base_pairs: Vec<VertexPair> = g.edge_pairs().collect();
-        debug_assert!(base_pairs.is_sorted());
+        let keys = PairKeys::new(g.num_vertices());
+        // Sorted adjacency lists yield the edges in `VertexPair` order,
+        // which is key order.
+        let base: Vec<u64> = g.edge_pairs().map(|p| keys.key(p)).collect();
+        debug_assert!(base.is_sorted());
         Self {
             property,
             per_vertex,
             histogram,
             profile,
-            base_pairs,
+            keys,
+            base,
         }
     }
 }
@@ -438,64 +483,162 @@ pub fn generate_obfuscation_with_excluded(
 ) -> GenerateOutcome {
     let ctx = SearchContext::new(g);
     let mut scratch = SigmaCandidateStats::default();
-    generate_in_context(g, &ctx, params, sigma, forced_excluded, rng, &mut scratch)
+    // The verdict first, as Algorithm 1 takes it; then every trial.
+    SigmaTrials::evaluate(g, &ctx, params, sigma, forced_excluded, rng, &mut scratch).finish(
+        &ctx,
+        params,
+        &mut scratch,
+    )
 }
 
-/// Algorithm 2 against a prebuilt [`SearchContext`], recording check
-/// instrumentation into `stats`. This is the per-candidate body of the σ
-/// search: everything σ-independent lives in `ctx`.
-fn generate_in_context(
-    g: &Graph,
-    ctx: &SearchContext,
-    params: &ObfuscationParams,
-    sigma: f64,
-    forced_excluded: &[u32],
-    rng: &mut SmallRng,
-    stats: &mut SigmaCandidateStats,
-) -> GenerateOutcome {
-    let sampler = TrialSampler::new(g, ctx, params, sigma, forced_excluded);
-    let workers = (params.parallelism.threads() - 1).min(params.t);
-    let check_par = Parallelism::sequential().with_chunk_size(params.parallelism.chunk_size());
-    let checked = pipeline(
-        params.t,
-        workers,
-        |_| sampler.draw(g, ctx, rng),
-        |draw| check_trial(ctx, params, draw, &check_par),
-    );
+/// One σ candidate after its verdict (Algorithm 2 without line 21): the
+/// trials in trial order, each checked or kept as the RNG state it
+/// started from.
+struct SigmaTrials {
+    sampler: TrialSampler,
+    /// Index of the first passing trial.
+    first_pass: Option<usize>,
+    trials: Vec<Result<CheckedTrial, SmallRng>>,
+}
 
-    let mut best: Option<(f64, UncertainGraph)> = None;
-    let mut trials = Vec::with_capacity(params.t);
-    for trial in checked {
-        stats.table_builds += 1;
-        stats.columns_total += ctx.profile.distinct().len() as u64;
-        stats.dp_evaluations += trial.dp_evaluations;
-        stats.rows_requested += trial.rows_requested;
-        stats.columns_evaluated += trial.verdict.columns_evaluated as u64;
-        stats.support_skipped_columns += trial.verdict.support_only_failures as u64;
-        stats.early_exit_trials += u64::from(trial.verdict.early_exit);
-        stats.phases += trial.phases;
-        trials.push(trial.stats);
-
-        // Line 21: keep the best trial meeting ε (the earliest on a tie).
-        let eps_trial = trial.stats.eps_achieved;
-        if let Some(ug) = trial.graph {
-            if best.as_ref().is_none_or(|(e, _)| eps_trial < *e) {
-                best = Some((eps_trial, ug));
-            }
+impl SigmaTrials {
+    /// Draws all `t` trials of `sigma` from `rng` and checks them in trial
+    /// order until the first pass, recording the checks of that prefix
+    /// into `stats`.
+    fn evaluate(
+        g: &Graph,
+        ctx: &SearchContext,
+        params: &ObfuscationParams,
+        sigma: f64,
+        forced_excluded: &[u32],
+        rng: &mut SmallRng,
+        stats: &mut SigmaCandidateStats,
+    ) -> Self {
+        let sampler = TrialSampler::new(g, ctx, params, sigma, forced_excluded);
+        let workers = (params.parallelism.threads() - 1).min(params.t);
+        let check_par = Parallelism::sequential().with_chunk_size(params.parallelism.chunk_size());
+        let out = pipeline(
+            params.t,
+            workers,
+            |_| sampler.draw(ctx, rng),
+            |draw| check_trial(ctx, params, &sampler, draw, &check_par),
+            |trial| trial.graph.is_some(),
+        );
+        let first_pass = out
+            .iter()
+            .position(|r| matches!(r, Ok(trial) if trial.graph.is_some()));
+        let trials: Vec<Result<CheckedTrial, SmallRng>> = out
+            .into_iter()
+            .map(|r| match r {
+                Ok(trial) => {
+                    stats.phases += trial.phases;
+                    Ok(trial)
+                }
+                Err(draw) => {
+                    stats.phases += draw.phases;
+                    Err(draw.start)
+                }
+            })
+            .collect();
+        let decided = first_pass.map_or(params.t, |i| i + 1);
+        for trial in &trials[..decided] {
+            stats.count(
+                trial
+                    .as_ref()
+                    .expect("trials up to the first pass are checked"),
+            );
+        }
+        Self {
+            sampler,
+            first_pass,
+            trials,
         }
     }
 
-    match best {
-        Some((eps, graph)) => GenerateOutcome {
-            graph: Some(graph),
-            eps_achieved: eps,
+    /// Whether some trial met ε.
+    fn passed(&self) -> bool {
+        self.first_pass.is_some()
+    }
+
+    /// The smallest ε̃ among the checked trials (∞ when none was).
+    fn min_checked_eps(&self) -> f64 {
+        self.trials
+            .iter()
+            .flatten()
+            .map(|trial| trial.stats.eps_achieved)
+            .fold(f64::INFINITY, f64::min)
+    }
+
+    /// Checks the trials after the first pass — redrawing the unchecked
+    /// ones from their states, on up to `threads` threads — records them
+    /// into `stats`, and applies line 21: the best trial meeting ε (the
+    /// earliest on a tie).
+    fn finish(
+        self,
+        ctx: &SearchContext,
+        params: &ObfuscationParams,
+        stats: &mut SigmaCandidateStats,
+    ) -> GenerateOutcome {
+        let decided = self.first_pass.map_or(self.trials.len(), |i| i + 1);
+        let sampler = &self.sampler;
+        let check_par = Parallelism::sequential().with_chunk_size(params.parallelism.chunk_size());
+        let unchecked: Vec<&SmallRng> = self
+            .trials
+            .iter()
+            .filter_map(|r| r.as_ref().err())
+            .collect();
+        let mut redrawn = Parallelism::new(params.parallelism.threads())
+            .with_chunk_size(1)
+            .map_collect(unchecked.len(), |j| {
+                let draw = sampler.draw(ctx, &mut unchecked[j].clone());
+                check_trial(ctx, params, sampler, draw, &check_par)
+            })
+            .into_iter();
+        let mut best: Option<(f64, UncertainGraph)> = None;
+        let mut trials = Vec::with_capacity(self.trials.len());
+        for (i, slot) in self.trials.into_iter().enumerate() {
+            let trial = match slot {
+                Ok(trial) => trial,
+                Err(_) => {
+                    let trial = redrawn.next().expect("one redraw per unchecked trial");
+                    stats.phases += trial.phases;
+                    trial
+                }
+            };
+            if i >= decided {
+                stats.count(&trial);
+            }
+            trials.push(trial.stats);
+            let eps_trial = trial.stats.eps_achieved;
+            if let Some(ug) = trial.graph {
+                if best.as_ref().is_none_or(|(e, _)| eps_trial < *e) {
+                    best = Some((eps_trial, ug));
+                }
+            }
+        }
+        let (eps_achieved, graph) = match best {
+            Some((eps, graph)) => (eps, Some(graph)),
+            None => (f64::INFINITY, None),
+        };
+        GenerateOutcome {
+            graph,
+            eps_achieved,
             trials,
-        },
-        None => GenerateOutcome {
-            graph: None,
-            eps_achieved: f64::INFINITY,
-            trials,
-        },
+        }
+    }
+}
+
+impl SigmaCandidateStats {
+    /// Adds one checked trial's counters (not its phases, which are added
+    /// wherever the trial ran).
+    fn count(&mut self, trial: &CheckedTrial) {
+        self.checked += 1;
+        self.dp_evaluations += trial.dp_evaluations;
+        self.rows_requested += trial.rows_requested;
+        self.columns_total += trial.verdict.columns_total as u64;
+        self.columns_evaluated += trial.verdict.columns_evaluated as u64;
+        self.support_skipped_columns += trial.verdict.support_only_failures as u64;
+        self.early_exit_trials += u64::from(trial.verdict.early_exit);
     }
 }
 
@@ -567,58 +710,39 @@ impl TrialSampler {
         }
     }
 
-    /// Algorithm 2 lines 6–19 for one trial.
-    fn draw(&self, g: &Graph, ctx: &SearchContext, rng: &mut SmallRng) -> TrialDraw {
+    /// Algorithm 2 lines 6–19 for one trial, as far as the RNG order
+    /// needs: the candidate selection in full, then the perturbation
+    /// draws skipped, with the RNG states around them saved for
+    /// [`TrialSampler::perturb`].
+    fn draw(&self, ctx: &SearchContext, rng: &mut SmallRng) -> TrialDraw {
+        let start = rng.clone();
         // Phase spans feed only TrialPhaseSecs and their histograms —
         // wall-clock stats excluded from every digest and equivalence check.
         let span = obf_obs::Span::start(obf_obs::global(), "obf_core_trial_select_micros");
         // Lines 6–12: select E_C starting from E. A degenerate graph (no
         // sampleable vertices) keeps E_C = E.
         let (ec, removed_edges) = match &self.alias {
-            Some(alias) => select_candidates(g, &ctx.base_pairs, self.target_ec, alias, rng),
-            None => (ctx.base_pairs.iter().map(|&p| (p, true)).collect(), 0),
+            Some(alias) => select_candidates(&ctx.base, ctx.keys, self.target_ec, alias, rng),
+            None => (ctx.base.iter().map(|&e| (e, true)).collect(), 0),
         };
         let select = span.finish_secs();
         let span = obf_obs::Span::start(obf_obs::global(), "obf_core_trial_perturb_micros");
-
-        // Line 14: per-pair σ(e) (Eq. 7), proportional to pair uniqueness.
-        let uniq = &self.uniq;
-        let pair_uniqueness: Vec<f64> = ec
-            .iter()
-            .map(|(p, _)| (uniq.of(p.lo()) + uniq.of(p.hi())) / 2.0)
-            .collect();
-        let uniq_total: f64 = pair_uniqueness.iter().sum();
-
-        // Lines 13–19: draw perturbations and assign probabilities.
-        let sigma = self.sigma;
-        let mut kept_edges = 0usize;
-        let mut added_pairs = 0usize;
-        let mut candidates: Vec<(u32, u32, f64)> = Vec::with_capacity(ec.len());
-        for (&(pair, is_edge), &u_e) in ec.iter().zip(&pair_uniqueness) {
-            let sigma_e = if uniq_total > 0.0 {
-                (sigma * ec.len() as f64 * u_e / uniq_total).max(1e-12)
+        let pair_sigmas = self.pair_sigmas(&ec, ctx.keys);
+        let perturb_from = rng.clone();
+        for &sigma_e in &pair_sigmas {
+            if rng.gen::<f64>() < self.q {
+                rng.gen::<f64>();
             } else {
-                sigma.max(1e-12)
-            };
-            let r_e = if rng.gen::<f64>() < self.q {
-                rng.gen::<f64>()
-            } else {
-                TruncatedNormal::new(sigma_e).sample(rng)
-            };
-            let p = if is_edge {
-                kept_edges += 1;
-                1.0 - r_e
-            } else {
-                added_pairs += 1;
-                r_e
-            };
-            candidates.push((pair.lo(), pair.hi(), p));
+                TruncatedNormal::skip(sigma_e, rng);
+            }
         }
         TrialDraw {
-            candidates,
-            kept_edges,
-            added_pairs,
+            start,
+            ec,
+            pair_sigmas,
             removed_edges,
+            perturb_from,
+            perturb_to: rng.clone(),
             phases: TrialPhaseSecs {
                 select,
                 perturb: span.finish_secs(),
@@ -626,22 +750,81 @@ impl TrialSampler {
             },
         }
     }
+
+    /// Line 14: per-pair σ(e) (Eq. 7), proportional to pair uniqueness.
+    fn pair_sigmas(&self, ec: &[(u64, bool)], keys: PairKeys) -> Vec<f64> {
+        let uniq = &self.uniq;
+        let pair_uniqueness: Vec<f64> = ec
+            .iter()
+            .map(|&(key, _)| {
+                let (lo, hi) = keys.ends(key);
+                (uniq.of(lo) + uniq.of(hi)) / 2.0
+            })
+            .collect();
+        let uniq_total: f64 = pair_uniqueness.iter().sum();
+        let sigma = self.sigma;
+        pair_uniqueness
+            .into_iter()
+            .map(|u_e| {
+                if uniq_total > 0.0 {
+                    (sigma * ec.len() as f64 * u_e / uniq_total).max(1e-12)
+                } else {
+                    sigma.max(1e-12)
+                }
+            })
+            .collect()
+    }
+
+    /// Lines 13–19 of a drawn trial, replayed from the RNG state the
+    /// draw saved: the perturbed candidate probabilities.
+    ///
+    /// # Panics
+    /// Panics if the replay does not end at the state the draw's skip
+    /// ended at — the skip and the sampler would disagree on the stream.
+    fn perturb(&self, draw: &TrialDraw, keys: PairKeys) -> Vec<(u32, u32, f64)> {
+        let mut rng = draw.perturb_from.clone();
+        let candidates = draw
+            .ec
+            .iter()
+            .zip(&draw.pair_sigmas)
+            .map(|(&(key, is_edge), &sigma_e)| {
+                let r_e = if rng.gen::<f64>() < self.q {
+                    rng.gen::<f64>()
+                } else {
+                    TruncatedNormal::new(sigma_e).sample(&mut rng)
+                };
+                let (lo, hi) = keys.ends(key);
+                (lo, hi, if is_edge { 1.0 - r_e } else { r_e })
+            })
+            .collect();
+        assert!(
+            rng == draw.perturb_to,
+            "perturbation replay diverged from the skip"
+        );
+        candidates
+    }
 }
 
-/// The random half of one Algorithm 2 trial (lines 6–19): the candidate
-/// set and its perturbed probabilities. Every RNG read of a trial happens
-/// while drawing it.
+/// The RNG-ordered half of one Algorithm 2 trial, drawn by the calling
+/// thread: the selected candidate set, the per-pair σ(e), and the RNG
+/// states that bracket the (skipped) perturbation draws.
 struct TrialDraw {
-    candidates: Vec<(u32, u32, f64)>,
-    kept_edges: usize,
-    added_pairs: usize,
+    /// The RNG state before the trial's first read.
+    start: SmallRng,
+    /// `E_C` as sorted pair keys, each flagged with whether it is in `E`.
+    ec: Vec<(u64, bool)>,
+    /// σ(e), parallel to `ec`.
+    pair_sigmas: Vec<f64>,
     removed_edges: usize,
-    /// The draw's own phases; the check fills in the other two.
+    perturb_from: SmallRng,
+    perturb_to: SmallRng,
+    /// The draw's own phases; the check adds the rest.
     phases: TrialPhaseSecs,
 }
 
-/// The deterministic half of one Algorithm 2 trial (line 20): the
-/// Definition 2 verdict on a [`TrialDraw`] and the check's counters.
+/// The deterministic half of one Algorithm 2 trial (lines 13–20): the
+/// replayed perturbation, the Definition 2 verdict and the check's
+/// counters.
 struct CheckedTrial {
     stats: TrialStats,
     /// The trial's uncertain graph, kept only when it met ε.
@@ -652,19 +835,25 @@ struct CheckedTrial {
     phases: TrialPhaseSecs,
 }
 
-/// Algorithm 2 line 20 for one drawn trial: ε' = fraction of vertices
-/// not k-obfuscated, by the budgeted check of [`crate::fastpath`]
-/// (memoized identical rows, DP support truncated at max_deg(G), and a
-/// sweep that stops once the ε budget is decided).
+/// Algorithm 2 lines 13–20 for one drawn trial: the perturbation replayed
+/// from the draw's saved state, then ε' = fraction of vertices not
+/// k-obfuscated, by the budgeted check of [`crate::fastpath`] (memoized
+/// identical rows, DP support truncated at max_deg(G), and a sweep that
+/// stops once the ε budget is decided).
 fn check_trial(
     ctx: &SearchContext,
     params: &ObfuscationParams,
+    sampler: &TrialSampler,
     draw: TrialDraw,
     par: &Parallelism,
 ) -> CheckedTrial {
     let n = ctx.profile.num_vertices();
+    let span = obf_obs::Span::start(obf_obs::global(), "obf_core_trial_perturb_micros");
+    let candidates = sampler.perturb(&draw, ctx.keys);
+    let perturb = span.finish_secs();
+    let kept_edges = draw.ec.iter().filter(|&&(_, is_edge)| is_edge).count();
     let span = obf_obs::Span::start(obf_obs::global(), "obf_core_trial_build_micros");
-    let ug = UncertainGraph::new(n, draw.candidates).expect("valid candidate set");
+    let ug = UncertainGraph::new(n, candidates).expect("valid candidate set");
     let mut adv = MemoizedAdversary::new(&ug, params.method, ctx.profile.max_degree(), par);
     let build = span.finish_secs();
     let span = obf_obs::Span::start(obf_obs::global(), "obf_core_trial_check_micros");
@@ -680,8 +869,8 @@ fn check_trial(
     CheckedTrial {
         stats: TrialStats {
             eps_achieved,
-            kept_edges: draw.kept_edges,
-            added_pairs: draw.added_pairs,
+            kept_edges,
+            added_pairs: draw.ec.len() - kept_edges,
             removed_edges: draw.removed_edges,
         },
         graph: verdict.satisfies.then_some(ug),
@@ -689,6 +878,7 @@ fn check_trial(
         dp_evaluations,
         rows_requested,
         phases: TrialPhaseSecs {
+            perturb: draw.phases.perturb + perturb,
             build,
             check,
             ..draw.phases
@@ -699,62 +889,177 @@ fn check_trial(
 /// Algorithm 2 lines 6–12: starting from `E_C = E`, repeatedly draw a
 /// vertex pair from `Q × Q`; drawing an existing edge removes it (certain
 /// deletion), a non-edge is added as a candidate; stop at `|E_C| =
-/// target`. `base` is `E` in sorted order. Returns the sorted candidate
-/// pairs, each flagged with whether it is an edge of `E`, and the number
-/// of removed original edges.
+/// target`. `base` is `E` as sorted keys. Returns the keys of `E_C` in
+/// sorted order, each flagged with whether it is an edge of `E`, and the
+/// number of removed original edges.
+///
+/// One draw changes `|E_C|` by at most +1, so the next `target − |E_C|`
+/// draws can reach the target only on their last draw: drawing them as
+/// one batch reads the RNG exactly as drawing one pair at a time and
+/// stopping at the target. Each batch is radix-sorted, deduplicated and
+/// classified by a merge against the sorted `E` and the sorted
+/// differences so far.
 fn select_candidates(
-    g: &Graph,
-    base: &[VertexPair],
+    base: &[u64],
+    keys: PairKeys,
     target: usize,
     alias: &AliasTable,
     rng: &mut SmallRng,
-) -> (Vec<(VertexPair, bool)>, usize) {
-    // E_C = (E \ removed) ∪ added, tracked as the two differences so a
-    // trial never copies E. Reaching the target takes at least
-    // `target − |E|` additions.
-    let mut removed: FxHashSet<VertexPair> = FxHashSet::default();
-    let mut added: FxHashSet<VertexPair> =
-        FxHashSet::with_capacity_and_hasher(target.saturating_sub(base.len()), Default::default());
+) -> (Vec<(u64, bool)>, usize) {
+    // E_C = (E \ removed) ∪ added, tracked as the two sorted differences
+    // so a trial never copies E.
+    let mut removed: Vec<u64> = Vec::new();
+    let mut added: Vec<u64> = Vec::with_capacity(target.saturating_sub(base.len()));
     // Safety valve: the expected number of draws is ~(target - |E|) plus a
-    // small correction for collisions; a generous multiple covers skewed Q.
+    // small correction for collisions; a generous multiple covers skewed
+    // Q. Past it (e.g. a dense graph with few non-edges among sampleable
+    // vertices) the trial proceeds with what it has — its ε̃ test still
+    // gates correctness.
     let max_draws = 200usize
         .saturating_add(target.saturating_mul(50))
-        .saturating_add(g.num_edges() * 50);
+        .saturating_add(base.len() * 50);
     let mut draws = 0usize;
-    while base.len() - removed.len() + added.len() != target {
-        draws += 1;
-        if draws > max_draws {
-            // Could not reach the target (e.g. dense graph with few
-            // non-edges among sampleable vertices); proceed with what we
-            // have — the trial's ε̃ test still gates correctness.
+    let (mut batch, mut scratch) = (Vec::new(), Vec::new());
+    loop {
+        let deficit = target - (base.len() - removed.len() + added.len());
+        let size = deficit.min(max_draws - draws);
+        if size == 0 {
             break;
         }
-        let u = alias.sample(rng);
-        let v = alias.sample(rng);
-        if u == v {
-            continue;
+        draws += size;
+        batch.clear();
+        for _ in 0..size {
+            let u = alias.sample(rng);
+            let v = alias.sample(rng);
+            if u != v {
+                batch.push(keys.key(VertexPair::new(u, v)));
+            }
         }
-        let pair = VertexPair::new(u, v);
-        if g.has_edge(u, v) {
-            removed.insert(pair);
-        } else {
-            added.insert(pair);
+        keys.sort(&mut batch, &mut scratch);
+        batch.dedup();
+        let (old_removed, old_added) = (removed.len(), added.len());
+        let (mut in_base, mut in_removed, mut in_added) = (0, 0, 0);
+        for &key in &batch {
+            if seek(base, &mut in_base, key) {
+                if !seek(&removed[..old_removed], &mut in_removed, key) {
+                    removed.push(key);
+                }
+            } else if !seek(&added[..old_added], &mut in_added, key) {
+                added.push(key);
+            }
         }
+        merge_runs(&mut removed, old_removed, &mut scratch);
+        merge_runs(&mut added, old_added, &mut scratch);
     }
-    let mut added_sorted: Vec<VertexPair> = added.into_iter().collect(); // audit:allow(map-iter, sorted on the next line; nothing order-dependent happens between collect and sort)
-    added_sorted.sort_unstable();
     // Merge the kept base edges with the added non-edges (disjoint sets);
     // the merge knows which side each pair came from.
-    let mut pairs = Vec::with_capacity(base.len() - removed.len() + added_sorted.len());
-    let mut added_sorted = added_sorted.into_iter().peekable();
-    for &kept in base.iter().filter(|p| !removed.contains(p)) {
-        while let Some(a) = added_sorted.next_if(|a| *a < kept) {
+    let mut pairs = Vec::with_capacity(base.len() - removed.len() + added.len());
+    let mut removed_iter = removed.iter().peekable();
+    let mut added_iter = added.iter().peekable();
+    for &kept in base {
+        if removed_iter.next_if(|&&r| r == kept).is_some() {
+            continue;
+        }
+        while let Some(&a) = added_iter.next_if(|&&a| a < kept) {
             pairs.push((a, false));
         }
         pairs.push((kept, true));
     }
-    pairs.extend(added_sorted.map(|a| (a, false)));
+    pairs.extend(added_iter.map(|&a| (a, false)));
     (pairs, removed.len())
+}
+
+/// Merges the sorted runs `v[..mid]` and `v[mid..]` in place, from the
+/// back, staging the second run in `buf`.
+fn merge_runs(v: &mut [u64], mid: usize, buf: &mut Vec<u64>) {
+    if mid == 0 {
+        return;
+    }
+    buf.clear();
+    buf.extend_from_slice(&v[mid..]);
+    let (mut i, mut j) = (mid, buf.len());
+    while j > 0 {
+        let k = i + j - 1;
+        if i > 0 && v[i - 1] > buf[j - 1] {
+            v[k] = v[i - 1];
+            i -= 1;
+        } else {
+            v[k] = buf[j - 1];
+            j -= 1;
+        }
+    }
+}
+
+/// Moves `*at` forward to the first element of `sorted` not below `key`
+/// and reports whether that element is `key`. It gallops from `*at`, so
+/// an ascending run of `k` probes costs `O(k log(len / k))` in total.
+fn seek(sorted: &[u64], at: &mut usize, key: u64) -> bool {
+    let rest = &sorted[*at..];
+    let mut bound = 1;
+    while bound < rest.len() && rest[bound] < key {
+        bound *= 2;
+    }
+    *at += rest[..(bound + 1).min(rest.len())].partition_point(|&e| e < key);
+    sorted.get(*at) == Some(&key)
+}
+
+/// Vertex pairs of a graph packed as integers `lo << bits | hi`, with
+/// `bits` just wide enough for its vertex ids: key order is
+/// [`VertexPair`] order, and keys span only `2·bits` bits, which bounds
+/// the passes of [`PairKeys::sort`].
+#[derive(Debug, Clone, Copy)]
+struct PairKeys {
+    bits: u32,
+}
+
+impl PairKeys {
+    /// Radix digit width: 2¹¹ counters stay in L1.
+    const DIGIT_BITS: u32 = 11;
+
+    fn new(num_vertices: usize) -> Self {
+        let max_id = num_vertices.saturating_sub(1) as u64;
+        Self {
+            bits: u64::BITS - max_id.leading_zeros(),
+        }
+    }
+
+    fn key(self, pair: VertexPair) -> u64 {
+        (u64::from(pair.lo()) << self.bits) | u64::from(pair.hi())
+    }
+
+    /// The `(lo, hi)` ends of a key.
+    fn ends(self, key: u64) -> (u32, u32) {
+        let mask = (1u64 << self.bits) - 1;
+        ((key >> self.bits) as u32, (key & mask) as u32)
+    }
+
+    /// Sorts `keys` ascending with an LSD radix sort over their `2·bits`
+    /// significant bits, in digits of at most [`PairKeys::DIGIT_BITS`].
+    fn sort(self, keys: &mut Vec<u64>, scratch: &mut Vec<u64>) {
+        let width = 2 * self.bits;
+        let passes = width.div_ceil(Self::DIGIT_BITS).max(1);
+        let digit = width.div_ceil(passes);
+        let mask = (1u64 << digit) - 1;
+        let mut counts = vec![0usize; 1 << digit];
+        scratch.resize(keys.len(), 0);
+        for pass in 0..passes {
+            let shift = pass * digit;
+            counts.fill(0);
+            for &k in keys.iter() {
+                counts[((k >> shift) & mask) as usize] += 1;
+            }
+            let mut offset = 0;
+            for c in &mut counts {
+                (*c, offset) = (offset, offset + *c);
+            }
+            for &k in keys.iter() {
+                let slot = &mut counts[((k >> shift) & mask) as usize];
+                scratch[*slot] = k;
+                *slot += 1;
+            }
+            std::mem::swap(keys, scratch);
+        }
+    }
 }
 
 /// Algorithm 1: finds the minimal `σ` for which Algorithm 2 produces a
@@ -812,28 +1117,23 @@ pub fn obfuscate_with_stats(
             // obf_core_candidate_check_micros histogram — instrumentation
             // excluded from every digest and equivalence check.
             let span = obf_obs::Span::start(obf_obs::global(), "obf_core_candidate_check_micros");
-            let out = generate_in_context(g, &ctx, params, sigma, &[], rng, &mut cand);
+            let trials = SigmaTrials::evaluate(g, &ctx, params, sigma, &[], rng, &mut cand);
             cand.secs = span.finish_secs();
-            cand.accepted = out.succeeded();
+            cand.accepted = trials.passed();
             stats.candidates.push(cand);
-            out
+            trials
         };
 
     // Doubling phase (lines 1–6).
     let mut sigma_u = params.sigma_init;
     let mut doublings = 0u32;
     let mut best_eps_seen = f64::INFINITY;
-    let found: (f64, f64, UncertainGraph) = loop {
-        let out = run_candidate(sigma_u, SearchPhase::Doubling, &mut rng, &mut stats);
+    let mut published = loop {
+        let trials = run_candidate(sigma_u, SearchPhase::Doubling, &mut rng, &mut stats);
         generate_calls += 1;
-        let min_trial_eps = out
-            .trials
-            .iter()
-            .map(|t| t.eps_achieved)
-            .fold(f64::INFINITY, f64::min);
-        best_eps_seen = best_eps_seen.min(min_trial_eps);
-        if let Some(graph) = out.graph {
-            break (sigma_u, out.eps_achieved, graph);
+        best_eps_seen = best_eps_seen.min(trials.min_checked_eps());
+        if trials.passed() {
+            break (sigma_u, stats.candidates.len() - 1, trials);
         }
         if doublings >= params.max_doublings {
             return Err(ObfuscationError::NoUpperBound {
@@ -844,32 +1144,34 @@ pub fn obfuscate_with_stats(
         sigma_u *= 2.0;
         doublings += 1;
     };
-    let (mut sigma_u, mut best_eps, mut best_graph) = found;
 
     // Binary search (lines 8–12).
     let mut sigma_l = 0.0f64;
     let mut search_steps = 0u32;
-    let mut best_sigma = sigma_u;
     while sigma_l + params.delta < sigma_u {
         let sigma = 0.5 * (sigma_l + sigma_u);
-        let out = run_candidate(sigma, SearchPhase::BinarySearch, &mut rng, &mut stats);
+        let trials = run_candidate(sigma, SearchPhase::BinarySearch, &mut rng, &mut stats);
         generate_calls += 1;
         search_steps += 1;
-        if let Some(graph) = out.graph {
-            best_graph = graph;
-            best_eps = out.eps_achieved;
-            best_sigma = sigma;
+        if trials.passed() {
+            published = (sigma, stats.candidates.len() - 1, trials);
             sigma_u = sigma;
         } else {
             sigma_l = sigma;
         }
     }
 
+    // The published σ's remaining trials, and its best one (line 21).
+    let (sigma, index, trials) = published;
+    let cand = &mut stats.candidates[index];
+    let span = obf_obs::Span::start(obf_obs::global(), "obf_core_candidate_finish_micros");
+    let out = trials.finish(&ctx, params, cand);
+    cand.secs += span.finish_secs();
     Ok((
         ObfuscationResult {
-            graph: best_graph,
-            sigma: best_sigma,
-            eps_achieved: best_eps,
+            graph: out.graph.expect("the published sigma has a passing trial"),
+            sigma,
+            eps_achieved: out.eps_achieved,
             doublings,
             search_steps,
             generate_calls,
@@ -1164,8 +1466,9 @@ mod tests {
                 let params = test_params(5, 0.05);
                 let sampler = TrialSampler::new(g, &ctx, &params, sigma, &[]);
                 let mut rng = SmallRng::seed_from_u64((gi * 10 + si) as u64);
-                let draw = sampler.draw(g, &ctx, &mut rng);
-                let ug = UncertainGraph::new(g.num_vertices(), draw.candidates).unwrap();
+                let draw = sampler.draw(&ctx, &mut rng);
+                let candidates = sampler.perturb(&draw, ctx.keys);
+                let ug = UncertainGraph::new(g.num_vertices(), candidates).unwrap();
                 for k in [1, 2, 5, 12] {
                     for eps in [0.0, 0.01, 0.05, 0.2, 0.6] {
                         assert_budgeted_matches_exhaustive(g, &ug, k, eps, params.method);
@@ -1224,8 +1527,9 @@ mod tests {
             generators::erdos_renyi_gnm(30, 380, &mut rng),
         ];
         for g in &graphs {
-            let base: Vec<VertexPair> = g.edge_pairs().collect();
             let n = g.num_vertices();
+            let keys = PairKeys::new(n);
+            let base: Vec<u64> = g.edge_pairs().map(|p| keys.key(p)).collect();
             let uniform = vec![1.0; n];
             // Skewed: a few heavy vertices, a long light tail, some zeros.
             let skewed: Vec<f64> = (0..n)
@@ -1242,13 +1546,19 @@ mod tests {
                     for seed in 0..6u64 {
                         let mut a = SmallRng::seed_from_u64(seed);
                         let mut b = SmallRng::seed_from_u64(seed);
-                        let (got, removed) = select_candidates(g, &base, target, &alias, &mut a);
+                        let (got, removed) = select_candidates(&base, keys, target, &alias, &mut a);
                         let want = select_candidates_by_clone(g, target, &alias, &mut b);
-                        let got_pairs: Vec<VertexPair> = got.iter().map(|&(p, _)| p).collect();
-                        assert_eq!((got_pairs, removed), want, "c={c} seed={seed}");
-                        for &(p, is_edge) in &got {
+                        let got_pairs: Vec<VertexPair> = got
+                            .iter()
+                            .map(|&(key, _)| {
+                                let (lo, hi) = keys.ends(key);
+                                VertexPair::new(lo, hi)
+                            })
+                            .collect();
+                        for (&(_, is_edge), p) in got.iter().zip(&got_pairs) {
                             assert_eq!(is_edge, g.has_edge(p.lo(), p.hi()), "{p:?} c={c}");
                         }
+                        assert_eq!((got_pairs, removed), want, "c={c} seed={seed}");
                         assert_eq!(a.gen::<u64>(), b.gen::<u64>(), "RNG consumption differs");
                     }
                 }
@@ -1287,6 +1597,199 @@ mod tests {
                 assert_eq!(run(threads), want, "t={t} threads={threads}");
             }
         }
+    }
+
+    /// Algorithm 1 as it ran before its trials became lazy: every trial
+    /// of every σ drawn in full — the perturbation sampled on the spot,
+    /// never skipped and replayed — and checked. The oracle for
+    /// [`obfuscate_with_stats`].
+    fn obfuscate_eager(
+        g: &Graph,
+        params: &ObfuscationParams,
+    ) -> Result<ObfuscationResult, ObfuscationError> {
+        params.validate(g.num_vertices())?;
+        let ctx = SearchContext::new(g);
+        let par = Parallelism::sequential().with_chunk_size(params.parallelism.chunk_size());
+        let n = g.num_vertices().max(1) as f64;
+        let mut rng = SmallRng::seed_from_u64(params.seed);
+        // Algorithm 2: the best passing trial (earliest on a tie) and the
+        // smallest ε̃ of any trial.
+        let mut generate = |sigma: f64| {
+            let sampler = TrialSampler::new(g, &ctx, params, sigma, &[]);
+            let mut best: Option<(f64, UncertainGraph)> = None;
+            let mut min_eps = f64::INFINITY;
+            for _ in 0..params.t {
+                let (ec, _) = match &sampler.alias {
+                    Some(alias) => {
+                        select_candidates(&ctx.base, ctx.keys, sampler.target_ec, alias, &mut rng)
+                    }
+                    None => (ctx.base.iter().map(|&e| (e, true)).collect(), 0),
+                };
+                let sigmas = sampler.pair_sigmas(&ec, ctx.keys);
+                let candidates = ec
+                    .iter()
+                    .zip(&sigmas)
+                    .map(|(&(key, is_edge), &sigma_e)| {
+                        let r_e = if rng.gen::<f64>() < params.q {
+                            rng.gen::<f64>()
+                        } else {
+                            TruncatedNormal::new(sigma_e).sample(&mut rng)
+                        };
+                        let (lo, hi) = ctx.keys.ends(key);
+                        (lo, hi, if is_edge { 1.0 - r_e } else { r_e })
+                    })
+                    .collect();
+                let ug = UncertainGraph::new(g.num_vertices(), candidates).unwrap();
+                let mut adv =
+                    MemoizedAdversary::new(&ug, params.method, ctx.profile.max_degree(), &par);
+                let v = run_budgeted(&ctx.profile, &mut adv, params.k, params.eps, true, &par);
+                let eps = v.eps_exact.unwrap_or(v.failed_at_least as f64 / n);
+                min_eps = min_eps.min(eps);
+                if v.satisfies && best.as_ref().is_none_or(|(e, _)| eps < *e) {
+                    best = Some((eps, ug));
+                }
+            }
+            (best, min_eps)
+        };
+        let mut generate_calls = 0u32;
+        let mut sigma_u = params.sigma_init;
+        let mut doublings = 0u32;
+        let mut best_eps_seen = f64::INFINITY;
+        let (mut best_eps, mut best_graph) = loop {
+            let (best, min_eps) = generate(sigma_u);
+            generate_calls += 1;
+            best_eps_seen = best_eps_seen.min(min_eps);
+            if let Some(found) = best {
+                break found;
+            }
+            if doublings >= params.max_doublings {
+                return Err(ObfuscationError::NoUpperBound {
+                    last_sigma: sigma_u,
+                    best_eps: best_eps_seen,
+                });
+            }
+            sigma_u *= 2.0;
+            doublings += 1;
+        };
+        let (mut sigma_l, mut search_steps, mut best_sigma) = (0.0f64, 0u32, sigma_u);
+        while sigma_l + params.delta < sigma_u {
+            let sigma = 0.5 * (sigma_l + sigma_u);
+            generate_calls += 1;
+            search_steps += 1;
+            match generate(sigma).0 {
+                Some((eps, graph)) => {
+                    (best_eps, best_graph, best_sigma, sigma_u) = (eps, graph, sigma, sigma);
+                }
+                None => sigma_l = sigma,
+            }
+        }
+        Ok(ObfuscationResult {
+            graph: best_graph,
+            sigma: best_sigma,
+            eps_achieved: best_eps,
+            doublings,
+            search_steps,
+            generate_calls,
+        })
+    }
+
+    /// A Chung-Lu graph like the CLI's benchmark inputs: vertex `i` has
+    /// expected degree proportional to `(i + 10)^(−2/3)`.
+    fn chung_lu(n: usize, m: usize, rng: &mut SmallRng) -> Graph {
+        let weights: Vec<f64> = (0..n).map(|i| ((i + 10) as f64).powf(-2.0 / 3.0)).collect();
+        let alias = AliasTable::new(&weights);
+        let mut edges = std::collections::BTreeSet::new();
+        while edges.len() < m {
+            let (u, v) = (alias.sample(rng), alias.sample(rng));
+            if u != v {
+                edges.insert((u.min(v), u.max(v)));
+            }
+        }
+        Graph::from_edges(n, &edges.into_iter().collect::<Vec<_>>())
+    }
+
+    /// What a search publishes and how it got there, bit for bit.
+    type SearchOutcome = Result<(Vec<(u32, u32, u64)>, u64, u64, u32, u32, u32), ObfuscationError>;
+
+    fn search_outcome(res: Result<ObfuscationResult, ObfuscationError>) -> SearchOutcome {
+        res.map(|r| {
+            (
+                candidate_bits(&r.graph),
+                r.sigma.to_bits(),
+                r.eps_achieved.to_bits(),
+                r.doublings,
+                r.search_steps,
+                r.generate_calls,
+            )
+        })
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(16))]
+
+        #[test]
+        fn lazy_search_matches_the_eager_oracle(
+            seed in 0u64..1 << 20,
+            kind in 0usize..3,
+            k in 3usize..12,
+            t in 1usize..6,
+            loose in proptest::prelude::any::<bool>(),
+        ) {
+            // A loose ε lets several trials of the published σ pass with
+            // different ε̃, so the redrawn trials decide the output.
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let g = match kind {
+                0 => generators::erdos_renyi_gnm(200, 600, &mut rng),
+                1 => generators::barabasi_albert(200, 3, &mut rng),
+                _ => chung_lu(200, 600, &mut rng),
+            };
+            let eps = if loose { 0.2 } else { 0.05 };
+            let mut params = test_params(k, eps).with_seed(seed).with_trials(t);
+            params.delta = 1e-2;
+            params.max_doublings = 6;
+            let want = search_outcome(obfuscate_eager(&g, &params));
+            for threads in [1, 2, 4] {
+                let got = obfuscate_with_stats(&g, &params.with_threads(threads)).map(|(r, _)| r);
+                proptest::prop_assert_eq!(&search_outcome(got), &want, "kind={} threads={}", kind, threads);
+            }
+        }
+    }
+
+    #[test]
+    fn search_counters_are_defined_by_trial_order() {
+        // Trials checked ahead of a verdict must not leak into the
+        // counters: every SigmaSearchStats counter is the same at 1, 2
+        // and 4 threads. Only the published σ (the last accepted one)
+        // has all t trials checked; a rejected σ checks all of them too.
+        let mut rng = SmallRng::seed_from_u64(43);
+        let g = chung_lu(300, 900, &mut rng);
+        let run = |threads: usize| {
+            let mut params = test_params(8, 0.05).with_threads(threads).with_trials(5);
+            params.delta = 1e-3;
+            let (_, mut stats) = obfuscate_with_stats(&g, &params).unwrap();
+            for c in &mut stats.candidates {
+                c.secs = 0.0;
+                c.phases = TrialPhaseSecs::default();
+            }
+            stats
+        };
+        let want = run(1);
+        for threads in [2, 4] {
+            assert_eq!(run(threads), want, "threads={threads}");
+        }
+        let published = want.candidates.iter().rposition(|c| c.accepted).unwrap();
+        for (i, c) in want.candidates.iter().enumerate() {
+            if i == published || !c.accepted {
+                assert_eq!(c.checked, c.trials, "candidate {i}");
+            } else {
+                assert!((1..=c.trials).contains(&c.checked), "candidate {i}");
+            }
+        }
+        assert!(
+            want.checked() < want.trials(),
+            "no trial was left unchecked"
+        );
+        assert_eq!(want.naive_dp_evaluations(), 300 * want.checked());
     }
 
     #[test]
@@ -1328,10 +1831,15 @@ mod tests {
         let (result, stats) = obfuscate_with_stats(&g, &params).unwrap();
         assert_eq!(stats.candidates_tried(), result.generate_calls);
         assert_eq!(stats.num_vertices, g.num_vertices());
-        // Every candidate ran t trials and built t lazy tables.
+        // Every candidate drew t trials; a rejected one checked them all,
+        // an accepted one at least its first passing trial.
         for c in &stats.candidates {
             assert_eq!(c.trials, params.t as u32);
-            assert_eq!(c.table_builds, params.t as u64);
+            if c.accepted {
+                assert!((1..=c.trials).contains(&c.checked));
+            } else {
+                assert_eq!(c.checked, c.trials);
+            }
             assert!(c.rows_requested >= c.dp_evaluations);
         }
         // The accepted/rejected split matches the search trajectory.

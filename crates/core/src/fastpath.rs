@@ -26,11 +26,14 @@
 //!   column whose support is smaller than `k` provably fails
 //!   Definition 2 (for `k ≥ 2` the entropy gap `log₂(k/(k−1))` dwarfs
 //!   float rounding), so hub degrees are rejected for free.
-//! * **Budgeted sweep** — columns are swept rarest-multiplicity-first
-//!   (see [`DegreeProfile::sweep_order`]) and the check aborts as soon
-//!   as the accumulated failing-vertex mass provably exceeds the ε
-//!   budget — or, when the caller does not need the exact ε̃, as soon as
-//!   it provably cannot.
+//! * **Budgeted sweep** — columns are swept largest degree first (see
+//!   [`DegreeProfile::sweep_order`]) in fixed batches of
+//!   [`SWEEP_BATCH_COLUMNS`], and the check aborts as soon as the
+//!   accumulated failing-vertex mass provably exceeds the ε budget — or,
+//!   when the caller does not need the exact ε̃, as soon as it provably
+//!   cannot. Hubs fail first, and their columns touch only the few rows
+//!   whose support reaches them, so a failing check stops before the
+//!   crowded low degrees that every row reaches.
 //!
 //! Every surviving floating-point operation is performed in the same
 //! order as the exhaustive [`ObfuscationCheck`](crate::ObfuscationCheck)
@@ -45,16 +48,12 @@ use obf_uncertain::UncertainGraph;
 
 use crate::adversary::{ColumnPartials, DegreeProfile};
 
-/// Columns evaluated in the *first* batch of the budgeted sweep: small,
-/// because failing checks usually die on the first few rarest-degree
-/// columns. Later batches grow geometrically (up to
-/// [`SWEEP_BATCH_MAX_COLUMNS`]) so a sweep that is going to pass anyway
-/// approaches the single-pass efficiency of the exhaustive check instead
-/// of re-scanning every row once per small batch.
+/// Columns evaluated per batch of the budgeted sweep. The sweep runs
+/// from the largest degree down, so a batch only materialises the rows
+/// whose support reaches its lowest degree: small batches let a failing
+/// check stop among the hub columns, before the low degrees that pull
+/// in every row.
 pub const SWEEP_BATCH_COLUMNS: usize = 8;
-
-/// Upper bound on the geometric batch growth of the budgeted sweep.
-pub const SWEEP_BATCH_MAX_COLUMNS: usize = 128;
 
 /// Lazily evaluated, memoized, support-truncated adversary table.
 ///
@@ -415,7 +414,8 @@ pub fn fail_budget(n: usize, eps: f64) -> usize {
 /// σ-search fast path).
 ///
 /// Sweeps the distinct-degree columns in `profile.sweep_order()`
-/// (rarest multiplicity first), accumulating the failing-vertex count,
+/// (largest degree first) in batches of [`SWEEP_BATCH_COLUMNS`],
+/// accumulating the failing-vertex count,
 /// and stops as soon as the ε budget is provably exceeded — or, when
 /// `need_exact` is false, provably met. With `need_exact` set, a
 /// satisfying sweep always runs to completion so `eps_exact` can feed
@@ -475,7 +475,7 @@ pub fn run_budgeted(
     // support is smaller than k, so those columns fail without a row.
     let mut pending: Vec<usize> = Vec::new();
     let mut remaining = 0usize;
-    for &i in profile.sweep_order() {
+    for i in profile.sweep_order() {
         if adv.support_count(profile.distinct()[i]) < k {
             failed += profile.multiplicity()[i];
             support_only += 1;
@@ -485,7 +485,6 @@ pub fn run_budgeted(
         }
     }
     let mut evaluated = 0usize;
-    let mut batch_columns = SWEEP_BATCH_COLUMNS;
     loop {
         if remaining == 0 {
             return exact(failed, evaluated, support_only);
@@ -512,8 +511,7 @@ pub fn run_budgeted(
                 early_exit: true,
             };
         }
-        let batch = &pending[evaluated..(evaluated + batch_columns).min(pending.len())];
-        batch_columns = (batch_columns * 2).min(SWEEP_BATCH_MAX_COLUMNS);
+        let batch = &pending[evaluated..(evaluated + SWEEP_BATCH_COLUMNS).min(pending.len())];
         let omegas: Vec<usize> = batch.iter().map(|&i| profile.distinct()[i]).collect();
         let entropies = adv.entropies(&omegas, par);
         for (&i, &h) in batch.iter().zip(&entropies) {

@@ -230,28 +230,41 @@ impl Parallelism {
     }
 }
 
-/// A produce/consume pipeline over `len` items: the calling thread runs
+/// A produce/consume pipeline over `len` items that stops consuming at
+/// the first item whose result satisfies `stop`: the calling thread runs
 /// `produce(0)`, `produce(1)`, … in index order, while `workers` scoped
 /// threads run `consume` on the produced items as they arrive; once every
-/// item is produced the caller consumes alongside them. Returns the
-/// consumed results **in index order**.
+/// item is produced the caller consumes alongside them. Returns one entry
+/// per item **in index order**: `Ok` with the consumed result, or `Err`
+/// with the produced item when it was never consumed.
+///
+/// Every item is produced. With `s` the first index whose result
+/// satisfies `stop` (or `len − 1` when none does), items `0..=s` are
+/// always consumed, so that prefix of the output — and whatever the
+/// caller derives from it — is the same for every `workers` value. An
+/// item after `s` is left unconsumed once some earlier item is known to
+/// stop; with workers it may still have been consumed ahead of that
+/// knowledge, so the suffix's `Ok`/`Err` split depends on timing (its
+/// `Ok` values do not, as `consume` is a function of the item).
 ///
 /// This is for work whose first half must stay sequential — e.g. it reads
-/// one shared RNG stream — and whose second half is independent per item.
-/// Because `produce` runs in order on one thread and results are placed by
-/// index, the output is the same for every `workers` value; with
-/// `workers == 0` the caller consumes each item right after producing it
-/// and no thread is spawned.
+/// one shared RNG stream — and whose second half is independent per item
+/// and only needed until the first success. With `workers == 0` the
+/// caller consumes each needed item right after producing it and no
+/// thread is spawned.
 ///
 /// # Examples
 ///
 /// ```
 /// use obf_graph::parallel::pipeline;
 ///
-/// // `produce` advances one sequential state; `consume` is per item.
+/// // `produce` advances one sequential state; `consume` is per item;
+/// // the first even result stops the consumption.
 /// let run = |workers| {
 ///     let mut state = 1u64;
-///     pipeline(6, workers, |_| { state = state * 31 + 7; state }, |x| x % 1000)
+///     let out = pipeline(6, workers, |_| { state = state * 31 + 7; state }, |x| x % 1000, |c| c % 2 == 0);
+///     let first = out.iter().position(|r| matches!(r, Ok(c) if c % 2 == 0)).unwrap();
+///     (state, out[..=first].to_vec())
 /// };
 /// assert_eq!(run(0), run(3));
 /// ```
@@ -260,11 +273,27 @@ pub fn pipeline<D: Send, C: Send>(
     workers: usize,
     mut produce: impl FnMut(usize) -> D,
     consume: impl Fn(D) -> C + Sync,
-) -> Vec<C> {
-    let mut slots: Vec<Option<C>> = std::iter::repeat_with(|| None).take(len).collect();
+    stop: impl Fn(&C) -> bool + Sync,
+) -> Vec<Result<C, D>> {
+    let mut slots: Vec<Option<Result<C, D>>> = std::iter::repeat_with(|| None).take(len).collect();
+    // The smallest index known to stop. Only the thread that consumed an
+    // item writes it, and it only gates skipping: an item at or before
+    // the true first stop is never skipped whatever value a thread reads,
+    // so `Relaxed` suffices.
+    let first_stop = AtomicUsize::new(usize::MAX);
+    let run = |i: usize, item: D| -> Result<C, D> {
+        if i > first_stop.load(Ordering::Relaxed) {
+            return Err(item);
+        }
+        let value = consume(item);
+        if stop(&value) {
+            first_stop.fetch_min(i, Ordering::Relaxed);
+        }
+        Ok(value)
+    };
     if workers == 0 {
         for (i, slot) in slots.iter_mut().enumerate() {
-            *slot = Some(consume(produce(i)));
+            *slot = Some(run(i, produce(i)));
         }
     } else {
         let (tx, rx) = mpsc::channel::<(usize, D)>();
@@ -275,7 +304,7 @@ pub fn pipeline<D: Send, C: Send>(
             // before the item is consumed.
             let job = rx.lock().expect("pipeline queue poisoned").recv();
             let Ok((i, item)) = job else { break };
-            let value = consume(item);
+            let value = run(i, item);
             results.lock().expect("pipeline result writer poisoned")[i] = Some(value);
         };
         std::thread::scope(|scope| {
@@ -283,8 +312,12 @@ pub fn pipeline<D: Send, C: Send>(
                 scope.spawn(work);
             }
             for i in 0..len {
-                tx.send((i, produce(i)))
-                    .expect("a pipeline worker is alive");
+                let item = produce(i);
+                if i > first_stop.load(Ordering::Relaxed) {
+                    results.lock().expect("pipeline result writer poisoned")[i] = Some(Err(item));
+                } else {
+                    tx.send((i, item)).expect("a pipeline worker is alive");
+                }
             }
             drop(tx);
             work();
@@ -292,7 +325,7 @@ pub fn pipeline<D: Send, C: Send>(
     }
     slots
         .into_iter()
-        .map(|v| v.expect("every item was consumed"))
+        .map(|v| v.expect("every item was consumed or returned"))
         .collect()
 }
 
@@ -400,11 +433,44 @@ mod tests {
                     i * 10
                 },
                 |x| x + 1,
+                |_| false,
             );
             assert_eq!(produced, (0..7).collect::<Vec<_>>(), "workers={workers}");
-            assert_eq!(out, (0..7).map(|i| i * 10 + 1).collect::<Vec<_>>());
+            assert_eq!(out, (0..7).map(|i| Ok(i * 10 + 1)).collect::<Vec<_>>());
         }
-        assert!(pipeline(0, 3, |i| i, |x| x).is_empty());
+        assert!(pipeline(0, 3, |i| i, |x| x, |_| true).is_empty());
+    }
+
+    #[test]
+    fn pipeline_consumes_the_prefix_up_to_the_first_stop() {
+        // Items 3 and 5 stop; 0..=3 is always consumed, every item is
+        // produced, and an unconsumed item comes back as produced.
+        for workers in [0, 1, 2, 5] {
+            let mut produced = 0;
+            let out = pipeline(
+                8,
+                workers,
+                |i| {
+                    produced += 1;
+                    i
+                },
+                |x| x * 100,
+                |&c| c == 300 || c == 500,
+            );
+            assert_eq!(produced, 8, "workers={workers}");
+            let prefix: Vec<_> = out[..=3].to_vec();
+            assert_eq!(
+                prefix,
+                [Ok(0), Ok(100), Ok(200), Ok(300)],
+                "workers={workers}"
+            );
+            for (i, r) in out.iter().enumerate().skip(4) {
+                assert!(matches!(*r, Ok(c) if c == i * 100) || *r == Err(i), "{r:?}");
+            }
+            if workers == 0 {
+                assert!(out[4..].iter().enumerate().all(|(j, r)| *r == Err(4 + j)));
+            }
+        }
     }
 
     #[test]

@@ -151,15 +151,17 @@ fn cmd_obfuscate(pos: &[String], flags: &HashMap<String, String>) -> Result<(), 
     );
     save_uncertain_edge_list(&res.graph, output).map_err(|e| e.to_string())?;
     eprintln!("wrote {output}");
-    // Trial phases summed over the whole σ search; the check phases are
-    // summed across the threads that ran them.
+    // Trial phases summed over the whole σ search and across the threads
+    // that ran them; then the trials drawn and the trials checked.
     let phases = stats.phase_secs();
     eprintln!(
-        "phases select_ms={:.1} perturb_ms={:.1} build_ms={:.1} check_ms={:.1}",
+        "phases select_ms={:.1} perturb_ms={:.1} build_ms={:.1} check_ms={:.1} trials={} checked={}",
         phases.select * 1e3,
         phases.perturb * 1e3,
         phases.build * 1e3,
-        phases.check * 1e3
+        phases.check * 1e3,
+        stats.trials(),
+        stats.checked()
     );
     Ok(())
 }
