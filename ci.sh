@@ -7,7 +7,7 @@
 #   ./ci.sh fast       # skip the release build (debug test cycle only)
 #   ./ci.sh lint       # fmt + clippy only
 #   ./ci.sh test       # debug tests + docs only
-#   ./ci.sh release    # release build + bench compile + determinism matrix
+#   ./ci.sh release    # release build + bench compile + determinism matrix + release audit
 #   ./ci.sh serve      # obf_server tests + shard reload + loadgen smoke + digest check
 #   ./ci.sh evolve     # obf_evolve tests + republish bench smoke + pinned digest check
 #   ./ci.sh snapshot   # CSR store/validator + snapshot/mapped suites, TSV -> v3 convert round trip, mmap-vs-heap digest
@@ -62,8 +62,9 @@ release() {
 
     echo "determinism OK: table3 and fig2 identical across thread counts"
 
-    # The publish surface itself: Algorithm 1 checks each σ's trials on
-    # worker threads, so the CLI's release must not depend on --threads.
+    # The publish surface itself: Algorithm 1 draws and checks each σ's
+    # trials on worker threads, so the CLI's release must not depend on
+    # --threads.
     # One seeded 1000-vertex power-law (Chung-Lu) graph, three thread
     # counts, byte-compared.
     step "publish determinism (obfugraph-cli obfuscate at --threads 1, 2, 4)"
@@ -100,11 +101,27 @@ PY
     # The release bytes themselves are pinned too, so a change that moves
     # every thread count's output in lockstep still fails here.
     step "publish bytes (sha256 of the seed-7 release)"
-    expected_release_sha="ec7542d2dd895fb06955e7777f28caf99d0031da04f576d61f7950e05c11f71d"
+    expected_release_sha="7af9735bd7fc514a40b4fe1e4f1424efdf2ed29d9c3ffdc138936711a696b2fa"
     release_sha=$(sha256sum "$tmpdir/release_t1.up" | cut -d' ' -f1)
     [ "$release_sha" = "$expected_release_sha" ] \
         || { echo "release sha256 drifted from pinned $expected_release_sha: $release_sha"; exit 1; }
     echo "publish bytes OK: sha256 $release_sha"
+
+    # An independent Definition 2 check of the pinned release on the CLI
+    # surface: audit rebuilds the adversary table from the written file,
+    # and its eps must meet the tolerance and equal the eps obfuscate
+    # reported, to the 4 decimals audit prints.
+    step "publish certificate (obfugraph-cli audit of the pinned release)"
+    ./target/release/obfugraph-cli audit "$tmpdir/social.txt" "$tmpdir/release_t1.up" --k 10 \
+        > "$tmpdir/audit.log"
+    audit_eps=$(sed -n 's/^vertices below obfuscation level k = 10: \([0-9.]*\) (eps)$/\1/p' "$tmpdir/audit.log")
+    publish_eps=$(sed -n 's/.* achieved eps = \([0-9.]*\),.*/\1/p' "$tmpdir/publish_t1.log")
+    [ -n "$audit_eps" ] && [ -n "$publish_eps" ] \
+        || { echo "could not read eps (audit: '$audit_eps', obfuscate: '$publish_eps')"; exit 1; }
+    awk -v a="$audit_eps" -v p="$publish_eps" \
+        'BEGIN { exit !(a + 0 <= 0.05 && sprintf("%.4f", p) == a) }' \
+        || { echo "audit eps $audit_eps does not certify obfuscate's eps $publish_eps at <= 0.05"; exit 1; }
+    echo "publish certificate OK: audit eps $audit_eps (obfuscate: $publish_eps)"
 }
 
 serve() {
@@ -201,7 +218,7 @@ evolve() {
         || { echo "republish did not emit results/BENCH_evolve.json"; exit 1; }
     # Pinned like the answers digest: a change to the sigma trajectory,
     # the rows recomputed or the snapshot checksums must be deliberate.
-    expected_evolve_digest="dee96c901db21275"
+    expected_evolve_digest="7c9d4128d2c3110e"
     digest1=$(grep evolve_digest results/BENCH_evolve.json)
     case "$digest1" in
         *"$expected_evolve_digest"*) ;;

@@ -6,8 +6,6 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use obf_core::{generate_obfuscation, obfuscate, ObfuscationParams};
 use obf_datasets::dblp_like;
 use obf_graph::Parallelism;
-use rand::rngs::SmallRng;
-use rand::SeedableRng;
 
 fn params(k: usize, eps: f64) -> ObfuscationParams {
     let mut p = ObfuscationParams::new(k, eps).with_seed(7);
@@ -23,10 +21,7 @@ fn bench_generate(c: &mut Criterion) {
     for &n in &[500usize, 1000, 2000] {
         let g = dblp_like(n, 1);
         group.bench_with_input(BenchmarkId::new("sigma=0.01", n), &g, |b, g| {
-            b.iter(|| {
-                let mut rng = SmallRng::seed_from_u64(3);
-                generate_obfuscation(g, &params(10, 0.05), 0.01, &mut rng)
-            });
+            b.iter(|| generate_obfuscation(g, &params(10, 0.05), 0.01, 3));
         });
     }
     group.finish();

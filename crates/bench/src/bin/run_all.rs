@@ -67,7 +67,10 @@ fn main() {
         }
     }
     if failures.is_empty() {
-        eprintln!("all experiments completed; TSVs in results/");
+        eprintln!(
+            "all experiments completed; TSVs in {}",
+            obf_bench::results_dir().display()
+        );
     } else {
         eprintln!(
             "{} of {} experiments failed: {}",

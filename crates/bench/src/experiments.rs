@@ -417,11 +417,7 @@ pub fn figure4(
 
     for &(k, eps) in obf_settings {
         if let Ok((res, _)) = obfuscate_with_fallback(&g, cfg.obf_params(k, eps)) {
-            let table = AdversaryTable::build_par(
-                &res.graph,
-                DegreeDistMethod::Auto { threshold: 64 },
-                &par,
-            );
+            let table = AdversaryTable::build_par(&res.graph, DegreeDistMethod::Exact, &par);
             let levels = vertex_obfuscation_levels(&g, &table, &par);
             curves.push(Curve {
                 label: format!("obf k={k} eps={eps:.0e}"),

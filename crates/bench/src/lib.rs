@@ -1,6 +1,7 @@
 //! Experiment harness regenerating every table and figure of the paper
 //! (Section 7). Each `src/bin/*` binary prints one table/figure and
-//! writes a TSV under `results/`; `run_all` drives everything.
+//! writes a TSV under the results directory (`results/` unless
+//! `OBF_RESULTS_DIR` names another); `run_all` drives everything.
 //!
 //! Scaling knobs (environment variables):
 //!
@@ -13,6 +14,8 @@
 //! * `OBF_THREADS=<usize>` — worker threads for the parallel engine
 //!   (default: all hardware threads). Every binary also accepts a
 //!   `--threads <N>` argument, which overrides the environment.
+//! * `OBF_RESULTS_DIR=<path>` — where TSV and JSON outputs go (default:
+//!   the repository's `results/`).
 //!
 //! For a fixed seed the tables are identical at every thread count — the
 //! sharded loops merge partial results in a fixed chunk order (see
@@ -66,7 +69,8 @@ environment:
   OBF_WORLDS=<n>    possible worlds per evaluation (default 100)
   OBF_DELTA=<f64>   binary-search resolution of Algorithm 1
   OBF_SEED=<u64>    master seed
-  OBF_THREADS=<n>   worker threads (overridden by --threads)";
+  OBF_THREADS=<n>   worker threads (overridden by --threads)
+  OBF_RESULTS_DIR=<path>  output directory (default: the repository's results/)";
 
 /// True when the process arguments ask for help (`--help` or `-h`).
 pub fn help_requested() -> bool {
@@ -210,16 +214,19 @@ fn env_or<T: std::str::FromStr>(key: &str, default: T) -> Result<T, String> {
     }
 }
 
-/// Directory for TSV outputs (created on demand).
+/// Directory for TSV and JSON outputs, created on demand:
+/// `OBF_RESULTS_DIR` when set and not empty, else the repository's
+/// `results/` (found from this crate's source directory at build time).
 pub fn results_dir() -> std::path::PathBuf {
-    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("../../results")
-        .to_path_buf();
+    let dir = match std::env::var_os("OBF_RESULTS_DIR") {
+        Some(dir) if !dir.is_empty() => std::path::PathBuf::from(dir),
+        _ => std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results"),
+    };
     std::fs::create_dir_all(&dir).ok();
     dir
 }
 
-/// Writes a JSON artifact under `results/` (the per-PR bench trajectory
+/// Writes a JSON artifact under [`results_dir`] (the bench trajectory
 /// the nightly CI job uploads).
 pub fn write_json(name: &str, value: &json::Json) {
     let path = results_dir().join(name);
@@ -227,7 +234,7 @@ pub fn write_json(name: &str, value: &json::Json) {
     eprintln!("[wrote {}]", path.display());
 }
 
-/// Writes rows as a TSV file under `results/`.
+/// Writes rows as a TSV file under [`results_dir`].
 pub fn write_tsv(name: &str, header: &[&str], rows: &[Vec<String>]) {
     use std::io::Write;
     let path = results_dir().join(name);

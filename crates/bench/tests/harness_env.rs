@@ -27,3 +27,32 @@ fn malformed_env_value_exits_2_naming_the_variable() {
         assert!(stderr.contains("environment:"), "{var}: usage missing");
     }
 }
+
+#[test]
+fn results_dir_env_redirects_the_tsv() {
+    let dir = std::env::temp_dir().join(format!("obf_results_dir_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let out = Command::new(env!("CARGO_BIN_EXE_table2"))
+        .env("OBF_FAST", "1")
+        .env("OBF_THREADS", "1")
+        .env("OBF_RESULTS_DIR", &dir)
+        .output()
+        .unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "{stderr}");
+    let tsv =
+        std::fs::read_to_string(dir.join("table2.tsv")).expect("table2.tsv in OBF_RESULTS_DIR");
+    assert!(tsv.starts_with("dataset\tk\teps\tsigma\n"), "{tsv}");
+    assert!(stderr.contains(&dir.display().to_string()), "{stderr}");
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn usage_lists_the_results_dir_variable() {
+    let out = Command::new(env!("CARGO_BIN_EXE_table2"))
+        .arg("--help")
+        .output()
+        .unwrap();
+    assert!(out.status.success());
+    assert!(String::from_utf8_lossy(&out.stdout).contains("OBF_RESULTS_DIR"));
+}

@@ -45,7 +45,7 @@ pub use distance::{exact_distance_distribution, sampled_distance_distribution, D
 pub use extras::{core_numbers, degeneracy, degree_assortativity, pagerank};
 pub use graph::Graph;
 pub use hashers::{splitmix64, FxBuildHasher, FxHashMap, FxHashSet};
-pub use parallel::{pipeline, stream_seed, Parallelism};
+pub use parallel::{stream_seed, Parallelism};
 pub use traversal::{bfs_distances, bfs_from};
 pub use triangles::{global_clustering_coefficient, local_clustering_coefficients, triangle_count};
 

@@ -39,7 +39,7 @@
 
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{mpsc, Mutex};
+use std::sync::Mutex;
 
 use crate::hashers::splitmix64;
 
@@ -178,6 +178,74 @@ impl Parallelism {
             .collect()
     }
 
+    /// Applies `f` to the indices `0..len` until the first result that
+    /// satisfies `stop`, and returns one slot per index **in index
+    /// order**: `Some(f(i))` for every index computed, `None` for one left
+    /// out.
+    ///
+    /// With `s` the first index whose result satisfies `stop` (`len − 1`
+    /// when none does), indices `0..=s` are always computed, so that
+    /// prefix of the output — and whatever the caller derives from it — is
+    /// the same for every thread count; at one thread exactly that prefix
+    /// is computed. Threads claim indices one at a time in ascending order
+    /// and stop claiming once an earlier index is known to stop, so an
+    /// index after `s` may still have been computed ahead of that
+    /// knowledge: the suffix's `Some`/`None` split depends on timing, its
+    /// `Some` values do not (`f` is a function of the index).
+    ///
+    /// This is for a few expensive items that are only needed until the
+    /// first success, each drawing from its own [`stream_seed`] stream —
+    /// e.g. the Algorithm 2 trials of one σ.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use obf_graph::parallel::Parallelism;
+    ///
+    /// // The first multiple of 3 after 0 stops the map; the prefix up to
+    /// // it is the same at every thread count.
+    /// let run = |threads| Parallelism::new(threads).map_until(8, |i| i * i, |&x| x > 0 && x % 3 == 0);
+    /// assert_eq!(run(1), [Some(0), Some(1), Some(4), Some(9), None, None, None, None]);
+    /// assert_eq!(run(4)[..4], run(1)[..4]);
+    /// ```
+    pub fn map_until<T, F, S>(&self, len: usize, f: F, stop: S) -> Vec<Option<T>>
+    where
+        T: Send,
+        F: Fn(usize) -> T + Sync,
+        S: Fn(&T) -> bool + Sync,
+    {
+        let mut slots: Vec<Option<T>> = std::iter::repeat_with(|| None).take(len).collect();
+        let next = AtomicUsize::new(0);
+        // The smallest index known to stop. It only gates claiming: an
+        // index at or before the true first stop is never left out
+        // whatever value a thread reads, so `Relaxed` suffices.
+        let first_stop = AtomicUsize::new(usize::MAX);
+        let results = Mutex::new(&mut slots);
+        let work = || loop {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            if i >= len || i > first_stop.load(Ordering::Relaxed) {
+                break;
+            }
+            let value = f(i);
+            if stop(&value) {
+                first_stop.fetch_min(i, Ordering::Relaxed);
+            }
+            results.lock().expect("map_until result writer poisoned")[i] = Some(value);
+        };
+        let threads = self.threads.min(len);
+        if threads <= 1 {
+            work();
+        } else {
+            std::thread::scope(|scope| {
+                for _ in 1..threads {
+                    scope.spawn(work);
+                }
+                work();
+            });
+        }
+        slots
+    }
+
     /// Splits `data` (conceptually `data.len() / stride` items of `stride`
     /// consecutive elements each) into chunks and hands each chunk slice
     /// to `f(first_item_index, chunk_slice)` on a worker thread. Used for
@@ -230,109 +298,10 @@ impl Parallelism {
     }
 }
 
-/// A produce/consume pipeline over `len` items that stops consuming at
-/// the first item whose result satisfies `stop`: the calling thread runs
-/// `produce(0)`, `produce(1)`, … in index order, while `workers` scoped
-/// threads run `consume` on the produced items as they arrive; once every
-/// item is produced the caller consumes alongside them. Returns one entry
-/// per item **in index order**: `Ok` with the consumed result, or `Err`
-/// with the produced item when it was never consumed.
-///
-/// Every item is produced. With `s` the first index whose result
-/// satisfies `stop` (or `len − 1` when none does), items `0..=s` are
-/// always consumed, so that prefix of the output — and whatever the
-/// caller derives from it — is the same for every `workers` value. An
-/// item after `s` is left unconsumed once some earlier item is known to
-/// stop; with workers it may still have been consumed ahead of that
-/// knowledge, so the suffix's `Ok`/`Err` split depends on timing (its
-/// `Ok` values do not, as `consume` is a function of the item).
-///
-/// This is for work whose first half must stay sequential — e.g. it reads
-/// one shared RNG stream — and whose second half is independent per item
-/// and only needed until the first success. With `workers == 0` the
-/// caller consumes each needed item right after producing it and no
-/// thread is spawned.
-///
-/// # Examples
-///
-/// ```
-/// use obf_graph::parallel::pipeline;
-///
-/// // `produce` advances one sequential state; `consume` is per item;
-/// // the first even result stops the consumption.
-/// let run = |workers| {
-///     let mut state = 1u64;
-///     let out = pipeline(6, workers, |_| { state = state * 31 + 7; state }, |x| x % 1000, |c| c % 2 == 0);
-///     let first = out.iter().position(|r| matches!(r, Ok(c) if c % 2 == 0)).unwrap();
-///     (state, out[..=first].to_vec())
-/// };
-/// assert_eq!(run(0), run(3));
-/// ```
-pub fn pipeline<D: Send, C: Send>(
-    len: usize,
-    workers: usize,
-    mut produce: impl FnMut(usize) -> D,
-    consume: impl Fn(D) -> C + Sync,
-    stop: impl Fn(&C) -> bool + Sync,
-) -> Vec<Result<C, D>> {
-    let mut slots: Vec<Option<Result<C, D>>> = std::iter::repeat_with(|| None).take(len).collect();
-    // The smallest index known to stop. Only the thread that consumed an
-    // item writes it, and it only gates skipping: an item at or before
-    // the true first stop is never skipped whatever value a thread reads,
-    // so `Relaxed` suffices.
-    let first_stop = AtomicUsize::new(usize::MAX);
-    let run = |i: usize, item: D| -> Result<C, D> {
-        if i > first_stop.load(Ordering::Relaxed) {
-            return Err(item);
-        }
-        let value = consume(item);
-        if stop(&value) {
-            first_stop.fetch_min(i, Ordering::Relaxed);
-        }
-        Ok(value)
-    };
-    if workers == 0 {
-        for (i, slot) in slots.iter_mut().enumerate() {
-            *slot = Some(run(i, produce(i)));
-        }
-    } else {
-        let (tx, rx) = mpsc::channel::<(usize, D)>();
-        let rx = Mutex::new(rx);
-        let results = Mutex::new(&mut slots);
-        let work = || loop {
-            // The queue lock is released at the end of this statement,
-            // before the item is consumed.
-            let job = rx.lock().expect("pipeline queue poisoned").recv();
-            let Ok((i, item)) = job else { break };
-            let value = run(i, item);
-            results.lock().expect("pipeline result writer poisoned")[i] = Some(value);
-        };
-        std::thread::scope(|scope| {
-            for _ in 0..workers.min(len) {
-                scope.spawn(work);
-            }
-            for i in 0..len {
-                let item = produce(i);
-                if i > first_stop.load(Ordering::Relaxed) {
-                    results.lock().expect("pipeline result writer poisoned")[i] = Some(Err(item));
-                } else {
-                    tx.send((i, item)).expect("a pipeline worker is alive");
-                }
-            }
-            drop(tx);
-            work();
-        });
-    }
-    slots
-        .into_iter()
-        .map(|v| v.expect("every item was consumed or returned"))
-        .collect()
-}
-
 /// The `index`-th seed of the SplitMix-style stream derived from `master`.
 ///
 /// Every randomised work item (a sampled possible world, an independent
-/// HyperANF run, an Algorithm 2 trial shard) takes its RNG seed from this
+/// HyperANF run, an Algorithm 2 trial) takes its RNG seed from this
 /// stream rather than from a shared sequential RNG, so the draw is a pure
 /// function of `(master, index)` — reordering or parallelising the items
 /// cannot change what they sample.
@@ -422,53 +391,45 @@ mod tests {
     }
 
     #[test]
-    fn pipeline_produces_in_order_and_returns_in_order() {
-        for workers in [0, 1, 2, 5, 9] {
-            let mut produced = Vec::new();
-            let out = pipeline(
-                7,
-                workers,
-                |i| {
-                    produced.push(i);
-                    i * 10
-                },
-                |x| x + 1,
-                |_| false,
+    fn map_until_without_a_stop_computes_every_index_in_order() {
+        for threads in [1, 2, 5, 9] {
+            let out = Parallelism::new(threads).map_until(7, |i| i * 10 + 1, |_| false);
+            assert_eq!(
+                out,
+                (0..7).map(|i| Some(i * 10 + 1)).collect::<Vec<_>>(),
+                "threads={threads}"
             );
-            assert_eq!(produced, (0..7).collect::<Vec<_>>(), "workers={workers}");
-            assert_eq!(out, (0..7).map(|i| Ok(i * 10 + 1)).collect::<Vec<_>>());
         }
-        assert!(pipeline(0, 3, |i| i, |x| x, |_| true).is_empty());
+        assert!(Parallelism::new(3).map_until(0, |i| i, |_| true).is_empty());
     }
 
     #[test]
-    fn pipeline_consumes_the_prefix_up_to_the_first_stop() {
-        // Items 3 and 5 stop; 0..=3 is always consumed, every item is
-        // produced, and an unconsumed item comes back as produced.
-        for workers in [0, 1, 2, 5] {
-            let mut produced = 0;
-            let out = pipeline(
+    fn map_until_computes_the_prefix_up_to_the_first_stop() {
+        // Indices 3 and 5 stop: 0..=3 is always computed, a later index
+        // is computed or left out, and one thread computes the prefix
+        // and nothing else.
+        for threads in [1, 2, 5] {
+            let calls = AtomicUsize::new(0);
+            let out = Parallelism::new(threads).map_until(
                 8,
-                workers,
                 |i| {
-                    produced += 1;
-                    i
+                    calls.fetch_add(1, Ordering::Relaxed);
+                    i * 100
                 },
-                |x| x * 100,
                 |&c| c == 300 || c == 500,
             );
-            assert_eq!(produced, 8, "workers={workers}");
-            let prefix: Vec<_> = out[..=3].to_vec();
             assert_eq!(
-                prefix,
-                [Ok(0), Ok(100), Ok(200), Ok(300)],
-                "workers={workers}"
+                out[..=3],
+                [Some(0), Some(100), Some(200), Some(300)],
+                "threads={threads}"
             );
             for (i, r) in out.iter().enumerate().skip(4) {
-                assert!(matches!(*r, Ok(c) if c == i * 100) || *r == Err(i), "{r:?}");
+                assert!(r.is_none() || *r == Some(i * 100), "{r:?}");
             }
-            if workers == 0 {
-                assert!(out[4..].iter().enumerate().all(|(j, r)| *r == Err(4 + j)));
+            let computed = out.iter().filter(|r| r.is_some()).count();
+            assert_eq!(calls.into_inner(), computed, "threads={threads}");
+            if threads == 1 {
+                assert_eq!(computed, 4);
             }
         }
     }

@@ -35,12 +35,18 @@
 //!   also bounds how long a half-open or never-reading peer can hold a
 //!   slot.
 //!
-//! Frame-level violations follow the satellite contract: an oversized
-//! length prefix gets an `ERR` reply and a clean close (framing cannot
-//! resync); a non-UTF-8 payload gets an `ERR` reply and the connection
-//! survives (the byte count still delimits the frame); a truncated
-//! frame is just a close when the peer disappears. All of them bump
-//! [`ServerState::protocol_errors`].
+//! Frame-level violations:
+//!
+//! * an oversized length prefix gets an `ERR` reply and a clean close
+//!   (framing cannot resync): the socket leaves the connection slab,
+//!   its write side is shut down, and request bytes still arriving are
+//!   discarded until the peer's EOF, so they cannot turn the close into
+//!   a reset (see `EventLoop::linger`);
+//! * a non-UTF-8 payload gets an `ERR` reply and the connection survives
+//!   (the byte count still delimits the frame);
+//! * a truncated frame is just a close when the peer disappears.
+//!
+//! All of them bump [`ServerState::protocol_errors`].
 
 use std::collections::VecDeque;
 use std::io::{Read, Write};
@@ -60,6 +66,16 @@ const LISTENER: u64 = u64::MAX;
 
 /// Stop-bell token.
 const BELL: u64 = u64::MAX - 1;
+
+/// First token of the lingering sockets (see `EventLoop::linger`):
+/// lingering slot `i` has token `LINGER + i`.
+const LINGER: u64 = 1 << 62;
+
+/// Most request bytes a lingering socket reads and discards.
+const LINGER_DISCARD_BYTES: usize = 64 * 1024;
+
+/// Longest a lingering socket waits for the peer's EOF.
+const LINGER_DEADLINE: Duration = Duration::from_secs(1);
 
 /// Reply sent (best-effort) to a connection rejected by admission
 /// control before it is closed.
@@ -125,6 +141,9 @@ struct Conn {
     closing: bool,
     /// Peer half-closed (EOF seen); close once the write side drains.
     peer_eof: bool,
+    /// A fatal framing error queued the closing `ERR`: the close
+    /// lingers (see `EventLoop::linger`).
+    fatal: bool,
     /// The last turn ran out of [`FRAMES_PER_TURN`] with complete
     /// frames possibly left in `rbuf`; the connection is in the loop's
     /// backlog.
@@ -140,6 +159,15 @@ impl Conn {
             writable: !self.wbuf.is_empty(),
         }
     }
+}
+
+/// A socket closed after a fatal framing error, still reading and
+/// discarding request bytes (see `EventLoop::linger`).
+struct Lingering {
+    stream: TcpStream,
+    /// Request bytes still to discard before closing anyway.
+    left: usize,
+    since: Instant,
 }
 
 /// What processing one connection decided.
@@ -162,6 +190,9 @@ pub(crate) struct EventLoop {
     free: Vec<usize>,
     /// Connections owed another turn (see [`Conn::backlogged`]).
     backlog: Vec<usize>,
+    /// Sockets closing after a fatal framing error, by slot; trailing
+    /// empty slots are trimmed.
+    lingering: Vec<Option<Lingering>>,
     events: Vec<Event>,
     scratch: Vec<u8>,
 }
@@ -186,6 +217,7 @@ impl EventLoop {
             conns: Vec::new(),
             free: Vec::new(),
             backlog: Vec::new(),
+            lingering: Vec::new(),
             events: Vec::new(),
             scratch: vec![0u8; 16 * 1024],
         })
@@ -217,6 +249,7 @@ impl EventLoop {
                 match ev.token {
                     LISTENER => self.accept_ready(),
                     BELL => {} // the loop top sees the stop flag
+                    t if t >= LINGER => self.linger_ready((t - LINGER) as usize),
                     idx => self.conn_ready(idx as usize, ev.readable, ev.writable),
                 }
             }
@@ -230,10 +263,14 @@ impl EventLoop {
     }
 
     /// Poll timeout: bounded by the idle-reap granularity when a
-    /// timeout is configured, otherwise block until woken (a stop
-    /// request rings the bell).
+    /// timeout is configured or a socket is lingering, otherwise block
+    /// until woken (a stop request rings the bell).
     fn wait_timeout(&self) -> Option<Duration> {
-        self.config.idle_timeout.map(|t| {
+        let idle = self
+            .config
+            .idle_timeout
+            .or_else(|| (!self.lingering.is_empty()).then_some(LINGER_DEADLINE));
+        idle.map(|t| {
             (t / 4)
                 .max(Duration::from_millis(5))
                 .min(Duration::from_millis(250))
@@ -290,6 +327,7 @@ impl EventLoop {
             paused: false,
             closing: false,
             peer_eof: false,
+            fatal: false,
             backlogged: false,
             last_activity: Instant::now(),
             registered: Interest::READ,
@@ -348,6 +386,7 @@ impl EventLoop {
                 // Fatal framing error: the ERR reply is queued; flush
                 // it and close below.
                 conn.closing = true;
+                conn.fatal = true;
             }
             if (writable || !conn.wbuf.is_empty()) && self.flush(conn).is_err() {
                 return Disposition::Close;
@@ -503,16 +542,106 @@ impl EventLoop {
 
     fn close(&mut self, idx: usize, conn: Conn) {
         let _ = self.poller.deregister(conn.stream.as_raw_fd());
-        drop(conn);
+        if conn.fatal && !conn.peer_eof && conn.wbuf.is_empty() {
+            self.linger(conn.stream);
+        }
         self.conns[idx] = None;
         self.free.push(idx);
         self.state.note_connection_closed();
     }
 
+    // -- lingering close -----------------------------------------------
+
+    /// Closes a socket whose `ERR` reply to a fatal framing error is
+    /// flushed. Closing a socket with unread request bytes makes the
+    /// kernel send an RST, which can discard the reply before the peer
+    /// reads it, and request bytes may still be in flight. So the write
+    /// side is shut down (the peer reads EOF after the reply), and what
+    /// the peer still sends is read and discarded until its EOF,
+    /// [`LINGER_DISCARD_BYTES`] or [`LINGER_DEADLINE`], whichever comes
+    /// first; only then is the socket closed.
+    fn linger(&mut self, stream: TcpStream) {
+        let _ = stream.shutdown(std::net::Shutdown::Write);
+        let slot = match self.lingering.iter().position(Option::is_none) {
+            Some(slot) => slot,
+            None => {
+                self.lingering.push(None);
+                self.lingering.len() - 1
+            }
+        };
+        let fd = stream.as_raw_fd();
+        if self
+            .poller
+            .register(fd, LINGER + slot as u64, Interest::READ)
+            .is_err()
+        {
+            self.trim_lingering();
+            return;
+        }
+        self.lingering[slot] = Some(Lingering {
+            stream,
+            left: LINGER_DISCARD_BYTES,
+            since: Instant::now(),
+        });
+        self.linger_ready(slot);
+    }
+
+    /// Reads and discards what a lingering socket has, and closes it at
+    /// the peer's EOF, a read error or the byte bound.
+    fn linger_ready(&mut self, slot: usize) {
+        let Some(l) = self.lingering.get_mut(slot).and_then(Option::as_mut) else {
+            return;
+        };
+        let done = loop {
+            if l.left == 0 {
+                break true;
+            }
+            let want = l.left.min(self.scratch.len());
+            match (&l.stream).read(&mut self.scratch[..want]) {
+                Ok(0) => break true,
+                Ok(n) => l.left -= n,
+                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break false,
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+                Err(_) => break true,
+            }
+        };
+        if done {
+            self.end_linger(slot);
+        }
+    }
+
+    fn end_linger(&mut self, slot: usize) {
+        if let Some(l) = self.lingering[slot].take() {
+            let _ = self.poller.deregister(l.stream.as_raw_fd());
+        }
+        self.trim_lingering();
+    }
+
+    fn trim_lingering(&mut self) {
+        while matches!(self.lingering.last(), Some(None)) {
+            self.lingering.pop();
+        }
+    }
+
     /// Sweeps connections whose last activity is older than the idle
     /// timeout. An idle peer is by definition not reading either, so
-    /// pending write bytes are abandoned with it.
+    /// pending write bytes are abandoned with it. Lingering sockets past
+    /// [`LINGER_DEADLINE`] are closed too.
     fn reap_idle(&mut self) {
+        if !self.lingering.is_empty() {
+            let now = Instant::now();
+            for slot in 0..self.lingering.len() {
+                // `end_linger` trims trailing empty slots, so `slot` may
+                // be past the end.
+                let overdue = matches!(
+                    self.lingering.get(slot),
+                    Some(Some(l)) if now.duration_since(l.since) > LINGER_DEADLINE
+                );
+                if overdue {
+                    self.end_linger(slot);
+                }
+            }
+        }
         let Some(timeout) = self.config.idle_timeout else {
             return;
         };

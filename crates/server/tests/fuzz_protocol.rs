@@ -45,6 +45,57 @@ fn assert_alive(server: &Server) {
     assert_eq!(c.request("PING").unwrap(), "OK pong");
 }
 
+/// Request bytes that arrive only after the `ERR` of a fatal framing
+/// error must not turn the close into a reset: the server half-closes
+/// and discards them, so the peer reads a clean EOF and can still finish
+/// writing. A server that drops the socket at once answers the late bytes
+/// with an RST, and the peer's next write fails.
+#[test]
+fn late_tail_after_an_oversized_prefix_still_ends_in_a_clean_eof() {
+    let server = test_server();
+    let mut s = raw_stream(&server);
+    s.write_all(&(MAX_FRAME as u32 + 1).to_le_bytes()).unwrap();
+    let reply = read_frame(&mut s)
+        .unwrap()
+        .expect("an ERR reply before close");
+    assert!(reply.contains("exceeds"), "got {reply:?}");
+    s.write_all(&[0xAB; 512]).unwrap();
+    assert_eq!(read_frame(&mut s).unwrap(), None, "no clean EOF");
+    // Give a reset to the late bytes time to arrive before writing again.
+    std::thread::sleep(Duration::from_millis(50));
+    s.write_all(&[0xCD; 512])
+        .expect("the server reset the connection");
+    s.shutdown(std::net::Shutdown::Write).unwrap();
+    assert_eq!(server.state().protocol_errors(), 1);
+    assert_alive(&server);
+    server.shutdown();
+}
+
+/// A peer that neither sends nor closes after the `ERR` of a fatal
+/// framing error does not hold its socket open: the lingering close
+/// gives up after a fixed deadline, so a write long after it is reset.
+#[test]
+fn silent_peer_after_an_oversized_prefix_is_closed_after_the_deadline() {
+    let server = test_server();
+    let mut s = raw_stream(&server);
+    s.write_all(&(MAX_FRAME as u32 + 1).to_le_bytes()).unwrap();
+    let reply = read_frame(&mut s)
+        .unwrap()
+        .expect("an ERR reply before close");
+    assert!(reply.contains("exceeds"), "got {reply:?}");
+    assert_eq!(read_frame(&mut s).unwrap(), None, "no clean EOF");
+    std::thread::sleep(Duration::from_secs(2));
+    // The first write after the close draws the reset; the next fails.
+    let _ = s.write_all(&[0xAB; 16]);
+    std::thread::sleep(Duration::from_millis(50));
+    assert!(
+        s.write_all(&[0xCD; 16]).is_err(),
+        "the lingering socket outlived its deadline"
+    );
+    assert_alive(&server);
+    server.shutdown();
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 

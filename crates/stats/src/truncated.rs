@@ -45,19 +45,6 @@ const MIN_ACCEPTANCE: f64 = 0.25;
 /// builds one sampler per candidate pair, almost always below this.
 const REJECTION_CERTAIN_SIGMA: f64 = 3.0;
 
-/// Smallest σ above which the inverse-CDF branch is certain: acceptance
-/// at σ = 3.2 is `2(Φ(1/3.2) − ½) ≈ 0.245`, below [`MIN_ACCEPTANCE`], and
-/// it only shrinks as σ grows. [`TruncatedNormal::skip`] reads one
-/// uniform there without evaluating the CDF.
-const INVERSE_CERTAIN_SIGMA: f64 = 3.2;
-
-/// Largest σ at which the first polar draw is always accepted. The polar
-/// method reads `u, v` on the grid `k·2⁻⁵² − 1`, so an accepted
-/// `s = u² + v²` is at least `2⁻¹⁰⁴` and `|Z| ≤ √(−2 ln s) ≤ √(208 ln 2)
-/// ≈ 12.006`; hence `σ·|Z| ≤ 0.961 < 1` and the `r ≤ 1` test never
-/// rejects.
-const NEVER_REJECTED_SIGMA: f64 = 0.08;
-
 impl TruncatedNormal {
     /// Creates the sampler.
     ///
@@ -131,37 +118,6 @@ impl TruncatedNormal {
         }
     }
 
-    /// Advances `rng` exactly as [`TruncatedNormal::sample`] with this
-    /// `sigma` would, without computing the sample: the same reads in the
-    /// same order, so a caller can move past a draw and replay it later
-    /// from a saved state. Costs no `ln`, `sqrt` or CDF evaluation when
-    /// `sigma ≤ 0.08` (the first accepted polar pair is always kept) or
-    /// `sigma > 3.2` (the inverse-CDF branch reads one uniform).
-    ///
-    /// ```
-    /// use obf_stats::TruncatedNormal;
-    /// use rand::{Rng, SeedableRng};
-    ///
-    /// let mut a = rand::rngs::SmallRng::seed_from_u64(3);
-    /// let mut b = a.clone();
-    /// TruncatedNormal::new(0.5).sample(&mut a);
-    /// TruncatedNormal::skip(0.5, &mut b);
-    /// assert_eq!(a.gen::<u64>(), b.gen::<u64>());
-    /// ```
-    ///
-    /// # Panics
-    ///
-    /// Panics if `sigma` is not strictly positive and finite.
-    pub fn skip<R: Rng + ?Sized>(sigma: f64, rng: &mut R) {
-        if sigma > INVERSE_CERTAIN_SIGMA && sigma.is_finite() {
-            rng.gen::<f64>();
-        } else if sigma <= NEVER_REJECTED_SIGMA && sigma > 0.0 {
-            while polar_pair(rng).1 >= 1.0 {}
-        } else {
-            Self::new(sigma).sample(rng);
-        }
-    }
-
     /// Mean of the truncated distribution (closed form), useful for tests
     /// and for reasoning about the expected amount of injected noise.
     pub fn mean(&self) -> f64 {
@@ -180,28 +136,14 @@ fn unit_mass(sigma: f64) -> f64 {
 /// |Z| for a standard normal Z, via the polar (Marsaglia) method.
 fn abs_std_normal<R: Rng + ?Sized>(rng: &mut R) -> f64 {
     loop {
-        let (u, s) = polar_pair(rng);
-        if s < 1.0 {
-            return polar_abs(u, s);
+        let u: f64 = rng.gen::<f64>() * 2.0 - 1.0;
+        let v: f64 = rng.gen::<f64>() * 2.0 - 1.0;
+        let s = u * u + v * v;
+        if s > 0.0 && s < 1.0 {
+            let f = (-2.0 * s.ln() / s).sqrt();
+            return (u * f).abs();
         }
     }
-}
-
-/// One polar proposal: `u` and `s = u² + v²` for `u, v` uniform on
-/// `[−1, 1)`, with `s` reported as 1 (rejected) when it is 0.
-#[inline]
-fn polar_pair<R: Rng + ?Sized>(rng: &mut R) -> (f64, f64) {
-    let u: f64 = rng.gen::<f64>() * 2.0 - 1.0;
-    let v: f64 = rng.gen::<f64>() * 2.0 - 1.0;
-    let s = u * u + v * v;
-    (u, if s > 0.0 { s } else { 1.0 })
-}
-
-/// `|Z|` from an accepted polar proposal (`0 < s < 1`).
-#[inline]
-fn polar_abs(u: f64, s: f64) -> f64 {
-    let f = (-2.0 * s.ln() / s).sqrt();
-    (u * f).abs()
 }
 
 #[cfg(test)]
@@ -338,72 +280,6 @@ mod tests {
         for sigma in [3.0, 3.0f64.next_up(), 3.0f64.next_down()] {
             assert_matches_eager(sigma, 7);
         }
-    }
-
-    /// Asserts that `skip` leaves the RNG where `sample` does, for a run
-    /// of draws from one seed.
-    fn assert_skip_matches_sample(sigma: f64, seed: u64) {
-        let dist = TruncatedNormal::new(sigma);
-        let (mut a, mut b) = (SmallRng::seed_from_u64(seed), SmallRng::seed_from_u64(seed));
-        for i in 0..16 {
-            dist.sample(&mut a);
-            TruncatedNormal::skip(sigma, &mut b);
-            assert_eq!(a, b, "sigma={sigma} seed={seed} draw {i}");
-        }
-        assert_eq!(a.gen::<u64>(), b.gen::<u64>(), "sigma={sigma} seed={seed}");
-    }
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(512))]
-
-        #[test]
-        fn skip_advances_like_sample_log_uniform(log10_sigma in -9.0f64..1.7, seed in 0u64..1 << 20) {
-            assert_skip_matches_sample(10f64.powf(log10_sigma), seed);
-        }
-
-        #[test]
-        fn skip_advances_like_sample_near_the_cutoffs(
-            centre in 0usize..4,
-            offset in -0.02f64..0.02,
-            seed in 0u64..1 << 20,
-        ) {
-            // 3.138 is where the acceptance 2·mass01 crosses MIN_ACCEPTANCE.
-            let centre = [NEVER_REJECTED_SIGMA, 3.0, 3.138, INVERSE_CERTAIN_SIGMA][centre];
-            assert_skip_matches_sample(centre + offset, seed);
-        }
-    }
-
-    #[test]
-    fn skip_advances_like_sample_at_the_exact_cutoffs() {
-        for centre in [NEVER_REJECTED_SIGMA, 3.0, INVERSE_CERTAIN_SIGMA, 50.0, 1e-9] {
-            for sigma in [centre.next_down(), centre, centre.next_up()] {
-                for seed in 0..64 {
-                    assert_skip_matches_sample(sigma, seed);
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn polar_extreme_bounds_abs_z() {
-        // The smallest accepted proposal on the 2⁻⁵² grid: u = 2⁻⁵², v = 0,
-        // so s = 2⁻¹⁰⁴ and |Z| = √(208 ln 2) ≈ 12.006.
-        let u = 2f64.powi(-52);
-        let s = u * u + 0.0 * 0.0;
-        assert_eq!(s, 2f64.powi(-104));
-        let z = polar_abs(u, s);
-        assert!(
-            (z - (208.0 * std::f64::consts::LN_2).sqrt()).abs() < 1e-12,
-            "|Z| = {z}"
-        );
-        assert!(z <= 12.01, "|Z| = {z}");
-        assert!(NEVER_REJECTED_SIGMA * z < 1.0);
-        // The grid: a uniform draw k·2⁻⁵³ becomes u = k·2⁻⁵² − 1, so the
-        // nonzero |u| closest to 0 is exactly 2⁻⁵², and v = 0 is reachable.
-        let grid = |k: u64| (k as f64 * (1.0 / (1u64 << 53) as f64)) * 2.0 - 1.0;
-        assert_eq!(grid(1 << 52), 0.0);
-        assert_eq!(grid((1 << 52) + 1), u);
-        assert_eq!(grid((1 << 52) - 1), -u);
     }
 
     fn sample_mean(sigma: f64, n: usize, seed: u64) -> f64 {

@@ -152,7 +152,8 @@ fn cmd_obfuscate(pos: &[String], flags: &HashMap<String, String>) -> Result<(), 
     save_uncertain_edge_list(&res.graph, output).map_err(|e| e.to_string())?;
     eprintln!("wrote {output}");
     // Trial phases summed over the whole σ search and across the threads
-    // that ran them; then the trials drawn and the trials checked.
+    // that ran them; then the trials of every σ tried (t each) and the
+    // trials drawn and checked, counted in trial order.
     let phases = stats.phase_secs();
     eprintln!(
         "phases select_ms={:.1} perturb_ms={:.1} build_ms={:.1} check_ms={:.1} trials={} checked={}",
@@ -211,7 +212,7 @@ fn cmd_audit(pos: &[String], flags: &HashMap<String, String>) -> Result<(), Stri
         ));
     }
     let par = parallelism_flag(flags)?;
-    let table = AdversaryTable::build_par(&ug, DegreeDistMethod::Auto { threshold: 64 }, &par);
+    let table = AdversaryTable::build_par(&ug, DegreeDistMethod::Exact, &par);
     let levels = vertex_obfuscation_levels(&loaded.graph, &table, &par);
     let eps = eps_for_k(&levels, k);
     println!("vertices below obfuscation level k = {k}: {:.4} (eps)", eps);

@@ -123,7 +123,7 @@ proptest! {
         let mut params = ObfuscationParams::new(4, 0.1).with_seed(seed);
         params.t = 1;
         params.parallelism = obfugraph::graph::Parallelism::sequential();
-        let out = generate_obfuscation(&g, &params, 0.05, &mut rng);
+        let out = generate_obfuscation(&g, &params, 0.05, seed);
         for trial in &out.trials {
             // |E_C| = c|E| whenever the selection loop converged.
             prop_assert_eq!(
