@@ -17,6 +17,16 @@ cd "$(dirname "$0")"
 
 step() { printf '\n==> %s\n' "$*"; }
 
+# The bench binaries write their TSVs, BENCH_*.json files and the METRICS
+# scrape under OBF_RESULTS_DIR, and the steps below read them back from
+# there: the temp dir, unless the caller names another directory (the
+# hosted pipeline does, to upload them). A run leaves results/ as it was;
+# only `analyze` refreshes the tracked results/AUDIT.json.
+tmpdir=$(mktemp -d)
+trap 'rm -rf "$tmpdir"' EXIT
+export OBF_RESULTS_DIR="${OBF_RESULTS_DIR:-$tmpdir}"
+mkdir -p "$OBF_RESULTS_DIR"
+
 lint() {
     step "cargo fmt --check"
     cargo fmt --all -- --check
@@ -47,13 +57,11 @@ release() {
     # are excluded; everything in fig2 is deterministic, and so are the
     # σ-search fast-path counters in table3 columns 7-9).
     step "thread-matrix determinism (table3 + fig2 at reduced scale)"
-    tmpdir=$(mktemp -d)
-    trap 'rm -rf "$tmpdir"' EXIT
     for t in 1 4; do
         OBF_FAST=1 ./target/release/table3 --threads "$t" >/dev/null 2>&1
-        cut -f1-3,6-9 results/table3.tsv > "$tmpdir/table3_t$t"
+        cut -f1-3,6-9 "$OBF_RESULTS_DIR/table3.tsv" > "$tmpdir/table3_t$t"
         OBF_FAST=1 ./target/release/fig2 --threads "$t" >/dev/null 2>&1
-        cp results/fig2_k5.tsv "$tmpdir/fig2_t$t"
+        cp "$OBF_RESULTS_DIR/fig2_k5.tsv" "$tmpdir/fig2_t$t"
     done
     diff "$tmpdir/table3_t1" "$tmpdir/table3_t4" \
         || { echo "table3 output differs between --threads 1 and 4"; exit 1; }
@@ -62,12 +70,12 @@ release() {
 
     echo "determinism OK: table3 and fig2 identical across thread counts"
 
-    # The publish surface itself: Algorithm 1 draws and checks each σ's
-    # trials on worker threads, so the CLI's release must not depend on
-    # --threads.
-    # One seeded 1000-vertex power-law (Chung-Lu) graph, three thread
+    # The publish surface itself: Algorithm 1 draws and checks trials on
+    # a pool of workers that speculate along the bisection, so the CLI's
+    # release must not depend on --threads.
+    # One seeded 1000-vertex power-law (Chung-Lu) graph, four thread
     # counts, byte-compared.
-    step "publish determinism (obfugraph-cli obfuscate at --threads 1, 2, 4)"
+    step "publish determinism (obfugraph-cli obfuscate at --threads 1, 2, 3, 4)"
     python3 - "$tmpdir/social.txt" <<'PY'
 import random, sys
 rng = random.Random(601)
@@ -83,20 +91,25 @@ with open(sys.argv[1], "w") as f:
 PY
     # The search's counters are defined by trial order, so the number of
     # trials checked (the `checked=` field of the `phases` line) must not
-    # depend on --threads either.
-    for t in 1 2 4; do
+    # depend on --threads either. One thread draws nothing ahead of a
+    # verdict, so there every trial drawn (`drawn=`) is a trial checked.
+    for t in 1 2 3 4; do
         ./target/release/obfugraph-cli obfuscate "$tmpdir/social.txt" "$tmpdir/release_t$t.up" \
             --k 10 --eps 0.05 --seed 7 --threads "$t" 2>"$tmpdir/publish_t$t.log"
         grep -o 'checked=[0-9]*' "$tmpdir/publish_t$t.log" > "$tmpdir/checked_t$t" \
             || { echo "obfuscate printed no checked= count at --threads $t"; exit 1; }
     done
-    for t in 2 4; do
+    for t in 2 3 4; do
         cmp "$tmpdir/release_t1.up" "$tmpdir/release_t$t.up" \
             || { echo "published release differs between --threads 1 and $t"; exit 1; }
         diff "$tmpdir/checked_t1" "$tmpdir/checked_t$t" \
             || { echo "trials checked differ between --threads 1 and $t"; exit 1; }
     done
-    echo "publish determinism OK: identical release and $(cat "$tmpdir/checked_t1") at --threads 1, 2 and 4"
+    checked_t1=$(cut -d= -f2 "$tmpdir/checked_t1")
+    drawn_t1=$(grep -o 'drawn=[0-9]*' "$tmpdir/publish_t1.log" | cut -d= -f2)
+    [ "$drawn_t1" = "$checked_t1" ] \
+        || { echo "--threads 1 drew ${drawn_t1:-no} trials but checked $checked_t1"; exit 1; }
+    echo "publish determinism OK: identical release and $(cat "$tmpdir/checked_t1") at --threads 1, 2, 3 and 4; drawn=$drawn_t1 at --threads 1"
 
     # The release bytes themselves are pinned too, so a change that moves
     # every thread count's output in lockstep still fails here.
@@ -154,7 +167,7 @@ serve() {
     step "serving determinism (answers digest across runs)"
     cargo build --release -p obf_bench -p obf_server
     OBF_FAST=1 ./target/release/loadgen --connections 2 --duration 200ms --open-loop-points 0
-    digest1=$(grep answers_digest results/BENCH_server.json)
+    digest1=$(grep answers_digest "$OBF_RESULTS_DIR/BENCH_server.json")
     case "$digest1" in
         *"$expected_digest"*) ;;
         *) echo "answers digest drifted from pinned $expected_digest: $digest1"; exit 1 ;;
@@ -166,36 +179,36 @@ serve() {
     # forbidden from changing a single answer byte.
     step "loadgen smoke (2s closed-loop + 6-point open-loop sweep, request log on)"
     OBF_FAST=1 ./target/release/loadgen --connections 2 --duration 2s \
-        --request-log results/REQLOG.txt
-    test -s results/BENCH_server.json \
-        || { echo "loadgen did not emit results/BENCH_server.json"; exit 1; }
-    digest2=$(grep answers_digest results/BENCH_server.json)
+        --request-log "$OBF_RESULTS_DIR/REQLOG.txt"
+    test -s "$OBF_RESULTS_DIR/BENCH_server.json" \
+        || { echo "loadgen did not emit BENCH_server.json"; exit 1; }
+    digest2=$(grep answers_digest "$OBF_RESULTS_DIR/BENCH_server.json")
     [ "$digest1" = "$digest2" ] \
         || { echo "answers digest differs between runs: $digest1 vs $digest2"; exit 1; }
-    points=$(grep -c offered_qps results/BENCH_server.json)
+    points=$(grep -c offered_qps "$OBF_RESULTS_DIR/BENCH_server.json")
     [ "$points" -ge 5 ] \
         || { echo "open-loop sweep has $points points, need >= 5"; exit 1; }
-    test -s results/REQLOG.txt \
-        || { echo "loadgen did not emit results/REQLOG.txt"; exit 1; }
-    head -1 results/REQLOG.txt | grep -q '^OBFUREQLOG v1$' \
-        || { echo "results/REQLOG.txt is not an OBFUREQLOG v1 file"; exit 1; }
-    test -s results/METRICS.txt \
-        || { echo "loadgen did not emit results/METRICS.txt"; exit 1; }
-    grep -q '^obf_server_queries_total ' results/METRICS.txt \
+    test -s "$OBF_RESULTS_DIR/REQLOG.txt" \
+        || { echo "loadgen did not emit REQLOG.txt"; exit 1; }
+    head -1 "$OBF_RESULTS_DIR/REQLOG.txt" | grep -q '^OBFUREQLOG v1$' \
+        || { echo "REQLOG.txt is not an OBFUREQLOG v1 file"; exit 1; }
+    test -s "$OBF_RESULTS_DIR/METRICS.txt" \
+        || { echo "loadgen did not emit METRICS.txt"; exit 1; }
+    grep -q '^obf_server_queries_total ' "$OBF_RESULTS_DIR/METRICS.txt" \
         || { echo "METRICS scrape is missing obf_server_queries_total"; exit 1; }
-    grep -q 'obf_server_answer_micros_p99' results/METRICS.txt \
+    grep -q 'obf_server_answer_micros_p99' "$OBF_RESULTS_DIR/METRICS.txt" \
         || { echo "METRICS scrape is missing span histogram quantiles"; exit 1; }
 
     # Replay determinism: re-driving the recorded log must reproduce
     # the pinned answers digest, and two replays of the same log must
     # report the same replay digest.
     step "replay determinism (recorded log re-driven twice)"
-    OBF_FAST=1 ./target/release/loadgen --connections 2 --replay results/REQLOG.txt \
+    OBF_FAST=1 ./target/release/loadgen --connections 2 --replay "$OBF_RESULTS_DIR/REQLOG.txt" \
         --expect-digest "$expected_digest"
-    replay1=$(grep replay_digest results/BENCH_replay.json)
-    OBF_FAST=1 ./target/release/loadgen --connections 4 --replay results/REQLOG.txt \
+    replay1=$(grep replay_digest "$OBF_RESULTS_DIR/BENCH_replay.json")
+    OBF_FAST=1 ./target/release/loadgen --connections 4 --replay "$OBF_RESULTS_DIR/REQLOG.txt" \
         --expect-digest "$expected_digest"
-    replay2=$(grep replay_digest results/BENCH_replay.json)
+    replay2=$(grep replay_digest "$OBF_RESULTS_DIR/BENCH_replay.json")
     [ "$replay1" = "$replay2" ] \
         || { echo "replay digest differs between runs: $replay1 vs $replay2"; exit 1; }
 
@@ -214,12 +227,12 @@ evolve() {
     step "republish bench (toy-scale delta stream, end-to-end)"
     cargo build --release -p obf_bench -p obf_server
     OBF_FAST=1 ./target/release/republish --batches 4
-    test -s results/BENCH_evolve.json \
-        || { echo "republish did not emit results/BENCH_evolve.json"; exit 1; }
+    test -s "$OBF_RESULTS_DIR/BENCH_evolve.json" \
+        || { echo "republish did not emit BENCH_evolve.json"; exit 1; }
     # Pinned like the answers digest: a change to the sigma trajectory,
     # the rows recomputed or the snapshot checksums must be deliberate.
     expected_evolve_digest="7c9d4128d2c3110e"
-    digest1=$(grep evolve_digest results/BENCH_evolve.json)
+    digest1=$(grep evolve_digest "$OBF_RESULTS_DIR/BENCH_evolve.json")
     case "$digest1" in
         *"$expected_evolve_digest"*) ;;
         *) echo "evolve digest drifted from pinned $expected_evolve_digest: $digest1"; exit 1 ;;
@@ -230,7 +243,7 @@ evolve() {
     # bit (wall-clock fields are excluded from the digest).
     step "republish determinism (evolve digest across runs)"
     OBF_FAST=1 ./target/release/republish --batches 4
-    digest2=$(grep evolve_digest results/BENCH_evolve.json)
+    digest2=$(grep evolve_digest "$OBF_RESULTS_DIR/BENCH_evolve.json")
     [ "$digest1" = "$digest2" ] \
         || { echo "evolve digest differs between runs: $digest1 vs $digest2"; exit 1; }
     echo "evolve OK: zero dropped connections, stable digest $digest1"
@@ -256,8 +269,6 @@ snapshot() {
     # serve-mixed workload depends on) must write the same bytes.
     step "snapshot_convert round-trip (TSV -> v3 --verify, perfbench invocation)"
     cargo build --release -p obf_bench
-    tmpdir=$(mktemp -d)
-    trap 'rm -rf "$tmpdir"' EXIT
     cat > "$tmpdir/toy.tsv" <<'EOF'
 # n=5
 0	1	0.7
@@ -277,9 +288,9 @@ EOF
     # records the open-time columns the nightly job tracks.
     step "snapshot_bench (mmap-vs-heap digest + open-time columns)"
     OBF_FAST=1 ./target/release/snapshot_bench
-    test -s results/BENCH_snapshot.json \
-        || { echo "snapshot_bench did not emit results/BENCH_snapshot.json"; exit 1; }
-    matches=$(grep -c '"digest_match": true' results/BENCH_snapshot.json)
+    test -s "$OBF_RESULTS_DIR/BENCH_snapshot.json" \
+        || { echo "snapshot_bench did not emit BENCH_snapshot.json"; exit 1; }
+    matches=$(grep -c '"digest_match": true' "$OBF_RESULTS_DIR/BENCH_snapshot.json")
     [ "$matches" -ge 3 ] \
         || { echo "expected >= 3 digest_match entries, got $matches"; exit 1; }
     echo "snapshot OK: verified v3 conversion, $matches mmap-vs-heap digest matches"

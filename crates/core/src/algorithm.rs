@@ -19,14 +19,12 @@
 //! a function of `(seed, j, i)` alone, and can be drawn by itself, on any
 //! thread, in any order. The search's course depends only on whether
 //! *some* trial of a σ passes, and only the published σ's trials can
-//! reach the output. So a σ's trials are drawn and checked in trial order
-//! until the first pass (a failing σ runs all `t`); a later trial is not
-//! drawn, except ahead of that pass on another thread (see below). When
-//! the search ends, the published σ's remaining trials are drawn and
-//! checked, and its best trial is chosen exactly as an eager search would
-//! (smallest ε̃, the earliest trial on a tie).
-//! [`generate_obfuscation`] runs the same code and then draws every
-//! trial, seeding trial `i` with [`stream_seed`]`(seed, i)` from its
+//! reach the output. So a σ's verdict is taken in trial order, at the
+//! first pass (a failing σ needs all `t`). When the search ends, the
+//! published σ's remaining trials are drawn and checked, and its best
+//! trial is chosen exactly as an eager search would (smallest ε̃, the
+//! earliest trial on a tie). [`generate_obfuscation`] draws and checks
+//! every trial, seeding trial `i` with [`stream_seed`]`(seed, i)` from its
 //! caller's seed. The published graph, σ, ε̃ and step counts equal those
 //! of drawing and checking every trial.
 //!
@@ -34,15 +32,30 @@
 //!
 //! One task draws a trial in full — candidate selection and the
 //! perturbations, lines 6–19 — and checks it (line 20, the Definition 2
-//! test). A σ's trials run as a parallel search for the first pass in
-//! trial order ([`Parallelism::map_until`]) on up to `threads` threads,
-//! and the published σ's remaining trials run on as many. A thread may
-//! run a trial past the first pass before that pass is known; such a
-//! trial is kept for the published σ but never counted, so every
-//! [`SigmaSearchStats`] counter is defined by trial order alone. Every
-//! check runs sequentially with the configured chunk size, and a trial's
-//! draw depends only on its index, so the published graph and the
-//! counters are identical at every thread count.
+//! test), sequentially with the configured chunk size. A search runs its
+//! tasks on one pool of `threads` workers, the caller among them (at one
+//! thread the caller alone, and no thread is spawned). The workers share
+//! a board of trial results keyed by (σ index, σ, trial index). After
+//! each trial the worker that ran it advances the bisection with the
+//! verdicts taken in trial order, and every idle worker takes the most
+//! useful trial not yet started, in this order:
+//!
+//! 1. the first trial of the current σ not checked yet;
+//! 2. while none of the current σ's trials has failed, trial 0 of the σ
+//!    the search tries next if the current one passes;
+//! 3. the current σ's later trials;
+//! 4. once all of them are started, trial 0 of the σ the search tries
+//!    next if the current one fails.
+//!
+//! When the bisection ends, the workers check the published σ's
+//! remaining trials. A trial on a branch the search does not take is
+//! dropped. A trial is a function of its key alone, and every
+//! [`SigmaSearchStats`] counter sums trials defined by trial order (see
+//! [`SigmaCandidateStats::checked`]), so the published graph and the
+//! counters are identical at every thread count; only the timings and
+//! [`SigmaSearchStats::drawn`] vary.
+
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -89,9 +102,9 @@ pub struct ObfuscationParams {
     /// probabilities sit near 0 or 1, as they do at small σ, and can
     /// understate ε̃.
     pub method: DegreeDistMethod,
-    /// Worker threads and chunk size of the search. Up to `threads`
-    /// threads draw and check each σ's trials concurrently; each check
-    /// runs sequentially with this chunk size.
+    /// Worker threads and chunk size of the search. A pool of `threads`
+    /// workers draws and checks trials concurrently, speculating along
+    /// the bisection; each check runs sequentially with this chunk size.
     /// The published graph is identical for every thread count (see the
     /// module docs and [`Parallelism`]).
     pub parallelism: Parallelism,
@@ -133,7 +146,8 @@ impl ObfuscationParams {
         self
     }
 
-    fn validate(&self, n: usize) -> Result<(), ObfuscationError> {
+    fn validate(&self, g: &Graph) -> Result<(), ObfuscationError> {
+        let (n, m) = (g.num_vertices(), g.num_edges());
         if self.k < 1 {
             return Err(ObfuscationError::BadParameter("k must be >= 1".into()));
         }
@@ -148,8 +162,18 @@ impl ObfuscationParams {
                 "eps must be in [0, 1)".into(),
             ));
         }
-        if self.c < 1.0 {
-            return Err(ObfuscationError::BadParameter("c must be >= 1".into()));
+        // Written so that NaN fails every range check.
+        if !(self.c >= 1.0 && self.c.is_finite()) {
+            return Err(ObfuscationError::BadParameter(
+                "c must be finite and >= 1".into(),
+            ));
+        }
+        // |E_C| = c·|E| vertex pairs must exist.
+        let pairs = n as f64 * n.saturating_sub(1) as f64 / 2.0;
+        if (self.c * m as f64).round() > pairs.max(m as f64) {
+            return Err(ObfuscationError::BadParameter(format!(
+                "c * |E| exceeds the {pairs} vertex pairs"
+            )));
         }
         if !(0.0..=1.0).contains(&self.q) {
             return Err(ObfuscationError::BadParameter("q must be in [0,1]".into()));
@@ -157,10 +181,20 @@ impl ObfuscationParams {
         if self.t == 0 {
             return Err(ObfuscationError::BadParameter("t must be >= 1".into()));
         }
-        if self.sigma_init <= 0.0 || self.delta <= 0.0 {
+        if !(self.delta > 0.0 && self.delta.is_finite()) {
             return Err(ObfuscationError::BadParameter(
-                "sigma_init and delta must be positive".into(),
+                "delta must be finite and positive".into(),
             ));
+        }
+        // The doubling phase may reach σ_u = sigma_init · 2^max_doublings,
+        // and the bisection adds two σ below it.
+        let sigma_max = self.sigma_init * 2f64.powf(f64::from(self.max_doublings));
+        if !(self.sigma_init > 0.0 && (2.0 * sigma_max).is_finite()) {
+            return Err(ObfuscationError::BadParameter(format!(
+                "sigma_init must be positive and sigma_init * 2^(max_doublings + 1) finite \
+                 (max_doublings = {})",
+                self.max_doublings
+            )));
         }
         Ok(())
     }
@@ -268,8 +302,11 @@ pub struct SigmaCandidateStats {
     pub phase: SearchPhase,
     /// Whether some trial met the ε tolerance.
     pub accepted: bool,
-    /// Wall-clock seconds of the whole invocation (for the published σ,
-    /// including the checks of its remaining trials).
+    /// Wall-clock seconds from the previous σ's verdict (or the search's
+    /// start) to this σ's verdict; for the published σ, plus the time
+    /// from the bisection's end to its last trial checked. Trials drawn
+    /// ahead on other workers shorten it, and the candidates' `secs` add
+    /// up to the search's wall time.
     pub secs: f64,
     /// Algorithm 2 trials of the σ (`= params.t`), drawn or not.
     pub trials: u32,
@@ -294,15 +331,14 @@ pub struct SigmaCandidateStats {
     pub support_skipped_columns: u64,
     /// Trials whose budgeted check exited before resolving every column.
     pub early_exit_trials: u64,
-    /// Wall-clock seconds of each trial phase, summed over the trials.
-    pub phases: TrialPhaseSecs,
 }
 
 /// Wall-clock seconds spent in the four phases of Algorithm 2 trials,
-/// summed over every trial that ran, including trials run ahead of a
-/// verdict that the counters do not count. All four phases of a trial run
-/// on the thread that runs the trial, so with more than one thread the
-/// sum can exceed the elapsed time.
+/// summed over every trial drawn ([`SigmaSearchStats::drawn`]), including
+/// trials the counters do not count and trials of σ the search never
+/// took. All four phases of a trial run on the worker that runs the
+/// trial, so with more than one thread the sum can exceed the elapsed
+/// time.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct TrialPhaseSecs {
     /// Lines 6–12: candidate selection.
@@ -335,7 +371,7 @@ impl SigmaCandidateStats {
 /// cache/early-exit counters of the σ-search fast path. Every counter is
 /// defined by trial order (see [`SigmaCandidateStats::checked`]), hence
 /// deterministic for a fixed seed and independent of the thread count;
-/// only `secs` and `phases` vary between runs.
+/// only `secs`, `drawn` and `phases` vary between runs.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct SigmaSearchStats {
     /// Vertices of the input graph (the per-table baseline for
@@ -343,6 +379,15 @@ pub struct SigmaSearchStats {
     pub num_vertices: usize,
     /// One entry per `GenerateObfuscation` invocation, in search order.
     pub candidates: Vec<SigmaCandidateStats>,
+    /// Every trial drawn and checked, including the ones drawn ahead of a
+    /// verdict that no counter counts: at least
+    /// [`SigmaSearchStats::checked`], and equal to it at one thread.
+    /// `checked / drawn` is the share of the search's work that decided
+    /// its course or its output.
+    pub drawn: u64,
+    /// Wall-clock seconds of each trial phase, summed over the `drawn`
+    /// trials.
+    pub phases: TrialPhaseSecs,
 }
 
 impl SigmaSearchStats {
@@ -354,15 +399,6 @@ impl SigmaSearchStats {
     /// Total wall-clock seconds across candidates.
     pub fn total_secs(&self) -> f64 {
         self.candidates.iter().map(|c| c.secs).sum()
-    }
-
-    /// Per-phase trial seconds summed across candidates.
-    pub fn phase_secs(&self) -> TrialPhaseSecs {
-        let mut total = TrialPhaseSecs::default();
-        for c in &self.candidates {
-            total += c.phases;
-        }
-        total
     }
 
     /// Total Lemma 1 row evaluations.
@@ -486,134 +522,41 @@ pub fn generate_obfuscation_with_excluded(
     seed: u64,
 ) -> GenerateOutcome {
     let ctx = SearchContext::new(g);
-    let mut scratch = SigmaCandidateStats::default();
-    // The verdict first, as Algorithm 1 takes it; then every trial.
-    SigmaTrials::evaluate(g, &ctx, params, sigma, forced_excluded, seed, &mut scratch).finish(
-        &ctx,
-        params,
-        &mut scratch,
-    )
+    let sampler = TrialSampler::new(g, &ctx, params, sigma, forced_excluded, seed);
+    let trials = Parallelism::new(params.parallelism.threads())
+        .with_chunk_size(1)
+        .map_collect(params.t, |i| check_trial(&ctx, params, &sampler, i));
+    best_trial(trials)
 }
 
-/// One σ candidate after its verdict (Algorithm 2 without line 21): the
-/// trials in trial order, each checked or not drawn yet.
-struct SigmaTrials {
-    sampler: TrialSampler,
-    /// Index of the first passing trial.
-    first_pass: Option<usize>,
-    trials: Vec<Option<CheckedTrial>>,
-}
-
-impl SigmaTrials {
-    /// Draws and checks the trials of `sigma` — trial `i` from the stream
-    /// [`stream_seed`]`(stream, i)` — in trial order until the first pass,
-    /// on up to `threads` threads, recording the checks of that prefix
-    /// into `stats`.
-    fn evaluate(
-        g: &Graph,
-        ctx: &SearchContext,
-        params: &ObfuscationParams,
-        sigma: f64,
-        forced_excluded: &[u32],
-        stream: u64,
-        stats: &mut SigmaCandidateStats,
-    ) -> Self {
-        let sampler = TrialSampler::new(g, ctx, params, sigma, forced_excluded, stream);
-        let trials = params.parallelism.map_until(
-            params.t,
-            |i| check_trial(ctx, params, &sampler, i),
-            |trial| trial.graph.is_some(),
-        );
-        let first_pass = trials
-            .iter()
-            .position(|r| r.as_ref().is_some_and(|trial| trial.graph.is_some()));
-        for trial in trials.iter().flatten() {
-            stats.phases += trial.phases;
-        }
-        let decided = first_pass.map_or(params.t, |i| i + 1);
-        for trial in &trials[..decided] {
-            stats.count(
-                trial
-                    .as_ref()
-                    .expect("trials up to the first pass are checked"),
-            );
-        }
-        Self {
-            sampler,
-            first_pass,
-            trials,
-        }
-    }
-
-    /// Whether some trial met ε.
-    fn passed(&self) -> bool {
-        self.first_pass.is_some()
-    }
-
-    /// The smallest ε̃ among the checked trials (∞ when none was).
-    fn min_checked_eps(&self) -> f64 {
-        self.trials
-            .iter()
-            .flatten()
-            .map(|trial| trial.stats.eps_achieved)
-            .fold(f64::INFINITY, f64::min)
-    }
-
-    /// Draws and checks the trials not run yet, on up to `threads`
-    /// threads, records every trial after the first pass into `stats`,
-    /// and applies line 21: the best trial meeting ε (the earliest on a
-    /// tie).
-    fn finish(
-        self,
-        ctx: &SearchContext,
-        params: &ObfuscationParams,
-        stats: &mut SigmaCandidateStats,
-    ) -> GenerateOutcome {
-        let decided = self.first_pass.map_or(self.trials.len(), |i| i + 1);
-        let sampler = &self.sampler;
-        let missing: Vec<usize> = (0..self.trials.len())
-            .filter(|&i| self.trials[i].is_none())
-            .collect();
-        let mut drawn = Parallelism::new(params.parallelism.threads())
-            .with_chunk_size(1)
-            .map_collect(missing.len(), |j| {
-                check_trial(ctx, params, sampler, missing[j])
-            })
-            .into_iter();
-        let mut best: Option<(f64, UncertainGraph)> = None;
-        let mut trials = Vec::with_capacity(self.trials.len());
-        for (i, slot) in self.trials.into_iter().enumerate() {
-            let trial = slot.unwrap_or_else(|| {
-                let trial = drawn.next().expect("one draw per missing trial");
-                stats.phases += trial.phases;
-                trial
-            });
-            if i >= decided {
-                stats.count(&trial);
-            }
-            trials.push(trial.stats);
-            let eps_trial = trial.stats.eps_achieved;
-            if let Some(ug) = trial.graph {
-                if best.as_ref().is_none_or(|(e, _)| eps_trial < *e) {
-                    best = Some((eps_trial, ug));
-                }
+/// Algorithm 2 line 21 over a σ's checked trials, in trial order: the
+/// best trial meeting ε (the smallest ε̃, the earliest on a tie).
+fn best_trial(trials: Vec<CheckedTrial>) -> GenerateOutcome {
+    let mut best: Option<(f64, UncertainGraph)> = None;
+    let mut stats = Vec::with_capacity(trials.len());
+    for trial in trials {
+        stats.push(trial.stats);
+        let eps_trial = trial.stats.eps_achieved;
+        if let Some(ug) = trial.graph {
+            if best.as_ref().is_none_or(|(e, _)| eps_trial < *e) {
+                best = Some((eps_trial, ug));
             }
         }
-        let (eps_achieved, graph) = match best {
-            Some((eps, graph)) => (eps, Some(graph)),
-            None => (f64::INFINITY, None),
-        };
-        GenerateOutcome {
-            graph,
-            eps_achieved,
-            trials,
-        }
+    }
+    let (eps_achieved, graph) = match best {
+        Some((eps, graph)) => (eps, Some(graph)),
+        None => (f64::INFINITY, None),
+    };
+    GenerateOutcome {
+        graph,
+        eps_achieved,
+        trials: stats,
     }
 }
 
 impl SigmaCandidateStats {
-    /// Adds one checked trial's counters (not its phases, which are added
-    /// wherever the trial ran).
+    /// Adds one checked trial's counters (its phases count towards
+    /// [`SigmaSearchStats::phases`] when it is drawn).
     fn count(&mut self, trial: &CheckedTrial) {
         self.checked += 1;
         self.dp_evaluations += trial.dp_evaluations;
@@ -1048,88 +991,407 @@ pub fn obfuscate_with_stats(
     g: &Graph,
     params: &ObfuscationParams,
 ) -> Result<(ObfuscationResult, SigmaSearchStats), ObfuscationError> {
-    params.validate(g.num_vertices())?;
+    params.validate(g)?;
     let ctx = SearchContext::new(g);
-    let mut stats = SigmaSearchStats {
-        num_vertices: g.num_vertices(),
-        candidates: Vec::new(),
-    };
-    let mut generate_calls = 0u32;
+    search(g, &ctx, params, |sampler, i| {
+        check_trial(&ctx, params, sampler, i)
+    })
+}
 
-    // The j-th σ tried draws its trials from stream_seed(seed, j).
-    let run_candidate = |sigma: f64, phase: SearchPhase, stats: &mut SigmaSearchStats| {
-        let mut cand = SigmaCandidateStats {
-            sigma,
-            phase,
-            trials: params.t as u32,
-            ..Default::default()
-        };
-        // Span duration feeds only SigmaCandidateStats.secs and the
-        // obf_core_candidate_check_micros histogram — instrumentation
-        // excluded from every digest and equivalence check.
-        let span = obf_obs::Span::start(obf_obs::global(), "obf_core_candidate_check_micros");
-        let stream = stream_seed(params.seed, stats.candidates.len() as u64);
-        let trials = SigmaTrials::evaluate(g, &ctx, params, sigma, &[], stream, &mut cand);
-        cand.secs = span.finish_secs();
-        cand.accepted = trials.passed();
-        stats.candidates.push(cand);
-        trials
-    };
+/// Where Algorithm 1 stands before a verdict: its phase, its bounds and
+/// its doublings so far. The σ it tries is a function of them.
+#[derive(Debug, Clone, Copy)]
+struct Course {
+    phase: SearchPhase,
+    sigma_l: f64,
+    sigma_u: f64,
+    doublings: u32,
+}
 
-    // Doubling phase (lines 1–6).
-    let mut sigma_u = params.sigma_init;
-    let mut doublings = 0u32;
-    let mut best_eps_seen = f64::INFINITY;
-    let mut published = loop {
-        let trials = run_candidate(sigma_u, SearchPhase::Doubling, &mut stats);
-        generate_calls += 1;
-        best_eps_seen = best_eps_seen.min(trials.min_checked_eps());
-        if trials.passed() {
-            break (sigma_u, stats.candidates.len() - 1, trials);
-        }
-        if doublings >= params.max_doublings {
-            return Err(ObfuscationError::NoUpperBound {
-                last_sigma: sigma_u,
-                best_eps: best_eps_seen,
-            });
-        }
-        sigma_u *= 2.0;
-        doublings += 1;
-    };
-
-    // Binary search (lines 8–12).
-    let mut sigma_l = 0.0f64;
-    let mut search_steps = 0u32;
-    while sigma_l + params.delta < sigma_u {
-        let sigma = 0.5 * (sigma_l + sigma_u);
-        let trials = run_candidate(sigma, SearchPhase::BinarySearch, &mut stats);
-        generate_calls += 1;
-        search_steps += 1;
-        if trials.passed() {
-            published = (sigma, stats.candidates.len() - 1, trials);
-            sigma_u = sigma;
-        } else {
-            sigma_l = sigma;
+impl Course {
+    /// Line 1: `σ_u = σ_init`, doubling.
+    fn start(params: &ObfuscationParams) -> Self {
+        Self {
+            phase: SearchPhase::Doubling,
+            sigma_l: 0.0,
+            sigma_u: params.sigma_init,
+            doublings: 0,
         }
     }
 
-    // The published σ's remaining trials, and its best one (line 21).
-    let (sigma, index, trials) = published;
-    let cand = &mut stats.candidates[index];
-    let span = obf_obs::Span::start(obf_obs::global(), "obf_core_candidate_finish_micros");
-    let out = trials.finish(&ctx, params, cand);
-    cand.secs += span.finish_secs();
-    Ok((
-        ObfuscationResult {
-            graph: out.graph.expect("the published sigma has a passing trial"),
-            sigma,
-            eps_achieved: out.eps_achieved,
-            doublings,
-            search_steps,
-            generate_calls,
-        },
-        stats,
-    ))
+    /// The σ tried: `σ_u` while doubling, the midpoint while bisecting.
+    fn sigma(&self) -> f64 {
+        match self.phase {
+            SearchPhase::Doubling => self.sigma_u,
+            SearchPhase::BinarySearch => 0.5 * (self.sigma_l + self.sigma_u),
+        }
+    }
+
+    /// The course after this σ's verdict, or `None` when the search ends:
+    /// a failure at the last doubling (no upper bound), or a bisection
+    /// narrowed to `δ`.
+    fn after(self, passed: bool, params: &ObfuscationParams) -> Option<Self> {
+        let mut next = self;
+        match (self.phase, passed) {
+            (SearchPhase::Doubling, true) => next.phase = SearchPhase::BinarySearch,
+            (SearchPhase::Doubling, false) => {
+                if self.doublings >= params.max_doublings {
+                    return None;
+                }
+                next.sigma_u *= 2.0;
+                next.doublings += 1;
+                return Some(next);
+            }
+            (SearchPhase::BinarySearch, true) => next.sigma_u = self.sigma(),
+            (SearchPhase::BinarySearch, false) => next.sigma_l = self.sigma(),
+        }
+        (next.sigma_l + params.delta < next.sigma_u).then_some(next)
+    }
+}
+
+/// A σ on the search board: the `j`-th σ of a course, the sampler its
+/// first trial to run builds, and its trials.
+struct SigmaNode {
+    j: usize,
+    course: Course,
+    sigma: f64,
+    sampler: Arc<OnceLock<TrialSampler>>,
+    started: Vec<bool>,
+    done: Vec<Option<CheckedTrial>>,
+}
+
+impl SigmaNode {
+    fn new(j: usize, course: Course, t: usize) -> Self {
+        Self {
+            j,
+            course,
+            sigma: course.sigma(),
+            sampler: Arc::default(),
+            started: vec![false; t],
+            done: std::iter::repeat_with(|| None).take(t).collect(),
+        }
+    }
+
+    fn is(&self, task: &Task) -> bool {
+        self.j == task.j && self.sigma.to_bits() == task.sigma.to_bits()
+    }
+
+    /// The verdict in trial order: `Some(Some(i))` at the first pass `i`,
+    /// `Some(None)` when every trial failed, `None` while undecided.
+    fn verdict(&self) -> Option<Option<usize>> {
+        for (i, trial) in self.done.iter().enumerate() {
+            match trial {
+                None => return None,
+                Some(trial) if trial.graph.is_some() => return Some(Some(i)),
+                Some(_) => {}
+            }
+        }
+        Some(None)
+    }
+
+    /// Starts trial `i` if it is not started yet.
+    fn start(&mut self, i: usize) -> Option<Task> {
+        if self.started[i] {
+            return None;
+        }
+        self.started[i] = true;
+        Some(Task {
+            j: self.j,
+            sigma: self.sigma,
+            i,
+            sampler: Arc::clone(&self.sampler),
+        })
+    }
+
+    /// Starts the first trial not started yet.
+    fn start_next(&mut self) -> Option<Task> {
+        let i = self.started.iter().position(|&s| !s)?;
+        self.start(i)
+    }
+}
+
+/// One trial for a worker: trial `i` of the `j`-th σ of a course.
+struct Task {
+    j: usize,
+    sigma: f64,
+    i: usize,
+    sampler: Arc<OnceLock<TrialSampler>>,
+}
+
+/// The search board the workers share: the course, the σ it waits on and
+/// its speculative successors, the published σ, and the stats.
+struct Board {
+    /// The σ whose verdict the bisection waits for; `None` once it ended.
+    current: Option<SigmaNode>,
+    /// Times `current` from the previous verdict.
+    current_span: Option<obf_obs::Span>,
+    /// The σ tried next if `current` passes, once a trial of it started.
+    accept: Option<SigmaNode>,
+    /// The σ tried next if `current` fails, once a trial of it started.
+    reject: Option<SigmaNode>,
+    /// The last σ that passed, and the trials its verdict counted.
+    published: Option<(SigmaNode, usize)>,
+    /// Times the published σ's remaining trials after the bisection.
+    finish_span: Option<obf_obs::Span>,
+    /// The smallest ε̃ of any failing σ's trials.
+    best_eps_failed: f64,
+    stats: SigmaSearchStats,
+    /// The published σ and its best trial, or why there is none.
+    outcome: Option<Result<(f64, GenerateOutcome), ObfuscationError>>,
+    /// A worker panicked: the others stop.
+    aborted: bool,
+}
+
+impl Board {
+    fn new(num_vertices: usize, params: &ObfuscationParams) -> Self {
+        Self {
+            current: Some(SigmaNode::new(0, Course::start(params), params.t)),
+            current_span: Some(obf_obs::Span::start(
+                obf_obs::global(),
+                "obf_core_candidate_check_micros",
+            )),
+            accept: None,
+            reject: None,
+            published: None,
+            finish_span: None,
+            best_eps_failed: f64::INFINITY,
+            stats: SigmaSearchStats {
+                num_vertices,
+                ..SigmaSearchStats::default()
+            },
+            outcome: None,
+            aborted: false,
+        }
+    }
+
+    /// The most useful trial not started yet (see the module docs), or
+    /// `None` when every useful trial is started or the search is over.
+    fn next_task(&mut self, params: &ObfuscationParams) -> Option<Task> {
+        if self.outcome.is_some() || self.aborted {
+            return None;
+        }
+        let Some(cur) = self.current.as_mut() else {
+            return self.published.as_mut()?.0.start_next();
+        };
+        let t = params.t;
+        // 1. The trial the verdict waits for.
+        if let Some(i) = cur.done.iter().position(Option::is_none) {
+            if let Some(task) = cur.start(i) {
+                return Some(task);
+            }
+        }
+        // 2. No failure yet: the σ's most likely verdict is a pass.
+        if !cur.done.iter().flatten().any(|trial| trial.graph.is_none()) {
+            if let Some(course) = cur.course.after(true, params) {
+                let node = self
+                    .accept
+                    .get_or_insert_with(|| SigmaNode::new(cur.j + 1, course, t));
+                if let Some(task) = node.start(0) {
+                    return Some(task);
+                }
+            }
+        }
+        // 3. The σ's later trials.
+        if let Some(task) = cur.start_next() {
+            return Some(task);
+        }
+        // 4. All of them started: trial 0 of the σ after a failure.
+        let course = cur.course.after(false, params)?;
+        self.reject
+            .get_or_insert_with(|| SigmaNode::new(cur.j + 1, course, t))
+            .start(0)
+    }
+
+    /// Files a drawn trial and advances the search.
+    fn record(&mut self, task: &Task, trial: CheckedTrial, params: &ObfuscationParams) {
+        self.stats.drawn += 1;
+        self.stats.phases += trial.phases;
+        let node = [&mut self.current, &mut self.accept, &mut self.reject]
+            .into_iter()
+            .flatten()
+            .chain(self.published.as_mut().map(|(node, _)| node))
+            .find(|node| node.is(task));
+        // A trial of a branch the search did not take is dropped.
+        if let Some(node) = node {
+            node.done[task.i] = Some(trial);
+        }
+        self.advance(params);
+    }
+
+    /// Takes every verdict the trials checked so far decide, then ends
+    /// the search once the published σ's trials are all checked.
+    fn advance(&mut self, params: &ObfuscationParams) {
+        while let Some(first_pass) = self.current.as_ref().and_then(SigmaNode::verdict) {
+            let node = self.current.take().expect("a verdict has a σ");
+            let passed = first_pass.is_some();
+            let decided = first_pass.map_or(params.t, |i| i + 1);
+            let mut cand = SigmaCandidateStats {
+                sigma: node.sigma,
+                phase: node.course.phase,
+                accepted: passed,
+                trials: params.t as u32,
+                secs: self
+                    .current_span
+                    .take()
+                    .map_or(0.0, obf_obs::Span::finish_secs),
+                ..SigmaCandidateStats::default()
+            };
+            for trial in node.done[..decided].iter().flatten() {
+                cand.count(trial);
+            }
+            self.stats.candidates.push(cand);
+            // The branch not taken is dropped.
+            let (next, _) = if passed {
+                (self.accept.take(), self.reject.take())
+            } else {
+                (self.reject.take(), self.accept.take())
+            };
+            let course = node.course;
+            if passed {
+                self.published = Some((node, decided));
+            } else {
+                let eps = node.done.iter().flatten().map(|t| t.stats.eps_achieved);
+                self.best_eps_failed = eps.fold(self.best_eps_failed, f64::min);
+            }
+            match course.after(passed, params) {
+                Some(course) => {
+                    let next = next.unwrap_or_else(|| {
+                        SigmaNode::new(self.stats.candidates.len(), course, params.t)
+                    });
+                    debug_assert_eq!(next.sigma.to_bits(), course.sigma().to_bits());
+                    self.current = Some(next);
+                    self.current_span = Some(obf_obs::Span::start(
+                        obf_obs::global(),
+                        "obf_core_candidate_check_micros",
+                    ));
+                }
+                None if self.published.is_none() => {
+                    self.outcome = Some(Err(ObfuscationError::NoUpperBound {
+                        last_sigma: course.sigma_u,
+                        best_eps: self.best_eps_failed,
+                    }));
+                }
+                None => {
+                    self.finish_span = Some(obf_obs::Span::start(
+                        obf_obs::global(),
+                        "obf_core_candidate_finish_micros",
+                    ));
+                }
+            }
+        }
+        if self.current.is_some() || self.outcome.is_some() {
+            return;
+        }
+        let Some((node, _)) = &self.published else {
+            return;
+        };
+        if node.done.iter().any(Option::is_none) {
+            return;
+        }
+        let (node, decided) = self.published.take().expect("checked above");
+        let trials: Vec<CheckedTrial> = node.done.into_iter().flatten().collect();
+        let cand = &mut self.stats.candidates[node.j];
+        for trial in &trials[decided..] {
+            cand.count(trial);
+        }
+        cand.secs += self
+            .finish_span
+            .take()
+            .map_or(0.0, obf_obs::Span::finish_secs);
+        self.outcome = Some(Ok((node.sigma, best_trial(trials))));
+    }
+}
+
+/// Runs Algorithm 1 on a pool of `params.parallelism.threads()` workers
+/// (the caller and the threads it spawns) that share one [`Board`];
+/// `run` draws and checks trial `i` of a σ's sampler. A panic in `run`
+/// stops every worker and reaches the caller.
+fn search<R>(
+    g: &Graph,
+    ctx: &SearchContext,
+    params: &ObfuscationParams,
+    run: R,
+) -> Result<(ObfuscationResult, SigmaSearchStats), ObfuscationError>
+where
+    R: Fn(&TrialSampler, usize) -> CheckedTrial + Sync,
+{
+    let board = Mutex::new(Board::new(g.num_vertices(), params));
+    let wake = Condvar::new();
+    let work = || {
+        let abort = AbortOnPanic(&board, &wake);
+        let mut b = abort.lock();
+        loop {
+            if b.outcome.is_some() || b.aborted {
+                return;
+            }
+            let Some(task) = b.next_task(params) else {
+                b = wake.wait(b).unwrap_or_else(abort_poisoned);
+                continue;
+            };
+            drop(b);
+            let sampler = task.sampler.get_or_init(|| {
+                let stream = stream_seed(params.seed, task.j as u64);
+                TrialSampler::new(g, ctx, params, task.sigma, &[], stream)
+            });
+            let trial = run(sampler, task.i);
+            b = abort.lock();
+            b.record(&task, trial, params);
+            wake.notify_all();
+        }
+    };
+    let threads = params.parallelism.threads();
+    if threads <= 1 {
+        work();
+    } else {
+        std::thread::scope(|scope| {
+            for _ in 1..threads {
+                scope.spawn(work);
+            }
+            work();
+        });
+    }
+    let Board { outcome, stats, .. } = board
+        .into_inner()
+        .expect("a worker that panicked has panicked the search");
+    let (sigma, out) = outcome.expect("the search ran to its end")?;
+    let count = |phase| stats.candidates.iter().filter(|c| c.phase == phase).count() as u32;
+    let result = ObfuscationResult {
+        graph: out.graph.expect("the published sigma has a passing trial"),
+        sigma,
+        eps_achieved: out.eps_achieved,
+        doublings: count(SearchPhase::Doubling) - 1,
+        search_steps: count(SearchPhase::BinarySearch),
+        generate_calls: stats.candidates_tried(),
+    };
+    Ok((result, stats))
+}
+
+/// A worker's hold on the board that, if the worker panics, marks the
+/// search aborted and wakes the other workers, so they return instead of
+/// waiting for a trial that will never be filed.
+struct AbortOnPanic<'a>(&'a Mutex<Board>, &'a Condvar);
+
+impl<'a> AbortOnPanic<'a> {
+    fn lock(&self) -> MutexGuard<'a, Board> {
+        self.0.lock().unwrap_or_else(abort_poisoned)
+    }
+}
+
+/// The board of a worker that panicked while holding it, marked aborted:
+/// its update may be half done, so no worker may act on it.
+fn abort_poisoned(poisoned: PoisonError<MutexGuard<'_, Board>>) -> MutexGuard<'_, Board> {
+    let mut board = poisoned.into_inner();
+    board.aborted = true;
+    board
+}
+
+impl Drop for AbortOnPanic<'_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.lock().aborted = true;
+            self.1.notify_all();
+        }
+    }
 }
 
 #[cfg(test)]
@@ -1137,6 +1399,7 @@ mod tests {
     use super::*;
     use crate::adversary::{AdversaryTable, ObfuscationCheck};
     use obf_graph::generators;
+    use std::time::Duration;
 
     fn test_params(k: usize, eps: f64) -> ObfuscationParams {
         // Faster search for tests: coarser delta, fewer trials.
@@ -1524,6 +1787,17 @@ mod tests {
             .collect()
     }
 
+    /// `stats` without what varies between runs: the timings and the
+    /// trials drawn ahead of a verdict.
+    fn counters(mut stats: SigmaSearchStats) -> SigmaSearchStats {
+        for c in &mut stats.candidates {
+            c.secs = 0.0;
+        }
+        stats.drawn = 0;
+        stats.phases = TrialPhaseSecs::default();
+        stats
+    }
+
     #[test]
     fn algorithm1_is_identical_at_every_thread_count() {
         // The parallel trial search must not leak the thread count into
@@ -1535,14 +1809,10 @@ mod tests {
             let run = |threads: usize| {
                 let mut params = test_params(6, 0.05).with_threads(threads).with_trials(t);
                 params.delta = 1e-2;
-                let (res, mut stats) = obfuscate_with_stats(&g, &params).unwrap();
-                for c in &mut stats.candidates {
-                    c.secs = 0.0;
-                    c.phases = TrialPhaseSecs::default();
-                }
+                let (res, stats) = obfuscate_with_stats(&g, &params).unwrap();
                 let bits = (res.sigma.to_bits(), res.eps_achieved.to_bits());
                 let steps = (res.doublings, res.search_steps, res.generate_calls);
-                (candidate_bits(&res.graph), bits, steps, stats)
+                (candidate_bits(&res.graph), bits, steps, counters(stats))
             };
             let want = run(1);
             for threads in [2, 3, 4, 8] {
@@ -1555,25 +1825,29 @@ mod tests {
     /// of every σ drawn in full, one after another on one thread, and
     /// checked. Trial `i` of the `j`-th σ draws from
     /// `stream_seed(stream_seed(seed, j), i)`, as in the search. The
-    /// oracle for [`obfuscate_with_stats`].
+    /// oracle for [`obfuscate_with_stats`], counters included: a σ counts
+    /// its trials up to its first pass, the published σ all of them.
     fn obfuscate_eager(
         g: &Graph,
         params: &ObfuscationParams,
-    ) -> Result<ObfuscationResult, ObfuscationError> {
-        params.validate(g.num_vertices())?;
+    ) -> Result<(ObfuscationResult, SigmaSearchStats), ObfuscationError> {
+        params.validate(g)?;
         let ctx = SearchContext::new(g);
         let par = Parallelism::sequential().with_chunk_size(params.parallelism.chunk_size());
         let n = g.num_vertices().max(1) as f64;
-        // Algorithm 2 for the `j`-th σ tried: the best passing trial
-        // (earliest on a tie) and the smallest ε̃ of any trial.
-        let generate = |sigma: f64, j: u32| {
-            let stream = stream_seed(params.seed, u64::from(j));
+        let mut stats = SigmaSearchStats {
+            num_vertices: g.num_vertices(),
+            ..SigmaSearchStats::default()
+        };
+        // Algorithm 2 for the next σ tried: every trial, and the first
+        // that passes; the σ's counters go into `stats`.
+        let generate = |sigma: f64, phase: SearchPhase, stats: &mut SigmaSearchStats| {
+            let stream = stream_seed(params.seed, stats.candidates.len() as u64);
             let sampler = TrialSampler::new(g, &ctx, params, sigma, &[], stream);
-            let mut best: Option<(f64, UncertainGraph)> = None;
-            let mut min_eps = f64::INFINITY;
+            let mut trials = Vec::new();
             for i in 0..params.t {
                 let mut rng = SmallRng::seed_from_u64(stream_seed(stream, i as u64));
-                let (ec, _) = match &sampler.alias {
+                let (ec, removed_edges) = match &sampler.alias {
                     Some(alias) => {
                         select_candidates(&ctx.base, ctx.keys, sampler.target_ec, alias, &mut rng)
                     }
@@ -1597,24 +1871,46 @@ mod tests {
                 let mut adv =
                     MemoizedAdversary::new(&ug, params.method, ctx.profile.max_degree(), &par);
                 let v = run_budgeted(&ctx.profile, &mut adv, params.k, params.eps, true, &par);
-                let eps = v.eps_exact.unwrap_or(v.failed_at_least as f64 / n);
-                min_eps = min_eps.min(eps);
-                if v.satisfies && best.as_ref().is_none_or(|(e, _)| eps < *e) {
-                    best = Some((eps, ug));
-                }
+                let kept_edges = ec.iter().filter(|&&(_, is_edge)| is_edge).count();
+                let (dp_evaluations, rows_requested) = (adv.dp_evaluations(), adv.rows_requested());
+                trials.push(CheckedTrial {
+                    stats: TrialStats {
+                        eps_achieved: v.eps_exact.unwrap_or(v.failed_at_least as f64 / n),
+                        kept_edges,
+                        added_pairs: ec.len() - kept_edges,
+                        removed_edges,
+                    },
+                    graph: v.satisfies.then_some(ug),
+                    dp_evaluations,
+                    rows_requested,
+                    verdict: v,
+                    phases: TrialPhaseSecs::default(),
+                });
             }
-            (best, min_eps)
+            let first_pass = trials.iter().position(|trial| trial.graph.is_some());
+            let mut cand = SigmaCandidateStats {
+                sigma,
+                phase,
+                accepted: first_pass.is_some(),
+                trials: params.t as u32,
+                ..SigmaCandidateStats::default()
+            };
+            for trial in &trials[..first_pass.map_or(params.t, |i| i + 1)] {
+                cand.count(trial);
+            }
+            stats.candidates.push(cand);
+            (trials, first_pass)
         };
-        let mut generate_calls = 0u32;
         let mut sigma_u = params.sigma_init;
         let mut doublings = 0u32;
         let mut best_eps_seen = f64::INFINITY;
-        let (mut best_eps, mut best_graph) = loop {
-            let (best, min_eps) = generate(sigma_u, generate_calls);
-            generate_calls += 1;
-            best_eps_seen = best_eps_seen.min(min_eps);
-            if let Some(found) = best {
-                break found;
+        let mut published = loop {
+            let (trials, first_pass) = generate(sigma_u, SearchPhase::Doubling, &mut stats);
+            if let Some(first_pass) = first_pass {
+                break (sigma_u, stats.candidates.len() - 1, trials, first_pass);
+            }
+            for trial in &trials {
+                best_eps_seen = best_eps_seen.min(trial.stats.eps_achieved);
             }
             if doublings >= params.max_doublings {
                 return Err(ObfuscationError::NoUpperBound {
@@ -1625,27 +1921,44 @@ mod tests {
             sigma_u *= 2.0;
             doublings += 1;
         };
-        let (mut sigma_l, mut search_steps, mut best_sigma) = (0.0f64, 0u32, sigma_u);
+        let (mut sigma_l, mut search_steps) = (0.0f64, 0u32);
         while sigma_l + params.delta < sigma_u {
             let sigma = 0.5 * (sigma_l + sigma_u);
-            let found = generate(sigma, generate_calls).0;
-            generate_calls += 1;
+            let (trials, first_pass) = generate(sigma, SearchPhase::BinarySearch, &mut stats);
             search_steps += 1;
-            match found {
-                Some((eps, graph)) => {
-                    (best_eps, best_graph, best_sigma, sigma_u) = (eps, graph, sigma, sigma);
+            match first_pass {
+                Some(first_pass) => {
+                    published = (sigma, stats.candidates.len() - 1, trials, first_pass);
+                    sigma_u = sigma;
                 }
                 None => sigma_l = sigma,
             }
         }
-        Ok(ObfuscationResult {
-            graph: best_graph,
-            sigma: best_sigma,
-            eps_achieved: best_eps,
+        // Line 21 on the published σ: the smallest ε̃, the earliest on a
+        // tie; its trials after the first pass count too.
+        let (sigma, index, trials, first_pass) = published;
+        let mut best: Option<(f64, UncertainGraph)> = None;
+        for (i, trial) in trials.into_iter().enumerate() {
+            if i > first_pass {
+                stats.candidates[index].count(&trial);
+            }
+            let eps = trial.stats.eps_achieved;
+            if let Some(ug) = trial.graph {
+                if best.as_ref().is_none_or(|(e, _)| eps < *e) {
+                    best = Some((eps, ug));
+                }
+            }
+        }
+        let (eps_achieved, graph) = best.expect("the published sigma has a passing trial");
+        let result = ObfuscationResult {
+            graph,
+            sigma,
+            eps_achieved,
             doublings,
             search_steps,
-            generate_calls,
-        })
+            generate_calls: stats.candidates_tried(),
+        };
+        Ok((result, stats))
     }
 
     /// A Chung-Lu graph like the CLI's benchmark inputs: vertex `i` has
@@ -1702,11 +2015,209 @@ mod tests {
             let mut params = test_params(k, eps).with_seed(seed).with_trials(t);
             params.delta = 1e-2;
             params.max_doublings = 6;
-            let want = search_outcome(obfuscate_eager(&g, &params));
-            for threads in [1, 2, 4] {
-                let got = obfuscate_with_stats(&g, &params.with_threads(threads)).map(|(r, _)| r);
-                proptest::prop_assert_eq!(&search_outcome(got), &want, "kind={} threads={}", kind, threads);
+            let want = outcome_and_counters(obfuscate_eager(&g, &params));
+            for threads in [1, 2, 3, 4] {
+                let got = outcome_and_counters(obfuscate_with_stats(&g, &params.with_threads(threads)));
+                proptest::prop_assert_eq!(&got, &want, "kind={} threads={}", kind, threads);
             }
+        }
+    }
+
+    /// What a search publishes and counts, bit for bit, without the
+    /// timings and the trials drawn ahead.
+    fn outcome_and_counters(
+        res: Result<(ObfuscationResult, SigmaSearchStats), ObfuscationError>,
+    ) -> (SearchOutcome, Option<SigmaSearchStats>) {
+        match res {
+            Ok((result, stats)) => (search_outcome(Ok(result)), Some(counters(stats))),
+            Err(e) => (Err(e), None),
+        }
+    }
+
+    /// A trial as the gated runner logs it: (σ index, σ bits, trial).
+    type TrialKey = (usize, u64, usize);
+
+    /// Runs [`search`] with a runner that logs every trial it starts and
+    /// holds trial `hold` back until a trial matching `until` has started,
+    /// failing (and so panicking the search) after 10 s.
+    fn gated_search(
+        g: &Graph,
+        params: &ObfuscationParams,
+        hold: TrialKey,
+        until: impl Fn(&TrialKey) -> bool + Sync,
+    ) -> (
+        Result<(ObfuscationResult, SigmaSearchStats), ObfuscationError>,
+        Vec<TrialKey>,
+    ) {
+        let ctx = SearchContext::new(g);
+        let streams: Vec<u64> = (0..64).map(|j| stream_seed(params.seed, j)).collect();
+        let log = Mutex::new(Vec::new());
+        let started = Condvar::new();
+        let res = search(g, &ctx, params, |sampler, i| {
+            let j = streams.iter().position(|&s| s == sampler.stream).unwrap();
+            let key = (j, sampler.sigma.to_bits(), i);
+            let mut seen = log.lock().unwrap();
+            seen.push(key);
+            started.notify_all();
+            if key == hold {
+                let wait = Duration::from_secs(10);
+                let (_seen, wait) = started
+                    .wait_timeout_while(seen, wait, |seen| !seen.iter().any(&until))
+                    .unwrap();
+                assert!(
+                    !wait.timed_out(),
+                    "the trial {hold:?} waits for never started"
+                );
+            }
+            check_trial(&ctx, params, sampler, i)
+        });
+        (res, log.into_inner().unwrap())
+    }
+
+    /// Runs `f` on a thread of its own and fails if it has not returned
+    /// within a minute: a search that leaves a worker blocked never does.
+    fn within_a_minute<T: Send + 'static>(f: impl FnOnce() -> T + Send + 'static) -> T {
+        let (done, finished) = std::sync::mpsc::channel::<()>();
+        let worker = std::thread::spawn(move || {
+            // Dropped, and so disconnected, when `f` returns or panics.
+            let _done = done;
+            f()
+        });
+        let waited = finished.recv_timeout(Duration::from_secs(60));
+        assert!(
+            !matches!(waited, Err(std::sync::mpsc::RecvTimeoutError::Timeout)),
+            "the search did not return within a minute"
+        );
+        worker.join().expect("the search's thread panicked")
+    }
+
+    #[test]
+    fn a_wrong_guess_down_the_accept_branch_is_dropped() {
+        // σ_j passes at trial 0, and σ_{j+1} fails its trial 0 and is
+        // rejected. While that trial is held back, an idle worker draws
+        // trial 0 of the σ after a pass of σ_{j+1}: a guess the search
+        // does not take. Result and counters still equal the eager
+        // oracle's, bit for bit, at every thread count.
+        let mut rng = SmallRng::seed_from_u64(45);
+        let g = chung_lu(250, 750, &mut rng);
+        let mut params = test_params(8, 0.05).with_trials(3);
+        params.delta = 1e-3;
+        let eager = obfuscate_eager(&g, &params);
+        let want = outcome_and_counters(eager.clone());
+        let c = eager.unwrap().1.candidates;
+        let published = c.iter().rposition(|c| c.accepted).unwrap();
+        let j = (0..c.len() - 2)
+            .find(|&j| c[j].accepted && c[j].checked == 1 && j != published && !c[j + 1].accepted)
+            .expect("a pass at trial 0 followed by a rejected sigma");
+        let got = obfuscate_with_stats(&g, &params.with_threads(1));
+        assert_eq!(outcome_and_counters(got), want, "threads=1");
+        for threads in [2, 3, 4] {
+            let hold = (j + 1, c[j + 1].sigma.to_bits(), 0);
+            let (got, log) = gated_search(&g, &params.with_threads(threads), hold, |&(i, _, _)| {
+                i == j + 2
+            });
+            let path = c[j + 2].sigma.to_bits();
+            assert!(
+                log.iter().any(|&(i, sigma, _)| i == j + 2 && sigma != path),
+                "threads={threads}: no trial off the search's path was drawn"
+            );
+            assert_eq!(outcome_and_counters(got), want, "threads={threads}");
+        }
+    }
+
+    #[test]
+    fn a_sigma_rejected_after_its_successor_was_drawn() {
+        // σ_j's last trial is held back until trial 0 of the σ after a
+        // failure of σ_j has started; σ_j is then rejected. Result and
+        // counters still equal the eager oracle's at every thread count.
+        let mut rng = SmallRng::seed_from_u64(45);
+        let g = chung_lu(250, 750, &mut rng);
+        let mut params = test_params(8, 0.05).with_trials(3);
+        params.delta = 1e-3;
+        let eager = obfuscate_eager(&g, &params);
+        let want = outcome_and_counters(eager.clone());
+        let c = eager.unwrap().1.candidates;
+        let j = (0..c.len() - 1)
+            .find(|&j| !c[j].accepted)
+            .expect("a rejected sigma with a successor");
+        for threads in [2, 3, 4] {
+            let hold = (j, c[j].sigma.to_bits(), params.t - 1);
+            let next = (j + 1, c[j + 1].sigma.to_bits(), 0);
+            let (got, log) = gated_search(&g, &params.with_threads(threads), hold, |&k| k == next);
+            let drawn_at = |key| log.iter().position(|&k| k == key).unwrap();
+            assert!(drawn_at(next) > drawn_at(hold), "threads={threads}");
+            assert_eq!(outcome_and_counters(got), want, "threads={threads}");
+        }
+    }
+
+    #[test]
+    fn no_upper_bound_is_identical_at_every_thread_count() {
+        // The doubling phase runs out; every worker must return, with the
+        // eager oracle's error.
+        let mut params = test_params(6, 0.0).with_trials(3);
+        params.max_doublings = 3;
+        let want = obfuscate_eager(&generators::star(6), &params).map(|_| ());
+        assert!(matches!(want, Err(ObfuscationError::NoUpperBound { .. })));
+        for threads in [1, 2, 3, 4] {
+            let params = params.with_threads(threads);
+            let got = within_a_minute(move || {
+                obfuscate_with_stats(&generators::star(6), &params).map(|_| ())
+            });
+            assert_eq!(got, want, "threads={threads}");
+        }
+    }
+
+    #[test]
+    fn a_panicking_trial_reaches_the_caller() {
+        // A worker that panics must not leave the others waiting for its
+        // trial: the search panics instead of hanging.
+        for threads in [1, 2, 3, 4] {
+            let panicked = within_a_minute(move || {
+                let mut rng = SmallRng::seed_from_u64(46);
+                let g = chung_lu(200, 600, &mut rng);
+                let ctx = SearchContext::new(&g);
+                let params = test_params(6, 0.05).with_threads(threads);
+                let doomed = stream_seed(params.seed, 3);
+                let run = |sampler: &TrialSampler, i| {
+                    assert!(sampler.stream != doomed || i != 0, "a trial panicked");
+                    check_trial(&ctx, &params, sampler, i)
+                };
+                let search = || search(&g, &ctx, &params, run);
+                std::panic::catch_unwind(std::panic::AssertUnwindSafe(search)).is_err()
+            });
+            assert!(panicked, "threads={threads}");
+        }
+    }
+
+    #[test]
+    fn rejects_parameters_that_crash_or_mislead() {
+        // Each of these used to panic deep in the search or publish a
+        // wrong release; all are typed parameter errors.
+        let mut rng = SmallRng::seed_from_u64(12);
+        let g = generators::erdos_renyi_gnm(50, 100, &mut rng);
+        type Set = fn(&mut ObfuscationParams);
+        let cases: [(&str, Set); 9] = [
+            ("c = inf", |p| p.c = f64::INFINITY),
+            ("c = NaN", |p| p.c = f64::NAN),
+            // 13 · 100 edges > 50 · 49 / 2 vertex pairs.
+            ("c beyond the vertex pairs", |p| p.c = 13.0),
+            ("delta = NaN", |p| p.delta = f64::NAN),
+            ("delta = inf", |p| p.delta = f64::INFINITY),
+            ("sigma_init = NaN", |p| p.sigma_init = f64::NAN),
+            ("sigma_init = inf", |p| p.sigma_init = f64::INFINITY),
+            ("sigma_init = 1e308", |p| p.sigma_init = 1e308),
+            ("max_doublings = u32::MAX", |p| p.max_doublings = u32::MAX),
+        ];
+        for (what, set) in cases {
+            let mut params = test_params(2, 0.1);
+            set(&mut params);
+            assert!(
+                matches!(
+                    obfuscate(&g, &params),
+                    Err(ObfuscationError::BadParameter(_))
+                ),
+                "{what}"
+            );
         }
     }
 
@@ -1721,12 +2232,11 @@ mod tests {
         let run = |threads: usize| {
             let mut params = test_params(8, 0.05).with_threads(threads).with_trials(5);
             params.delta = 1e-3;
-            let (_, mut stats) = obfuscate_with_stats(&g, &params).unwrap();
-            for c in &mut stats.candidates {
-                c.secs = 0.0;
-                c.phases = TrialPhaseSecs::default();
+            let (_, stats) = obfuscate_with_stats(&g, &params).unwrap();
+            if threads == 1 {
+                assert_eq!(stats.drawn, stats.checked(), "one thread draws ahead");
             }
-            stats
+            counters(stats)
         };
         let want = run(1);
         for threads in [2, 4] {

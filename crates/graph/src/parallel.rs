@@ -178,74 +178,6 @@ impl Parallelism {
             .collect()
     }
 
-    /// Applies `f` to the indices `0..len` until the first result that
-    /// satisfies `stop`, and returns one slot per index **in index
-    /// order**: `Some(f(i))` for every index computed, `None` for one left
-    /// out.
-    ///
-    /// With `s` the first index whose result satisfies `stop` (`len − 1`
-    /// when none does), indices `0..=s` are always computed, so that
-    /// prefix of the output — and whatever the caller derives from it — is
-    /// the same for every thread count; at one thread exactly that prefix
-    /// is computed. Threads claim indices one at a time in ascending order
-    /// and stop claiming once an earlier index is known to stop, so an
-    /// index after `s` may still have been computed ahead of that
-    /// knowledge: the suffix's `Some`/`None` split depends on timing, its
-    /// `Some` values do not (`f` is a function of the index).
-    ///
-    /// This is for a few expensive items that are only needed until the
-    /// first success, each drawing from its own [`stream_seed`] stream —
-    /// e.g. the Algorithm 2 trials of one σ.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use obf_graph::parallel::Parallelism;
-    ///
-    /// // The first multiple of 3 after 0 stops the map; the prefix up to
-    /// // it is the same at every thread count.
-    /// let run = |threads| Parallelism::new(threads).map_until(8, |i| i * i, |&x| x > 0 && x % 3 == 0);
-    /// assert_eq!(run(1), [Some(0), Some(1), Some(4), Some(9), None, None, None, None]);
-    /// assert_eq!(run(4)[..4], run(1)[..4]);
-    /// ```
-    pub fn map_until<T, F, S>(&self, len: usize, f: F, stop: S) -> Vec<Option<T>>
-    where
-        T: Send,
-        F: Fn(usize) -> T + Sync,
-        S: Fn(&T) -> bool + Sync,
-    {
-        let mut slots: Vec<Option<T>> = std::iter::repeat_with(|| None).take(len).collect();
-        let next = AtomicUsize::new(0);
-        // The smallest index known to stop. It only gates claiming: an
-        // index at or before the true first stop is never left out
-        // whatever value a thread reads, so `Relaxed` suffices.
-        let first_stop = AtomicUsize::new(usize::MAX);
-        let results = Mutex::new(&mut slots);
-        let work = || loop {
-            let i = next.fetch_add(1, Ordering::Relaxed);
-            if i >= len || i > first_stop.load(Ordering::Relaxed) {
-                break;
-            }
-            let value = f(i);
-            if stop(&value) {
-                first_stop.fetch_min(i, Ordering::Relaxed);
-            }
-            results.lock().expect("map_until result writer poisoned")[i] = Some(value);
-        };
-        let threads = self.threads.min(len);
-        if threads <= 1 {
-            work();
-        } else {
-            std::thread::scope(|scope| {
-                for _ in 1..threads {
-                    scope.spawn(work);
-                }
-                work();
-            });
-        }
-        slots
-    }
-
     /// Splits `data` (conceptually `data.len() / stride` items of `stride`
     /// consecutive elements each) into chunks and hands each chunk slice
     /// to `f(first_item_index, chunk_slice)` on a worker thread. Used for
@@ -386,50 +318,6 @@ mod tests {
             });
             for (i, pair) in data.chunks(2).enumerate() {
                 assert_eq!(pair, [i as u32, 2 * i as u32], "threads={threads}");
-            }
-        }
-    }
-
-    #[test]
-    fn map_until_without_a_stop_computes_every_index_in_order() {
-        for threads in [1, 2, 5, 9] {
-            let out = Parallelism::new(threads).map_until(7, |i| i * 10 + 1, |_| false);
-            assert_eq!(
-                out,
-                (0..7).map(|i| Some(i * 10 + 1)).collect::<Vec<_>>(),
-                "threads={threads}"
-            );
-        }
-        assert!(Parallelism::new(3).map_until(0, |i| i, |_| true).is_empty());
-    }
-
-    #[test]
-    fn map_until_computes_the_prefix_up_to_the_first_stop() {
-        // Indices 3 and 5 stop: 0..=3 is always computed, a later index
-        // is computed or left out, and one thread computes the prefix
-        // and nothing else.
-        for threads in [1, 2, 5] {
-            let calls = AtomicUsize::new(0);
-            let out = Parallelism::new(threads).map_until(
-                8,
-                |i| {
-                    calls.fetch_add(1, Ordering::Relaxed);
-                    i * 100
-                },
-                |&c| c == 300 || c == 500,
-            );
-            assert_eq!(
-                out[..=3],
-                [Some(0), Some(100), Some(200), Some(300)],
-                "threads={threads}"
-            );
-            for (i, r) in out.iter().enumerate().skip(4) {
-                assert!(r.is_none() || *r == Some(i * 100), "{r:?}");
-            }
-            let computed = out.iter().filter(|r| r.is_some()).count();
-            assert_eq!(calls.into_inner(), computed, "threads={threads}");
-            if threads == 1 {
-                assert_eq!(computed, 4);
             }
         }
     }

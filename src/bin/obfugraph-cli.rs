@@ -151,18 +151,20 @@ fn cmd_obfuscate(pos: &[String], flags: &HashMap<String, String>) -> Result<(), 
     );
     save_uncertain_edge_list(&res.graph, output).map_err(|e| e.to_string())?;
     eprintln!("wrote {output}");
-    // Trial phases summed over the whole σ search and across the threads
-    // that ran them; then the trials of every σ tried (t each) and the
-    // trials drawn and checked, counted in trial order.
-    let phases = stats.phase_secs();
+    // Trial phases summed over every trial drawn and across the threads
+    // that ran them; then the trials of every σ tried (t each), the
+    // trials checked, counted in trial order, and every trial drawn,
+    // including those drawn ahead of a verdict that no counter counts.
+    let phases = stats.phases;
     eprintln!(
-        "phases select_ms={:.1} perturb_ms={:.1} build_ms={:.1} check_ms={:.1} trials={} checked={}",
+        "phases select_ms={:.1} perturb_ms={:.1} build_ms={:.1} check_ms={:.1} trials={} checked={} drawn={}",
         phases.select * 1e3,
         phases.perturb * 1e3,
         phases.build * 1e3,
         phases.check * 1e3,
         stats.trials(),
-        stats.checked()
+        stats.checked(),
+        stats.drawn
     );
     Ok(())
 }
