@@ -114,7 +114,7 @@ PY
     # The release bytes themselves are pinned too, so a change that moves
     # every thread count's output in lockstep still fails here.
     step "publish bytes (sha256 of the seed-7 release)"
-    expected_release_sha="7af9735bd7fc514a40b4fe1e4f1424efdf2ed29d9c3ffdc138936711a696b2fa"
+    expected_release_sha="472b65ea15cc082c591f10a6a4e887f28015400ffe113f843ea4084c528667cf"
     release_sha=$(sha256sum "$tmpdir/release_t1.up" | cut -d' ' -f1)
     [ "$release_sha" = "$expected_release_sha" ] \
         || { echo "release sha256 drifted from pinned $expected_release_sha: $release_sha"; exit 1; }
@@ -231,7 +231,7 @@ evolve() {
         || { echo "republish did not emit BENCH_evolve.json"; exit 1; }
     # Pinned like the answers digest: a change to the sigma trajectory,
     # the rows recomputed or the snapshot checksums must be deliberate.
-    expected_evolve_digest="7c9d4128d2c3110e"
+    expected_evolve_digest="4882b911b9557b98"
     digest1=$(grep evolve_digest "$OBF_RESULTS_DIR/BENCH_evolve.json")
     case "$digest1" in
         *"$expected_evolve_digest"*) ;;

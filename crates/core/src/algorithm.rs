@@ -2037,9 +2037,26 @@ mod tests {
     /// A trial as the gated runner logs it: (σ index, σ bits, trial).
     type TrialKey = (usize, u64, usize);
 
-    /// Runs [`search`] with a runner that logs every trial it starts and
-    /// holds trial `hold` back until a trial matching `until` has started,
-    /// failing (and so panicking the search) after 10 s.
+    /// What the gated runner logs of a trial, in the order it happened.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    enum TrialEvent {
+        Start(TrialKey),
+        End(TrialKey),
+    }
+
+    impl TrialEvent {
+        fn started(&self) -> Option<TrialKey> {
+            match *self {
+                TrialEvent::Start(key) => Some(key),
+                TrialEvent::End(_) => None,
+            }
+        }
+    }
+
+    /// Runs [`search`] with a runner that logs the start and the end of
+    /// every trial and holds trial `hold` back until a trial matching
+    /// `until` has started, failing (and so panicking the search) after
+    /// 10 s.
     fn gated_search(
         g: &Graph,
         params: &ObfuscationParams,
@@ -2047,7 +2064,7 @@ mod tests {
         until: impl Fn(&TrialKey) -> bool + Sync,
     ) -> (
         Result<(ObfuscationResult, SigmaSearchStats), ObfuscationError>,
-        Vec<TrialKey>,
+        Vec<TrialEvent>,
     ) {
         let ctx = SearchContext::new(g);
         let streams: Vec<u64> = (0..64).map(|j| stream_seed(params.seed, j)).collect();
@@ -2057,19 +2074,27 @@ mod tests {
             let j = streams.iter().position(|&s| s == sampler.stream).unwrap();
             let key = (j, sampler.sigma.to_bits(), i);
             let mut seen = log.lock().unwrap();
-            seen.push(key);
+            seen.push(TrialEvent::Start(key));
             started.notify_all();
             if key == hold {
-                let wait = Duration::from_secs(10);
-                let (_seen, wait) = started
-                    .wait_timeout_while(seen, wait, |seen| !seen.iter().any(&until))
+                let wait;
+                (seen, wait) = started
+                    .wait_timeout_while(seen, Duration::from_secs(10), |seen| {
+                        !seen
+                            .iter()
+                            .filter_map(TrialEvent::started)
+                            .any(|k| until(&k))
+                    })
                     .unwrap();
                 assert!(
                     !wait.timed_out(),
                     "the trial {hold:?} waits for never started"
                 );
             }
-            check_trial(&ctx, params, sampler, i)
+            drop(seen);
+            let trial = check_trial(&ctx, params, sampler, i);
+            log.lock().unwrap().push(TrialEvent::End(key));
+            trial
         });
         (res, log.into_inner().unwrap())
     }
@@ -2118,7 +2143,9 @@ mod tests {
             });
             let path = c[j + 2].sigma.to_bits();
             assert!(
-                log.iter().any(|&(i, sigma, _)| i == j + 2 && sigma != path),
+                log.iter()
+                    .filter_map(TrialEvent::started)
+                    .any(|(i, sigma, _)| i == j + 2 && sigma != path),
                 "threads={threads}: no trial off the search's path was drawn"
             );
             assert_eq!(outcome_and_counters(got), want, "threads={threads}");
@@ -2144,8 +2171,11 @@ mod tests {
             let hold = (j, c[j].sigma.to_bits(), params.t - 1);
             let next = (j + 1, c[j + 1].sigma.to_bits(), 0);
             let (got, log) = gated_search(&g, &params.with_threads(threads), hold, |&k| k == next);
-            let drawn_at = |key| log.iter().position(|&k| k == key).unwrap();
-            assert!(drawn_at(next) > drawn_at(hold), "threads={threads}");
+            let at = |event| log.iter().position(|&e| e == event).unwrap();
+            assert!(
+                at(TrialEvent::End(hold)) > at(TrialEvent::Start(next)),
+                "threads={threads}: σ_j's last trial ended before its successor started"
+            );
             assert_eq!(outcome_and_counters(got), want, "threads={threads}");
         }
     }

@@ -476,16 +476,22 @@ mod tests {
 
     #[test]
     fn fallback_release_is_identical_at_every_thread_count() {
-        // A batch that turns vertex 0 into a hub breaks the exact-σ
-        // release, so the epoch falls back to a full search and the
-        // headroom regeneration; both draw their trials from per-trial
-        // streams, so the release does not depend on the thread count.
+        // A batch that adds 8, 12, …, 52 edges at vertices 0–11 makes
+        // twelve hubs, more than the ε·n = 7.5 vertices a release may
+        // leave exposed, and breaks the release, so the epoch falls back
+        // to a full search and the headroom regeneration; both draw their
+        // trials from per-trial streams, so the release does not depend on
+        // the thread count.
         let mut rng = SmallRng::seed_from_u64(8);
         let g = generators::erdos_renyi_gnm(150, 450, &mut rng);
-        let inserts: Vec<(u32, u32)> = (1..150u32)
-            .filter(|&v| !g.has_edge(0, v))
-            .take(40)
-            .map(|v| (0, v))
+        let inserts: Vec<(u32, u32)> = (0..12u32)
+            .flat_map(|h| {
+                let g = &g;
+                (12..150u32)
+                    .filter(move |&v| !g.has_edge(h, v))
+                    .take(8 + 4 * h as usize)
+                    .map(move |v| (h, v))
+            })
             .collect();
         let batch = EdgeBatch::new(1, inserts, vec![]).unwrap();
         let run = |threads: usize| {

@@ -7,7 +7,8 @@
 //!   its CDF (via an `erf` rational approximation) and inverse CDF
 //!   (Acklam's algorithm).
 //! * [`truncated`] — the `[0,1]`-truncated normal distribution `R_σ` of
-//!   Eq. (6), used to draw the per-pair perturbations `r_e`.
+//!   Eq. (6), used to draw the per-pair perturbations `r_e`; its `|Z|`
+//!   comes from a 256-layer ziggurat (`ziggurat`, private).
 //! * [`hoeffding`] — the sampling error bounds of Lemma 2 / Corollary 1.
 //! * [`describe`] — descriptive statistics (mean, variance, SEM, quantiles,
 //!   boxplot five-number summaries) used throughout the experimental
@@ -48,6 +49,7 @@ pub mod normal;
 pub mod regression;
 pub mod tally;
 pub mod truncated;
+mod ziggurat;
 
 pub use describe::{mean, quantile, sample_std, sample_var, BoxplotSummary, Summary};
 pub use entropy::{entropy_bits, entropy_bits_normalized, entropy_from_partials};

@@ -6,13 +6,14 @@
 //! approaches the uniform distribution on `[0,1]`.
 //!
 //! Sampling uses rejection from `|N(0,σ)|` when the acceptance probability
-//! is high, and exact inverse-CDF sampling otherwise, so draws are cheap
-//! across the entire `σ` range that Algorithm 1's binary search explores
-//! (from ~1e-8 up to hundreds).
+//! is high, with `|Z|` drawn by a 256-layer ziggurat, and exact inverse-CDF
+//! sampling otherwise, so draws are cheap across the entire `σ` range that
+//! Algorithm 1's binary search explores (from ~1e-8 up to hundreds).
 
 use rand::Rng;
 
 use crate::normal::{norm_cdf, norm_inv_cdf};
+use crate::ziggurat::abs_std_normal;
 
 /// A `[0,1]`-truncated half-normal sampler with scale `sigma`.
 ///
@@ -109,7 +110,7 @@ impl TruncatedNormal {
         if self.inverse_mass01.is_some() {
             return self.inv_cdf(rng.gen::<f64>());
         }
-        // Rejection from the half-normal |N(0,σ)| via Box–Muller.
+        // Rejection from the half-normal |N(0,σ)|.
         loop {
             let r = self.sigma * abs_std_normal(rng);
             if r <= 1.0 {
@@ -131,19 +132,6 @@ impl TruncatedNormal {
 /// Mass of N(0, σ²) in `[0, 1]`.
 fn unit_mass(sigma: f64) -> f64 {
     norm_cdf(1.0, 0.0, sigma) - 0.5
-}
-
-/// |Z| for a standard normal Z, via the polar (Marsaglia) method.
-fn abs_std_normal<R: Rng + ?Sized>(rng: &mut R) -> f64 {
-    loop {
-        let u: f64 = rng.gen::<f64>() * 2.0 - 1.0;
-        let v: f64 = rng.gen::<f64>() * 2.0 - 1.0;
-        let s = u * u + v * v;
-        if s > 0.0 && s < 1.0 {
-            let f = (-2.0 * s.ln() / s).sqrt();
-            return (u * f).abs();
-        }
-    }
 }
 
 #[cfg(test)]
@@ -372,6 +360,37 @@ mod tests {
     #[should_panic(expected = "positive")]
     fn rejects_nonpositive_sigma() {
         let _ = TruncatedNormal::new(0.0);
+    }
+
+    /// Kolmogorov–Smirnov distance between `n` draws of `R_σ` and its CDF.
+    fn ks_distance(dist: &TruncatedNormal, n: usize, seed: u64) -> f64 {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let mut draws: Vec<f64> = (0..n).map(|_| dist.sample(&mut rng)).collect();
+        draws.sort_by(f64::total_cmp);
+        draws
+            .iter()
+            .enumerate()
+            .map(|(i, &r)| {
+                let c = dist.cdf(r);
+                (c - i as f64 / n as f64).max((i + 1) as f64 / n as f64 - c)
+            })
+            .fold(0.0, f64::max)
+    }
+
+    #[test]
+    fn draws_fit_the_cdf() {
+        // The KS statistic of n draws exceeds λ/√n with probability about
+        // 2·exp(−2λ²); λ is set for a tail quantile of 1e-6.
+        let n = 200_000;
+        let lambda = (0.5 * (2.0 / 1e-6f64).ln()).sqrt();
+        let bound = lambda / (n as f64).sqrt();
+        for (seed, sigma) in [1e-6, 1e-3, 0.05, 0.5, 2.9, 10.0].into_iter().enumerate() {
+            let dist = TruncatedNormal::new(sigma);
+            // Every σ but the last takes the rejection branch.
+            assert_eq!(dist.inverse_mass01.is_some(), sigma > 3.0, "sigma={sigma}");
+            let d = ks_distance(&dist, n, seed as u64);
+            assert!(d < bound, "sigma={sigma}: KS distance {d} ≥ {bound}");
+        }
     }
 
     #[test]

@@ -8,6 +8,10 @@
 #   ./scripts/check_goldens.sh               # diff against goldens
 #   ./scripts/check_goldens.sh --update      # regenerate the goldens
 #
+# The TSVs are read from $OBF_RESULTS_DIR when it is set (the directory
+# run_all wrote them to), else from results/. The goldens always live in
+# results/golden/.
+#
 # What is golden: every TSV of the reduced-scale run except the
 # wall-clock columns of table3 (columns 4-5: edges/sec and seconds).
 # Everything else is a pure function of (seed, scale) by the engine's
@@ -20,7 +24,7 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-RESULTS=results
+RESULTS="${OBF_RESULTS_DIR:-results}"
 GOLD=results/golden
 mode="${1:-check}"
 

@@ -14,11 +14,13 @@
 //! is an error.
 //!
 //! `--threads` sets the worker threads (default: all hardware threads).
-//! `obfuscate` spends them across the trials of each σ: the main thread
-//! draws every trial's random perturbations in order and the other
-//! threads run the trials' Definition 2 checks concurrently. `evaluate`
-//! shards the world sampling and `audit` the adversary check. Output is
-//! identical for every thread count given the same `--seed`.
+//! `obfuscate` runs the σ search on one pool of that many workers, the
+//! main thread among them: each trial draws its random perturbations from
+//! its own RNG stream, the worker that draws a trial also runs its
+//! Definition 2 check, and idle workers start the trials the search is
+//! likely to need next. `evaluate` shards the world sampling and `audit`
+//! the adversary check. Output is identical for every thread count given
+//! the same `--seed`.
 
 use std::collections::HashMap;
 use std::process::ExitCode;
