@@ -7,7 +7,7 @@
 #   ./ci.sh fast       # skip the release build (debug test cycle only)
 #   ./ci.sh lint       # fmt + clippy only
 #   ./ci.sh test       # debug tests + docs only
-#   ./ci.sh release    # release build + bench compile + determinism matrix + release audit
+#   ./ci.sh release    # release build + bench compile + examples run + determinism matrix + release audit
 #   ./ci.sh serve      # obf_server tests + shard reload + loadgen smoke + digest check
 #   ./ci.sh evolve     # obf_evolve tests + republish bench smoke + pinned digest check
 #   ./ci.sh snapshot   # CSR store/validator + snapshot/mapped suites, TSV -> v3 convert round trip, mmap-vs-heap digest
@@ -49,6 +49,17 @@ release() {
 
     step "benches compile"
     cargo bench --no-run --workspace -q
+
+    # The lint step only compiles the examples; run each, so a panic in
+    # one fails here. None of them writes a file.
+    step "examples (release build, each run to completion)"
+    cargo build --release --examples -q
+    for src in examples/*.rs; do
+        ex=$(basename "$src" .rs)
+        ./target/release/examples/"$ex" > "$tmpdir/example_$ex.log" 2>&1 \
+            || { cat "$tmpdir/example_$ex.log"; echo "example $ex failed"; exit 1; }
+    done
+    echo "examples OK: $(ls examples/*.rs | wc -l) ran to completion"
 
     # Thread-matrix smoke: the parallel engine must produce bit-identical
     # experiment output for every thread count (fixed seed). Run the
@@ -120,9 +131,9 @@ PY
         || { echo "release sha256 drifted from pinned $expected_release_sha: $release_sha"; exit 1; }
     echo "publish bytes OK: sha256 $release_sha"
 
-    # An independent Definition 2 check of the pinned release on the CLI
-    # surface: audit rebuilds the adversary table from the written file,
-    # and its eps must meet the tolerance and equal the eps obfuscate
+    # A fresh Definition 2 check of the pinned release on the CLI
+    # surface: audit re-runs the publish check on the written file, and
+    # its eps must meet the tolerance and equal the eps obfuscate
     # reported, to the 4 decimals audit prints.
     step "publish certificate (obfugraph-cli audit of the pinned release)"
     ./target/release/obfugraph-cli audit "$tmpdir/social.txt" "$tmpdir/release_t1.up" --k 10 \

@@ -13,7 +13,7 @@
 //! experiments quantify how much the uncertain release blunts the attack.
 
 use obf_graph::Graph;
-use obf_uncertain::degree_dist::{vertex_degree_distribution, DegreeDistMethod};
+use obf_uncertain::degree_dist::vertex_degree_distribution;
 use obf_uncertain::UncertainGraph;
 
 /// Candidates surviving the exact degree-trail attack on certain
@@ -41,11 +41,7 @@ pub fn degree_trail_candidates(releases: &[Graph], trail: &[usize]) -> Vec<u32> 
 /// releases: for each vertex, the product over snapshots of
 /// `Pr(deg_{G̃_t}(v) = trail[t])`, normalised over vertices. An all-zero
 /// posterior (trail impossible everywhere) is returned unnormalised.
-pub fn uncertain_trail_posterior(
-    releases: &[UncertainGraph],
-    trail: &[usize],
-    method: DegreeDistMethod,
-) -> Vec<f64> {
+pub fn uncertain_trail_posterior(releases: &[UncertainGraph], trail: &[usize]) -> Vec<f64> {
     assert_eq!(releases.len(), trail.len(), "one trail entry per release");
     if releases.is_empty() {
         return Vec::new();
@@ -60,7 +56,7 @@ pub fn uncertain_trail_posterior(
             if weights[v as usize] == 0.0 {
                 continue;
             }
-            let dist = vertex_degree_distribution(g, v, method);
+            let dist = vertex_degree_distribution(g, v);
             weights[v as usize] *= dist.get(d).copied().unwrap_or(0.0);
         }
     }
@@ -75,12 +71,8 @@ pub fn uncertain_trail_posterior(
 
 /// Effective crowd size `2^H` of the trail posterior — the uncertain
 /// analogue of `degree_trail_candidates().len()`.
-pub fn uncertain_trail_crowd(
-    releases: &[UncertainGraph],
-    trail: &[usize],
-    method: DegreeDistMethod,
-) -> f64 {
-    let posterior = uncertain_trail_posterior(releases, trail, method);
+pub fn uncertain_trail_crowd(releases: &[UncertainGraph], trail: &[usize]) -> f64 {
+    let posterior = uncertain_trail_posterior(releases, trail);
     obf_stats::entropy::obfuscation_level(&posterior)
 }
 
@@ -108,7 +100,7 @@ mod tests {
     #[test]
     fn empty_release_sequence() {
         assert!(degree_trail_candidates(&[], &[]).is_empty());
-        assert!(uncertain_trail_posterior(&[], &[], DegreeDistMethod::Exact).is_empty());
+        assert!(uncertain_trail_posterior(&[], &[]).is_empty());
     }
 
     #[test]
@@ -126,7 +118,7 @@ mod tests {
         let g2 = Graph::from_edges(4, &[(1, 0), (1, 2), (1, 3)]);
         let u1 = UncertainGraph::from_certain(&g1);
         let u2 = UncertainGraph::from_certain(&g2);
-        let posterior = uncertain_trail_posterior(&[u1, u2], &[2, 1], DegreeDistMethod::Exact);
+        let posterior = uncertain_trail_posterior(&[u1, u2], &[2, 1]);
         assert!((posterior[2] - 1.0).abs() < 1e-12);
         assert!(posterior[0] == 0.0 && posterior[1] == 0.0 && posterior[3] == 0.0);
     }
@@ -145,16 +137,8 @@ mod tests {
         let mut total_soft = 0.0;
         for target in (0..300u32).step_by(37) {
             let trail = vec![g.degree(target), g.degree(target)];
-            total_certain += uncertain_trail_crowd(
-                &[certain.clone(), certain.clone()],
-                &trail,
-                DegreeDistMethod::Exact,
-            );
-            total_soft += uncertain_trail_crowd(
-                &[soft.clone(), soft.clone()],
-                &trail,
-                DegreeDistMethod::Exact,
-            );
+            total_certain += uncertain_trail_crowd(&[certain.clone(), certain.clone()], &trail);
+            total_soft += uncertain_trail_crowd(&[soft.clone(), soft.clone()], &trail);
         }
         assert!(
             total_soft > total_certain,

@@ -1,9 +1,8 @@
-//! Benchmarks of the per-vertex degree-distribution machinery (Lemma 1's
-//! exact Poisson-binomial DP vs the CLT normal approximation), which
-//! dominates the cost of the (k, ε) certification step.
+//! Benchmark of Lemma 1's exact Poisson-binomial DP, the per-vertex
+//! degree distribution behind every (k, ε) certification.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use obf_uncertain::degree_dist::{normal_cells, poisson_binomial};
+use obf_uncertain::degree_dist::poisson_binomial;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -23,16 +22,5 @@ fn bench_poisson_binomial(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_normal_approx(c: &mut Criterion) {
-    let mut group = c.benchmark_group("poisson_binomial_normal");
-    for &len in &[8usize, 32, 128, 512] {
-        let p = probs(len, 2);
-        group.bench_with_input(BenchmarkId::from_parameter(len), &p, |b, p| {
-            b.iter(|| normal_cells(p));
-        });
-    }
-    group.finish();
-}
-
-criterion_group!(benches, bench_poisson_binomial, bench_normal_approx);
+criterion_group!(benches, bench_poisson_binomial);
 criterion_main!(benches);

@@ -107,9 +107,7 @@ fn main() {
     // Certification outside the timed region: every release must verify
     // (k, eps) from scratch.
     for (epoch, (g, p)) in releases.iter().zip(&published).enumerate() {
-        let table = obf_core::AdversaryTable::build(p, params.base.method);
-        let check =
-            obf_core::ObfuscationCheck::run(g, &table, k, &obf_graph::Parallelism::sequential());
+        let check = obf_core::ObfuscationCheck::run(g, p, k, &obf_graph::Parallelism::sequential());
         assert!(
             check.satisfies(eps + 1e-12),
             "epoch {epoch} failed recertification: eps = {}",

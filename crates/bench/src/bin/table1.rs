@@ -3,9 +3,8 @@
 
 use obf_bench::experiments::{figure1, table1_rows};
 use obf_bench::table::render;
-use obf_core::adversary::{AdversaryTable, ObfuscationCheck};
+use obf_core::ObfuscationCheck;
 use obf_graph::Parallelism;
-use obf_uncertain::degree_dist::DegreeDistMethod;
 
 fn main() {
     let (x, y) = table1_rows();
@@ -14,12 +13,16 @@ fn main() {
     println!("{}", render("Table 1: Y_w(v)", &header, &y));
 
     let (g, ug) = figure1();
-    let t = AdversaryTable::build(&ug, DegreeDistMethod::Exact);
+    let check = ObfuscationCheck::run(&g, &ug, 3, &Parallelism::sequential());
     println!("Example 2 entropies:");
     for omega in [3usize, 1, 2] {
-        println!("  H(Y_deg={omega}) = {:.3} bits", t.entropy(omega));
+        let h = check
+            .entropy_by_degree
+            .iter()
+            .find_map(|&(d, h)| (d == omega).then_some(h))
+            .expect("a degree of the original graph");
+        println!("  H(Y_deg={omega}) = {h:.3} bits");
     }
-    let check = ObfuscationCheck::run(&g, &t, 3, &Parallelism::sequential());
     println!(
         "\n(k=3) obfuscation: {}/{} vertices fail -> ({}, {})-obfuscation",
         check.failed_vertices,

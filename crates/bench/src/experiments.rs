@@ -9,14 +9,13 @@ use obf_baselines::{
     anonymity_curve, perturbation_anonymity, random_perturbation, random_sparsification,
     sparsification_anonymity,
 };
-use obf_core::adversary::vertex_obfuscation_levels;
 use obf_core::{
-    obfuscate_with_stats, AdversaryTable, ObfuscationError, ObfuscationResult, SigmaSearchStats,
+    obfuscate_with_stats, MemoizedAdversary, ObfuscationCheck, ObfuscationError, ObfuscationResult,
+    SigmaSearchStats,
 };
 use obf_datasets::Dataset;
-use obf_graph::Graph;
+use obf_graph::{Graph, Parallelism};
 use obf_stats::describe::{relative_sem, BoxplotSummary};
-use obf_uncertain::degree_dist::DegreeDistMethod;
 use obf_uncertain::statistics::{
     evaluate_uncertain, evaluate_world, evaluate_world_vectors, DistanceEngine, StatSuite,
     UtilityConfig,
@@ -61,28 +60,36 @@ pub fn figure1() -> (Graph, UncertainGraph) {
 }
 
 /// Rows of Table 1: the X matrix then the Y matrix, 4 degree columns each.
+/// `X` comes from the publish check's [`MemoizedAdversary`]; each `Y`
+/// column is its `X` column normalised by the column's sum in vertex
+/// order (Eq. 3).
 pub fn table1_rows() -> (Vec<Vec<String>>, Vec<Vec<String>>) {
-    let (_, ug) = figure1();
-    let t = AdversaryTable::build(&ug, DegreeDistMethod::Exact);
-    let x_rows = (0..4u32)
-        .map(|v| {
-            let mut row = vec![format!("v{}", v + 1)];
-            for omega in 0..4 {
-                row.push(format!("{:.3}", t.x(v, omega)));
-            }
-            row
+    let (g, ug) = figure1();
+    let par = Parallelism::sequential();
+    let mut adv = MemoizedAdversary::new(&ug, g.max_degree(), &par);
+    // x[ω][v] = X_v(ω).
+    let x: Vec<Vec<f64>> = (0..4)
+        .map(|omega| (0..4u32).map(|v| adv.x(v, omega, &par)).collect())
+        .collect();
+    let y: Vec<Vec<f64>> = x
+        .iter()
+        .map(|col| {
+            let total: f64 = col.iter().sum();
+            col.iter()
+                .map(|&p| if total > 0.0 { p / total } else { 0.0 })
+                .collect()
         })
         .collect();
-    let y_rows = (0..4usize)
-        .map(|v| {
-            let mut row = vec![format!("v{}", v + 1)];
-            for omega in 0..4 {
-                row.push(format!("{:.3}", t.posterior(omega)[v]));
-            }
-            row
-        })
-        .collect();
-    (x_rows, y_rows)
+    let rows = |m: &[Vec<f64>]| -> Vec<Vec<String>> {
+        (0..4usize)
+            .map(|v| {
+                let mut row = vec![format!("v{}", v + 1)];
+                row.extend(m.iter().map(|col| format!("{:.3}", col[v])));
+                row
+            })
+            .collect()
+    };
+    (rows(&x), rows(&y))
 }
 
 // ---------------------------------------------------------------------
@@ -405,23 +412,24 @@ pub fn figure4(
     let g = cfg.dataset(ds);
     let mut curves = Vec::new();
 
-    // Original graph: levels = crowd sizes.
+    // Per-vertex levels 2^H of a release (k = 1: every level is read,
+    // none is judged).
     let par = cfg.parallelism();
-    let certain = UncertainGraph::from_certain(&g);
-    let table = AdversaryTable::build_par(&certain, DegreeDistMethod::Exact, &par);
-    let levels = vertex_obfuscation_levels(&g, &table, &par);
+    let release_levels = |published: &UncertainGraph| {
+        ObfuscationCheck::run(&g, published, 1, &par).vertex_obfuscation_levels(&g)
+    };
+
+    // Original graph: levels = crowd sizes.
     curves.push(Curve {
         label: "original".into(),
-        points: anonymity_curve(&levels, k_max),
+        points: anonymity_curve(&release_levels(&UncertainGraph::from_certain(&g)), k_max),
     });
 
     for &(k, eps) in obf_settings {
         if let Ok((res, _)) = obfuscate_with_fallback(&g, cfg.obf_params(k, eps)) {
-            let table = AdversaryTable::build_par(&res.graph, DegreeDistMethod::Exact, &par);
-            let levels = vertex_obfuscation_levels(&g, &table, &par);
             curves.push(Curve {
                 label: format!("obf k={k} eps={eps:.0e}"),
-                points: anonymity_curve(&levels, k_max),
+                points: anonymity_curve(&release_levels(&res.graph), k_max),
             });
         }
     }

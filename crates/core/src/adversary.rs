@@ -5,13 +5,21 @@
 //! (Lemma 1). The normalised column `Y_ω(v) = X_v(ω)/Σ_u X_u(ω)` (Eq. 3)
 //! is the posterior over published vertices for a target with original
 //! degree `ω`; its entropy certifies k-obfuscation (Definition 2).
+//!
+//! Every Definition 2 verdict reads its rows from the memoized,
+//! support-truncated [`MemoizedAdversary`] and ends in the one
+//! [`ObfuscationCheck::from_entropies`] tail. [`AdversaryTable`] keeps
+//! every row in full; it is the exhaustive oracle the tests hold those
+//! verdicts to.
 
 use std::ops::Range;
 
 use obf_graph::{Graph, Parallelism};
 use obf_stats::entropy::{entropy_bits_normalized, entropy_from_partials, obfuscation_level};
-use obf_uncertain::degree_dist::{vertex_degree_distribution, DegreeDistMethod};
+use obf_uncertain::degree_dist::vertex_degree_distribution;
 use obf_uncertain::UncertainGraph;
+
+use crate::fastpath::MemoizedAdversary;
 
 /// Degree statistics of the *original* graph that every Definition 2
 /// check consumes: per-vertex degrees, sorted distinct degrees with
@@ -96,11 +104,10 @@ impl DegreeProfile {
 /// summed over the positive entries `x` of column `j`.
 ///
 /// This is the one kernel behind every entropy front end
-/// ([`AdversaryTable::entropies`],
-/// [`MemoizedAdversary::entropies`](crate::MemoizedAdversary::entropies)
-/// and the per-chunk state of `obf_evolve`'s incremental check). Each
-/// front end is only a *row source*: a closure mapping a vertex to its
-/// `X_v` row. The kernel fixes the floating-point order:
+/// ([`MemoizedAdversary::entropies`], the [`AdversaryTable::entropies`]
+/// oracle and the per-chunk state of `obf_evolve`'s incremental check).
+/// Each front end is only a *row source*: a closure mapping a vertex to
+/// its `X_v` row. The kernel fixes the floating-point order:
 ///
 /// 1. a chunk accumulates its vertex range ascending, and within a
 ///    vertex the columns in caller order;
@@ -263,7 +270,12 @@ impl ColumnPartials {
 }
 
 /// Per-vertex degree distributions of an uncertain graph — the rows of the
-/// matrix `X_v(ω)`.
+/// matrix `X_v(ω)`, each in full.
+///
+/// The exhaustive oracle: no Definition 2 verdict reads it (they read the
+/// [`MemoizedAdversary`], whose entries and entropies are bit-identical
+/// to this table's), but tests hold every verdict to it, and it carries
+/// the worked example's whole matrix.
 #[derive(Debug, Clone)]
 pub struct AdversaryTable {
     /// `rows[v][ω] = X_v(ω)`; rows have individual lengths (bounded by
@@ -275,31 +287,30 @@ impl AdversaryTable {
     /// Builds the table for all vertices of `g`, sequentially.
     /// Equivalent to [`AdversaryTable::build_par`] with
     /// [`Parallelism::sequential`].
-    pub fn build(g: &UncertainGraph, method: DegreeDistMethod) -> Self {
-        Self::build_par(g, method, &Parallelism::sequential())
+    pub fn build(g: &UncertainGraph) -> Self {
+        Self::build_par(g, &Parallelism::sequential())
     }
 
     /// Builds the table with each worker thread owning contiguous vertex
     /// ranges. The per-vertex Poisson-binomial DP (Lemma 1) is `O(ℓ_v²)`
-    /// and rows are independent, so this is the dominant parallel win of
-    /// Algorithm 2's Definition 2 check. Output is identical for every
-    /// thread count.
+    /// and rows are independent. Output is identical for every thread
+    /// count.
     ///
     /// # Examples
     ///
     /// ```
-    /// use obf_core::AdversaryTable;
+    /// use obf_core::adversary::AdversaryTable;
     /// use obf_graph::Parallelism;
-    /// use obf_uncertain::{degree_dist::DegreeDistMethod, UncertainGraph};
+    /// use obf_uncertain::UncertainGraph;
     ///
     /// let ug = UncertainGraph::new(3, vec![(0, 1, 0.5), (1, 2, 0.25)]).unwrap();
-    /// let seq = AdversaryTable::build(&ug, DegreeDistMethod::Exact);
-    /// let par = AdversaryTable::build_par(&ug, DegreeDistMethod::Exact, &Parallelism::new(4));
+    /// let seq = AdversaryTable::build(&ug);
+    /// let par = AdversaryTable::build_par(&ug, &Parallelism::new(4));
     /// assert_eq!(seq.row(1), par.row(1));
     /// ```
-    pub fn build_par(g: &UncertainGraph, method: DegreeDistMethod, par: &Parallelism) -> Self {
+    pub fn build_par(g: &UncertainGraph, par: &Parallelism) -> Self {
         let rows = par.map_collect(g.num_vertices(), |v| {
-            vertex_degree_distribution(g, v as u32, method)
+            vertex_degree_distribution(g, v as u32)
         });
         Self { rows }
     }
@@ -381,12 +392,12 @@ impl AdversaryTable {
     /// # Examples
     ///
     /// ```
-    /// use obf_core::AdversaryTable;
+    /// use obf_core::adversary::AdversaryTable;
     /// use obf_graph::Parallelism;
-    /// use obf_uncertain::{degree_dist::DegreeDistMethod, UncertainGraph};
+    /// use obf_uncertain::UncertainGraph;
     ///
     /// let ug = UncertainGraph::new(4, vec![(0, 1, 0.6), (1, 2, 0.4), (2, 3, 0.9)]).unwrap();
-    /// let t = AdversaryTable::build(&ug, DegreeDistMethod::Exact);
+    /// let t = AdversaryTable::build(&ug);
     /// let seq = t.entropies(&[0, 1, 2], &Parallelism::sequential());
     /// let par = t.entropies(&[0, 1, 2], &Parallelism::new(4));
     /// assert_eq!(seq, par);
@@ -414,37 +425,43 @@ pub struct ObfuscationCheck {
 
 impl ObfuscationCheck {
     /// Runs the Definition 2 test: for every vertex `v` of the original
-    /// graph, the entropy of `Y_{deg_G(v)}` must reach `log₂ k`. The
-    /// entropy columns are sharded across `par`'s worker threads (see
-    /// [`AdversaryTable::entropies`]); the verdict is bit-identical for
-    /// every thread count.
+    /// graph, the entropy of `Y_{deg_G(v)}` must reach `log₂ k`. The rows
+    /// come from a [`MemoizedAdversary`] capped at `max_deg(G)`, every
+    /// distinct-degree column is swept (sharded across `par`'s worker
+    /// threads), and the verdict is bit-identical for every thread count
+    /// and to the exhaustive [`AdversaryTable`] oracle.
     ///
     /// `original` and `published` must have the same vertex set.
-    pub fn run(original: &Graph, published: &AdversaryTable, k: usize, par: &Parallelism) -> Self {
-        Self::run_with_profile(&DegreeProfile::new(original), published, k, par)
-    }
-
-    /// [`ObfuscationCheck::run`] with a precomputed [`DegreeProfile`] of
-    /// the original graph — bit-identical output, but the degree sort is
-    /// paid once per σ search instead of once per check.
-    pub fn run_with_profile(
-        profile: &DegreeProfile,
-        published: &AdversaryTable,
-        k: usize,
-        par: &Parallelism,
-    ) -> Self {
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use obf_core::ObfuscationCheck;
+    /// use obf_graph::{Graph, Parallelism};
+    /// use obf_uncertain::UncertainGraph;
+    ///
+    /// // A certain 4-cycle: every vertex hides in a crowd of four.
+    /// let g = Graph::from_edges(4, &[(0, 1), (1, 2), (2, 3), (0, 3)]);
+    /// let ug = UncertainGraph::from_certain(&g);
+    /// let check = ObfuscationCheck::run(&g, &ug, 4, &Parallelism::sequential());
+    /// assert_eq!(check.eps_achieved, 0.0);
+    /// assert_eq!(check.vertex_obfuscation_levels(&g), vec![4.0; 4]);
+    /// ```
+    pub fn run(original: &Graph, published: &UncertainGraph, k: usize, par: &Parallelism) -> Self {
+        let profile = DegreeProfile::new(original);
         assert_eq!(
             profile.num_vertices(),
             published.num_vertices(),
             "vertex sets differ"
         );
-        let entropies = published.entropies(profile.distinct(), par);
-        Self::from_entropies(profile, entropies, k)
+        let mut adv = MemoizedAdversary::new(published, profile.max_degree(), par);
+        let entropies = adv.entropies(profile.distinct(), par);
+        Self::from_entropies(&profile, entropies, k)
     }
 
     /// Assembles the Definition 2 verdict from already-computed column
     /// entropies (parallel to [`DegreeProfile::distinct`]). This is the
-    /// shared tail of every check front end — the exhaustive table here
+    /// shared tail of every check front end — [`ObfuscationCheck::run`]
     /// and the patched incremental state of `obf_evolve` hand their
     /// entropies to the same comparison and counting code, so a front
     /// end that reproduces the entropy bits reproduces the verdict and ε̃
@@ -484,23 +501,20 @@ impl ObfuscationCheck {
     pub fn satisfies(&self, eps: f64) -> bool {
         self.eps_achieved <= eps
     }
-}
 
-/// Per-vertex obfuscation levels `2^H(Y_{deg_G(v)})` for the anonymity
-/// curves of Figure 4, with the entropy columns sharded across `par`'s
-/// worker threads.
-pub fn vertex_obfuscation_levels(
-    original: &Graph,
-    published: &AdversaryTable,
-    par: &Parallelism,
-) -> Vec<f64> {
-    let profile = DegreeProfile::new(original);
-    let entropies = published.entropies(profile.distinct(), par);
-    let mut level = vec![0.0f64; profile.max_degree() + 1];
-    for (&d, &h) in profile.distinct().iter().zip(&entropies) {
-        level[d] = h.exp2();
+    /// Per-vertex obfuscation levels `2^H(Y_{deg_G(v)})` for the
+    /// anonymity curves of Figure 4, in vertex order. `original` must be
+    /// the graph the check ran against.
+    pub fn vertex_obfuscation_levels(&self, original: &Graph) -> Vec<f64> {
+        let max_degree = self.entropy_by_degree.last().map_or(0, |&(d, _)| d);
+        let mut level = vec![0.0f64; max_degree + 1];
+        for &(d, h) in &self.entropy_by_degree {
+            level[d] = h.exp2();
+        }
+        (0..original.num_vertices() as u32)
+            .map(|v| level[original.degree(v)])
+            .collect()
     }
-    profile.degrees().iter().map(|&d| level[d]).collect()
 }
 
 #[cfg(test)]
@@ -528,7 +542,7 @@ mod tests {
     #[test]
     fn table1_y_matrix_columns() {
         let (_, ug) = paper_pair();
-        let t = AdversaryTable::build(&ug, DegreeDistMethod::Exact);
+        let t = AdversaryTable::build(&ug);
         let expected: [(usize, [f64; 4]); 4] = [
             (0, [0.023, 0.208, 0.077, 0.692]),
             (1, [0.064, 0.242, 0.180, 0.514]),
@@ -551,7 +565,7 @@ mod tests {
     #[test]
     fn example2_entropies() {
         let (_, ug) = paper_pair();
-        let t = AdversaryTable::build(&ug, DegreeDistMethod::Exact);
+        let t = AdversaryTable::build(&ug);
         // Example 2: H(deg=3) ≈ 0.469; H(deg=1) ≈ 1.688; H(deg=2) ≈ 1.742.
         assert!((t.entropy(3) - 0.469).abs() < 1e-3, "h3={}", t.entropy(3));
         assert!((t.entropy(1) - 1.688).abs() < 1e-3, "h1={}", t.entropy(1));
@@ -563,8 +577,7 @@ mod tests {
         // "as three out of four vertices are 3-obfuscated, the graph
         // provides a (3, 0.25)-obfuscation".
         let (g, ug) = paper_pair();
-        let t = AdversaryTable::build(&ug, DegreeDistMethod::Exact);
-        let check = ObfuscationCheck::run(&g, &t, 3, &Parallelism::sequential());
+        let check = ObfuscationCheck::run(&g, &ug, 3, &Parallelism::sequential());
         assert_eq!(check.failed_vertices, 1); // v1 (degree 3)
         assert!((check.eps_achieved - 0.25).abs() < 1e-12);
         assert!(check.satisfies(0.25));
@@ -578,7 +591,7 @@ mod tests {
         let g = Graph::from_edges(5, &[(0, 1), (1, 2), (2, 3), (3, 4)]);
         // Degrees: 1,2,2,2,1.
         let ug = UncertainGraph::from_certain(&g);
-        let t = AdversaryTable::build(&ug, DegreeDistMethod::Exact);
+        let t = AdversaryTable::build(&ug);
         assert!((t.entropy(1) - 1.0).abs() < 1e-12); // two vertices
         assert!((t.entropy(2) - (3.0f64).log2()).abs() < 1e-12);
         assert!((t.obfuscation_level(2) - 3.0).abs() < 1e-9);
@@ -587,7 +600,7 @@ mod tests {
     #[test]
     fn row_and_x_accessors() {
         let (_, ug) = paper_pair();
-        let t = AdversaryTable::build(&ug, DegreeDistMethod::Exact);
+        let t = AdversaryTable::build(&ug);
         assert!((t.x(0, 2) - 0.398).abs() < 1e-12);
         assert_eq!(t.x(0, 99), 0.0);
         assert_eq!(t.row(3).len(), 4); // 3 incident candidates + 1
@@ -596,7 +609,7 @@ mod tests {
     #[test]
     fn parallel_entropies_match_serial() {
         let (_, ug) = paper_pair();
-        let t = AdversaryTable::build(&ug, DegreeDistMethod::Exact);
+        let t = AdversaryTable::build(&ug);
         let omegas: Vec<usize> = (0..4).collect();
         // Chunk size 1 forces multiple chunks even on this 4-vertex graph.
         let serial = t.entropies(&omegas, &Parallelism::sequential().with_chunk_size(1));
@@ -613,13 +626,9 @@ mod tests {
     #[test]
     fn parallel_build_matches_serial() {
         let (_, ug) = paper_pair();
-        let seq = AdversaryTable::build(&ug, DegreeDistMethod::Exact);
+        let seq = AdversaryTable::build(&ug);
         for threads in [2, 4] {
-            let par = AdversaryTable::build_par(
-                &ug,
-                DegreeDistMethod::Exact,
-                &Parallelism::new(threads).with_chunk_size(1),
-            );
+            let par = AdversaryTable::build_par(&ug, &Parallelism::new(threads).with_chunk_size(1));
             for v in 0..4u32 {
                 assert_eq!(seq.row(v), par.row(v), "threads={threads} v={v}");
             }
@@ -632,7 +641,7 @@ mod tests {
         // entropy is always greater than [or equal to] the one based on
         // a-posteriori belief probabilities".
         let (_, ug) = paper_pair();
-        let t = AdversaryTable::build(&ug, DegreeDistMethod::Exact);
+        let t = AdversaryTable::build(&ug);
         for omega in 0..4usize {
             let entropy_level = t.obfuscation_level(omega);
             let belief_level = t.belief_obfuscation_level(omega);
@@ -647,7 +656,7 @@ mod tests {
     fn belief_level_on_certain_graph_is_crowd_size() {
         let g = Graph::from_edges(5, &[(0, 1), (1, 2), (2, 3), (3, 4)]);
         let ug = UncertainGraph::from_certain(&g);
-        let t = AdversaryTable::build(&ug, DegreeDistMethod::Exact);
+        let t = AdversaryTable::build(&ug);
         // Uniform over the crowd: belief level equals entropy level.
         assert!((t.belief_obfuscation_level(2) - 3.0).abs() < 1e-9);
         assert!((t.belief_obfuscation_level(1) - 2.0).abs() < 1e-9);
@@ -657,8 +666,9 @@ mod tests {
     #[test]
     fn obfuscation_levels_per_vertex() {
         let (g, ug) = paper_pair();
-        let t = AdversaryTable::build(&ug, DegreeDistMethod::Exact);
-        let levels = vertex_obfuscation_levels(&g, &t, &Parallelism::sequential());
+        let t = AdversaryTable::build(&ug);
+        let check = ObfuscationCheck::run(&g, &ug, 1, &Parallelism::sequential());
+        let levels = check.vertex_obfuscation_levels(&g);
         assert_eq!(levels.len(), 4);
         // v1 has degree 3: level 2^0.469 ≈ 1.38.
         assert!((levels[0] - 2f64.powf(t.entropy(3))).abs() < 1e-12);
@@ -680,29 +690,26 @@ mod tests {
     }
 
     #[test]
-    fn run_with_profile_matches_run() {
+    fn run_matches_the_exhaustive_oracle() {
+        // The memoized rows of `run` against the full table through the
+        // shared `from_entropies` tail: the same bits at every k.
         let (g, ug) = paper_pair();
-        let t = AdversaryTable::build(&ug, DegreeDistMethod::Exact);
-        let par = Parallelism::sequential();
-        let a = ObfuscationCheck::run(&g, &t, 3, &par);
-        let b = ObfuscationCheck::run_with_profile(&DegreeProfile::new(&g), &t, 3, &par);
-        assert_eq!(a.entropy_by_degree, b.entropy_by_degree);
-        assert_eq!(a.eps_achieved, b.eps_achieved);
-        assert_eq!(a.failed_vertices, b.failed_vertices);
-    }
-
-    #[test]
-    fn from_entropies_matches_run_with_profile() {
-        let (g, ug) = paper_pair();
-        let t = AdversaryTable::build(&ug, DegreeDistMethod::Exact);
-        let par = Parallelism::sequential();
+        let t = AdversaryTable::build(&ug);
         let profile = DegreeProfile::new(&g);
-        let direct = ObfuscationCheck::run_with_profile(&profile, &t, 3, &par);
-        let entropies = t.entropies(profile.distinct(), &par);
-        let assembled = ObfuscationCheck::from_entropies(&profile, entropies, 3);
-        assert_eq!(direct.entropy_by_degree, assembled.entropy_by_degree);
-        assert_eq!(direct.eps_achieved, assembled.eps_achieved);
-        assert_eq!(direct.failed_vertices, assembled.failed_vertices);
+        for chunk_size in [1usize, 4] {
+            let par = Parallelism::sequential().with_chunk_size(chunk_size);
+            for k in 1..=4 {
+                let got = ObfuscationCheck::run(&g, &ug, k, &par);
+                let want = ObfuscationCheck::from_entropies(
+                    &profile,
+                    t.entropies(profile.distinct(), &par),
+                    k,
+                );
+                assert_eq!(got.entropy_by_degree, want.entropy_by_degree, "k={k}");
+                assert_eq!(got.eps_achieved.to_bits(), want.eps_achieved.to_bits());
+                assert_eq!(got.failed_vertices, want.failed_vertices);
+            }
+        }
     }
 
     #[test]
@@ -711,7 +718,7 @@ mod tests {
         // order must equal the table's `entropies` bits, for every chunk
         // decomposition and any column order (5 is past every row).
         let (_, ug) = paper_pair();
-        let t = AdversaryTable::build(&ug, DegreeDistMethod::Exact);
+        let t = AdversaryTable::build(&ug);
         let bits = |h: &[f64]| h.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         let omegas: Vec<usize> = vec![3, 0, 5, 2, 1];
         let row = |v: usize| Some(t.row(v as u32));
@@ -741,8 +748,7 @@ mod tests {
     fn empty_graph_check() {
         let g = Graph::empty(0);
         let ug = UncertainGraph::new(0, vec![]).unwrap();
-        let t = AdversaryTable::build(&ug, DegreeDistMethod::Exact);
-        let check = ObfuscationCheck::run(&g, &t, 5, &Parallelism::sequential());
+        let check = ObfuscationCheck::run(&g, &ug, 5, &Parallelism::sequential());
         assert_eq!(check.eps_achieved, 0.0);
     }
 
@@ -751,7 +757,6 @@ mod tests {
     fn mismatched_vertex_sets_rejected() {
         let g = Graph::empty(3);
         let ug = UncertainGraph::new(2, vec![]).unwrap();
-        let t = AdversaryTable::build(&ug, DegreeDistMethod::Exact);
-        let _ = ObfuscationCheck::run(&g, &t, 2, &Parallelism::sequential());
+        let _ = ObfuscationCheck::run(&g, &ug, 2, &Parallelism::sequential());
     }
 }

@@ -62,7 +62,6 @@ use rand::{Rng, SeedableRng};
 
 use obf_graph::{stream_seed, AliasTable, FxHashSet, Graph, Parallelism, VertexPair};
 use obf_stats::TruncatedNormal;
-use obf_uncertain::degree_dist::DegreeDistMethod;
 use obf_uncertain::UncertainGraph;
 
 use crate::adversary::DegreeProfile;
@@ -95,13 +94,6 @@ pub struct ObfuscationParams {
     pub max_doublings: u32,
     /// RNG seed (the algorithm is fully deterministic given the seed).
     pub seed: u64,
-    /// Per-vertex degree-distribution method for the adversary table.
-    /// Exact by default, so the ε̃ a release is certified with is the
-    /// exact Definition 2 value. The normal approximation
-    /// ([`DegreeDistMethod::Auto`]) is poor when a vertex's incident
-    /// probabilities sit near 0 or 1, as they do at small σ, and can
-    /// understate ε̃.
-    pub method: DegreeDistMethod,
     /// Worker threads and chunk size of the search. A pool of `threads`
     /// workers draws and checks trials concurrently, speculating along
     /// the bisection; each check runs sequentially with this chunk size.
@@ -123,7 +115,6 @@ impl ObfuscationParams {
             delta: 6e-8,
             max_doublings: 16,
             seed: 0x0bf5,
-            method: DegreeDistMethod::Exact,
             parallelism: Parallelism::available(),
         }
     }
@@ -315,7 +306,7 @@ pub struct SigmaCandidateStats {
     /// remaining trials of the published σ. Every counter below sums over
     /// exactly these trials.
     pub checked: u32,
-    /// Lemma 1 row evaluations actually run (exact DP or CLT row).
+    /// Lemma 1 row evaluations actually run.
     pub dp_evaluations: u64,
     /// Vertex rows the entropy sweeps needed (each vertex at most once
     /// per table); the gap to `dp_evaluations` is served by the
@@ -750,7 +741,7 @@ fn check_trial(
     let n = ctx.profile.num_vertices();
     let span = obf_obs::Span::start(obf_obs::global(), "obf_core_trial_build_micros");
     let ug = UncertainGraph::new(n, draw.candidates).expect("valid candidate set");
-    let mut adv = MemoizedAdversary::new(&ug, params.method, ctx.profile.max_degree(), &par);
+    let mut adv = MemoizedAdversary::new(&ug, ctx.profile.max_degree(), &par);
     let build = span.finish_secs();
     let span = obf_obs::Span::start(obf_obs::global(), "obf_core_trial_check_micros");
     let verdict = run_budgeted(&ctx.profile, &mut adv, params.k, params.eps, true, &par);
@@ -1418,8 +1409,7 @@ mod tests {
         assert!(res.eps_achieved <= 0.05);
         assert!(res.sigma > 0.0);
         // The certificate must hold when re-verified from scratch.
-        let table = AdversaryTable::build(&res.graph, DegreeDistMethod::Exact);
-        let check = ObfuscationCheck::run(&g, &table, 10, &Parallelism::sequential());
+        let check = ObfuscationCheck::run(&g, &res.graph, 10, &Parallelism::sequential());
         assert!(
             check.eps_achieved <= 0.05 + 1e-12,
             "recheck eps = {}",
@@ -1615,13 +1605,16 @@ mod tests {
         ug: &UncertainGraph,
         k: usize,
         eps: f64,
-        method: DegreeDistMethod,
     ) -> ObfuscationCheck {
         let profile = DegreeProfile::new(g);
         let par = Parallelism::sequential();
-        let table = AdversaryTable::build_par(ug, method, &par);
-        let want = ObfuscationCheck::run_with_profile(&profile, &table, k, &par);
-        let mut adv = MemoizedAdversary::new(ug, method, profile.max_degree(), &par);
+        let table = AdversaryTable::build_par(ug, &par);
+        let want = ObfuscationCheck::from_entropies(
+            &profile,
+            table.entropies(profile.distinct(), &par),
+            k,
+        );
+        let mut adv = MemoizedAdversary::new(ug, profile.max_degree(), &par);
         let got = run_budgeted(&profile, &mut adv, k, eps, true, &par);
         assert_eq!(
             got.satisfies,
@@ -1658,7 +1651,7 @@ mod tests {
             let g = generators::erdos_renyi_gnm(n, m, &mut rng);
             let params = test_params(k, eps);
             let res = obfuscate(&g, &params).unwrap();
-            let want = assert_budgeted_matches_exhaustive(&g, &res.graph, k, eps, params.method);
+            let want = assert_budgeted_matches_exhaustive(&g, &res.graph, k, eps);
             assert!(want.satisfies(eps));
             assert_eq!(res.eps_achieved.to_bits(), want.eps_achieved.to_bits());
         }
@@ -1685,7 +1678,7 @@ mod tests {
                 let ug = UncertainGraph::new(g.num_vertices(), draw.candidates).unwrap();
                 for k in [1, 2, 5, 12] {
                     for eps in [0.0, 0.01, 0.05, 0.2, 0.6] {
-                        assert_budgeted_matches_exhaustive(g, &ug, k, eps, params.method);
+                        assert_budgeted_matches_exhaustive(g, &ug, k, eps);
                     }
                 }
             }
@@ -1868,8 +1861,7 @@ mod tests {
                     })
                     .collect();
                 let ug = UncertainGraph::new(g.num_vertices(), candidates).unwrap();
-                let mut adv =
-                    MemoizedAdversary::new(&ug, params.method, ctx.profile.max_degree(), &par);
+                let mut adv = MemoizedAdversary::new(&ug, ctx.profile.max_degree(), &par);
                 let v = run_budgeted(&ctx.profile, &mut adv, params.k, params.eps, true, &par);
                 let kept_edges = ec.iter().filter(|&&(_, is_edge)| is_edge).count();
                 let (dp_evaluations, rows_requested) = (adv.dp_evaluations(), adv.rows_requested());

@@ -13,10 +13,9 @@
 //!   comparison, so sharing is exact, never approximate).
 //! * **Support truncation** — the check only reads `X_v(ω)` at the
 //!   original graph's degrees, so rows are computed with the truncated
-//!   recurrence of
-//!   [`poisson_binomial_capped`](obf_uncertain::degree_dist::poisson_binomial_capped)
-//!   at `cap = max_deg(G)`: bit-identical prefixes at a fraction of the
-//!   work when `|E_C| ≫ |E|` inflates the incident candidate counts.
+//!   recurrence of [`poisson_binomial_capped`] at `cap = max_deg(G)`:
+//!   bit-identical prefixes at a fraction of the work when
+//!   `|E_C| ≫ |E|` inflates the incident candidate counts.
 //! * **Lazy evaluation** — rows are only materialised when a column that
 //!   their support intersects is actually swept, so a check that aborts
 //!   early never pays for the rest of the table.
@@ -36,14 +35,15 @@
 //!   crowded low degrees that every row reaches.
 //!
 //! Every surviving floating-point operation is performed in the same
-//! order as the exhaustive [`ObfuscationCheck`](crate::ObfuscationCheck)
-//! path, so `satisfies` verdicts and completed-sweep ε̃ values are
+//! order as the exhaustive
+//! [`AdversaryTable`](crate::adversary::AdversaryTable) oracle, so
+//! `satisfies` verdicts and completed-sweep ε̃ values are
 //! **bit-identical** (property-tested in `crates/core/tests`), and the
 //! chunk-ordered column reductions keep every result independent of the
 //! thread count (see [`Parallelism`]).
 
 use obf_graph::{splitmix64, FxHashMap, Parallelism};
-use obf_uncertain::degree_dist::{vertex_degree_distribution_capped, DegreeDistMethod};
+use obf_uncertain::degree_dist::poisson_binomial_capped;
 use obf_uncertain::UncertainGraph;
 
 use crate::adversary::{ColumnPartials, DegreeProfile};
@@ -57,14 +57,16 @@ pub const SWEEP_BATCH_COLUMNS: usize = 8;
 
 /// Lazily evaluated, memoized, support-truncated adversary table.
 ///
-/// Semantically this is the `X_v(ω)` matrix of
-/// [`AdversaryTable`](crate::AdversaryTable) restricted to `ω ≤ cap`,
-/// but rows are shared between vertices with bit-identical probability
-/// rows and only computed when a sweep actually needs them.
+/// Semantically this is the `X_v(ω)` matrix of the exhaustive
+/// [`AdversaryTable`](crate::adversary::AdversaryTable) restricted to
+/// `ω ≤ cap`, but rows are shared between vertices with bit-identical
+/// probability rows and only computed when a sweep actually needs them.
+/// Every Definition 2 verdict reads its rows from here: the budgeted
+/// check of the σ search and
+/// [`ObfuscationCheck::run`](crate::ObfuscationCheck::run).
 #[derive(Debug)]
 pub struct MemoizedAdversary<'g> {
     g: &'g UncertainGraph,
-    method: DegreeDistMethod,
     cap: usize,
     /// Row class of each vertex.
     class_of: Vec<u32>,
@@ -72,9 +74,8 @@ pub struct MemoizedAdversary<'g> {
     reps: Vec<u32>,
     /// Member count of each class.
     members: Vec<u32>,
-    /// Conservative support interval `(lo, hi)` of each class: exact
-    /// `(ones, pos)` for exact-method rows, `[0, ℓ]` for normal-method
-    /// rows (the CLT cells can be positive anywhere in `[0, ℓ]`).
+    /// Support interval `(ones, pos)` of each class: the row is zero
+    /// outside `ones..=pos` (see [`UncertainGraph::degree_support`]).
     support: Vec<(usize, usize)>,
     /// Lazily computed class rows, truncated at `cap`.
     rows: Vec<Option<Vec<f64>>>,
@@ -98,15 +99,9 @@ impl<'g> MemoizedAdversary<'g> {
     ///
     /// `cap` must be at least the largest `ω` the caller will query
     /// (Algorithm 2 uses `max_deg(G)` of the original graph).
-    pub fn new(
-        g: &'g UncertainGraph,
-        method: DegreeDistMethod,
-        cap: usize,
-        par: &Parallelism,
-    ) -> Self {
+    pub fn new(g: &'g UncertainGraph, cap: usize, par: &Parallelism) -> Self {
         let n = g.num_vertices();
-        // One parallel pass per vertex: row signature + conservative
-        // support interval.
+        // One parallel pass per vertex: row signature + support interval.
         let per_vertex: Vec<(u64, (usize, usize))> = par.map_collect(n, |v| {
             let probs = g.incident_probs(v as u32);
             // Fx-style rotate-xor-multiply fold (one multiply per prob),
@@ -120,14 +115,7 @@ impl<'g> MemoizedAdversary<'g> {
                 ones += (p >= 1.0) as usize;
                 pos += (p > 0.0) as usize;
             }
-            let h = splitmix64(h);
-            let exact = match method {
-                DegreeDistMethod::Exact => true,
-                DegreeDistMethod::Normal => false,
-                DegreeDistMethod::Auto { threshold } => probs.len() <= threshold,
-            };
-            let supp = if exact { (ones, pos) } else { (0, probs.len()) };
-            (h, supp)
+            (splitmix64(h), (ones, pos))
         });
         // Duplicate filter: identical rows imply identical signatures.
         // Two bitmaps over hashed buckets find, in one linear pass, the
@@ -219,7 +207,6 @@ impl<'g> MemoizedAdversary<'g> {
         let requested = vec![false; reps.len()];
         Self {
             g,
-            method,
             cap,
             class_of,
             reps,
@@ -268,8 +255,8 @@ impl<'g> MemoizedAdversary<'g> {
         self.rows_requested - self.dp_evaluations
     }
 
-    /// Upper bound on the number of vertices with `X_v(ω) > 0`, exact for
-    /// exact-method rows. Costs `O(1)` — no DP.
+    /// The number of vertices whose support interval holds `ω`, i.e.
+    /// with `X_v(ω) > 0`. Costs `O(1)` — no DP.
     ///
     /// # Panics
     /// Panics if `omega > cap`.
@@ -313,9 +300,9 @@ impl<'g> MemoizedAdversary<'g> {
             return;
         }
         self.dp_evaluations += missing.len() as u64;
-        let (g, method, cap, reps) = (self.g, self.method, self.cap, &self.reps);
+        let (g, cap, reps) = (self.g, self.cap, &self.reps);
         let computed: Vec<Vec<f64>> = par.map_collect(missing.len(), |i| {
-            vertex_degree_distribution_capped(g, reps[missing[i] as usize], method, cap)
+            poisson_binomial_capped(g.incident_probs(reps[missing[i] as usize]), cap)
         });
         for (&c, row) in missing.iter().zip(computed) {
             self.rows[c as usize] = Some(row);
@@ -324,7 +311,7 @@ impl<'g> MemoizedAdversary<'g> {
 
     /// `X_v(ω)` for `ω ≤ cap`, materialising the class row on demand.
     /// Bit-identical to the same entry of the exhaustive
-    /// [`AdversaryTable`](crate::AdversaryTable).
+    /// [`AdversaryTable`](crate::adversary::AdversaryTable).
     pub fn x(&mut self, v: u32, omega: usize, par: &Parallelism) -> f64 {
         self.ensure_columns(&[omega], par);
         match &self.rows[self.class_of[v as usize] as usize] {
@@ -335,7 +322,7 @@ impl<'g> MemoizedAdversary<'g> {
 
     /// Entropies `H(Y_ω)` for the requested columns, parallel to
     /// `omegas` — the same [`ColumnPartials`] reduction as
-    /// [`AdversaryTable::entropies`](crate::AdversaryTable::entropies),
+    /// [`AdversaryTable::entropies`](crate::adversary::AdversaryTable::entropies),
     /// hence bit-identical to it for every thread count and any batching
     /// of the columns.
     ///
@@ -553,8 +540,8 @@ mod tests {
     fn memoized_entries_match_exhaustive_table() {
         let (_, ug) = paper_pair();
         let par = Parallelism::sequential();
-        let table = AdversaryTable::build(&ug, DegreeDistMethod::Exact);
-        let mut memo = MemoizedAdversary::new(&ug, DegreeDistMethod::Exact, 3, &par);
+        let table = AdversaryTable::build(&ug);
+        let mut memo = MemoizedAdversary::new(&ug, 3, &par);
         for v in 0..4u32 {
             for omega in 0..=3usize {
                 assert_eq!(
@@ -570,14 +557,14 @@ mod tests {
     fn memoized_entropies_match_exhaustive_in_any_batching() {
         let (_, ug) = paper_pair();
         let par = Parallelism::sequential().with_chunk_size(1);
-        let table = AdversaryTable::build(&ug, DegreeDistMethod::Exact);
+        let table = AdversaryTable::build(&ug);
         let omegas: Vec<usize> = (0..=3).collect();
         let full = table.entropies(&omegas, &par);
         // One batch.
-        let mut memo = MemoizedAdversary::new(&ug, DegreeDistMethod::Exact, 3, &par);
+        let mut memo = MemoizedAdversary::new(&ug, 3, &par);
         assert_eq!(memo.entropies(&omegas, &par), full);
         // Column-by-column, reversed.
-        let mut memo = MemoizedAdversary::new(&ug, DegreeDistMethod::Exact, 3, &par);
+        let mut memo = MemoizedAdversary::new(&ug, 3, &par);
         for (j, &w) in omegas.iter().enumerate().rev() {
             assert_eq!(memo.entropies(&[w], &par), vec![full[j]], "omega={w}");
         }
@@ -589,7 +576,7 @@ mod tests {
         let g = Graph::from_edges(4, &[(0, 1), (1, 2), (2, 3), (0, 3)]);
         let ug = UncertainGraph::from_certain(&g);
         let par = Parallelism::sequential();
-        let mut memo = MemoizedAdversary::new(&ug, DegreeDistMethod::Exact, 2, &par);
+        let mut memo = MemoizedAdversary::new(&ug, 2, &par);
         assert_eq!(memo.num_classes(), 1);
         let h = memo.entropies(&[2], &par);
         assert!((h[0] - 2.0).abs() < 1e-12); // uniform over 4 vertices
@@ -599,26 +586,14 @@ mod tests {
     }
 
     #[test]
-    fn support_counts_are_exact_for_exact_method() {
+    fn support_counts_are_exact() {
         let (_, ug) = paper_pair();
         let par = Parallelism::sequential();
-        let memo = MemoizedAdversary::new(&ug, DegreeDistMethod::Exact, 3, &par);
-        let table = AdversaryTable::build(&ug, DegreeDistMethod::Exact);
+        let memo = MemoizedAdversary::new(&ug, 3, &par);
+        let table = AdversaryTable::build(&ug);
         for omega in 0..=3usize {
             let truth = (0..4u32).filter(|&v| table.x(v, omega) > 0.0).count();
             assert_eq!(memo.support_count(omega), truth, "omega={omega}");
-        }
-    }
-
-    #[test]
-    fn normal_method_support_is_a_superset() {
-        let (_, ug) = paper_pair();
-        let par = Parallelism::sequential();
-        let memo = MemoizedAdversary::new(&ug, DegreeDistMethod::Normal, 3, &par);
-        let table = AdversaryTable::build(&ug, DegreeDistMethod::Normal);
-        for omega in 0..=3usize {
-            let truth = (0..4u32).filter(|&v| table.x(v, omega) > 0.0).count();
-            assert!(memo.support_count(omega) >= truth, "omega={omega}");
         }
     }
 
@@ -640,12 +615,16 @@ mod tests {
         let (g, ug) = paper_pair();
         let par = Parallelism::sequential();
         let profile = DegreeProfile::new(&g);
-        let table = AdversaryTable::build(&ug, DegreeDistMethod::Exact);
+        let table = AdversaryTable::build(&ug);
         for k in 1..=4usize {
             for eps in [0.0, 0.2, 0.25, 0.5, 0.75] {
-                let check = ObfuscationCheck::run(&g, &table, k, &par);
+                let check = ObfuscationCheck::from_entropies(
+                    &profile,
+                    table.entropies(profile.distinct(), &par),
+                    k,
+                );
                 for need_exact in [false, true] {
-                    let mut memo = MemoizedAdversary::new(&ug, DegreeDistMethod::Exact, 3, &par);
+                    let mut memo = MemoizedAdversary::new(&ug, 3, &par);
                     let v = run_budgeted(&profile, &mut memo, k, eps, need_exact, &par);
                     assert_eq!(v.satisfies, check.satisfies(eps), "k={k} eps={eps}");
                     if let Some(e) = v.eps_exact {
@@ -667,16 +646,15 @@ mod tests {
         let ug = UncertainGraph::from_certain(&g);
         let par = Parallelism::sequential();
         let profile = DegreeProfile::new(&g);
-        let mut memo = MemoizedAdversary::new(&ug, DegreeDistMethod::Exact, 7, &par);
+        let mut memo = MemoizedAdversary::new(&ug, 7, &par);
         let v = run_budgeted(&profile, &mut memo, 3, 0.0, true, &par);
         assert!(!v.satisfies);
         assert!(v.early_exit);
         assert_eq!(v.support_only_failures, 1);
         assert_eq!(v.columns_evaluated, 0);
         assert_eq!(memo.dp_evaluations(), 0);
-        // The exhaustive check agrees.
-        let table = AdversaryTable::build(&ug, DegreeDistMethod::Exact);
-        assert!(!ObfuscationCheck::run(&g, &table, 3, &par).satisfies(0.0));
+        // The full check agrees.
+        assert!(!ObfuscationCheck::run(&g, &ug, 3, &par).satisfies(0.0));
     }
 
     #[test]
@@ -688,7 +666,7 @@ mod tests {
         let ug = UncertainGraph::from_certain(&g);
         let par = Parallelism::sequential();
         let profile = DegreeProfile::new(&g);
-        let mut memo = MemoizedAdversary::new(&ug, DegreeDistMethod::Exact, 2, &par);
+        let mut memo = MemoizedAdversary::new(&ug, 2, &par);
         let v = run_budgeted(&profile, &mut memo, 3, 0.0, false, &par);
         assert!(v.satisfies);
         // Single distinct degree: the sweep resolves everything at once,
@@ -702,7 +680,7 @@ mod tests {
         let g = Graph::empty(3);
         let ug = UncertainGraph::new(2, vec![]).unwrap();
         let par = Parallelism::sequential();
-        let mut memo = MemoizedAdversary::new(&ug, DegreeDistMethod::Exact, 0, &par);
+        let mut memo = MemoizedAdversary::new(&ug, 0, &par);
         let _ = run_budgeted(&DegreeProfile::new(&g), &mut memo, 2, 0.1, true, &par);
     }
 }

@@ -45,7 +45,7 @@ pub mod commonness;
 pub mod fastpath;
 pub mod property;
 
-pub use adversary::{AdversaryTable, ColumnPartials, DegreeProfile, ObfuscationCheck};
+pub use adversary::{ColumnPartials, DegreeProfile, ObfuscationCheck};
 pub use algorithm::{
     generate_obfuscation, generate_obfuscation_with_excluded, obfuscate, obfuscate_with_stats,
     GenerateOutcome, ObfuscationError, ObfuscationParams, ObfuscationResult, SearchPhase,

@@ -5,7 +5,6 @@ use obf_core::commonness::CommonnessScores;
 use obf_core::fastpath::{run_budgeted, MemoizedAdversary};
 use obf_core::property::{DegreeProperty, VertexProperty};
 use obf_graph::{Graph, GraphBuilder, Parallelism};
-use obf_uncertain::degree_dist::DegreeDistMethod;
 use obf_uncertain::UncertainGraph;
 use proptest::prelude::*;
 
@@ -65,8 +64,7 @@ proptest! {
         // On a certain graph, v is k-obfuscated iff its degree crowd has
         // at least k members.
         let ug = UncertainGraph::from_certain(&g);
-        let table = AdversaryTable::build(&ug, DegreeDistMethod::Exact);
-        let check = ObfuscationCheck::run(&g, &table, k, &Parallelism::sequential());
+        let check = ObfuscationCheck::run(&g, &ug, k, &Parallelism::sequential());
         let hist = obf_graph::degstats::degree_histogram(&g);
         let expected_failures = (0..g.num_vertices() as u32)
             .filter(|&v| (hist.count(g.degree(v)) as usize) < k)
@@ -78,7 +76,7 @@ proptest! {
     fn posterior_is_probability_vector(g in arb_graph(24)) {
         let cands: Vec<(u32, u32, f64)> = g.edges().map(|(u, v)| (u, v, 0.5)).collect();
         let ug = UncertainGraph::new(g.num_vertices(), cands).unwrap();
-        let table = AdversaryTable::build(&ug, DegreeDistMethod::Exact);
+        let table = AdversaryTable::build(&ug);
         for omega in 0..5usize {
             let y = table.posterior(omega);
             let total: f64 = y.iter().sum();
@@ -107,8 +105,7 @@ proptest! {
         // The tentpole guarantee of the σ-search fast path: the budgeted
         // early-exit check returns the exhaustive verdict bit-identically
         // (and the exhaustive ε̃ whenever it reports one), for random
-        // uncertain graphs, random (k, ε), and threads ∈ {1, 4}. Rows
-        // mix exact DP and CLT cells via a low Auto threshold.
+        // uncertain graphs, random (k, ε), and threads ∈ {1, 4}.
         use rand::{Rng, SeedableRng};
         let mut rng = rand::rngs::SmallRng::seed_from_u64(seed);
         let cands: Vec<(u32, u32, f64)> = g
@@ -125,14 +122,14 @@ proptest! {
             })
             .collect();
         let ug = UncertainGraph::new(g.num_vertices(), cands).unwrap();
-        let method = DegreeDistMethod::Auto { threshold: 4 };
         let profile = DegreeProfile::new(&g);
 
         for threads in [1usize, 4] {
             let par = Parallelism::new(threads).with_chunk_size(4);
-            let table = AdversaryTable::build_par(&ug, method, &par);
-            let check = ObfuscationCheck::run_with_profile(&profile, &table, k, &par);
-            let mut memo = MemoizedAdversary::new(&ug, method, profile.max_degree(), &par);
+            let table = AdversaryTable::build_par(&ug, &par);
+            let check =
+                ObfuscationCheck::from_entropies(&profile, table.entropies(profile.distinct(), &par), k);
+            let mut memo = MemoizedAdversary::new(&ug, profile.max_degree(), &par);
             let verdict = run_budgeted(&profile, &mut memo, k, eps, need_exact, &par);
             prop_assert_eq!(
                 verdict.satisfies,
@@ -158,9 +155,12 @@ proptest! {
     fn memoized_adversary_equivalent_to_build_par(
         g in arb_graph(24),
         seed in 0u64..1000,
+        k in 1usize..8,
     ) {
         // Every memoized, support-truncated entry and entropy column must
-        // be bit-identical to the exhaustive table, for threads ∈ {1, 4}.
+        // be bit-identical to the exhaustive table, for threads ∈ {1, 4};
+        // so must the ε̃ and the per-vertex levels of `ObfuscationCheck::run`
+        // (what audit and Figure 4 print).
         use rand::{Rng, SeedableRng};
         let mut rng = rand::rngs::SmallRng::seed_from_u64(seed);
         // Duplicate a shared probability across some pairs so identical
@@ -174,14 +174,28 @@ proptest! {
             })
             .collect();
         let ug = UncertainGraph::new(g.num_vertices(), cands).unwrap();
-        let method = DegreeDistMethod::Auto { threshold: 6 };
         let cap = g.max_degree() + 1;
         let omegas: Vec<usize> = (0..=cap).collect();
+        let profile = DegreeProfile::new(&g);
 
         for threads in [1usize, 4] {
             let par = Parallelism::new(threads).with_chunk_size(4);
-            let table = AdversaryTable::build_par(&ug, method, &par);
-            let mut memo = MemoizedAdversary::new(&ug, method, cap, &par);
+            let table = AdversaryTable::build_par(&ug, &par);
+            let check = ObfuscationCheck::run(&g, &ug, k, &par);
+            let want =
+                ObfuscationCheck::from_entropies(&profile, table.entropies(profile.distinct(), &par), k);
+            prop_assert_eq!(check.eps_achieved.to_bits(), want.eps_achieved.to_bits());
+            prop_assert_eq!(check.failed_vertices, want.failed_vertices);
+            // One oracle column per vertex, at its own degree.
+            let want_levels: Vec<u64> = table
+                .entropies(profile.degrees(), &par)
+                .iter()
+                .map(|h| h.exp2().to_bits())
+                .collect();
+            let levels: Vec<u64> =
+                check.vertex_obfuscation_levels(&g).iter().map(|l| l.to_bits()).collect();
+            prop_assert_eq!(levels, want_levels, "threads={}", threads);
+            let mut memo = MemoizedAdversary::new(&ug, cap, &par);
             prop_assert_eq!(
                 memo.entropies(&omegas, &par),
                 table.entropies(&omegas, &par),
@@ -221,18 +235,18 @@ proptest! {
         let omegas: Vec<usize> = (0..g.max_degree() + 2).collect();
 
         let seq_par = Parallelism::sequential().with_chunk_size(4);
-        let seq_table = AdversaryTable::build_par(&ug, DegreeDistMethod::Exact, &seq_par);
+        let seq_table = AdversaryTable::build_par(&ug, &seq_par);
         let seq_entropies = seq_table.entropies(&omegas, &seq_par);
-        let seq_check = ObfuscationCheck::run(&g, &seq_table, 3, &seq_par);
+        let seq_check = ObfuscationCheck::run(&g, &ug, 3, &seq_par);
 
         for threads in [2usize, 4] {
             let par = Parallelism::new(threads).with_chunk_size(4);
-            let table = AdversaryTable::build_par(&ug, DegreeDistMethod::Exact, &par);
+            let table = AdversaryTable::build_par(&ug, &par);
             for v in 0..g.num_vertices() as u32 {
                 prop_assert_eq!(seq_table.row(v), table.row(v), "row {} threads {}", v, threads);
             }
             prop_assert_eq!(&seq_entropies, &table.entropies(&omegas, &par));
-            let check = ObfuscationCheck::run(&g, &table, 3, &par);
+            let check = ObfuscationCheck::run(&g, &ug, 3, &par);
             prop_assert_eq!(&seq_check.entropy_by_degree, &check.entropy_by_degree);
             prop_assert_eq!(seq_check.eps_achieved, check.eps_achieved);
             prop_assert_eq!(seq_check.failed_vertices, check.failed_vertices);

@@ -17,9 +17,8 @@
 //! vertices — the old rows' contributions are *replaced*, never
 //! subtracted — and a query merges the per-chunk partials in chunk
 //! order, exactly like
-//! [`MemoizedAdversary::entropies`](obf_core::MemoizedAdversary) and
-//! [`AdversaryTable::entropies`](obf_core::AdversaryTable). Every
-//! surviving operation therefore runs in the same order as a
+//! [`MemoizedAdversary::entropies`](obf_core::MemoizedAdversary::entropies).
+//! Every surviving operation therefore runs in the same order as a
 //! from-scratch build, and the entropies — and the (k, ε) verdict — are
 //! **bit-identical** to it at any thread count (property-tested in
 //! `crates/evolve/tests`). The per-chunk state is the shared
@@ -30,14 +29,13 @@ use std::ops::Range;
 
 use obf_core::{ColumnPartials, DegreeProfile, ObfuscationCheck};
 use obf_graph::Parallelism;
-use obf_uncertain::degree_dist::{vertex_degree_distribution, DegreeDistMethod};
+use obf_uncertain::degree_dist::vertex_degree_distribution;
 use obf_uncertain::UncertainGraph;
 
 /// Maintained adversary state of one published release: every `X_v` row
 /// plus chunk-ordered entropy partials, patchable per delta batch.
 #[derive(Debug, Clone)]
 pub struct IncrementalAdversary {
-    method: DegreeDistMethod,
     /// Chunk decomposition the partials are kept under — fixed at build
     /// time so patched and from-scratch reductions share one merge tree.
     chunk_size: usize,
@@ -56,13 +54,11 @@ impl IncrementalAdversary {
     /// Builds the full state: one Lemma 1 row per vertex (sharded), then
     /// the chunk partials. `par.chunk_size()` is captured as the fixed
     /// reduction granularity for the lifetime of this value.
-    pub fn build(g: &UncertainGraph, method: DegreeDistMethod, par: &Parallelism) -> Self {
+    pub fn build(g: &UncertainGraph, par: &Parallelism) -> Self {
         let n = g.num_vertices();
-        let rows: Vec<Vec<f64>> =
-            par.map_collect(n, |v| vertex_degree_distribution(g, v as u32, method));
+        let rows: Vec<Vec<f64>> = par.map_collect(n, |v| vertex_degree_distribution(g, v as u32));
         let omega_cap = rows.iter().map(|r| r.len() - 1).max().unwrap_or(0);
         let mut out = Self {
-            method,
             chunk_size: par.chunk_size(),
             rows,
             chunks: Vec::new(),
@@ -131,10 +127,8 @@ impl IncrementalAdversary {
         }
         debug_assert!(touched.windows(2).all(|w| w[0] < w[1]));
         // 1. Re-derive the touched rows (sharded; deterministic order).
-        let method = self.method;
-        let fresh: Vec<Vec<f64>> = par.map_collect(touched.len(), |i| {
-            vertex_degree_distribution(g, touched[i], method)
-        });
+        let fresh: Vec<Vec<f64>> =
+            par.map_collect(touched.len(), |i| vertex_degree_distribution(g, touched[i]));
         for (&v, row) in touched.iter().zip(fresh) {
             self.rows[v as usize] = row;
         }
@@ -186,7 +180,7 @@ impl IncrementalAdversary {
     /// Entropies `H(Y_ω)` for the requested columns, parallel to
     /// `omegas` — the chunk-order merge of the maintained partials,
     /// bit-identical to
-    /// [`AdversaryTable::entropies`](obf_core::AdversaryTable::entropies)
+    /// [`MemoizedAdversary::entropies`](obf_core::MemoizedAdversary::entropies)
     /// over the same graph and chunk size.
     ///
     /// Columns beyond [`IncrementalAdversary::omega_cap`] have no
@@ -209,8 +203,8 @@ impl IncrementalAdversary {
     /// The Definition 2 verdict against the original graph's degree
     /// profile, assembled by the same
     /// [`ObfuscationCheck::from_entropies`] tail as
-    /// [`ObfuscationCheck::run_with_profile`], so ε̃ and the
-    /// failed-vertex count are bit-identical to it.
+    /// [`ObfuscationCheck::run`], so ε̃ and the failed-vertex count are
+    /// bit-identical to it.
     pub fn check(&self, profile: &DegreeProfile, k: usize) -> ObfuscationCheck {
         assert_eq!(
             profile.num_vertices(),
@@ -224,7 +218,8 @@ impl IncrementalAdversary {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use obf_core::{AdversaryTable, MemoizedAdversary};
+    use obf_core::adversary::AdversaryTable;
+    use obf_core::MemoizedAdversary;
     use obf_graph::Graph;
 
     fn published() -> UncertainGraph {
@@ -248,8 +243,8 @@ mod tests {
         let g = published();
         for chunk in [1, 2, 64] {
             let par = Parallelism::sequential().with_chunk_size(chunk);
-            let inc = IncrementalAdversary::build(&g, DegreeDistMethod::Exact, &par);
-            let table = AdversaryTable::build(&g, DegreeDistMethod::Exact);
+            let inc = IncrementalAdversary::build(&g, &par);
+            let table = AdversaryTable::build(&g);
             let omegas: Vec<usize> = (0..=4).collect();
             assert_eq!(
                 inc.entropies(&omegas),
@@ -263,7 +258,7 @@ mod tests {
     fn patch_is_bit_identical_to_rebuild() {
         let g = published();
         let par = Parallelism::sequential().with_chunk_size(2);
-        let mut inc = IncrementalAdversary::build(&g, DegreeDistMethod::Exact, &par);
+        let mut inc = IncrementalAdversary::build(&g, &par);
         // Overwrite (0,1), remove (1,3), insert (3,5): touches 0,1,3,5.
         let g2 = g
             .apply_delta(&[(0, 1, Some(0.2)), (1, 3, None), (3, 5, Some(0.9))])
@@ -271,11 +266,11 @@ mod tests {
         inc.patch(&g2, &[0, 1, 3, 5], &par);
         assert_eq!(inc.rows_patched(), 4);
 
-        let fresh = IncrementalAdversary::build(&g2, DegreeDistMethod::Exact, &par);
+        let fresh = IncrementalAdversary::build(&g2, &par);
         let omegas: Vec<usize> = (0..=5).collect();
         assert_eq!(inc.entropies(&omegas), fresh.entropies(&omegas));
         // And both agree with the memoized fast-path table.
-        let mut memo = MemoizedAdversary::new(&g2, DegreeDistMethod::Exact, 5, &par);
+        let mut memo = MemoizedAdversary::new(&g2, 5, &par);
         assert_eq!(inc.entropies(&omegas), memo.entropies(&omegas, &par));
     }
 
@@ -285,14 +280,14 @@ mod tests {
         // to 3, past the old accumulator cap on its chunk.
         let g = UncertainGraph::new(5, vec![(4, 0, 0.5)]).unwrap();
         let par = Parallelism::sequential().with_chunk_size(2);
-        let mut inc = IncrementalAdversary::build(&g, DegreeDistMethod::Exact, &par);
+        let mut inc = IncrementalAdversary::build(&g, &par);
         assert_eq!(inc.omega_cap(), 1);
         let g2 = g
             .apply_delta(&[(1, 4, Some(0.8)), (2, 4, Some(0.7))])
             .unwrap();
         inc.patch(&g2, &[1, 2, 4], &par);
         assert_eq!(inc.omega_cap(), 3);
-        let fresh = IncrementalAdversary::build(&g2, DegreeDistMethod::Exact, &par);
+        let fresh = IncrementalAdversary::build(&g2, &par);
         let omegas: Vec<usize> = (0..=3).collect();
         assert_eq!(inc.entropies(&omegas), fresh.entropies(&omegas));
         // Beyond-cap columns are empty, entropy 0.
@@ -308,7 +303,7 @@ mod tests {
         // caller's decomposition).
         let g = UncertainGraph::new(10, vec![(9, 0, 0.5), (1, 2, 0.8)]).unwrap();
         let build_par = Parallelism::sequential().with_chunk_size(2);
-        let mut inc = IncrementalAdversary::build(&g, DegreeDistMethod::Exact, &build_par);
+        let mut inc = IncrementalAdversary::build(&g, &build_par);
         assert_eq!(inc.omega_cap(), 1);
         // Raise vertex 9's candidate count past the cap, patching with
         // a coarser (and threaded) Parallelism.
@@ -318,7 +313,7 @@ mod tests {
         let patch_par = Parallelism::new(4).with_chunk_size(4);
         inc.patch(&g2, &[3, 4, 5, 9], &patch_par);
         assert_eq!(inc.omega_cap(), 4);
-        let fresh = IncrementalAdversary::build(&g2, DegreeDistMethod::Exact, &build_par);
+        let fresh = IncrementalAdversary::build(&g2, &build_par);
         let omegas: Vec<usize> = (0..=4).collect();
         assert_eq!(inc.entropies(&omegas), fresh.entropies(&omegas));
     }
@@ -328,11 +323,15 @@ mod tests {
         let original = Graph::from_edges(6, &[(0, 1), (0, 2), (0, 3), (2, 3), (4, 5)]);
         let g = published();
         let par = Parallelism::sequential();
-        let inc = IncrementalAdversary::build(&g, DegreeDistMethod::Exact, &par);
-        let table = AdversaryTable::build(&g, DegreeDistMethod::Exact);
+        let inc = IncrementalAdversary::build(&g, &par);
+        let table = AdversaryTable::build(&g);
         let profile = DegreeProfile::new(&original);
         for k in 1..=4 {
-            let want = ObfuscationCheck::run_with_profile(&profile, &table, k, &par);
+            let want = ObfuscationCheck::from_entropies(
+                &profile,
+                table.entropies(profile.distinct(), &par),
+                k,
+            );
             let got = inc.check(&profile, k);
             assert_eq!(got.eps_achieved, want.eps_achieved, "k={k}");
             assert_eq!(got.failed_vertices, want.failed_vertices);
@@ -345,7 +344,7 @@ mod tests {
     fn empty_patch_is_a_no_op() {
         let g = published();
         let par = Parallelism::sequential();
-        let mut inc = IncrementalAdversary::build(&g, DegreeDistMethod::Exact, &par);
+        let mut inc = IncrementalAdversary::build(&g, &par);
         let before = inc.entropies(&[0, 1, 2]);
         inc.patch(&g, &[], &par);
         assert_eq!(inc.entropies(&[0, 1, 2]), before);

@@ -163,8 +163,7 @@ impl Republisher {
             result.eps_achieved,
             0,
         );
-        let adversary =
-            IncrementalAdversary::build(&published, params.base.method, &params.base.parallelism);
+        let adversary = IncrementalAdversary::build(&published, &params.base.parallelism);
         Ok((
             Self {
                 params,
@@ -296,11 +295,8 @@ impl Republisher {
                     result.eps_achieved,
                     next_epoch,
                 );
-                self.adversary = IncrementalAdversary::build(
-                    &published,
-                    self.params.base.method,
-                    &self.params.base.parallelism,
-                );
+                self.adversary =
+                    IncrementalAdversary::build(&published, &self.params.base.parallelism);
                 self.epoch = next_epoch;
                 self.original = g_new;
                 self.published = published;
@@ -323,11 +319,8 @@ impl Republisher {
             Err(e) => {
                 // Restore a consistent adversary state for the old
                 // release before surfacing the error.
-                self.adversary = IncrementalAdversary::build(
-                    &self.published,
-                    self.params.base.method,
-                    &self.params.base.parallelism,
-                );
+                self.adversary =
+                    IncrementalAdversary::build(&self.published, &self.params.base.parallelism);
                 Err(RepublishError::Search(e))
             }
         }
@@ -373,7 +366,7 @@ fn apply_headroom(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use obf_core::{AdversaryTable, ObfuscationCheck};
+    use obf_core::ObfuscationCheck;
     use obf_graph::generators;
 
     fn fast_params(k: usize, eps: f64, seed: u64) -> EvolveParams {
@@ -388,13 +381,9 @@ mod tests {
     /// Re-verifies the current release from scratch — the certificate
     /// the pipeline must uphold at every epoch.
     fn assert_certified(r: &Republisher, k: usize, eps: f64) {
-        let table = AdversaryTable::build(
-            r.published(),
-            obf_uncertain::degree_dist::DegreeDistMethod::Exact,
-        );
         let check = ObfuscationCheck::run(
             r.original(),
-            &table,
+            r.published(),
             k,
             &obf_graph::Parallelism::sequential(),
         );

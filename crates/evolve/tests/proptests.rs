@@ -3,10 +3,10 @@
 //! patched adversary check is bit-identical to a fresh build — entropy
 //! by entropy, verdict by verdict, at 1 and 4 threads.
 
-use obf_core::{AdversaryTable, DegreeProfile, MemoizedAdversary, ObfuscationCheck};
+use obf_core::adversary::AdversaryTable;
+use obf_core::{DegreeProfile, MemoizedAdversary, ObfuscationCheck};
 use obf_evolve::{DeltaLog, IncrementalAdversary};
 use obf_graph::{EdgeBatch, Graph, Parallelism};
-use obf_uncertain::degree_dist::DegreeDistMethod;
 use obf_uncertain::UncertainGraph;
 use proptest::prelude::*;
 
@@ -135,22 +135,32 @@ fn check_bits(c: &ObfuscationCheck) -> (Vec<(usize, u64)>, u64, usize) {
     )
 }
 
+/// The exhaustive Definition 2 verdict: every full row of `table`
+/// through the shared `from_entropies` tail.
+fn oracle(
+    profile: &DegreeProfile,
+    table: &AdversaryTable,
+    k: usize,
+    par: &Parallelism,
+) -> ObfuscationCheck {
+    ObfuscationCheck::from_entropies(profile, table.entropies(profile.distinct(), par), k)
+}
+
 /// The incremental check equals the exhaustive one bit for bit on the
 /// edge cases the random batches rarely hit: the empty graph, and a
 /// patch that raises a hub past the accumulator cap.
 #[test]
 fn check_matches_exhaustive_on_empty_graph_and_cap_growth() {
-    let method = DegreeDistMethod::Exact;
     for threads in [1usize, 4] {
         for chunk in [1usize, 2, 3, 64] {
             let par = Parallelism::new(threads).with_chunk_size(chunk);
 
             let empty = UncertainGraph::new(0, vec![]).unwrap();
             let profile = DegreeProfile::new(&Graph::empty(0));
-            let inc = IncrementalAdversary::build(&empty, method, &par);
-            let table = AdversaryTable::build(&empty, method);
+            let inc = IncrementalAdversary::build(&empty, &par);
+            let table = AdversaryTable::build(&empty);
             for k in [1usize, 3] {
-                let want = ObfuscationCheck::run_with_profile(&profile, &table, k, &par);
+                let want = oracle(&profile, &table, k, &par);
                 assert_eq!(check_bits(&inc.check(&profile, k)), check_bits(&want));
             }
 
@@ -158,7 +168,7 @@ fn check_matches_exhaustive_on_empty_graph_and_cap_growth() {
             let g =
                 UncertainGraph::new(8, vec![(0, 5, 0.5), (1, 2, 0.8), (3, 4, 0.6), (6, 7, 0.3)])
                     .unwrap();
-            let mut inc = IncrementalAdversary::build(&g, method, &par);
+            let mut inc = IncrementalAdversary::build(&g, &par);
             let cap = inc.omega_cap();
             let g2 = g
                 .apply_delta(&[(1, 5, Some(0.9)), (2, 5, Some(0.7)), (5, 7, Some(0.4))])
@@ -167,9 +177,9 @@ fn check_matches_exhaustive_on_empty_graph_and_cap_growth() {
             assert!(inc.omega_cap() > cap, "threads={threads} chunk={chunk}");
             let original = Graph::from_edges(8, &[(0, 5), (1, 5), (2, 5), (1, 2), (3, 4), (6, 7)]);
             let profile = DegreeProfile::new(&original);
-            let table = AdversaryTable::build(&g2, method);
+            let table = AdversaryTable::build(&g2);
             for k in 1..=4 {
-                let want = ObfuscationCheck::run_with_profile(&profile, &table, k, &par);
+                let want = oracle(&profile, &table, k, &par);
                 assert_eq!(
                     check_bits(&inc.check(&profile, k)),
                     check_bits(&want),
@@ -244,10 +254,9 @@ proptest! {
         touched.sort_unstable();
         touched.dedup();
 
-        let method = DegreeDistMethod::Exact;
-        let mut inc = IncrementalAdversary::build(&g, method, &par);
+            let mut inc = IncrementalAdversary::build(&g, &par);
         inc.patch(&g2, &touched, &par);
-        let fresh = IncrementalAdversary::build(&g2, method, &par);
+        let fresh = IncrementalAdversary::build(&g2, &par);
 
         let omegas: Vec<usize> = (0..=inc.omega_cap()).collect();
         prop_assert_eq!(inc.entropies(&omegas), fresh.entropies(&omegas));
@@ -263,12 +272,12 @@ proptest! {
         );
         let profile = DegreeProfile::new(&original);
         let got = inc.check(&profile, k);
-        let table = AdversaryTable::build(&g2, method);
-        let want = ObfuscationCheck::run_with_profile(&profile, &table, k, &par);
+        let table = AdversaryTable::build(&g2);
+        let want = oracle(&profile, &table, k, &par);
         prop_assert_eq!(check_bits(&got), check_bits(&want));
 
         // And with the σ-search fast path's memoized table.
-        let mut memo = MemoizedAdversary::new(&g2, method, profile.max_degree(), &par);
+        let mut memo = MemoizedAdversary::new(&g2, profile.max_degree(), &par);
         let distinct = profile.distinct().to_vec();
         prop_assert_eq!(
             inc.entropies(&distinct),
@@ -293,8 +302,7 @@ proptest! {
             .iter()
             .map(|&t| {
                 let par = Parallelism::new(t).with_chunk_size(chunk);
-                let mut inc =
-                    IncrementalAdversary::build(&g, DegreeDistMethod::Exact, &par);
+                let mut inc = IncrementalAdversary::build(&g, &par);
                 inc.patch(&g2, &touched, &par);
                 let omegas: Vec<usize> = (0..=inc.omega_cap()).collect();
                 inc.entropies(&omegas)

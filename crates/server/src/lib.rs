@@ -77,7 +77,7 @@ use obf_obs::metrics::labeled;
 use obf_obs::reqlog::{ReqLogEntry, ReqLogWriter, ReqStatus};
 use obf_obs::{Counter, Gauge, Histogram, Registry, Span, TraceScope};
 use obf_stats::hoeffding::hoeffding_bound;
-use obf_uncertain::degree_dist::{vertex_degree_distribution, DegreeDistMethod};
+use obf_uncertain::degree_dist::vertex_degree_distribution;
 use obf_uncertain::snapshot::SNAPSHOT_MAGIC;
 use obf_uncertain::{SnapshotMeta, UncertainGraph, WorldCache, WorldCacheStats};
 
@@ -539,7 +539,7 @@ impl ServerState {
             ),
             Request::ExpectedDegree(v) => g.expected_degree(check_vertex(v)?).to_string(),
             Request::DegreeDist(v) => {
-                let row = vertex_degree_distribution(g, check_vertex(v)?, DegreeDistMethod::Exact);
+                let row = vertex_degree_distribution(g, check_vertex(v)?);
                 join_f64(&row)
             }
             Request::Neighborhood(v) => {
@@ -869,7 +869,7 @@ mod tests {
             s.answer("EXPECTED triangles"),
             format!("OK {}", expected_triangles(&s.graph()))
         );
-        let dist = vertex_degree_distribution(&s.graph(), 1, DegreeDistMethod::Exact);
+        let dist = vertex_degree_distribution(&s.graph(), 1);
         assert_eq!(s.answer("DEGREE_DIST 1"), format!("OK {}", join_f64(&dist)));
         assert_eq!(s.answer("NEIGHBORHOOD 3"), "OK 0:0.8 1:0.1");
         let info = s.answer("INFO");

@@ -3,8 +3,8 @@
 //! The paper's Eq. (5) defines the Gaussian density
 //! `Φ_{μ,σ}(x) = exp(-(x-μ)²/(2σ²)) / sqrt(2πσ²)`, which drives both the
 //! commonness scores (Definition 3) and the truncated-normal perturbation
-//! distribution `R_σ` (Eq. 6). The normal CDF is also needed for the
-//! central-limit approximation of the degree distribution (Section 4).
+//! distribution `R_σ` (Eq. 6), whose inverse-CDF branch needs the
+//! normal CDF.
 
 /// `1 / sqrt(2π)`.
 pub const FRAC_1_SQRT_2PI: f64 = 0.398_942_280_401_432_7;
@@ -39,7 +39,7 @@ pub fn erf(x: f64) -> f64 {
     1.0 - erfc(x)
 }
 
-/// Chebyshev coefficients of `exp(x²)·erfc(x)` used by [`erfc_lanes`].
+/// Chebyshev coefficients of `exp(x²)·erfc(x)` used by [`erfc`].
 const ERFC_COF: [f64; 28] = [
     -1.3026537197817094,
     6.419_697_923_564_902e-1,
@@ -75,38 +75,24 @@ const ERFC_COF: [f64; 28] = [
 /// terms over the useful range.
 #[inline]
 pub fn erfc(x: f64) -> f64 {
-    erfc_lanes([x])[0]
-}
-
-/// [`erfc`] of `N` arguments at once. Each lane runs the same scalar
-/// operations in the same order, so a lane of any width is bit-identical
-/// to `erfc` (which is the one-lane case), while for `N > 1` the
-/// Chebyshev recurrence runs on `N` independent chains the compiler can
-/// vectorise.
-#[inline]
-pub fn erfc_lanes<const N: usize>(x: [f64; N]) -> [f64; N] {
     // Based on the expansion used by Numerical Recipes (erfc via Chebyshev
     // fitting of exp(x^2) * erfc(x)); symmetric continuation for x < 0.
-    let z = x.map(f64::abs);
-    let t = z.map(|z| 2.0 / (2.0 + z));
-    let ty = t.map(|t| 4.0 * t - 2.0);
-    let mut d = [0.0f64; N];
-    let mut dd = [0.0f64; N];
+    let z = x.abs();
+    let t = 2.0 / (2.0 + z);
+    let ty = 4.0 * t - 2.0;
+    let mut d = 0.0f64;
+    let mut dd = 0.0f64;
     for &c in ERFC_COF.iter().rev().take(ERFC_COF.len() - 1) {
-        for i in 0..N {
-            let tmp = d[i];
-            d[i] = ty[i] * d[i] - dd[i] + c;
-            dd[i] = tmp;
-        }
+        let tmp = d;
+        d = ty * d - dd + c;
+        dd = tmp;
     }
-    std::array::from_fn(|i| {
-        let ans = t[i] * (-z[i] * z[i] + 0.5 * (ERFC_COF[0] + ty[i] * d[i]) - dd[i]).exp();
-        if x[i] >= 0.0 {
-            ans
-        } else {
-            2.0 - ans
-        }
-    })
+    let ans = t * (-z * z + 0.5 * (ERFC_COF[0] + ty * d) - dd).exp();
+    if x >= 0.0 {
+        ans
+    } else {
+        2.0 - ans
+    }
 }
 
 /// Standard normal cumulative distribution function `Φ(z) = P(Z <= z)`.
@@ -120,14 +106,6 @@ pub fn std_norm_cdf(z: f64) -> f64 {
 pub fn norm_cdf(x: f64, mu: f64, sigma: f64) -> f64 {
     debug_assert!(sigma > 0.0, "norm_cdf requires sigma > 0");
     std_norm_cdf((x - mu) / sigma)
-}
-
-/// [`norm_cdf`] at four points with a shared mean and deviation, each
-/// lane bit-identical to the scalar call (through [`erfc_lanes`]).
-#[inline]
-pub fn norm_cdf4(x: [f64; 4], mu: f64, sigma: f64) -> [f64; 4] {
-    debug_assert!(sigma > 0.0, "norm_cdf4 requires sigma > 0");
-    erfc_lanes(x.map(|x| -((x - mu) / sigma) / std::f64::consts::SQRT_2)).map(|e| 0.5 * e)
 }
 
 /// Inverse of the standard normal CDF (the probit function), computed with
@@ -239,50 +217,6 @@ mod tests {
     fn erfc_complements_erf() {
         for &x in &[-3.0, -1.0, -0.2, 0.0, 0.7, 1.5, 4.0] {
             assert!((erf(x) + erfc(x) - 1.0).abs() < 1e-12, "x={x}");
-        }
-    }
-
-    #[test]
-    fn four_erfc_lanes_are_bit_identical_to_erfc() {
-        // Both signs, the origin, signed zeros, tiny and huge magnitudes,
-        // and a dense grid over the range the CLT rows use.
-        let mut xs = vec![
-            0.0,
-            -0.0,
-            1e-300,
-            -1e-300,
-            30.0,
-            -30.0,
-            1e300,
-            f64::MIN_POSITIVE,
-        ];
-        xs.extend((-4000..=4000).map(|i| i as f64 * 0.00173));
-        xs.extend((0..200).map(|i| 1.1f64.powi(i) * 1e-6));
-        for lanes in xs.chunks(4) {
-            let mut x = [0.37; 4];
-            x[..lanes.len()].copy_from_slice(lanes);
-            let got = erfc_lanes(x);
-            for i in 0..4 {
-                assert_eq!(got[i].to_bits(), erfc(x[i]).to_bits(), "x={}", x[i]);
-            }
-        }
-    }
-
-    #[test]
-    fn norm_cdf4_lanes_are_bit_identical_to_norm_cdf() {
-        for (mu, sigma) in [(0.0, 1.0), (12.37, 3.1), (250.5, 9.75), (0.8, 0.4)] {
-            for j in -3..400 {
-                let x: [f64; 4] = std::array::from_fn(|i| (4 * j + i as i32) as f64 * 0.5 - 0.5);
-                let got = norm_cdf4(x, mu, sigma);
-                for i in 0..4 {
-                    assert_eq!(
-                        got[i].to_bits(),
-                        norm_cdf(x[i], mu, sigma).to_bits(),
-                        "x={} mu={mu} sigma={sigma}",
-                        x[i]
-                    );
-                }
-            }
         }
     }
 

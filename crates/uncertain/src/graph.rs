@@ -587,11 +587,7 @@ mod tests {
         let g = figure1b();
         for v in 0..4u32 {
             let (ones, pos) = g.degree_support(v);
-            let dist = crate::degree_dist::vertex_degree_distribution(
-                &g,
-                v,
-                crate::degree_dist::DegreeDistMethod::Exact,
-            );
+            let dist = crate::degree_dist::vertex_degree_distribution(&g, v);
             for (omega, &x) in dist.iter().enumerate() {
                 assert_eq!(
                     x > 0.0,

@@ -50,7 +50,7 @@ pub mod statistics;
 pub mod triangles;
 pub mod world_cache;
 
-pub use degree_dist::{degree_distribution_exact, DegreeDistMethod};
+pub use degree_dist::degree_distribution_exact;
 pub use estimator::{estimate_statistic, estimate_statistic_par, EstimateSummary};
 pub use expected::{expected_average_degree, expected_degree_variance, expected_num_edges};
 pub use graph::{CandidatePairs, UncertainGraph};

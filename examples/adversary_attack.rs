@@ -12,10 +12,8 @@
 //! ```
 
 use obfugraph::baselines::{random_sparsification, sparsification_anonymity};
-use obfugraph::core::adversary::{vertex_obfuscation_levels, AdversaryTable};
-use obfugraph::core::{obfuscate, ObfuscationParams};
-use obfugraph::graph::Parallelism;
-use obfugraph::uncertain::degree_dist::DegreeDistMethod;
+use obfugraph::core::{obfuscate, ObfuscationCheck, ObfuscationParams};
+use obfugraph::graph::{Graph, Parallelism};
 use obfugraph::uncertain::UncertainGraph;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -36,6 +34,11 @@ fn report(label: &str, mut levels: Vec<f64>) {
     );
 }
 
+/// Per-vertex crowd sizes `2^H` of a release against `g`'s degrees.
+fn crowds(g: &Graph, published: &UncertainGraph) -> Vec<f64> {
+    ObfuscationCheck::run(g, published, 1, &Parallelism::available()).vertex_obfuscation_levels(g)
+}
+
 fn main() {
     let mut rng = SmallRng::seed_from_u64(5);
     let g = obfugraph::datasets::y360_like(5_000, 17);
@@ -46,12 +49,7 @@ fn main() {
     );
 
     // 1. Raw release: protection = size of the target's degree crowd.
-    let certain = UncertainGraph::from_certain(&g);
-    let table = AdversaryTable::build(&certain, DegreeDistMethod::Exact);
-    report(
-        "raw release",
-        vertex_obfuscation_levels(&g, &table, &Parallelism::available()),
-    );
+    report("raw release", crowds(&g, &UncertainGraph::from_certain(&g)));
 
     // 2. Sparsified release (heavy noise, Bonchi et al. baseline).
     let p = 0.5;
@@ -64,11 +62,7 @@ fn main() {
     // 3. Uncertain release at (k = 20, eps = 0.01).
     let params = ObfuscationParams::new(20, 1e-2).with_seed(23);
     let res = obfuscate(&g, &params).expect("obfuscation");
-    let table = AdversaryTable::build(&res.graph, DegreeDistMethod::Auto { threshold: 64 });
-    report(
-        "uncertain (k = 20, eps = 1e-2)",
-        vertex_obfuscation_levels(&g, &table, &Parallelism::available()),
-    );
+    report("uncertain (k = 20, eps = 1e-2)", crowds(&g, &res.graph));
 
     println!(
         "\nThe uncertain release guarantees a crowd of >= 20 for 99% of \

@@ -15,10 +15,9 @@
 //! ```
 
 use obfugraph::baselines::{degree_trail_candidates, uncertain_trail_crowd};
-use obfugraph::core::{AdversaryTable, ObfuscationCheck, ObfuscationParams};
+use obfugraph::core::{ObfuscationCheck, ObfuscationParams};
 use obfugraph::evolve::{DeltaLog, EvolveParams, Republisher};
 use obfugraph::graph::{EdgeBatch, Parallelism};
-use obfugraph::uncertain::degree_dist::DegreeDistMethod;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -118,7 +117,7 @@ fn main() {
 
     // Attack on the uncertain releases produced by the republish
     // pipeline.
-    let crowd = uncertain_trail_crowd(&published, &trail, DegreeDistMethod::Auto { threshold: 64 });
+    let crowd = uncertain_trail_crowd(&published, &trail);
     println!("uncertain releases: effective crowd 2^H = {crowd:.1}");
     println!(
         "\nIncremental republish keeps every release (k = {K}, eps = {EPS})-certified while\n\
@@ -130,8 +129,12 @@ fn main() {
 /// From-scratch (k, ε) verification of the republisher's current
 /// release.
 fn assert_certified(rep: &Republisher) {
-    let table = AdversaryTable::build(rep.published(), DegreeDistMethod::Exact);
-    let check = ObfuscationCheck::run(rep.original(), &table, K, &Parallelism::available());
+    let check = ObfuscationCheck::run(
+        rep.original(),
+        rep.published(),
+        K,
+        &Parallelism::available(),
+    );
     assert!(
         check.satisfies(EPS + 1e-12),
         "release {} lost its certificate: eps = {}",

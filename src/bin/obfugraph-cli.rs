@@ -25,12 +25,10 @@
 use std::collections::HashMap;
 use std::process::ExitCode;
 
-use obfugraph::baselines::{anonymity_curve, eps_for_k};
-use obfugraph::core::adversary::{vertex_obfuscation_levels, AdversaryTable};
-use obfugraph::core::{obfuscate_with_stats, ObfuscationParams};
+use obfugraph::baselines::anonymity_curve;
+use obfugraph::core::{obfuscate_with_stats, ObfuscationCheck, ObfuscationParams};
 use obfugraph::graph::io::load_edge_list;
 use obfugraph::graph::Parallelism;
-use obfugraph::uncertain::degree_dist::DegreeDistMethod;
 use obfugraph::uncertain::io::{load_uncertain_edge_list, save_uncertain_edge_list};
 use obfugraph::uncertain::statistics::{
     evaluate_uncertain, DistanceEngine, StatSuite, UtilityConfig,
@@ -205,6 +203,9 @@ fn cmd_audit(pos: &[String], flags: &HashMap<String, String>) -> Result<(), Stri
         return Err("audit needs <edges.txt> <graph.up>".into());
     };
     let k: usize = flag(flags, "k", 20)?;
+    if k < 1 {
+        return Err("invalid parameter: k must be >= 1".into());
+    }
     let loaded = load_edge_list(orig_path).map_err(|e| e.to_string())?;
     let ug = load_uncertain_edge_list(pub_path, loaded.graph.num_vertices())
         .map_err(|e| e.to_string())?;
@@ -215,11 +216,14 @@ fn cmd_audit(pos: &[String], flags: &HashMap<String, String>) -> Result<(), Stri
             ug.num_vertices()
         ));
     }
-    let par = parallelism_flag(flags)?;
-    let table = AdversaryTable::build_par(&ug, DegreeDistMethod::Exact, &par);
-    let levels = vertex_obfuscation_levels(&loaded.graph, &table, &par);
-    let eps = eps_for_k(&levels, k);
-    println!("vertices below obfuscation level k = {k}: {:.4} (eps)", eps);
+    // The publish check's own verdict: the same rows, entropies and
+    // pass rule obfuscate certified its release with.
+    let check = ObfuscationCheck::run(&loaded.graph, &ug, k, &parallelism_flag(flags)?);
+    let levels = check.vertex_obfuscation_levels(&loaded.graph);
+    println!(
+        "vertices below obfuscation level k = {k}: {:.4} (eps)",
+        check.eps_achieved
+    );
     println!("anonymity curve (level -> vertices at or below):");
     for (lvl, count) in anonymity_curve(&levels, k.max(10)) {
         if lvl == 1 || lvl % 5 == 0 {
@@ -295,6 +299,13 @@ mod tests {
         check_flags("obfuscate", &flags).unwrap();
         let (_, flags) = parse_args(&args(&["--k", "10"])).unwrap();
         check_flags("audit", &flags).unwrap();
+    }
+
+    #[test]
+    fn audit_rejects_k_zero() {
+        // The same message obfuscate gives, before any file is read.
+        let err = run(&args(&["audit", "g.txt", "out.up", "--k", "0"])).unwrap_err();
+        assert_eq!(err, "invalid parameter: k must be >= 1");
     }
 
     #[test]

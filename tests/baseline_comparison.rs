@@ -3,11 +3,9 @@
 //! preserves utility better than random sparsification.
 
 use obfugraph::baselines::{eps_for_k, k_for_eps, random_sparsification, sparsification_anonymity};
-use obfugraph::core::adversary::{vertex_obfuscation_levels, AdversaryTable};
-use obfugraph::core::{obfuscate, ObfuscationParams};
+use obfugraph::core::{obfuscate, ObfuscationCheck, ObfuscationParams};
 use obfugraph::datasets;
 use obfugraph::graph::Parallelism;
-use obfugraph::uncertain::degree_dist::DegreeDistMethod;
 use obfugraph::uncertain::statistics::{
     evaluate_uncertain, evaluate_world, DistanceEngine, StatSuite, UtilityConfig,
 };
@@ -81,17 +79,11 @@ fn obfuscated_release_levels_exceed_original() {
     params.t = 3;
     let res = obfuscate(&g, &params).expect("obfuscation");
 
-    let certain = obfugraph::uncertain::UncertainGraph::from_certain(&g);
-    let orig_levels = vertex_obfuscation_levels(
-        &g,
-        &AdversaryTable::build(&certain, DegreeDistMethod::Exact),
-        &Parallelism::new(2),
-    );
-    let obf_levels = vertex_obfuscation_levels(
-        &g,
-        &AdversaryTable::build(&res.graph, DegreeDistMethod::Exact),
-        &Parallelism::new(2),
-    );
+    let levels = |published: &obfugraph::uncertain::UncertainGraph| {
+        ObfuscationCheck::run(&g, published, 1, &Parallelism::new(2)).vertex_obfuscation_levels(&g)
+    };
+    let orig_levels = levels(&obfugraph::uncertain::UncertainGraph::from_certain(&g));
+    let obf_levels = levels(&res.graph);
     // At the eps quantile, the obfuscated release reaches k.
     assert!(k_for_eps(&obf_levels, 0.05) >= k as f64 - 1e-9);
     // And its median protection is at least the original's.

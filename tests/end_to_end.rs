@@ -2,11 +2,10 @@
 //! re-verify the (k, ε) certificate from scratch, and confirm the
 //! published graph retains utility.
 
-use obfugraph::core::adversary::{AdversaryTable, ObfuscationCheck};
+use obfugraph::core::adversary::{AdversaryTable, DegreeProfile, ObfuscationCheck};
 use obfugraph::core::{obfuscate, ObfuscationParams};
 use obfugraph::datasets;
 use obfugraph::graph::Parallelism;
-use obfugraph::uncertain::degree_dist::DegreeDistMethod;
 use obfugraph::uncertain::expected::{expected_average_degree, expected_num_edges};
 use obfugraph::uncertain::statistics::{
     evaluate_uncertain, evaluate_world, DistanceEngine, UtilityConfig,
@@ -27,9 +26,11 @@ fn obfuscation_certificate_reverifies() {
     let res = obfuscate(&g, &fast_params(k, eps, 1)).expect("obfuscation");
     assert!(res.eps_achieved <= eps);
 
-    // Independent re-verification with the exact DP (no approximation).
-    let table = AdversaryTable::build(&res.graph, DegreeDistMethod::Exact);
-    let check = ObfuscationCheck::run(&g, &table, k, &Parallelism::new(2));
+    // Independent re-verification: every full Lemma 1 row, every column.
+    let par = Parallelism::new(2);
+    let profile = DegreeProfile::new(&g);
+    let entropies = AdversaryTable::build_par(&res.graph, &par).entropies(profile.distinct(), &par);
+    let check = ObfuscationCheck::from_entropies(&profile, entropies, k);
     assert!(
         check.eps_achieved <= eps + 1e-12,
         "re-verified eps = {}",

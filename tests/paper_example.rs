@@ -4,7 +4,6 @@
 
 use obfugraph::core::adversary::{AdversaryTable, ObfuscationCheck};
 use obfugraph::graph::Graph;
-use obfugraph::uncertain::degree_dist::DegreeDistMethod;
 use obfugraph::uncertain::UncertainGraph;
 
 /// Figure 1(a): v1 connected to v2, v3, v4; v3 connected to v4.
@@ -32,13 +31,13 @@ fn published() -> UncertainGraph {
 #[test]
 fn example1_probability_of_degree_two() {
     // "the probability that v1 has degree 2 is … = 0.398"
-    let t = AdversaryTable::build(&published(), DegreeDistMethod::Exact);
+    let t = AdversaryTable::build(&published());
     assert!((t.x(0, 2) - 0.398).abs() < 1e-12);
 }
 
 #[test]
 fn table1_x_matrix_full() {
-    let t = AdversaryTable::build(&published(), DegreeDistMethod::Exact);
+    let t = AdversaryTable::build(&published());
     let expected = [
         [0.006, 0.092, 0.398, 0.504],
         [0.054, 0.348, 0.542, 0.056],
@@ -58,7 +57,7 @@ fn table1_x_matrix_full() {
 
 #[test]
 fn table1_y_matrix_full() {
-    let t = AdversaryTable::build(&published(), DegreeDistMethod::Exact);
+    let t = AdversaryTable::build(&published());
     let expected = [
         (0usize, [0.023, 0.208, 0.077, 0.692]),
         (1, [0.064, 0.242, 0.180, 0.514]),
@@ -82,7 +81,7 @@ fn table1_y_matrix_full() {
 fn example1_degree3_posterior() {
     // "if we look for a vertex that has degree 3 in G, it is either v1,
     // with probability 0.9, or v2, with probability 0.1"
-    let t = AdversaryTable::build(&published(), DegreeDistMethod::Exact);
+    let t = AdversaryTable::build(&published());
     let y = t.posterior(3);
     assert!((y[0] - 0.9).abs() < 1e-3);
     assert!((y[1] - 0.1).abs() < 1e-3);
@@ -92,7 +91,7 @@ fn example1_degree3_posterior() {
 
 #[test]
 fn example2_entropies_and_verdict() {
-    let t = AdversaryTable::build(&published(), DegreeDistMethod::Exact);
+    let t = AdversaryTable::build(&published());
     // H(deg=3) ≈ 0.469 — "rather low … not obfuscated enough".
     assert!((t.entropy(3) - 0.469).abs() < 1e-3);
     assert!(t.entropy(3) < 3f64.log2());
@@ -104,7 +103,7 @@ fn example2_entropies_and_verdict() {
     // "three out of four vertices are 3-obfuscated … (3, 0.25)".
     let check = ObfuscationCheck::run(
         &original(),
-        &t,
+        &published(),
         3,
         &obfugraph::graph::Parallelism::sequential(),
     );

@@ -4,7 +4,7 @@ use obfugraph::core::adversary::AdversaryTable;
 use obfugraph::core::{generate_obfuscation, ObfuscationParams};
 use obfugraph::graph::{Graph, GraphBuilder};
 use obfugraph::stats::entropy_bits_normalized;
-use obfugraph::uncertain::degree_dist::{poisson_binomial, DegreeDistMethod};
+use obfugraph::uncertain::degree_dist::poisson_binomial;
 use obfugraph::uncertain::UncertainGraph;
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
@@ -58,7 +58,7 @@ proptest! {
 
     #[test]
     fn adversary_rows_are_distributions(ug in arb_uncertain(24)) {
-        let t = AdversaryTable::build(&ug, DegreeDistMethod::Exact);
+        let t = AdversaryTable::build(&ug);
         for v in 0..ug.num_vertices() as u32 {
             let total: f64 = t.row(v).iter().sum();
             prop_assert!((total - 1.0).abs() < 1e-9, "row {} sums to {}", v, total);
@@ -68,7 +68,7 @@ proptest! {
 
     #[test]
     fn entropy_bounded_by_log_n(ug in arb_uncertain(24)) {
-        let t = AdversaryTable::build(&ug, DegreeDistMethod::Exact);
+        let t = AdversaryTable::build(&ug);
         let n = ug.num_vertices() as f64;
         for omega in 0..4usize {
             let h = t.entropy(omega);
