@@ -149,25 +149,24 @@ PY
 }
 
 serve() {
-    step "obf_server integration tests"
+    # Every obf_server test target, each run once: the unit tests, the
+    # integration suite, protocol fuzzing, fault injection (slowloris,
+    # half-open, backpressure, pipelined flood), the 1000-connection
+    # swarm, observability neutrality, STAT transcripts that must not
+    # depend on the world-statistics memo's capacity (and equal
+    # evaluate_uncertain's means bit for bit), and the per-release
+    # INFO/EXPECTED answers (direct-function bits on heap and mmap
+    # releases, kept by a pinned connection across a RELOAD). A failure
+    # names its target in cargo's "to rerun pass --test <name>" line.
+    step "obf_server tests (every target once)"
     cargo test -q -p obf_server
 
-    # The event-loop hardening suites, named so a failure points straight
-    # at the broken layer: protocol fuzzing, fault injection (slowloris,
-    # half-open, backpressure, pipelined flood), bit-identity against
-    # the transport-free ServerState::answer transcript at 1, 2 and 4
-    # shards, the 1000-connection swarm, STAT transcripts that must not depend on the
-    # world-statistics memo's capacity, the per-release INFO/EXPECTED
-    # answers (direct-function bits on heap and mmap releases, kept by
-    # a pinned connection across a RELOAD), and live reload across
-    # shards (no connection ever sees two epochs).
-    step "obf_server fuzz + fault-injection + bit-identity + swarm + memo + release-memo + shard-reload suites"
-    cargo test -q -p obf_server --test fuzz_protocol
-    cargo test -q -p obf_server --test fault_injection
+    # Outside the obf_server package: bit-identity against the
+    # transport-free ServerState::answer transcript at 1, 2 and 4
+    # shards, and live reload across shards (no connection ever sees
+    # two epochs).
+    step "bit-identity + shard-reload suites"
     cargo test -q -p obf_bench --test bit_identity
-    cargo test -q -p obf_server --test high_concurrency
-    cargo test -q -p obf_server --test stat_memo
-    cargo test -q -p obf_server --test release_memo
     cargo test -q --test shard_reload
 
     # Serving determinism: the probe script must answer bit-identically

@@ -5,9 +5,7 @@
 //! distance distribution `S_PDD` and diameter lower bound `S_DiamLB` — are
 //! all derived from the distribution of pairwise distances. This module
 //! computes that distribution exactly (all-pairs BFS, for small graphs and
-//! for validating HyperANF) or approximately from sampled BFS sources.
-
-use rand::Rng;
+//! for validating HyperANF).
 
 use obf_stats::IntHistogram;
 
@@ -119,69 +117,10 @@ pub fn exact_distance_distribution(g: &Graph) -> DistanceDistribution {
     }
 }
 
-/// Estimates the distance distribution from `sources` BFS roots sampled
-/// without replacement, scaling counts to the full pair population.
-/// The scaling treats each source row (distances to all other vertices) as
-/// a sample of ordered pairs.
-pub fn sampled_distance_distribution<R: Rng + ?Sized>(
-    g: &Graph,
-    sources: usize,
-    rng: &mut R,
-) -> DistanceDistribution {
-    let n = g.num_vertices();
-    if n < 2 || sources == 0 {
-        return DistanceDistribution {
-            histogram: IntHistogram::new(),
-            unreachable_pairs: 0,
-        };
-    }
-    let k = sources.min(n);
-    // Reservoir-free sampling: partial Fisher–Yates over vertex ids.
-    let mut ids: Vec<u32> = (0..n as u32).collect();
-    for i in 0..k {
-        let j = rng.gen_range(i..n);
-        ids.swap(i, j);
-    }
-    let mut ordered_counts: Vec<f64> = Vec::new();
-    let mut unreachable_ordered = 0f64;
-    let mut dist = Vec::new();
-    let mut queue = Vec::new();
-    for &s in &ids[..k] {
-        bfs_distances_into(g, s, &mut dist, &mut queue);
-        for (v, &d) in dist.iter().enumerate() {
-            if v as u32 == s {
-                continue;
-            }
-            if d == UNREACHABLE {
-                unreachable_ordered += 1.0;
-            } else {
-                let d = d as usize;
-                if d >= ordered_counts.len() {
-                    ordered_counts.resize(d + 1, 0.0);
-                }
-                ordered_counts[d] += 1.0;
-            }
-        }
-    }
-    // Scale ordered-pair counts from k rows to n rows, then halve for
-    // unordered pairs.
-    let scale = n as f64 / k as f64 / 2.0;
-    let mut hist = IntHistogram::new();
-    for (d, &c) in ordered_counts.iter().enumerate() {
-        hist.add_count(d, (c * scale).round() as u64);
-    }
-    DistanceDistribution {
-        histogram: hist,
-        unreachable_pairs: (unreachable_ordered * scale).round() as u64,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::generators;
-    use rand::rngs::SmallRng;
-    use rand::SeedableRng;
 
     #[test]
     fn path_distribution() {
@@ -241,31 +180,6 @@ mod tests {
         let s = dd.stats();
         assert_eq!(s.average_distance, 0.0);
         assert_eq!(s.connectivity_length, 0.0);
-    }
-
-    #[test]
-    fn sampled_matches_exact_when_all_sources() {
-        let mut rng = SmallRng::seed_from_u64(1);
-        let g = generators::cycle(12);
-        let exact = exact_distance_distribution(&g);
-        let sampled = sampled_distance_distribution(&g, 12, &mut rng);
-        assert_eq!(exact.histogram, sampled.histogram);
-        assert_eq!(exact.unreachable_pairs, sampled.unreachable_pairs);
-    }
-
-    #[test]
-    fn sampled_close_to_exact_on_random_graph() {
-        let mut rng = SmallRng::seed_from_u64(2);
-        let g = generators::erdos_renyi_gnm(300, 900, &mut rng);
-        let exact = exact_distance_distribution(&g).stats();
-        let sampled = sampled_distance_distribution(&g, 100, &mut rng).stats();
-        assert!(
-            (exact.average_distance - sampled.average_distance).abs()
-                < 0.15 * exact.average_distance,
-            "exact={} sampled={}",
-            exact.average_distance,
-            sampled.average_distance
-        );
     }
 
     #[test]

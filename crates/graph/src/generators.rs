@@ -190,74 +190,6 @@ pub fn holme_kim<R: Rng + ?Sized>(n: usize, m_attach: usize, p_triad: f64, rng: 
     b.build()
 }
 
-/// Affiliation ("team") model for collaboration networks: `teams` teams
-/// are formed; each team's size is drawn uniformly from
-/// `min_size..=max_size`; the first member is sampled preferentially (by
-/// how many teams a vertex already joined, plus one) and each further
-/// member is, with probability `closure`, an existing collaborator of a
-/// member already on the team (repeated collaborations — what keeps real
-/// co-authorship hubs clustered), otherwise a fresh preferential draw.
-/// Every team becomes a clique. Produces the clique-heavy,
-/// high-clustering, skewed-degree shape of co-authorship graphs such as
-/// dblp.
-pub fn team_model<R: Rng + ?Sized>(
-    n: usize,
-    teams: usize,
-    min_size: usize,
-    max_size: usize,
-    closure: f64,
-    rng: &mut R,
-) -> Graph {
-    assert!(n >= 2, "need at least two vertices");
-    assert!(
-        2 <= min_size && min_size <= max_size,
-        "need 2 <= min_size <= max_size"
-    );
-    assert!(max_size <= n, "team size exceeds vertex count");
-    assert!((0.0..=1.0).contains(&closure), "closure must be in [0,1]");
-    let mut b = GraphBuilder::new(n);
-    // Preferential membership: each vertex starts with one ticket.
-    let mut tickets: Vec<u32> = (0..n as u32).collect();
-    // Incremental adjacency for collaborator sampling.
-    let mut adj: Vec<Vec<u32>> = vec![Vec::new(); n];
-    let mut members: Vec<u32> = Vec::with_capacity(max_size);
-    let mut member_set: FxHashSet<u32> = FxHashSet::default();
-    for _ in 0..teams {
-        let size = rng.gen_range(min_size..=max_size);
-        members.clear();
-        member_set.clear();
-        let mut attempts = 0;
-        while members.len() < size && attempts < 50 * size {
-            attempts += 1;
-            let candidate = if !members.is_empty() && rng.gen::<f64>() < closure {
-                // Repeated collaboration: a neighbour of a random member.
-                let anchor = members[rng.gen_range(0..members.len())];
-                let nb = &adj[anchor as usize];
-                if nb.is_empty() {
-                    tickets[rng.gen_range(0..tickets.len())]
-                } else {
-                    nb[rng.gen_range(0..nb.len())]
-                }
-            } else {
-                tickets[rng.gen_range(0..tickets.len())]
-            };
-            if member_set.insert(candidate) {
-                members.push(candidate);
-            }
-        }
-        for i in 0..members.len() {
-            for j in i + 1..members.len() {
-                let (u, v) = (members[i], members[j]);
-                b.add_edge(u, v);
-                adj[u as usize].push(v);
-                adj[v as usize].push(u);
-            }
-        }
-        tickets.extend_from_slice(&members);
-    }
-    b.build()
-}
-
 /// Community ("caveman-with-noise") model: the vertex set is partitioned
 /// into communities whose sizes follow a truncated power law
 /// `P(s) ∝ s^(−gamma)` on `[s_min, s_max]`; within a community each pair
@@ -317,106 +249,6 @@ pub fn community_model<R: Rng + ?Sized>(
         let v = rng.gen_range(0..n as u32);
         if u != v {
             b.add_edge(u, v);
-        }
-    }
-    b.build()
-}
-
-/// Watts–Strogatz small world: ring lattice with `k` neighbours per side
-/// rewired with probability `beta`.
-pub fn watts_strogatz<R: Rng + ?Sized>(n: usize, k: usize, beta: f64, rng: &mut R) -> Graph {
-    assert!(k >= 1 && 2 * k < n, "need 1 <= k and 2k < n");
-    assert!((0.0..=1.0).contains(&beta), "beta must be in [0,1]");
-    let mut edges: FxHashSet<(u32, u32)> = FxHashSet::default();
-    let canon = |u: u32, v: u32| if u < v { (u, v) } else { (v, u) };
-    for u in 0..n as u32 {
-        for j in 1..=k as u32 {
-            let v = (u + j) % n as u32;
-            edges.insert(canon(u, v));
-        }
-    }
-    if beta > 0.0 {
-        // Visit lattice edges in sorted order so the rewiring RNG
-        // stream — and hence the generated graph — is independent of
-        // the set's internal layout.
-        let mut lattice: Vec<(u32, u32)> = edges.iter().copied().collect(); // audit:allow(map-iter, sorted on the next line before any RNG draw depends on the order)
-        lattice.sort_unstable();
-        for (u, v) in lattice {
-            if rng.gen::<f64>() < beta {
-                // Rewire the far endpoint.
-                let mut tries = 0;
-                loop {
-                    tries += 1;
-                    if tries > 100 {
-                        break;
-                    }
-                    let w = rng.gen_range(0..n as u32);
-                    if w == u || w == v {
-                        continue;
-                    }
-                    let new_e = canon(u, w);
-                    if edges.contains(&new_e) {
-                        continue;
-                    }
-                    edges.remove(&canon(u, v));
-                    edges.insert(new_e);
-                    break;
-                }
-            }
-        }
-    }
-    let mut b = GraphBuilder::with_capacity(n, edges.len());
-    let mut final_edges: Vec<(u32, u32)> = edges.into_iter().collect(); // audit:allow(map-iter, sorted on the next line before insertion order can matter)
-    final_edges.sort_unstable();
-    for (u, v) in final_edges {
-        b.add_edge(u, v);
-    }
-    b.build()
-}
-
-/// Configuration-model graph with a power-law degree sequence
-/// `P(d) ∝ d^(−gamma)` on `d ∈ [d_min, d_max]`, simplified (self loops and
-/// multi-edges dropped), so realised degrees are close to, but not exactly,
-/// the drawn sequence.
-pub fn powerlaw_configuration<R: Rng + ?Sized>(
-    n: usize,
-    gamma: f64,
-    d_min: usize,
-    d_max: usize,
-    rng: &mut R,
-) -> Graph {
-    assert!(gamma > 1.0, "gamma must exceed 1");
-    assert!(1 <= d_min && d_min <= d_max && d_max < n);
-    // Sample degrees by inverse transform on the discrete power law.
-    let weights: Vec<f64> = (d_min..=d_max).map(|d| (d as f64).powf(-gamma)).collect();
-    let total: f64 = weights.iter().sum();
-    let mut cdf = Vec::with_capacity(weights.len());
-    let mut acc = 0.0;
-    for w in &weights {
-        acc += w / total;
-        cdf.push(acc);
-    }
-    let mut stubs: Vec<u32> = Vec::new();
-    for v in 0..n as u32 {
-        let u: f64 = rng.gen();
-        let k = cdf.partition_point(|&c| c < u);
-        let d = d_min + k.min(cdf.len() - 1);
-        for _ in 0..d {
-            stubs.push(v);
-        }
-    }
-    if stubs.len() % 2 == 1 {
-        stubs.pop();
-    }
-    // Random matching of stubs.
-    for i in (1..stubs.len()).rev() {
-        let j = rng.gen_range(0..=i);
-        stubs.swap(i, j);
-    }
-    let mut b = GraphBuilder::with_capacity(n, stubs.len() / 2);
-    for pair in stubs.chunks_exact(2) {
-        if pair[0] != pair[1] {
-            b.add_edge(pair[0], pair[1]);
         }
     }
     b.build()
@@ -578,65 +410,6 @@ mod tests {
         assert_eq!(g.num_vertices(), 0);
         let g = community_model(1, 2.0, 1, 1, 0.5, 0.0, &mut rng);
         assert_eq!(g.num_edges(), 0);
-    }
-
-    #[test]
-    fn team_model_is_clique_heavy() {
-        let mut rng = SmallRng::seed_from_u64(21);
-        let g = team_model(2000, 600, 3, 7, 0.5, &mut rng);
-        let cc = crate::triangles::global_clustering_coefficient(&g);
-        // Clearly clustered compared to a degree-matched random graph
-        // (whose paper-style CC would be ~avg_deg/n ≈ 0.003).
-        assert!(cc > 0.08, "cc={cc}");
-        // Degrees are skewed by preferential membership.
-        assert!(g.max_degree() as f64 > 4.0 * g.average_degree());
-        g.validate().unwrap();
-    }
-
-    #[test]
-    fn team_model_respects_bounds() {
-        let mut rng = SmallRng::seed_from_u64(22);
-        let g = team_model(50, 10, 3, 3, 0.2, &mut rng);
-        // Each team adds at most C(3,2)=3 edges.
-        assert!(g.num_edges() <= 30);
-        assert_eq!(g.num_vertices(), 50);
-    }
-
-    #[test]
-    #[should_panic(expected = "min_size")]
-    fn team_model_rejects_singleton_teams() {
-        let mut rng = SmallRng::seed_from_u64(23);
-        let _ = team_model(10, 5, 1, 3, 0.2, &mut rng);
-    }
-
-    #[test]
-    fn watts_strogatz_zero_beta_is_lattice() {
-        let mut rng = SmallRng::seed_from_u64(8);
-        let g = watts_strogatz(20, 2, 0.0, &mut rng);
-        assert_eq!(g.num_edges(), 40);
-        for v in 0..20u32 {
-            assert_eq!(g.degree(v), 4);
-        }
-    }
-
-    #[test]
-    fn watts_strogatz_rewiring_preserves_edge_count() {
-        let mut rng = SmallRng::seed_from_u64(9);
-        let g = watts_strogatz(100, 3, 0.3, &mut rng);
-        assert_eq!(g.num_edges(), 300);
-        g.validate().unwrap();
-    }
-
-    #[test]
-    fn configuration_model_degrees_bounded() {
-        let mut rng = SmallRng::seed_from_u64(10);
-        let g = powerlaw_configuration(1000, 2.5, 2, 100, &mut rng);
-        g.validate().unwrap();
-        // Simplification removes a few edges, but the average degree should
-        // be near the power-law mean (between d_min and ~2 d_min for
-        // gamma=2.5).
-        let avg = g.average_degree();
-        assert!(avg > 1.5 && avg < 8.0, "avg={avg}");
     }
 
     #[test]

@@ -41,13 +41,13 @@ pub use builder::GraphBuilder;
 pub use components::{connected_components, largest_component_size, num_components, UnionFind};
 pub use degstats::DegreeStats;
 pub use delta::EdgeBatch;
-pub use distance::{exact_distance_distribution, sampled_distance_distribution, DistanceStats};
+pub use distance::{exact_distance_distribution, DistanceStats};
 pub use extras::{core_numbers, degeneracy, degree_assortativity, pagerank};
 pub use graph::Graph;
 pub use hashers::{splitmix64, FxBuildHasher, FxHashMap, FxHashSet};
 pub use parallel::{stream_seed, Parallelism};
-pub use traversal::{bfs_distances, bfs_from};
-pub use triangles::{global_clustering_coefficient, local_clustering_coefficients, triangle_count};
+pub use traversal::bfs_distances;
+pub use triangles::{global_clustering_coefficient, triangle_count};
 
 /// An unordered pair of distinct vertices, stored with the smaller id
 /// first so it can be used as a canonical hash/set key for edges.

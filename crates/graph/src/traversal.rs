@@ -1,7 +1,7 @@
 //! Breadth-first search primitives.
 //!
 //! BFS underlies the exact distance distribution (used to validate
-//! HyperANF), connected components, and the sampled distance estimators.
+//! HyperANF).
 
 use crate::graph::Graph;
 
@@ -41,42 +41,6 @@ pub fn bfs_distances_into(g: &Graph, source: u32, dist: &mut Vec<u32>, queue: &m
     }
 }
 
-/// The set of vertices reachable from `source` (including it), in BFS
-/// order.
-pub fn bfs_from(g: &Graph, source: u32) -> Vec<u32> {
-    let mut dist = Vec::new();
-    let mut queue = Vec::new();
-    bfs_distances_into(g, source, &mut dist, &mut queue);
-    queue
-}
-
-/// Eccentricity of `source`: the maximum finite BFS distance. Returns 0
-/// for an isolated vertex.
-pub fn eccentricity(g: &Graph, source: u32) -> u32 {
-    bfs_distances(g, source)
-        .into_iter()
-        .filter(|&d| d != UNREACHABLE)
-        .max()
-        .unwrap_or(0)
-}
-
-/// A lower bound on the graph diameter via the double-sweep heuristic:
-/// BFS from `start`, then BFS again from the farthest vertex found.
-pub fn double_sweep_diameter_lb(g: &Graph, start: u32) -> u32 {
-    if g.num_vertices() == 0 {
-        return 0;
-    }
-    let d1 = bfs_distances(g, start);
-    let far = d1
-        .iter()
-        .enumerate()
-        .filter(|(_, &d)| d != UNREACHABLE)
-        .max_by_key(|(_, &d)| d)
-        .map(|(i, _)| i as u32)
-        .unwrap_or(start);
-    eccentricity(g, far)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -99,34 +63,6 @@ mod tests {
         assert_eq!(d[1], 1);
         assert_eq!(d[2], UNREACHABLE);
         assert_eq!(d[3], UNREACHABLE);
-    }
-
-    #[test]
-    fn bfs_order_starts_at_source() {
-        let order = bfs_from(&path4(), 2);
-        assert_eq!(order[0], 2);
-        assert_eq!(order.len(), 4);
-    }
-
-    #[test]
-    fn eccentricity_path() {
-        let g = path4();
-        assert_eq!(eccentricity(&g, 0), 3);
-        assert_eq!(eccentricity(&g, 1), 2);
-    }
-
-    #[test]
-    fn eccentricity_isolated() {
-        let g = Graph::empty(3);
-        assert_eq!(eccentricity(&g, 1), 0);
-    }
-
-    #[test]
-    fn double_sweep_exact_on_path() {
-        // Starting from the middle of a path, double sweep finds the true
-        // diameter.
-        let g = path4();
-        assert_eq!(double_sweep_diameter_lb(&g, 1), 3);
     }
 
     #[test]

@@ -5,8 +5,8 @@
 //! induce a connected subgraph (Example 3 fixes the semantics:
 //! `T₂[K₃] = 1`, not 3). Hence `T₂ = Σ_v C(deg v, 2) − 2·T₃`, since a
 //! triangle is counted as a centre-path three times but is a single
-//! connected triplet. The more common *transitivity* `3T₃/Σ C(deg v, 2)`
-//! is provided separately.
+//! connected triplet. It differs from the more common global clustering
+//! measure `3T₃/Σ C(deg v, 2)`.
 //!
 //! Triangles are counted with the sorted-adjacency merge ("forward")
 //! algorithm, fine for the graph sizes the possible-world sampling
@@ -67,11 +67,6 @@ pub fn connected_triples_with(g: &Graph, triangles: u64) -> u64 {
     center_paths(g) - 2 * triangles
 }
 
-/// The paper's `T₂` (convenience form that counts triangles internally).
-pub fn connected_triples(g: &Graph) -> u64 {
-    connected_triples_with(g, triangle_count(g))
-}
-
 /// The paper's global clustering coefficient `S_CC = T₃ / T₂` (Section
 /// 6.4), in `[0, 1]`; 0 when there are no connected triplets.
 pub fn global_clustering_coefficient(g: &Graph) -> f64 {
@@ -81,50 +76,6 @@ pub fn global_clustering_coefficient(g: &Graph) -> f64 {
         return 0.0;
     }
     t3 as f64 / t2 as f64
-}
-
-/// Transitivity `3·T₃ / Σ_v C(deg v, 2)` — the other common global
-/// clustering measure, kept for cross-checks.
-pub fn transitivity(g: &Graph) -> f64 {
-    let paths = center_paths(g);
-    if paths == 0 {
-        return 0.0;
-    }
-    3.0 * triangle_count(g) as f64 / paths as f64
-}
-
-/// Local clustering coefficient of every vertex: fraction of pairs of
-/// neighbours that are themselves connected (0 for degree < 2).
-pub fn local_clustering_coefficients(g: &Graph) -> Vec<f64> {
-    let n = g.num_vertices() as u32;
-    let mut cc = vec![0.0; n as usize];
-    for v in 0..n {
-        let adj = g.neighbors(v);
-        let d = adj.len();
-        if d < 2 {
-            continue;
-        }
-        let mut links = 0u64;
-        for (idx, &a) in adj.iter().enumerate() {
-            let adj_a = g.neighbors(a);
-            for &b in &adj[idx + 1..] {
-                if adj_a.binary_search(&b).is_ok() {
-                    links += 1;
-                }
-            }
-        }
-        cc[v as usize] = 2.0 * links as f64 / (d as f64 * (d as f64 - 1.0));
-    }
-    cc
-}
-
-/// Average local clustering coefficient (Watts–Strogatz style).
-pub fn average_local_clustering(g: &Graph) -> f64 {
-    let n = g.num_vertices();
-    if n == 0 {
-        return 0.0;
-    }
-    local_clustering_coefficients(g).iter().sum::<f64>() / n as f64
 }
 
 #[cfg(test)]
@@ -147,7 +98,7 @@ mod tests {
         let g = complete(3);
         assert_eq!(triangle_count(&g), 1);
         // Example 3: T2[K3] = 1 (one connected triplet), not 3 centre-paths.
-        assert_eq!(connected_triples(&g), 1);
+        assert_eq!(connected_triples_with(&g, triangle_count(&g)), 1);
         assert_eq!(center_paths(&g), 3);
         assert!((global_clustering_coefficient(&g) - 1.0).abs() < 1e-12);
     }
@@ -157,7 +108,7 @@ mod tests {
         // Example 3: u-v, u-w only → S_CC = 0.
         let g = Graph::from_edges(3, &[(0, 1), (0, 2)]);
         assert_eq!(triangle_count(&g), 0);
-        assert_eq!(connected_triples(&g), 1);
+        assert_eq!(connected_triples_with(&g, triangle_count(&g)), 1);
         assert_eq!(global_clustering_coefficient(&g), 0.0);
     }
 
@@ -167,9 +118,8 @@ mod tests {
         assert_eq!(triangle_count(&g), 4);
         // Centre paths = 4 * C(3,2) = 12; T2 = 12 - 2*4 = 4; CC = 4/4 = 1.
         assert_eq!(center_paths(&g), 12);
-        assert_eq!(connected_triples(&g), 4);
+        assert_eq!(connected_triples_with(&g, triangle_count(&g)), 4);
         assert!((global_clustering_coefficient(&g) - 1.0).abs() < 1e-12);
-        assert!((transitivity(&g) - 1.0).abs() < 1e-12);
     }
 
     #[test]
@@ -179,9 +129,11 @@ mod tests {
         let g = Graph::from_edges(4, &[(0, 1), (1, 2), (0, 2), (0, 3)]);
         assert_eq!(triangle_count(&g), 1);
         assert_eq!(center_paths(&g), 5);
-        assert_eq!(connected_triples(&g), 3);
+        assert_eq!(connected_triples_with(&g, triangle_count(&g)), 3);
         assert!((global_clustering_coefficient(&g) - 1.0 / 3.0).abs() < 1e-12);
-        assert!((transitivity(&g) - 3.0 / 5.0).abs() < 1e-12);
+        // The common measure 3·T₃ / Σ C(d, 2) gives 3/5 instead.
+        let common = 3.0 * triangle_count(&g) as f64 / center_paths(&g) as f64;
+        assert!((common - 3.0 / 5.0).abs() < 1e-12);
     }
 
     #[test]
@@ -227,24 +179,9 @@ mod tests {
     }
 
     #[test]
-    fn local_cc_star_and_triangle() {
-        // Star center has CC 0; triangle vertices have CC 1.
-        let star = Graph::from_edges(4, &[(0, 1), (0, 2), (0, 3)]);
-        let cc = local_clustering_coefficients(&star);
-        assert_eq!(cc[0], 0.0);
-        assert_eq!(cc[1], 0.0); // degree 1
-
-        let tri = complete(3);
-        let cc = local_clustering_coefficients(&tri);
-        assert!(cc.iter().all(|&c| (c - 1.0).abs() < 1e-12));
-        assert!((average_local_clustering(&tri) - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
     fn empty_graph_cc() {
         let g = Graph::empty(5);
         assert_eq!(global_clustering_coefficient(&g), 0.0);
-        assert_eq!(average_local_clustering(&g), 0.0);
-        assert_eq!(average_local_clustering(&Graph::empty(0)), 0.0);
+        assert_eq!(global_clustering_coefficient(&Graph::empty(0)), 0.0);
     }
 }

@@ -28,8 +28,7 @@ pub mod span;
 pub mod trace;
 
 pub use metrics::{
-    global, metrics_snapshot, Counter, Gauge, Histogram, HistogramSnapshot, MetricsSnapshot,
-    Registry,
+    global, Counter, Gauge, Histogram, HistogramSnapshot, MetricsSnapshot, Registry,
 };
 pub use span::Span;
-pub use trace::{current_trace, next_trace_id, TraceId, TraceScope};
+pub use trace::{next_trace_id, TraceId};

@@ -387,11 +387,6 @@ pub fn global() -> &'static Registry {
     GLOBAL.get_or_init(Registry::new)
 }
 
-/// Snapshot of the process-wide registry.
-pub fn metrics_snapshot() -> MetricsSnapshot {
-    global().snapshot()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -1,17 +1,9 @@
 //! Per-request trace ids.
 //!
 //! A trace id is a process-unique `u64` minted when a request enters
-//! the serving layer and carried alongside it — through the world
-//! cache, into the engine, and (as an optional wire-frame field) from a
-//! cluster coordinator to its workers. It appears in request-log lines
-//! and diagnostics only; it never influences an answer byte.
-//!
-//! Propagation is via a thread-local (the event loop is single-threaded
-//! per server, and worker serve loops are one request at a time), so
-//! library code deep in the stack can attribute work to the current
-//! request without every signature threading an id.
+//! the serving layer. It appears in request-log lines only; it never
+//! influences an answer byte.
 
-use std::cell::Cell;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -40,35 +32,6 @@ pub fn next_trace_id() -> TraceId {
     TraceId(NEXT.fetch_add(1, Ordering::Relaxed))
 }
 
-thread_local! {
-    static CURRENT: Cell<u64> = const { Cell::new(0) };
-}
-
-/// The trace id of the request this thread is currently handling, or
-/// [`TraceId::NONE`] outside any request.
-pub fn current_trace() -> TraceId {
-    TraceId(CURRENT.with(|c| c.get()))
-}
-
-/// RAII guard installing a trace id as the thread's current one;
-/// restores the previous id on drop (scopes nest).
-pub struct TraceScope {
-    previous: u64,
-}
-
-impl TraceScope {
-    pub fn enter(id: TraceId) -> TraceScope {
-        let previous = CURRENT.with(|c| c.replace(id.0));
-        TraceScope { previous }
-    }
-}
-
-impl Drop for TraceScope {
-    fn drop(&mut self) {
-        CURRENT.with(|c| c.set(self.previous));
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -80,20 +43,5 @@ mod tests {
         assert_ne!(a, b);
         assert!(!a.is_none());
         assert_eq!(format!("{}", TraceId(0xabc)), "0000000000000abc");
-    }
-
-    #[test]
-    fn scopes_nest_and_restore() {
-        assert_eq!(current_trace(), TraceId::NONE);
-        {
-            let _outer = TraceScope::enter(TraceId(1));
-            assert_eq!(current_trace(), TraceId(1));
-            {
-                let _inner = TraceScope::enter(TraceId(2));
-                assert_eq!(current_trace(), TraceId(2));
-            }
-            assert_eq!(current_trace(), TraceId(1));
-        }
-        assert_eq!(current_trace(), TraceId::NONE);
     }
 }

@@ -75,7 +75,7 @@ use std::time::Duration;
 
 use obf_obs::metrics::labeled;
 use obf_obs::reqlog::{ReqLogEntry, ReqLogWriter, ReqStatus};
-use obf_obs::{Counter, Gauge, Histogram, Registry, Span, TraceScope};
+use obf_obs::{Counter, Gauge, Histogram, Registry, Span};
 use obf_stats::hoeffding::hoeffding_bound;
 use obf_uncertain::degree_dist::vertex_degree_distribution;
 use obf_uncertain::snapshot::SNAPSHOT_MAGIC;
@@ -221,7 +221,10 @@ pub struct ServerState {
     peak_connections: Arc<Gauge>,
     busy_rejections: Arc<Counter>,
     idle_reaped: Arc<Counter>,
-    buffer_peak_bytes: Arc<Gauge>,
+    /// High-water mark of any single connection's buffered bytes
+    /// (unparsed requests + unsent replies) — the observable side of
+    /// the bounded-memory guarantee.
+    buffer_peak: Arc<Gauge>,
     /// Connections open right now, across every shard: what admission
     /// control compares against [`ServerConfig::max_connections`].
     open_connections: AtomicUsize,
@@ -272,7 +275,7 @@ impl ServerState {
             peak_connections: registry.gauge("obf_server_peak_connections"),
             busy_rejections: registry.counter("obf_server_busy_rejections_total"),
             idle_reaped: registry.counter("obf_server_idle_reaped_total"),
-            buffer_peak_bytes: registry.gauge("obf_server_buffer_peak_bytes"),
+            buffer_peak: registry.gauge("obf_server_buffer_peak_bytes"),
             open_connections: AtomicUsize::new(0),
             per_verb,
             request_log,
@@ -284,11 +287,6 @@ impl ServerState {
     /// of this server (the `METRICS` verb renders it).
     pub fn registry(&self) -> &Arc<Registry> {
         &self.registry
-    }
-
-    /// Point-in-time snapshot of this server's metrics registry.
-    pub fn metrics_snapshot(&self) -> obf_obs::MetricsSnapshot {
-        self.registry.snapshot()
     }
 
     /// The currently served graph.
@@ -348,13 +346,6 @@ impl ServerState {
         self.idle_reaped.get()
     }
 
-    /// High-water mark of any single connection's buffered bytes
-    /// (unparsed requests + unsent replies) — the observable side of
-    /// the bounded-memory guarantee.
-    pub fn buffer_peak_bytes(&self) -> u64 {
-        self.buffer_peak_bytes.get()
-    }
-
     /// Admission control: counts a new connection in if fewer than
     /// `max` are open, across every shard; otherwise counts a `BUSY`
     /// rejection and returns false. An admitted connection is counted
@@ -391,7 +382,7 @@ impl ServerState {
     }
 
     pub(crate) fn note_buffer_level(&self, bytes: u64) {
-        self.buffer_peak_bytes.max(bytes);
+        self.buffer_peak.max(bytes);
     }
 
     /// Swaps in a new published graph, invalidating every memoized world.
@@ -434,15 +425,13 @@ impl ServerState {
     /// request (modulo cache and counter bookkeeping), so answers are
     /// reproducible by construction.
     ///
-    /// Observability rides alongside: a fresh trace id scopes the
-    /// request (visible to the world cache and engine via
-    /// [`obf_obs::current_trace`]), a span times the answer into the
-    /// per-verb latency histogram, and — when enabled — a request-log
-    /// record is appended after the reply is built. None of it touches
-    /// a reply byte.
+    /// Observability rides alongside: a fresh trace id names the
+    /// request, a span times the answer into the per-verb latency
+    /// histogram, and — when enabled — a request-log record carrying
+    /// the trace id is appended after the reply is built. None of it
+    /// touches a reply byte.
     pub(crate) fn answer_on(&self, pin: &mut Arc<Release>, line: &str) -> String {
         let trace = obf_obs::next_trace_id();
-        let _scope = TraceScope::enter(trace);
         self.queries_served.inc();
         let parsed = Request::parse(line);
         let verb = match &parsed {

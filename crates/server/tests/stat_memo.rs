@@ -1,13 +1,16 @@
 //! The world-statistics memo is a performance artifact, never a
 //! semantic one: a `STAT` transcript is byte-identical whether the
 //! memo retains nothing, one world, or everything — warm or cold, with
-//! or without a Hoeffding bound, and across a `RELOAD`.
+//! or without a Hoeffding bound, and across a `RELOAD`. And `STAT`
+//! estimates from the same worlds as `evaluate_uncertain`, the
+//! estimator behind the utility tables.
 
 use std::path::Path;
 use std::sync::Arc;
 
 use obf_graph::splitmix64;
 use obf_server::{ServerState, WorldStat};
+use obf_uncertain::statistics::{evaluate_uncertain, DistanceEngine, UtilityConfig};
 use obf_uncertain::{save_snapshot, SnapshotMeta, UncertainGraph};
 
 const CAPACITIES: [usize; 3] = [0, 1, 1024];
@@ -96,4 +99,42 @@ fn stat_transcript_is_independent_of_memo_capacity() {
     }
 
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The `mean=` field of an `OK mean=… std=…` reply.
+fn reply_mean(reply: &str) -> f64 {
+    let field = reply
+        .split_whitespace()
+        .find_map(|f| f.strip_prefix("mean="))
+        .unwrap_or_else(|| panic!("no mean in {reply:?}"));
+    field.parse().unwrap()
+}
+
+#[test]
+fn stat_means_equal_evaluate_uncertain_means_bit_for_bit() {
+    // Both fold world i = 0, 1, … of the (seed, i) stream in order, and
+    // `mean=` prints the shortest form that parses back to the same f64.
+    let g = random_graph(30, 0.3, 5);
+    let state = ServerState::new(Arc::new(g.clone()), 64);
+    let cfg = UtilityConfig {
+        distance: DistanceEngine::Exact,
+        ..UtilityConfig::default()
+    };
+    for (worlds, seed) in [(1, 3), (17, 3), (40, 11)] {
+        let suites = evaluate_uncertain(&g, worlds, seed, &cfg);
+        let mean_of = |f: fn(&obf_uncertain::StatSuite) -> f64| {
+            suites.iter().map(f).sum::<f64>() / worlds as f64
+        };
+        for (stat, expected) in [
+            ("num_edges", mean_of(|s| s.num_edges)),
+            ("clustering", mean_of(|s| s.clustering_coefficient)),
+        ] {
+            let reply = state.answer(&format!("STAT {stat} {worlds} {seed}"));
+            assert_eq!(
+                reply_mean(&reply).to_bits(),
+                expected.to_bits(),
+                "STAT {stat} {worlds} {seed}: {reply}"
+            );
+        }
+    }
 }

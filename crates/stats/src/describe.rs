@@ -78,43 +78,6 @@ pub fn quantile(sorted: &[f64], q: f64) -> f64 {
     }
 }
 
-/// Aggregate summary of one scalar statistic over repeated samples.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Summary {
-    pub n: usize,
-    pub mean: f64,
-    pub std: f64,
-    pub sem: f64,
-    pub relative_sem: f64,
-    pub min: f64,
-    pub max: f64,
-}
-
-impl Summary {
-    /// Summarises the given observations.
-    pub fn of(xs: &[f64]) -> Self {
-        let mut min = f64::INFINITY;
-        let mut max = f64::NEG_INFINITY;
-        for &x in xs {
-            min = min.min(x);
-            max = max.max(x);
-        }
-        if xs.is_empty() {
-            min = f64::NAN;
-            max = f64::NAN;
-        }
-        Self {
-            n: xs.len(),
-            mean: mean(xs),
-            std: sample_std(xs),
-            sem: sem(xs),
-            relative_sem: relative_sem(xs),
-            min,
-            max,
-        }
-    }
-}
-
 /// Five-number summary backing the paper's boxplots (Figures 2 and 3):
 /// whiskers are the smallest and largest observed values, the box spans the
 /// lower and upper quartiles, with the median marked.
@@ -208,17 +171,6 @@ mod tests {
     fn quantile_single_and_empty() {
         assert_eq!(quantile(&[7.0], 0.3), 7.0);
         assert!(quantile(&[], 0.5).is_nan());
-    }
-
-    #[test]
-    fn summary_consistency() {
-        let xs = [3.0, 1.0, 2.0];
-        let s = Summary::of(&xs);
-        assert_eq!(s.n, 3);
-        assert_eq!(s.mean, 2.0);
-        assert_eq!(s.min, 1.0);
-        assert_eq!(s.max, 3.0);
-        assert!((s.sem - s.std / 3f64.sqrt()).abs() < 1e-12);
     }
 
     #[test]

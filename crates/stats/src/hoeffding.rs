@@ -22,25 +22,6 @@ pub fn hoeffding_bound(a: f64, b: f64, r: usize, eps: f64) -> f64 {
     (2.0 * (-2.0 * eps * eps * r as f64 / (range * range)).exp()).min(1.0)
 }
 
-/// [`hoeffding_bound`] applied to a merged per-shard
-/// [`Tally`](crate::tally::Tally): bounds
-/// `Pr(|E(S) − S̄| ≥ eps)` for the mean the tally describes, using its
-/// observation count as `r`. This is how the parallel sampler attaches
-/// Lemma 2 guarantees without materialising per-world values.
-///
-/// # Examples
-///
-/// ```
-/// use obf_stats::hoeffding::{hoeffding_bound, hoeffding_bound_tally};
-/// use obf_stats::tally::Tally;
-///
-/// let t = Tally::of(&[0.2; 200]);
-/// assert_eq!(hoeffding_bound_tally(&t, 0.0, 1.0, 0.1), hoeffding_bound(0.0, 1.0, 200, 0.1));
-/// ```
-pub fn hoeffding_bound_tally(tally: &crate::tally::Tally, a: f64, b: f64, eps: f64) -> f64 {
-    hoeffding_bound(a, b, tally.count() as usize, eps)
-}
-
 /// Minimal number of sampled worlds guaranteeing
 /// `Pr(|E(S) - S̄| ≥ eps) ≤ delta` (Corollary 1).
 pub fn hoeffding_sample_size(a: f64, b: f64, eps: f64, delta: f64) -> usize {

@@ -2,11 +2,7 @@
 //!
 //! The paper (Section 6.3) repeats HyperANF executions and uses
 //! jackknifing to infer the standard error of the derived distance
-//! statistics; this module provides the generic estimator, plus a
-//! delete-one-group variant fed by the parallel sampler's per-shard
-//! [`Tally`]s.
-
-use crate::tally::Tally;
+//! statistics; this module provides the generic estimator.
 
 /// Jackknife estimate of a statistic `f` computed from `n` independent
 /// replicates: returns `(estimate, standard_error)` where the estimate is
@@ -40,82 +36,20 @@ where
     (bias_corrected, var.sqrt())
 }
 
-/// Jackknife applied to the mean of scalar replicates; the SE equals the
-/// classical standard error of the mean, a useful identity for testing.
-pub fn jackknife_mean(xs: &[f64]) -> (f64, f64) {
-    jackknife(xs, |s| s.iter().sum::<f64>() / s.len() as f64)
-}
-
-/// Delete-one-**group** jackknife of the mean, consuming the per-shard
-/// [`Tally`]s produced by the parallel possible-world sampler.
-///
-/// Each tally is one group of observations (one worker shard, which may
-/// be ragged — shard sizes need not be equal). The leave-one-out
-/// replicates are the means with one whole group removed,
-/// `(S − s_j) / (N − n_j)`, so no per-observation values are needed. The
-/// bias correction and variance use the group-size weighting of the
-/// delete-`m_j` jackknife (Busing et al., 1999): for singleton groups
-/// both reduce exactly to the classical [`jackknife`] of the mean, and
-/// the point estimate equals the pooled mean for any grouping.
-/// Returns `(bias_corrected_estimate, standard_error)`. Empty groups are
-/// skipped.
-///
-/// # Panics
-/// Panics when fewer than 2 non-empty groups remain.
-///
-/// # Examples
-///
-/// ```
-/// use obf_stats::jackknife::jackknife_groups;
-/// use obf_stats::tally::Tally;
-///
-/// let groups = [
-///     Tally::of(&[1.0, 2.0, 3.0]),
-///     Tally::of(&[4.0, 5.0]),
-///     Tally::of(&[6.0]),
-/// ];
-/// let (est, se) = jackknife_groups(&groups);
-/// assert!((est - 3.5).abs() < 1e-9);
-/// assert!(se > 0.0);
-/// ```
-pub fn jackknife_groups(tallies: &[Tally]) -> (f64, f64) {
-    let groups: Vec<&Tally> = tallies.iter().filter(|t| t.count() > 0).collect();
-    let g = groups.len();
-    assert!(
-        g >= 2,
-        "grouped jackknife needs at least 2 non-empty groups"
-    );
-    let total_n: u64 = groups.iter().map(|t| t.count()).sum();
-    let total_sum: f64 = groups.iter().map(|t| t.sum()).sum();
-    let n = total_n as f64;
-    let full = total_sum / n;
-    // Leave-one-group-out means and h_j = N / n_j scale factors.
-    let mut est = g as f64 * full;
-    let mut pseudo = Vec::with_capacity(g);
-    for t in &groups {
-        let n_j = t.count() as f64;
-        let loo = (total_sum - t.sum()) / (n - n_j);
-        let h_j = n / n_j;
-        est -= (1.0 - n_j / n) * loo;
-        pseudo.push((h_j, h_j * full - (h_j - 1.0) * loo));
-    }
-    let p_mean = pseudo.iter().map(|&(_, p)| p).sum::<f64>() / g as f64;
-    let var = pseudo
-        .iter()
-        .map(|&(h_j, p)| (p - p_mean) * (p - p_mean) / (h_j - 1.0))
-        .sum::<f64>()
-        / g as f64;
-    (est, var.sqrt())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// Jackknife of the mean of scalar replicates; its SE equals the
+    /// classical standard error of the mean.
+    fn mean_jackknife(xs: &[f64]) -> (f64, f64) {
+        jackknife(xs, |s| s.iter().sum::<f64>() / s.len() as f64)
+    }
+
     #[test]
     fn jackknife_of_mean_is_mean() {
         let xs = [2.0, 4.0, 6.0, 8.0];
-        let (est, se) = jackknife_mean(&xs);
+        let (est, se) = mean_jackknife(&xs);
         assert!((est - 5.0).abs() < 1e-12);
         // For the mean, jackknife SE equals s/sqrt(n).
         let classical = crate::describe::sample_std(&xs) / (xs.len() as f64).sqrt();
@@ -143,7 +77,7 @@ mod tests {
     #[test]
     fn constant_replicates_have_zero_se() {
         let xs = [7.0; 5];
-        let (est, se) = jackknife_mean(&xs);
+        let (est, se) = mean_jackknife(&xs);
         assert_eq!(est, 7.0);
         assert_eq!(se, 0.0);
     }
@@ -151,42 +85,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least 2")]
     fn needs_two_replicates() {
-        let _ = jackknife_mean(&[1.0]);
-    }
-
-    #[test]
-    fn singleton_groups_reduce_to_classical_jackknife() {
-        let xs = [2.0, 4.0, 6.0, 8.0, 12.0];
-        let groups: Vec<Tally> = xs.iter().map(|&x| Tally::of(&[x])).collect();
-        let (est, se) = jackknife_groups(&groups);
-        let (est_c, se_c) = jackknife_mean(&xs);
-        assert!((est - est_c).abs() < 1e-12);
-        assert!((se - se_c).abs() < 1e-12);
-    }
-
-    #[test]
-    fn grouped_estimate_is_the_pooled_mean() {
-        let groups = [
-            Tally::of(&[1.0, 3.0]),
-            Tally::of(&[5.0, 7.0, 9.0]),
-            Tally::of(&[11.0]),
-        ];
-        let (est, _) = jackknife_groups(&groups);
-        // The mean is linear, so the bias-corrected estimate equals the
-        // pooled mean (36/6) regardless of grouping.
-        assert!((est - 6.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn empty_groups_are_skipped() {
-        let groups = [Tally::new(), Tally::of(&[1.0, 2.0]), Tally::of(&[3.0])];
-        let (est, _) = jackknife_groups(&groups);
-        assert!((est - 2.0).abs() < 1e-9);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least 2 non-empty")]
-    fn grouped_needs_two_groups() {
-        let _ = jackknife_groups(&[Tally::of(&[1.0, 2.0])]);
+        let _ = mean_jackknife(&[1.0]);
     }
 }

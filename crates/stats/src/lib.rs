@@ -17,9 +17,6 @@
 //!   quantify the drift of HyperANF estimates (Section 6.3).
 //! * [`regression`] — least-squares line fitting, used for the power-law
 //!   exponent statistic `S_PL` (Section 6.2).
-//! * [`tally`] — mergeable `(count, Σx, Σx², min, max)` tallies; the
-//!   parallel possible-world sampler aggregates per-thread shards with
-//!   these, and [`hoeffding`]/[`jackknife`] consume them directly.
 //! * [`histogram`] — integer-valued histograms and distribution utilities.
 //! * [`entropy`] — Shannon entropy in bits, the measure behind
 //!   (k, ε)-obfuscation (Definition 2).
@@ -47,16 +44,13 @@ pub mod hoeffding;
 pub mod jackknife;
 pub mod normal;
 pub mod regression;
-pub mod tally;
 pub mod truncated;
 mod ziggurat;
 
-pub use describe::{mean, quantile, sample_std, sample_var, BoxplotSummary, Summary};
+pub use describe::{mean, quantile, sample_std, sample_var, BoxplotSummary};
 pub use entropy::{entropy_bits, entropy_bits_normalized, entropy_from_partials};
 pub use histogram::IntHistogram;
-pub use hoeffding::{hoeffding_bound, hoeffding_bound_tally, hoeffding_sample_size};
-pub use jackknife::jackknife_groups;
+pub use hoeffding::{hoeffding_bound, hoeffding_sample_size};
 pub use normal::{norm_cdf, norm_inv_cdf, norm_pdf, phi};
 pub use regression::LinearFit;
-pub use tally::{merge_tallies, Tally};
 pub use truncated::TruncatedNormal;

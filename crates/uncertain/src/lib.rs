@@ -1,5 +1,6 @@
-//! Uncertain graphs: possible-world semantics, sampling estimators and
-//! exact expectations (paper Sections 3 and 6).
+//! Uncertain graphs: possible-world semantics, world sampling, the
+//! Monte-Carlo statistic suite and exact expectations (paper Sections 3
+//! and 6).
 //!
 //! An uncertain graph `G̃ = (V, p)` assigns an existence probability to a
 //! set of candidate vertex pairs; every other pair is a certain non-edge.
@@ -37,13 +38,11 @@
 
 mod csr;
 pub mod degree_dist;
-pub mod estimator;
 pub mod expected;
 pub mod graph;
 pub mod io;
 pub mod mapped;
 pub mod mmap;
-pub mod queries;
 pub mod sampling;
 pub mod snapshot;
 pub mod statistics;
@@ -51,7 +50,6 @@ pub mod triangles;
 pub mod world_cache;
 
 pub use degree_dist::degree_distribution_exact;
-pub use estimator::{estimate_statistic, estimate_statistic_par, EstimateSummary};
 pub use expected::{expected_average_degree, expected_degree_variance, expected_num_edges};
 pub use graph::{CandidatePairs, UncertainGraph};
 pub use io::{
@@ -60,8 +58,7 @@ pub use io::{
 };
 pub use mapped::MappedSnapshot;
 pub use mmap::MmapFile;
-pub use queries::{distance_distribution, knn_majority_distance, reliability};
-pub use sampling::{sample_indexed_world, sample_worlds_par, WorldSampler};
+pub use sampling::sample_indexed_world;
 pub use snapshot::{
     decode_snapshot, load_snapshot, save_snapshot, snapshot_bytes, stored_checksum, Checksum64,
     SnapshotError, SnapshotMeta,

@@ -4,84 +4,25 @@
 //! independently with probability `p(e)`; the result is an ordinary
 //! certain [`Graph`] on which any statistic can be evaluated.
 //!
-//! The parallel sampler ([`sample_worlds_par`]) gives world `i` its own
-//! RNG seeded from the [`stream_seed`] SplitMix-style stream, so the
-//! drawn worlds are a pure function of `(master_seed, i)`: the same
-//! worlds come out for every thread count, not just for a fixed
-//! `(seed, threads)` pair.
+//! [`UncertainGraph::sample_world`] draws from a caller's RNG.
+//! [`sample_indexed_world`] gives world `i` its own RNG seeded from the
+//! [`stream_seed`] SplitMix-style stream, so the drawn worlds are a pure
+//! function of `(master_seed, i)`. The Section 6.1 estimators
+//! (`evaluate_uncertain` and the server's `STAT` memo) draw their worlds
+//! this way, so they draw the same worlds at any thread count.
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-use obf_graph::{stream_seed, Graph, GraphBuilder, Parallelism};
+use obf_graph::{stream_seed, Graph, GraphBuilder};
 
 use crate::graph::UncertainGraph;
-
-/// Convenience world-sampling interface over an [`UncertainGraph`].
-#[derive(Debug, Clone, Copy)]
-pub struct WorldSampler<'a> {
-    graph: &'a UncertainGraph,
-}
-
-impl<'a> WorldSampler<'a> {
-    /// Creates a sampler borrowing the uncertain graph.
-    pub fn new(graph: &'a UncertainGraph) -> Self {
-        Self { graph }
-    }
-
-    /// Draws one possible world.
-    pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> Graph {
-        sample_world(self.graph, rng)
-    }
-
-    /// Draws `r` independent possible worlds.
-    pub fn sample_many<R: Rng + ?Sized>(&self, r: usize, rng: &mut R) -> Vec<Graph> {
-        (0..r).map(|_| self.sample(rng)).collect()
-    }
-
-    /// Draws worlds `start..start + count` of the seed stream — the
-    /// shard-friendly form: a worker can produce any contiguous window of
-    /// the same world sequence that [`sample_worlds_par`] enumerates.
-    pub fn sample_stream(&self, master_seed: u64, start: usize, count: usize) -> Vec<Graph> {
-        (start..start + count)
-            .map(|i| sample_indexed_world(self.graph, master_seed, i))
-            .collect()
-    }
-}
 
 /// Draws the `index`-th world of the seed stream derived from
 /// `master_seed` — a pure function of `(graph, master_seed, index)`.
 pub fn sample_indexed_world(g: &UncertainGraph, master_seed: u64, index: usize) -> Graph {
     let mut rng = SmallRng::seed_from_u64(stream_seed(master_seed, index as u64));
-    sample_world(g, &mut rng)
-}
-
-/// Draws `r` independent possible worlds with each worker thread pulling
-/// one world at a time; world `i` is seeded from
-/// [`stream_seed`]`(master_seed, i)`, so the output is identical for
-/// every thread count. Whole worlds are expensive work items, so the
-/// fan-out always uses one world per work unit regardless of
-/// `par.chunk_size()` (matching `evaluate_uncertain`).
-///
-/// # Examples
-///
-/// ```
-/// use obf_graph::Parallelism;
-/// use obf_uncertain::{sampling::sample_worlds_par, UncertainGraph};
-///
-/// let ug = UncertainGraph::new(3, vec![(0, 1, 0.5), (1, 2, 0.5)]).unwrap();
-/// let seq = sample_worlds_par(&ug, 8, 42, &Parallelism::sequential());
-/// let par = sample_worlds_par(&ug, 8, 42, &Parallelism::new(4));
-/// assert_eq!(seq, par);
-/// ```
-pub fn sample_worlds_par(
-    g: &UncertainGraph,
-    r: usize,
-    master_seed: u64,
-    par: &Parallelism,
-) -> Vec<Graph> {
-    par.with_chunk_size(1)
-        .map_collect(r, |i| sample_indexed_world(g, master_seed, i))
+    g.sample_world(&mut rng)
 }
 
 /// Builder capacity for a sampled world: the expected edge count, clamped
@@ -99,36 +40,31 @@ fn world_capacity(mass: f64, num_candidates: usize) -> usize {
     ceil.clamp(16, num_candidates.max(16))
 }
 
-/// Draws one possible world of `g` (Eq. 1 semantics: each candidate
-/// independently with its probability).
-pub fn sample_world<R: Rng + ?Sized>(g: &UncertainGraph, rng: &mut R) -> Graph {
-    let mut b = GraphBuilder::with_capacity(
-        g.num_vertices(),
-        world_capacity(g.total_probability_mass(), g.num_candidates()),
-    );
-    // candidate_pairs() yields the identical (u, v, p) sequence on the
-    // heap and mmap stores, so the RNG stream — and therefore the
-    // sampled world — is bit-identical regardless of how the snapshot
-    // was loaded.
-    for (u, v, p) in g.candidate_pairs() {
-        // Branching on the cheap cases first: most probabilities in an
-        // obfuscated graph are near 0 or 1.
-        if p >= 1.0 || (p > 0.0 && rng.gen::<f64>() < p) {
-            b.add_edge(u, v);
-        }
-    }
-    b.build()
-}
-
 impl UncertainGraph {
-    /// Draws one possible world (method form of [`sample_world`]).
+    /// Draws one possible world (Eq. 1 semantics: each candidate
+    /// independently with its probability).
     pub fn sample_world<R: Rng + ?Sized>(&self, rng: &mut R) -> Graph {
-        sample_world(self, rng)
+        let mut b = GraphBuilder::with_capacity(
+            self.num_vertices(),
+            world_capacity(self.total_probability_mass(), self.num_candidates()),
+        );
+        // candidate_pairs() yields the identical (u, v, p) sequence on the
+        // heap and mmap stores, so the RNG stream — and therefore the
+        // sampled world — is bit-identical regardless of how the snapshot
+        // was loaded.
+        for (u, v, p) in self.candidate_pairs() {
+            // Branching on the cheap cases first: most probabilities in an
+            // obfuscated graph are near 0 or 1.
+            if p >= 1.0 || (p > 0.0 && rng.gen::<f64>() < p) {
+                b.add_edge(u, v);
+            }
+        }
+        b.build()
     }
 
     /// Draws `r` independent possible worlds.
     pub fn sample_worlds<R: Rng + ?Sized>(&self, r: usize, rng: &mut R) -> Vec<Graph> {
-        WorldSampler::new(self).sample_many(r, rng)
+        (0..r).map(|_| self.sample_world(rng)).collect()
     }
 }
 
@@ -219,21 +155,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_worlds_bit_identical_across_threads() {
-        let ug = figure1b();
-        let seq = sample_worlds_par(&ug, 20, 99, &obf_graph::Parallelism::sequential());
-        for threads in [2, 4] {
-            let par = sample_worlds_par(
-                &ug,
-                20,
-                99,
-                &obf_graph::Parallelism::new(threads).with_chunk_size(3),
-            );
-            assert_eq!(seq, par, "threads={threads}");
-        }
-    }
-
-    #[test]
     fn world_capacity_clamped_for_extreme_and_nonfinite_mass() {
         // Ordinary graphs: expected mass, floored at 16.
         assert_eq!(world_capacity(3.3, 6), 16);
@@ -261,12 +182,14 @@ mod tests {
     }
 
     #[test]
-    fn stream_windows_agree_with_full_stream() {
+    fn indexed_worlds_are_pure_and_match_probabilities() {
         let ug = figure1b();
-        let all = sample_worlds_par(&ug, 10, 7, &obf_graph::Parallelism::sequential());
-        let sampler = WorldSampler::new(&ug);
-        let window = sampler.sample_stream(7, 4, 3);
-        assert_eq!(window.as_slice(), &all[4..7]);
+        // World i is the world of its own stream seed, however often and
+        // in whatever order it is drawn.
+        for i in [4, 0, 9, 4] {
+            let mut rng = SmallRng::seed_from_u64(stream_seed(7, i as u64));
+            assert_eq!(sample_indexed_world(&ug, 7, i), ug.sample_world(&mut rng));
+        }
         // And the stream frequency still matches the probabilities.
         let r = 4000;
         let hits = (0..r)

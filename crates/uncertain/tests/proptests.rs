@@ -86,32 +86,6 @@ proptest! {
     }
 
     #[test]
-    fn parallel_sampler_bit_identical_across_threads(
-        ug in arb_uncertain(20),
-        seed in 0u64..1000,
-        r in 1usize..24,
-    ) {
-        // The tentpole determinism guarantee for the Monte-Carlo side:
-        // the seed-stream sampler and the per-shard tally statistics are
-        // bit-identical to the sequential path for threads ∈ {1, 2, 4}.
-        use obf_graph::Parallelism;
-        let seq_par = Parallelism::sequential().with_chunk_size(4);
-        let seq_worlds = obf_uncertain::sample_worlds_par(&ug, r, seed, &seq_par);
-        let stat = |w: &obf_graph::Graph| w.num_edges() as f64;
-        let seq_est =
-            obf_uncertain::estimate_statistic_par(&ug, r, seed, &seq_par, None, stat);
-        for threads in [2usize, 4] {
-            let par = Parallelism::new(threads).with_chunk_size(4);
-            let worlds = obf_uncertain::sample_worlds_par(&ug, r, seed, &par);
-            prop_assert_eq!(&seq_worlds, &worlds, "threads={}", threads);
-            let est = obf_uncertain::estimate_statistic_par(&ug, r, seed, &par, None, stat);
-            prop_assert_eq!(&seq_est.values, &est.values);
-            prop_assert_eq!(&seq_est.tallies, &est.tallies);
-            prop_assert_eq!(seq_est.estimate(), est.estimate());
-        }
-    }
-
-    #[test]
     fn snapshot_round_trip_is_identity(ug in arb_uncertain(30), epoch in 0u64..1000) {
         use obf_uncertain::snapshot::{
             checksum64, decode_snapshot, snapshot_bytes, stored_checksum, SnapshotMeta,

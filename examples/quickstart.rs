@@ -9,7 +9,10 @@
 //! cargo run --release --example quickstart
 //! ```
 
+use obfugraph::graph::triangles::global_clustering_coefficient;
 use obfugraph::prelude::*;
+use obfugraph::stats::describe::{mean, sem};
+use obfugraph::stats::hoeffding_bound;
 use obfugraph::uncertain::expected::{expected_average_degree, expected_num_edges};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -49,19 +52,16 @@ fn main() {
     // 4. Anything else is estimated by sampling possible worlds, with
     //    Hoeffding error control (paper Lemma 2).
     let mut rng = SmallRng::seed_from_u64(1);
-    let est = obfugraph::uncertain::estimate_statistic(
-        &result.graph,
-        200,
-        &mut rng,
-        Some((0.0, 1.0, 0.05)),
-        obfugraph::graph::triangles::global_clustering_coefficient,
-    );
+    let r = 200;
+    let values: Vec<f64> = (0..r)
+        .map(|_| global_clustering_coefficient(&result.graph.sample_world(&mut rng)))
+        .collect();
     println!(
         "clustering coefficient ~= {:.4} +- {:.4} (original {:.4}); \
          P(err >= 0.05) <= {:.3}",
-        est.estimate(),
-        est.summary.sem,
-        obfugraph::graph::triangles::global_clustering_coefficient(&g),
-        est.error_bound.unwrap()
+        mean(&values),
+        sem(&values),
+        global_clustering_coefficient(&g),
+        hoeffding_bound(0.0, 1.0, r, 0.05)
     );
 }

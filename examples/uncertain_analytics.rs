@@ -6,8 +6,10 @@
 //! cargo run --release --example uncertain_analytics
 //! ```
 
+use obfugraph::graph::triangles::global_clustering_coefficient;
 use obfugraph::hyperanf::{estimate_with_error, HyperAnfConfig};
-use obfugraph::stats::hoeffding_sample_size;
+use obfugraph::stats::describe::{mean, sem};
+use obfugraph::stats::{hoeffding_bound, hoeffding_sample_size};
 use obfugraph::uncertain::degree_dist::degree_distribution_exact;
 use obfugraph::uncertain::expected::{
     expected_average_degree, expected_degree_variance, expected_num_edges,
@@ -56,18 +58,14 @@ fn main() {
     let r = hoeffding_sample_size(0.0, 1.0, 0.02, 0.05);
     println!("\nsampling {r} worlds for the clustering coefficient...");
     let mut rng = SmallRng::seed_from_u64(3);
-    let est = obfugraph::uncertain::estimate_statistic(
-        &ug,
-        r,
-        &mut rng,
-        Some((0.0, 1.0, 0.02)),
-        obfugraph::graph::triangles::global_clustering_coefficient,
-    );
+    let values: Vec<f64> = (0..r)
+        .map(|_| global_clustering_coefficient(&ug.sample_world(&mut rng)))
+        .collect();
     println!(
         "S_CC ~= {:.4} (SEM {:.5}, Hoeffding bound {:.3})",
-        est.estimate(),
-        est.summary.sem,
-        est.error_bound.unwrap()
+        mean(&values),
+        sem(&values),
+        hoeffding_bound(0.0, 1.0, r, 0.02)
     );
 
     // Distance statistics on one sampled world via HyperANF + jackknife.

@@ -174,6 +174,9 @@ fn cmd_evaluate(pos: &[String], flags: &HashMap<String, String>) -> Result<(), S
         return Err("evaluate needs <graph.up>".into());
     };
     let worlds: usize = flag(flags, "worlds", 50)?;
+    if worlds < 1 {
+        return Err("invalid parameter: worlds must be >= 1".into());
+    }
     let seed: u64 = flag(flags, "seed", 7)?;
     let ug = load_uncertain_edge_list(input, 0).map_err(|e| e.to_string())?;
     eprintln!(
@@ -306,6 +309,13 @@ mod tests {
         // The same message obfuscate gives, before any file is read.
         let err = run(&args(&["audit", "g.txt", "out.up", "--k", "0"])).unwrap_err();
         assert_eq!(err, "invalid parameter: k must be >= 1");
+    }
+
+    #[test]
+    fn evaluate_rejects_zero_worlds() {
+        // Zero worlds have no mean; rejected before any file is read.
+        let err = run(&args(&["evaluate", "g.up", "--worlds", "0"])).unwrap_err();
+        assert_eq!(err, "invalid parameter: worlds must be >= 1");
     }
 
     #[test]

@@ -16,8 +16,8 @@
 //!
 //! * [`core`] — the obfuscation mechanism itself (Algorithms 1 and 2,
 //!   uniqueness scores, adversary matrices).
-//! * [`uncertain`] — possible-world semantics, sampling estimators with
-//!   Hoeffding bounds, exact expectations.
+//! * [`uncertain`] — possible-world semantics, world sampling, the
+//!   Monte-Carlo statistic suite, exact expectations.
 //! * [`graph`] — CSR graphs, generators, traversal, triangles,
 //!   components, and the deterministic parallel layer
 //!   ([`graph::parallel::Parallelism`]).
