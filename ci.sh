@@ -208,6 +208,12 @@ serve() {
         || { echo "METRICS scrape is missing obf_server_queries_total"; exit 1; }
     grep -q 'obf_server_answer_micros_p99' "$OBF_RESULTS_DIR/METRICS.txt" \
         || { echo "METRICS scrape is missing span histogram quantiles"; exit 1; }
+    # perfbench's cache figures read these two series and count a
+    # missing one as 0.
+    for series in obf_cache_hits_total obf_cache_misses_total; do
+        grep -q "^$series " "$OBF_RESULTS_DIR/METRICS.txt" \
+            || { echo "METRICS scrape is missing $series"; exit 1; }
+    done
 
     # Replay determinism: re-driving the recorded log must reproduce
     # the pinned answers digest, and two replays of the same log must

@@ -636,9 +636,9 @@ impl TrialSampler {
     /// probabilities.
     fn draw(&self, ctx: &SearchContext, index: usize) -> TrialDraw {
         let mut rng = SmallRng::seed_from_u64(stream_seed(self.stream, index as u64));
-        // Phase spans feed only TrialPhaseSecs and their histograms —
-        // wall-clock stats excluded from every digest and equivalence check.
-        let span = obf_obs::Span::start(obf_obs::global(), "obf_core_trial_select_micros");
+        // Phase spans feed only TrialPhaseSecs — wall-clock stats
+        // excluded from every digest and equivalence check.
+        let span = obf_obs::Span::start();
         // Lines 6–12: select E_C starting from E. A degenerate graph (no
         // sampleable vertices) keeps E_C = E.
         let (ec, removed_edges) = match &self.alias {
@@ -647,7 +647,7 @@ impl TrialSampler {
         };
         let select = span.finish_secs();
         // Lines 13–19: perturb every candidate probability.
-        let span = obf_obs::Span::start(obf_obs::global(), "obf_core_trial_perturb_micros");
+        let span = obf_obs::Span::start();
         let pair_sigmas = self.pair_sigmas(&ec, ctx.keys);
         let candidates = ec
             .iter()
@@ -739,11 +739,11 @@ fn check_trial(
     let draw = sampler.draw(ctx, index);
     let par = Parallelism::sequential().with_chunk_size(params.parallelism.chunk_size());
     let n = ctx.profile.num_vertices();
-    let span = obf_obs::Span::start(obf_obs::global(), "obf_core_trial_build_micros");
+    let span = obf_obs::Span::start();
     let ug = UncertainGraph::new(n, draw.candidates).expect("valid candidate set");
     let mut adv = MemoizedAdversary::new(&ug, ctx.profile.max_degree(), &par);
     let build = span.finish_secs();
-    let span = obf_obs::Span::start(obf_obs::global(), "obf_core_trial_check_micros");
+    let span = obf_obs::Span::start();
     let verdict = run_budgeted(&ctx.profile, &mut adv, params.k, params.eps, true, &par);
     let check = span.finish_secs();
     // Satisfying verdicts always carry the exact ε̃ (the budgeted check
@@ -1137,10 +1137,7 @@ impl Board {
     fn new(num_vertices: usize, params: &ObfuscationParams) -> Self {
         Self {
             current: Some(SigmaNode::new(0, Course::start(params), params.t)),
-            current_span: Some(obf_obs::Span::start(
-                obf_obs::global(),
-                "obf_core_candidate_check_micros",
-            )),
+            current_span: Some(obf_obs::Span::start()),
             accept: None,
             reject: None,
             published: None,
@@ -1251,10 +1248,7 @@ impl Board {
                     });
                     debug_assert_eq!(next.sigma.to_bits(), course.sigma().to_bits());
                     self.current = Some(next);
-                    self.current_span = Some(obf_obs::Span::start(
-                        obf_obs::global(),
-                        "obf_core_candidate_check_micros",
-                    ));
+                    self.current_span = Some(obf_obs::Span::start());
                 }
                 None if self.published.is_none() => {
                     self.outcome = Some(Err(ObfuscationError::NoUpperBound {
@@ -1263,10 +1257,7 @@ impl Board {
                     }));
                 }
                 None => {
-                    self.finish_span = Some(obf_obs::Span::start(
-                        obf_obs::global(),
-                        "obf_core_candidate_finish_micros",
-                    ));
+                    self.finish_span = Some(obf_obs::Span::start());
                 }
             }
         }
@@ -2387,6 +2378,17 @@ mod tests {
         let (cols_eval, cols_total) = stats.columns();
         assert!(cols_eval <= cols_total);
         assert!(stats.total_secs() > 0.0);
+        // The phase timers measure every phase of the trials drawn.
+        let p = stats.phases;
+        for (phase, secs) in [
+            ("select", p.select),
+            ("perturb", p.perturb),
+            ("build", p.build),
+            ("check", p.check),
+        ] {
+            assert!(secs > 0.0, "{phase} phase timed {secs} s");
+        }
+        assert!(stats.drawn >= stats.checked());
         assert_eq!(
             stats.dp_cache_hits(),
             stats.rows_requested() - stats.dp_evaluations()

@@ -1,7 +1,7 @@
 //! `obf_obs` — the workspace observability layer: a metrics registry
 //! (counters, gauges, log2-bucketed histograms, all atomics), `Span`
-//! guards for wall-clock tracing, per-request trace ids, and the
-//! `OBFUREQLOG v1` structured request-log format.
+//! wall-clock timers, per-request trace ids, and the `OBFUREQLOG v1`
+//! structured request-log format.
 //!
 //! Design constraints, in order:
 //!
@@ -27,8 +27,6 @@ pub mod reqlog;
 pub mod span;
 pub mod trace;
 
-pub use metrics::{
-    global, Counter, Gauge, Histogram, HistogramSnapshot, MetricsSnapshot, Registry,
-};
+pub use metrics::{Counter, Gauge, Histogram, Registry};
 pub use span::Span;
-pub use trace::{next_trace_id, TraceId};
+pub use trace::next_trace_id;

@@ -27,17 +27,13 @@
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock, RwLock};
+use std::sync::{Arc, RwLock};
 
 /// A monotonically increasing counter.
 #[derive(Debug, Default)]
 pub struct Counter(AtomicU64);
 
 impl Counter {
-    pub fn new() -> Self {
-        Counter(AtomicU64::new(0))
-    }
-
     pub fn inc(&self) {
         self.add(1);
     }
@@ -51,16 +47,12 @@ impl Counter {
     }
 }
 
-/// A gauge: a value that can move in both directions (or track a peak
-/// via [`Gauge::max`]).
+/// A gauge: a value that is set outright (or tracks a peak via
+/// [`Gauge::max`]).
 #[derive(Debug, Default)]
 pub struct Gauge(AtomicU64);
 
 impl Gauge {
-    pub fn new() -> Self {
-        Gauge(AtomicU64::new(0))
-    }
-
     pub fn set(&self, v: u64) {
         self.0.store(v, Ordering::Relaxed);
     }
@@ -68,14 +60,6 @@ impl Gauge {
     /// Raise the gauge to `v` if `v` is larger (peak tracking).
     pub fn max(&self, v: u64) {
         self.0.fetch_max(v, Ordering::Relaxed);
-    }
-
-    pub fn add(&self, n: u64) {
-        self.0.fetch_add(n, Ordering::Relaxed);
-    }
-
-    pub fn sub(&self, n: u64) {
-        self.0.fetch_sub(n, Ordering::Relaxed);
     }
 
     pub fn get(&self) -> u64 {
@@ -176,54 +160,6 @@ impl Histogram {
         }
         self.max()
     }
-
-    pub fn snapshot(&self) -> HistogramSnapshot {
-        HistogramSnapshot {
-            count: self.count(),
-            sum: self.sum(),
-            max: self.max(),
-            p50: self.quantile(0.50),
-            p90: self.quantile(0.90),
-            p99: self.quantile(0.99),
-        }
-    }
-}
-
-/// Point-in-time summary of a histogram.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct HistogramSnapshot {
-    pub count: u64,
-    pub sum: u64,
-    pub max: u64,
-    pub p50: u64,
-    pub p90: u64,
-    pub p99: u64,
-}
-
-/// Point-in-time view of a whole registry, name-sorted.
-#[derive(Debug, Clone, Default)]
-pub struct MetricsSnapshot {
-    pub counters: Vec<(String, u64)>,
-    pub gauges: Vec<(String, u64)>,
-    pub histograms: Vec<(String, HistogramSnapshot)>,
-}
-
-impl MetricsSnapshot {
-    /// Look up a counter value by full name.
-    pub fn counter(&self, name: &str) -> Option<u64> {
-        self.counters
-            .iter()
-            .find(|(n, _)| n == name)
-            .map(|&(_, v)| v)
-    }
-
-    /// Look up a histogram summary by full name.
-    pub fn histogram(&self, name: &str) -> Option<&HistogramSnapshot> {
-        self.histograms
-            .iter()
-            .find(|(n, _)| n == name)
-            .map(|(_, h)| h)
-    }
 }
 
 #[derive(Debug, Default)]
@@ -235,8 +171,7 @@ struct Inner {
 
 /// A named collection of metrics. Each serving component (a
 /// `ServerState`) owns one, so co-resident servers in one process
-/// never share counters; `global()` provides the
-/// process-wide instance for engine-level instrumentation.
+/// never share counters.
 #[derive(Debug, Default)]
 pub struct Registry {
     inner: RwLock<Inner>,
@@ -292,49 +227,28 @@ impl Registry {
         )
     }
 
-    pub fn snapshot(&self) -> MetricsSnapshot {
-        let inner = self.inner.read().unwrap();
-        MetricsSnapshot {
-            counters: inner
-                .counters
-                .iter()
-                .map(|(n, c)| (n.clone(), c.get()))
-                .collect(),
-            gauges: inner
-                .gauges
-                .iter()
-                .map(|(n, g)| (n.clone(), g.get()))
-                .collect(),
-            histograms: inner
-                .histograms
-                .iter()
-                .map(|(n, h)| (n.clone(), h.snapshot()))
-                .collect(),
-        }
-    }
-
     /// Render every metric as stable `name{labels} value` text: one
     /// line per counter/gauge, and `_count`/`_sum`/`_max`/`_p50`/
     /// `_p90`/`_p99` expansion lines per histogram (suffix spliced
     /// before any `{labels}`). Lines are bytewise-sorted within each
     /// metric class, counters first, then gauges, then histograms.
     pub fn render_text(&self) -> String {
-        let snap = self.snapshot();
+        let inner = self.inner.read().unwrap();
         let mut out = String::new();
-        for (name, v) in &snap.counters {
-            out.push_str(&format!("{name} {v}\n"));
+        for (name, c) in &inner.counters {
+            out.push_str(&format!("{name} {}\n", c.get()));
         }
-        for (name, v) in &snap.gauges {
-            out.push_str(&format!("{name} {v}\n"));
+        for (name, g) in &inner.gauges {
+            out.push_str(&format!("{name} {}\n", g.get()));
         }
-        for (name, h) in &snap.histograms {
+        for (name, h) in &inner.histograms {
             for (suffix, v) in [
-                ("_count", h.count),
-                ("_sum", h.sum),
-                ("_max", h.max),
-                ("_p50", h.p50),
-                ("_p90", h.p90),
-                ("_p99", h.p99),
+                ("_count", h.count()),
+                ("_sum", h.sum()),
+                ("_max", h.max()),
+                ("_p50", h.quantile(0.50)),
+                ("_p90", h.quantile(0.90)),
+                ("_p99", h.quantile(0.99)),
             ] {
                 out.push_str(&format!("{} {v}\n", splice_suffix(name, suffix)));
             }
@@ -377,16 +291,6 @@ pub fn text_value(text: &str, name: &str) -> Option<u64> {
     })
 }
 
-static GLOBAL: OnceLock<Registry> = OnceLock::new();
-
-/// The process-wide registry, for instrumentation below the serving
-/// layer (engine check timings, library-level spans). Serving
-/// components own their own [`Registry`] instead, so co-resident
-/// servers stay distinguishable.
-pub fn global() -> &'static Registry {
-    GLOBAL.get_or_init(Registry::new)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -406,9 +310,6 @@ mod tests {
         assert_eq!(g.get(), 7);
         g.max(9);
         assert_eq!(g.get(), 9);
-        g.add(1);
-        g.sub(4);
-        assert_eq!(g.get(), 6);
     }
 
     #[test]
@@ -481,17 +382,6 @@ mod tests {
         assert_eq!(text_value(&text, "g"), Some(3));
         assert_eq!(text_value(&text, "lat_micros_sum{verb=\"STAT\"}"), Some(10));
         assert_eq!(text_value(&text, "a"), None);
-    }
-
-    #[test]
-    fn snapshot_lookup_helpers() {
-        let r = Registry::new();
-        r.counter("hits_total").add(3);
-        r.histogram("h").record(8);
-        let s = r.snapshot();
-        assert_eq!(s.counter("hits_total"), Some(3));
-        assert_eq!(s.counter("absent"), None);
-        assert_eq!(s.histogram("h").unwrap().count, 1);
     }
 
     #[test]

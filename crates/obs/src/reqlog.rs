@@ -31,7 +31,7 @@
 
 use std::fmt;
 use std::fs::File;
-use std::io::{BufWriter, Write};
+use std::io::Write;
 use std::path::Path;
 use std::sync::Mutex;
 
@@ -221,43 +221,33 @@ pub fn parse_log(text: &str) -> Result<Vec<ReqLogEntry>, ReqLogError> {
 /// Appending writer for a request log. Serialisation of concurrent
 /// writers is a `Mutex` — request logging is explicitly opt-in
 /// (`--request-log`) and off the default hot path.
+///
+/// The file is unbuffered: each record reaches the kernel by one
+/// `write_all` of its whole line before [`ReqLogWriter::log`] returns, so
+/// a killed process keeps every record it had logged.
 #[derive(Debug)]
 pub struct ReqLogWriter {
-    inner: Mutex<BufWriter<File>>,
+    inner: Mutex<File>,
 }
 
 impl ReqLogWriter {
-    /// Create (truncate) a log file and write the header. The header
-    /// is flushed immediately so the file is a valid (empty) log from
-    /// the moment it exists.
+    /// Create (truncate) a log file and write the header, so the file
+    /// is a valid (empty) log from the moment it exists.
     pub fn create(path: &Path) -> std::io::Result<ReqLogWriter> {
-        let mut w = BufWriter::new(File::create(path)?);
-        writeln!(w, "{}", header_line())?;
-        w.flush()?;
+        let mut f = File::create(path)?;
+        f.write_all(format!("{}\n", header_line()).as_bytes())?;
         Ok(ReqLogWriter {
-            inner: Mutex::new(w),
+            inner: Mutex::new(f),
         })
     }
 
     /// Append one record. Write errors after creation are swallowed:
     /// a full disk must degrade the log, never the serving path.
     pub fn log(&self, entry: &ReqLogEntry) {
-        if let Ok(mut w) = self.inner.lock() {
-            let _ = writeln!(w, "{}", entry.to_line());
+        let line = format!("{}\n", entry.to_line());
+        if let Ok(mut f) = self.inner.lock() {
+            let _ = f.write_all(line.as_bytes());
         }
-    }
-
-    /// Flush buffered records to disk.
-    pub fn flush(&self) {
-        if let Ok(mut w) = self.inner.lock() {
-            let _ = w.flush();
-        }
-    }
-}
-
-impl Drop for ReqLogWriter {
-    fn drop(&mut self) {
-        self.flush();
     }
 }
 
@@ -330,7 +320,6 @@ mod tests {
         let b = entry("EXPECTED_DEGREE", "3");
         w.log(&a);
         w.log(&b);
-        w.flush();
         let text = std::fs::read_to_string(&path).unwrap();
         let parsed = parse_log(&text).unwrap();
         assert_eq!(parsed, vec![a, b]);

@@ -1,73 +1,37 @@
-//! `Span`: a guard that records its wall-clock lifetime (microseconds)
-//! into a named histogram.
+//! `Span`: a wall-clock timer for a region of code.
 //!
 //! The `Instant::now` reads live here — inside the one crate the D2
 //! `wall-clock` audit rule allowlists — so instrumented code elsewhere
-//! never reads the clock directly. Span durations feed histograms and
-//! request logs only; they are never part of an answer.
+//! never reads the clock directly. A span records nothing by itself:
+//! its owner folds the duration it returns into a histogram, a stats
+//! field or a request-log record. Durations are never part of an
+//! answer.
 
-use std::sync::Arc;
 use std::time::Instant;
 
-use crate::metrics::{Histogram, Registry};
-
-/// Records elapsed microseconds into a histogram when dropped (or
-/// explicitly [`finish`](Span::finish)ed, which also returns the
-/// duration).
+/// Times the region from [`Span::start`] to [`Span::finish`] (or
+/// [`Span::finish_secs`]).
 pub struct Span {
-    hist: Option<Arc<Histogram>>,
     start: Instant,
 }
 
 impl Span {
-    /// Start a span recording into `registry`'s histogram `name`.
-    /// Looks the histogram up (or creates it) — hot paths should hold
-    /// the `Arc<Histogram>` and use [`Span::start_in`] instead.
-    pub fn start(registry: &Registry, name: &str) -> Span {
-        Span::start_in(registry.histogram(name))
-    }
-
-    /// Start a span recording into an already-resolved histogram.
-    pub fn start_in(hist: Arc<Histogram>) -> Span {
+    /// Start timing now.
+    pub fn start() -> Span {
         Span {
-            hist: Some(hist),
             start: Instant::now(),
         }
     }
 
-    /// Elapsed microseconds so far, without ending the span.
-    pub fn elapsed_micros(&self) -> u64 {
+    /// End the span and return its duration in whole microseconds.
+    pub fn finish(self) -> u64 {
         u64::try_from(self.start.elapsed().as_micros()).unwrap_or(u64::MAX)
     }
 
-    /// End the span now, record the duration, and return it in
-    /// microseconds.
-    pub fn finish(mut self) -> u64 {
-        let micros = self.elapsed_micros();
-        if let Some(h) = self.hist.take() {
-            h.record(micros);
-        }
-        micros
-    }
-
-    /// End the span, record microseconds into the histogram, and
-    /// return the elapsed time as exact (nanosecond-resolution) float
-    /// seconds — for callers that keep a float timing field alongside
-    /// the histogram.
-    pub fn finish_secs(mut self) -> f64 {
-        let elapsed = self.start.elapsed();
-        if let Some(h) = self.hist.take() {
-            h.record(u64::try_from(elapsed.as_micros()).unwrap_or(u64::MAX));
-        }
-        elapsed.as_secs_f64()
-    }
-}
-
-impl Drop for Span {
-    fn drop(&mut self) {
-        if let Some(h) = self.hist.take() {
-            h.record(u64::try_from(self.start.elapsed().as_micros()).unwrap_or(u64::MAX));
-        }
+    /// End the span and return its duration as exact
+    /// (nanosecond-resolution) float seconds.
+    pub fn finish_secs(self) -> f64 {
+        self.start.elapsed().as_secs_f64()
     }
 }
 
@@ -76,21 +40,12 @@ mod tests {
     use super::*;
 
     #[test]
-    fn drop_records_exactly_once() {
-        let r = Registry::new();
-        {
-            let _s = Span::start(&r, "work_micros");
-        }
-        assert_eq!(r.histogram("work_micros").count(), 1);
-    }
-
-    #[test]
-    fn finish_records_once_and_returns_duration() {
-        let r = Registry::new();
-        let s = Span::start(&r, "work_micros");
-        let micros = s.finish();
-        let h = r.histogram("work_micros");
-        assert_eq!(h.count(), 1);
-        assert_eq!(h.sum(), micros);
+    fn finish_measures_the_region() {
+        let s = Span::start();
+        std::thread::sleep(std::time::Duration::from_millis(2));
+        assert!(s.finish() >= 2_000);
+        let s = Span::start();
+        std::thread::sleep(std::time::Duration::from_millis(2));
+        assert!(s.finish_secs() >= 0.002);
     }
 }

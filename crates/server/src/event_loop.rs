@@ -46,7 +46,7 @@
 //!   (the byte count still delimits the frame);
 //! * a truncated frame is just a close when the peer disappears.
 //!
-//! All of them bump [`ServerState::protocol_errors`].
+//! All of them count in the `obf_server_protocol_errors_total` series.
 
 use std::collections::VecDeque;
 use std::io::{Read, Write};

@@ -79,7 +79,7 @@ use obf_obs::{Counter, Gauge, Histogram, Registry, Span};
 use obf_stats::hoeffding::hoeffding_bound;
 use obf_uncertain::degree_dist::vertex_degree_distribution;
 use obf_uncertain::snapshot::SNAPSHOT_MAGIC;
-use obf_uncertain::{SnapshotMeta, UncertainGraph, WorldCache, WorldCacheStats};
+use obf_uncertain::{SnapshotMeta, UncertainGraph, WorldCache};
 
 pub use event_loop::BUSY_REPLY;
 pub use obf_uncertain::{Release, WorldStat};
@@ -209,11 +209,11 @@ fn open_snapshot(
 #[derive(Debug)]
 pub struct ServerState {
     cache: WorldCache,
-    /// The per-server metrics registry — the single source of truth
-    /// for every counter below and the world memo's; the `METRICS`
-    /// dump renders these same atomics. Per-server (not
-    /// process-global) so co-resident servers stay distinguishable.
-    registry: Arc<Registry>,
+    /// The per-server metrics registry holding every counter below and
+    /// the world memo's; the `METRICS` verb renders it, and is the only
+    /// way to read them. Per-server so co-resident servers stay
+    /// distinguishable.
+    registry: Registry,
     queries_served: Arc<Counter>,
     protocol_errors: Arc<Counter>,
     reloads: Arc<Counter>,
@@ -251,7 +251,7 @@ impl ServerState {
         world_cache_capacity: usize,
         request_log: Option<&std::path::Path>,
     ) -> std::io::Result<Self> {
-        let registry = Arc::new(Registry::new());
+        let registry = Registry::new();
         let per_verb = Request::VERBS
             .iter()
             .map(|&verb| {
@@ -267,7 +267,7 @@ impl ServerState {
             None => None,
         };
         Ok(Self {
-            cache: WorldCache::with_registry(graph, world_cache_capacity, Arc::clone(&registry)),
+            cache: WorldCache::new(graph, world_cache_capacity, &registry),
             queries_served: registry.counter("obf_server_queries_total"),
             protocol_errors: registry.counter("obf_server_protocol_errors_total"),
             reloads: registry.counter("obf_server_reloads_total"),
@@ -283,12 +283,6 @@ impl ServerState {
         })
     }
 
-    /// The metrics registry backing every counter, gauge and histogram
-    /// of this server (the `METRICS` verb renders it).
-    pub fn registry(&self) -> &Arc<Registry> {
-        &self.registry
-    }
-
     /// The currently served graph.
     pub fn graph(&self) -> Arc<UncertainGraph> {
         self.cache.graph()
@@ -302,48 +296,6 @@ impl ServerState {
     /// The current release: what a connection accepted now pins.
     pub(crate) fn release(&self) -> Arc<Release> {
         self.cache.current()
-    }
-
-    /// World-memo counters.
-    pub fn cache_stats(&self) -> WorldCacheStats {
-        self.cache.stats()
-    }
-
-    /// Total request lines answered (including `ERR` answers).
-    pub fn queries_served(&self) -> u64 {
-        self.queries_served.get()
-    }
-
-    /// Requests answered with `ERR`, plus frame-level violations
-    /// (oversized length prefix, non-UTF-8 payload) that never became a
-    /// request line.
-    pub fn protocol_errors(&self) -> u64 {
-        self.protocol_errors.get()
-    }
-
-    /// Successful `RELOAD`s so far.
-    pub fn reloads(&self) -> u64 {
-        self.reloads.get()
-    }
-
-    /// Connections admitted by the serving core since start-up.
-    pub fn connections_accepted(&self) -> u64 {
-        self.connections_accepted.get()
-    }
-
-    /// High-water mark of simultaneously open connections.
-    pub fn peak_connections(&self) -> u64 {
-        self.peak_connections.get()
-    }
-
-    /// Connections rejected by admission control with `ERR BUSY`.
-    pub fn busy_rejections(&self) -> u64 {
-        self.busy_rejections.get()
-    }
-
-    /// Connections closed by the idle-timeout sweep.
-    pub fn idle_reaped(&self) -> u64 {
-        self.idle_reaped.get()
     }
 
     /// Admission control: counts a new connection in if fewer than
@@ -440,7 +392,7 @@ impl ServerState {
         };
         let (counter, hist) = self.verb_metrics(verb);
         counter.inc();
-        let span = Span::start_in(Arc::clone(hist));
+        let span = Span::start();
         let reply = match parsed.and_then(|req| self.answer_request(pin, &req)) {
             Ok(payload) => format!("OK {payload}"),
             Err(msg) => {
@@ -449,6 +401,7 @@ impl ServerState {
             }
         };
         let micros = span.finish();
+        hist.record(micros);
         if let Some(log) = &self.request_log {
             // Unparseable lines may contain anything (tabs, newlines);
             // they are filed under INVALID with no args so the log
@@ -468,7 +421,7 @@ impl ServerState {
             };
             log.log(&ReqLogEntry {
                 ts_micros: obf_obs::clock::unix_micros(),
-                trace: trace.0,
+                trace,
                 verb: verb_field,
                 args,
                 args_hash: obf_obs::reqlog::fnv1a(request_line.as_bytes()),
@@ -481,15 +434,6 @@ impl ServerState {
             });
         }
         reply
-    }
-
-    /// Flush the request log (if any) to disk — called by the serving
-    /// cores on orderly shutdown so short-lived servers never lose
-    /// buffered records.
-    pub fn flush_request_log(&self) {
-        if let Some(log) = &self.request_log {
-            log.flush();
-        }
     }
 
     fn answer_request(&self, pin: &mut Arc<Release>, req: &Request) -> Result<String, String> {
@@ -734,10 +678,6 @@ impl Server {
     fn stop_shards(&mut self) {
         self.stop.request();
         self.join_shards();
-        // Every answered request is logged before its reply is queued,
-        // so once the shards have exited the buffer holds the complete
-        // log.
-        self.state.flush_request_log();
     }
 
     fn join_shards(&mut self) {
@@ -842,6 +782,14 @@ mod tests {
         ServerState::new(g, 128)
     }
 
+    /// The current values of the named series, read from one `METRICS`
+    /// reply (which counts itself in `obf_server_queries_total`).
+    fn metrics<const N: usize>(s: &ServerState, names: [&str; N]) -> [u64; N] {
+        let reply = s.answer("METRICS");
+        let text = reply.strip_prefix("OK metrics\n").expect("METRICS reply");
+        names.map(|name| obf_obs::metrics::text_value(text, name).expect(name))
+    }
+
     #[test]
     fn exact_answers_match_library() {
         let s = state();
@@ -873,9 +821,17 @@ mod tests {
         assert!(s.answer("BOGUS").starts_with("ERR "));
         assert!(s.answer("").starts_with("ERR "));
         assert!(s.answer("RELOAD /no/such/file.snap").starts_with("ERR "));
-        assert_eq!(s.protocol_errors(), 4);
-        assert_eq!(s.queries_served(), 4);
-        assert_eq!(s.reloads(), 0);
+        assert_eq!(
+            metrics(
+                &s,
+                [
+                    "obf_server_protocol_errors_total",
+                    "obf_server_queries_total",
+                    "obf_server_reloads_total"
+                ]
+            ),
+            [4, 5, 0]
+        );
     }
 
     #[test]
@@ -889,23 +845,91 @@ mod tests {
         assert!(s.admit_connection(2));
         s.note_idle_reaped();
         s.note_buffer_level(12345);
-        let reply = s.answer("METRICS");
-        let text = reply.strip_prefix("OK metrics\n").expect("METRICS reply");
-        for (name, value) in [
-            ("obf_server_connections_accepted_total", 3),
-            ("obf_server_peak_connections", 2),
-            ("obf_server_busy_rejections_total", 1),
-            ("obf_server_idle_reaped_total", 1),
-            ("obf_server_protocol_errors_total", 1),
-            ("obf_server_queries_total", 2),
-            ("obf_server_buffer_peak_bytes", 12345),
+        let names = [
+            "obf_server_connections_accepted_total",
+            "obf_server_peak_connections",
+            "obf_server_busy_rejections_total",
+            "obf_server_idle_reaped_total",
+            "obf_server_protocol_errors_total",
+            "obf_server_queries_total",
+            "obf_server_buffer_peak_bytes",
+        ];
+        assert_eq!(metrics(&s, names), [3, 2, 1, 1, 1, 2, 12345]);
+    }
+
+    /// Every series `METRICS` renders, by name (docs/OBSERVABILITY.md's
+    /// inventory). Scrapers read series by name and count a missing one
+    /// as 0, so a rename must fail here rather than zero their figures.
+    #[test]
+    fn metrics_series_inventory_is_pinned() {
+        let s = state();
+        for line in [
+            "PING",
+            "INFO",
+            "EXPECTED_DEGREE 0",
+            "DEGREE_DIST 0",
+            "NEIGHBORHOOD 0",
+            "EXPECTED num_edges",
+            "STAT num_edges 2 1",
+            "METRICS",
+            "RELOAD /no/such/file.snap",
+            "HEALTH",
+            "QUIT",
+            "BOGUS",
         ] {
-            assert_eq!(
-                obf_obs::metrics::text_value(text, name),
-                Some(value),
-                "{name}"
+            s.answer(line);
+        }
+        let reply = s.answer("METRICS");
+        let mut names: Vec<&str> = reply
+            .lines()
+            .skip(1)
+            .map(|line| line.rsplit_once(' ').expect("name value").0)
+            .collect();
+        names.sort_unstable();
+
+        let quantiles = ["count", "sum", "max", "p50", "p90", "p99"];
+        let mut pinned: Vec<String> = [
+            "obf_cache_capacity",
+            "obf_cache_epoch",
+            "obf_cache_evictions_total",
+            "obf_cache_hits_total",
+            "obf_cache_invalidations_total",
+            "obf_cache_misses_total",
+            "obf_cache_resident",
+            "obf_server_buffer_peak_bytes",
+            "obf_server_busy_rejections_total",
+            "obf_server_connections_accepted_total",
+            "obf_server_idle_reaped_total",
+            "obf_server_peak_connections",
+            "obf_server_protocol_errors_total",
+            "obf_server_queries_total",
+            "obf_server_reloads_total",
+        ]
+        .map(String::from)
+        .into();
+        pinned.extend(quantiles.map(|q| format!("obf_cache_sample_micros_{q}")));
+        for verb in [
+            "DEGREE_DIST",
+            "EXPECTED",
+            "EXPECTED_DEGREE",
+            "HEALTH",
+            "INFO",
+            "INVALID",
+            "METRICS",
+            "NEIGHBORHOOD",
+            "PING",
+            "QUIT",
+            "RELOAD",
+            "SHUTDOWN",
+            "STAT",
+        ] {
+            pinned.push(format!("obf_server_requests_total{{verb=\"{verb}\"}}"));
+            pinned.extend(
+                quantiles.map(|q| format!("obf_server_answer_micros_{q}{{verb=\"{verb}\"}}")),
             );
         }
+        pinned.sort_unstable();
+        assert_eq!(names, pinned);
     }
 
     /// The per-world value of each statistic computed on the world
@@ -943,10 +967,15 @@ mod tests {
             assert_eq!(a, oracle_reply(&s.graph(), stat, 20, 42), "{line}");
             // Worlds are sampled once: every statistic after the first
             // reads the memo the first one filled.
-            let cs = s.cache_stats();
-            assert_eq!(cs.misses, 20);
-            assert_eq!(cs.hits, 20 + 40 * k as u64);
-            assert_eq!(cs.resident, 20);
+            let [misses, hits, resident] = metrics(
+                &s,
+                [
+                    "obf_cache_misses_total",
+                    "obf_cache_hits_total",
+                    "obf_cache_resident",
+                ],
+            );
+            assert_eq!((misses, hits, resident), (20, 20 + 40 * k as u64, 20));
         }
     }
 
@@ -995,7 +1024,7 @@ mod tests {
     fn reload_swaps_graph_and_invalidates_worlds() {
         let s = state();
         let before = s.answer("STAT num_edges 5 7");
-        assert!(s.cache_stats().resident > 0);
+        assert!(metrics(&s, ["obf_cache_resident"])[0] > 0);
 
         // Write an evolved release and reload it over the protocol.
         let dir = std::env::temp_dir().join(format!("obf_server_reload_{}", std::process::id()));
@@ -1017,11 +1046,17 @@ mod tests {
             reply.starts_with("OK reloaded epoch=1 n=4 candidates=3 snapshot_epoch=1"),
             "{reply}"
         );
-        assert_eq!(s.reloads(), 1);
         assert_eq!(s.epoch(), 1);
-        let cs = s.cache_stats();
-        assert_eq!(cs.resident, 0);
-        assert!(cs.invalidations >= 5);
+        let [reloads, resident, invalidations] = metrics(
+            &s,
+            [
+                "obf_server_reloads_total",
+                "obf_cache_resident",
+                "obf_cache_invalidations_total",
+            ],
+        );
+        assert_eq!((reloads, resident), (1, 0));
+        assert!(invalidations >= 5);
 
         // The same query now answers about the new release, from fresh
         // worlds — bit-identical to an out-of-band resample of g2.

@@ -2,15 +2,18 @@
 //! slowloris writers, half-open peers, mid-request disconnects, and
 //! clients that never read — must be contained by the event loop's
 //! idle reaping, bounded buffers and backpressure, with zero impact on
-//! concurrent well-behaved clients' transcripts.
+//! concurrent well-behaved clients' transcripts — and a killed daemon
+//! must keep the request-log records of what it answered.
 
-use std::io::{BufReader, Write};
+use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
+use std::process::{Child, Command, Stdio};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use obf_obs::metrics::text_value;
+use obf_obs::reqlog::parse_log;
 use obf_server::{read_frame, Client, Server, ServerConfig};
 use obf_uncertain::UncertainGraph;
 
@@ -32,6 +35,11 @@ fn published_graph(n: usize, seed: u64) -> Arc<UncertainGraph> {
 }
 
 /// Deterministic well-behaved traffic, same shape as the loadgen mix.
+/// One series of the server's `METRICS` reply.
+fn metric(server: &Server, name: &str) -> u64 {
+    text_value(&server.state().answer("METRICS"), name).expect(name)
+}
+
 fn query(i: usize) -> String {
     match i % 6 {
         0 => format!("EXPECTED_DEGREE {}", i % 40),
@@ -121,13 +129,14 @@ fn half_open_connections_are_reaped() {
     std::thread::sleep(Duration::from_millis(50));
 
     let deadline = Instant::now() + Duration::from_secs(5);
-    while server.state().idle_reaped() < 5 && Instant::now() < deadline {
+    let reaped = || metric(&server, "obf_server_idle_reaped_total");
+    while reaped() < 5 && Instant::now() < deadline {
         std::thread::sleep(Duration::from_millis(25));
     }
+    let reaped = reaped();
     assert!(
-        server.state().idle_reaped() >= 5,
-        "idle sweep reaped only {} of 5 half-open connections",
-        server.state().idle_reaped()
+        reaped >= 5,
+        "idle sweep reaped only {reaped} of 5 half-open connections"
     );
     // The server actually closed them: reads observe EOF.
     for s in &mut silent {
@@ -160,7 +169,7 @@ fn mid_request_disconnects_are_contained() {
         assert!(Instant::now() < deadline);
     };
     assert_eq!(c.request("PING").unwrap(), "OK pong");
-    assert!(server.state().connections_accepted() >= 21);
+    assert!(metric(&server, "obf_server_connections_accepted_total") >= 21);
     server.shutdown();
 }
 
@@ -314,4 +323,58 @@ fn pipelined_flood_is_answered_in_order_without_stalling_a_neighbour() {
         "a neighbour's PING waited {worst:?} behind the flood ({trips} round trips)"
     );
     server.shutdown();
+}
+
+/// An `obf_server` child process, killed and reaped when dropped so a
+/// failing assertion never leaves it running.
+struct Daemon(Child);
+
+impl Drop for Daemon {
+    fn drop(&mut self) {
+        let _ = self.0.kill();
+        let _ = self.0.wait();
+    }
+}
+
+/// The request log is written through record by record: a daemon killed
+/// without an orderly shutdown has already logged every request it
+/// answered.
+#[test]
+fn killed_server_keeps_every_answered_request_log_record() {
+    let dir = std::env::temp_dir().join(format!("obf_server_killed_log_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let graph = dir.join("g.up");
+    std::fs::write(&graph, "0 1 0.5\n1 2 1.0\n").unwrap();
+    let log = dir.join("req.log");
+    let mut daemon = Daemon(
+        Command::new(env!("CARGO_BIN_EXE_obf_server"))
+            .arg(&graph)
+            .args(["--port", "0", "--request-log"])
+            .arg(&log)
+            .stdout(Stdio::piped())
+            .stderr(Stdio::null())
+            .spawn()
+            .unwrap(),
+    );
+    let mut line = String::new();
+    BufReader::new(daemon.0.stdout.take().unwrap())
+        .read_line(&mut line)
+        .unwrap();
+    let addr = line
+        .trim()
+        .strip_prefix("LISTENING ")
+        .expect("LISTENING line");
+
+    let requests = ["PING", "EXPECTED num_edges", "EXPECTED_DEGREE 1"];
+    let mut c = Client::connect(addr).unwrap();
+    for request in requests {
+        assert!(c.request(request).unwrap().starts_with("OK "), "{request}");
+    }
+    daemon.0.kill().unwrap();
+    daemon.0.wait().unwrap();
+
+    let entries = parse_log(&std::fs::read_to_string(&log).unwrap()).unwrap();
+    let logged: Vec<String> = entries.iter().map(|e| e.request_line()).collect();
+    assert_eq!(logged, requests);
+    std::fs::remove_dir_all(&dir).ok();
 }

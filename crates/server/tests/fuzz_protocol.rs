@@ -1,14 +1,16 @@
 //! Protocol fuzz/property tests: proptest-generated malformed frames
 //! must never panic the event loop. Every violation either gets an
 //! `ERR` reply (and the connection survives when framing can resync)
-//! or a clean close (when it cannot), `protocol_errors()` counts it,
-//! and the server keeps answering well-formed traffic afterwards.
+//! or a clean close (when it cannot), `obf_server_protocol_errors_total`
+//! counts it, and the server keeps answering well-formed traffic
+//! afterwards.
 
 use std::io::Write;
 use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::Duration;
 
+use obf_obs::metrics::text_value;
 use obf_server::protocol::MAX_FRAME;
 use obf_server::{read_frame, Client, Server, ServerConfig};
 use obf_uncertain::UncertainGraph;
@@ -36,6 +38,12 @@ fn raw_stream(server: &Server) -> TcpStream {
     // A wedged server must fail the test, not hang it.
     s.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
     s
+}
+
+/// The server's `obf_server_protocol_errors_total`, read from `METRICS`.
+fn protocol_error_count(server: &Server) -> u64 {
+    let metrics = server.state().answer("METRICS");
+    text_value(&metrics, "obf_server_protocol_errors_total").expect("protocol error counter")
 }
 
 /// The liveness probe run after every abusive exchange: a *fresh*
@@ -66,7 +74,7 @@ fn late_tail_after_an_oversized_prefix_still_ends_in_a_clean_eof() {
     s.write_all(&[0xCD; 512])
         .expect("the server reset the connection");
     s.shutdown(std::net::Shutdown::Write).unwrap();
-    assert_eq!(server.state().protocol_errors(), 1);
+    assert_eq!(protocol_error_count(&server), 1);
     assert_alive(&server);
     server.shutdown();
 }
@@ -116,7 +124,7 @@ proptest! {
         prop_assert!(reply.contains("exceeds"), "got {reply:?}");
         // Clean close after the reply, not a reset or a hang.
         prop_assert_eq!(read_frame(&mut s).unwrap(), None);
-        prop_assert!(server.state().protocol_errors() >= 1);
+        prop_assert!(protocol_error_count(&server) >= 1);
         assert_alive(&server);
         server.shutdown();
     }
@@ -136,7 +144,7 @@ proptest! {
         s.write_all(&payload).unwrap();
         let reply = read_frame(&mut s).unwrap().expect("an ERR reply");
         prop_assert!(reply.starts_with("ERR "), "got {reply:?}");
-        prop_assert_eq!(server.state().protocol_errors(), 1);
+        prop_assert_eq!(protocol_error_count(&server), 1);
         // Same connection, next frame: served normally.
         s.write_all(&4u32.to_le_bytes()).unwrap();
         s.write_all(b"PING").unwrap();
@@ -161,7 +169,7 @@ proptest! {
         let mut c = Client::connect(server.addr()).unwrap();
         let reply = c.request(&line).unwrap();
         prop_assert!(reply.starts_with("ERR "), "got {reply:?}");
-        prop_assert_eq!(server.state().protocol_errors(), 1);
+        prop_assert_eq!(protocol_error_count(&server), 1);
         prop_assert_eq!(c.request("PING").unwrap(), "OK pong");
         server.shutdown();
     }
@@ -214,7 +222,7 @@ proptest! {
         }
         let reply = read_frame(&mut s).unwrap().expect("ERR for the poisoned frame");
         prop_assert!(reply.starts_with("ERR "), "got {reply:?}");
-        prop_assert!(server.state().protocol_errors() >= 1);
+        prop_assert!(protocol_error_count(&server) >= 1);
         drop(s);
         assert_alive(&server);
         server.shutdown();

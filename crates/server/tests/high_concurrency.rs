@@ -34,6 +34,11 @@ fn published_graph(n: usize, seed: u64) -> Arc<UncertainGraph> {
 /// Open `want` connections (client and server ends both live in this
 /// process, so each costs two fds), forcing each through the accept
 /// path with a PING round-trip. Returns the still-open sockets.
+/// One series of the server's `METRICS` reply.
+fn metric(server: &Server, name: &str) -> u64 {
+    text_value(&server.state().answer("METRICS"), name).expect(name)
+}
+
 fn open_connections(server: &Server, want: usize) -> Vec<TcpStream> {
     let mut held = Vec::with_capacity(want);
     for i in 0..want {
@@ -74,12 +79,9 @@ fn swarm(target: usize, max_connections: usize) {
 
     let start = Instant::now();
     let mut held = open_connections(&server, conns);
-    assert!(
-        server.state().peak_connections() >= conns as u64,
-        "peak_connections {} < {conns}",
-        server.state().peak_connections()
-    );
-    assert_eq!(server.state().busy_rejections(), 0);
+    let peak = metric(&server, "obf_server_peak_connections");
+    assert!(peak >= conns as u64, "peak connections {peak} < {conns}");
+    assert_eq!(metric(&server, "obf_server_busy_rejections_total"), 0);
 
     // With the full swarm connected and idle, admin queries on a sample
     // of the held connections still answer correctly and promptly.
@@ -158,7 +160,7 @@ fn admission_control_sheds_load_with_busy_reply() {
         None,
         "expected close after BUSY"
     );
-    assert!(server.state().busy_rejections() >= 1);
+    assert!(metric(&server, "obf_server_busy_rejections_total") >= 1);
 
     // The held connections were untouched by the rejection.
     for (i, mut s) in held.into_iter().enumerate() {

@@ -68,8 +68,10 @@ fn concurrent_clients_get_identical_answers() {
 
     // The cache actually served: 8 connections × the same STAT worlds
     // must be mostly hits.
-    let stats = server.state().cache_stats();
-    assert!(stats.hits > stats.misses, "stats={stats:?}");
+    let metrics = server.state().answer("METRICS");
+    let hits = text_value(&metrics, "obf_cache_hits_total").unwrap();
+    let misses = text_value(&metrics, "obf_cache_misses_total").unwrap();
+    assert!(hits > misses, "hits={hits} misses={misses}");
     server.shutdown();
 }
 
@@ -102,7 +104,11 @@ fn malformed_requests_answered_with_err_and_connection_survives() {
         .starts_with("ERR "));
     // The connection still works after errors.
     assert_eq!(c.request("PING").unwrap(), "OK pong");
-    assert_eq!(server.state().protocol_errors(), 2);
+    let metrics = server.state().answer("METRICS");
+    assert_eq!(
+        text_value(&metrics, "obf_server_protocol_errors_total"),
+        Some(2)
+    );
     server.shutdown();
 }
 

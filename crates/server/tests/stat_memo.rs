@@ -9,6 +9,7 @@ use std::path::Path;
 use std::sync::Arc;
 
 use obf_graph::splitmix64;
+use obf_obs::metrics::text_value;
 use obf_server::{ServerState, WorldStat};
 use obf_uncertain::statistics::{evaluate_uncertain, DistanceEngine, UtilityConfig};
 use obf_uncertain::{save_snapshot, SnapshotMeta, UncertainGraph};
@@ -58,12 +59,17 @@ fn transcript(capacity: usize, first: &UncertainGraph, next: &Path) -> Vec<Strin
     for line in stat_lines() {
         out.push(state.answer(&line));
     }
-    let stats = state.cache_stats();
-    assert!(stats.resident <= capacity, "capacity {capacity}: {stats:?}");
+    let metrics = state.answer("METRICS");
+    let resident = text_value(&metrics, "obf_cache_resident").unwrap();
+    let hits = text_value(&metrics, "obf_cache_hits_total").unwrap();
+    assert!(
+        resident <= capacity as u64,
+        "capacity {capacity}: {resident} resident"
+    );
     if capacity == 0 {
-        assert_eq!(stats.hits, 0, "{stats:?}");
+        assert_eq!(hits, 0);
     } else {
-        assert!(stats.hits > 0, "capacity {capacity}: {stats:?}");
+        assert!(hits > 0, "capacity {capacity}: no hits");
     }
     out
 }

@@ -68,4 +68,4 @@ pub use triangles::{
     expected_center_paths, expected_center_paths_par, expected_ratio_clustering,
     expected_triangles, expected_triangles_par,
 };
-pub use world_cache::{Release, WorldCache, WorldCacheStats, WorldStat, WorldStats};
+pub use world_cache::{Release, WorldCache, WorldStat, WorldStats};

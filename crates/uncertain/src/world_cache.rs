@@ -20,6 +20,10 @@
 //! In-flight queries that pinned a [`Release`] before the swap keep
 //! sampling correct old-epoch worlds; their statistics just stop being
 //! retained.
+//!
+//! The cache's counters are `obf_cache_*` series in the [`Registry`]
+//! its owner passes to [`WorldCache::new`]; a server renders them
+//! through `METRICS`, the only way to read them.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -209,27 +213,6 @@ impl Release {
     }
 }
 
-/// Cache observability counters, taken atomically enough for reporting
-/// (the counters are separate atomics; a snapshot between increments
-/// may be off by one).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct WorldCacheStats {
-    pub hits: u64,
-    pub misses: u64,
-    /// Worlds whose statistics are currently resident.
-    pub resident: usize,
-    /// Maximum number of resident worlds.
-    pub capacity: usize,
-    /// Epoch of the current published graph (bumped by
-    /// [`WorldCache::swap_graph`]).
-    pub epoch: u64,
-    /// Stale entries purged by graph swaps.
-    pub invalidations: u64,
-    /// Sampled worlds not retained — the memo was full, or the world's
-    /// epoch was already stale by insertion time.
-    pub evictions: u64,
-}
-
 /// A memo of [`WorldStats`] keyed by `(epoch, master_seed, index)`.
 ///
 /// Reads take a shared lock; a miss samples the world and computes its
@@ -240,25 +223,35 @@ pub struct WorldCacheStats {
 /// determinism guarantee is unaffected because a miss always recomputes
 /// the identical values.
 ///
+/// Hits, misses, invalidations and evictions count into the
+/// `obf_cache_*_total` series of the registry given to
+/// [`WorldCache::new`]; the `obf_cache_resident` gauge equals the memo's
+/// length whenever no lookup is running.
+///
 /// # Examples
 ///
 /// ```
 /// use std::sync::Arc;
+/// use obf_obs::metrics::text_value;
+/// use obf_obs::Registry;
 /// use obf_uncertain::{UncertainGraph, WorldCache, WorldStat};
 ///
+/// let registry = Registry::new();
 /// let g = Arc::new(UncertainGraph::new(3, vec![(0, 1, 0.5), (1, 2, 0.5)]).unwrap());
-/// let cache = WorldCache::new(g, 64);
+/// let cache = WorldCache::new(g, 64, &registry);
 /// let release = cache.current();
 /// let a = cache.get_or_sample_pinned(&release, 7, 0);
 /// let b = cache.get_or_sample_pinned(&release, 7, 0);
 /// assert_eq!(a, b); // second lookup is a hit
-/// assert_eq!(cache.stats().hits, 1);
+/// assert_eq!(text_value(&registry.render_text(), "obf_cache_hits_total"), Some(1));
 /// assert!(a.get(WorldStat::NumEdges) <= 2.0);
 ///
 /// // Swapping in a new release invalidates the resident entries.
 /// let g2 = Arc::new(UncertainGraph::new(3, vec![(0, 1, 1.0)]).unwrap());
 /// assert_eq!(cache.swap_graph(g2).epoch, 1);
-/// assert_eq!(cache.stats().invalidations, 1);
+/// let text = registry.render_text();
+/// assert_eq!(text_value(&text, "obf_cache_invalidations_total"), Some(1));
+/// assert_eq!(text_value(&text, "obf_cache_resident"), Some(0));
 /// ```
 #[derive(Debug)]
 pub struct WorldCache {
@@ -270,10 +263,6 @@ pub struct WorldCache {
     epoch: AtomicU64,
     capacity: usize,
     worlds: RwLock<HashMap<(u64, u64, u64), WorldStats>>,
-    /// The metrics registry the counters live in — the single source
-    /// of truth: `stats()` and a server's `METRICS` dump both read
-    /// these same atomics, so the two verbs can never disagree.
-    registry: Arc<Registry>,
     hits: Arc<Counter>,
     misses: Arc<Counter>,
     invalidations: Arc<Counter>,
@@ -285,22 +274,11 @@ pub struct WorldCache {
 
 impl WorldCache {
     /// Creates a cache over the published graph (epoch 0) holding at
-    /// most `capacity` worlds' statistics, registering its counters in a
-    /// private registry (see [`WorldCache::with_registry`] to share one).
-    pub fn new(graph: Arc<UncertainGraph>, capacity: usize) -> Self {
-        Self::with_registry(graph, capacity, Arc::new(Registry::new()))
-    }
-
-    /// Creates a cache whose counters live in `registry` under the
-    /// `obf_cache_*` names, so an embedding server can serve them from
-    /// one `METRICS` dump.
-    pub fn with_registry(
-        graph: Arc<UncertainGraph>,
-        capacity: usize,
-        registry: Arc<Registry>,
-    ) -> Self {
-        let capacity_gauge = registry.gauge("obf_cache_capacity");
-        capacity_gauge.set(capacity as u64);
+    /// most `capacity` worlds' statistics, with its counters registered
+    /// in `registry` under the `obf_cache_*` names, so an embedding
+    /// server serves them from its one `METRICS` dump.
+    pub fn new(graph: Arc<UncertainGraph>, capacity: usize, registry: &Registry) -> Self {
+        registry.gauge("obf_cache_capacity").set(capacity as u64);
         Self {
             current: RwLock::new(Arc::new(Release::new(0, graph))),
             epoch: AtomicU64::new(0),
@@ -313,13 +291,7 @@ impl WorldCache {
             resident: registry.gauge("obf_cache_resident"),
             epoch_gauge: registry.gauge("obf_cache_epoch"),
             sample_micros: registry.histogram("obf_cache_sample_micros"),
-            registry,
         }
-    }
-
-    /// The registry the cache's counters are registered in.
-    pub fn registry(&self) -> &Arc<Registry> {
-        &self.registry
     }
 
     /// The published graph the worlds are currently drawn from.
@@ -384,9 +356,9 @@ impl WorldCache {
         self.misses.inc();
         // The span observes sampling plus the five statistics; both are
         // pure functions of (graph, master_seed, index).
-        let span = Span::start_in(Arc::clone(&self.sample_micros));
+        let span = Span::start();
         let stats = WorldStats::of(&sample_indexed_world(&release.graph, master_seed, index));
-        span.finish();
+        self.sample_micros.record(span.finish());
         let mut map = self.worlds.write().expect("world cache poisoned");
         if map.contains_key(&key) {
             // A racing miss inserted the identical values first.
@@ -403,24 +375,12 @@ impl WorldCache {
         }
         stats
     }
-
-    /// Current counters, read from the shared registry atomics.
-    pub fn stats(&self) -> WorldCacheStats {
-        WorldCacheStats {
-            hits: self.hits.get(),
-            misses: self.misses.get(),
-            resident: self.worlds.read().expect("world cache poisoned").len(),
-            capacity: self.capacity,
-            epoch: self.epoch(),
-            invalidations: self.invalidations.get(),
-            evictions: self.evictions.get(),
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use obf_obs::metrics::text_value;
 
     fn graph() -> Arc<UncertainGraph> {
         Arc::new(
@@ -429,8 +389,16 @@ mod tests {
         )
     }
 
-    fn cache(capacity: usize) -> WorldCache {
-        WorldCache::new(graph(), capacity)
+    /// A cache over `graph()` and the registry its counters count into.
+    fn cache(capacity: usize) -> (WorldCache, Registry) {
+        let registry = Registry::new();
+        (WorldCache::new(graph(), capacity, &registry), registry)
+    }
+
+    /// The current values of the named `obf_cache_*` series.
+    fn read<const N: usize>(registry: &Registry, names: [&str; N]) -> [u64; N] {
+        let text = registry.render_text();
+        names.map(|name| text_value(&text, &format!("obf_cache_{name}")).expect(name))
     }
 
     /// The statistics of an out-of-band resample of world `index`.
@@ -440,19 +408,21 @@ mod tests {
 
     #[test]
     fn hit_returns_identical_stats() {
-        let c = cache(8);
+        let (c, r) = cache(8);
         let pin = c.current();
         let first = c.get_or_sample_pinned(&pin, 42, 3);
         let again = c.get_or_sample_pinned(&pin, 42, 3);
         assert_eq!(first, again);
         assert_eq!(first, resampled(&c.graph(), 42, 3));
-        let s = c.stats();
-        assert_eq!((s.hits, s.misses, s.resident), (1, 1, 1));
+        assert_eq!(
+            read(&r, ["hits_total", "misses_total", "resident"]),
+            [1, 1, 1]
+        );
     }
 
     #[test]
     fn distinct_keys_are_distinct_entries() {
-        let c = cache(8);
+        let (c, r) = cache(8);
         let pin = c.current();
         for (seed, index) in [(1, 0), (2, 0), (1, 1)] {
             assert_eq!(
@@ -460,13 +430,15 @@ mod tests {
                 resampled(&c.graph(), seed, index)
             );
         }
-        let s = c.stats();
-        assert_eq!((s.hits, s.misses, s.resident), (0, 3, 3));
+        assert_eq!(
+            read(&r, ["hits_total", "misses_total", "resident"]),
+            [0, 3, 3]
+        );
     }
 
     #[test]
     fn capacity_bounds_residency_without_breaking_answers() {
-        let c = cache(2);
+        let (c, r) = cache(2);
         let pin = c.current();
         for i in 0..10 {
             assert_eq!(
@@ -474,44 +446,49 @@ mod tests {
                 resampled(&c.graph(), 9, i)
             );
         }
-        let s = c.stats();
-        assert_eq!(s.resident, 2);
-        assert_eq!(s.capacity, 2);
-        assert_eq!(s.evictions, 8);
+        assert_eq!(
+            read(&r, ["resident", "capacity", "evictions_total"]),
+            [2, 2, 8]
+        );
         // Unretained worlds still answer correctly (and count as misses).
         assert_eq!(
             c.get_or_sample_pinned(&pin, 9, 7),
             resampled(&c.graph(), 9, 7)
         );
-        assert_eq!(c.stats().misses, 11);
+        assert_eq!(read(&r, ["misses_total"]), [11]);
     }
 
     #[test]
     fn zero_capacity_recomputes_every_lookup() {
-        let c = cache(0);
+        let (c, r) = cache(0);
         let pin = c.current();
         let a = c.get_or_sample_pinned(&pin, 4, 2);
         let b = c.get_or_sample_pinned(&pin, 4, 2);
         assert_eq!(a, b);
-        let s = c.stats();
-        assert_eq!((s.hits, s.misses, s.resident, s.evictions), (0, 2, 0, 2));
+        assert_eq!(
+            read(
+                &r,
+                ["hits_total", "misses_total", "resident", "evictions_total"]
+            ),
+            [0, 2, 0, 2]
+        );
     }
 
     #[test]
     fn swap_invalidates_stale_entries() {
-        let c = cache(64);
+        let (c, r) = cache(64);
         let pin = c.current();
         for i in 0..6 {
             c.get_or_sample_pinned(&pin, 3, i);
         }
-        assert_eq!(c.stats().resident, 6);
+        assert_eq!(read(&r, ["resident"]), [6]);
 
         let g2 = Arc::new(UncertainGraph::new(5, vec![(0, 1, 1.0), (2, 4, 1.0)]).unwrap());
         assert_eq!(c.swap_graph(Arc::clone(&g2)).epoch, 1);
-        let s = c.stats();
-        assert_eq!(s.epoch, 1);
-        assert_eq!(s.invalidations, 6);
-        assert_eq!(s.resident, 0);
+        assert_eq!(
+            read(&r, ["epoch", "invalidations_total", "resident"]),
+            [1, 6, 0]
+        );
 
         // The same (seed, index) now resolves against the new release —
         // never the stale entry. Both candidates are certain, so every
@@ -521,12 +498,12 @@ mod tests {
         let fresh = c.get_or_sample_pinned(&pin, 3, 0);
         assert_eq!(fresh, resampled(&g2, 3, 0));
         assert_eq!(fresh.num_edges.to_bits(), 2.0f64.to_bits());
-        assert_eq!(c.stats().misses, 7);
+        assert_eq!(read(&r, ["misses_total"]), [7]);
     }
 
     #[test]
     fn pinned_lookups_survive_a_swap_without_polluting_the_memo() {
-        let c = cache(64);
+        let (c, r) = cache(64);
         let old = c.current();
         // Swap happens while a request is mid-flight on the old pin.
         let g2 = Arc::new(UncertainGraph::new(5, vec![(0, 1, 1.0)]).unwrap());
@@ -535,13 +512,12 @@ mod tests {
         let stats = c.get_or_sample_pinned(&old, 11, 4);
         assert_eq!(stats, resampled(&old.graph, 11, 4));
         // ...but its statistics are not retained for the new epoch.
-        assert_eq!(c.stats().resident, 0);
-        assert_eq!(c.stats().evictions, 1);
+        assert_eq!(read(&r, ["resident", "evictions_total"]), [0, 1]);
     }
 
     #[test]
     fn release_carries_its_degree_ceiling() {
-        let c = cache(4);
+        let (c, _r) = cache(4);
         // graph() is a path: every inner vertex has two candidates.
         assert_eq!(c.current().degree_ceiling(), 2);
         let star = Arc::new(UncertainGraph::new(6, (1..6).map(|v| (0, v, 0.5)).collect()).unwrap());
@@ -553,7 +529,7 @@ mod tests {
 
     #[test]
     fn release_answers_match_the_direct_functions_and_follow_a_swap() {
-        let c = cache(4);
+        let (c, _r) = cache(4);
         let check = |r: &Release, g: &UncertainGraph| {
             let pairs = [
                 (r.probability_mass(), g.total_probability_mass()),
@@ -581,7 +557,8 @@ mod tests {
 
     #[test]
     fn concurrent_lookups_agree() {
-        let c = Arc::new(cache(64));
+        let (c, r) = cache(64);
+        let c = Arc::new(c);
         let handles: Vec<_> = (0..4)
             .map(|_| {
                 let c = Arc::clone(&c);
@@ -598,8 +575,8 @@ mod tests {
         for r in &results[1..] {
             assert_eq!(r, &results[0]);
         }
-        let s = c.stats();
-        assert_eq!(s.hits + s.misses, 64);
-        assert_eq!(s.resident, 16);
+        let [hits, misses, resident] = read(&r, ["hits_total", "misses_total", "resident"]);
+        assert_eq!(hits + misses, 64);
+        assert_eq!(resident, 16);
     }
 }

@@ -5,6 +5,8 @@
 use std::sync::Arc;
 
 use obf_graph::{global_clustering_coefficient, DegreeStats, Graph};
+use obf_obs::metrics::text_value;
+use obf_obs::Registry;
 use obf_uncertain::{sample_indexed_world, UncertainGraph, WorldCache, WorldStat};
 use proptest::prelude::*;
 
@@ -51,7 +53,8 @@ fn arb_uncertain(max_n: usize) -> impl Strategy<Value = UncertainGraph> {
 
 fn assert_memo_matches_oracle(ug: UncertainGraph, seed: u64, worlds: usize) {
     let ug = Arc::new(ug);
-    let cache = WorldCache::new(Arc::clone(&ug), 1024);
+    let registry = Registry::new();
+    let cache = WorldCache::new(Arc::clone(&ug), 1024, &registry);
     let release = cache.current();
     // Two passes: the first fills the memo, the second is all hits.
     for pass in 0..2 {
@@ -68,8 +71,10 @@ fn assert_memo_matches_oracle(ug: UncertainGraph, seed: u64, worlds: usize) {
             }
         }
     }
-    let s = cache.stats();
-    assert_eq!((s.misses, s.hits), (worlds as u64, worlds as u64));
+    let text = registry.render_text();
+    for name in ["obf_cache_misses_total", "obf_cache_hits_total"] {
+        assert_eq!(text_value(&text, name), Some(worlds as u64), "{name}");
+    }
 }
 
 proptest! {

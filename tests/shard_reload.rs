@@ -11,6 +11,7 @@
 //! connection must also be constant. Every case runs at 1, 2 and 4
 //! shards.
 
+use obf_obs::metrics::text_value;
 use obf_server::{Client, Server, ServerConfig, ServerState};
 use obf_uncertain::{save_snapshot, SnapshotMeta, UncertainGraph};
 use std::path::{Path, PathBuf};
@@ -110,6 +111,11 @@ fn new_release(tag: &str) -> (PathBuf, PathBuf) {
     let path = dir.join("release.snap");
     save_snapshot(&graph_new(), SnapshotMeta::default(), &path).unwrap();
     (dir, path)
+}
+
+/// One series of the server's `METRICS` reply.
+fn metric(server: &Server, name: &str) -> u64 {
+    text_value(&server.state().answer("METRICS"), name).expect(name)
 }
 
 fn reload(c: &mut Client, path: &Path) -> String {
@@ -218,7 +224,7 @@ fn staggered_reload_never_mixes_epochs_in_one_connection() {
             "shards={shards}: no connection saw the new release"
         );
         assert_eq!(admin.request("HEALTH").unwrap(), "OK ok epoch=1 n=6");
-        assert_eq!(server.state().reloads(), 1);
+        assert_eq!(metric(&server, "obf_server_reloads_total"), 1);
         server.shutdown();
     }
     let _ = std::fs::remove_dir_all(&dir);
@@ -280,13 +286,13 @@ fn connection_opened_before_a_reload_keeps_its_release() {
         let mut admin = Client::connect(server.addr()).unwrap();
         let reply = reload(&mut admin, &snap_path);
         assert!(reply.starts_with("OK reloaded epoch=1 "), "{reply}");
-        assert_eq!(server.state().cache_stats().resident, 0);
+        assert_eq!(metric(&server, "obf_cache_resident"), 0);
 
         assert_eq!(script_digest(&mut early), old_digest, "shards={shards}");
         assert_eq!(info_epoch(&mut early), "0");
         assert_eq!(early.request("HEALTH").unwrap(), "OK ok epoch=1 n=6");
         assert_eq!(
-            server.state().cache_stats().resident,
+            metric(&server, "obf_cache_resident"),
             0,
             "shards={shards}: a stale release's worlds were memoized"
         );
