@@ -6,11 +6,13 @@
 //! is the posterior over published vertices for a target with original
 //! degree `ω`; its entropy certifies k-obfuscation (Definition 2).
 //!
-//! Every Definition 2 verdict reads its rows from the memoized,
-//! support-truncated [`MemoizedAdversary`] and ends in the one
-//! [`ObfuscationCheck::from_entropies`] tail. [`AdversaryTable`] keeps
-//! every row in full; it is the exhaustive oracle the tests hold those
-//! verdicts to.
+//! Every Definition 2 verdict ends in the one
+//! [`ObfuscationCheck::from_entropies`] tail. Publish and audit read
+//! their rows from the memoized, support-truncated
+//! [`MemoizedAdversary`]. [`AdversaryTable`] keeps every row in full: it
+//! is the row store republish patches per edge batch
+//! ([`AdversaryTable::patch`]), and the exhaustive oracle the tests hold
+//! every verdict to.
 
 use std::ops::Range;
 
@@ -104,8 +106,7 @@ impl DegreeProfile {
 /// summed over the positive entries `x` of column `j`.
 ///
 /// This is the one kernel behind every entropy front end
-/// ([`MemoizedAdversary::entropies`], the [`AdversaryTable::entropies`]
-/// oracle and the per-chunk state of `obf_evolve`'s incremental check).
+/// ([`MemoizedAdversary::entropies`] and [`AdversaryTable::entropies`]).
 /// Each front end is only a *row source*: a closure mapping a vertex to
 /// its `X_v` row. The kernel fixes the floating-point order:
 ///
@@ -116,25 +117,8 @@ impl DegreeProfile {
 ///
 /// Two front ends that feed the same rows under the same chunk
 /// decomposition therefore produce the same entropy bits.
-///
-/// # Examples
-///
-/// ```
-/// use obf_core::ColumnPartials;
-///
-/// let rows: Vec<Vec<f64>> = vec![vec![0.5, 0.5], vec![0.0, 1.0], vec![1.0]];
-/// // Columns 1 and 0, in that order; chunks {0, 1} and {2}.
-/// let chunks = [
-///     ColumnPartials::gather(0..2, &[1, 0], |v| Some(rows[v].as_slice())),
-///     ColumnPartials::gather(2..3, &[1, 0], |v| Some(rows[v].as_slice())),
-/// ];
-/// let h = ColumnPartials::fold(2, &chunks).entropies();
-/// // Column 1 holds (0.5, 1.0, 0): normalised (1/3, 2/3).
-/// let want = -(1.0f64 / 3.0) * (1.0f64 / 3.0).log2() - (2.0f64 / 3.0) * (2.0f64 / 3.0).log2();
-/// assert!((h[0] - want).abs() < 1e-12);
-/// ```
-#[derive(Debug, Clone, PartialEq)]
-pub struct ColumnPartials {
+#[derive(Debug, Clone)]
+pub(crate) struct ColumnPartials {
     mass: Vec<f64>,
     xlogx: Vec<f64>,
 }
@@ -182,28 +166,6 @@ impl ColumnPartials {
         out
     }
 
-    /// Accumulates the rows of `vertices` (ascending) into the
-    /// contiguous columns `columns`: column `j` reads entry
-    /// `columns.start + j` of each row, zero past the row's end. Same
-    /// bits as [`ColumnPartials::gather`] over the column list
-    /// `columns`, at a cost proportional to the row lengths instead of
-    /// to the span width.
-    #[inline]
-    pub fn span<'r, R>(vertices: Range<usize>, columns: Range<usize>, row: R) -> Self
-    where
-        R: Fn(usize) -> &'r [f64],
-    {
-        let mut out = Self::zeros(columns.len());
-        for v in vertices {
-            let row = row(v);
-            let hi = row.len().min(columns.end);
-            for (j, &x) in row[columns.start.min(hi)..hi].iter().enumerate() {
-                out.add(j, x);
-            }
-        }
-        out
-    }
-
     /// Adds `other` column by column — one step of the chunk-order
     /// merge.
     fn merge(&mut self, other: &ColumnPartials) {
@@ -214,13 +176,6 @@ impl ColumnPartials {
         for (acc, &x) in self.xlogx.iter_mut().zip(&other.xlogx) {
             *acc += x;
         }
-    }
-
-    /// Appends `other`'s columns after this one's: the partials of a
-    /// column span that starts where this one ends.
-    pub fn append(&mut self, other: ColumnPartials) {
-        self.mass.extend(other.mass);
-        self.xlogx.extend(other.xlogx);
     }
 
     /// Merges per-chunk partials of `width` columns in iteration order,
@@ -272,10 +227,12 @@ impl ColumnPartials {
 /// Per-vertex degree distributions of an uncertain graph — the rows of the
 /// matrix `X_v(ω)`, each in full.
 ///
-/// The exhaustive oracle: no Definition 2 verdict reads it (they read the
-/// [`MemoizedAdversary`], whose entries and entropies are bit-identical
-/// to this table's), but tests hold every verdict to it, and it carries
-/// the worked example's whole matrix.
+/// Republish's row store: an edge batch re-derives only the rows of the
+/// vertices it touches ([`AdversaryTable::patch`]), and full rows need
+/// no cap however far a batch raises a degree. It is also the exhaustive
+/// oracle: tests hold every verdict of the [`MemoizedAdversary`] (whose
+/// entries and entropies are bit-identical to this table's) to it, and
+/// it carries the worked example's whole matrix.
 #[derive(Debug, Clone)]
 pub struct AdversaryTable {
     /// `rows[v][ω] = X_v(ω)`; rows have individual lengths (bounded by
@@ -313,6 +270,22 @@ impl AdversaryTable {
             vertex_degree_distribution(g, v as u32)
         });
         Self { rows }
+    }
+
+    /// Re-derives the rows of `touched` from `g`, a later release over
+    /// the same vertex set. Every other row must be unchanged in `g`, as
+    /// [`UncertainGraph::apply_delta`] guarantees for the vertices off
+    /// its change list. The result equals [`AdversaryTable::build_par`]
+    /// over `g`, row for row.
+    ///
+    /// # Panics
+    /// Panics if `g` has a different vertex count.
+    pub fn patch(&mut self, g: &UncertainGraph, touched: &[u32], par: &Parallelism) {
+        assert_eq!(g.num_vertices(), self.rows.len(), "vertex sets differ");
+        let fresh = par.map_collect(touched.len(), |i| vertex_degree_distribution(g, touched[i]));
+        for (&v, row) in touched.iter().zip(fresh) {
+            self.rows[v as usize] = row;
+        }
     }
 
     /// Number of vertices.
@@ -380,8 +353,9 @@ impl AdversaryTable {
     /// Entropies `H(Y_ω)` for many property values at once, sharded over
     /// contiguous vertex ranges.
     ///
-    /// The rows feed the [`ColumnPartials`] kernel: each chunk of
-    /// vertices contributes partial column sums
+    /// The rows feed the shared column-partials kernel of
+    /// [`MemoizedAdversary::entropies`]: each chunk of vertices
+    /// contributes partial column sums
     /// `(Σ_v X_v(ω), Σ_v X_v(ω)·log₂ X_v(ω))` for every requested `ω`;
     /// the partials are merged in chunk order and finalised with the same
     /// `H = log₂ W − (Σ x log₂ x)/W` identity as
@@ -462,7 +436,7 @@ impl ObfuscationCheck {
     /// Assembles the Definition 2 verdict from already-computed column
     /// entropies (parallel to [`DegreeProfile::distinct`]). This is the
     /// shared tail of every check front end — [`ObfuscationCheck::run`]
-    /// and the patched incremental state of `obf_evolve` hand their
+    /// and `obf_evolve`'s patched [`AdversaryTable`] hand their
     /// entropies to the same comparison and counting code, so a front
     /// end that reproduces the entropy bits reproduces the verdict and ε̃
     /// bits too.
@@ -624,6 +598,30 @@ mod tests {
     }
 
     #[test]
+    fn patch_equals_fresh_build() {
+        let (_, ug) = paper_pair();
+        let par = Parallelism::new(2).with_chunk_size(1);
+        // Overwrite (0,1) and (0,3), remove (1,3): touches 0, 1 and 3;
+        // vertex 2's row is unchanged.
+        let ug2 = ug
+            .apply_delta(&[(0, 1, Some(0.2)), (0, 3, Some(0.6)), (1, 3, None)])
+            .unwrap();
+        let mut t = AdversaryTable::build(&ug);
+        let untouched = t.clone();
+        t.patch(&ug, &[], &par);
+        for v in 0..4u32 {
+            assert_eq!(t.row(v), untouched.row(v), "empty patch moved v={v}");
+        }
+        t.patch(&ug2, &[0, 1, 3], &par);
+        let fresh = AdversaryTable::build(&ug2);
+        for v in 0..4u32 {
+            assert_eq!(t.row(v), fresh.row(v), "v={v}");
+        }
+        let omegas: Vec<usize> = (0..4).collect();
+        assert_eq!(t.entropies(&omegas, &par), fresh.entropies(&omegas, &par));
+    }
+
+    #[test]
     fn parallel_build_matches_serial() {
         let (_, ug) = paper_pair();
         let seq = AdversaryTable::build(&ug);
@@ -731,16 +729,6 @@ mod tests {
                 .collect();
             let got = ColumnPartials::fold(omegas.len(), &chunks).entropies();
             assert_eq!(bits(&got), bits(&want), "chunk_size={chunk_size}");
-        }
-        // The contiguous `span` accumulation equals `gather` over the
-        // same columns, on ragged vertex ranges and spans past 0.
-        for r in [0..4, 0..1, 1..3, 3..4, 2..2] {
-            for columns in [0..5usize, 2..4, 4..6] {
-                let list: Vec<usize> = columns.clone().collect();
-                let spanned = ColumnPartials::span(r.clone(), columns.clone(), |v| t.row(v as u32));
-                let gathered = ColumnPartials::gather(r.clone(), &list, row);
-                assert_eq!(spanned, gathered, "range={r:?} columns={columns:?}");
-            }
         }
     }
 

@@ -321,7 +321,7 @@ impl<'g> MemoizedAdversary<'g> {
     }
 
     /// Entropies `H(Y_ω)` for the requested columns, parallel to
-    /// `omegas` — the same [`ColumnPartials`] reduction as
+    /// `omegas` — the same column-partials reduction as
     /// [`AdversaryTable::entropies`](crate::adversary::AdversaryTable::entropies),
     /// hence bit-identical to it for every thread count and any batching
     /// of the columns.

@@ -9,14 +9,15 @@
 //! * [`DeltaLog`] — a versioned, auditable text format for timestamped
 //!   edge insert/delete batches ([`obf_graph::EdgeBatch`]), applied to
 //!   CSR graphs by sorted-run merges (no rebuild);
-//! * [`IncrementalAdversary`] — the patched Definition 2 check: an edge
+//! * [`Republisher`] — delta in, (k, ε)-certified release out. An edge
 //!   batch only changes the degree distributions of its endpoint
-//!   vertices, so only those Lemma 1 rows are re-derived, and the
-//!   per-chunk entropy accumulators of the touched chunks are replaced
-//!   — bit-identical to a from-scratch build at any thread count;
-//! * [`Republisher`] — delta in, (k, ε)-certified release out: the
-//!   patched check at the previous σ usually suffices; otherwise the σ
-//!   search re-runs warm-started from the previous minimal σ.
+//!   vertices, so the release's full Lemma 1 rows
+//!   ([`AdversaryTable`](obf_core::adversary::AdversaryTable)) are
+//!   patched in place and only those rows re-derived; the Definition 2
+//!   check over them is bit-identical to a from-scratch check at any
+//!   thread count. The patched check at the previous σ usually
+//!   suffices; otherwise the σ search re-runs warm-started from the
+//!   previous minimal σ.
 //!
 //! Downstream, `obf_uncertain::snapshot` tags each release
 //! with an epoch and its parent's checksum, and `obf_server` swaps
@@ -46,10 +47,8 @@
 //! assert!(report.rows_recomputed <= 2 || !report.incremental);
 //! ```
 
-pub mod incremental;
 pub mod log;
 pub mod republish;
 
-pub use incremental::IncrementalAdversary;
 pub use log::{DeltaLog, DeltaLogError, DELTA_LOG_MAGIC, DELTA_LOG_VERSION};
 pub use republish::{EvolveParams, RepublishError, RepublishReport, Republisher};

@@ -1,8 +1,8 @@
 //! The republish pipeline: delta in, (k, ε)-certified release out.
 //!
 //! A [`Republisher`] owns the current release — original graph,
-//! published uncertain graph, the σ it was generated at, and the
-//! [`IncrementalAdversary`] state of its Definition 2 check. Each
+//! published uncertain graph, the σ it was generated at, and the full
+//! Lemma 1 rows of its Definition 2 check, an [`AdversaryTable`]. Each
 //! [`Republisher::republish`] call consumes one [`EdgeBatch`]:
 //!
 //! 1. the original graph absorbs the batch via the CSR merge of
@@ -13,9 +13,13 @@
 //!    mix as Algorithm 2 lines 15–18 at the release's σ (uniform over
 //!    the delta pairs — the per-pair uniqueness redistribution of Eq. 7
 //!    is a whole-release construct and is re-applied on fallback);
-//! 3. the adversary state is patched — only the delta's endpoint rows
-//!    are re-derived — and the (k, ε) check re-evaluated bit-identically
-//!    to a from-scratch build;
+//! 3. the table is patched — only the delta's endpoint rows are
+//!    re-derived ([`AdversaryTable::patch`]) — and the (k, ε) check
+//!    re-evaluated from its entropies through the shared
+//!    [`ObfuscationCheck::from_entropies`] tail. The table's entropies
+//!    run the same chunk-order reduction as [`ObfuscationCheck::run`],
+//!    so the verdict is bit-identical to a from-scratch check at any
+//!    thread count;
 //! 4. if the check still passes at the current σ the release ships
 //!    as-is (the common case: a small delta rarely moves the minimal
 //!    σ); otherwise Algorithm 1 re-runs **warm-started** from the
@@ -31,15 +35,14 @@
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
+use obf_core::adversary::AdversaryTable;
 use obf_core::{
-    generate_obfuscation, obfuscate_with_stats, DegreeProfile, ObfuscationError, ObfuscationParams,
-    ObfuscationResult,
+    generate_obfuscation, obfuscate_with_stats, DegreeProfile, ObfuscationCheck, ObfuscationError,
+    ObfuscationParams, ObfuscationResult,
 };
 use obf_graph::{stream_seed, EdgeBatch, Graph};
 use obf_stats::TruncatedNormal;
 use obf_uncertain::UncertainGraph;
-
-use crate::incremental::IncrementalAdversary;
 
 /// Parameters of the evolving pipeline: the per-release obfuscation
 /// parameters plus the republish-stability headroom.
@@ -75,8 +78,8 @@ impl EvolveParams {
 pub enum RepublishError {
     /// The delta batch does not apply to the current release.
     Delta(String),
-    /// The fallback σ search failed (the incremental state is rebuilt
-    /// on the *old* release; the batch was not applied).
+    /// The fallback σ search failed (the adversary table is restored to
+    /// the *old* release; the batch was not applied).
     Search(ObfuscationError),
 }
 
@@ -142,13 +145,14 @@ pub struct Republisher {
     /// Minimal σ of the last full search — the warm-start anchor.
     sigma_min: f64,
     eps_achieved: f64,
-    adversary: IncrementalAdversary,
+    /// Full Lemma 1 rows of `published`, patched per batch.
+    adversary: AdversaryTable,
 }
 
 impl Republisher {
     /// Publishes the base release: a full Algorithm 1 search (plus the
-    /// headroom regeneration), then the incremental adversary state is
-    /// built once. Also returns the search's [`ObfuscationResult`].
+    /// headroom regeneration), then the adversary table is built once.
+    /// Also returns the search's [`ObfuscationResult`].
     pub fn publish(
         g: Graph,
         params: EvolveParams,
@@ -163,7 +167,7 @@ impl Republisher {
             result.eps_achieved,
             0,
         );
-        let adversary = IncrementalAdversary::build(&published, &params.base.parallelism);
+        let adversary = AdversaryTable::build_par(&published, &params.base.parallelism);
         Ok((
             Self {
                 params,
@@ -202,11 +206,6 @@ impl Republisher {
     /// ε̃ of the current release.
     pub fn eps_achieved(&self) -> f64 {
         self.eps_achieved
-    }
-
-    /// Total adversary rows re-derived by incremental patches so far.
-    pub fn rows_patched(&self) -> u64 {
-        self.adversary.rows_patched()
     }
 
     /// Absorbs one delta batch and certifies the next release. See the
@@ -256,10 +255,14 @@ impl Republisher {
         touched.sort_unstable();
         touched.dedup();
 
-        // Patch the adversary state and re-check at the current σ.
+        // Patch the adversary table and re-check at the current σ.
         self.adversary.patch(&pub_new, &touched, &par);
         let profile_new = DegreeProfile::new(&g_new);
-        let check = self.adversary.check(&profile_new, k);
+        let check = ObfuscationCheck::from_entropies(
+            &profile_new,
+            self.adversary.entropies(profile_new.distinct(), &par),
+            k,
+        );
         if check.satisfies(eps) {
             self.epoch = next_epoch;
             self.original = g_new;
@@ -295,8 +298,7 @@ impl Republisher {
                     result.eps_achieved,
                     next_epoch,
                 );
-                self.adversary =
-                    IncrementalAdversary::build(&published, &self.params.base.parallelism);
+                self.adversary = AdversaryTable::build_par(&published, &par);
                 self.epoch = next_epoch;
                 self.original = g_new;
                 self.published = published;
@@ -317,10 +319,9 @@ impl Republisher {
                 })
             }
             Err(e) => {
-                // Restore a consistent adversary state for the old
-                // release before surfacing the error.
-                self.adversary =
-                    IncrementalAdversary::build(&self.published, &self.params.base.parallelism);
+                // Restore the old release's rows before surfacing the
+                // error.
+                self.adversary.patch(&self.published, &touched, &par);
                 Err(RepublishError::Search(e))
             }
         }
@@ -463,14 +464,9 @@ mod tests {
         assert_eq!(pa, pb);
     }
 
-    #[test]
-    fn fallback_release_is_identical_at_every_thread_count() {
-        // A batch that adds 8, 12, …, 52 edges at vertices 0–11 makes
-        // twelve hubs, more than the ε·n = 7.5 vertices a release may
-        // leave exposed, and breaks the release, so the epoch falls back
-        // to a full search and the headroom regeneration; both draw their
-        // trials from per-trial streams, so the release does not depend on
-        // the thread count.
+    /// A 150-vertex graph and a batch that adds 8, 12, …, 52 edges at
+    /// vertices 0–11, making twelve hubs.
+    fn twelve_hubs() -> (Graph, EdgeBatch) {
         let mut rng = SmallRng::seed_from_u64(8);
         let g = generators::erdos_renyi_gnm(150, 450, &mut rng);
         let inserts: Vec<(u32, u32)> = (0..12u32)
@@ -483,6 +479,17 @@ mod tests {
             })
             .collect();
         let batch = EdgeBatch::new(1, inserts, vec![]).unwrap();
+        (g, batch)
+    }
+
+    #[test]
+    fn fallback_release_is_identical_at_every_thread_count() {
+        // The twelve hubs are more than the ε·n = 7.5 vertices a release
+        // may leave exposed and break the release, so the epoch falls back
+        // to a full search and the headroom regeneration; both draw their
+        // trials from per-trial streams, so the release does not depend on
+        // the thread count.
+        let (g, batch) = twelve_hubs();
         let run = |threads: usize| {
             let mut params = fast_params(6, 0.05, 4);
             params.base = params.base.with_threads(threads);
@@ -494,6 +501,42 @@ mod tests {
         };
         let (report, published) = run(1);
         assert_eq!(run(2), (report, published));
+    }
+
+    #[test]
+    fn failed_fallback_restores_the_adversary_table() {
+        // With no doubling allowed, the twelve-hub batch's fallback
+        // search finds no upper bound. The table was already patched
+        // with the batch's rows; the next epoch's check must read the
+        // old release's rows again, so its ε̃ equals a from-scratch
+        // check bit for bit.
+        let (g, batch) = twelve_hubs();
+        let mut params = fast_params(6, 0.05, 4);
+        params.base.max_doublings = 0;
+        let (mut rep, _) = Republisher::publish(g, params).unwrap();
+        let before = rep.published().clone();
+        assert!(matches!(
+            rep.republish(&batch),
+            Err(RepublishError::Search(
+                obf_core::ObfuscationError::NoUpperBound { .. }
+            ))
+        ));
+        assert_eq!(rep.published(), &before);
+        assert_eq!(rep.epoch(), 0);
+
+        let (u, v) = (1..150u32)
+            .map(|v| (0, v))
+            .find(|&(u, v)| !rep.original().has_edge(u, v))
+            .unwrap();
+        let next = EdgeBatch::new(1, vec![(u, v)], vec![]).unwrap();
+        let report = rep.republish(&next).unwrap();
+        let check = ObfuscationCheck::run(
+            rep.original(),
+            rep.published(),
+            6,
+            &obf_graph::Parallelism::sequential(),
+        );
+        assert_eq!(report.eps_achieved.to_bits(), check.eps_achieved.to_bits());
     }
 
     #[test]

@@ -1,11 +1,11 @@
 //! Property tests of the evolving-graph pipeline: delta-applied CSR
 //! structures are bit-identical to from-scratch rebuilds, and the
-//! patched adversary check is bit-identical to a fresh build — entropy
-//! by entropy, verdict by verdict, at 1 and 4 threads.
+//! patched adversary table's check is bit-identical to a fresh build's
+//! — entropy by entropy, verdict by verdict, at 1 and 4 threads.
 
 use obf_core::adversary::AdversaryTable;
 use obf_core::{DegreeProfile, MemoizedAdversary, ObfuscationCheck};
-use obf_evolve::{DeltaLog, IncrementalAdversary};
+use obf_evolve::DeltaLog;
 use obf_graph::{EdgeBatch, Graph, Parallelism};
 use obf_uncertain::UncertainGraph;
 use proptest::prelude::*;
@@ -135,9 +135,9 @@ fn check_bits(c: &ObfuscationCheck) -> (Vec<(usize, u64)>, u64, usize) {
     )
 }
 
-/// The exhaustive Definition 2 verdict: every full row of `table`
-/// through the shared `from_entropies` tail.
-fn oracle(
+/// The Definition 2 verdict an incremental republish epoch reads: every
+/// full row of `table` through the shared `from_entropies` tail.
+fn table_check(
     profile: &DegreeProfile,
     table: &AdversaryTable,
     k: usize,
@@ -146,43 +146,53 @@ fn oracle(
     ObfuscationCheck::from_entropies(profile, table.entropies(profile.distinct(), par), k)
 }
 
-/// The incremental check equals the exhaustive one bit for bit on the
-/// edge cases the random batches rarely hit: the empty graph, and a
-/// patch that raises a hub past the accumulator cap.
+/// Bits of every entry of every row.
+fn row_bits(t: &AdversaryTable) -> Vec<Vec<u64>> {
+    (0..t.num_vertices() as u32)
+        .map(|v| t.row(v).iter().map(|x| x.to_bits()).collect())
+        .collect()
+}
+
+/// The patched table equals a fresh build, and its check equals
+/// `ObfuscationCheck::run`, bit for bit on the edge cases the random
+/// batches rarely hit: the empty graph, and a patch that raises a hub
+/// past the old max degree.
 #[test]
-fn check_matches_exhaustive_on_empty_graph_and_cap_growth() {
+fn patched_check_matches_fresh_on_empty_graph_and_new_max_degree() {
     for threads in [1usize, 4] {
-        for chunk in [1usize, 2, 3, 64] {
+        for chunk in [1usize, 3, 64] {
             let par = Parallelism::new(threads).with_chunk_size(chunk);
 
             let empty = UncertainGraph::new(0, vec![]).unwrap();
-            let profile = DegreeProfile::new(&Graph::empty(0));
-            let inc = IncrementalAdversary::build(&empty, &par);
-            let table = AdversaryTable::build(&empty);
+            let original = Graph::empty(0);
+            let profile = DegreeProfile::new(&original);
+            let mut table = AdversaryTable::build_par(&empty, &par);
+            table.patch(&empty, &[], &par);
             for k in [1usize, 3] {
-                let want = oracle(&profile, &table, k, &par);
-                assert_eq!(check_bits(&inc.check(&profile, k)), check_bits(&want));
+                assert_eq!(
+                    check_bits(&table_check(&profile, &table, k, &par)),
+                    check_bits(&ObfuscationCheck::run(&original, &empty, k, &par))
+                );
             }
 
-            // Vertex 5 grows from 1 to 4 incident candidates.
+            // Vertex 5 grows from 1 to 4 incident candidates, past every
+            // row of the old release.
             let g =
                 UncertainGraph::new(8, vec![(0, 5, 0.5), (1, 2, 0.8), (3, 4, 0.6), (6, 7, 0.3)])
                     .unwrap();
-            let mut inc = IncrementalAdversary::build(&g, &par);
-            let cap = inc.omega_cap();
+            let mut table = AdversaryTable::build_par(&g, &par);
             let g2 = g
                 .apply_delta(&[(1, 5, Some(0.9)), (2, 5, Some(0.7)), (5, 7, Some(0.4))])
                 .unwrap();
-            inc.patch(&g2, &[1, 2, 5, 7], &par);
-            assert!(inc.omega_cap() > cap, "threads={threads} chunk={chunk}");
+            table.patch(&g2, &[1, 2, 5, 7], &par);
+            assert_eq!(table.row(5).len(), 5, "threads={threads} chunk={chunk}");
+            assert_eq!(row_bits(&table), row_bits(&AdversaryTable::build(&g2)));
             let original = Graph::from_edges(8, &[(0, 5), (1, 5), (2, 5), (1, 2), (3, 4), (6, 7)]);
             let profile = DegreeProfile::new(&original);
-            let table = AdversaryTable::build(&g2);
             for k in 1..=4 {
-                let want = oracle(&profile, &table, k, &par);
                 assert_eq!(
-                    check_bits(&inc.check(&profile, k)),
-                    check_bits(&want),
+                    check_bits(&table_check(&profile, &table, k, &par)),
+                    check_bits(&ObfuscationCheck::run(&original, &g2, k, &par)),
                     "threads={threads} chunk={chunk} k={k}"
                 );
             }
@@ -235,9 +245,9 @@ proptest! {
         prop_assert_eq!(applied, rebuilt);
     }
 
-    /// Patched adversary state == from-scratch build: entropies, ε̃ and
-    /// verdict bit-identical, at threads ∈ {1, 4} and across chunk
-    /// sizes.
+    /// Patched adversary table == from-scratch build: rows, entropies,
+    /// ε̃ and verdict bit-identical, at threads ∈ {1, 4} and across
+    /// chunk sizes, and equal to the σ-search fast path's memoized rows.
     #[test]
     fn patched_adversary_is_bit_identical(
         (g, changes) in arb_uncertain_and_delta(),
@@ -254,15 +264,13 @@ proptest! {
         touched.sort_unstable();
         touched.dedup();
 
-            let mut inc = IncrementalAdversary::build(&g, &par);
-        inc.patch(&g2, &touched, &par);
-        let fresh = IncrementalAdversary::build(&g2, &par);
+        let mut table = AdversaryTable::build_par(&g, &par);
+        table.patch(&g2, &touched, &par);
+        prop_assert_eq!(row_bits(&table), row_bits(&AdversaryTable::build(&g2)));
 
-        let omegas: Vec<usize> = (0..=inc.omega_cap()).collect();
-        prop_assert_eq!(inc.entropies(&omegas), fresh.entropies(&omegas));
-
-        // Agreement with both from-scratch check implementations, over
-        // an "original" graph read off the published candidates.
+        // Agreement with the from-scratch check and with the memoized
+        // rows at the new profile's max degree, over an "original" graph
+        // read off the published candidates.
         let original = Graph::from_edges(
             g2.num_vertices(),
             &g2.candidate_pairs()
@@ -271,16 +279,15 @@ proptest! {
                 .collect::<Vec<_>>(),
         );
         let profile = DegreeProfile::new(&original);
-        let got = inc.check(&profile, k);
-        let table = AdversaryTable::build(&g2);
-        let want = oracle(&profile, &table, k, &par);
-        prop_assert_eq!(check_bits(&got), check_bits(&want));
+        prop_assert_eq!(
+            check_bits(&table_check(&profile, &table, k, &par)),
+            check_bits(&ObfuscationCheck::run(&original, &g2, k, &par))
+        );
 
-        // And with the σ-search fast path's memoized table.
         let mut memo = MemoizedAdversary::new(&g2, profile.max_degree(), &par);
         let distinct = profile.distinct().to_vec();
         prop_assert_eq!(
-            inc.entropies(&distinct),
+            table.entropies(&distinct, &par),
             memo.entropies(&distinct, &par)
         );
     }
@@ -298,14 +305,14 @@ proptest! {
             changes.iter().flat_map(|&(u, v, _)| [u, v]).collect();
         touched.sort_unstable();
         touched.dedup();
-        let runs: Vec<Vec<f64>> = [1usize, 4]
+        let omegas: Vec<usize> = (0..=g2.num_vertices()).collect();
+        let runs: Vec<Vec<u64>> = [1usize, 4]
             .iter()
             .map(|&t| {
                 let par = Parallelism::new(t).with_chunk_size(chunk);
-                let mut inc = IncrementalAdversary::build(&g, &par);
-                inc.patch(&g2, &touched, &par);
-                let omegas: Vec<usize> = (0..=inc.omega_cap()).collect();
-                inc.entropies(&omegas)
+                let mut table = AdversaryTable::build_par(&g, &par);
+                table.patch(&g2, &touched, &par);
+                table.entropies(&omegas, &par).iter().map(|h| h.to_bits()).collect()
             })
             .collect();
         prop_assert_eq!(&runs[0], &runs[1]);

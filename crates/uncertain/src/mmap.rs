@@ -7,9 +7,10 @@
 //! platform this repo targets; see the per-constant notes).
 //!
 //! [`MmapFile`] maps a whole file `PROT_READ`/`MAP_PRIVATE` and hands
-//! out its bytes as a `&[u8]` for the lifetime of the value. The mapping
-//! is private and read-only, so sharing it across threads is sound
-//! (`Send + Sync`), and the underlying descriptor is closed immediately
+//! out its bytes as a `&[u8]` for the lifetime of the value. Sharing it
+//! across threads (`Send + Sync`) is sound because a served file is
+//! replaced only by rename, never rewritten in place (see the safety
+//! note on the impls). The underlying descriptor is closed immediately
 //! after the map is established — a POSIX mapping outlives its fd.
 //!
 //! On non-Unix targets [`MmapFile::open`] returns
@@ -49,8 +50,11 @@ pub struct MmapFile {
     len: usize,
 }
 
-// SAFETY: the mapping is PROT_READ + MAP_PRIVATE — immutable for the
-// lifetime of the value — so concurrent reads from any thread are sound.
+// SAFETY: PROT_READ, so no thread writes through the mapping. MAP_PRIVATE
+// pages still show outside writes to the file, so this rests on a contract:
+// a served file is replaced only by rename (`save_snapshot`, which
+// `snapshot_convert` calls), never rewritten in place (docs/OPERATIONS.md
+// §3). The mapped bytes then never change while the value lives.
 unsafe impl Send for MmapFile {}
 unsafe impl Sync for MmapFile {}
 

@@ -93,7 +93,7 @@ fn main() {
             report.eps_achieved
         );
         // The certificate must hold at every step, re-verified from
-        // scratch — not just by the patched accumulators.
+        // scratch — not just by the patched rows.
         assert_certified(&rep);
         published.push(rep.published().clone());
     }
