@@ -530,6 +530,7 @@ mod tests {
             .unwrap();
         let next = EdgeBatch::new(1, vec![(u, v)], vec![]).unwrap();
         let report = rep.republish(&next).unwrap();
+        assert!(report.incremental, "the epoch must read the restored table");
         let check = ObfuscationCheck::run(
             rep.original(),
             rep.published(),

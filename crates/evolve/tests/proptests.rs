@@ -160,7 +160,7 @@ fn row_bits(t: &AdversaryTable) -> Vec<Vec<u64>> {
 #[test]
 fn patched_check_matches_fresh_on_empty_graph_and_new_max_degree() {
     for threads in [1usize, 4] {
-        for chunk in [1usize, 3, 64] {
+        for chunk in [1usize, 2, 3, 64] {
             let par = Parallelism::new(threads).with_chunk_size(chunk);
 
             let empty = UncertainGraph::new(0, vec![]).unwrap();
