@@ -7,7 +7,7 @@
 #   ./ci.sh fast       # skip the release build (debug test cycle only)
 #   ./ci.sh lint       # fmt + clippy only
 #   ./ci.sh test       # debug tests + docs only
-#   ./ci.sh release    # release build + bench compile + examples run + determinism matrix + release audit
+#   ./ci.sh release    # release build + bench compile + examples run + determinism matrix + goldens + release audit
 #   ./ci.sh serve      # obf_server tests + shard reload + loadgen smoke + digest check
 #   ./ci.sh evolve     # obf_evolve tests + republish bench smoke + pinned digest check
 #   ./ci.sh snapshot   # CSR store/validator + snapshot/mapped suites, TSV -> v3 convert round trip, mmap-vs-heap digest
@@ -80,6 +80,13 @@ release() {
         || { echo "fig2 output differs between --threads 1 and 4"; exit 1; }
 
     echo "determinism OK: table3 and fig2 identical across thread counts"
+
+    # The whole reduced-scale reproduction against the checked-in
+    # goldens (the deterministic TSV columns; see scripts/check_goldens.sh).
+    step "goldens (OBF_FAST=1 run_all + scripts/check_goldens.sh)"
+    OBF_FAST=1 ./target/release/run_all >"$tmpdir/run_all.log" 2>&1 \
+        || { cat "$tmpdir/run_all.log"; echo "run_all failed"; exit 1; }
+    ./scripts/check_goldens.sh
 
     # The publish surface itself: Algorithm 1 draws and checks trials on
     # a pool of workers that speculate along the bisection, so the CLI's

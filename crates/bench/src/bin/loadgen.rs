@@ -36,7 +36,7 @@ use obf_bench::traffic::{
     field_f64, mixed_query, parse_duration, percentile_ms, probe_digest, published_graph,
     scrape_metrics, PROBE_LEN,
 };
-use obf_bench::HarnessConfig;
+use obf_bench::{Flags, HarnessConfig};
 use obf_obs::metrics::text_value;
 use obf_server::{Client, Server, ServerConfig};
 use obf_uncertain::UncertainGraph;
@@ -44,7 +44,8 @@ use obf_uncertain::UncertainGraph;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-const USAGE: &str = "usage:
+const USAGE: &str = "loadgen: serving benchmark against obf_server
+usage:
   loadgen [--connections 4] [--duration 5s] [--addr host:port]
           [--shards 1] [--expect-digest <hex>]
           [--open-loop-points 6] [--open-loop-secs 600ms]
@@ -68,59 +69,38 @@ options:
                            the (request, reply) pairs in log order)";
 
 fn main() {
-    if obf_bench::help_requested() {
-        println!("loadgen: serving benchmark against obf_server");
-        println!("{USAGE}");
-        println!("{}", obf_bench::HARNESS_USAGE);
-        return;
-    }
-    reject_unknown_flags();
-    let cfg = HarnessConfig::init();
-    let connections = match arg_value("--connections") {
-        None => 4usize,
-        Some(v) => v.parse().unwrap_or_else(|_| bad_flag("--connections", &v)),
+    let flags = Flags::read(USAGE, &VALUE_FLAGS, &[]);
+    let cfg = HarnessConfig::from_flags(&flags);
+    let connections = flags.parse_value("--connections").unwrap_or(4usize);
+    let duration = |name: &str, default: Duration| match flags.get(name) {
+        None => default,
+        Some(v) => parse_duration(v).unwrap_or_else(|| flags.bad_value(name, v)),
     };
-    let duration = match arg_value("--duration") {
-        None => Duration::from_secs(5),
-        Some(v) => parse_duration(&v).unwrap_or_else(|| bad_flag("--duration", &v)),
-    };
-    let open_loop_points = match arg_value("--open-loop-points") {
-        None => 6usize,
-        Some(v) => v
-            .parse()
-            .unwrap_or_else(|_| bad_flag("--open-loop-points", &v)),
-    };
-    let open_loop_secs = match arg_value("--open-loop-secs") {
-        None => Duration::from_millis(600),
-        Some(v) => parse_duration(&v).unwrap_or_else(|| bad_flag("--open-loop-secs", &v)),
-    };
-    let shards_flag = arg_value("--shards");
-    let shards = match &shards_flag {
+    let open_loop_secs = duration("--open-loop-secs", Duration::from_millis(600));
+    let duration = duration("--duration", Duration::from_secs(5));
+    let open_loop_points = flags.parse_value("--open-loop-points").unwrap_or(6usize);
+    let shards_flag = flags.get("--shards");
+    let shards = match shards_flag {
         None => 1usize,
         Some(v) => v
             .parse()
             .ok()
             .filter(|&n| n > 0)
-            .unwrap_or_else(|| bad_flag("--shards", v)),
+            .unwrap_or_else(|| flags.bad_value("--shards", v)),
     };
-    let expect_digest = arg_value("--expect-digest");
-    let external_addr = arg_value("--addr");
-    let request_log = arg_value("--request-log");
-    let replay_path = arg_value("--replay");
+    let owned = |name| flags.get(name).map(str::to_string);
+    let expect_digest = owned("--expect-digest");
+    let external_addr = owned("--addr");
+    let request_log = owned("--request-log");
+    let replay_path = owned("--replay");
     if connections == 0 {
-        bad_flag("--connections", "0");
+        flags.bad_value("--connections", "0");
     }
     if shards_flag.is_some() && external_addr.is_some() {
-        eprintln!("error: --shards configures the in-process server and conflicts with --addr");
-        eprintln!("{USAGE}");
-        std::process::exit(2);
+        flags.fail("--shards configures the in-process server and conflicts with --addr");
     }
     if request_log.is_some() && external_addr.is_some() {
-        eprintln!(
-            "error: --request-log configures the in-process server and conflicts with --addr"
-        );
-        eprintln!("{USAGE}");
-        std::process::exit(2);
+        flags.fail("--request-log configures the in-process server and conflicts with --addr");
     }
     // Parse the replay log up front, before any server is stood up: a
     // malformed log is a usage error (with the offending line number),
@@ -718,11 +698,10 @@ fn time_load_paths(g: &UncertainGraph) -> (f64, f64) {
 
 /// Flags that take a value, in either `--name value` or `--name=value`
 /// form (`--threads` belongs to the shared harness).
-const VALUE_FLAGS: [&str; 10] = [
+const VALUE_FLAGS: [&str; 9] = [
     "--connections",
     "--duration",
     "--addr",
-    "--threads",
     "--shards",
     "--expect-digest",
     "--open-loop-points",
@@ -730,51 +709,3 @@ const VALUE_FLAGS: [&str; 10] = [
     "--request-log",
     "--replay",
 ];
-
-/// A misspelled flag must not silently fall back to a default — the
-/// hardened-CLI contract is usage + exit 2 for anything unrecognised.
-fn reject_unknown_flags() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut i = 0;
-    while i < args.len() {
-        let a = args[i].as_str();
-        if a == "--help" || a == "-h" {
-            i += 1;
-        } else if VALUE_FLAGS.contains(&a) {
-            i += 2; // the value; a missing one is caught by arg_value
-        } else if VALUE_FLAGS
-            .iter()
-            .any(|f| a.starts_with(f) && a.as_bytes().get(f.len()) == Some(&b'='))
-        {
-            i += 1;
-        } else {
-            eprintln!("error: unknown argument {a:?}");
-            eprintln!("{USAGE}");
-            std::process::exit(2);
-        }
-    }
-}
-
-/// `--name value` / `--name=value` lookup (string-valued).
-fn arg_value(name: &str) -> Option<String> {
-    let args: Vec<String> = std::env::args().collect();
-    let eq_prefix = format!("{name}=");
-    for (i, a) in args.iter().enumerate() {
-        if a == name {
-            return args
-                .get(i + 1)
-                .cloned()
-                .or_else(|| bad_flag(name, "<missing>"));
-        }
-        if let Some(v) = a.strip_prefix(&eq_prefix) {
-            return Some(v.to_string());
-        }
-    }
-    None
-}
-
-fn bad_flag(name: &str, value: &str) -> ! {
-    eprintln!("error: invalid value {value:?} for {name}");
-    eprintln!("{USAGE}");
-    std::process::exit(2);
-}

@@ -31,7 +31,7 @@ use std::time::Instant;
 
 use obf_bench::json::Json;
 use obf_bench::traffic::scrape_metrics;
-use obf_bench::HarnessConfig;
+use obf_bench::{Flags, HarnessConfig};
 use obf_core::obfuscate_with_stats;
 use obf_datasets::{evolving_dataset, Dataset};
 use obf_evolve::{DeltaLog, EvolveParams, RepublishReport, Republisher};
@@ -39,7 +39,8 @@ use obf_obs::metrics::text_value;
 use obf_server::{Client, Server};
 use obf_uncertain::{SnapshotMeta, UncertainGraph};
 
-const USAGE: &str = "usage:
+const USAGE: &str = "republish: incremental vs from-scratch obfuscation of an evolving graph
+usage:
   republish [--batches 10] [--churn 0.01] [--k 20] [--eps 0.01] [--headroom 1.5]
 options:
   --batches <N>   delta batches to stream (default 10)
@@ -49,24 +50,22 @@ options:
   --headroom <F>  publish at headroom*sigma_min for republish stability (default 2.5)";
 
 fn main() {
-    if obf_bench::help_requested() {
-        println!("republish: incremental vs from-scratch obfuscation of an evolving graph");
-        println!("{USAGE}");
-        println!("{}", obf_bench::HARNESS_USAGE);
-        return;
-    }
-    reject_unknown_flags();
-    let cfg = HarnessConfig::init();
-    let batches: usize = flag("--batches").unwrap_or(10);
-    let churn: f64 = flag("--churn").unwrap_or(0.01);
-    let k: usize = flag("--k").unwrap_or(20);
-    let eps: f64 = flag("--eps").unwrap_or(0.01);
+    let flags = Flags::read(
+        USAGE,
+        &["--batches", "--churn", "--k", "--eps", "--headroom"],
+        &[],
+    );
+    let cfg = HarnessConfig::from_flags(&flags);
+    let batches: usize = flags.parse_value("--batches").unwrap_or(10);
+    let churn: f64 = flags.parse_value("--churn").unwrap_or(0.01);
+    let k: usize = flags.parse_value("--k").unwrap_or(20);
+    let eps: f64 = flags.parse_value("--eps").unwrap_or(0.01);
     // The default headroom is generous: on the 10-batch default stream
     // the ε̃ of the incremental releases drifts upward while σ stays
     // fixed, and 2.5 keeps every batch on the incremental path (the
     // σ values involved are small — ~0.07 on the 0.05-scale dblp — so
     // the utility cost is modest and the bench records it either way).
-    let headroom: f64 = flag("--headroom").unwrap_or(2.5);
+    let headroom: f64 = flags.parse_value("--headroom").unwrap_or(2.5);
 
     // The serving-bench convention (see loadgen): 0.05-scale dblp unless
     // the environment explicitly rescales.
@@ -359,64 +358,4 @@ impl Digest {
             self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
         }
     }
-}
-
-const VALUE_FLAGS: [&str; 6] = [
-    "--batches",
-    "--churn",
-    "--k",
-    "--eps",
-    "--headroom",
-    "--threads",
-];
-
-fn reject_unknown_flags() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut i = 0;
-    while i < args.len() {
-        let a = args[i].as_str();
-        if a == "--help" || a == "-h" {
-            i += 1;
-        } else if VALUE_FLAGS.contains(&a) {
-            i += 2;
-        } else if VALUE_FLAGS
-            .iter()
-            .any(|f| a.starts_with(f) && a.as_bytes().get(f.len()) == Some(&b'='))
-        {
-            i += 1;
-        } else {
-            eprintln!("error: unknown argument {a:?}");
-            eprintln!("{USAGE}");
-            std::process::exit(2);
-        }
-    }
-}
-
-/// `--name value` / `--name=value`, parsed; usage + exit 2 on garbage.
-fn flag<T: std::str::FromStr>(name: &str) -> Option<T> {
-    let args: Vec<String> = std::env::args().collect();
-    let eq_prefix = format!("{name}=");
-    for (i, a) in args.iter().enumerate() {
-        let raw = if a == name {
-            match args.get(i + 1) {
-                Some(v) => v.as_str(),
-                None => bad_flag(name, "<missing>"),
-            }
-        } else if let Some(v) = a.strip_prefix(&eq_prefix) {
-            v
-        } else {
-            continue;
-        };
-        return match raw.parse() {
-            Ok(v) => Some(v),
-            Err(_) => bad_flag(name, raw),
-        };
-    }
-    None
-}
-
-fn bad_flag(name: &str, value: &str) -> ! {
-    eprintln!("error: invalid value {value:?} for {name}");
-    eprintln!("{USAGE}");
-    std::process::exit(2);
 }

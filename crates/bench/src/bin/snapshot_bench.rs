@@ -16,7 +16,7 @@ use std::time::Instant;
 
 use obf_bench::experiments::obfuscate_with_fallback_stats;
 use obf_bench::json::Json;
-use obf_bench::HarnessConfig;
+use obf_bench::{Flags, HarnessConfig};
 use obf_datasets::{dblp_like, Dataset, DatasetSpec};
 use obf_uncertain::{load_snapshot, save_snapshot, SnapshotMeta, UncertainGraph};
 
@@ -101,9 +101,17 @@ fn open_v3(path: &std::path::Path) -> (f64, UncertainGraph, &'static str) {
     }
 }
 
+const USAGE: &str = "snapshot_bench: heap-decode vs mmap-open time of v3 snapshots
+usage:
+  snapshot_bench [--paper-scale]
+options:
+  --paper-scale   also publish dblp at the paper's n (one Table 3 cell) and
+                  write its v3 snapshot";
+
 fn main() {
-    let cfg = HarnessConfig::init();
-    let paper_scale = std::env::args().any(|a| a == "--paper-scale");
+    let flags = Flags::read(USAGE, &[], &["--paper-scale"]);
+    let cfg = HarnessConfig::from_flags(&flags);
+    let paper_scale = flags.switch("--paper-scale");
     let dir = obf_bench::results_dir().join("snapshot_bench_tmp");
     std::fs::create_dir_all(&dir).expect("create bench dir");
 

@@ -3,10 +3,14 @@
 
 use obf_bench::experiments::{figure1, table1_rows};
 use obf_bench::table::render;
+use obf_bench::HarnessConfig;
 use obf_core::ObfuscationCheck;
 use obf_graph::Parallelism;
 
 fn main() {
+    // The worked example takes no configuration, but the harness flags
+    // and environment are checked as in every other binary.
+    HarnessConfig::init();
     let (x, y) = table1_rows();
     let header = ["", "deg=0", "deg=1", "deg=2", "deg=3"];
     println!("{}", render("Table 1: X_v(w)", &header, &x));

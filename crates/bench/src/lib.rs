@@ -13,7 +13,8 @@
 //! * `OBF_SEED=<u64>` — master seed.
 //! * `OBF_THREADS=<usize>` — worker threads for the parallel engine
 //!   (default: all hardware threads). Every binary also accepts a
-//!   `--threads <N>` argument, which overrides the environment.
+//!   `--threads <N>` argument, which overrides the environment. A flag
+//!   a binary does not declare is an error (see [`Flags`]).
 //! * `OBF_RESULTS_DIR=<path>` — where TSV and JSON outputs go (default:
 //!   the repository's `results/`).
 //!
@@ -57,8 +58,8 @@ pub struct HarnessConfig {
 }
 
 /// The shared usage text of the experiment binaries: the harness flags
-/// plus the `OBF_*` environment knobs. Binaries with extra flags (e.g.
-/// `loadgen`) append their own lines before printing it.
+/// plus the `OBF_*` environment knobs. [`Flags`] prints a binary's own
+/// lines (e.g. `loadgen`'s) before it.
 pub const HARNESS_USAGE: &str = "\
 options:
   --threads <N>   worker threads for the parallel engine (default: all cores)
@@ -78,41 +79,32 @@ pub fn help_requested() -> bool {
 }
 
 impl HarnessConfig {
-    /// The shared entry point of every experiment binary: handles
-    /// `--help`, reads the configuration
-    /// ([`HarnessConfig::try_from_env`], including the `--threads`
-    /// argument) and prints the standard `[config: ..]` banner to
-    /// stderr. A malformed flag or environment value prints the error
-    /// plus [`HARNESS_USAGE`] and exits with status 2 instead of
-    /// panicking — the IO/CLI boundary never backtraces on user input.
+    /// The entry point of an experiment binary that takes only the
+    /// harness flags: [`HarnessConfig::from_flags`] over
+    /// [`Flags::read`] with nothing declared beyond `--threads`.
     pub fn init() -> Self {
-        if help_requested() {
-            println!("{HARNESS_USAGE}");
-            std::process::exit(0);
-        }
-        match Self::try_from_env() {
-            Ok(cfg) => {
-                eprintln!("[config: {cfg:?}]");
-                cfg
-            }
-            Err(msg) => {
-                eprintln!("error: {msg}");
-                eprintln!("{HARNESS_USAGE}");
-                std::process::exit(2);
-            }
-        }
+        Self::from_flags(&Flags::read("", &[], &[]))
     }
 
-    /// Reads the configuration from the environment, then lets a
-    /// `--threads <N>` command-line argument override `OBF_THREADS`.
-    /// Malformed values are reported as `Err` rather than panics.
-    pub fn try_from_env() -> Result<Self, String> {
+    /// Reads the configuration from the environment, lets the
+    /// `--threads <N>` of `flags` override `OBF_THREADS`, and prints the
+    /// standard `[config: ..]` banner to stderr. A malformed flag or
+    /// environment value prints the error plus the usage and exits with
+    /// status 2 instead of panicking — the IO/CLI boundary never
+    /// backtraces on user input.
+    pub fn from_flags(flags: &Flags) -> Self {
+        let cfg = Self::try_from_flags(flags).unwrap_or_else(|msg| flags.fail(&msg));
+        eprintln!("[config: {cfg:?}]");
+        cfg
+    }
+
+    fn try_from_flags(flags: &Flags) -> Result<Self, String> {
         let fast = std::env::var("OBF_FAST").is_ok_and(|v| v != "0" && !v.is_empty());
         let scale = env_or("OBF_SCALE", if fast { 0.1 } else { 1.0 })?;
         let worlds = env_or("OBF_WORLDS", if fast { 10 } else { 100 })?;
         let delta = env_or("OBF_DELTA", if fast { 1e-3 } else { 1e-6 })?;
         let seed = env_or("OBF_SEED", 0xC0FFEE)?;
-        let threads = match arg_usize("--threads")? {
+        let threads = match flags.try_parse("--threads")? {
             Some(t) => t,
             None => env_or("OBF_THREADS", Parallelism::available().threads())?,
         }
@@ -170,34 +162,116 @@ impl HarnessConfig {
     }
 }
 
-/// `--name <value>` (or `--name=<value>`) from the process arguments.
-/// A present-but-unparseable value is a hard `Err` rather than a silent
-/// fallback — a bench run recorded under the wrong thread count would
-/// corrupt the Table 3 comparison — but it surfaces as usage + exit 2
-/// (see [`HarnessConfig::init`]), not a panic.
-fn arg_usize(name: &str) -> Result<Option<usize>, String> {
-    let args: Vec<String> = std::env::args().collect();
-    parse_arg_usize(&args, name)
+/// The command-line flags of one harness binary, checked against the
+/// flags it declares: each value flag as `--name <value>` or
+/// `--name=<value>`, each switch as a bare `--name`. `--threads` (a
+/// value flag) and `--help`/`-h` are declared for every binary.
+///
+/// A misspelled or unknown flag must not silently fall back to a
+/// default, and a present-but-unparseable value must not either — a
+/// bench run recorded under the wrong thread count would corrupt the
+/// Table 3 comparison. Both surface as the error, the usage and exit
+/// status 2, never as a panic.
+#[derive(Debug, Default)]
+pub struct Flags {
+    /// `(name, value)` per value flag given, in argument order.
+    values: Vec<(String, String)>,
+    switches: Vec<String>,
+    usage: String,
 }
 
-fn parse_arg_usize(args: &[String], name: &str) -> Result<Option<usize>, String> {
-    let eq_prefix = format!("{name}=");
-    for (i, a) in args.iter().enumerate() {
-        let raw = if a == name {
-            args.get(i + 1)
-                .ok_or_else(|| format!("flag {name} needs a value"))?
-                .as_str()
-        } else if let Some(v) = a.strip_prefix(&eq_prefix) {
-            v
+impl Flags {
+    /// Reads the process arguments. `usage` is the binary's own usage
+    /// text (empty when it declares nothing beyond the harness flags);
+    /// [`HARNESS_USAGE`] follows it. `--help`/`-h` prints both and exits
+    /// with status 0.
+    pub fn read(usage: &str, values: &[&str], switches: &[&str]) -> Self {
+        let usage = if usage.is_empty() {
+            HARNESS_USAGE.to_string()
         } else {
-            continue;
+            format!("{usage}\n{HARNESS_USAGE}")
         };
-        return raw
-            .parse()
-            .map(Some)
-            .map_err(|_| format!("invalid value {raw:?} for {name}"));
+        let args: Vec<String> = std::env::args().skip(1).collect();
+        if args.iter().any(|a| a == "--help" || a == "-h") {
+            println!("{usage}");
+            std::process::exit(0);
+        }
+        let flags =
+            Self::parse(&args, values, switches).unwrap_or_else(|msg| usage_error(&usage, &msg));
+        Flags { usage, ..flags }
     }
-    Ok(None)
+
+    /// Checks `args` (without the program name) against the declared
+    /// flags.
+    fn parse(args: &[String], values: &[&str], switches: &[&str]) -> Result<Self, String> {
+        let mut flags = Flags::default();
+        let mut args = args.iter();
+        while let Some(a) = args.next() {
+            let (name, inline) = match a.split_once('=') {
+                Some((name, v)) => (name, Some(v)),
+                None => (a.as_str(), None),
+            };
+            if name == "--threads" || values.contains(&name) {
+                let value = match inline {
+                    Some(v) => v,
+                    None => args
+                        .next()
+                        .ok_or_else(|| format!("flag {name} needs a value"))?,
+                };
+                flags.values.push((name.to_string(), value.to_string()));
+            } else if inline.is_none() && switches.contains(&name) {
+                flags.switches.push(name.to_string());
+            } else {
+                return Err(format!("unknown argument {a:?}"));
+            }
+        }
+        Ok(flags)
+    }
+
+    /// The value of flag `name` as given (the first one if repeated).
+    pub fn get(&self, name: &str) -> Option<&str> {
+        self.values
+            .iter()
+            .find(|(n, _)| n == name)
+            .map(|(_, v)| v.as_str())
+    }
+
+    /// The value of flag `name`, parsed; usage + exit 2 if it does not
+    /// parse.
+    pub fn parse_value<T: std::str::FromStr>(&self, name: &str) -> Option<T> {
+        self.try_parse(name).unwrap_or_else(|msg| self.fail(&msg))
+    }
+
+    fn try_parse<T: std::str::FromStr>(&self, name: &str) -> Result<Option<T>, String> {
+        self.get(name)
+            .map(|raw| {
+                raw.parse()
+                    .map_err(|_| format!("invalid value {raw:?} for {name}"))
+            })
+            .transpose()
+    }
+
+    /// Whether switch `name` was given.
+    pub fn switch(&self, name: &str) -> bool {
+        self.switches.iter().any(|s| s == name)
+    }
+
+    /// Reports a bad value for flag `name` as usage + exit 2.
+    pub fn bad_value(&self, name: &str, value: &str) -> ! {
+        self.fail(&format!("invalid value {value:?} for {name}"))
+    }
+
+    /// Prints `error: {msg}` and the usage to stderr and exits with
+    /// status 2.
+    pub fn fail(&self, msg: &str) -> ! {
+        usage_error(&self.usage, msg)
+    }
+}
+
+fn usage_error(usage: &str, msg: &str) -> ! {
+    eprintln!("error: {msg}");
+    eprintln!("{usage}");
+    std::process::exit(2);
 }
 
 /// `key` from the environment, parsed, or `default` when it is unset.
@@ -261,29 +335,54 @@ mod tests {
         parts.iter().map(|s| s.to_string()).collect()
     }
 
+    /// `--threads` parsed from `args` with nothing else declared.
+    fn threads(args: &[&str]) -> Result<Option<usize>, String> {
+        Flags::parse(&argv(args), &[], &[])?.try_parse("--threads")
+    }
+
     #[test]
     fn threads_arg_accepts_both_forms() {
-        assert_eq!(
-            parse_arg_usize(&argv(&["bin", "--threads", "4"]), "--threads"),
-            Ok(Some(4))
-        );
-        assert_eq!(
-            parse_arg_usize(&argv(&["bin", "--threads=8"]), "--threads"),
-            Ok(Some(8))
-        );
-        assert_eq!(parse_arg_usize(&argv(&["bin"]), "--threads"), Ok(None));
+        assert_eq!(threads(&["--threads", "4"]), Ok(Some(4)));
+        assert_eq!(threads(&["--threads=8"]), Ok(Some(8)));
+        assert_eq!(threads(&[]), Ok(None));
     }
 
     #[test]
     fn threads_arg_rejects_garbage_as_error() {
-        let err = parse_arg_usize(&argv(&["bin", "--threads", "1x"]), "--threads").unwrap_err();
+        let err = threads(&["--threads", "1x"]).unwrap_err();
         assert!(err.contains("invalid value"), "err={err}");
     }
 
     #[test]
     fn threads_arg_rejects_missing_value_as_error() {
-        let err = parse_arg_usize(&argv(&["bin", "--threads"]), "--threads").unwrap_err();
+        let err = threads(&["--threads"]).unwrap_err();
         assert!(err.contains("needs a value"), "err={err}");
+    }
+
+    #[test]
+    fn undeclared_flags_are_errors() {
+        // A misspelt flag and one the binary does not take.
+        for args in [&["--thraeds", "2"][..], &["--bogus"], &["--help=1"], &["x"]] {
+            let err = Flags::parse(&argv(args), &[], &[]).unwrap_err();
+            assert!(err.contains("unknown argument"), "args={args:?} err={err}");
+        }
+        // A switch takes no `=value`.
+        let err = Flags::parse(&argv(&["--paper-scale=1"]), &[], &["--paper-scale"]).unwrap_err();
+        assert!(err.contains("unknown argument"), "err={err}");
+    }
+
+    #[test]
+    fn declared_switches_and_values_are_read() {
+        let args = argv(&["--paper-scale", "--churn=0.5", "--k", "7", "--threads=3"]);
+        let flags = Flags::parse(&args, &["--churn", "--k"], &["--paper-scale"]).unwrap();
+        assert!(flags.switch("--paper-scale"));
+        assert!(!flags.switch("--other"));
+        assert_eq!(flags.try_parse("--churn"), Ok(Some(0.5)));
+        assert_eq!(flags.try_parse("--k"), Ok(Some(7usize)));
+        assert_eq!(flags.try_parse("--threads"), Ok(Some(3usize)));
+        assert_eq!(flags.get("--eps"), None);
+        // A declared switch is not a value flag, and vice versa.
+        assert!(Flags::parse(&argv(&["--k"]), &[], &["--paper-scale"]).is_err());
     }
 
     #[test]

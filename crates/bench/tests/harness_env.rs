@@ -56,3 +56,43 @@ fn usage_lists_the_results_dir_variable() {
     assert!(out.status.success());
     assert!(String::from_utf8_lossy(&out.stdout).contains("OBF_RESULTS_DIR"));
 }
+
+#[test]
+fn undeclared_flag_exits_2_and_help_writes_nothing() {
+    let dir = std::env::temp_dir().join(format!("obf_flags_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    for (exe, args) in [
+        (env!("CARGO_BIN_EXE_table3"), &["--thraeds", "2"][..]),
+        (env!("CARGO_BIN_EXE_table1"), &["--bogus"]),
+        (env!("CARGO_BIN_EXE_snapshot_bench"), &["--paper-scale=1"]),
+    ] {
+        let out = Command::new(exe)
+            .env("OBF_FAST", "1")
+            .env("OBF_RESULTS_DIR", &dir)
+            .args(args)
+            .output()
+            .unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{exe} {args:?}: {stderr}");
+        assert!(
+            stderr.contains("unknown argument"),
+            "{exe} {args:?}: {stderr}"
+        );
+        assert!(
+            stderr.contains("environment:"),
+            "{exe} {args:?}: usage missing"
+        );
+    }
+    let out = Command::new(env!("CARGO_BIN_EXE_table1"))
+        .env("OBF_RESULTS_DIR", &dir)
+        .arg("--help")
+        .output()
+        .unwrap();
+    assert!(out.status.success());
+    assert!(String::from_utf8_lossy(&out.stdout).contains("--threads"));
+    assert!(
+        !dir.join("table1.tsv").exists(),
+        "--help ran the experiment"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -60,14 +60,13 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-use obf_graph::{stream_seed, AliasTable, FxHashSet, Graph, Parallelism, VertexPair};
+use obf_graph::{stream_seed, AliasTable, Graph, Parallelism, VertexPair};
 use obf_stats::TruncatedNormal;
 use obf_uncertain::UncertainGraph;
 
 use crate::adversary::DegreeProfile;
-use crate::commonness::{CommonnessScores, UniquenessScores, ValueHistogram};
+use crate::commonness::UniquenessScores;
 use crate::fastpath::{run_budgeted, BudgetedCheck, MemoizedAdversary};
-use crate::property::{DegreeProperty, VertexProperty};
 
 /// Parameters of the obfuscation algorithm (paper Algorithms 1–2).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -451,14 +450,11 @@ impl SigmaSearchStats {
 
 /// σ-independent state of one Algorithm 1 search, computed once and
 /// reused by every candidate σ (the "search-state reuse" leg of the fast
-/// path): the per-vertex property values and their sorted histogram
-/// (only the kernel θ = σ changes per candidate), the original graph's
-/// degree profile for the Definition 2 check, and the sorted original
-/// edge list that seeds every trial's candidate selection.
+/// path): the original graph's degree profile, which serves both the
+/// σ-uniqueness of line 1 (only the kernel θ = σ changes per candidate)
+/// and the Definition 2 check, and the sorted original edge list that
+/// seeds every trial's candidate selection.
 struct SearchContext {
-    property: DegreeProperty,
-    per_vertex: Vec<f64>,
-    histogram: ValueHistogram,
     profile: DegreeProfile,
     keys: PairKeys,
     /// `E` as sorted pair keys.
@@ -467,9 +463,6 @@ struct SearchContext {
 
 impl SearchContext {
     fn new(g: &Graph) -> Self {
-        let property = DegreeProperty;
-        let per_vertex = property.values(g);
-        let histogram = ValueHistogram::new(&per_vertex);
         let profile = DegreeProfile::new(g);
         let keys = PairKeys::new(g.num_vertices());
         // Sorted adjacency lists yield the edges in `VertexPair` order,
@@ -477,9 +470,6 @@ impl SearchContext {
         let base: Vec<u64> = g.edge_pairs().map(|p| keys.key(p)).collect();
         debug_assert!(base.is_sorted());
         Self {
-            property,
-            per_vertex,
-            histogram,
             profile,
             keys,
             base,
@@ -496,24 +486,8 @@ pub fn generate_obfuscation(
     sigma: f64,
     seed: u64,
 ) -> GenerateOutcome {
-    generate_obfuscation_with_excluded(g, params, sigma, &[], seed)
-}
-
-/// Algorithm 2 with a caller-supplied part of the exclusion set `H`
-/// (paper Section 5.3: "The algorithm could also receive H, or part of H,
-/// as an input, instead of fully selecting it on its own"). The supplied
-/// vertices are excluded from noise injection unconditionally; the
-/// algorithm tops the set up to `⌈ε/2·n⌉` with the most unique remaining
-/// vertices.
-pub fn generate_obfuscation_with_excluded(
-    g: &Graph,
-    params: &ObfuscationParams,
-    sigma: f64,
-    forced_excluded: &[u32],
-    seed: u64,
-) -> GenerateOutcome {
     let ctx = SearchContext::new(g);
-    let sampler = TrialSampler::new(g, &ctx, params, sigma, forced_excluded, seed);
+    let sampler = TrialSampler::new(g, &ctx, params, sigma, seed);
     let trials = Parallelism::new(params.parallelism.threads())
         .with_chunk_size(1)
         .map_collect(params.t, |i| check_trial(&ctx, params, &sampler, i));
@@ -582,36 +556,20 @@ impl TrialSampler {
         ctx: &SearchContext,
         params: &ObfuscationParams,
         sigma: f64,
-        forced_excluded: &[u32],
         stream: u64,
     ) -> Self {
         let n = g.num_vertices();
         let m = g.num_edges();
 
         // Line 1: σ-uniqueness of every vertex (θ = σ, Section 5.2). Only
-        // the kernel pass depends on σ; the value histogram comes from
+        // the kernel pass depends on σ; the degree profile comes from
         // `ctx`.
-        let scores =
-            CommonnessScores::from_histogram(&ctx.histogram, &ctx.property, sigma.max(1e-300));
-        let uniq = scores.vertex_uniqueness(&ctx.per_vertex);
+        let uniq = UniquenessScores::new(&ctx.profile, sigma.max(1e-300));
 
         // Line 2: H = the ⌈ε/2·n⌉ most unique vertices, excluded from
-        // noise; caller-forced members take priority.
+        // noise.
         let h_size = ((params.eps / 2.0) * n as f64).ceil() as usize;
-        let mut h_set: Vec<u32> = forced_excluded.to_vec();
-        h_set.sort_unstable();
-        h_set.dedup();
-        if h_set.len() < h_size.min(n) {
-            let forced: FxHashSet<u32> = h_set.iter().copied().collect();
-            for v in uniq.top_unique(h_size.min(n)) {
-                if h_set.len() >= h_size.min(n) {
-                    break;
-                }
-                if !forced.contains(&v) {
-                    h_set.push(v);
-                }
-            }
-        }
+        let h_set = uniq.top_unique(h_size.min(n));
 
         // Line 3: Q(v) ∝ U_σ(P(v)) on V \ H.
         let q_weights = uniq.q_weights(&h_set);
@@ -1313,7 +1271,7 @@ where
             drop(b);
             let sampler = task.sampler.get_or_init(|| {
                 let stream = stream_seed(params.seed, task.j as u64);
-                TrialSampler::new(g, ctx, params, task.sigma, &[], stream)
+                TrialSampler::new(g, ctx, params, task.sigma, stream)
             });
             let trial = run(sampler, task.i);
             b = abort.lock();
@@ -1380,7 +1338,7 @@ impl Drop for AbortOnPanic<'_> {
 mod tests {
     use super::*;
     use crate::adversary::{AdversaryTable, ObfuscationCheck};
-    use obf_graph::generators;
+    use obf_graph::{generators, FxHashSet};
     use std::time::Duration;
 
     fn test_params(k: usize, eps: f64) -> ObfuscationParams {
@@ -1454,10 +1412,7 @@ mod tests {
         params.eps = 0.2;
         let sigma = 0.05;
         // Recompute H exactly as the algorithm does.
-        let property = DegreeProperty;
-        let per_vertex = property.values(&g);
-        let scores = CommonnessScores::from_values(&per_vertex, &property, sigma);
-        let uniq = scores.vertex_uniqueness(&per_vertex);
+        let uniq = UniquenessScores::new(&DegreeProfile::new(&g), sigma);
         let h_size = ((params.eps / 2.0) * g.num_vertices() as f64).ceil() as usize;
         let h: std::collections::HashSet<u32> = uniq.top_unique(h_size).into_iter().collect();
 
@@ -1561,31 +1516,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn forced_h_vertices_are_untouched() {
-        // Supplying part of H (paper Section 5.3) must keep those vertices
-        // out of all noise injection, regardless of their uniqueness.
-        let mut rng = SmallRng::seed_from_u64(10);
-        let g = generators::erdos_renyi_gnm(150, 300, &mut rng);
-        let forced = [3u32, 77, 141];
-        let params = test_params(3, 0.2);
-        let out = super::generate_obfuscation_with_excluded(&g, &params, 0.05, &forced, rng.gen());
-        if let Some(ug) = out.graph {
-            let in_ec: std::collections::HashSet<(u32, u32)> =
-                ug.candidate_pairs().map(|(u, v, _)| (u, v)).collect();
-            for (u, v, _) in ug.candidate_pairs() {
-                if !g.has_edge(u, v) {
-                    assert!(!forced.contains(&u) && !forced.contains(&v));
-                }
-            }
-            for (u, v) in g.edges() {
-                if !in_ec.contains(&(u, v)) {
-                    assert!(!forced.contains(&u) && !forced.contains(&v));
-                }
-            }
-        }
-    }
-
     /// The exhaustive Definition 2 check — the full adversary table and
     /// every entropy column — as the oracle for the budgeted check of
     /// Algorithm 2's line 20. Asserts the same verdict, and the same ε̃
@@ -1664,7 +1594,7 @@ mod tests {
             for (si, sigma) in [1e-6, 1e-3, 0.05, 0.5, 4.0].into_iter().enumerate() {
                 let params = test_params(5, 0.05);
                 let stream = (gi * 10 + si) as u64;
-                let sampler = TrialSampler::new(g, &ctx, &params, sigma, &[], stream);
+                let sampler = TrialSampler::new(g, &ctx, &params, sigma, stream);
                 let draw = sampler.draw(&ctx, 0);
                 let ug = UncertainGraph::new(g.num_vertices(), draw.candidates).unwrap();
                 for k in [1, 2, 5, 12] {
@@ -1827,7 +1757,7 @@ mod tests {
         // that passes; the σ's counters go into `stats`.
         let generate = |sigma: f64, phase: SearchPhase, stats: &mut SigmaSearchStats| {
             let stream = stream_seed(params.seed, stats.candidates.len() as u64);
-            let sampler = TrialSampler::new(g, &ctx, params, sigma, &[], stream);
+            let sampler = TrialSampler::new(g, &ctx, params, sigma, stream);
             let mut trials = Vec::new();
             for i in 0..params.t {
                 let mut rng = SmallRng::seed_from_u64(stream_seed(stream, i as u64));
@@ -2287,7 +2217,7 @@ mod tests {
             let index = stats.candidates.iter().rposition(|c| c.accepted).unwrap();
             assert_eq!(stats.candidates[index].sigma.to_bits(), res.sigma.to_bits());
             let stream = stream_seed(params.seed, index as u64);
-            let sampler = TrialSampler::new(&g, &ctx, &params, res.sigma, &[], stream);
+            let sampler = TrialSampler::new(&g, &ctx, &params, res.sigma, stream);
             let mut alone: Vec<CheckedTrial> = (0..params.t)
                 .rev()
                 .map(|i| check_trial(&ctx, &params, &sampler, i))
@@ -2322,14 +2252,13 @@ mod tests {
 
     #[test]
     fn unsampleable_graph_is_identical_at_every_thread_count() {
-        // Forcing every vertex into H leaves no sampleable vertex (no Q),
+        // On one vertex with ε > 0, H = the ⌈ε/2·n⌉ = n most unique
+        // vertices is all of V, which leaves no sampleable vertex (no Q),
         // so E_C stays E in every trial.
-        let mut rng = SmallRng::seed_from_u64(42);
-        let g = generators::erdos_renyi_gnm(60, 150, &mut rng);
-        let all: Vec<u32> = (0..g.num_vertices() as u32).collect();
+        let g = Graph::from_edges(1, &[]);
         let run = |threads: usize| {
-            let params = test_params(2, 0.3).with_threads(threads).with_trials(3);
-            let out = generate_obfuscation_with_excluded(&g, &params, 0.2, &all, 9);
+            let params = test_params(1, 0.3).with_threads(threads).with_trials(3);
+            let out = generate_obfuscation(&g, &params, 0.2, 9);
             for t in &out.trials {
                 assert_eq!(
                     (t.kept_edges, t.added_pairs, t.removed_edges),
@@ -2340,6 +2269,7 @@ mod tests {
             (graph, out.eps_achieved.to_bits(), out.trials)
         };
         let want = run(1);
+        assert!(want.0.is_some(), "k = 1 passes on any graph");
         for threads in [2, 4, 8] {
             assert_eq!(run(threads), want, "threads={threads}");
         }

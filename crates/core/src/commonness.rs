@@ -1,203 +1,93 @@
-//! θ-commonness and θ-uniqueness of property values (paper Definition 3).
+//! θ-commonness and θ-uniqueness of degrees (paper Definition 3).
 //!
-//! The commonness of a value `ω ∈ Ω_P` is the kernel-weighted count of
-//! vertices whose property value is near `ω`:
-//! `C_θ(ω) = Σ_{v∈V} Φ_{0,θ}(d(ω, P(v)))`, with the Gaussian density
+//! The commonness of a degree `ω` is the kernel-weighted count of
+//! vertices whose degree is near `ω`:
+//! `C_θ(ω) = Σ_{v∈V} Φ_{0,θ}(|ω − deg v|)`, with the Gaussian density
 //! `Φ_{0,θ}` of Eq. 5; uniqueness is its reciprocal. Vertices with unique
-//! property values need more noise to "blend in the crowd", so these
-//! scores drive the exclusion set `H`, the vertex-sampling distribution
-//! `Q` (Algorithm 2, lines 2–3) and the per-pair noise levels `σ(e)`
-//! (Eq. 7).
+//! degrees need more noise to "blend in the crowd", so these scores drive
+//! the exclusion set `H`, the vertex-sampling distribution `Q`
+//! (Algorithm 2, lines 2–3) and the per-pair noise levels `σ(e)` (Eq. 7).
 //!
-//! For the degree property the value multiset is a histogram over at most
-//! `max_degree + 1` distinct values, so all scores are computed on
-//! distinct values and broadcast back to vertices.
+//! The degree multiset is the original graph's [`DegreeProfile`], a
+//! histogram over at most `max_degree + 1` distinct degrees, so all
+//! scores are computed on distinct degrees and broadcast back to
+//! vertices. Algorithm 1 evaluates `C_θ` at θ = σ for every candidate σ;
+//! the profile is built once per search and only the kernel pass re-runs.
 
-use obf_graph::Graph;
 use obf_stats::normal::norm_pdf;
 
-use crate::property::VertexProperty;
+use crate::adversary::DegreeProfile;
 
 /// Kernel distance (in multiples of θ) beyond which the Gaussian weight is
 /// negligible (`Φ_{0,θ}(8θ)/Φ_{0,θ}(0) = e^{-32} ≈ 1.3e-14`).
 const KERNEL_CUTOFF_THETAS: f64 = 8.0;
 
-/// Sorted distinct property values with multiplicities — the σ-independent
-/// half of a [`CommonnessScores`] computation.
+/// `C_θ(ω)` for every distinct degree `ω` of `profile`, parallel to
+/// [`DegreeProfile::distinct`].
 ///
-/// Algorithm 1 evaluates `C_θ` at θ = σ for every candidate σ of the
-/// doubling/binary search; the sort and run-length grouping of the
-/// per-vertex values is identical for all of them, so the σ-search fast
-/// path builds this histogram once and re-runs only the (cheap) kernel
-/// pass per candidate via [`CommonnessScores::from_histogram`].
-#[derive(Debug, Clone)]
-pub struct ValueHistogram {
-    values: Vec<f64>,
-    counts: Vec<usize>,
-}
-
-impl ValueHistogram {
-    /// Groups a per-vertex value vector into sorted distinct values with
-    /// multiplicities (ties broken by `f64::total_cmp`, exactly as
-    /// [`CommonnessScores::from_values`] always did).
-    pub fn new(per_vertex: &[f64]) -> Self {
-        let mut sorted = per_vertex.to_vec();
-        sorted.sort_by(f64::total_cmp);
-        let mut values: Vec<f64> = Vec::new();
-        let mut counts: Vec<usize> = Vec::new();
-        for &x in &sorted {
-            if values.last() == Some(&x) {
-                *counts.last_mut().unwrap() += 1;
-            } else {
-                values.push(x);
-                counts.push(1);
-            }
-        }
-        Self { values, counts }
-    }
-
-    /// Sorted distinct values.
-    pub fn values(&self) -> &[f64] {
-        &self.values
-    }
-
-    /// Multiplicities parallel to [`ValueHistogram::values`].
-    pub fn counts(&self) -> &[usize] {
-        &self.counts
-    }
-}
-
-/// Commonness scores of the distinct property values in a graph.
-#[derive(Debug, Clone)]
-pub struct CommonnessScores {
-    /// Sorted distinct property values.
-    values: Vec<f64>,
-    /// Multiplicity of each distinct value.
-    counts: Vec<usize>,
-    /// `C_θ` for each distinct value.
-    commonness: Vec<f64>,
-    theta: f64,
-}
-
-impl CommonnessScores {
-    /// Computes `C_θ` for every distinct property value of `g` under
-    /// property `prop`.
-    ///
-    /// # Panics
-    /// Panics if `theta` is not strictly positive and finite.
-    pub fn compute<P: VertexProperty>(g: &Graph, prop: &P, theta: f64) -> Self {
-        let per_vertex = prop.values(g);
-        Self::from_values(&per_vertex, prop, theta)
-    }
-
-    /// Computes scores from a raw value vector (one entry per vertex).
-    pub fn from_values<P: VertexProperty>(per_vertex: &[f64], prop: &P, theta: f64) -> Self {
-        Self::from_histogram(&ValueHistogram::new(per_vertex), prop, theta)
-    }
-
-    /// Computes scores from a pre-grouped [`ValueHistogram`], skipping the
-    /// `O(n log n)` sort — bit-identical to
-    /// [`CommonnessScores::from_values`] on the same data. This is the
-    /// per-candidate-σ entry point of the σ-search fast path (θ = σ
-    /// changes every candidate; the histogram never does).
-    pub fn from_histogram<P: VertexProperty>(
-        histogram: &ValueHistogram,
-        prop: &P,
-        theta: f64,
-    ) -> Self {
-        assert!(
-            theta.is_finite() && theta > 0.0,
-            "theta must be positive and finite, got {theta}"
-        );
-        let values = histogram.values.clone();
-        let counts = histogram.counts.clone();
-        // C_θ(ω) = Σ_{ω'} count(ω') Φ_{0,θ}(d(ω, ω')) with kernel cutoff.
-        let cutoff = KERNEL_CUTOFF_THETAS * theta;
-        let mut commonness = vec![0.0f64; values.len()];
-        for (i, &w) in values.iter().enumerate() {
+/// # Panics
+/// Panics if `theta` is not strictly positive and finite.
+pub fn commonness(profile: &DegreeProfile, theta: f64) -> Vec<f64> {
+    assert!(
+        theta.is_finite() && theta > 0.0,
+        "theta must be positive and finite, got {theta}"
+    );
+    let values = profile.distinct();
+    let counts = profile.multiplicity();
+    // C_θ(ω) = Σ_{ω'} count(ω') Φ_{0,θ}(|ω − ω'|) with kernel cutoff.
+    // Degrees are sorted, so scan left and right from ω, stopping at the
+    // first degree out of the window.
+    let cutoff = KERNEL_CUTOFF_THETAS * theta;
+    let term = |w: f64, j: usize| {
+        let d = (w - values[j] as f64).abs();
+        (d <= cutoff).then(|| counts[j] as f64 * norm_pdf(d, 0.0, theta))
+    };
+    (0..values.len())
+        .map(|i| {
+            let w = values[i] as f64;
             let mut acc = 0.0;
-            // Values are sorted and the default distance is |a-b|, but a
-            // custom distance may not align with the sort order — only use
-            // the cutoff window when it is safe (monotone distance).
-            // Scan left and right from i, breaking when out of window.
             for j in (0..=i).rev() {
-                let d = prop.distance(w, values[j]);
-                if d > cutoff {
-                    break;
-                }
-                acc += counts[j] as f64 * norm_pdf(d, 0.0, theta);
+                let Some(t) = term(w, j) else { break };
+                acc += t;
             }
             for j in i + 1..values.len() {
-                let d = prop.distance(w, values[j]);
-                if d > cutoff {
-                    break;
-                }
-                acc += counts[j] as f64 * norm_pdf(d, 0.0, theta);
+                let Some(t) = term(w, j) else { break };
+                acc += t;
             }
-            commonness[i] = acc;
-        }
-        Self {
-            values,
-            counts,
-            commonness,
-            theta,
-        }
-    }
-
-    /// θ used for the kernel.
-    pub fn theta(&self) -> f64 {
-        self.theta
-    }
-
-    /// Sorted distinct property values.
-    pub fn distinct_values(&self) -> &[f64] {
-        &self.values
-    }
-
-    /// Multiplicities parallel to [`Self::distinct_values`].
-    pub fn counts(&self) -> &[usize] {
-        &self.counts
-    }
-
-    /// `C_θ(ω)` for a distinct value (by binary search).
-    pub fn commonness_of(&self, omega: f64) -> Option<f64> {
-        self.values
-            .binary_search_by(|x| x.total_cmp(&omega))
-            .ok()
-            .map(|i| self.commonness[i])
-    }
-
-    /// `U_θ(ω) = 1 / C_θ(ω)`.
-    pub fn uniqueness_of(&self, omega: f64) -> Option<f64> {
-        self.commonness_of(omega).map(|c| 1.0 / c)
-    }
-
-    /// Expands to per-vertex uniqueness scores given the per-vertex value
-    /// vector used to build the scores.
-    pub fn vertex_uniqueness(&self, per_vertex: &[f64]) -> UniquenessScores {
-        let scores = per_vertex
-            .iter()
-            .map(|&w| self.uniqueness_of(w).expect("value present in scores"))
-            .collect();
-        UniquenessScores { scores }
-    }
+            acc
+        })
+        .collect()
 }
 
-/// Per-vertex uniqueness scores `U_θ(P(v))`.
+/// Per-vertex uniqueness scores `U_θ(deg v) = 1 / C_θ(deg v)`.
 #[derive(Debug, Clone)]
 pub struct UniquenessScores {
     scores: Vec<f64>,
 }
 
 impl UniquenessScores {
+    /// θ-uniqueness of every vertex of the profiled graph (Algorithm 2
+    /// line 1).
+    ///
+    /// # Panics
+    /// Panics if `theta` is not strictly positive and finite.
+    pub fn new(profile: &DegreeProfile, theta: f64) -> Self {
+        let c = commonness(profile, theta);
+        let mut slot = vec![0usize; profile.max_degree() + 1];
+        for (i, &d) in profile.distinct().iter().enumerate() {
+            slot[d] = i;
+        }
+        let scores = profile
+            .degrees()
+            .iter()
+            .map(|&d| 1.0 / c[slot[d]])
+            .collect();
+        Self { scores }
+    }
+
     /// Uniqueness of vertex `v`.
     pub fn of(&self, v: u32) -> f64 {
         self.scores[v as usize]
-    }
-
-    /// All scores (vertex order).
-    pub fn as_slice(&self) -> &[f64] {
-        &self.scores
     }
 
     /// Indices of the `h` vertices with the largest uniqueness — the
@@ -214,7 +104,7 @@ impl UniquenessScores {
         idx
     }
 
-    /// Sampling weights for the distribution `Q(v) ∝ U_θ(P(v))`
+    /// Sampling weights for the distribution `Q(v) ∝ U_θ(deg v)`
     /// (Algorithm 2 line 3), with the vertices in `excluded` zeroed out so
     /// they are never drawn (lines 8–9 sample from `V \ H`).
     pub fn q_weights(&self, excluded: &[u32]) -> Vec<f64> {
@@ -229,66 +119,66 @@ impl UniquenessScores {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::property::DegreeProperty;
-    use obf_graph::generators;
+    use obf_graph::{generators, Graph};
+
+    /// `C_θ` of degree `d` in `profile`.
+    fn commonness_of(profile: &DegreeProfile, theta: f64, d: usize) -> f64 {
+        let i = profile.distinct().binary_search(&d).unwrap();
+        commonness(profile, theta)[i]
+    }
 
     #[test]
     fn tiny_theta_reduces_to_multiplicity() {
         // With θ → 0 the kernel only sees exact matches:
         // C_θ(ω) ≈ count(ω) · Φ_{0,θ}(0) = count(ω)/(θ√(2π)).
         let g = Graph::from_edges(4, &[(0, 1), (1, 2), (0, 2), (0, 3)]); // degrees 3,2,2,1
+        let p = DegreeProfile::new(&g);
         let theta = 1e-6;
-        let s = CommonnessScores::compute(&g, &DegreeProperty, theta);
-        let phi0 = obf_stats::normal::norm_pdf(0.0, 0.0, theta);
-        assert!((s.commonness_of(2.0).unwrap() - 2.0 * phi0).abs() / phi0 < 1e-9);
-        assert!((s.commonness_of(3.0).unwrap() - phi0).abs() / phi0 < 1e-9);
+        let phi0 = norm_pdf(0.0, 0.0, theta);
+        assert!((commonness_of(&p, theta, 2) - 2.0 * phi0).abs() / phi0 < 1e-9);
+        assert!((commonness_of(&p, theta, 3) - phi0).abs() / phi0 < 1e-9);
     }
-
-    use obf_graph::Graph;
 
     #[test]
     fn frequent_values_are_more_common() {
         let g = generators::star(10); // degree 9 once, degree 1 nine times
-        let s = CommonnessScores::compute(&g, &DegreeProperty, 0.5);
-        let c_hub = s.commonness_of(9.0).unwrap();
-        let c_leaf = s.commonness_of(1.0).unwrap();
+        let p = DegreeProfile::new(&g);
+        let c_hub = commonness_of(&p, 0.5, 9);
+        let c_leaf = commonness_of(&p, 0.5, 1);
         assert!(c_leaf > 5.0 * c_hub, "leaf={c_leaf} hub={c_hub}");
-        assert!(s.uniqueness_of(9.0).unwrap() > s.uniqueness_of(1.0).unwrap());
+        let u = UniquenessScores::new(&p, 0.5);
+        assert!(u.of(0) > u.of(1));
     }
 
     #[test]
     fn nearby_values_contribute() {
-        // Degrees 5 (x9) and 6 (x1) with θ = 2: value 6 is much less
-        // unique than it would be with θ = 0.01 because the 5s are close.
-        let vals_near: Vec<f64> = std::iter::repeat_n(5.0, 9)
-            .chain(std::iter::once(6.0))
-            .collect();
-        let wide = CommonnessScores::from_values(&vals_near, &DegreeProperty, 2.0);
-        let narrow = CommonnessScores::from_values(&vals_near, &DegreeProperty, 0.01);
-        // Ratio of uniqueness(6)/uniqueness(5):
-        let r_wide = wide.uniqueness_of(6.0).unwrap() / wide.uniqueness_of(5.0).unwrap();
-        let r_narrow = narrow.uniqueness_of(6.0).unwrap() / narrow.uniqueness_of(5.0).unwrap();
+        // A path: degree 1 twice (the ends) and degree 2 eight times. With
+        // θ = 2 the rare ends are much less unique than with θ = 0.01,
+        // because the 2s are close.
+        let g = generators::path(10);
+        let p = DegreeProfile::new(&g);
+        assert_eq!(p.multiplicity(), &[2, 8]);
+        let ratio = |theta| {
+            let u = UniquenessScores::new(&p, theta);
+            u.of(0) / u.of(1) // an end over an inner vertex
+        };
+        let (r_wide, r_narrow) = (ratio(2.0), ratio(0.01));
         assert!(r_wide < r_narrow / 2.0, "wide={r_wide} narrow={r_narrow}");
     }
 
     #[test]
     fn top_unique_selects_rarest() {
         let g = generators::star(10);
-        let s = CommonnessScores::compute(&g, &DegreeProperty, 0.1);
-        let per_vertex = DegreeProperty.values(&g);
-        let u = s.vertex_uniqueness(&per_vertex);
-        let top = u.top_unique(1);
-        assert_eq!(top, vec![0]); // the hub
-                                  // Deterministic tie-break on the leaves.
-        let top3 = u.top_unique(3);
-        assert_eq!(top3, vec![0, 1, 2]);
+        let u = UniquenessScores::new(&DegreeProfile::new(&g), 0.1);
+        assert_eq!(u.top_unique(1), vec![0]); // the hub
+                                              // Deterministic tie-break on the leaves.
+        assert_eq!(u.top_unique(3), vec![0, 1, 2]);
     }
 
     #[test]
     fn q_weights_zero_excluded() {
         let g = generators::star(5);
-        let s = CommonnessScores::compute(&g, &DegreeProperty, 0.1);
-        let u = s.vertex_uniqueness(&DegreeProperty.values(&g));
+        let u = UniquenessScores::new(&DegreeProfile::new(&g), 0.1);
         let w = u.q_weights(&[0, 2]);
         assert_eq!(w[0], 0.0);
         assert_eq!(w[2], 0.0);
@@ -296,45 +186,9 @@ mod tests {
     }
 
     #[test]
-    fn unknown_value_is_none() {
-        let g = generators::cycle(5);
-        let s = CommonnessScores::compute(&g, &DegreeProperty, 0.5);
-        assert!(s.commonness_of(7.0).is_none());
-    }
-
-    #[test]
     #[should_panic(expected = "positive")]
     fn rejects_zero_theta() {
         let g = generators::cycle(5);
-        let _ = CommonnessScores::compute(&g, &DegreeProperty, 0.0);
-    }
-
-    #[test]
-    fn histogram_path_is_bit_identical() {
-        use rand::SeedableRng;
-        let g = generators::barabasi_albert(60, 2, &mut rand::rngs::SmallRng::seed_from_u64(3));
-        let per_vertex = DegreeProperty.values(&g);
-        let hist = ValueHistogram::new(&per_vertex);
-        for theta in [1e-6, 0.3, 2.0, 17.0] {
-            let a = CommonnessScores::from_values(&per_vertex, &DegreeProperty, theta);
-            let b = CommonnessScores::from_histogram(&hist, &DegreeProperty, theta);
-            assert_eq!(a.distinct_values(), b.distinct_values());
-            assert_eq!(a.counts(), b.counts());
-            for &w in a.distinct_values() {
-                assert_eq!(
-                    a.commonness_of(w),
-                    b.commonness_of(w),
-                    "theta={theta} w={w}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn counts_track_multiplicities() {
-        let g = Graph::from_edges(4, &[(0, 1), (1, 2), (0, 2), (0, 3)]);
-        let s = CommonnessScores::compute(&g, &DegreeProperty, 1.0);
-        assert_eq!(s.distinct_values(), &[1.0, 2.0, 3.0]);
-        assert_eq!(s.counts(), &[1, 2, 1]);
+        let _ = commonness(&DegreeProfile::new(&g), 0.0);
     }
 }

@@ -8,7 +8,7 @@
 //!
 //! Pipeline (paper Sections 4–5):
 //!
-//! 1. [`commonness`] — θ-commonness/uniqueness scores of property values
+//! 1. [`commonness`] — θ-commonness/uniqueness scores of degrees
 //!    (Definition 3), driving both the exclusion set `H` and the sampling
 //!    distribution `Q`.
 //! 2. [`algorithm`] — Algorithm 2 (`GenerateObfuscation`): candidate-set
@@ -43,14 +43,12 @@ pub mod adversary;
 pub mod algorithm;
 pub mod commonness;
 pub mod fastpath;
-pub mod property;
 
 pub use adversary::{DegreeProfile, ObfuscationCheck};
 pub use algorithm::{
-    generate_obfuscation, generate_obfuscation_with_excluded, obfuscate, obfuscate_with_stats,
-    GenerateOutcome, ObfuscationError, ObfuscationParams, ObfuscationResult, SearchPhase,
-    SigmaCandidateStats, SigmaSearchStats, TrialPhaseSecs, TrialStats,
+    generate_obfuscation, obfuscate, obfuscate_with_stats, GenerateOutcome, ObfuscationError,
+    ObfuscationParams, ObfuscationResult, SearchPhase, SigmaCandidateStats, SigmaSearchStats,
+    TrialPhaseSecs, TrialStats,
 };
-pub use commonness::{CommonnessScores, UniquenessScores, ValueHistogram};
+pub use commonness::UniquenessScores;
 pub use fastpath::{fail_budget, run_budgeted, BudgetedCheck, MemoizedAdversary};
-pub use property::{DegreeProperty, VertexProperty};

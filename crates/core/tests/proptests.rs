@@ -1,9 +1,8 @@
 //! Property-based tests of the obfuscation core.
 
 use obf_core::adversary::{AdversaryTable, DegreeProfile, ObfuscationCheck};
-use obf_core::commonness::CommonnessScores;
+use obf_core::commonness::{commonness, UniquenessScores};
 use obf_core::fastpath::{run_budgeted, MemoizedAdversary};
-use obf_core::property::{DegreeProperty, VertexProperty};
 use obf_graph::{Graph, GraphBuilder, Parallelism};
 use obf_uncertain::UncertainGraph;
 use proptest::prelude::*;
@@ -27,16 +26,36 @@ proptest! {
 
     #[test]
     fn commonness_positive_and_count_bounded(g in arb_graph(40), theta in 0.01f64..5.0) {
-        let scores = CommonnessScores::compute(&g, &DegreeProperty, theta);
+        let profile = DegreeProfile::new(&g);
         let phi0 = obf_stats::normal::norm_pdf(0.0, 0.0, theta);
         let n = g.num_vertices() as f64;
-        for (&w, &count) in scores.distinct_values().iter().zip(scores.counts()) {
-            let c = scores.commonness_of(w).unwrap();
+        for (&c, &count) in commonness(&profile, theta).iter().zip(profile.multiplicity()) {
             // At least the exact-match mass, at most all n vertices at
             // distance zero.
             prop_assert!(c >= count as f64 * phi0 * (1.0 - 1e-12));
             prop_assert!(c <= n * phi0 * (1.0 + 1e-12));
-            prop_assert!(scores.uniqueness_of(w).unwrap() > 0.0);
+            prop_assert!(1.0 / c > 0.0);
+        }
+    }
+
+    #[test]
+    fn kernel_cutoff_matches_the_untruncated_sum(g in arb_graph(40), theta in 0.01f64..5.0) {
+        // The 8θ window drops at most n·e^{-32} ≈ n·1.3e-14 of the full
+        // Definition 3 sum over every vertex.
+        let profile = DegreeProfile::new(&g);
+        let c = commonness(&profile, theta);
+        for (&w, &got) in profile.distinct().iter().zip(&c) {
+            let full: f64 = profile
+                .degrees()
+                .iter()
+                .map(|&d| obf_stats::normal::norm_pdf((w as f64 - d as f64).abs(), 0.0, theta))
+                .sum();
+            prop_assert!((got - full).abs() <= 1e-12 * full, "w={} got={} full={}", w, got, full);
+        }
+        let u = UniquenessScores::new(&profile, theta);
+        for (v, &d) in profile.degrees().iter().enumerate() {
+            let i = profile.distinct().binary_search(&d).unwrap();
+            prop_assert_eq!(u.of(v as u32), 1.0 / c[i]);
         }
     }
 
@@ -44,16 +63,13 @@ proptest! {
     fn uniqueness_ordering_matches_rarity_at_tiny_theta(g in arb_graph(40)) {
         // θ → 0: uniqueness is inversely proportional to multiplicity, so
         // rarer degrees are at least as unique.
-        let scores = CommonnessScores::compute(&g, &DegreeProperty, 1e-9);
-        let values = scores.distinct_values().to_vec();
-        let counts = scores.counts().to_vec();
-        for i in 0..values.len() {
-            for j in 0..values.len() {
+        let profile = DegreeProfile::new(&g);
+        let uniqueness: Vec<f64> = commonness(&profile, 1e-9).iter().map(|c| 1.0 / c).collect();
+        let counts = profile.multiplicity();
+        for i in 0..counts.len() {
+            for j in 0..counts.len() {
                 if counts[i] < counts[j] {
-                    prop_assert!(
-                        scores.uniqueness_of(values[i]).unwrap()
-                            >= scores.uniqueness_of(values[j]).unwrap() * (1.0 - 1e-9)
-                    );
+                    prop_assert!(uniqueness[i] >= uniqueness[j] * (1.0 - 1e-9));
                 }
             }
         }
@@ -82,14 +98,6 @@ proptest! {
             let total: f64 = y.iter().sum();
             prop_assert!(total.abs() < 1e-9 || (total - 1.0).abs() < 1e-9);
             prop_assert!(y.iter().all(|&p| p >= 0.0));
-        }
-    }
-
-    #[test]
-    fn property_values_match_degrees(g in arb_graph(40)) {
-        let vals = DegreeProperty.values(&g);
-        for v in 0..g.num_vertices() as u32 {
-            prop_assert_eq!(vals[v as usize], g.degree(v) as f64);
         }
     }
 

@@ -65,9 +65,7 @@ pub use obf_uncertain as uncertain;
 
 /// Commonly used items, re-exported for convenience.
 pub mod prelude {
-    pub use obf_core::{
-        obfuscate, DegreeProperty, ObfuscationCheck, ObfuscationParams, ObfuscationResult,
-    };
+    pub use obf_core::{obfuscate, ObfuscationCheck, ObfuscationParams, ObfuscationResult};
     pub use obf_graph::{Graph, GraphBuilder, Parallelism};
     pub use obf_uncertain::UncertainGraph;
 }
